@@ -16,6 +16,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .lattice import SpinGraph, load_graph, path_graph, ring_graph, distances_from
@@ -454,6 +455,9 @@ def run(argv=None) -> int:
     except (ConvergenceError, ValueError, RuntimeError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"solver error: out of memory: {exc}", file=sys.stderr)
+        return 3
 
     out = cfg["out"]
     fmt = cfg["format"]
@@ -469,6 +473,7 @@ def run(argv=None) -> int:
             "versions": {
                 "python": sys.version.split()[0],
                 "numpy": np.__version__,
+                "scipy": scipy.__version__,
                 "spinsys": __version__,
             },
             "wall_time_s": time.time() - started,

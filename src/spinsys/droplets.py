@@ -18,8 +18,7 @@ import numpy as np
 from .hilbert import SpinSpace, down_spin_sector, restrict
 from .models import XxzParams, xxz, assemble
 from .spectral import SpectrumReport, full_spectrum, sector_spectrum
-from .symmetry import spin_multiplicities, suq2_generators, suq_casimir_value, \
-    _label_cluster, CLASSIFY_DEGENERACY_TOL
+from .symmetry import spin_multiplicities, suq2_generators, suq_casimir_value, _label_levels
 
 SECTOR_DIM_LIMIT = 200_000
 
@@ -78,22 +77,12 @@ def open_chain_spin_level(p: XxzParams, n: int) -> float:
     mult = spin_multiplicities(space)
     twice_target = p.L - 2 * n                  # 2(S_max - n)
     candidates = {t: suq_casimir_value(p.q, t) for t in mult if t >= twice_target}
-    evals, evecs = rep.eigenvalues, rep.eigenvectors
-    best = None
-    i = 0
-    while i < evals.size:
-        j = i + 1
-        while j < evals.size and evals[j] - evals[j - 1] <= CLASSIFY_DEGENERACY_TOL:
-            j += 1
-        labels, _ = _label_cluster(evecs[:, i:j], cq, candidates,
-                                   hermitian_c=False, residual_tol=1e-8)
-        for lab, e in zip(labels, evals[i:j]):
-            if lab == twice_target and (best is None or e < best):
-                best = float(e)
-        i = j
-    if best is None:
+    labels, _ = _label_levels(rep.eigenvalues, rep.eigenvectors, cq, candidates,
+                              hermitian_c=False, residual_tol=1e-8)
+    levels = [e for lab, e in zip(labels, rep.eigenvalues) if lab == twice_target]
+    if not levels:
         raise ValueError(f"no state labeled 2S={twice_target} in the n={n} sector")
-    return best
+    return float(min(levels))
 
 
 @dataclass

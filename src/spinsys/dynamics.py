@@ -1,9 +1,9 @@
 """Heisenberg dynamics, commutator light cones, and ground-state clustering.
 
 Real-time evolution goes through the dense eigendecomposition of H (the
-full unitary is needed anyway); imaginary-time weights e^(-b(H-E0)) are
-applied by spectral decomposition, dense below the cutoff and through the
-spectral decomposition of a Krylov tridiagonal above it.
+full unitary is needed anyway).  Imaginary-time weights e^(-b(H-E0)) are
+applied by spectral decomposition on the dense path and, inside one sector,
+by scipy's ``expm_multiply`` on the sparse block.
 """
 
 from __future__ import annotations
@@ -185,50 +185,33 @@ def ground_correlation(H, A, B, b: float, degeneracy_tol=1e-8) -> complex:
 
 class SectorCorrelator:
     """Imaginary-time ground correlations inside one magnetization sector,
-    with Lanczos ground state and Krylov propagation (for sector dimensions
-    beyond the dense cutoff)."""
+    with an ARPACK ground state and sparse propagation (for sector
+    dimensions beyond the dense cutoff)."""
 
-    def __init__(self, h_block, tol=1e-10, krylov_dim=120, degeneracy_tol=1e-8):
+    def __init__(self, h_block, tol=1e-10, degeneracy_tol=1e-8):
         self.h = sp.csr_matrix(h_block)
         rep = extremal_eigs(self.h, k=2, tol=tol)
         if rep.eigenvalues[1] - rep.eigenvalues[0] <= degeneracy_tol:
             raise ValueError("ground state degenerate within its sector")
         self.e0 = float(rep.eigenvalues[0])
         self.omega = rep.eigenvectors[:, 0]
-        self.krylov_dim = min(krylov_dim, self.h.shape[0])
+        self.shifted = self.h - self.e0 * sp.identity(self.h.shape[0], format="csr")
 
     def propagate(self, w, b: float) -> np.ndarray:
-        """e^(-b (H - E0)) w via the spectral decomposition of the Krylov
-        tridiagonal built from w."""
-        nrm = np.linalg.norm(w)
-        if nrm == 0 or b == 0:
-            return w.copy()
-        m = self.krylov_dim
-        Q = np.empty((w.size, m), dtype=complex, order="F")
-        Q[:, 0] = w / nrm
-        alpha, beta = [], []
-        used = m
-        for j in range(m):
-            v = self.h @ Q[:, j]
-            a = float(np.real(np.vdot(Q[:, j], v)))
-            alpha.append(a)
-            v = v - a * Q[:, j]
-            if j > 0:
-                v = v - beta[-1] * Q[:, j - 1]
-            v = v - Q[:, :j + 1] @ (Q[:, :j + 1].conj().T @ v)
-            nb = np.linalg.norm(v)
-            if nb < 1e-12 or j == m - 1:
-                used = j + 1
-                break
-            beta.append(nb)
-            Q[:, j + 1] = v / nb
-        T = (np.diag(alpha[:used]) + np.diag(beta[:used - 1], 1)
-             + np.diag(beta[:used - 1], -1))
-        tvals, tvecs = np.linalg.eigh(T)
-        e1 = np.zeros(used)
-        e1[0] = 1.0
-        y = tvecs @ (np.exp(-b * (tvals - self.e0)) * (tvecs.T @ e1))
-        return nrm * (Q[:, :used] @ y)
+        """e^(-b (H - E0)) w by scipy's ``expm_multiply``: a truncated Taylor
+        series with scaling (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
+        488 (2011))."""
+        from scipy.sparse.linalg import expm_multiply
+
+        # When b ||H - E0||_1 is large, scipy picks the series length from a
+        # 1-norm estimator that draws from numpy's global generator: seed it
+        # for the call, so the result is reproducible, and restore it after.
+        state = np.random.get_state()
+        np.random.seed(0)
+        try:
+            return expm_multiply(-b * self.shifted, w)
+        finally:
+            np.random.set_state(state)
 
     def correlation(self, a_block, b_block, b: float) -> complex:
         """<Omega, A e^(-b(H-E0)) B_c Omega> with B centered in the ground state."""

@@ -311,7 +311,8 @@ def embed_local(space: SpinSpace, support, matrix) -> SparseOperator:
 def restrict(op: SparseOperator, sector: SectorBasis, leak_tol=1e-10, dense=True):
     """Restriction of ``op`` to a sector; errors if matrix elements leak out.
 
-    Returns a dense array by default (sector blocks are the dense workhorse).
+    Returns a dense array by default (sector blocks are the dense workhorse),
+    float64 when the block has no imaginary part.
     """
     idx = sector.states
     cols = op.matrix.tocsc()[:, idx]
@@ -328,4 +329,6 @@ def restrict(op: SparseOperator, sector: SectorBasis, leak_tol=1e-10, dense=True
                 f"|element| = {leak:.3e} at outside-row {coo.row[k]}, sector-col {coo.col[k]}"
             )
     block = cols[mask, :]
+    if not np.any(block.data.imag):
+        block = block.real
     return block.toarray() if dense else sp.csr_matrix(block)

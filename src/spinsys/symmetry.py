@@ -190,6 +190,26 @@ def _label_cluster(h_vecs, c_block, candidates, hermitian_c, residual_tol):
     return labels, residuals
 
 
+def _label_levels(evals, evecs, c_block, candidates, hermitian_c, residual_tol,
+                  degeneracy_tol=CLASSIFY_DEGENERACY_TOL):
+    """Casimir label and residual of every eigenpair of H (ascending evals,
+    eigenvector columns): levels are grouped into H-degenerate clusters,
+    adjacent gaps <= degeneracy_tol, and each cluster is labeled by
+    ``_label_cluster``."""
+    labels, residuals = [], []
+    i = 0
+    while i < evals.size:
+        j = i + 1
+        while j < evals.size and evals[j] - evals[j - 1] <= degeneracy_tol:
+            j += 1
+        lab, res = _label_cluster(evecs[:, i:j], c_block, candidates,
+                                  hermitian_c, residual_tol)
+        labels.extend(lab)
+        residuals.extend(res)
+        i = j
+    return labels, residuals
+
+
 def classify_total_spin(H, C, casimir_values, space: SpinSpace,
                         hermitian_casimir=True,
                         degeneracy_tol=CLASSIFY_DEGENERACY_TOL,
@@ -211,21 +231,14 @@ def classify_total_spin(H, C, casimir_values, space: SpinSpace,
         c_block = restrict(C, sector)
         evals, evecs = np.linalg.eigh(h_block)
         candidates = {t: casimir_values[t] for t in mult if t >= twice_s}
-        # cluster degenerate H-eigenvalues
-        i = 0
-        while i < evals.size:
-            j = i + 1
-            while j < evals.size and evals[j] - evals[j - 1] <= degeneracy_tol:
-                j += 1
-            labels, res = _label_cluster(evecs[:, i:j], c_block, candidates,
-                                         hermitian_casimir, residual_tol)
-            for lab, r, e in zip(labels, res, evals[i:j]):
-                if lab == twice_s:
-                    counts[twice_s] = counts.get(twice_s, 0) + 1
-                    entries[twice_s] = min(entries.get(twice_s, np.inf), e)
-                    max_entries[twice_s] = max(max_entries.get(twice_s, -np.inf), e)
-                    residuals[twice_s] = max(residuals.get(twice_s, 0.0), r)
-            i = j
+        labels, res = _label_levels(evals, evecs, c_block, candidates,
+                                    hermitian_casimir, residual_tol, degeneracy_tol)
+        for lab, r, e in zip(labels, res, evals):
+            if lab == twice_s:
+                counts[twice_s] = counts.get(twice_s, 0) + 1
+                entries[twice_s] = min(entries.get(twice_s, np.inf), e)
+                max_entries[twice_s] = max(max_entries.get(twice_s, -np.inf), e)
+                residuals[twice_s] = max(residuals.get(twice_s, 0.0), r)
         if twice_s not in entries:
             raise ClassificationError(
                 f"no state labeled 2S={twice_s} found in its own sector")

@@ -1,6 +1,9 @@
 import json
 
 import pytest
+import scipy
+
+import spinsys.cli
 
 from spinsys.cli import ConfigError, merge_config, parse_config_file, run
 
@@ -55,6 +58,7 @@ def test_spectrum_roundtrip(tmp_path):
     manifest = json.loads(read(tmp_path / "spec.csv.manifest.json"))
     assert manifest["subcommand"] == "spectrum"
     assert all(a["passed"] for a in manifest["assertions"])
+    assert manifest["versions"]["scipy"] == scipy.__version__
 
 
 def test_json_format(tmp_path):
@@ -119,3 +123,15 @@ def test_droplet_assertion_failure_is_exit_one(tmp_path):
     assert code == 1
     manifest = json.loads(read(tmp_path / "drop.csv.manifest.json"))
     assert any(not a["passed"] for a in manifest["assertions"])
+
+
+def test_memory_error_is_exit_three(tmp_path, monkeypatch, capsys):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 11.9 GiB for an array")
+
+    monkeypatch.setattr(spinsys.cli, "clustering_report", out_of_memory)
+    assert run(["cluster", "--L", "6", "--out", str(tmp_path / "c.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.strip().splitlines() == [
+        "solver error: out of memory: Unable to allocate 11.9 GiB for an array"]

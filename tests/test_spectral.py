@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spinsys import (SpinSpace, assemble, extremal_eigs, full_spectrum,
-                     heisenberg, magnetization_sector, path_graph, ring_graph,
-                     sector_spectrum, sector_sweep_lowest, spectral_gap)
+from spinsys import (SpinSpace, aklt, assemble, extremal_eigs, full_spectrum,
+                     heisenberg, magnetization_sector, path_graph, restrict,
+                     ring_graph, sector_spectrum, sector_sweep_lowest, spectral_gap)
 
 
 def random_hermitian(rng, n):
@@ -30,10 +30,49 @@ def test_lanczos_matches_dense_small():
 
 
 def test_lanczos_degenerate_spectrum():
-    # heavily degenerate diagonal exercises the restart-with-perturbation path
-    h = np.diag([0.0] * 5 + [1.0] * 10 + [2.0] * 5).astype(complex)
+    # dim 100 > 64 reaches ARPACK; the Krylov space of any start vector is at
+    # most 3-dimensional here, and the lowest level is an exact zero
+    h = np.diag([0.0] * 5 + [1.0] * 60 + [2.0] * 35)
     rep = extremal_eigs(h, k=4, tol=1e-12)
     assert_allclose(rep.eigenvalues, [0, 0, 0, 0], atol=1e-10)
+
+
+def test_forced_krylov_matches_dense_on_aklt_ring():
+    # a start vector invariant under the ring's symmetries stays in the
+    # symmetric subspace and misses levels in most sectors
+    space = SpinSpace((3,) * 8)
+    H = assemble(aklt(8, periodic=True), space)
+    _, per_sector = sector_sweep_lowest(H, space, k=3, dense_cutoff=100)
+    for M in space.magnetization_values():
+        sec = magnetization_sector(space, M)
+        dense = np.linalg.eigvalsh(restrict(H, sec))[:3]
+        got = per_sector[sec.label].eigenvalues
+        assert_allclose(got, dense[:got.size], atol=1e-9, err_msg=str(sec.label))
+
+
+def test_krylov_finds_degenerate_copy_heisenberg_afm_ring():
+    # dim 66 > 64 reaches ARPACK; the second and third levels are degenerate,
+    # and Lanczos finds a second copy of a level only through rounding
+    g = ring_graph(12, weight=-1.0)
+    space = SpinSpace.from_graph(g)
+    block = restrict(assemble(heisenberg(g), space), magnetization_sector(space, 4),
+                     dense=False)
+    rep = extremal_eigs(block, k=3)
+    assert_allclose(rep.eigenvalues, np.linalg.eigvalsh(block.toarray())[:3], atol=1e-9)
+
+
+def test_krylov_is_bitwise_repeatable():
+    space = SpinSpace((3,) * 6)
+    H = assemble(aklt(6, periodic=True), space)
+    block = restrict(H, magnetization_sector(space, 0), dense=False)
+    a = extremal_eigs(block, k=3)
+    b = extremal_eigs(block, k=3)
+    assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
+    assert a.eigenvectors.tobytes() == b.eigenvectors.tobytes()
+    # concurrent ARPACK runs, one per sector, give the same bytes
+    one, _ = sector_sweep_lowest(H, space, k=3, dense_cutoff=100, threads=1)
+    four, _ = sector_sweep_lowest(H, space, k=3, dense_cutoff=100, threads=4)
+    assert one.eigenvalues.tobytes() == four.eigenvalues.tobytes()
 
 
 def test_sector_spectrum_union_is_full_spectrum():
