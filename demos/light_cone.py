@@ -8,9 +8,9 @@ At t = 0 the commutator vanishes identically away from the support of B.
 
 import numpy as np
 
-from spinsys import (HeisenbergDynamics, SpinSpace, assemble,
-                     commutator_growth, embed_at, heisenberg, lambda_norm,
-                     lr_bound_rhs, path_graph, spin_matrices)
+from spinsys import (HeisenbergDynamics, SpinSpace, assemble, commutator_grid,
+                     embed_at, heisenberg, lambda_norm, lr_bound_rhs,
+                     path_graph, spin_matrices)
 
 L = 8
 g = path_graph(L)
@@ -24,14 +24,19 @@ print(f"|Phi|_lambda at lambda=1: {phi_norm:.6f}  (48e = {48 * np.e:.6f})")
 
 bsite = L // 2
 sigma3 = 2.0 * np.asarray(spin_matrices(0.5).s3)
-B = embed_at(space, [(bsite, sigma3)]).toarray()
+B = embed_at(space, [(bsite, sigma3)])
 dyn = HeisenbergDynamics(H)
+
+# one call for the whole table: B and each local A are rotated into the
+# eigenbasis of H once, and every grid point is a phase conjugation, one
+# matmul and one Hermitian eigvalsh
+ts = (0.2, 0.5, 1.0)
+grid = commutator_grid(dyn, B, space, range(L), ts)
 
 print(f"B = sigma^3 at site {bsite}; rows are sites, columns t = 0.2, 0.5, 1.0")
 for x in range(L):
     cells = []
-    for t in (0.2, 0.5, 1.0):
-        m = commutator_growth(dyn, B, x, t, space)
+    for t, m in zip(ts, grid[x]):
         bd = lr_bound_rhs(g, lam, phi_norm, x, {bsite}, 1.0, t)
         cells.append(f"{m:9.5f} <= {min(bd, 2.0):7.3f}")
     print(f"  x={x}: " + "   ".join(cells))

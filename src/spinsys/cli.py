@@ -27,8 +27,8 @@ from .spectral import ConvergenceError, full_spectrum, sector_spectrum, \
 from .symmetry import classify_total_spin, foel_check, lieb_mattis_check, \
     spin_multiplicities, su2_casimir_value, su2_totals
 from .ssep import ssep_gaps, xxx_conjugacy_check
-from .dynamics import HeisenbergDynamics, clustering_report, commutator_growth, \
-    lr_bound_rhs, lr_corollary_bound
+from .dynamics import HeisenbergDynamics, clustering_report, commutator_grid, \
+    commutator_growth, hermitian_unit_basis, lr_bound_rhs, lr_corollary_bound
 from .perturbation import gap_sweep
 from .droplets import bandwidth_formula, compare_band_width, convergence_table, \
     droplet_energy_formula
@@ -310,23 +310,27 @@ def run_lightcone(cfg):
     lam = cfg.get("lam", 1.0)
     tmax = cfg.get("tmax", 1.0)
     tsteps = cfg.get("tsteps", 21)
+    bsite = cfg.get("bsite", L // 2)
+    if tsteps < 2:
+        raise ConfigError(f"tsteps must be at least 2, got {tsteps}")
+    if not 0 <= bsite < L:
+        raise ConfigError(f"bsite {bsite} is not a site of the {L}-site chain")
     g = path_graph(L, weight=J, spin=spin)
     space = SpinSpace.from_graph(g)
     phi = heisenberg(g)
     H = assemble(phi, space)
+    dyn = HeisenbergDynamics(H)
     phi_norm = lambda_norm(phi, lam, g)
-    bsite = cfg.get("bsite", L // 2)
     s = spin_matrices(spin)
     b_local = 2.0 * np.asarray(s.s3)      # sigma^3 for spin 1/2
-    B = embed_at(space, [(bsite, b_local)]).toarray()
+    B = embed_at(space, [(bsite, b_local)])
     b_norm = float(np.linalg.norm(b_local, 2))
-    dyn = HeisenbergDynamics(H)
     ts = [tmax * i / (tsteps - 1) for i in range(tsteps)]
+    grid = commutator_grid(dyn, B, space, range(L), ts)
     rows = []
     violations = 0
     for x in range(L):
-        for t in ts:
-            measured = commutator_growth(dyn, B, x, t, space)
+        for t, measured in zip(ts, grid[x].tolist()):
             bound = lr_bound_rhs(g, lam, phi_norm, x, {bsite}, b_norm, t)
             corollary = (lr_corollary_bound(g, lam, phi_norm, x, {bsite},
                                             1.0, b_norm, t)
@@ -335,9 +339,26 @@ def run_lightcone(cfg):
                 violations += 1
             rows.append({"x": x, "t": t, "measured": measured,
                          "bound_thm1": bound, "bound_corollary": corollary})
+    # Spot check of the eigenbasis norms against the definition at the site
+    # farthest from B at the last time: tau_t(A) from the full unitary, the
+    # commutator in the site basis, and its SVD norm.
+    far = max(range(L), key=lambda x: abs(x - bsite))
+    spot = commutator_growth(dyn, B, far, ts[-1], space)
+    direct = _commutator_by_definition(dyn, B.toarray(), far, ts[-1], space)
     asserts = [Assertion("commutator_below_bound", violations == 0,
-                         f"{violations} grid points violate the bound")]
+                         f"{violations} grid points violate the bound"),
+               Assertion("eigenbasis_norm_matches_definition",
+                         abs(spot - direct) <= 1e-9 * max(1.0, direct),
+                         f"x={far} t={ts[-1]!r}: {spot!r} vs {direct!r}")]
     return ["x", "t", "measured", "bound_thm1", "bound_corollary"], rows, asserts, {}
+
+
+def _commutator_by_definition(dyn, B, x, t, space):
+    best = 0.0
+    for local in hermitian_unit_basis(space.site_dims[x]):
+        At = dyn.evolve(embed_at(space, [(x, local)]), t)
+        best = max(best, float(np.linalg.norm(At @ B - B @ At, 2)))
+    return best
 
 
 def run_cluster(cfg, threads, tol):

@@ -1,7 +1,8 @@
 """Heisenberg dynamics, commutator light cones, and ground-state clustering.
 
 Real-time evolution goes through the dense eigendecomposition of H (the
-full unitary is needed anyway).  Imaginary-time weights e^(-b(H-E0)) are
+full unitary is needed anyway); light-cone commutator norms are taken in
+its eigenbasis.  Imaginary-time weights e^(-b(H-E0)) are
 applied by spectral decomposition on the dense path and, inside one sector,
 by scipy's ``expm_multiply`` on the sparse block.
 """
@@ -18,8 +19,8 @@ import scipy.sparse as sp
 from .lattice import SpinGraph, graph_distance, set_distance, distances_from
 from .hilbert import SpinSpace, SparseOperator, embed_at, magnetization_sector, restrict
 from .models import Interaction, lambda_norm, assemble
-from .spectral import DENSE_CUTOFF, extremal_eigs, full_spectrum, sector_sweep_lowest, \
-    spectral_gap
+from .spectral import DENSE_CUTOFF, dense_refusal, extremal_eigs, full_spectrum, \
+    sector_sweep_lowest, spectral_gap
 
 UNITARITY_TOL = 1e-10
 
@@ -46,25 +47,42 @@ def hermitian_unit_basis(n: int):
 
 
 class HeisenbergDynamics:
-    """Caches the eigendecomposition of a Hamiltonian for repeated evolutions."""
+    """Caches the eigendecomposition of a Hamiltonian for repeated evolutions.
+
+    H is diagonalised as real float64 when it has no imaginary part, so the
+    eigenvectors of every real model come from the real solver."""
 
     def __init__(self, H, cutoff=DENSE_CUTOFF):
         mat = H.matrix if isinstance(H, SparseOperator) else H
         dim = mat.shape[0]
+        values = mat.data if sp.issparse(mat) else np.asarray(mat)
+        dtype = np.complex128 if np.any(values.imag) else np.float64
         if dim > cutoff:
-            raise ValueError(
-                f"dimension {dim} exceeds the dense cutoff {cutoff}; real-time "
-                "evolution needs the full unitary, use a smaller system")
+            raise ValueError(dense_refusal(
+                dim, cutoff, dtype,
+                "real-time evolution needs the full unitary, use a smaller system"))
         dense = mat.toarray() if sp.issparse(mat) else np.asarray(mat)
+        if dtype is np.float64:
+            dense = dense.real
         self.evals, self.vecs = np.linalg.eigh(dense)
         self.dim = dim
 
+    def phases(self, t: float) -> np.ndarray:
+        """e^(-itE) over the eigenvalues E."""
+        return np.exp(-1j * t * self.evals)
+
+    def to_eigenbasis(self, A) -> np.ndarray:
+        """V^H A V for the eigenvectors V; a sparse A is applied to V first."""
+        if isinstance(A, SparseOperator):
+            A = A.matrix
+        elif not sp.issparse(A):
+            A = np.asarray(A)
+        return self.vecs.conj().T @ (A @ self.vecs)
+
     def evolve(self, A, t: float) -> np.ndarray:
         """tau_t(A) = e^(itH) A e^(-itH)."""
-        A = A.toarray() if isinstance(A, SparseOperator) else np.asarray(A)
-        phases = np.exp(-1j * t * self.evals)
-        Ad = self.vecs.conj().T @ A @ self.vecs
-        out = (phases.conj()[:, None] * Ad) * phases[None, :]
+        p = self.phases(t)
+        out = p.conj()[:, None] * self.to_eigenbasis(A) * p
         return self.vecs @ out @ self.vecs.conj().T
 
 
@@ -72,18 +90,37 @@ def evolve_observable(H, A, t: float, cutoff=DENSE_CUTOFF) -> np.ndarray:
     return HeisenbergDynamics(H, cutoff=cutoff).evolve(A, t)
 
 
+def commutator_grid(dyn: HeisenbergDynamics, B, space: SpinSpace, xs, ts) -> np.ndarray:
+    """Certified lower estimates of C_B(x,t) for every x in ``xs`` (rows) and
+    t in ``ts`` (columns): the max of ||[tau_t(A), B]|| over the
+    unit-operator-norm Hermitian basis of the site-x matrix algebra.
+
+    B must be Hermitian.  The work happens in the eigenbasis of H, where
+    tau_t(A) is the phase conjugation conj(p) * A * p with p = e^(-itE).
+    With X = tau_t(A) B there, [tau_t(A), B] = X - X^H, and i(X - X^H) is
+    Hermitian, so the norm is its largest |eigenvalue|.  The norm is
+    unitarily invariant, so nothing is rotated back.  B is rotated once,
+    and each local A is embedded and rotated once.
+    """
+    Bd = dyn.to_eigenbasis(B)
+    if np.abs(Bd - Bd.conj().T).max() > 1e-10 * max(1.0, np.abs(Bd).max()):
+        raise ValueError("B must be Hermitian")
+    phases = [dyn.phases(t) for t in ts]
+    out = np.zeros((len(xs), len(ts)))
+    for i, x in enumerate(xs):
+        for local in hermitian_unit_basis(space.site_dims[x]):
+            Ad = dyn.to_eigenbasis(embed_at(space, [(x, local)]))
+            for j, p in enumerate(phases):
+                X = (p.conj()[:, None] * Ad * p) @ Bd
+                norm = np.abs(np.linalg.eigvalsh(1j * (X - X.conj().T))).max()
+                out[i, j] = max(out[i, j], norm)
+    return out
+
+
 def commutator_growth(dyn: HeisenbergDynamics, B, x: int, t: float,
                       space: SpinSpace) -> float:
-    """Certified lower estimate of C_B(x,t): the max of ||[tau_t(A), B]|| over
-    the unit-operator-norm Hermitian basis of the site-x matrix algebra."""
-    B = B.toarray() if isinstance(B, SparseOperator) else np.asarray(B)
-    best = 0.0
-    for local in hermitian_unit_basis(space.site_dims[x]):
-        A = embed_at(space, [(x, local)]).toarray()
-        At = dyn.evolve(A, t)
-        comm = At @ B - B @ At
-        best = max(best, float(np.linalg.norm(comm, 2)))
-    return best
+    """C_B(x,t) at one grid point: ``commutator_grid`` on [x] x [t]."""
+    return float(commutator_grid(dyn, B, space, [x], [t])[0, 0])
 
 
 def lr_bound_rhs(g: SpinGraph, lam: float, phi_norm: float, x: int,
@@ -186,7 +223,11 @@ def ground_correlation(H, A, B, b: float, degeneracy_tol=1e-8) -> complex:
 class SectorCorrelator:
     """Imaginary-time ground correlations inside one magnetization sector,
     with an ARPACK ground state and sparse propagation (for sector
-    dimensions beyond the dense cutoff)."""
+    dimensions beyond the dense cutoff).
+
+    ``tol`` is the residual acceptance bound of ``extremal_eigs`` for the
+    ground state, not a stopping tolerance: ARPACK runs at machine
+    precision, and values below 1e-9 change nothing."""
 
     def __init__(self, h_block, tol=1e-10, degeneracy_tol=1e-8):
         self.h = sp.csr_matrix(h_block)

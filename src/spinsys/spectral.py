@@ -49,6 +49,14 @@ def _as_matrix(H):
     return H
 
 
+def dense_refusal(dim, cutoff, dtype, advice) -> str:
+    """The one-line refusal of a dense solve above the cutoff, with the
+    memory the dense matrix alone would take."""
+    gib = dim * dim * np.dtype(dtype).itemsize / 2 ** 30
+    return (f"dimension {dim} exceeds the dense cutoff {cutoff}: the dense "
+            f"{np.dtype(dtype).name} matrix would need {gib:.2f} GiB; {advice}")
+
+
 def _residuals(mat, evals, vecs):
     r = mat @ vecs - vecs * evals[None, :]
     return np.linalg.norm(r, axis=0)
@@ -58,9 +66,9 @@ def full_spectrum(H, want_vectors=False, cutoff=DENSE_CUTOFF) -> SpectrumReport:
     """All eigenpairs by dense Hermitian diagonalization (dim <= cutoff)."""
     mat = _as_matrix(H)
     if mat.shape[0] > cutoff:
-        raise ValueError(
-            f"dimension {mat.shape[0]} exceeds the dense cutoff {cutoff}; "
-            "use extremal_eigs for the lowest part of the spectrum")
+        raise ValueError(dense_refusal(
+            mat.shape[0], cutoff, mat.dtype,
+            "use extremal_eigs for the lowest part of the spectrum"))
     dense = mat.toarray() if sp.issparse(mat) else np.asarray(mat)
     if want_vectors:
         evals, vecs = np.linalg.eigh(dense)
@@ -78,8 +86,12 @@ def extremal_eigs(H, k, tol=1e-10, want_vectors=True) -> SpectrumReport:
     and an exhausted Krylov space, the unshifted run can return wrong
     levels with tiny residuals.  The start vector and ARPACK's restart
     vectors come from a fixed seed, so repeated runs agree bit for bit.
-    Small problems fall through to the dense path.  Raises
-    ``ConvergenceError`` when a residual exceeds max(tol, 1e-9) * max(1, |E|).
+    Small problems fall through to the dense path.
+
+    ``tol`` is not a stopping tolerance: ARPACK always runs with ``tol=0``
+    (machine precision).  It only sets the residual acceptance bound
+    max(tol, 1e-9) * max(1, |E|), above which ``ConvergenceError`` is
+    raised, so values below 1e-9 change nothing.
     """
     import scipy.sparse.linalg as spla
 
@@ -121,7 +133,12 @@ def extremal_eigs(H, k, tol=1e-10, want_vectors=True) -> SpectrumReport:
 
 def sector_spectrum(H, sector: SectorBasis, k="all", tol=1e-10,
                     want_vectors=False, dense_cutoff=2048) -> SpectrumReport:
-    """Spectrum of H restricted to a sector (leak-checked restriction)."""
+    """Spectrum of H restricted to a sector (leak-checked restriction).
+
+    ``tol`` reaches only the ARPACK path (``k`` levels of a sector above
+    ``dense_cutoff``), where it is the residual acceptance bound of
+    ``extremal_eigs``, not a stopping tolerance.
+    """
     sparse_needed = (k != "all") and sector.dim > dense_cutoff
     block = restrict(H, sector, dense=not sparse_needed)
     if k == "all":

@@ -147,14 +147,15 @@ def test_07_commutator_light_cone():
     norm_ok = abs(phi_norm - 48 * np.e) < 1e-9
     bsite = 4
     sigma3 = 2.0 * np.asarray(spin_matrices(0.5).s3)
-    B = ss.embed_at(space, [(bsite, sigma3)]).toarray()
+    B = ss.embed_at(space, [(bsite, sigma3)])
     dyn = ss.HeisenbergDynamics(H)
+    ts = [float(t) for t in np.linspace(0.0, 1.0, 21)]
+    grid = ss.commutator_grid(dyn, B, space, range(8), ts)
     violations = 0
     t0_outside = 0.0
     for x in range(8):
-        for t in np.linspace(0.0, 1.0, 21):
-            measured = ss.commutator_growth(dyn, B, x, float(t), space)
-            bound = ss.lr_bound_rhs(g, lam, phi_norm, x, {bsite}, 1.0, float(t))
+        for t, measured in zip(ts, grid[x]):
+            bound = ss.lr_bound_rhs(g, lam, phi_norm, x, {bsite}, 1.0, t)
             if measured > bound + 1e-9:
                 violations += 1
             if t == 0.0 and x != bsite:

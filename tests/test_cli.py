@@ -135,3 +135,33 @@ def test_memory_error_is_exit_three(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
     assert err.strip().splitlines() == [
         "solver error: out of memory: Unable to allocate 11.9 GiB for an array"]
+
+
+def test_lightcone_small_chain(tmp_path):
+    out = tmp_path / "cone.csv"
+    assert run(["lightcone", "--L", "4", "--tsteps", "3", "--out", str(out)]) == 0
+    lines = read(out).strip().splitlines()
+    assert lines[0] == "x,t,measured,bound_thm1,bound_corollary"
+    assert len(lines) == 1 + 4 * 3
+    manifest = json.loads(read(tmp_path / "cone.csv.manifest.json"))
+    assert [a["name"] for a in manifest["assertions"]] == [
+        "commutator_below_bound", "eigenbasis_norm_matches_definition"]
+    assert all(a["passed"] for a in manifest["assertions"])
+
+
+@pytest.mark.parametrize("flags", [["--tsteps", "1"], ["--tsteps", "0"],
+                                   ["--bsite", "9"], ["--bsite", "-1"]])
+def test_lightcone_bad_grid_is_config_error(tmp_path, capsys, flags):
+    assert run(["lightcone", "--L", "4", *flags, "--out", str(tmp_path / "c.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("config error: ")
+
+
+def test_lightcone_above_dense_cutoff_reports_memory(tmp_path, capsys):
+    assert run(["lightcone", "--L", "13", "--tsteps", "2",
+                "--out", str(tmp_path / "c.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "dimension 8192" in lines[0] and "GiB" in lines[0]

@@ -3,7 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spinsys import (HeisenbergDynamics, SpinSpace, aklt, assemble, clustering_mu,
-                     commutator_growth, embed_at, ground_correlation,
+                     commutator_grid, commutator_growth, custom, embed_at,
+                     embed_local, full_spectrum, ground_correlation,
                      heisenberg, hermitian_unit_basis, lambda_norm,
                      lr_bound_rhs, lr_corollary_bound, lr_multisite_bound,
                      path_graph, ring_graph, spin_matrices)
@@ -63,6 +64,73 @@ def test_commutator_below_bound_on_grid():
             measured = commutator_growth(dyn, B, x, t, space)
             bound = lr_bound_rhs(g, lam, phi_norm, x, (3,), 0.5, t)
             assert measured <= bound + 1e-10, (x, t)
+
+
+def growth_by_definition(dyn, B, x, t, space):
+    """max over the Hermitian unit basis at x of the SVD norm of
+    tau_t(A) B - B tau_t(A), with tau_t(A) from the full unitary."""
+    Bm = B.toarray()
+    best = 0.0
+    for local in hermitian_unit_basis(space.site_dims[x]):
+        At = dyn.evolve(embed_at(space, [(x, local)]).toarray(), t)
+        best = max(best, np.linalg.norm(At @ Bm - Bm @ At, 2))
+    return best
+
+
+def model_cases():
+    """(space, H, B, whether H is real) on model Hamiltonians; no B is an
+    involution."""
+    s, s1 = spin_matrices(0.5), spin_matrices(1.0)
+    g, space, H = chain_setup(6)
+    two_site = 0.6 * np.kron(s.s3, s.s3) + 0.3 * np.kron(s.s1, s.s2)
+    B = embed_local(space, (2, 3), two_site) + embed_at(space, [(2, s.s3)])
+    yield space, H, B, True
+
+    space = SpinSpace((3,) * 4)
+    H = assemble(aklt(4), space)
+    B = embed_at(space, [(1, s1.s3 + 0.5 * s1.s1 @ s1.s1)])
+    yield space, H, B, True
+
+    # z-axis Dzyaloshinskii-Moriya bonds i(S+S- - S-S+)/2 make H complex
+    g = path_graph(5)
+    space = SpinSpace.from_graph(g)
+    dm = 0.35j * (np.kron(s.plus, s.minus) - np.kron(s.minus, s.plus))
+    H = assemble(heisenberg(g) + custom([((x, x + 1), dm) for x in range(4)]), space)
+    B = embed_at(space, [(1, np.diag([0.8, -0.3]))])
+    yield space, H, B, False
+
+
+@pytest.mark.parametrize("case", range(3), ids=["heisenberg_L6", "aklt_L4", "dm_chain_L5"])
+def test_commutator_grid_matches_definition(case):
+    space, H, B, real = list(model_cases())[case]
+    dyn = HeisenbergDynamics(H)
+    assert np.isrealobj(dyn.vecs) == real
+    Bm = B.toarray()
+    assert np.abs(Bm @ Bm - np.eye(space.total_dim)).max() > 0.1   # not an involution
+    xs = list(range(space.n_sites))
+    ts = [0.0, 0.35, 1.1]
+    grid = commutator_grid(dyn, B, space, xs, ts)
+    expect = np.array([[growth_by_definition(dyn, B, x, t, space) for t in ts] for x in xs])
+    assert_allclose(grid, expect, rtol=0, atol=1e-12)
+    assert grid[:, 1:].min() > 1e-6           # every site sees B by t = 0.35
+    for i, j in ((0, 2), (len(xs) - 1, 1), (1, 0)):
+        assert commutator_growth(dyn, B, xs[i], ts[j], space) == grid[i, j]
+
+
+def test_commutator_grid_rejects_non_hermitian_b():
+    g, space, H = chain_setup(4)
+    dyn = HeisenbergDynamics(H)
+    B = embed_at(space, [(1, np.asarray(spin_matrices(0.5).plus))])
+    with pytest.raises(ValueError, match="Hermitian"):
+        commutator_grid(dyn, B, space, [0], [0.5])
+
+
+def test_dense_refusals_give_dimension_and_memory():
+    g, space, H = chain_setup(6)
+    with pytest.raises(ValueError, match=r"dimension 64 .* float64 matrix would need 0\.00 GiB"):
+        HeisenbergDynamics(H, cutoff=32)
+    with pytest.raises(ValueError, match=r"dimension 64 .* complex128 matrix would need 0\.00 GiB"):
+        full_spectrum(H, cutoff=32)
 
 
 def test_corollary_bound_requires_exterior_site():
