@@ -19,26 +19,21 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .lattice import SpinGraph, load_graph, path_graph, ring_graph, distances_from
+from .lattice import load_graph, path_graph, ring_graph, distances_from
 from .hilbert import SpinSpace, embed_at, magnetization_sector, spin_matrices
 from .models import XxzParams, aklt, assemble, custom, heisenberg, lambda_norm, xxz
-from .spectral import ConvergenceError, full_spectrum, sector_spectrum, \
-    sector_sweep_lowest, spectral_gap
-from .symmetry import classify_total_spin, foel_check, lieb_mattis_check, \
-    spin_multiplicities, su2_casimir_value, su2_totals
+from .spectral import ConvergenceError, sector_spectrum
+from .symmetry import classify_total_spin, foel_check, lieb_mattis_levels, \
+    lieb_mattis_order, spin_multiplicities, su2_casimir_value, su2_totals
 from .ssep import ssep_gaps, xxx_conjugacy_check
 from .dynamics import HeisenbergDynamics, clustering_report, commutator_grid, \
     commutator_growth, hermitian_unit_basis, lr_bound_rhs, lr_corollary_bound
 from .perturbation import gap_sweep
-from .droplets import bandwidth_formula, compare_band_width, convergence_table, \
-    droplet_energy_formula
+from .droplets import compare_band_width, convergence_table
 from .util import fmt_float
 
-SUBCOMMANDS = ("spectrum", "foel", "liebmattis", "ssep", "droplet",
-               "lightcone", "cluster", "perturb")
-
 COMMON_KEYS = {
-    "out": str, "format": str, "threads": int, "tol": float, "config": str,
+    "out": str, "format": str, "threads": int, "config": str,
 }
 
 MODEL_KEYS = {
@@ -81,7 +76,7 @@ def parse_config_file(path):
             continue
         if line.startswith("[") and line.endswith("]"):
             current = line[1:-1].strip()
-            if current != "common" and current not in SUBCOMMANDS:
+            if current != "common" and current not in SUB_KEYS:
                 raise ConfigError(f"line {ln_no}: unknown section [{current}]")
             sections.setdefault(current, {})
             continue
@@ -96,8 +91,7 @@ def merge_config(sub, file_sections, flag_values):
     """Defaults <- config file <- command-line flags; unknown keys are errors."""
     allowed = dict(COMMON_KEYS)
     allowed.update(SUB_KEYS[sub])
-    merged = {"format": "csv", "threads": 1, "tol": 1e-10,
-              "out": f"spinsys_{sub}.csv"}
+    merged = {"format": "csv", "threads": 1, "out": f"spinsys_{sub}.csv"}
     for section in ("common", sub):
         for key, value in file_sections.get(section, {}).items():
             if key not in allowed:
@@ -193,7 +187,7 @@ def run_spectrum(cfg):
     return ["sector_M", "index", "energy"], rows, asserts, {}
 
 
-def run_foel(cfg, tol):
+def run_foel(cfg):
     _, space, phi = _model_space_and_interaction(cfg)
     H = assemble(phi, space)
     mult = spin_multiplicities(space)
@@ -226,15 +220,8 @@ def run_liebmattis(cfg):
         raise ConfigError("graph must be connected for the bipartition")
     part_a = [x for x in g.vertices if int(dist[x]) % 2 == 0]
     part_b = [x for x in g.vertices if int(dist[x]) % 2 == 1]
-    verdict = lieb_mattis_check(g, part_a, part_b)
-    from .models import assemble as _asm
-    from .symmetry import lieb_mattis_hamiltonian
-    phi = lieb_mattis_hamiltonian(g, part_a, part_b)
-    space = SpinSpace.from_graph(g)
-    H = _asm(phi, space)
-    mult = spin_multiplicities(space)
-    cvals = {t: su2_casimir_value(t) for t in mult}
-    levels = classify_total_spin(H, su2_totals(space).casimir, cvals, space)
+    levels = lieb_mattis_levels(g, part_a, part_b)
+    verdict = lieb_mattis_order(levels, g, part_a, part_b)
     rows = [{"twice_S": t, "S": t / 2, "E_min": levels.entries[t],
              "E_max": levels.max_entries[t]} for t in levels.spins()]
     asserts = [Assertion("lieb_mattis_holds", verdict.holds,
@@ -361,13 +348,13 @@ def _commutator_by_definition(dyn, B, x, t, space):
     return best
 
 
-def run_cluster(cfg, threads, tol):
+def run_cluster(cfg):
     L = cfg.get("L", 8)
     lam = cfg.get("lam", 1.0)
     g = ring_graph(L, spin=1.0)
     phi = aklt(L, periodic=True)
     s3 = np.asarray(spin_matrices(1.0).s3)
-    report = clustering_report(g, phi, s3, lam, threads=threads, tol=tol)
+    report = clustering_report(g, phi, s3, lam, threads=cfg["threads"])
     rows = [{"x": r.x, "y": r.y, "d": r.distance, "b": r.b,
              "corr_abs": r.corr_abs, "bound_decay": r.bound,
              "gamma": report.gamma, "mu": report.rates.mu}
@@ -385,7 +372,7 @@ def run_cluster(cfg, threads, tol):
         rows, asserts, {}
 
 
-def run_perturb(cfg, threads):
+def run_perturb(cfg):
     L = cfg.get("L", 8)
     lo = cfg.get("lambda_min", -0.1)
     hi = cfg.get("lambda_max", 0.1)
@@ -401,7 +388,7 @@ def run_perturb(cfg, threads):
     def pert(LL):
         return custom([(((x, (x + 1) % LL)), szsz) for x in range(LL)])
 
-    sweep = gap_sweep(base, pert, lambdas, [L], threads=threads)
+    sweep = gap_sweep(base, pert, lambdas, [L], threads=cfg["threads"])
     rows = [{"L": L, "lambda": lam, "ground_energy": sweep.ground_energies[(L, lam)],
              "degeneracy": sweep.ground_degeneracies[(L, lam)],
              "gap": sweep.gaps[(L, lam)]} for lam in lambdas]
@@ -419,17 +406,23 @@ def run_perturb(cfg, threads):
     return ["L", "lambda", "ground_energy", "degeneracy", "gap"], rows, asserts, {}
 
 
+RUNNERS = {
+    "spectrum": run_spectrum, "foel": run_foel, "liebmattis": run_liebmattis,
+    "ssep": run_ssep, "droplet": run_droplet, "lightcone": run_lightcone,
+    "cluster": run_cluster, "perturb": run_perturb,
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(prog="spinsys",
                                      description="spin-system campaigns")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name in SUBCOMMANDS:
+    for name in SUB_KEYS:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None)
         p.add_argument("--out", type=str, default=None)
         p.add_argument("--format", type=str, default=None, choices=["csv", "json"])
         p.add_argument("--threads", type=int, default=None)
-        p.add_argument("--tol", type=float, default=None)
         for key, typ in SUB_KEYS[name].items():
             p.add_argument(f"--{key}", type=typ, default=None)
     return parser
@@ -449,27 +442,8 @@ def run(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    threads = cfg["threads"]
-    tol = cfg["tol"]
     try:
-        if sub == "spectrum":
-            cols, rows, asserts, extra = run_spectrum(cfg)
-        elif sub == "foel":
-            cols, rows, asserts, extra = run_foel(cfg, tol)
-        elif sub == "liebmattis":
-            cols, rows, asserts, extra = run_liebmattis(cfg)
-        elif sub == "ssep":
-            cols, rows, asserts, extra = run_ssep(cfg)
-        elif sub == "droplet":
-            cols, rows, asserts, extra = run_droplet(cfg)
-        elif sub == "lightcone":
-            cols, rows, asserts, extra = run_lightcone(cfg)
-        elif sub == "cluster":
-            cols, rows, asserts, extra = run_cluster(cfg, threads, tol)
-        elif sub == "perturb":
-            cols, rows, asserts, extra = run_perturb(cfg, threads)
-        else:  # pragma: no cover
-            raise ConfigError(f"unknown subcommand {sub}")
+        cols, rows, asserts, extra = RUNNERS[sub](cfg)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -517,3 +491,7 @@ def run(argv=None) -> int:
 
 def main():  # pragma: no cover
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -222,16 +222,12 @@ def ground_correlation(H, A, B, b: float, degeneracy_tol=1e-8) -> complex:
 
 class SectorCorrelator:
     """Imaginary-time ground correlations inside one magnetization sector,
-    with an ARPACK ground state and sparse propagation (for sector
-    dimensions beyond the dense cutoff).
+    with an ARPACK ground state (``extremal_eigs``) and sparse propagation
+    (``expm_multiply``), for sectors too large to diagonalise densely."""
 
-    ``tol`` is the residual acceptance bound of ``extremal_eigs`` for the
-    ground state, not a stopping tolerance: ARPACK runs at machine
-    precision, and values below 1e-9 change nothing."""
-
-    def __init__(self, h_block, tol=1e-10, degeneracy_tol=1e-8):
+    def __init__(self, h_block, degeneracy_tol=1e-8):
         self.h = sp.csr_matrix(h_block)
-        rep = extremal_eigs(self.h, k=2, tol=tol)
+        rep = extremal_eigs(self.h, k=2)
         if rep.eigenvalues[1] - rep.eigenvalues[0] <= degeneracy_tol:
             raise ValueError("ground state degenerate within its sector")
         self.e0 = float(rep.eigenvalues[0])
@@ -290,7 +286,7 @@ class ClusteringReport:
 
 def clustering_report(g: SpinGraph, phi: Interaction, local_op, lam: float,
                       x0=0, pairs=None, n_window=4, large_bs=(1.0, 3.0, 6.0),
-                      threads=1, tol=1e-10) -> ClusteringReport:
+                      threads=1) -> ClusteringReport:
     """Tabulate |<Omega, A tau_{ib}(B) Omega>| for single-site observables
     against the decay bound, fitting the constant at distance 1 and asserting
     the bound at every larger distance inside the validity window.
@@ -300,7 +296,7 @@ def clustering_report(g: SpinGraph, phi: Interaction, local_op, lam: float,
     """
     space = SpinSpace.from_graph(g)
     H = assemble(phi, space)
-    merged, per_sector = sector_sweep_lowest(H, space, k=2, tol=tol, threads=threads)
+    merged, per_sector = sector_sweep_lowest(H, space, k=2, threads=threads)
     gap_rep = spectral_gap(merged)
     if gap_rep.ground_degeneracy != 1:
         raise ValueError(f"ground state is {gap_rep.ground_degeneracy}-fold degenerate")
@@ -309,7 +305,7 @@ def clustering_report(g: SpinGraph, phi: Interaction, local_op, lam: float,
                        key=lambda lab: per_sector[lab].eigenvalues[0])
     sector = magnetization_sector(space, ground_label[1])
     h_block = restrict(H, sector, dense=False)
-    corr = SectorCorrelator(h_block, tol=tol)
+    corr = SectorCorrelator(h_block)
 
     phi_norm = lambda_norm(phi, lam, g)
     rates = clustering_mu(gamma, lam, phi_norm)

@@ -7,6 +7,7 @@ site x means the S^3 eigenvalue m = s_x - d, i.e. digit 0 is "spin up".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -245,21 +246,27 @@ def down_spin_sector(space: SpinSpace, n) -> SectorBasis:
 
 def kron_chain(space: SpinSpace, site_ops: dict) -> SparseOperator:
     """Kronecker product over all sites; ``site_ops`` maps site -> local matrix,
-    identity elsewhere.  Little-endian: site 0 is the innermost factor."""
+    identity elsewhere.  Little-endian: site 0 is the innermost factor.  The
+    identity below and above the span of the given sites is one factor each."""
+    dims = space.site_dims
     for x, m in site_ops.items():
+        if not 0 <= x < space.n_sites:
+            raise ValueError(f"site {x} is not a site of the {space.n_sites}-site space")
         m = np.asarray(m)
-        if m.shape != (space.site_dims[x], space.site_dims[x]):
+        if m.shape != (dims[x], dims[x]):
             raise ValueError(f"matrix at site {x} has shape {m.shape}, "
-                             f"expected square of dim {space.site_dims[x]}")
-    out = sp.identity(1, dtype=complex, format="csr")
-    for x in range(space.n_sites):
+                             f"expected square of dim {dims[x]}")
+    lo, hi = (min(site_ops), max(site_ops) + 1) if site_ops else (0, 0)
+    out = sp.identity(math.prod(dims[:lo]), dtype=complex, format="csr")
+    for x in range(lo, hi):
         local = site_ops.get(x)
         if local is None:
-            local = sp.identity(space.site_dims[x], dtype=complex, format="csr")
+            local = sp.identity(dims[x], dtype=complex, format="csr")
         else:
             local = sp.csr_matrix(np.asarray(local, dtype=complex))
         out = sp.kron(local, out, format="csr")
-    return SparseOperator(out)
+    above = sp.identity(math.prod(dims[hi:]), dtype=complex, format="csr")
+    return SparseOperator(sp.kron(above, out, format="csr"))
 
 
 def embed_at(space: SpinSpace, ops) -> SparseOperator:

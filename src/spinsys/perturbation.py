@@ -14,8 +14,7 @@ import numpy as np
 
 from .hilbert import SpinSpace
 from .models import Interaction, assemble
-from .spectral import DEGENERACY_TOL, SpectrumReport, full_spectrum, sector_sweep_lowest, \
-    spectral_gap
+from .spectral import DEGENERACY_TOL, extremal_eigs, sector_sweep_lowest, spectral_gap
 
 PSD_TOL = 1e-12
 
@@ -31,14 +30,6 @@ class FrustrationFreeReport:
     condition_holds: bool      # c >= |V0|
 
 
-def _lowest_levels(phi: Interaction, space: SpinSpace, k=6, threads=1) -> np.ndarray:
-    H = assemble(phi, space)
-    if space.total_dim <= 4096:
-        return full_spectrum(H).eigenvalues
-    merged, _ = sector_sweep_lowest(H, space, k=k, threads=threads)
-    return merged.eigenvalues
-
-
 def frustration_free_check(phi: Interaction, space: SpinSpace, v0_size: int,
                            tol=1e-9, threads=1) -> FrustrationFreeReport:
     """Check the unperturbed-model assumption at finite volume.
@@ -47,10 +38,10 @@ def frustration_free_check(phi: Interaction, space: SpinSpace, v0_size: int,
     second excitation scale entering H >= c (1 - |Omega><Omega|); the report
     states whether c reaches |V0| as the stability framework demands.
     """
-    levels = _lowest_levels(phi, space, threads=threads)
-    gap_rep = spectral_gap(SpectrumReport(levels), degeneracy_tol=max(tol, DEGENERACY_TOL))
+    levels, _ = sector_sweep_lowest(assemble(phi, space), space, k=6, threads=threads)
+    gap_rep = spectral_gap(levels, degeneracy_tol=max(tol, DEGENERACY_TOL))
     e0 = gap_rep.ground_energy
-    psd = e0 >= -PSD_TOL * max(1.0, abs(levels).max())
+    psd = e0 >= -PSD_TOL * max(1.0, abs(levels.eigenvalues).max())
     zero = abs(e0) <= tol
     c = gap_rep.gap if zero else math.nan
     return FrustrationFreeReport(
@@ -102,16 +93,13 @@ class StabilitySweep:
         return 2.0 * abs(lam) * self.pert_norms[L]
 
 
-def gap_sweep(base_builder, pert_builder, lambdas, Ls, threads=1,
-              tol=1e-10) -> StabilitySweep:
+def gap_sweep(base_builder, pert_builder, lambdas, Ls, threads=1) -> StabilitySweep:
     """Gaps and ground degeneracies of base(L) + lambda * pert(L) over the grid.
 
     ``base_builder`` and ``pert_builder`` map L to an Interaction.  The
     lambda = 0 column is computed from the base interaction alone, so it
     matches an unperturbed run exactly.
     """
-    from .spectral import extremal_eigs
-
     lambdas = [float(v) for v in lambdas]
     Ls = [int(L) for L in Ls]
     gaps, energies, degs, pert_norms = {}, {}, {}, {}
@@ -123,13 +111,14 @@ def gap_sweep(base_builder, pert_builder, lambdas, Ls, threads=1,
                                      _infer_spins(base, L))
         pert_H = assemble(pert, space)
         # || sum Phi_x ||: extremal eigenvalues of the Hermitian sum
-        top = extremal_eigs(-1 * pert_H.matrix, k=1, tol=1e-8).eigenvalues[0]
-        bot = extremal_eigs(pert_H.matrix, k=1, tol=1e-8).eigenvalues[0]
+        top = extremal_eigs(-1 * pert_H.matrix, k=1).eigenvalues[0]
+        bot = extremal_eigs(pert_H.matrix, k=1).eigenvalues[0]
         pert_norms[L] = float(max(abs(top), abs(bot)))
         for lam in lambdas:
             phi = base if lam == 0.0 else base + pert.scaled(lam)
-            levels = _lowest_levels(phi, space, threads=threads)
-            rep = spectral_gap(SpectrumReport(levels))
+            levels, _ = sector_sweep_lowest(assemble(phi, space), space, k=6,
+                                            threads=threads)
+            rep = spectral_gap(levels)
             gaps[(L, lam)] = rep.gap
             energies[(L, lam)] = rep.ground_energy
             degs[(L, lam)] = rep.ground_degeneracy

@@ -12,6 +12,14 @@ from .hilbert import SpinSpace, SparseOperator, SectorBasis, magnetization_secto
 
 DENSE_CUTOFF = 4096
 DEGENERACY_TOL = 1e-8
+RESIDUAL_TOL = 1e-9
+# The one dense/ARPACK choice for k-lowest sector solves: dense eigvalsh up
+# to this dimension, ARPACK above.  Timed with one BLAS thread on real AKLT
+# (L = 7-9) and spin-1/2 Heisenberg (L = 12, 14) ring sectors, k = 2 and 6:
+# dense is faster below dim 400, the two are even at dims 393-504 (dense
+# 10-16 ms, ARPACK 9-36 ms), and ARPACK is 2-8x faster at dims 784-1554
+# and 45x at 3139 (2.8 s against 0.06 s).
+KRYLOV_CROSSOVER = 512
 
 
 class ConvergenceError(RuntimeError):
@@ -77,7 +85,7 @@ def full_spectrum(H, want_vectors=False, cutoff=DENSE_CUTOFF) -> SpectrumReport:
     return SpectrumReport(np.linalg.eigvalsh(dense))
 
 
-def extremal_eigs(H, k, tol=1e-10, want_vectors=True) -> SpectrumReport:
+def extremal_eigs(H, k, want_vectors=True) -> SpectrumReport:
     """k lowest eigenpairs by implicitly restarted Lanczos (ARPACK, through
     ``scipy.sparse.linalg.eigsh``).
 
@@ -86,12 +94,9 @@ def extremal_eigs(H, k, tol=1e-10, want_vectors=True) -> SpectrumReport:
     and an exhausted Krylov space, the unshifted run can return wrong
     levels with tiny residuals.  The start vector and ARPACK's restart
     vectors come from a fixed seed, so repeated runs agree bit for bit.
-    Small problems fall through to the dense path.
-
-    ``tol`` is not a stopping tolerance: ARPACK always runs with ``tol=0``
-    (machine precision).  It only sets the residual acceptance bound
-    max(tol, 1e-9) * max(1, |E|), above which ``ConvergenceError`` is
-    raised, so values below 1e-9 change nothing.
+    ARPACK always runs at machine precision (``tol=0``); a residual above
+    RESIDUAL_TOL * max(1, |E|) raises ``ConvergenceError``.  Only a matrix
+    too small for the k + 6 Ritz values below is diagonalised densely.
     """
     import scipy.sparse.linalg as spla
 
@@ -101,20 +106,19 @@ def extremal_eigs(H, k, tol=1e-10, want_vectors=True) -> SpectrumReport:
     dim = mat.shape[0]
     if k < 1:
         raise ValueError("k must be at least 1")
-    if dim <= max(2 * k + 2, 16) or dim <= 64:
-        rep = full_spectrum(mat, want_vectors=True, cutoff=dim)
-        sel = slice(0, min(k, dim))
-        return SpectrumReport(rep.eigenvalues[sel], rep.eigenvectors[:, sel],
-                              residuals=rep.residuals[sel])
-    if not np.any(mat.data.imag):
-        mat = mat.real              # ARPACK's real symmetric routines are faster
-    sigma = float(abs(mat).sum(axis=0).max()) + 1.0
-    shifted = mat - sigma * sp.identity(dim, format="csr")
     # Single-vector Lanczos finds the second copy of a degenerate level only
     # through rounding.  Six spare Ritz values keep every copy of the k
     # wanted levels in the restarted space (k, k + 2 and k + 4 each missed a
     # copy on some AKLT, Heisenberg and XXZ ring sectors; k + 6 missed none).
-    nev = min(k + 6, dim - 2)
+    nev = k + 6
+    if dim < nev + 2:
+        rep = full_spectrum(mat, want_vectors=True, cutoff=dim)
+        return SpectrumReport(rep.eigenvalues[:k], rep.eigenvectors[:, :k],
+                              residuals=rep.residuals[:k])
+    if not np.any(mat.data.imag):
+        mat = mat.real              # ARPACK's real symmetric routines are faster
+    sigma = float(abs(mat).sum(axis=0).max()) + 1.0
+    shifted = mat - sigma * sp.identity(dim, format="csr")
     rng = np.random.default_rng(0)
     v0 = rng.uniform(-1.0, 1.0, dim).astype(mat.dtype)
     try:
@@ -126,32 +130,25 @@ def extremal_eigs(H, k, tol=1e-10, want_vectors=True) -> SpectrumReport:
     evals = vals[order] + sigma
     vecs = vecs[:, order]
     res = _residuals(mat, evals, vecs)
-    if res.max() > max(tol, 1e-9) * max(1.0, abs(evals).max()):
+    if res.max() > RESIDUAL_TOL * max(1.0, abs(evals).max()):
         raise ConvergenceError("ARPACK returned inaccurate eigenpairs", res.max())
     return SpectrumReport(evals, vecs if want_vectors else None, residuals=res)
 
 
-def sector_spectrum(H, sector: SectorBasis, k="all", tol=1e-10,
-                    want_vectors=False, dense_cutoff=2048) -> SpectrumReport:
+def sector_spectrum(H, sector: SectorBasis, k="all", want_vectors=False) -> SpectrumReport:
     """Spectrum of H restricted to a sector (leak-checked restriction).
 
-    ``tol`` reaches only the ARPACK path (``k`` levels of a sector above
-    ``dense_cutoff``), where it is the residual acceptance bound of
-    ``extremal_eigs``, not a stopping tolerance.
+    ``k="all"`` and sectors of dimension up to KRYLOV_CROSSOVER are
+    diagonalised densely and return every level; a larger sector returns
+    its k lowest levels from ``extremal_eigs``.
     """
-    sparse_needed = (k != "all") and sector.dim > dense_cutoff
-    block = restrict(H, sector, dense=not sparse_needed)
-    if k == "all":
-        rep = full_spectrum(block, want_vectors=want_vectors, cutoff=max(DENSE_CUTOFF, sector.dim))
+    dense = k == "all" or sector.dim <= KRYLOV_CROSSOVER
+    block = restrict(H, sector, dense=dense)
+    if dense:
+        rep = full_spectrum(block, want_vectors=want_vectors,
+                            cutoff=max(DENSE_CUTOFF, sector.dim))
     else:
-        if sparse_needed:
-            rep = extremal_eigs(block, k=k, tol=tol, want_vectors=want_vectors)
-        else:
-            full = full_spectrum(block, want_vectors=want_vectors, cutoff=max(DENSE_CUTOFF, sector.dim))
-            sel = slice(0, min(k, sector.dim))
-            rep = SpectrumReport(full.eigenvalues[sel],
-                                 None if full.eigenvectors is None else full.eigenvectors[:, sel],
-                                 residuals=None if full.residuals is None else full.residuals[sel])
+        rep = extremal_eigs(block, k=k, want_vectors=want_vectors)
     rep.sector = sector.label
     return rep
 
@@ -170,23 +167,18 @@ def spectral_gap(report: SpectrumReport, degeneracy_tol=DEGENERACY_TOL) -> GapRe
                      gap=float(above[0] - e0))
 
 
-def sector_sweep_lowest(H, space: SpinSpace, k=4, tol=1e-10, dense_cutoff=2048,
-                        threads=1):
+def sector_sweep_lowest(H, space: SpinSpace, k=4, threads=1):
     """Lowest-k levels from every magnetization sector, merged ascending.
 
     Returns (merged SpectrumReport, dict label -> per-sector SpectrumReport).
-    Dense per sector below the cutoff, Lanczos above.  The merge order is
-    canonical (descending M), independent of any parallelism.
+    A sector solved densely (see ``sector_spectrum``) contributes all its
+    levels.  The merge order is canonical (descending M), independent of
+    any parallelism.
     """
     from .util import ordered_map
 
     sectors = [magnetization_sector(space, M) for M in space.magnetization_values()]
-
-    def solve(sec):
-        kk = "all" if sec.dim <= max(k, 2) else min(k, sec.dim)
-        return sector_spectrum(H, sec, k=kk, tol=tol, dense_cutoff=dense_cutoff)
-
-    reports = ordered_map(solve, sectors, threads)
+    reports = ordered_map(lambda sec: sector_spectrum(H, sec, k=k), sectors, threads)
     per_sector = {sec.label: rep for sec, rep in zip(sectors, reports)}
     merged = np.sort(np.concatenate([r.eigenvalues for r in reports]))
     return SpectrumReport(merged), per_sector

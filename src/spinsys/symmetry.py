@@ -17,7 +17,6 @@ import numpy as np
 from .hilbert import SpinSpace, SparseOperator, spin_matrices, embed_at, kron_chain, \
     magnetization_sector, restrict
 from .models import XxzParams
-from .spectral import full_spectrum
 
 CLASSIFY_DEGENERACY_TOL = 1e-8
 CASIMIR_RESIDUAL_TOL = 1e-8
@@ -305,10 +304,8 @@ def lieb_mattis_hamiltonian(g, part_a, part_b, intra_a=None, intra_b=None):
     return Interaction(terms, name="lieb_mattis")
 
 
-def lieb_mattis_check(g, part_a, part_b, intra_a=None, intra_b=None,
-                      strict_tol=1e-9) -> OrderingVerdict:
-    """Verify the bipartite ordering: ground at S = |S_A - S_B| and E(H,S)
-    strictly increasing above it."""
+def lieb_mattis_levels(g, part_a, part_b, intra_a=None, intra_b=None) -> SpinResolvedLevels:
+    """Spin-resolved level table of ``lieb_mattis_hamiltonian``."""
     from .models import assemble
 
     phi = lieb_mattis_hamiltonian(g, part_a, part_b, intra_a, intra_b)
@@ -317,8 +314,13 @@ def lieb_mattis_check(g, part_a, part_b, intra_a=None, intra_b=None,
     totals = su2_totals(space)
     mult = spin_multiplicities(space)
     cvals = {t: su2_casimir_value(t) for t in mult}
-    levels = classify_total_spin(H, totals.casimir, cvals, space)
+    return classify_total_spin(H, totals.casimir, cvals, space)
 
+
+def lieb_mattis_order(levels: SpinResolvedLevels, g, part_a, part_b,
+                      strict_tol=1e-9) -> OrderingVerdict:
+    """The bipartite ordering on a level table: ground at S = |S_A - S_B| and
+    E(H,S) strictly increasing above it."""
     twice_sa = int(round(2 * sum(g.spins[x] for x in part_a)))
     twice_sb = int(round(2 * sum(g.spins[x] for x in part_b)))
     twice_s0 = abs(twice_sa - twice_sb)
@@ -337,3 +339,11 @@ def lieb_mattis_check(g, part_a, part_b, intra_a=None, intra_b=None,
         if diff <= strict_tol and witness is None:
             witness = (t_lo, t_hi, levels.entries[t_lo], levels.entries[t_hi])
     return OrderingVerdict("LiebMattis", witness is None, witness, float(margin))
+
+
+def lieb_mattis_check(g, part_a, part_b, intra_a=None, intra_b=None,
+                      strict_tol=1e-9) -> OrderingVerdict:
+    """Verify the bipartite ordering: ground at S = |S_A - S_B| and E(H,S)
+    strictly increasing above it."""
+    levels = lieb_mattis_levels(g, part_a, part_b, intra_a, intra_b)
+    return lieb_mattis_order(levels, g, part_a, part_b, strict_tol)

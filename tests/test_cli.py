@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import scipy
 
 import spinsys.cli
+import spinsys.symmetry
 
 from spinsys.cli import ConfigError, merge_config, parse_config_file, run
 
@@ -165,3 +170,51 @@ def test_lightcone_above_dense_cutoff_reports_memory(tmp_path, capsys):
     assert "Traceback" not in err
     lines = err.strip().splitlines()
     assert len(lines) == 1 and "dimension 8192" in lines[0] and "GiB" in lines[0]
+
+
+def run_module(*args):
+    env = dict(os.environ)
+    src = str(Path(spinsys.cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "spinsys.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_python_m_spinsys_cli_runs(tmp_path):
+    out = tmp_path / "m.csv"
+    proc = run_module("spectrum", "--L", "3", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert len(read(out).strip().splitlines()) == 1 + 8
+    manifest = json.loads(read(tmp_path / "m.csv.manifest.json"))
+    assert manifest["subcommand"] == "spectrum"
+
+
+def test_tol_is_not_an_option(tmp_path):
+    proc = run_module("cluster", "--tol", "1e-6", "--out", str(tmp_path / "c.csv"))
+    assert proc.returncode == 2
+    assert "--tol" in proc.stderr
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol = 1e-6\n")
+    assert run(["cluster", "--L", "4", "--config", str(cfg),
+                "--out", str(tmp_path / "c.csv")]) == 2
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_liebmattis_classifies_once(tmp_path, monkeypatch):
+    gfile = tmp_path / "p4.graph"
+    gfile.write_text(GRAPH4)
+    calls = []
+    classify = spinsys.symmetry.classify_total_spin
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return classify(*args, **kwargs)
+
+    for module in (spinsys.symmetry, spinsys.cli):
+        monkeypatch.setattr(module, "classify_total_spin", counted)
+    out = tmp_path / "lm.csv"
+    assert run(["liebmattis", "--graph", str(gfile), "--out", str(out)]) == 0
+    assert len(calls) == 1
+    lines = read(out).strip().splitlines()
+    assert lines[0] == "twice_S,S,E_min,E_max"
+    assert [ln.split(",")[0] for ln in lines[1:]] == ["0", "2", "4"]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sps
 from numpy.testing import assert_allclose
 
 from spinsys import (SpinSpace, down_spin_sector, embed_at, embed_local,
@@ -83,6 +84,41 @@ def test_kron_chain_little_endian():
     d = op.toarray().diagonal().real
     # site-0 operator acts on the fastest index
     assert_allclose(d, [0.5, -0.5, 0.5, -0.5], atol=1e-15)
+
+
+def _per_site_kron_chain(space, site_ops):
+    out = sps.identity(1, dtype=complex, format="csr")
+    for x, d in enumerate(space.site_dims):
+        local = site_ops.get(x)
+        local = (sps.identity(d, dtype=complex, format="csr") if local is None
+                 else sps.csr_matrix(np.asarray(local, dtype=complex)))
+        out = sps.kron(local, out, format="csr")
+    return SparseOperator(out).matrix
+
+
+@pytest.mark.parametrize("sites", [(), (0,), (2,), (3,), (1, 3), (0, 2), (0, 3),
+                                   (0, 1, 2, 3)])
+def test_kron_chain_matches_per_site_chain(sites):
+    space = SpinSpace((2, 3, 2, 4))
+    rng = np.random.default_rng(7)
+    site_ops = {}
+    for x in sites:
+        d = space.site_dims[x]
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        m[rng.random((d, d)) < 0.3] = 0.0
+        site_ops[x] = m
+    got = kron_chain(space, site_ops).matrix
+    ref = _per_site_kron_chain(space, site_ops)
+    assert got.shape == ref.shape == (48, 48)
+    assert np.array_equal(got.indptr, ref.indptr)
+    assert np.array_equal(got.indices, ref.indices)
+    assert np.array_equal(got.data, ref.data)
+
+
+@pytest.mark.parametrize("site", [-1, 4])
+def test_kron_chain_rejects_site_outside_space(site):
+    with pytest.raises(ValueError, match="not a site"):
+        kron_chain(SpinSpace((2, 3, 2, 4)), {site: np.eye(2)})
 
 
 def test_embed_local_matches_kron_product():

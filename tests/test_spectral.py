@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import spinsys.spectral
 from spinsys import (SpinSpace, aklt, assemble, extremal_eigs, full_spectrum,
                      heisenberg, magnetization_sector, path_graph, restrict,
                      ring_graph, sector_spectrum, sector_sweep_lowest, spectral_gap)
@@ -24,35 +25,35 @@ def test_lanczos_matches_dense_small():
     rng = np.random.default_rng(1)
     h = random_hermitian(rng, 120)
     dense = np.sort(np.linalg.eigvalsh(h))
-    rep = extremal_eigs(h, k=5, tol=1e-12)
+    rep = extremal_eigs(h, k=5)
     assert_allclose(rep.eigenvalues, dense[:5], atol=1e-9)
     assert rep.residuals.max() < 1e-8
 
 
 def test_lanczos_degenerate_spectrum():
-    # dim 100 > 64 reaches ARPACK; the Krylov space of any start vector is at
-    # most 3-dimensional here, and the lowest level is an exact zero
+    # the Krylov space of any start vector is at most 3-dimensional here,
+    # and the lowest level is an exact zero
     h = np.diag([0.0] * 5 + [1.0] * 60 + [2.0] * 35)
-    rep = extremal_eigs(h, k=4, tol=1e-12)
+    rep = extremal_eigs(h, k=4)
     assert_allclose(rep.eigenvalues, [0, 0, 0, 0], atol=1e-10)
 
 
-def test_forced_krylov_matches_dense_on_aklt_ring():
+def test_forced_krylov_matches_dense_on_aklt_ring(monkeypatch):
     # a start vector invariant under the ring's symmetries stays in the
     # symmetric subspace and misses levels in most sectors
+    monkeypatch.setattr(spinsys.spectral, "KRYLOV_CROSSOVER", 100)
     space = SpinSpace((3,) * 8)
     H = assemble(aklt(8, periodic=True), space)
-    _, per_sector = sector_sweep_lowest(H, space, k=3, dense_cutoff=100)
+    _, per_sector = sector_sweep_lowest(H, space, k=3)
     for M in space.magnetization_values():
         sec = magnetization_sector(space, M)
         dense = np.linalg.eigvalsh(restrict(H, sec))[:3]
-        got = per_sector[sec.label].eigenvalues
+        got = per_sector[sec.label].eigenvalues[:3]     # dense sectors give all
         assert_allclose(got, dense[:got.size], atol=1e-9, err_msg=str(sec.label))
 
 
 def test_krylov_finds_degenerate_copy_heisenberg_afm_ring():
-    # dim 66 > 64 reaches ARPACK; the second and third levels are degenerate,
-    # and Lanczos finds a second copy of a level only through rounding
+    # the second and third levels are degenerate, and Lanczos finds a second copy of a level only through rounding
     g = ring_graph(12, weight=-1.0)
     space = SpinSpace.from_graph(g)
     block = restrict(assemble(heisenberg(g), space), magnetization_sector(space, 4),
@@ -61,7 +62,7 @@ def test_krylov_finds_degenerate_copy_heisenberg_afm_ring():
     assert_allclose(rep.eigenvalues, np.linalg.eigvalsh(block.toarray())[:3], atol=1e-9)
 
 
-def test_krylov_is_bitwise_repeatable():
+def test_krylov_is_bitwise_repeatable(monkeypatch):
     space = SpinSpace((3,) * 6)
     H = assemble(aklt(6, periodic=True), space)
     block = restrict(H, magnetization_sector(space, 0), dense=False)
@@ -70,8 +71,9 @@ def test_krylov_is_bitwise_repeatable():
     assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
     assert a.eigenvectors.tobytes() == b.eigenvectors.tobytes()
     # concurrent ARPACK runs, one per sector, give the same bytes
-    one, _ = sector_sweep_lowest(H, space, k=3, dense_cutoff=100, threads=1)
-    four, _ = sector_sweep_lowest(H, space, k=3, dense_cutoff=100, threads=4)
+    monkeypatch.setattr(spinsys.spectral, "KRYLOV_CROSSOVER", 100)
+    one, _ = sector_sweep_lowest(H, space, k=3, threads=1)
+    four, _ = sector_sweep_lowest(H, space, k=3, threads=4)
     assert one.eigenvalues.tobytes() == four.eigenvalues.tobytes()
 
 
@@ -125,6 +127,6 @@ def test_lanczos_random_matrix_battery():
         h = random_hermitian(rng, n)
         dense = np.sort(np.linalg.eigvalsh(h))
         k = int(rng.integers(1, 4))
-        rep = extremal_eigs(h, k=k, tol=1e-12)
+        rep = extremal_eigs(h, k=k)
         worst = max(worst, np.abs(rep.eigenvalues - dense[:k]).max())
     assert worst < 1e-9, f"worst deviation {worst:.3e}"
