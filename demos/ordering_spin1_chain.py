@@ -3,8 +3,8 @@
 E(H, S) denotes the lowest energy among total-spin-S states.  For the
 ferromagnetic chain the claim is strict decrease of E(H, S) in S, so the
 ground state is maximally polarized and the gap is E(H, S_max - 1) - E(H, S_max).
-The spin labels come from the SU(2) Casimir evaluated in each magnetization
-sector, not from counting alone.
+The spin labels come from the SU(2) Casimir S+ S- + M(M - 1) built on each
+magnetization sector from the ladder totals, not from counting alone.
 """
 
 from spinsys import (SpinSpace, assemble, classify_total_spin, foel_check,
@@ -18,7 +18,7 @@ H = assemble(heisenberg(g), space)
 
 mult = spin_multiplicities(space)
 cvals = {t: su2_casimir_value(t) for t in mult}
-levels = classify_total_spin(H, su2_totals(space).casimir, cvals, space)
+levels = classify_total_spin(H, su2_totals(space), cvals, space)
 
 print("spin-1 chain, L = 5, ferromagnetic J = 1")
 print(" 2S   multiplets   E(H,S)        top level")

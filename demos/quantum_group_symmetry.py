@@ -9,23 +9,33 @@ though plain total spin is not conserved at Delta > 1.
 
 import numpy as np
 
-from spinsys import (SpinSpace, XxzParams, assemble, sector_ground_energy,
-                     suq2_generators, suq_casimir_value, xxz)
+from spinsys import (SpinSpace, XxzParams, assemble, magnetization_sector, restrict,
+                     sector_casimir, sector_ground_energy, suq2_generators,
+                     suq_casimir_value, xxz)
 
 p = XxzParams.from_q(6, 0.5)
 space = SpinSpace((2,) * p.L)
-H = assemble(xxz(p), space).matrix.toarray()
+H = assemble(xxz(p), space)
 ops = suq2_generators(p)
 
-for name, op in (("S+", ops.plus), ("S-", ops.minus), ("Casimir", ops.casimir)):
-    comm = H @ op.matrix.toarray() - op.matrix.toarray() @ H
+h = H.toarray()
+for name, op in (("S+", ops.plus), ("S-", ops.minus)):
+    comm = h @ op.toarray() - op.toarray() @ h
     print(f"|[H, {name}]| = {np.abs(comm).max():.2e}")
 
-print("\nq-Casimir eigenvalues vs formula (L = 6, q = 0.5)")
-ev = np.sort(np.unique(np.round(np.linalg.eigvals(ops.casimir.matrix.toarray()).real, 8)))
-expect = sorted({round(suq_casimir_value(p.q, t), 8) for t in range(0, 7, 2)})
-print("  computed:", ev)
-print("  formula: ", np.array(expect))
+# The q-Casimir is never formed on the full space: on the sector M it is
+# the dense block S+ S- + (q^(2M-1) + q^(1-2M)) / (1/q - q)^2, and its
+# eigenvalues there are the formula at every S >= |M|.
+print("\nq-Casimir per magnetization sector vs formula (L = 6, q = 0.5)")
+for M in space.magnetization_values():
+    twice_m = int(round(2 * M))
+    c = sector_casimir(ops, space, twice_m)
+    h_m = restrict(H, magnetization_sector(space, M))
+    ev = np.unique(np.round(np.linalg.eigvals(c).real, 8))
+    expect = [round(suq_casimir_value(p.q, t), 8) for t in range(abs(twice_m), p.L + 1, 2)]
+    print(f"  M = {M:+.0f}: |[H_M, C_M]| = {np.abs(h_m @ c - c @ h_m).max():.2e}")
+    print("    computed:", ev)
+    print("    formula: ", np.array(expect))
 
 # the label in action: lowest level with deformed spin S_max - n
 for n in (1, 2):

@@ -15,14 +15,14 @@ from .spectral import (ConvergenceError, GapReport, SpectrumReport, extremal_eig
                        spectral_gap)
 from .symmetry import (ClassificationError, OrderingVerdict, SpinResolvedLevels,
                        classify_total_spin, foel_check, lieb_mattis_check,
-                       spin_multiplicities, su2_casimir_value, su2_totals,
-                       suq2_generators, suq_casimir_value)
+                       sector_casimir, spin_multiplicities, su2_casimir_value,
+                       su2_totals, suq2_generators, suq_casimir_value)
 from .ssep import (ExclusionSpace, GeneratorReport, semigroup_evolve,
                    ssep_gaps, ssep_generator, ssep_spin_interaction,
                    xxx_conjugacy_check)
 from .dynamics import (ClusteringRates, HeisenbergDynamics, clustering_mu,
                        clustering_report, commutator_grid, commutator_growth,
-                       evolve_observable, ground_correlation,
+                       ground_correlation,
                        hermitian_unit_basis, lr_bound_rhs, lr_corollary_bound,
                        lr_multisite_bound)
 from .perturbation import (frustration_free_check, gap_sweep,

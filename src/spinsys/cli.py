@@ -192,8 +192,7 @@ def run_foel(cfg):
     H = assemble(phi, space)
     mult = spin_multiplicities(space)
     cvals = {t: su2_casimir_value(t) for t in mult}
-    totals = su2_totals(space)
-    levels = classify_total_spin(H, totals.casimir, cvals, space)
+    levels = classify_total_spin(H, su2_totals(space), cvals, space)
     verdict = foel_check(levels)
     e0 = min(levels.entries.values())
     rows = []
@@ -264,6 +263,10 @@ def run_droplet(cfg):
     J = cfg.get("J", 1.0)
     Lmax = cfg.get("Lmax", 12)
     Lmin = cfg.get("Lmin", max(4, 2 * n + 2))
+    if n < 1:
+        raise ConfigError(f"n must be at least 1, got {n}")
+    if Lmin > Lmax:
+        raise ConfigError(f"Lmin {Lmin} exceeds Lmax {Lmax}")
     Ls = list(range(Lmin, Lmax + 1, 2))
     table = convergence_table(q, n, Ls, J=J)
     rows = []
@@ -377,6 +380,10 @@ def run_perturb(cfg):
     lo = cfg.get("lambda_min", -0.1)
     hi = cfg.get("lambda_max", 0.1)
     step = cfg.get("lambda_step", 0.02)
+    if step <= 0:
+        raise ConfigError(f"lambda_step must be positive, got {step}")
+    if hi < lo:
+        raise ConfigError(f"lambda_max {hi} is below lambda_min {lo}")
     count = int(round((hi - lo) / step)) + 1
     lambdas = [round(lo + i * step, 12) for i in range(count)]
     s3 = np.asarray(spin_matrices(1.0).s3)

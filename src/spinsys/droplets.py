@@ -18,7 +18,8 @@ import numpy as np
 from .hilbert import SpinSpace, down_spin_sector, restrict
 from .models import XxzParams, xxz, assemble
 from .spectral import SpectrumReport, full_spectrum, sector_spectrum
-from .symmetry import spin_multiplicities, suq2_generators, suq_casimir_value, _label_levels
+from .symmetry import (spin_multiplicities, sector_casimir, suq2_generators,
+                       suq_casimir_value, _label_levels)
 
 SECTOR_DIM_LIMIT = 200_000
 
@@ -72,10 +73,9 @@ def open_chain_spin_level(p: XxzParams, n: int) -> float:
     """E(H_L, S_max - n) for the boundary-field chain via q-Casimir labels."""
     rep = _sector_report(p, n, want_vectors=True)
     space = SpinSpace((2,) * p.L)
-    sector = down_spin_sector(space, n)
-    cq = restrict(suq2_generators(p).casimir, sector)
-    mult = spin_multiplicities(space)
     twice_target = p.L - 2 * n                  # 2(S_max - n)
+    cq = sector_casimir(suq2_generators(p), space, twice_target)
+    mult = spin_multiplicities(space)
     candidates = {t: suq_casimir_value(p.q, t) for t in mult if t >= twice_target}
     labels, _ = _label_levels(rep.eigenvalues, rep.eigenvectors, cq, candidates,
                               hermitian_c=False, residual_tol=1e-8)

@@ -86,10 +86,6 @@ class HeisenbergDynamics:
         return self.vecs @ out @ self.vecs.conj().T
 
 
-def evolve_observable(H, A, t: float, cutoff=DENSE_CUTOFF) -> np.ndarray:
-    return HeisenbergDynamics(H, cutoff=cutoff).evolve(A, t)
-
-
 def commutator_grid(dyn: HeisenbergDynamics, B, space: SpinSpace, xs, ts) -> np.ndarray:
     """Certified lower estimates of C_B(x,t) for every x in ``xs`` (rows) and
     t in ``ts`` (columns): the max of ||[tau_t(A), B]|| over the

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -69,10 +70,6 @@ class SparseOperator:
 
     def toarray(self) -> np.ndarray:
         return self.matrix.toarray()
-
-    def norm(self) -> float:
-        """Operator norm (largest singular value), dense."""
-        return float(np.linalg.norm(self.toarray(), 2))
 
     def __add__(self, other):
         herm = self.hermitian and getattr(other, "hermitian", False)
@@ -244,10 +241,42 @@ def down_spin_sector(space: SpinSpace, n) -> SectorBasis:
     return SectorBasis(space, ("n", int(n)), basis.states)
 
 
+def _embed(space: SpinSpace, factors) -> SparseOperator:
+    """Product of local matrices on disjoint sites, identity elsewhere.
+
+    ``factors`` lists (sorted sites, matrix on their little-endian tensor
+    product).  The row and column offsets of each factor's nonzeros, and the
+    diagonal offsets of each run of free sites, are summed by broadcasting
+    into one COO array, converted once to CSR.  Values are multiplied in
+    ascending site order, as a chain of Kronecker products would.
+    """
+    dims, strides = space.site_dims, space.strides
+    rows = cols = np.zeros(1, dtype=np.int64)
+    data = np.ones(1, dtype=complex)
+    for sites, mat in sorted(factors, key=lambda f: f[0]):
+        off = np.zeros(1, dtype=np.int64)
+        for x in sites:
+            off = (off[:, None] + np.arange(dims[x]) * strides[x]).ravel(order="F")
+        mat = np.asarray(mat, dtype=complex)
+        r, c = np.nonzero(mat)
+        rows = (off[r][:, None] + rows).ravel()
+        cols = (off[c][:, None] + cols).ravel()
+        data = (mat[r, c][:, None] * data).ravel()
+    covered = {x for sites, _ in factors for x in sites}
+    for free, run in groupby(range(space.n_sites), lambda x: x not in covered):
+        if free:
+            run = list(run)
+            off = np.arange(math.prod(dims[run[0]:run[-1] + 1])) * strides[run[0]]
+            rows = (off[:, None] + rows).ravel()
+            cols = (off[:, None] + cols).ravel()
+            data = np.tile(data, off.size)
+    n = space.total_dim
+    return SparseOperator(sp.coo_matrix((data, (rows, cols)), shape=(n, n)))
+
+
 def kron_chain(space: SpinSpace, site_ops: dict) -> SparseOperator:
     """Kronecker product over all sites; ``site_ops`` maps site -> local matrix,
-    identity elsewhere.  Little-endian: site 0 is the innermost factor.  The
-    identity below and above the span of the given sites is one factor each."""
+    identity elsewhere.  Little-endian: site 0 is the innermost factor."""
     dims = space.site_dims
     for x, m in site_ops.items():
         if not 0 <= x < space.n_sites:
@@ -256,17 +285,7 @@ def kron_chain(space: SpinSpace, site_ops: dict) -> SparseOperator:
         if m.shape != (dims[x], dims[x]):
             raise ValueError(f"matrix at site {x} has shape {m.shape}, "
                              f"expected square of dim {dims[x]}")
-    lo, hi = (min(site_ops), max(site_ops) + 1) if site_ops else (0, 0)
-    out = sp.identity(math.prod(dims[:lo]), dtype=complex, format="csr")
-    for x in range(lo, hi):
-        local = site_ops.get(x)
-        if local is None:
-            local = sp.identity(dims[x], dtype=complex, format="csr")
-        else:
-            local = sp.csr_matrix(np.asarray(local, dtype=complex))
-        out = sp.kron(local, out, format="csr")
-    above = sp.identity(math.prod(dims[hi:]), dtype=complex, format="csr")
-    return SparseOperator(sp.kron(above, out, format="csr"))
+    return _embed(space, [((x,), m) for x, m in site_ops.items()])
 
 
 def embed_at(space: SpinSpace, ops) -> SparseOperator:
@@ -287,44 +306,26 @@ def embed_local(space: SpinSpace, support, matrix) -> SparseOperator:
     support = tuple(sorted(set(support)))
     if not support:
         raise ValueError("empty support")
-    sub = SpinSpace(tuple(space.site_dims[x] for x in support))
+    sub_dim = math.prod(space.site_dims[x] for x in support)
     matrix = np.asarray(matrix, dtype=complex)
-    if matrix.shape != (sub.total_dim, sub.total_dim):
+    if matrix.shape != (sub_dim, sub_dim):
         raise ValueError(f"local matrix has shape {matrix.shape}, "
-                         f"expected dim {sub.total_dim} for support {support}")
-    rest = [x for x in range(space.n_sites) if x not in support]
-    # offsets of all configurations of the complementary sites
-    rest_offsets = np.zeros(1, dtype=np.int64)
-    for x in rest:
-        step = np.arange(space.site_dims[x], dtype=np.int64) * space.strides[x]
-        rest_offsets = (rest_offsets[None, :] + step[:, None]).ravel(order="F")
-    coo = sp.coo_matrix(matrix)
-    rows, cols, data = [], [], []
-    for a, b, v in zip(coo.row, coo.col, coo.data):
-        da = sub.decode(int(a))
-        db = sub.decode(int(b))
-        off_a = sum(d * space.strides[x] for d, x in zip(da, support))
-        off_b = sum(d * space.strides[x] for d, x in zip(db, support))
-        rows.append(off_a + rest_offsets)
-        cols.append(off_b + rest_offsets)
-        data.append(np.full(rest_offsets.size, v, dtype=complex))
-    mat = sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(space.total_dim, space.total_dim),
-    )
-    return SparseOperator(mat)
+                         f"expected dim {sub_dim} for support {support}")
+    return _embed(space, [(support, matrix)])
 
 
-def restrict(op: SparseOperator, sector: SectorBasis, leak_tol=1e-10, dense=True):
-    """Restriction of ``op`` to a sector; errors if matrix elements leak out.
+def restrict(op: SparseOperator, sector: SectorBasis, leak_tol=1e-10, dense=True,
+             target=None):
+    """Block of ``op`` from ``sector`` (columns) to ``target`` (rows, default
+    ``sector``); errors if matrix elements leak out of ``target``.
 
     Returns a dense array by default (sector blocks are the dense workhorse),
     float64 when the block has no imaginary part.
     """
-    idx = sector.states
-    cols = op.matrix.tocsc()[:, idx]
+    target = sector if target is None else target
+    cols = op.matrix.tocsc()[:, sector.states]
     mask = np.zeros(op.dim, dtype=bool)
-    mask[idx] = True
+    mask[target.states] = True
     outside = cols[~mask, :]
     if outside.nnz:
         leak = abs(outside).max()
@@ -332,7 +333,7 @@ def restrict(op: SparseOperator, sector: SectorBasis, leak_tol=1e-10, dense=True
             coo = abs(outside).tocoo()
             k = int(np.argmax(coo.data))
             raise ValueError(
-                f"operator leaks out of sector {sector.label}: "
+                f"operator leaks out of sector {target.label}: "
                 f"|element| = {leak:.3e} at outside-row {coo.row[k]}, sector-col {coo.col[k]}"
             )
     block = cols[mask, :]

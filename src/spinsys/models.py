@@ -79,7 +79,8 @@ def aklt(L: int, periodic=False) -> Interaction:
             raise ValueError("periodic AKLT needs at least 3 sites")
         bonds.append((L - 1, 0))
     terms = [(b, bond) for b in bonds]
-    return Interaction(terms, name="aklt", params={"L": L, "periodic": periodic})
+    return Interaction(terms, name="aklt",
+                       params={"L": L, "periodic": periodic, "spins": (1.0,) * L})
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,7 @@ def xxz(p: XxzParams) -> Interaction:
         terms.append(((p.L - 1,), -A * np.asarray(s.s3)))  # -A S3_L
     return Interaction(terms, name="xxz",
                        params={"L": p.L, "Delta": p.Delta, "q": p.q, "J": p.J,
-                               "boundary": p.boundary})
+                               "boundary": p.boundary, "spins": (0.5,) * p.L})
 
 
 def custom(terms) -> Interaction:

@@ -96,9 +96,10 @@ class StabilitySweep:
 def gap_sweep(base_builder, pert_builder, lambdas, Ls, threads=1) -> StabilitySweep:
     """Gaps and ground degeneracies of base(L) + lambda * pert(L) over the grid.
 
-    ``base_builder`` and ``pert_builder`` map L to an Interaction.  The
-    lambda = 0 column is computed from the base interaction alone, so it
-    matches an unperturbed run exactly.
+    ``base_builder`` and ``pert_builder`` map L to an Interaction; the space
+    is built from the base's ``params["spins"]``.  The lambda = 0 column is
+    computed from the base interaction alone, so it matches an unperturbed
+    run exactly.
     """
     lambdas = [float(v) for v in lambdas]
     Ls = [int(L) for L in Ls]
@@ -106,9 +107,10 @@ def gap_sweep(base_builder, pert_builder, lambdas, Ls, threads=1) -> StabilitySw
     for L in Ls:
         base = base_builder(L)
         pert = pert_builder(L)
-        space = SpinSpace.from_spins(base.params.get("spins", (1.0,) * L)
-                                     if "spins" in base.params else
-                                     _infer_spins(base, L))
+        if "spins" not in base.params:
+            raise ValueError(f"base interaction {base.name!r} at L={L} has no "
+                             "'spins' in its params to build the space from")
+        space = SpinSpace.from_spins(base.params["spins"])
         pert_H = assemble(pert, space)
         # || sum Phi_x ||: extremal eigenvalues of the Hermitian sum
         top = extremal_eigs(-1 * pert_H.matrix, k=1).eigenvalues[0]
@@ -130,13 +132,3 @@ def gap_sweep(base_builder, pert_builder, lambdas, Ls, threads=1) -> StabilitySw
                           ground_energies=energies, ground_degeneracies=degs,
                           pert_norms=pert_norms, stable_lambdas=stable)
 
-
-def _infer_spins(phi: Interaction, L: int):
-    """Fallback local dimensions from the term matrices (uniform chains)."""
-    for support, mat in phi.terms:
-        if len(support) == 2:
-            d = int(round(math.sqrt(mat.shape[0])))
-            return ((d - 1) / 2,) * L
-        if len(support) == 1:
-            return ((mat.shape[0] - 1) / 2,) * L
-    raise ValueError("cannot infer local dimensions from the interaction")

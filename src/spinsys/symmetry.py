@@ -1,5 +1,5 @@
-"""Total-spin structure: SU(2) and SU_q(2) totals, Casimirs, and the
-classification of eigenstates by total spin.
+"""Total-spin structure: SU(2) and SU_q(2) ladder totals, per-sector
+Casimirs, and the classification of eigenstates by total spin.
 
 The E(H,S) table is built by scanning only the magnetization sector M = S:
 every multiplet of total spin S contributes exactly one vector there, so
@@ -14,7 +14,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .hilbert import SpinSpace, SparseOperator, spin_matrices, embed_at, kron_chain, \
+from .hilbert import SpinSpace, SparseOperator, spin_matrices, embed_at, \
     magnetization_sector, restrict
 from .models import XxzParams
 
@@ -28,46 +28,45 @@ class ClassificationError(RuntimeError):
 
 
 class TotalSpinOps(NamedTuple):
-    s1: SparseOperator
-    s2: SparseOperator
-    s3: SparseOperator
-    casimir: SparseOperator
+    plus: SparseOperator
+    minus: SparseOperator
+
+    def casimir_shift(self, twice_m):
+        """S.S = S+ S- + M(M - 1) on the sector M."""
+        m = twice_m / 2
+        return m * (m - 1)
 
 
 def su2_totals(space: SpinSpace) -> TotalSpinOps:
-    """S^i_total = sum_x S^i_x and the Casimir C = S_total . S_total."""
-    totals = []
-    for comp in range(3):
-        acc = None
-        for x in range(space.n_sites):
-            local = spin_matrices(space.spin_at(x))[comp]
-            emb = embed_at(space, [(x, local)]).matrix
-            acc = emb if acc is None else acc + emb
-        totals.append(acc)
-    casimir = sum(t @ t for t in totals)
-    return TotalSpinOps(SparseOperator(totals[0], hermitian=True),
-                        SparseOperator(totals[1], hermitian=True),
-                        SparseOperator(totals[2], hermitian=True),
-                        SparseOperator(casimir, hermitian=True))
+    """The ladder totals S+ = sum_x S+_x and S- = (S+)^H."""
+    local = [spin_matrices(space.spin_at(x)) for x in range(space.n_sites)]
+    plus = sum(embed_at(space, [(x, s.plus)]).matrix for x, s in enumerate(local))
+    minus = sum(embed_at(space, [(x, s.minus)]).matrix for x, s in enumerate(local))
+    return TotalSpinOps(SparseOperator(plus), SparseOperator(minus))
 
 
 class SuqOps(NamedTuple):
-    s3: SparseOperator
     plus: SparseOperator
     minus: SparseOperator
     t_total: SparseOperator
-    casimir: SparseOperator   # generally non-Hermitian; treated as general
+    q: float
+
+    def casimir_shift(self, twice_m):
+        """((qT)^-1 + qT) / (1/q - q)^2 on the sector M, where T = q^(-2M):
+        the q-Casimir is S+ S- plus this."""
+        q = self.q
+        return (q ** (twice_m - 1) + q ** (1 - twice_m)) / (1 / q - q) ** 2
 
 
 def suq2_generators(p: XxzParams) -> SuqOps:
-    """Twisted SU_q(2) totals on the spin-1/2 chain.
+    """Twisted SU_q(2) ladder totals on the spin-1/2 chain.
 
     S+ carries the t = diag(1/q, q) tail on the sites after the raising
     site and S- the inverse tail before the lowering site; this is the
     spatial mirror of the more common left-tail convention and is the
     chirality that commutes with the boundary field -A(S3_L - S3_1).
-    The q-Casimir is S+ S- + ((qT)^-1 + qT) / (1/q - q)^2 with T the
-    product of all t_x; its eigenvalues and the commutator relation
+    T is the product of all t_x.  The q-Casimir S+ S- + ((qT)^-1 + qT) /
+    (1/q - q)^2 (see ``sector_casimir``) and the commutator relation
     [S+, S-] = (q^(2 S3) - q^(-2 S3)) / (q - 1/q) are unchanged.
     """
     if not (0 < p.q < 1):
@@ -77,30 +76,27 @@ def suq2_generators(p: XxzParams) -> SuqOps:
     s = spin_matrices(0.5)
     t = np.diag([1 / p.q, p.q])
     t_inv = np.diag([p.q, 1 / p.q])
+    plus = sum(embed_at(space, [(x, s.plus)] + [(y, t) for y in range(x + 1, L)]).matrix
+               for x in range(L))
+    minus = sum(embed_at(space, [(y, t_inv) for y in range(x)] + [(x, s.minus)]).matrix
+                for x in range(L))
+    t_total = embed_at(space, [(x, t) for x in range(L)]).matrix
+    return SuqOps(SparseOperator(plus), SparseOperator(minus),
+                  SparseOperator(t_total, hermitian=True), p.q)
 
-    s3_tot = None
-    plus_tot = None
-    minus_tot = None
-    for x in range(L):
-        emb3 = embed_at(space, [(x, s.s3)]).matrix
-        s3_tot = emb3 if s3_tot is None else s3_tot + emb3
-        ops_p = {y: t for y in range(x + 1, L)}
-        ops_p[x] = s.plus
-        embp = kron_chain(space, ops_p).matrix
-        plus_tot = embp if plus_tot is None else plus_tot + embp
-        ops_m = {y: t_inv for y in range(x)}
-        ops_m[x] = s.minus
-        embm = kron_chain(space, ops_m).matrix
-        minus_tot = embm if minus_tot is None else minus_tot + embm
-    t_total = kron_chain(space, {x: t for x in range(L)}).matrix
-    qT = p.q * t_total
-    qT_inv = kron_chain(space, {x: t_inv for x in range(L)}).matrix / p.q
-    casimir = plus_tot @ minus_tot + (qT_inv + qT) / (1 / p.q - p.q) ** 2
-    return SuqOps(SparseOperator(s3_tot, hermitian=True),
-                  SparseOperator(plus_tot),
-                  SparseOperator(minus_tot),
-                  SparseOperator(t_total, hermitian=True),
-                  SparseOperator(casimir))
+
+def sector_casimir(ladder, space: SpinSpace, twice_m: int) -> np.ndarray:
+    """Dense Casimir block on the sector M = twice_m / 2 of either algebra:
+    C_M = S+|(M-1 -> M) S-|(M -> M-1) + ladder.casimir_shift(twice_m) 1.
+    No full-space Casimir is formed."""
+    sector = magnetization_sector(space, twice_m / 2)
+    c = ladder.casimir_shift(twice_m) * np.eye(sector.dim)
+    if twice_m > -space.twice_m_total_max():
+        below = magnetization_sector(space, twice_m / 2 - 1)
+        up = restrict(ladder.plus, below, dense=False, target=sector)
+        down = restrict(ladder.minus, sector, dense=False, target=below)
+        c = c + (up @ down).toarray()
+    return c
 
 
 def su2_casimir_value(twice_s: int) -> float:
@@ -209,12 +205,14 @@ def _label_levels(evals, evecs, c_block, candidates, hermitian_c, residual_tol,
     return labels, residuals
 
 
-def classify_total_spin(H, C, casimir_values, space: SpinSpace,
+def classify_total_spin(H, ladder, casimir_values, space: SpinSpace,
                         hermitian_casimir=True,
                         degeneracy_tol=CLASSIFY_DEGENERACY_TOL,
                         residual_tol=CASIMIR_RESIDUAL_TOL) -> SpinResolvedLevels:
     """Build the spin-resolved level table of an H commuting with the Casimir.
 
+    ``ladder``: the S+/S- totals (``su2_totals`` or ``suq2_generators``),
+    from which ``sector_casimir`` builds the Casimir on each sector.
     ``casimir_values``: dict 2S -> c(S) over the spin grid of the space.
     For each S the sector M = S is diagonalized; degenerate H-eigenspaces are
     split by the restricted Casimir rather than trusting solver bases.
@@ -227,7 +225,7 @@ def classify_total_spin(H, C, casimir_values, space: SpinSpace,
     for twice_s in sorted(mult):
         sector = magnetization_sector(space, twice_s / 2)
         h_block = restrict(H, sector)
-        c_block = restrict(C, sector)
+        c_block = sector_casimir(ladder, space, twice_s)
         evals, evecs = np.linalg.eigh(h_block)
         candidates = {t: casimir_values[t] for t in mult if t >= twice_s}
         labels, res = _label_levels(evals, evecs, c_block, candidates,
@@ -311,10 +309,9 @@ def lieb_mattis_levels(g, part_a, part_b, intra_a=None, intra_b=None) -> SpinRes
     phi = lieb_mattis_hamiltonian(g, part_a, part_b, intra_a, intra_b)
     space = SpinSpace.from_graph(g)
     H = assemble(phi, space)
-    totals = su2_totals(space)
     mult = spin_multiplicities(space)
     cvals = {t: su2_casimir_value(t) for t in mult}
-    return classify_total_spin(H, totals.casimir, cvals, space)
+    return classify_total_spin(H, su2_totals(space), cvals, space)
 
 
 def lieb_mattis_order(levels: SpinResolvedLevels, g, part_a, part_b,

@@ -31,7 +31,7 @@ def spin_levels(g):
     H = assemble(heisenberg(g), space)
     mult = spin_multiplicities(space)
     cvals = {t: su2_casimir_value(t) for t in mult}
-    return classify_total_spin(H, su2_totals(space).casimir, cvals, space), H, space
+    return classify_total_spin(H, su2_totals(space), cvals, space), H, space
 
 
 def test_01_ferromagnetic_level_ordering_figure():

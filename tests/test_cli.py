@@ -163,6 +163,20 @@ def test_lightcone_bad_grid_is_config_error(tmp_path, capsys, flags):
     assert len(err.strip().splitlines()) == 1 and err.startswith("config error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["droplet", "--q", "0.5", "--Lmin", "10", "--Lmax", "8"],
+    ["droplet", "--q", "0.5", "--n", "0"],
+    ["perturb", "--L", "8", "--lambda_step", "0"],
+    ["perturb", "--L", "8", "--lambda_min", "0.1", "--lambda_max", "-0.1"],
+])
+def test_range_errors_are_config_errors(tmp_path, capsys, argv):
+    assert run([*argv, "--out", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("config error: ")
+    assert not (tmp_path / "r.csv").exists()
+
+
 def test_lightcone_above_dense_cutoff_reports_memory(tmp_path, capsys):
     assert run(["lightcone", "--L", "13", "--tsteps", "2",
                 "--out", str(tmp_path / "c.csv")]) == 3

@@ -141,6 +141,47 @@ def test_embed_local_nonadjacent_noncommuting():
     assert_allclose(emb, ref, atol=1e-14)
 
 
+def _per_element_embed_local(space, support, matrix):
+    """Each nonzero of the local matrix, placed at the offsets of every
+    configuration of the sites outside the support."""
+    support = tuple(sorted(support))
+    sub = SpinSpace(tuple(space.site_dims[x] for x in support))
+    rest_offsets = np.zeros(1, dtype=np.int64)
+    for x in range(space.n_sites):
+        if x not in support:
+            step = np.arange(space.site_dims[x], dtype=np.int64) * space.strides[x]
+            rest_offsets = (rest_offsets[None, :] + step[:, None]).ravel(order="F")
+    coo = sps.coo_matrix(np.asarray(matrix, dtype=complex))
+    rows, cols, data = [], [], []
+    for a, b, v in zip(coo.row, coo.col, coo.data):
+        off_a = sum(d * space.strides[x] for d, x in zip(sub.decode(int(a)), support))
+        off_b = sum(d * space.strides[x] for d, x in zip(sub.decode(int(b)), support))
+        rows.append(off_a + rest_offsets)
+        cols.append(off_b + rest_offsets)
+        data.append(np.full(rest_offsets.size, v, dtype=complex))
+    n = space.total_dim
+    mat = sps.coo_matrix((np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
+                         shape=(n, n))
+    return SparseOperator(mat).matrix
+
+
+@pytest.mark.parametrize("dims,support", [
+    ((2,) * 6, (2, 3)), ((2,) * 6, (5, 0)), ((2, 3, 2, 4, 2), (1, 3)),
+    ((2, 3, 2, 4, 2), (0, 2, 4)), ((3,) * 5, (4, 0)), ((2, 3), (0, 1))])
+def test_embed_local_matches_per_element_embedding(dims, support):
+    space = SpinSpace(dims)
+    rng = np.random.default_rng(11)
+    d = int(np.prod([dims[x] for x in support]))
+    m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    m[rng.random((d, d)) < 0.4] = 0.0
+    got = embed_local(space, support, m).matrix
+    ref = _per_element_embed_local(space, support, m)
+    assert got.shape == ref.shape == (space.total_dim,) * 2
+    assert np.array_equal(got.indptr, ref.indptr)
+    assert np.array_equal(got.indices, ref.indices)
+    assert np.array_equal(got.data, ref.data)
+
+
 def test_restrict_leak_detection():
     space = SpinSpace((2, 2))
     s = spin_matrices(0.5)
@@ -154,9 +195,27 @@ def test_restrict_leak_detection():
         restrict(sp, sector)
 
 
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2)])
+def test_restrict_to_target_sector(dims):
+    space = SpinSpace(dims)
+    plus = sum(kron_chain(space, {x: spin_matrices((d - 1) / 2).plus}).matrix
+               for x, d in enumerate(dims))
+    plus = SparseOperator(plus)
+    values = space.magnetization_values()
+    for upper, lower in zip(values, values[1:]):
+        sector, below = (magnetization_sector(space, M) for M in (upper, lower))
+        block = restrict(plus, below, target=sector)
+        ref = plus.toarray()[np.ix_(sector.states, below.states)]
+        assert block.shape == (sector.dim, below.dim)
+        assert_allclose(block, ref, rtol=0, atol=0)
+        # S+ raises M, so its image leaves a target of the wrong magnetization
+        with pytest.raises(ValueError, match="leak"):
+            restrict(plus, below, target=below)
+
+
 def test_sparse_operator_validation():
     mat = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
         SparseOperator(mat, hermitian=True)
     op = SparseOperator(np.array([[2.0, 0.0], [0.0, -1.0]]), hermitian=True)
-    assert op.norm() == pytest.approx(2.0)
+    assert np.linalg.norm(op.toarray(), 2) == pytest.approx(2.0)

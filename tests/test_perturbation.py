@@ -61,3 +61,14 @@ def test_gap_sweep_small_grid():
     assert sweep.stable_lambdas == lams
     # perturbation norm is L for Sum (S^3)^2 on a spin-1 ring
     assert sweep.pert_norms[6] == pytest.approx(6.0, abs=1e-6)
+
+
+def test_gap_sweep_needs_spins_in_base_params():
+    assert aklt(4).params["spins"] == (1.0,) * 4
+    sz = np.asarray(spin_matrices(1.0).s3)
+
+    def base(L):
+        return custom([((x, (x + 1) % L), np.kron(sz, sz)) for x in range(L)])
+
+    with pytest.raises(ValueError, match="'spins'"):
+        gap_sweep(base, base, [0.0], [4])

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sps
 from numpy.testing import assert_allclose
 
-from spinsys import (SpinSpace, XxzParams, assemble, build_graph,
-                     classify_total_spin, foel_check, heisenberg,
-                     lieb_mattis_check, path_graph, ring_graph,
+from spinsys import (SparseOperator, SpinSpace, XxzParams, assemble, build_graph,
+                     classify_total_spin, embed_at, foel_check, heisenberg,
+                     lieb_mattis_check, magnetization_sector, path_graph,
+                     restrict, ring_graph, sector_casimir, spin_matrices,
                      spin_multiplicities, star_graph, su2_casimir_value,
                      su2_totals, suq2_generators, suq_casimir_value, xxz)
 from spinsys.symmetry import lieb_mattis_hamiltonian
@@ -15,16 +17,41 @@ def spin_levels(g):
     H = assemble(heisenberg(g), space)
     mult = spin_multiplicities(space)
     cvals = {t: su2_casimir_value(t) for t in mult}
-    return classify_total_spin(H, su2_totals(space).casimir, cvals, space)
+    return classify_total_spin(H, su2_totals(space), cvals, space)
+
+
+def sector_blocks(ladder, space):
+    """(2M, sector, C_M) on every magnetization sector."""
+    for M in space.magnetization_values():
+        twice_m = int(round(2 * M))
+        yield twice_m, magnetization_sector(space, M), sector_casimir(ladder, space, twice_m)
+
+
+def assert_sector_casimirs_match(ladder, space, c_full):
+    """C_M from the ladder equals the restricted full-space Casimir on every
+    sector, to 1e-12 relative."""
+    for _, sector, c in sector_blocks(ladder, space):
+        ref = restrict(SparseOperator(c_full), sector)
+        assert_allclose(c, ref, rtol=0, atol=1e-12 * max(1.0, np.abs(ref).max()))
+
+
+def suq_casimir_oracle(ops):
+    """The full-space q-Casimir S+ S- + ((qT)^-1 + qT) / (1/q - q)^2."""
+    q = ops.q
+    t = ops.t_total.matrix.diagonal()
+    t_terms = sps.diags((1 / (q * t) + q * t) / (1 / q - q) ** 2)
+    return ops.plus.matrix @ ops.minus.matrix + t_terms
 
 
 def test_su2_totals_algebra():
-    space = SpinSpace((2, 3, 2))
-    t = su2_totals(space)
-    c = t.casimir.toarray()
-    h = (t.s1.matrix @ t.s1.matrix + t.s2.matrix @ t.s2.matrix
-         + t.s3.matrix @ t.s3.matrix).toarray()
-    assert_allclose(c, h, atol=1e-12)
+    for dims in [(2, 3, 2), (2, 3, 2, 4, 2)]:
+        space = SpinSpace(dims)
+        t = su2_totals(space)
+        s1, s2, s3 = (sum(embed_at(space, [(x, spin_matrices(space.spin_at(x))[i])]).matrix
+                          for x in range(space.n_sites)) for i in range(3))
+        assert_allclose(t.plus.toarray(), (s1 + 1j * s2).toarray(), atol=1e-15)
+        assert_allclose(t.minus.toarray(), (s1 - 1j * s2).toarray(), atol=1e-15)
+        assert_sector_casimirs_match(t, space, s1 @ s1 + s2 @ s2 + s3 @ s3)
 
 
 def test_spin_multiplicities_spin_half_chain():
@@ -95,12 +122,16 @@ def test_lieb_mattis_hamiltonian_sign_structure():
 def test_suq_generators_commute_with_hamiltonian():
     p = XxzParams.from_q(4, 0.5)
     space = SpinSpace((2,) * 4)
-    H = assemble(xxz(p), space).matrix.toarray()
+    H = assemble(xxz(p), space)
     ops = suq2_generators(p)
-    for name, op in (("plus", ops.plus), ("minus", ops.minus),
-                     ("casimir", ops.casimir)):
+    h = H.toarray()
+    for name, op in (("plus", ops.plus), ("minus", ops.minus)):
         m = op.matrix.toarray()
-        assert np.abs(H @ m - m @ H).max() < 1e-12, name
+        assert np.abs(h @ m - m @ h).max() < 1e-12, name
+    for twice_m, sector, c in sector_blocks(ops, space):
+        h_m = restrict(H, sector)
+        assert np.abs(h_m @ c - c @ h_m).max() < 1e-12, twice_m
+    assert_sector_casimirs_match(ops, space, suq_casimir_oracle(ops))
 
 
 def test_suq_deformed_commutator():
@@ -118,8 +149,11 @@ def test_suq_deformed_commutator():
 
 def test_suq_casimir_eigenvalues():
     p = XxzParams.from_q(2, 0.5)
-    c = suq2_generators(p).casimir.matrix.toarray()
-    ev = np.sort(np.linalg.eigvals(c).real)
+    ops = suq2_generators(p)
+    space = SpinSpace((2,) * 2)
+    assert_sector_casimirs_match(ops, space, suq_casimir_oracle(ops))
+    ev = np.sort(np.concatenate([np.linalg.eigvals(c).real
+                                 for _, _, c in sector_blocks(ops, space)]))
     expect = np.sort([suq_casimir_value(0.5, 0)] + [suq_casimir_value(0.5, 2)] * 3)
     assert_allclose(ev, expect, atol=1e-10)
 
@@ -127,8 +161,11 @@ def test_suq_casimir_eigenvalues():
 def test_suq_reduces_to_su2():
     # q -> 1 limit: compare against the undeformed Casimir on two sites
     p = XxzParams.from_q(2, 0.999999)
-    c = suq2_generators(p).casimir.matrix.toarray()
-    ev = np.sort(np.linalg.eigvals(c).real)
+    ops = suq2_generators(p)
+    space = SpinSpace((2,) * 2)
+    assert_sector_casimirs_match(ops, space, suq_casimir_oracle(ops))
+    ev = np.sort(np.concatenate([np.linalg.eigvals(c).real
+                                 for _, _, c in sector_blocks(ops, space)]))
     # shifted convention: eigenvalue (q^-(2S+1) + q^(2S+1)) / (q^-1 - q)^2
     expect = np.sort([suq_casimir_value(p.q, 0)] + [suq_casimir_value(p.q, 2)] * 3)
     assert_allclose(ev, expect, atol=1e-6)
