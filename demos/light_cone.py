@@ -28,8 +28,9 @@ B = embed_at(space, [(bsite, sigma3)])
 dyn = HeisenbergDynamics(H)
 
 # one call for the whole table: B and each local A are rotated into the
-# eigenbasis of H once, and every grid point is a phase conjugation, one
-# matmul and one Hermitian eigvalsh
+# eigenbasis of H once, block by magnetization block, and every grid point is
+# a phase conjugation and one small eigvalsh or SVD per connected component
+# of the block pattern of the commutator
 ts = (0.2, 0.5, 1.0)
 grid = commutator_grid(dyn, B, space, range(L), ts)
 

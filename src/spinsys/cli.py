@@ -303,6 +303,8 @@ def run_lightcone(cfg):
     bsite = cfg.get("bsite", L // 2)
     if tsteps < 2:
         raise ConfigError(f"tsteps must be at least 2, got {tsteps}")
+    if not math.isfinite(tmax):
+        raise ConfigError(f"tmax must be finite, got {tmax}")
     if not 0 <= bsite < L:
         raise ConfigError(f"bsite {bsite} is not a site of the {L}-site chain")
     g = path_graph(L, weight=J, spin=spin)

@@ -1,10 +1,14 @@
 """Heisenberg dynamics, commutator light cones, and ground-state clustering.
 
 Real-time evolution goes through the dense eigendecomposition of H (the
-full unitary is needed anyway); light-cone commutator norms are taken in
-its eigenbasis.  Imaginary-time weights e^(-b(H-E0)) are
-applied by spectral decomposition on the dense path and, inside one sector,
-by scipy's ``expm_multiply`` on the sparse block.
+full unitary is needed anyway), taken block by block over the invariant
+blocks of H: the connected components of its sparsity pattern, which on the
+Heisenberg and AKLT chains are the magnetization sectors.
+Light-cone commutator norms are taken in that eigenbasis, one connected
+component of the block pattern of the commutator at a time.
+Imaginary-time weights e^(-b(H-E0)) are applied by spectral decomposition on
+the dense path and, inside one sector, by scipy's ``expm_multiply`` on the
+sparse block.
 """
 
 from __future__ import annotations
@@ -46,25 +50,55 @@ def hermitian_unit_basis(n: int):
     return basis
 
 
+def _block_labels(mat) -> np.ndarray:
+    """The invariant blocks of a Hermitian matrix: the connected components of
+    its sparsity pattern, found by label propagation with pointer jumping.
+    Entry i is the block of basis state i; blocks are numbered in the order
+    of their first state."""
+    rows, cols = mat.nonzero()
+    label = np.arange(mat.shape[0])
+    while True:
+        hooked = label.copy()
+        np.minimum.at(hooked, rows, label[cols])
+        hooked = hooked[hooked]
+        if np.array_equal(hooked, label):
+            return np.unique(label, return_inverse=True)[1]
+        label = hooked
+
+
 class HeisenbergDynamics:
     """Caches the eigendecomposition of a Hamiltonian for repeated evolutions.
 
-    H is diagonalised as real float64 when it has no imaginary part, so the
-    eigenvectors of every real model come from the real solver."""
+    H is split into its invariant blocks, the connected components of its
+    sparsity pattern (the magnetization sectors of a Heisenberg chain; a
+    single block once a transverse field couples them), and each block is
+    diagonalised on its own.  ``vecs`` is the full eigenbasis in the site
+    basis, with its columns grouped by block: columns ``bounds[b]`` to
+    ``bounds[b + 1]`` hold the eigenvectors of block b, which live on the
+    states ``order[bounds[b]:bounds[b + 1]]`` and on no other.  ``labels``
+    gives the block of each state.  H is diagonalised as real float64 when it
+    has no imaginary part, so the eigenvectors of every real model come from
+    the real solver."""
 
     def __init__(self, H, cutoff=DENSE_CUTOFF):
-        mat = H.matrix if isinstance(H, SparseOperator) else H
+        mat = sp.csr_matrix(H.matrix if isinstance(H, SparseOperator) else H)
         dim = mat.shape[0]
-        values = mat.data if sp.issparse(mat) else np.asarray(mat)
-        dtype = np.complex128 if np.any(values.imag) else np.float64
+        dtype = np.complex128 if np.any(mat.data.imag) else np.float64
         if dim > cutoff:
             raise ValueError(dense_refusal(
                 dim, cutoff, dtype,
                 "real-time evolution needs the full unitary, use a smaller system"))
-        dense = mat.toarray() if sp.issparse(mat) else np.asarray(mat)
         if dtype is np.float64:
-            dense = dense.real
-        self.evals, self.vecs = np.linalg.eigh(dense)
+            mat = mat.real
+        self.labels = _block_labels(mat)
+        self.order = np.argsort(self.labels, kind="stable")
+        self.bounds = np.concatenate(([0], np.cumsum(np.bincount(self.labels))))
+        self.evals = np.empty(dim)
+        self.vecs = np.zeros((dim, dim), dtype)
+        for s, e in zip(self.bounds[:-1], self.bounds[1:]):
+            states = self.order[s:e]
+            self.evals[s:e], self.vecs[states, s:e] = np.linalg.eigh(
+                mat[states][:, states].toarray())
         self.dim = dim
 
     def phases(self, t: float) -> np.ndarray:
@@ -79,6 +113,20 @@ class HeisenbergDynamics:
             A = np.asarray(A)
         return self.vecs.conj().T @ (A @ self.vecs)
 
+    def _eigenbasis_blocks(self, A) -> dict:
+        """The blocks of V^H A V that the sparsity pattern of A allows to be
+        nonzero, keyed by (row block, column block); every other block is
+        exactly zero."""
+        A = sp.csr_matrix(A.matrix if isinstance(A, SparseOperator) else A)
+        rows, cols = A.nonzero()
+        n = len(self.bounds) - 1
+        keys = np.unique(self.labels[rows] * n + self.labels[cols]).tolist()
+        AV = A[self.order] @ self.vecs       # rows and columns in block order
+        b, order = self.bounds, self.order
+        return {(r, c): self.vecs[order[b[r]:b[r + 1]], b[r]:b[r + 1]].conj().T
+                @ AV[b[r]:b[r + 1], b[c]:b[c + 1]]
+                for r, c in (divmod(k, n) for k in keys)}
+
     def evolve(self, A, t: float) -> np.ndarray:
         """tau_t(A) = e^(itH) A e^(-itH)."""
         p = self.phases(t)
@@ -86,30 +134,117 @@ class HeisenbergDynamics:
         return self.vecs @ out @ self.vecs.conj().T
 
 
+def _block_components(pairs):
+    """Connected components of the graph on blocks with an edge a - c for
+    every (a, c) in ``pairs``.  Each is (blocks, colour): ``colour`` maps the
+    blocks to 0 and 1 so that every edge joins two colours, or is None when
+    the component has an odd cycle or a loop a - a."""
+    adj = {}
+    for a, c in pairs:
+        adj.setdefault(a, set()).add(c)
+        adj.setdefault(c, set()).add(a)
+    seen = set()
+    comps = []
+    for start in sorted(adj):
+        if start in seen:
+            continue
+        colour = {start: 0}
+        queue = [start]
+        bipartite = True
+        for a in queue:
+            for c in adj[a]:
+                if c not in colour:
+                    colour[c] = 1 - colour[a]
+                    queue.append(c)
+                elif colour[c] == colour[a]:
+                    bipartite = False
+        seen.update(colour)
+        comps.append((sorted(colour), colour if bipartite else None))
+    return comps
+
+
+def _slices(blocks, sizes):
+    """The slice each of ``blocks`` takes in their concatenation, and its length."""
+    out, n = {}, 0
+    for a in blocks:
+        out[a] = slice(n, n + sizes[a])
+        n += sizes[a]
+    return out, n
+
+
+def _component_norm(blocks, colour, X, sizes) -> float:
+    """||K|| for K = i(X - X^H) on one component of its block pattern, from
+    the blocks X[a, c] inside it.  A one-block component is the largest
+    |eigvalsh| of its block.  A 2-coloured component R | S is
+    [[0, K_RS], [K_RS^H, 0]], whose norm is the largest singular value of
+    K_RS = i(X_RS - X_SR^H).  Any other is the largest |eigvalsh| of the
+    assembled component."""
+    if len(blocks) == 1:
+        m = X[blocks[0], blocks[0]]
+        return np.abs(np.linalg.eigvalsh(1j * (m - m.conj().T))).max()
+    if colour is None:
+        at, n = _slices(blocks, sizes)
+        K = np.zeros((n, n), dtype=complex)
+        for (a, c), m in X.items():
+            K[at[a], at[c]] += m
+            K[at[c], at[a]] -= m.conj().T
+        return np.abs(np.linalg.eigvalsh(1j * K)).max()
+    row, nr = _slices([a for a in blocks if colour[a] == 0], sizes)
+    col, nc = _slices([a for a in blocks if colour[a] == 1], sizes)
+    K = np.zeros((nr, nc), dtype=complex)
+    for (a, c), m in X.items():
+        if a in row:
+            K[row[a], col[c]] += m
+        else:
+            K[row[c], col[a]] -= m.conj().T
+    return np.linalg.norm(K, 2)
+
+
 def commutator_grid(dyn: HeisenbergDynamics, B, space: SpinSpace, xs, ts) -> np.ndarray:
     """Certified lower estimates of C_B(x,t) for every x in ``xs`` (rows) and
     t in ``ts`` (columns): the max of ||[tau_t(A), B]|| over the
     unit-operator-norm Hermitian basis of the site-x matrix algebra.
 
-    B must be Hermitian.  The work happens in the eigenbasis of H, where
-    tau_t(A) is the phase conjugation conj(p) * A * p with p = e^(-itE).
-    With X = tau_t(A) B there, [tau_t(A), B] = X - X^H, and i(X - X^H) is
-    Hermitian, so the norm is its largest |eigenvalue|.  The norm is
-    unitarily invariant, so nothing is rotated back.  B is rotated once,
-    and each local A is embedded and rotated once.
+    B must be Hermitian.  The work happens in the eigenbasis of H, block by
+    invariant block of H (``HeisenbergDynamics``): there tau_t(A) is the
+    phase conjugation conj(p) * A * p with p = e^(-itE), which keeps the
+    block pattern of A.  With X = tau_t(A) B, K = i[tau_t(A), B] = i(X - X^H)
+    is Hermitian, and its blocks can be nonzero only where the block patterns
+    PA of A and PB of B allow: on PA.PB and its transpose PB.PA.  Only the
+    blocks of X on PA.PB are formed, each from the block products that enter
+    it.  ||K|| is the max over the connected components of that pattern: the
+    largest |eigenvalue| of the component, or, where the component is
+    2-coloured R | S with no diagonal block, the largest singular value of its
+    off-diagonal part K_RS.  The norm is unitarily invariant, so nothing is
+    rotated back.  B is rotated once, and each local A is embedded and
+    rotated once.
     """
-    Bd = dyn.to_eigenbasis(B)
-    if np.abs(Bd - Bd.conj().T).max() > 1e-10 * max(1.0, np.abs(Bd).max()):
+    Bs = sp.csr_matrix(B.matrix if isinstance(B, SparseOperator) else B)
+    if abs(Bs - Bs.conj().T).max() > 1e-10 * max(1.0, abs(Bs).max()):
         raise ValueError("B must be Hermitian")
-    phases = [dyn.phases(t) for t in ts]
+    Bd = dyn._eigenbasis_blocks(Bs)
+    b_row = {}
+    for a, c in Bd:
+        b_row.setdefault(a, []).append(c)
+    sizes = np.diff(dyn.bounds).tolist()
+    phases = [np.split(dyn.phases(t), dyn.bounds[1:-1]) for t in ts]
     out = np.zeros((len(xs), len(ts)))
     for i, x in enumerate(xs):
         for local in hermitian_unit_basis(space.site_dims[x]):
-            Ad = dyn.to_eigenbasis(embed_at(space, [(x, local)]))
+            Ad = dyn._eigenbasis_blocks(embed_at(space, [(x, local)]))
+            terms = {}                # (a, c) -> the b with A[a, b] B[b, c] in X[a, c]
+            for a, b in Ad:
+                for c in b_row.get(b, ()):
+                    terms.setdefault((a, c), []).append(b)
+            comps = [(blocks, colour, [k for k in terms if k[0] in blocks])
+                     for blocks, colour in _block_components(terms)]
             for j, p in enumerate(phases):
-                X = (p.conj()[:, None] * Ad * p) @ Bd
-                norm = np.abs(np.linalg.eigvalsh(1j * (X - X.conj().T))).max()
-                out[i, j] = max(out[i, j], norm)
+                At = {(a, b): p[a].conj()[:, None] * m * p[b] for (a, b), m in Ad.items()}
+                X = {(a, c): sum(At[a, b] @ Bd[b, c] for b in bs)
+                     for (a, c), bs in terms.items()}
+                for blocks, colour, keys in comps:
+                    norm = _component_norm(blocks, colour, {k: X[k] for k in keys}, sizes)
+                    out[i, j] = max(out[i, j], norm)
     return out
 
 
@@ -119,19 +254,30 @@ def commutator_growth(dyn: HeisenbergDynamics, B, x: int, t: float,
     return float(commutator_grid(dyn, B, space, [x], [t])[0, 0])
 
 
+def _lr_growth(phi_norm: float, t: float) -> float:
+    """e^(2|t| ||Phi||), or inf where it overflows a float."""
+    try:
+        return math.exp(2.0 * abs(t) * phi_norm)
+    except OverflowError:
+        return math.inf
+
+
 def lr_bound_rhs(g: SpinGraph, lam: float, phi_norm: float, x: int,
                  support, b_norm: float, t: float, profile=None) -> float:
     """Right-hand side of the commutator bound:
     e^(2|t| ||Phi||) C_B(x,0) + sum_{y != x} e^(-lam d(x,y)) (e^(2|t| ||Phi||) - 1) C_B(y,0).
 
     ``profile`` maps y -> C_B(y,0); default is 2 ||B|| on the support of B.
+    Once e^(2|t| ||Phi||) overflows a float the bound is vacuous: inf.
     """
     if lam <= 0:
         raise ValueError("lambda must be positive")
     support = set(support)
     if profile is None:
         profile = {y: 2.0 * b_norm for y in support}
-    grow = math.exp(2.0 * abs(t) * phi_norm)
+    grow = _lr_growth(phi_norm, t)
+    if grow == math.inf:
+        return math.inf
     dist = distances_from(g, x)
     total = grow * profile.get(x, 0.0)
     for y, c0 in profile.items():
@@ -143,15 +289,19 @@ def lr_bound_rhs(g: SpinGraph, lam: float, phi_norm: float, x: int,
 
 def lr_corollary_bound(g: SpinGraph, lam: float, phi_norm: float, x: int,
                        support, a_norm: float, b_norm: float, t: float) -> float:
-    """2 |Y| ||A|| ||B|| (e^(2|t| ||Phi||) - 1) e^(-lam d(x,Y)), for x outside Y."""
+    """2 |Y| ||A|| ||B|| (e^(2|t| ||Phi||) - 1) e^(-lam d(x,Y)), for x outside Y;
+    inf once e^(2|t| ||Phi||) overflows a float."""
     if lam <= 0:
         raise ValueError("lambda must be positive")
     support = set(support)
     if x in support:
         raise ValueError("the corollary form requires x outside the support of B")
     d = set_distance(g, x, support)
+    grow = _lr_growth(phi_norm, t)
+    if grow == math.inf:
+        return math.inf
     return (2.0 * len(support) * a_norm * b_norm
-            * (math.exp(2.0 * abs(t) * phi_norm) - 1.0) * math.exp(-lam * d))
+            * (grow - 1.0) * math.exp(-lam * d))
 
 
 def lr_multisite_bound(g: SpinGraph, lam: float, phi_norm: float, X,

@@ -154,8 +154,22 @@ def test_lightcone_small_chain(tmp_path):
     assert all(a["passed"] for a in manifest["assertions"])
 
 
+def test_lightcone_spin1_bound_overflow_is_infinite(tmp_path):
+    # ||Phi||_lambda = 1761 for the spin-1 chain: e^(2 t ||Phi||) overflows at t = 1
+    out = tmp_path / "cone.csv"
+    assert run(["lightcone", "--L", "4", "--spin", "1", "--tsteps", "2",
+                "--out", str(out)]) == 0
+    lines = read(out).strip().splitlines()
+    assert lines[0] == "x,t,measured,bound_thm1,bound_corollary"
+    assert len(lines) == 1 + 4 * 2
+    for line in lines[1:]:
+        t, bound = (float(v) for v in line.split(",")[1:4:2])
+        assert bound == float("inf") if t == 1.0 else bound < float("inf")
+
+
 @pytest.mark.parametrize("flags", [["--tsteps", "1"], ["--tsteps", "0"],
-                                   ["--bsite", "9"], ["--bsite", "-1"]])
+                                   ["--bsite", "9"], ["--bsite", "-1"],
+                                   ["--tmax", "nan"], ["--tmax", "inf"]])
 def test_lightcone_bad_grid_is_config_error(tmp_path, capsys, flags):
     assert run(["lightcone", "--L", "4", *flags, "--out", str(tmp_path / "c.csv")]) == 2
     err = capsys.readouterr().err

@@ -99,8 +99,33 @@ def model_cases():
     B = embed_at(space, [(1, np.diag([0.8, -0.3]))])
     yield space, H, B, False
 
+    # a transverse field couples every magnetization sector: H is one block
+    g = path_graph(5)
+    space = SpinSpace.from_graph(g)
+    H = assemble(heisenberg(g) + custom([((x,), 0.4 * s.s1) for x in range(5)]), space)
+    B = embed_at(space, [(2, np.diag([0.8, -0.3]))])
+    yield space, H, B, True
 
-@pytest.mark.parametrize("case", range(3), ids=["heisenberg_L6", "aklt_L4", "dm_chain_L5"])
+    # B = 2S^3 keeps every sector; the charge +-1 and +-2 units of a spin-1
+    # site give 2-coloured components of the block pattern of [tau_t(A), B]
+    g = path_graph(4, spin=1.0)
+    space = SpinSpace.from_graph(g)
+    H = assemble(heisenberg(g), space)
+    B = embed_at(space, [(1, 2.0 * np.asarray(s1.s3))])
+    yield space, H, B, True
+
+    # B ~ sigma^1 moves the magnetization by one, so the charge +-1 units give
+    # components with diagonal blocks (scaled so B is no involution)
+    g, space, H = chain_setup(5)
+    B = embed_at(space, [(2, 1.2 * np.asarray(s.s1))])
+    yield space, H, B, True
+
+
+CASE_IDS = ["heisenberg_L6", "aklt_L4", "dm_chain_L5", "transverse_field_L5",
+            "spin1_chain_L4", "sigma1_chain_L5"]
+
+
+@pytest.mark.parametrize("case", range(len(CASE_IDS)), ids=CASE_IDS)
 def test_commutator_grid_matches_definition(case):
     space, H, B, real = list(model_cases())[case]
     dyn = HeisenbergDynamics(H)
@@ -115,6 +140,24 @@ def test_commutator_grid_matches_definition(case):
     assert grid[:, 1:].min() > 1e-6           # every site sees B by t = 0.35
     for i, j in ((0, 2), (len(xs) - 1, 1), (1, 0)):
         assert commutator_growth(dyn, B, xs[i], ts[j], space) == grid[i, j]
+
+
+@pytest.mark.parametrize("case", range(len(CASE_IDS)), ids=CASE_IDS)
+def test_eigenbasis_is_block_structured(case):
+    space, H, B, real = list(model_cases())[case]
+    dyn = HeisenbergDynamics(H)
+    h = H.toarray()
+    V, E = dyn.vecs, dyn.evals
+    assert np.linalg.norm(h @ V - V * E, 2) <= 1e-12 * np.linalg.norm(h, 2)
+    assert np.linalg.norm(V.conj().T @ V - np.eye(len(E)), 2) <= 1e-12
+    # H couples no two blocks, and no eigenvector leaves its block
+    column_block = np.repeat(np.arange(len(dyn.bounds) - 1), np.diff(dyn.bounds))
+    assert np.all(h[dyn.labels[:, None] != dyn.labels[None, :]] == 0)
+    assert np.all(V[dyn.labels[:, None] != column_block[None, :]] == 0)
+    assert np.array_equal(dyn.labels[dyn.order], column_block)
+    # every other model splits into exactly its magnetization sectors
+    expect = 1 if CASE_IDS[case] == "transverse_field_L5" else len(space.magnetization_values())
+    assert len(dyn.bounds) - 1 == expect
 
 
 def test_commutator_grid_rejects_non_hermitian_b():
@@ -232,3 +275,11 @@ def test_sector_propagation_ignores_global_random_state():
         np.random.seed(seed)
         outs.add(corr.propagate(w, 200.0).tobytes())
     assert len(outs) == 1
+
+
+def test_bounds_are_infinite_once_the_growth_overflows():
+    g = path_graph(5)
+    assert lr_bound_rhs(g, 1.0, 1761.0, 0, (3,), 1.0, 1.0) == float("inf")
+    assert lr_corollary_bound(g, 1.0, 1761.0, 0, (3,), 1.0, 1.0, 1.0) == float("inf")
+    assert lr_bound_rhs(g, 1.0, 1761.0, 0, (3,), 1.0, 0.0) == 0.0
+    assert lr_bound_rhs(g, 1.0, 1761.0, 3, (3,), 1.0, 0.1) < float("inf")
