@@ -8,17 +8,13 @@ magnetization sector from the ladder totals, not from counting alone.
 """
 
 from spinsys import (SpinSpace, assemble, classify_total_spin, foel_check,
-                     heisenberg, lieb_mattis_check, path_graph,
-                     spin_multiplicities, star_graph, su2_casimir_value,
+                     heisenberg, lieb_mattis_check, path_graph, star_graph,
                      su2_totals)
 
 g = path_graph(5, spin=1.0)
 space = SpinSpace.from_graph(g)
 H = assemble(heisenberg(g), space)
-
-mult = spin_multiplicities(space)
-cvals = {t: su2_casimir_value(t) for t in mult}
-levels = classify_total_spin(H, su2_totals(space), cvals, space)
+levels = classify_total_spin(H, su2_totals(space), space)
 
 print("spin-1 chain, L = 5, ferromagnetic J = 1")
 print(" 2S   multiplets   E(H,S)        top level")

@@ -24,7 +24,7 @@ from .hilbert import SpinSpace, embed_at, magnetization_sector, spin_matrices
 from .models import XxzParams, aklt, assemble, custom, heisenberg, lambda_norm, xxz
 from .spectral import ConvergenceError, sector_spectrum
 from .symmetry import classify_total_spin, foel_check, lieb_mattis_levels, \
-    lieb_mattis_order, spin_multiplicities, su2_casimir_value, su2_totals
+    lieb_mattis_order, su2_totals
 from .ssep import ssep_gaps, xxx_conjugacy_check
 from .dynamics import HeisenbergDynamics, clustering_report, commutator_grid, \
     commutator_growth, hermitian_unit_basis, lr_bound_rhs, lr_corollary_bound
@@ -190,9 +190,7 @@ def run_spectrum(cfg):
 def run_foel(cfg):
     _, space, phi = _model_space_and_interaction(cfg)
     H = assemble(phi, space)
-    mult = spin_multiplicities(space)
-    cvals = {t: su2_casimir_value(t) for t in mult}
-    levels = classify_total_spin(H, su2_totals(space), cvals, space)
+    levels = classify_total_spin(H, su2_totals(space), space)
     verdict = foel_check(levels)
     e0 = min(levels.entries.values())
     rows = []
@@ -301,6 +299,11 @@ def run_lightcone(cfg):
     tmax = cfg.get("tmax", 1.0)
     tsteps = cfg.get("tsteps", 21)
     bsite = cfg.get("bsite", L // 2)
+    _check_lam(lam)
+    if not math.isfinite(J):
+        raise ConfigError(f"J must be finite, got {J}")
+    if not (spin > 0 and (2 * spin).is_integer()):
+        raise ConfigError(f"spin must be a positive half-integer, got {spin}")
     if tsteps < 2:
         raise ConfigError(f"tsteps must be at least 2, got {tsteps}")
     if not math.isfinite(tmax):
@@ -353,9 +356,15 @@ def _commutator_by_definition(dyn, B, x, t, space):
     return best
 
 
+def _check_lam(lam):
+    if not 0 < lam < math.inf:
+        raise ConfigError(f"lam must be positive and finite, got {lam}")
+
+
 def run_cluster(cfg):
     L = cfg.get("L", 8)
     lam = cfg.get("lam", 1.0)
+    _check_lam(lam)
     g = ring_graph(L, spin=1.0)
     phi = aklt(L, periodic=True)
     s3 = np.asarray(spin_matrices(1.0).s3)

@@ -18,8 +18,7 @@ import numpy as np
 from .hilbert import SpinSpace, down_spin_sector, restrict
 from .models import XxzParams, xxz, assemble
 from .spectral import SpectrumReport, full_spectrum, sector_spectrum
-from .symmetry import (spin_multiplicities, sector_casimir, suq2_generators,
-                       suq_casimir_value, _label_levels)
+from .symmetry import sector_spin_levels, suq2_generators
 
 SECTOR_DIM_LIMIT = 200_000
 
@@ -42,16 +41,20 @@ def bandwidth_formula(q: float, n: int) -> float:
     return 4 * q ** n * (1 - q ** 2) / (1 - q ** (2 * n))
 
 
-def _sector_report(p: XxzParams, n: int, want_vectors=False) -> SpectrumReport:
+def _check_sector(p: XxzParams, n: int):
     if not 0 <= n <= p.L:
         raise ValueError(f"down-spin number {n} outside 0..{p.L}")
     dim = comb(p.L, n)
     if dim > SECTOR_DIM_LIMIT:
         raise ValueError(f"sector dimension {dim} is out of reach")
+
+
+def _sector_report(p: XxzParams, n: int) -> SpectrumReport:
+    _check_sector(p, n)
     space = SpinSpace((2,) * p.L)
     H = assemble(xxz(p), space)
     sector = down_spin_sector(space, n)
-    return sector_spectrum(H, sector, k="all", want_vectors=want_vectors)
+    return sector_spectrum(H, sector, k="all")
 
 
 def sector_ground_energy(p: XxzParams, n: int) -> float:
@@ -71,18 +74,11 @@ def sector_ground_energy(p: XxzParams, n: int) -> float:
 
 def open_chain_spin_level(p: XxzParams, n: int) -> float:
     """E(H_L, S_max - n) for the boundary-field chain via q-Casimir labels."""
-    rep = _sector_report(p, n, want_vectors=True)
+    _check_sector(p, n)
     space = SpinSpace((2,) * p.L)
-    twice_target = p.L - 2 * n                  # 2(S_max - n)
-    cq = sector_casimir(suq2_generators(p), space, twice_target)
-    mult = spin_multiplicities(space)
-    candidates = {t: suq_casimir_value(p.q, t) for t in mult if t >= twice_target}
-    labels, _ = _label_levels(rep.eigenvalues, rep.eigenvectors, cq, candidates,
-                              hermitian_c=False, residual_tol=1e-8)
-    levels = [e for lab, e in zip(labels, rep.eigenvalues) if lab == twice_target]
-    if not levels:
-        raise ValueError(f"no state labeled 2S={twice_target} in the n={n} sector")
-    return float(min(levels))
+    H = assemble(xxz(p), space)
+    energies, _ = sector_spin_levels(H, suq2_generators(p), space, p.L - 2 * n)
+    return float(energies[0])
 
 
 @dataclass

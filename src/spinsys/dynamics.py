@@ -270,7 +270,7 @@ def lr_bound_rhs(g: SpinGraph, lam: float, phi_norm: float, x: int,
     ``profile`` maps y -> C_B(y,0); default is 2 ||B|| on the support of B.
     Once e^(2|t| ||Phi||) overflows a float the bound is vacuous: inf.
     """
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lambda must be positive")
     support = set(support)
     if profile is None:
@@ -291,7 +291,7 @@ def lr_corollary_bound(g: SpinGraph, lam: float, phi_norm: float, x: int,
                        support, a_norm: float, b_norm: float, t: float) -> float:
     """2 |Y| ||A|| ||B|| (e^(2|t| ||Phi||) - 1) e^(-lam d(x,Y)), for x outside Y;
     inf once e^(2|t| ||Phi||) overflows a float."""
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("lambda must be positive")
     support = set(support)
     if x in support:
@@ -321,7 +321,7 @@ class ClusteringRates:
     phi_norm: float
 
     def __post_init__(self):
-        if self.gamma <= 0 or self.lam <= 0 or self.phi_norm <= 0:
+        if not (self.gamma > 0 and self.lam > 0 and self.phi_norm > 0):
             raise ValueError("gamma, lambda and the interaction norm must be positive")
 
     @property

@@ -17,7 +17,6 @@ import scipy.sparse as sp
 
 HERMITICITY_TOL = 1e-12
 PRUNE_TOL = 1e-15
-DIRECT_SCAN_LIMIT = 2 ** 22
 
 
 class SpinMatrices(NamedTuple):
@@ -188,46 +187,25 @@ def total_sz_diagonal(space: SpinSpace) -> np.ndarray:
     return tm / 2.0
 
 
-def _sector_indices_scan(space, twice_m):
-    tm = np.rint(2 * total_sz_diagonal(space)).astype(np.int64)
-    return np.nonzero(tm == twice_m)[0]
-
-
-def _sector_indices_recursive(space, twice_m):
-    dims = space.site_dims
-    strides = space.strides
-    cols = _digit_twice_m(space)
-    # suffix bounds on remaining achievable 2m
-    lo = [0] * (len(dims) + 1)
-    hi = [0] * (len(dims) + 1)
-    for i in range(len(dims) - 1, -1, -1):
-        lo[i] = lo[i + 1] - (dims[i] - 1)
-        hi[i] = hi[i + 1] + (dims[i] - 1)
-    out = []
-
-    def rec(site, idx, need):
-        if site == len(dims):
-            if need == 0:
-                out.append(idx)
-            return
-        for d in range(dims[site]):
-            rest = need - cols[site][d]
-            if lo[site + 1] <= rest <= hi[site + 1]:
-                rec(site + 1, idx + d * strides[site], rest)
-
-    rec(0, 0, twice_m)
-    return np.array(sorted(out), dtype=np.int64)
-
-
 def magnetization_sector(space: SpinSpace, M) -> SectorBasis:
-    """All product basis states with total S^3 = M, canonical (ascending) order."""
+    """All product basis states with total S^3 = M, canonical (ascending) order.
+
+    Built site by site: each site's digits are broadcast against the partial
+    indices of the earlier sites, and partial states whose 2m the remaining
+    sites can no longer bring to 2M are dropped.  Every stride exceeds all
+    indices of the earlier sites, so digit-major order is ascending.
+    """
     twice_m = int(round(2 * float(M)))
     if abs(twice_m) > space.twice_m_total_max() or (twice_m - space.twice_m_total_max()) % 2 != 0:
         raise ValueError(f"magnetization {M} is not achievable on this space")
-    if space.total_dim <= DIRECT_SCAN_LIMIT:
-        idx = _sector_indices_scan(space, twice_m)
-    else:
-        idx = _sector_indices_recursive(space, twice_m)
+    idx = tm = np.zeros(1, dtype=np.int64)
+    reach = space.twice_m_total_max()       # |2m| the remaining sites can add
+    for col, stride, n in zip(_digit_twice_m(space), space.strides, space.site_dims):
+        reach -= n - 1
+        idx = (np.arange(n)[:, None] * stride + idx).ravel()
+        tm = (col[:, None] + tm).ravel()
+        keep = np.abs(twice_m - tm) <= reach
+        idx, tm = idx[keep], tm[keep]
     if idx.size == 0:
         raise ValueError(f"magnetization sector M={M} is empty")
     return SectorBasis(space, ("M", twice_m / 2), idx)
@@ -323,7 +301,7 @@ def restrict(op: SparseOperator, sector: SectorBasis, leak_tol=1e-10, dense=True
     float64 when the block has no imaginary part.
     """
     target = sector if target is None else target
-    cols = op.matrix.tocsc()[:, sector.states]
+    cols = op.matrix[:, sector.states]      # gathered from CSR: no full-matrix copy
     mask = np.zeros(op.dim, dtype=bool)
     mask[target.states] = True
     outside = cols[~mask, :]

@@ -153,7 +153,7 @@ def custom(terms) -> Interaction:
 
 def lambda_norm(phi: Interaction, lam: float, g: SpinGraph) -> float:
     """sup over x of sum_{X containing x} |X| ||Phi(X)|| N^(2|X|) e^(lam D(X))."""
-    if lam <= 0:
+    if not lam > 0:
         raise ValueError("the decay rate lambda must be positive")
     space = SpinSpace.from_graph(g)
     n_big = space.n_max

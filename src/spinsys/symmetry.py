@@ -1,10 +1,16 @@
 """Total-spin structure: SU(2) and SU_q(2) ladder totals, per-sector
 Casimirs, and the classification of eigenstates by total spin.
 
-The E(H,S) table is built by scanning only the magnetization sector M = S:
-every multiplet of total spin S contributes exactly one vector there, so
-labeling that sector's eigenvectors by the Casimir recovers the full table.
-Internally S is carried as the integer 2S to keep half-integers exact.
+A ladder (``su2_totals`` or ``suq2_generators``) is the one description of
+its algebra: it carries the S+/S- totals, ``casimir_shift`` (the Casimir is
+S+ S- plus this on a sector), ``casimir_value`` (the Casimir on a spin-S
+multiplet) and ``hermitian_casimir`` (whether the Casimir is Hermitian).
+Both algebras are labelled by one function, ``sector_spin_levels``: every
+multiplet of total spin S contributes exactly one vector to the sector
+M = S, so labelling that sector's eigenvectors by the Casimir gives the
+spin-S levels.  ``classify_total_spin(H, ladder, space)`` runs it over the
+spin grid.  Internally S is carried as the integer 2S to keep half-integers
+exact.
 """
 
 from __future__ import annotations
@@ -31,10 +37,17 @@ class TotalSpinOps(NamedTuple):
     plus: SparseOperator
     minus: SparseOperator
 
+    hermitian_casimir = True
+
     def casimir_shift(self, twice_m):
         """S.S = S+ S- + M(M - 1) on the sector M."""
         m = twice_m / 2
         return m * (m - 1)
+
+    def casimir_value(self, twice_s):
+        """S(S + 1) on a spin-S multiplet."""
+        s = twice_s / 2
+        return s * (s + 1)
 
 
 def su2_totals(space: SpinSpace) -> TotalSpinOps:
@@ -51,11 +64,18 @@ class SuqOps(NamedTuple):
     t_total: SparseOperator
     q: float
 
+    hermitian_casimir = False
+
     def casimir_shift(self, twice_m):
         """((qT)^-1 + qT) / (1/q - q)^2 on the sector M, where T = q^(-2M):
         the q-Casimir is S+ S- plus this."""
         q = self.q
         return (q ** (twice_m - 1) + q ** (1 - twice_m)) / (1 / q - q) ** 2
+
+    def casimir_value(self, twice_s):
+        """(q^-(2S+1) + q^(2S+1)) / (1/q - q)^2 on a deformed spin-S multiplet."""
+        q = self.q
+        return (q ** (-(twice_s + 1)) + q ** (twice_s + 1)) / (1 / q - q) ** 2
 
 
 def suq2_generators(p: XxzParams) -> SuqOps:
@@ -99,15 +119,6 @@ def sector_casimir(ladder, space: SpinSpace, twice_m: int) -> np.ndarray:
     return c
 
 
-def su2_casimir_value(twice_s: int) -> float:
-    s = twice_s / 2
-    return s * (s + 1)
-
-
-def suq_casimir_value(q: float, twice_s: int) -> float:
-    return (q ** (-(twice_s + 1)) + q ** (twice_s + 1)) / (1 / q - q) ** 2
-
-
 def spin_multiplicities(space: SpinSpace) -> dict:
     """2S -> number of spin-S multiplets, from magnetization sector dimensions.
 
@@ -145,7 +156,7 @@ class SpinResolvedLevels:
         return self.entries[twice_s]
 
 
-def _label_cluster(h_vecs, c_block, candidates, hermitian_c, residual_tol):
+def _label_cluster(h_vecs, c_block, candidates, hermitian_c):
     """Diagonalize the Casimir restricted to one H-eigenspace and label each
     resulting vector by the nearest candidate Casimir value."""
     sub = h_vecs.conj().T @ (c_block @ h_vecs)
@@ -176,7 +187,7 @@ def _label_cluster(h_vecs, c_block, candidates, hermitian_c, residual_tol):
         twice_s = cand_ts[order[0]]
         vec = h_vecs @ (cvecs[:, i] / np.linalg.norm(cvecs[:, i]))
         resid = np.linalg.norm(c_block @ vec - candidates[twice_s] * vec) / scale
-        if resid > residual_tol:
+        if resid > CASIMIR_RESIDUAL_TOL:
             raise ClassificationError(
                 f"Casimir residual {resid:.3e} above tolerance after "
                 f"simultaneous diagonalization (label 2S={twice_s})")
@@ -185,64 +196,64 @@ def _label_cluster(h_vecs, c_block, candidates, hermitian_c, residual_tol):
     return labels, residuals
 
 
-def _label_levels(evals, evecs, c_block, candidates, hermitian_c, residual_tol,
-                  degeneracy_tol=CLASSIFY_DEGENERACY_TOL):
+def _label_levels(evals, evecs, c_block, candidates, hermitian_c):
     """Casimir label and residual of every eigenpair of H (ascending evals,
     eigenvector columns): levels are grouped into H-degenerate clusters,
-    adjacent gaps <= degeneracy_tol, and each cluster is labeled by
+    adjacent gaps <= CLASSIFY_DEGENERACY_TOL, and each cluster is labeled by
     ``_label_cluster``."""
     labels, residuals = [], []
     i = 0
     while i < evals.size:
         j = i + 1
-        while j < evals.size and evals[j] - evals[j - 1] <= degeneracy_tol:
+        while j < evals.size and evals[j] - evals[j - 1] <= CLASSIFY_DEGENERACY_TOL:
             j += 1
-        lab, res = _label_cluster(evecs[:, i:j], c_block, candidates,
-                                  hermitian_c, residual_tol)
+        lab, res = _label_cluster(evecs[:, i:j], c_block, candidates, hermitian_c)
         labels.extend(lab)
         residuals.extend(res)
         i = j
     return labels, residuals
 
 
-def classify_total_spin(H, ladder, casimir_values, space: SpinSpace,
-                        hermitian_casimir=True,
-                        degeneracy_tol=CLASSIFY_DEGENERACY_TOL,
-                        residual_tol=CASIMIR_RESIDUAL_TOL) -> SpinResolvedLevels:
-    """Build the spin-resolved level table of an H commuting with the Casimir.
+def sector_spin_levels(H, ladder, space: SpinSpace, twice_s: int):
+    """Energies (ascending) and Casimir residuals of the spin-S states of an
+    H commuting with ``ladder``'s algebra, S = twice_s / 2.
 
-    ``ladder``: the S+/S- totals (``su2_totals`` or ``suq2_generators``),
-    from which ``sector_casimir`` builds the Casimir on each sector.
-    ``casimir_values``: dict 2S -> c(S) over the spin grid of the space.
-    For each S the sector M = S is diagonalized; degenerate H-eigenspaces are
-    split by the restricted Casimir rather than trusting solver bases.
+    The sector M = S is diagonalized densely; degenerate H-eigenspaces are
+    split by the restricted Casimir rather than trusting solver bases, and
+    each eigenvector is labeled by the nearest ``ladder.casimir_value(t)``
+    over the spins t >= 2S present in the space.
     """
+    sector = magnetization_sector(space, twice_s / 2)
+    evals, evecs = np.linalg.eigh(restrict(H, sector))
+    c_block = sector_casimir(ladder, space, twice_s)
+    candidates = {t: ladder.casimir_value(t)
+                  for t in spin_multiplicities(space) if t >= twice_s}
+    labels, residuals = _label_levels(evals, evecs, c_block, candidates,
+                                      ladder.hermitian_casimir)
+    mine = np.array(labels) == twice_s
+    if not mine.any():
+        raise ClassificationError(
+            f"no state labeled 2S={twice_s} found in its own sector")
+    return evals[mine], np.array(residuals)[mine]
+
+
+def classify_total_spin(H, ladder, space: SpinSpace) -> SpinResolvedLevels:
+    """Build the spin-resolved level table of an H commuting with the Casimir
+    of ``ladder`` (``su2_totals`` or ``suq2_generators``), one
+    ``sector_spin_levels`` call per spin; the number of states labeled 2S
+    must equal the multiplet count the sector dimensions imply."""
     mult = spin_multiplicities(space)
-    for twice_s in mult:
-        if twice_s not in casimir_values:
-            raise ValueError(f"missing Casimir value for 2S={twice_s}")
     entries, max_entries, counts, residuals = {}, {}, {}, {}
     for twice_s in sorted(mult):
-        sector = magnetization_sector(space, twice_s / 2)
-        h_block = restrict(H, sector)
-        c_block = sector_casimir(ladder, space, twice_s)
-        evals, evecs = np.linalg.eigh(h_block)
-        candidates = {t: casimir_values[t] for t in mult if t >= twice_s}
-        labels, res = _label_levels(evals, evecs, c_block, candidates,
-                                    hermitian_casimir, residual_tol, degeneracy_tol)
-        for lab, r, e in zip(labels, res, evals):
-            if lab == twice_s:
-                counts[twice_s] = counts.get(twice_s, 0) + 1
-                entries[twice_s] = min(entries.get(twice_s, np.inf), e)
-                max_entries[twice_s] = max(max_entries.get(twice_s, -np.inf), e)
-                residuals[twice_s] = max(residuals.get(twice_s, 0.0), r)
-        if twice_s not in entries:
+        energies, res = sector_spin_levels(H, ladder, space, twice_s)
+        if energies.size != mult[twice_s]:
             raise ClassificationError(
-                f"no state labeled 2S={twice_s} found in its own sector")
-        if counts[twice_s] != mult[twice_s]:
-            raise ClassificationError(
-                f"multiplet count mismatch at 2S={twice_s}: found {counts[twice_s]}, "
+                f"multiplet count mismatch at 2S={twice_s}: found {energies.size}, "
                 f"sector dimensions imply {mult[twice_s]}")
+        entries[twice_s] = energies[0]
+        max_entries[twice_s] = energies[-1]
+        counts[twice_s] = energies.size
+        residuals[twice_s] = res.max()
     return SpinResolvedLevels(entries=entries, max_entries=max_entries,
                               counts=counts,
                               twice_s_max=space.twice_m_total_max(),
@@ -309,9 +320,7 @@ def lieb_mattis_levels(g, part_a, part_b, intra_a=None, intra_b=None) -> SpinRes
     phi = lieb_mattis_hamiltonian(g, part_a, part_b, intra_a, intra_b)
     space = SpinSpace.from_graph(g)
     H = assemble(phi, space)
-    mult = spin_multiplicities(space)
-    cvals = {t: su2_casimir_value(t) for t in mult}
-    return classify_total_spin(H, su2_totals(space), cvals, space)
+    return classify_total_spin(H, su2_totals(space), space)
 
 
 def lieb_mattis_order(levels: SpinResolvedLevels, g, part_a, part_b,

@@ -15,9 +15,7 @@ from spinsys.droplets import _sector_report
 from spinsys.models import custom
 from spinsys.spectral import extremal_eigs, full_spectrum
 from spinsys.ssep import ssep_gaps
-from spinsys.symmetry import (classify_total_spin, foel_check,
-                              spin_multiplicities, su2_casimir_value,
-                              su2_totals)
+from spinsys.symmetry import classify_total_spin, foel_check, su2_totals
 
 
 def verdict(name, ok, detail):
@@ -29,9 +27,7 @@ def verdict(name, ok, detail):
 def spin_levels(g):
     space = SpinSpace.from_graph(g)
     H = assemble(heisenberg(g), space)
-    mult = spin_multiplicities(space)
-    cvals = {t: su2_casimir_value(t) for t in mult}
-    return classify_total_spin(H, su2_totals(space), cvals, space), H, space
+    return classify_total_spin(H, su2_totals(space), space), H, space
 
 
 def test_01_ferromagnetic_level_ordering_figure():

@@ -169,7 +169,9 @@ def test_lightcone_spin1_bound_overflow_is_infinite(tmp_path):
 
 @pytest.mark.parametrize("flags", [["--tsteps", "1"], ["--tsteps", "0"],
                                    ["--bsite", "9"], ["--bsite", "-1"],
-                                   ["--tmax", "nan"], ["--tmax", "inf"]])
+                                   ["--tmax", "nan"], ["--tmax", "inf"],
+                                   ["--lam", "nan"], ["--lam", "0"], ["--lam", "inf"],
+                                   ["--spin", "0.7"], ["--J", "nan"], ["--J", "inf"]])
 def test_lightcone_bad_grid_is_config_error(tmp_path, capsys, flags):
     assert run(["lightcone", "--L", "4", *flags, "--out", str(tmp_path / "c.csv")]) == 2
     err = capsys.readouterr().err
@@ -182,6 +184,8 @@ def test_lightcone_bad_grid_is_config_error(tmp_path, capsys, flags):
     ["droplet", "--q", "0.5", "--n", "0"],
     ["perturb", "--L", "8", "--lambda_step", "0"],
     ["perturb", "--L", "8", "--lambda_min", "0.1", "--lambda_max", "-0.1"],
+    ["cluster", "--L", "5", "--lam", "nan"],
+    ["cluster", "--L", "5", "--lam", "0"],
 ])
 def test_range_errors_are_config_errors(tmp_path, capsys, argv):
     assert run([*argv, "--out", str(tmp_path / "r.csv")]) == 2

@@ -194,6 +194,19 @@ def test_multisite_bound_dominates_singleton():
     assert multi == pytest.approx(4.0 * one, rel=1e-12)   # N^2 ||A|| = 4
 
 
+@pytest.mark.parametrize("lam", [0.0, -1.0, float("nan")])
+def test_decay_rate_must_be_positive(lam):
+    g = path_graph(4)
+    with pytest.raises(ValueError):
+        lambda_norm(heisenberg(g), lam, g)
+    with pytest.raises(ValueError):
+        lr_bound_rhs(g, lam, 5.0, 0, (3,), 1.0, 0.2)
+    with pytest.raises(ValueError):
+        lr_corollary_bound(g, lam, 5.0, 0, (3,), 1.0, 1.0, 0.2)
+    with pytest.raises(ValueError):
+        clustering_mu(0.4, lam, 10.0)
+
+
 def test_clustering_rates_window():
     rates = clustering_mu(0.4, 1.0, 10.0)
     assert rates.mu == pytest.approx(0.4 / 40.4)

@@ -57,14 +57,14 @@ def test_magnetization_sector_dims():
 
 
 def test_sector_scan_matches_recursion():
-    # mixed local dimensions force the recursive path on a small example
-    space = SpinSpace((2, 3, 2, 3))
-    from spinsys.hilbert import _sector_indices_recursive, _sector_indices_scan
-    for M in space.magnetization_values():
-        tm = int(round(2 * M))
-        a = _sector_indices_scan(space, tm)
-        b = _sector_indices_recursive(space, tm)
-        assert np.array_equal(a, b)
+    # oracle: scan of the full-space total-S^3 diagonal, on a mixed-radix
+    # space and on one above 2^22 states
+    for dims in [(2, 3, 2, 3), (2,) * 23]:
+        space = SpinSpace(dims)
+        tm = np.rint(2 * total_sz_diagonal(space)).astype(np.int64)
+        for M in space.magnetization_values():
+            scan = np.nonzero(tm == int(round(2 * M)))[0]
+            assert np.array_equal(magnetization_sector(space, M).states, scan), (dims, M)
 
 
 def test_down_spin_sector():

@@ -3,21 +3,20 @@ import pytest
 import scipy.sparse as sps
 from numpy.testing import assert_allclose
 
-from spinsys import (SparseOperator, SpinSpace, XxzParams, assemble, build_graph,
-                     classify_total_spin, embed_at, foel_check, heisenberg,
-                     lieb_mattis_check, magnetization_sector, path_graph,
-                     restrict, ring_graph, sector_casimir, spin_matrices,
-                     spin_multiplicities, star_graph, su2_casimir_value,
-                     su2_totals, suq2_generators, suq_casimir_value, xxz)
-from spinsys.symmetry import lieb_mattis_hamiltonian
+from spinsys import (ClassificationError, SparseOperator, SpinSpace, XxzParams,
+                     assemble, build_graph, classify_total_spin, custom,
+                     embed_at, foel_check, heisenberg, lieb_mattis_check,
+                     magnetization_sector, path_graph, restrict, ring_graph,
+                     sector_casimir, spin_matrices, spin_multiplicities,
+                     star_graph, su2_totals, suq2_generators, xxz)
+from spinsys.droplets import open_chain_spin_level
+from spinsys.symmetry import TotalSpinOps, lieb_mattis_hamiltonian
 
 
 def spin_levels(g):
     space = SpinSpace.from_graph(g)
     H = assemble(heisenberg(g), space)
-    mult = spin_multiplicities(space)
-    cvals = {t: su2_casimir_value(t) for t in mult}
-    return classify_total_spin(H, su2_totals(space), cvals, space)
+    return classify_total_spin(H, su2_totals(space), space)
 
 
 def sector_blocks(ladder, space):
@@ -154,7 +153,7 @@ def test_suq_casimir_eigenvalues():
     assert_sector_casimirs_match(ops, space, suq_casimir_oracle(ops))
     ev = np.sort(np.concatenate([np.linalg.eigvals(c).real
                                  for _, _, c in sector_blocks(ops, space)]))
-    expect = np.sort([suq_casimir_value(0.5, 0)] + [suq_casimir_value(0.5, 2)] * 3)
+    expect = np.sort([ops.casimir_value(0)] + [ops.casimir_value(2)] * 3)
     assert_allclose(ev, expect, atol=1e-10)
 
 
@@ -167,7 +166,7 @@ def test_suq_reduces_to_su2():
     ev = np.sort(np.concatenate([np.linalg.eigvals(c).real
                                  for _, _, c in sector_blocks(ops, space)]))
     # shifted convention: eigenvalue (q^-(2S+1) + q^(2S+1)) / (q^-1 - q)^2
-    expect = np.sort([suq_casimir_value(p.q, 0)] + [suq_casimir_value(p.q, 2)] * 3)
+    expect = np.sort([ops.casimir_value(0)] + [ops.casimir_value(2)] * 3)
     assert_allclose(ev, expect, atol=1e-6)
 
 
@@ -176,3 +175,98 @@ def test_ring_levels_cover_su2_grid():
     assert levels.spins() == [1, 3, 5]
     mult = spin_multiplicities(SpinSpace((2,) * 5))
     assert levels.counts == mult
+
+
+def staggered_field_chain(h):
+    """L=4 Heisenberg chain plus the staggered field h (-1)^x S3_x, which
+    breaks SU(2)."""
+    g = path_graph(4)
+    s3 = np.asarray(spin_matrices(0.5).s3)
+    field = custom([((x,), h * (-1) ** x * s3) for x in range(4)])
+    space = SpinSpace.from_graph(g)
+    return assemble(heisenberg(g) + field, space), space
+
+
+def test_classification_rejects_broken_symmetry():
+    H, space = staggered_field_chain(0.3)
+    with pytest.raises(ClassificationError, match="ambiguous Casimir label"):
+        classify_total_spin(H, su2_totals(space), space)
+
+
+def test_classification_rejects_casimir_residual():
+    H, space = staggered_field_chain(1e-7)
+    with pytest.raises(ClassificationError, match="Casimir residual .* above tolerance"):
+        classify_total_spin(H, su2_totals(space), space)
+
+
+def test_classification_rejects_multiplet_count_mismatch():
+    class SwappedLadder(TotalSpinOps):
+        """SU(2) totals whose Casimir values of S=0 and S=1 are exchanged."""
+
+        def casimir_value(self, twice_s):
+            return super().casimir_value({0: 2, 2: 0}.get(twice_s, twice_s))
+
+    g = path_graph(4)
+    space = SpinSpace.from_graph(g)
+    H = assemble(heisenberg(g), space)
+    with pytest.raises(ClassificationError, match="multiplet count mismatch"):
+        classify_total_spin(H, SwappedLadder(*su2_totals(space)), space)
+
+
+def test_classification_rejects_periodic_xxz_with_suq_ladder():
+    p = XxzParams.from_q(6, 0.5, boundary="periodic")
+    space = SpinSpace((2,) * p.L)
+    H = assemble(xxz(p), space)
+    with pytest.raises(ClassificationError, match="ambiguous Casimir label"):
+        classify_total_spin(H, suq2_generators(p), space)
+
+
+def highest_weight_levels(H, ladder, space):
+    """Oracle for E(H,S): H restricted to ker S+ on the sector M = S, with
+    the kernel taken from the SVD of the dense S+ block (M -> M+1).
+    Returns 2S -> (lowest eigenvalue, kernel dimension)."""
+    out = {}
+    tmax = space.twice_m_total_max()
+    for twice_s in range(tmax % 2, tmax + 1, 2):
+        sector = magnetization_sector(space, twice_s / 2)
+        if twice_s < tmax:
+            above = magnetization_sector(space, twice_s / 2 + 1)
+            up = restrict(ladder.plus, sector, target=above)
+            _, sv, vh = np.linalg.svd(up)
+            rank = int(np.sum(sv > 1e-10 * sv.max()))
+            kernel = vh[rank:].conj().T
+        else:
+            kernel = np.eye(sector.dim)
+        if kernel.shape[1]:
+            h_hw = kernel.conj().T @ restrict(H, sector) @ kernel
+            out[twice_s] = (np.linalg.eigvalsh(h_hw)[0], kernel.shape[1])
+    return out
+
+
+def assert_levels_match_highest_weights(H, ladder, space):
+    levels = classify_total_spin(H, ladder, space)
+    oracle = highest_weight_levels(H, ladder, space)
+    assert sorted(oracle) == levels.spins()
+    for twice_s, (e_hw, dim_hw) in oracle.items():
+        assert abs(levels.entries[twice_s] - e_hw) <= 1e-10, twice_s
+        assert levels.counts[twice_s] == dim_hw, twice_s
+    return levels
+
+
+@pytest.mark.parametrize("g", [path_graph(8), path_graph(5, spin=1.0)],
+                         ids=["spin_half_L8", "spin1_L5"])
+def test_su2_levels_match_highest_weight_oracle(g):
+    space = SpinSpace.from_graph(g)
+    H = assemble(heisenberg(g), space)
+    assert_levels_match_highest_weights(H, su2_totals(space), space)
+
+
+@pytest.mark.parametrize("L", [6, 8])
+@pytest.mark.parametrize("q", [0.3, 0.5])
+def test_suq_levels_match_highest_weight_oracle(L, q):
+    p = XxzParams.from_q(L, q)
+    space = SpinSpace((2,) * L)
+    H = assemble(xxz(p), space)
+    levels = assert_levels_match_highest_weights(H, suq2_generators(p), space)
+    for n in range(L // 2 + 1):
+        assert levels.entries[L - 2 * n] == open_chain_spin_level(p, n)
