@@ -9,8 +9,9 @@ though plain total spin is not conserved at Delta > 1.
 
 import numpy as np
 
-from spinsys import (SpinSpace, XxzParams, assemble, magnetization_sector, restrict,
-                     sector_casimir, sector_ground_energy, suq2_generators, xxz)
+from spinsys import (SpinSpace, XxzParams, assemble, magnetization_sector,
+                     open_chain_spin_level, restrict, sector_casimir,
+                     suq2_generators, xxz)
 
 p = XxzParams.from_q(6, 0.5)
 space = SpinSpace((2,) * p.L)
@@ -38,5 +39,5 @@ for M in space.magnetization_values():
 
 # the label in action: lowest level with deformed spin S_max - n
 for n in (1, 2):
-    e = sector_ground_energy(p, n)
+    e = open_chain_spin_level(p, n)
     print(f"E(H, S_max - {n}) on the open chain: {e:.8f}")

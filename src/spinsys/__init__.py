@@ -27,7 +27,7 @@ from .dynamics import (ClusteringRates, HeisenbergDynamics, clustering_mu,
                        lr_multisite_bound)
 from .perturbation import (frustration_free_check, gap_sweep,
                            relative_bound_alpha)
-from .droplets import (band_extract, bandwidth_formula, compare_band_width,
+from .droplets import (bandwidth_formula, compare_band_width,
                        convergence_table, droplet_energy_formula,
                        momentum_band, one_magnon_dispersion,
-                       sector_ground_energy)
+                       open_chain_spin_level)

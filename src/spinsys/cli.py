@@ -29,7 +29,7 @@ from .ssep import ssep_gaps, xxx_conjugacy_check
 from .dynamics import HeisenbergDynamics, clustering_report, commutator_grid, \
     commutator_growth, hermitian_unit_basis, lr_bound_rhs, lr_corollary_bound
 from .perturbation import gap_sweep
-from .droplets import compare_band_width, convergence_table
+from .droplets import convergence_table
 from .util import fmt_float
 
 COMMON_KEYS = {
@@ -253,32 +253,38 @@ def run_ssep(cfg):
 def run_droplet(cfg):
     if ("Delta" in cfg) == ("q" in cfg):
         raise ConfigError("give exactly one of Delta, q")
-    q = cfg["q"] if "q" in cfg else None
-    if q is None:
+    if "q" in cfg:
+        q = cfg["q"]
+    else:
         D = cfg["Delta"]
+        if not 1 < D < math.inf:
+            raise ConfigError(f"Delta must be finite and above 1, got {D}")
         q = D - math.sqrt(D * D - 1)
     n = cfg.get("n", 1)
     J = cfg.get("J", 1.0)
     Lmax = cfg.get("Lmax", 12)
     Lmin = cfg.get("Lmin", max(4, 2 * n + 2))
+    if not 0 < q < 1:
+        raise ConfigError(f"q must lie in (0, 1), got {q}")
+    if not 0 < J < math.inf:
+        raise ConfigError(f"J must be positive and finite, got {J}")
     if n < 1:
         raise ConfigError(f"n must be at least 1, got {n}")
+    # the ring needs 3 sites, and the open chain's spin S_max - n = L/2 - n
+    # must not be negative
+    if Lmin < max(3, 2 * n):
+        raise ConfigError(f"Lmin {Lmin} is below max(3, 2n) = {max(3, 2 * n)}")
     if Lmin > Lmax:
         raise ConfigError(f"Lmin {Lmin} exceeds Lmax {Lmax}")
     Ls = list(range(Lmin, Lmax + 1, 2))
     table = convergence_table(q, n, Ls, J=J)
-    rows = []
-    for r in table.rows:
-        p = XxzParams.from_q(r.L, q, J=J, boundary="periodic")
-        width = compare_band_width(p, n)
-        rows.append({
-            "q": q, "n": n, "L": r.L,
-            "E_L_periodic": r.e_periodic, "E_open_suq": r.e_open_suq,
-            "E_formula": table.formula_energy,
-            "abs_dev": r.dev_periodic,
-            "band_width_measured": width.measured,
-            "band_width_formula": width.printed,
-        })
+    rows = [{"q": q, "n": n, "L": r.L,
+             "E_L_periodic": r.e_periodic, "E_open_suq": r.e_open_suq,
+             "E_formula": table.formula_energy,
+             "abs_dev": r.dev_periodic,
+             "band_width_measured": r.band_width,
+             "band_width_formula": table.formula_width}
+            for r in table.rows]
     last = table.rows[-1]
     asserts = [
         Assertion("periodic_converges", last.dev_periodic < 1e-2,
@@ -365,6 +371,8 @@ def run_cluster(cfg):
     L = cfg.get("L", 8)
     lam = cfg.get("lam", 1.0)
     _check_lam(lam)
+    if L < 3:
+        raise ConfigError(f"a ring needs at least 3 sites, got L={L}")
     g = ring_graph(L, spin=1.0)
     phi = aklt(L, periodic=True)
     s3 = np.asarray(spin_matrices(1.0).s3)

@@ -1,6 +1,8 @@
 """Droplet spectroscopy of the ferromagnetic XXZ chain.
 
-E_L(n) is the sector ground energy of the periodic chain with n down spins;
+E_L(n) is the sector ground energy of the periodic chain with n down spins,
+read as the lowest level over the momentum blocks of that sector (the
+blocks partition it), so one pass per length also gives the band width;
 the open chain with boundary fields carries the quantum-group symmetry and
 its level E(H_L, S_max - n) is identified through the q-Casimir.  Both
 finite-L sequences are compared with the closed-form limit
@@ -9,7 +11,6 @@ E(n) = (1 - q^2)(1 - q^n) / ((1 + q^2)(1 + q^n)).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from math import comb
 
@@ -17,7 +18,6 @@ import numpy as np
 
 from .hilbert import SpinSpace, down_spin_sector, restrict
 from .models import XxzParams, xxz, assemble
-from .spectral import SpectrumReport, full_spectrum, sector_spectrum
 from .symmetry import sector_spin_levels, suq2_generators
 
 SECTOR_DIM_LIMIT = 200_000
@@ -42,66 +42,30 @@ def bandwidth_formula(q: float, n: int) -> float:
 
 
 def _check_sector(p: XxzParams, n: int):
-    if not 0 <= n <= p.L:
-        raise ValueError(f"down-spin number {n} outside 0..{p.L}")
+    """Reject n before anything is assembled.  The periodic chain has a band
+    at every momentum for 1 <= n <= L - 1 (the n = 0 and n = L sectors hold
+    one state each); the open chain's spin S_max - n = L/2 - n needs
+    0 <= n <= L/2."""
+    lo, hi = (1, p.L - 1) if p.boundary == "periodic" else (0, p.L // 2)
+    if not lo <= n <= hi:
+        raise ValueError(f"down-spin number {n} outside {lo}..{hi} for the "
+                         f"{p.L}-site {p.boundary} chain")
     dim = comb(p.L, n)
     if dim > SECTOR_DIM_LIMIT:
         raise ValueError(f"sector dimension {dim} is out of reach")
 
 
-def _sector_report(p: XxzParams, n: int) -> SpectrumReport:
-    _check_sector(p, n)
-    space = SpinSpace((2,) * p.L)
-    H = assemble(xxz(p), space)
-    sector = down_spin_sector(space, n)
-    return sector_spectrum(H, sector, k="all")
-
-
-def sector_ground_energy(p: XxzParams, n: int) -> float:
-    """Lowest energy of the chosen variant in the n-down-spin sector.
-
-    For the periodic chain this is E_L(n) directly.  For the open chain the
-    sector also holds one state from every multiplet with S > S_max - n, so
-    eigenstates are classified by the q-Casimir and the minimum is taken over
-    the states labeled exactly S = S_max - n.
-    """
-    if n == 0:
-        return 0.0
-    if p.boundary == "periodic":
-        return float(_sector_report(p, n).eigenvalues[0])
-    return open_chain_spin_level(p, n)
-
-
 def open_chain_spin_level(p: XxzParams, n: int) -> float:
-    """E(H_L, S_max - n) for the boundary-field chain via q-Casimir labels."""
+    """E(H_L, S_max - n) for the boundary-field chain via q-Casimir labels.
+
+    The sector also holds one state from every multiplet with S > S_max - n,
+    so the minimum is taken over the states labeled exactly S = S_max - n.
+    """
     _check_sector(p, n)
     space = SpinSpace((2,) * p.L)
     H = assemble(xxz(p), space)
     energies, _ = sector_spin_levels(H, suq2_generators(p), space, p.L - 2 * n)
     return float(energies[0])
-
-
-@dataclass
-class BandReport:
-    band_min: float
-    band_max: float
-    width: float
-    isolation: float      # separation from the (L+1)-th level
-
-
-def band_extract(report: SpectrumReport, L: int) -> BandReport:
-    """The lowest L sector eigenvalues (one per momentum class) as the droplet
-    band; isolation is the gap to the next level."""
-    ev = report.eigenvalues
-    if ev.size < L:
-        raise ValueError(f"need at least {L} levels to form an L-state band, "
-                         f"got {ev.size}")
-    band = ev[:L]
-    # n = 1 sector has dimension exactly L: the band is the whole sector
-    iso = float(ev[L] - band[-1]) if ev.size > L else math.inf
-    return BandReport(band_min=float(band[0]), band_max=float(band[-1]),
-                      width=float(band[-1] - band[0]),
-                      isolation=iso)
 
 
 def _translation_cycles(p: XxzParams, sector):
@@ -137,11 +101,10 @@ def momentum_band(p: XxzParams, n: int) -> np.ndarray:
     """
     if p.boundary != "periodic":
         raise ValueError("momentum resolution needs the periodic chain")
+    _check_sector(p, n)
     space = SpinSpace((2,) * p.L)
     H = assemble(xxz(p), space)
     sector = down_spin_sector(space, n)
-    if comb(p.L, n) > SECTOR_DIM_LIMIT:
-        raise ValueError("sector dimension is out of reach")
     h = restrict(H, sector)
     cycles = _translation_cycles(p, sector)
     out = np.empty(p.L)
@@ -171,6 +134,7 @@ def one_magnon_dispersion(p: XxzParams) -> np.ndarray:
 class DropletRow:
     L: int
     e_periodic: float
+    band_width: float         # spread of the lowest momentum-block levels
     e_open_suq: float
     dev_periodic: float
     dev_open: float
@@ -187,16 +151,24 @@ class DropletTable:
 
 def convergence_table(q: float, n: int, Ls, J=1.0) -> DropletTable:
     """Both finite-L sequences (periodic E_L(n), open-chain E(H_L, S_max - n))
-    against the closed-form E(n)."""
+    against the closed-form E(n), for n >= 1.
+
+    Each length takes one periodic pass, ``momentum_band``, whose lowest
+    level is E_L(n) and whose spread is the band width, and one open pass,
+    ``open_chain_spin_level``.
+    """
     e_formula = droplet_energy_formula(q, n)
-    w_formula = bandwidth_formula(q, n) if n >= 1 else 0.0
+    w_formula = bandwidth_formula(q, n)
     rows = []
     for L in sorted(int(L) for L in Ls):
         pp = XxzParams.from_q(L, q, J=J, boundary="periodic")
         po = XxzParams.from_q(L, q, J=J, boundary="open_with_field")
-        ep = sector_ground_energy(pp, n)
-        eo = sector_ground_energy(po, n)
-        rows.append(DropletRow(L=L, e_periodic=ep, e_open_suq=eo,
+        band = momentum_band(pp, n)
+        ep = float(band.min())
+        eo = open_chain_spin_level(po, n)
+        rows.append(DropletRow(L=L, e_periodic=ep,
+                               band_width=float(band.max() - band.min()),
+                               e_open_suq=eo,
                                dev_periodic=abs(ep - e_formula),
                                dev_open=abs(eo - e_formula)))
     return DropletTable(q=q, n=n, formula_energy=e_formula,
@@ -216,8 +188,6 @@ class WidthComparison:
 def compare_band_width(p: XxzParams, n: int) -> WidthComparison:
     """Measured droplet band width against the printed formula and the printed
     formula divided by Delta; the closer reading is flagged, not assumed."""
-    if p.boundary != "periodic":
-        raise ValueError("band extraction is defined for the periodic chain")
     band_levels = momentum_band(p, n)
     width = float(band_levels.max() - band_levels.min())
     printed = bandwidth_formula(p.q, n)

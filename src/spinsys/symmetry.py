@@ -23,6 +23,7 @@ import numpy as np
 from .hilbert import SpinSpace, SparseOperator, spin_matrices, embed_at, \
     magnetization_sector, restrict
 from .models import XxzParams
+from .spectral import sector_spectrum
 
 CLASSIFY_DEGENERACY_TOL = 1e-8
 CASIMIR_RESIDUAL_TOL = 1e-8
@@ -218,13 +219,14 @@ def sector_spin_levels(H, ladder, space: SpinSpace, twice_s: int):
     """Energies (ascending) and Casimir residuals of the spin-S states of an
     H commuting with ``ladder``'s algebra, S = twice_s / 2.
 
-    The sector M = S is diagonalized densely; degenerate H-eigenspaces are
-    split by the restricted Casimir rather than trusting solver bases, and
-    each eigenvector is labeled by the nearest ``ladder.casimir_value(t)``
-    over the spins t >= 2S present in the space.
+    The sector M = S is diagonalized densely by ``sector_spectrum``;
+    degenerate H-eigenspaces are split by the restricted Casimir rather than
+    trusting solver bases, and each eigenvector is labeled by the nearest
+    ``ladder.casimir_value(t)`` over the spins t >= 2S present in the space.
     """
-    sector = magnetization_sector(space, twice_s / 2)
-    evals, evecs = np.linalg.eigh(restrict(H, sector))
+    rep = sector_spectrum(H, magnetization_sector(space, twice_s / 2),
+                          want_vectors=True)
+    evals, evecs = rep.eigenvalues, rep.eigenvectors
     c_block = sector_casimir(ladder, space, twice_s)
     candidates = {t: ladder.casimir_value(t)
                   for t in spin_multiplicities(space) if t >= twice_s}

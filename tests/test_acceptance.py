@@ -11,7 +11,6 @@ import pytest
 import spinsys as ss
 from spinsys import (SpinSpace, XxzParams, assemble, heisenberg,
                      magnetization_sector, sector_spectrum, spin_matrices)
-from spinsys.droplets import _sector_report
 from spinsys.models import custom
 from spinsys.spectral import extremal_eigs, full_spectrum
 from spinsys.ssep import ssep_gaps

@@ -186,6 +186,15 @@ def test_lightcone_bad_grid_is_config_error(tmp_path, capsys, flags):
     ["perturb", "--L", "8", "--lambda_min", "0.1", "--lambda_max", "-0.1"],
     ["cluster", "--L", "5", "--lam", "nan"],
     ["cluster", "--L", "5", "--lam", "0"],
+    ["droplet", "--q", "1.5"],
+    ["droplet", "--q", "nan"],
+    ["droplet", "--Delta", "0.5"],
+    ["droplet", "--q", "0.5", "--J", "-1"],
+    ["droplet", "--q", "0.5", "--J", "nan"],
+    ["droplet", "--q", "0.5", "--n", "3", "--Lmin", "4", "--Lmax", "6"],
+    ["droplet", "--q", "0.5", "--n", "1", "--Lmin", "2", "--Lmax", "2"],
+    ["cluster", "--L", "2"],
+    ["cluster", "--L", "0"],
 ])
 def test_range_errors_are_config_errors(tmp_path, capsys, argv):
     assert run([*argv, "--out", str(tmp_path / "r.csv")]) == 2

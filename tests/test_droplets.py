@@ -1,13 +1,20 @@
-import math
-
 import numpy as np
 import pytest
 
-from spinsys import (XxzParams, band_extract, bandwidth_formula,
-                     compare_band_width, convergence_table,
+from spinsys import (SpinSpace, XxzParams, assemble, bandwidth_formula,
+                     compare_band_width, convergence_table, down_spin_sector,
                      droplet_energy_formula, momentum_band,
-                     one_magnon_dispersion, sector_ground_energy)
-from spinsys.droplets import _sector_report
+                     one_magnon_dispersion, open_chain_spin_level,
+                     sector_spectrum, xxz)
+
+
+def whole_sector_levels(p, n):
+    """Every level of the chain's n-down-spin sector, from one solve of the
+    whole sector: the oracle for the momentum-block reading of E_L(n) and
+    for the raw minimum under the open chain's labelled level."""
+    space = SpinSpace((2,) * p.L)
+    H = assemble(xxz(p), space)
+    return sector_spectrum(H, down_spin_sector(space, n)).eigenvalues
 
 
 def test_formula_values():
@@ -28,11 +35,11 @@ def test_formula_values():
 def test_one_magnon_band_exact():
     # periodic n=1 sector: E(k) = J (1 - cos k / Delta), k = 2 pi j / L
     p = XxzParams.from_q(8, 0.5, boundary="periodic")
-    rep = _sector_report(p, 1)
+    levels = whole_sector_levels(p, 1)
     disp = one_magnon_dispersion(p)
-    assert np.abs(np.sort(rep.eigenvalues) - disp).max() < 1e-10
+    assert np.abs(np.sort(levels) - disp).max() < 1e-10
     # lowest one-magnon level equals E(1) = J(1 - 1/Delta) at every L
-    assert rep.eigenvalues[0] == pytest.approx(0.2, abs=1e-9)
+    assert levels[0] == pytest.approx(0.2, abs=1e-9)
 
 
 def test_one_magnon_width_closed_form():
@@ -41,14 +48,6 @@ def test_one_magnon_width_closed_form():
     # measured width = 2J/Delta = 4q/(1+q^2)
     assert wc.measured == pytest.approx(4 * 0.5 / (1 + 0.25), abs=1e-6)
     assert wc.closer == "printed/Delta"
-
-
-def test_band_extract_whole_sector():
-    p = XxzParams.from_q(6, 0.5, boundary="periodic")
-    band = band_extract(_sector_report(p, 1), 6)
-    assert math.isinf(band.isolation)     # n=1 sector dim equals L
-    with pytest.raises(ValueError):
-        band_extract(_sector_report(p, 1), 7)
 
 
 def test_momentum_band_matches_dispersion_for_one_magnon():
@@ -95,13 +94,38 @@ def test_sector_ground_energy_open_uses_casimir_label():
     # the labeled S=1 minimum must exceed the raw sector minimum when the
     # S=2 state lies lowest, and never be below it
     p = XxzParams.from_q(4, 0.5)
-    labeled = sector_ground_energy(p, 1)
-    raw = float(_sector_report(p, 1).eigenvalues[0])
+    labeled = open_chain_spin_level(p, 1)
+    raw = float(whole_sector_levels(p, 1)[0])
     assert labeled >= raw - 1e-12
     assert labeled > 0
 
 
+def test_periodic_energy_is_lowest_whole_sector_level():
+    # the momentum blocks partition the sector, so the lowest block level
+    # is the whole sector's ground energy; the width is compare_band_width's
+    for q in (0.3, 0.5):
+        for n in (1, 2, 3):
+            table = convergence_table(q, n, range(8, 15))
+            for r in table.rows:
+                p = XxzParams.from_q(r.L, q, boundary="periodic")
+                assert abs(r.e_periodic - whole_sector_levels(p, n)[0]) < 1e-12
+                assert r.band_width == compare_band_width(p, n).measured
+
+
 def test_sector_dimension_guard():
-    p = XxzParams.from_q(60, 0.5, boundary="periodic")
+    # both refuse before the 2^60-state space is assembled
+    with pytest.raises(ValueError, match="out of reach"):
+        momentum_band(XxzParams.from_q(60, 0.5, boundary="periodic"), 8)
+    with pytest.raises(ValueError, match="out of reach"):
+        open_chain_spin_level(XxzParams.from_q(60, 0.5), 8)
+
+
+def test_down_spin_range_guard():
+    # spin S_max - n = 2 - 3 does not exist on the 4-site open chain
+    with pytest.raises(ValueError, match="outside 0..2"):
+        open_chain_spin_level(XxzParams.from_q(4, 0.5), 3)
+    # the n = 0 sector has no state at momenta k != 0
+    with pytest.raises(ValueError, match="outside 1..5"):
+        momentum_band(XxzParams.from_q(6, 0.5, boundary="periodic"), 0)
     with pytest.raises(ValueError):
-        sector_ground_energy(p, 8)
+        convergence_table(0.5, 0, [8])
