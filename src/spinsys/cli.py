@@ -147,6 +147,12 @@ def _model_space_and_interaction(cfg):
     L = cfg.get("L", 6)
     J = cfg.get("J", 1.0)
     spin = cfg.get("spin", 0.5)
+    smallest_L = {"heisenberg": 1, "aklt": 2, "xxz_open": 2, "xxz_periodic": 3}
+    if model not in smallest_L:
+        raise ConfigError(f"unknown model {model!r}")
+    if L < smallest_L[model]:
+        raise ConfigError(f"the {model} model needs L >= {smallest_L[model]}, got {L}")
+    _check_spin_and_coupling(spin, J)
     if model == "heisenberg":
         if "graph" in cfg:
             g = load_graph(cfg["graph"])
@@ -160,13 +166,15 @@ def _model_space_and_interaction(cfg):
         if ("Delta" in cfg) == ("q" in cfg):
             raise ConfigError("give exactly one of Delta, q for the XXZ model")
         boundary = "periodic" if model == "xxz_periodic" else "open_with_field"
-        if "q" in cfg:
-            p = XxzParams.from_q(L, cfg["q"], J=J, boundary=boundary)
-        else:
-            p = XxzParams.from_delta(L, cfg["Delta"], J=J, boundary=boundary)
+        try:
+            if "q" in cfg:
+                p = XxzParams.from_q(L, cfg["q"], J=J, boundary=boundary)
+            else:
+                p = XxzParams.from_delta(L, cfg["Delta"], J=J, boundary=boundary)
+        except ValueError as exc:       # q, Delta or J out of range
+            raise ConfigError(str(exc)) from exc
         g = ring_graph(L, weight=J) if boundary == "periodic" else path_graph(L, weight=J)
         return g, SpinSpace((2,) * L), xxz(p)
-    raise ConfigError(f"unknown model {model!r}")
 
 
 def run_spectrum(cfg):
@@ -195,8 +203,11 @@ def run_foel(cfg):
     e0 = min(levels.entries.values())
     rows = []
     for M in space.magnetization_values():
-        rep = sector_spectrum(H, magnetization_sector(space, M))
-        for e in rep.eigenvalues:
+        # the sectors M = S >= 0 were solved by the classification
+        energies = levels.sector_levels.get(int(round(2 * M)))
+        if energies is None:
+            energies = sector_spectrum(H, magnetization_sector(space, M)).eigenvalues
+        for e in energies:
             rows.append({"S3": M, "energy_offset": float(e - e0)})
     table_rows = [{"twice_S": t, "S": t / 2,
                    "E_min": levels.entries[t], "E_max": levels.max_entries[t]}
@@ -306,10 +317,7 @@ def run_lightcone(cfg):
     tsteps = cfg.get("tsteps", 21)
     bsite = cfg.get("bsite", L // 2)
     _check_lam(lam)
-    if not math.isfinite(J):
-        raise ConfigError(f"J must be finite, got {J}")
-    if not (spin > 0 and (2 * spin).is_integer()):
-        raise ConfigError(f"spin must be a positive half-integer, got {spin}")
+    _check_spin_and_coupling(spin, J)
     if tsteps < 2:
         raise ConfigError(f"tsteps must be at least 2, got {tsteps}")
     if not math.isfinite(tmax):
@@ -360,6 +368,13 @@ def _commutator_by_definition(dyn, B, x, t, space):
         At = dyn.evolve(embed_at(space, [(x, local)]), t)
         best = max(best, float(np.linalg.norm(At @ B - B @ At, 2)))
     return best
+
+
+def _check_spin_and_coupling(spin, J):
+    if not math.isfinite(J):
+        raise ConfigError(f"J must be finite, got {J}")
+    if not (spin > 0 and (2 * spin).is_integer()):
+        raise ConfigError(f"spin must be a positive half-integer, got {spin}")
 
 
 def _check_lam(lam):

@@ -11,6 +11,7 @@ E(n) = (1 - q^2)(1 - q^n) / ((1 + q^2)(1 + q^n)).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from math import comb
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .hilbert import SpinSpace, down_spin_sector, restrict
 from .models import XxzParams, xxz, assemble
-from .symmetry import sector_spin_levels, suq2_generators
+from .symmetry import sector_spin_levels, spin_multiplicities, suq2_generators
 
 SECTOR_DIM_LIMIT = 200_000
 
@@ -42,10 +43,10 @@ def bandwidth_formula(q: float, n: int) -> float:
 
 
 def _check_sector(p: XxzParams, n: int):
-    """Reject n before anything is assembled.  The periodic chain has a band
-    at every momentum for 1 <= n <= L - 1 (the n = 0 and n = L sectors hold
-    one state each); the open chain's spin S_max - n = L/2 - n needs
-    0 <= n <= L/2."""
+    """Reject n, and a full space beyond physical memory, before anything is
+    assembled.  The periodic chain has a band at every momentum for
+    1 <= n <= L - 1 (the n = 0 and n = L sectors hold one state each); the
+    open chain's spin S_max - n = L/2 - n needs 0 <= n <= L/2."""
     lo, hi = (1, p.L - 1) if p.boundary == "periodic" else (0, p.L // 2)
     if not lo <= n <= hi:
         raise ValueError(f"down-spin number {n} outside {lo}..{hi} for the "
@@ -53,6 +54,17 @@ def _check_sector(p: XxzParams, n: int):
     dim = comb(p.L, n)
     if dim > SECTOR_DIM_LIMIT:
         raise ValueError(f"sector dimension {dim} is out of reach")
+    # H is still assembled on the full space: the diagonal plus one flip per
+    # antiparallel bond (half the bonds on average), each stored element
+    # counted as a complex128 value and an 8-byte column index
+    full = 2 ** p.L
+    bonds = p.L if p.boundary == "periodic" else p.L - 1
+    gib = full * (1 + bonds / 2) * 24 / 2 ** 30
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2 ** 30
+    if gib > physical:
+        raise ValueError(f"the full {full}-state space of the {p.L}-site chain needs "
+                         f"about {gib:.2f} GiB for its sparse Hamiltonian, above the "
+                         f"{physical:.2f} GiB of physical memory")
 
 
 def open_chain_spin_level(p: XxzParams, n: int) -> float:
@@ -64,7 +76,8 @@ def open_chain_spin_level(p: XxzParams, n: int) -> float:
     _check_sector(p, n)
     space = SpinSpace((2,) * p.L)
     H = assemble(xxz(p), space)
-    energies, _ = sector_spin_levels(H, suq2_generators(p), space, p.L - 2 * n)
+    energies, _, _ = sector_spin_levels(H, suq2_generators(p), space, p.L - 2 * n,
+                                        spin_multiplicities(space))
     return float(energies[0])
 
 

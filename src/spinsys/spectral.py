@@ -79,9 +79,7 @@ def full_spectrum(H, want_vectors=False, cutoff=DENSE_CUTOFF) -> SpectrumReport:
             "use extremal_eigs for the lowest part of the spectrum"))
     dense = mat.toarray() if sp.issparse(mat) else np.asarray(mat)
     if want_vectors:
-        evals, vecs = np.linalg.eigh(dense)
-        res = _residuals(dense, evals, vecs)
-        return SpectrumReport(evals, vecs, residuals=res)
+        return SpectrumReport(*np.linalg.eigh(dense))
     return SpectrumReport(np.linalg.eigvalsh(dense))
 
 
@@ -113,8 +111,8 @@ def extremal_eigs(H, k, want_vectors=True) -> SpectrumReport:
     nev = k + 6
     if dim < nev + 2:
         rep = full_spectrum(mat, want_vectors=True, cutoff=dim)
-        return SpectrumReport(rep.eigenvalues[:k], rep.eigenvectors[:, :k],
-                              residuals=rep.residuals[:k])
+        evals, vecs = rep.eigenvalues[:k], rep.eigenvectors[:, :k]
+        return SpectrumReport(evals, vecs, residuals=_residuals(mat, evals, vecs))
     if not np.any(mat.data.imag):
         mat = mat.real              # ARPACK's real symmetric routines are faster
     sigma = float(abs(mat).sum(axis=0).max()) + 1.0

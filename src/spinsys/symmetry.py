@@ -8,9 +8,12 @@ multiplet) and ``hermitian_casimir`` (whether the Casimir is Hermitian).
 Both algebras are labelled by one function, ``sector_spin_levels``: every
 multiplet of total spin S contributes exactly one vector to the sector
 M = S, so labelling that sector's eigenvectors by the Casimir gives the
-spin-S levels.  ``classify_total_spin(H, ladder, space)`` runs it over the
-spin grid.  Internally S is carried as the integer 2S to keep half-integers
-exact.
+spin-S levels.  The labels are read from C' = V^H C_M V, the sector
+Casimir in the eigenbasis V of H, built once per sector: a nondegenerate
+level's value is a diagonal entry of C', and only H-degenerate clusters
+diagonalise their block of C'.  ``classify_total_spin(H, ladder, space)``
+runs it over the spin grid and keeps every level of the sectors it solved.
+Internally S is carried as the integer 2S to keep half-integers exact.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from .hilbert import SpinSpace, SparseOperator, spin_matrices, embed_at, \
     magnetization_sector, restrict
@@ -106,18 +110,24 @@ def suq2_generators(p: XxzParams) -> SuqOps:
                   SparseOperator(t_total, hermitian=True), p.q)
 
 
-def sector_casimir(ladder, space: SpinSpace, twice_m: int) -> np.ndarray:
-    """Dense Casimir block on the sector M = twice_m / 2 of either algebra:
-    C_M = S+|(M-1 -> M) S-|(M -> M-1) + ladder.casimir_shift(twice_m) 1.
-    No full-space Casimir is formed."""
+def _sparse_casimir(ladder, space: SpinSpace, twice_m: int):
+    """``sector_casimir`` as a sparse CSR matrix, built from the rectangular
+    ladder blocks."""
     sector = magnetization_sector(space, twice_m / 2)
-    c = ladder.casimir_shift(twice_m) * np.eye(sector.dim)
+    c = ladder.casimir_shift(twice_m) * sp.identity(sector.dim, format="csr")
     if twice_m > -space.twice_m_total_max():
         below = magnetization_sector(space, twice_m / 2 - 1)
         up = restrict(ladder.plus, below, dense=False, target=sector)
         down = restrict(ladder.minus, sector, dense=False, target=below)
-        c = c + (up @ down).toarray()
+        c = c + up @ down
     return c
+
+
+def sector_casimir(ladder, space: SpinSpace, twice_m: int) -> np.ndarray:
+    """Dense Casimir block on the sector M = twice_m / 2 of either algebra:
+    C_M = S+|(M-1 -> M) S-|(M -> M-1) + ladder.casimir_shift(twice_m) 1.
+    No full-space Casimir is formed."""
+    return _sparse_casimir(ladder, space, twice_m).toarray()
 
 
 def spin_multiplicities(space: SpinSpace) -> dict:
@@ -149,6 +159,7 @@ class SpinResolvedLevels:
     counts: dict                  # 2S -> number of spin-S multiplets found
     twice_s_max: int
     casimir_residuals: dict = field(default_factory=dict)
+    sector_levels: dict = field(default_factory=dict)  # 2S -> every level of M = S
 
     def spins(self):
         return sorted(self.entries)
@@ -157,86 +168,82 @@ class SpinResolvedLevels:
         return self.entries[twice_s]
 
 
-def _label_cluster(h_vecs, c_block, candidates, hermitian_c):
-    """Diagonalize the Casimir restricted to one H-eigenspace and label each
-    resulting vector by the nearest candidate Casimir value."""
-    sub = h_vecs.conj().T @ (c_block @ h_vecs)
-    if hermitian_c:
-        cvals, cvecs = np.linalg.eigh(sub)
-    else:
-        cvals, cvecs = np.linalg.eig(sub)
-        if np.abs(cvals.imag).max(initial=0.0) > 1e-8 * max(1.0, np.abs(cvals).max()):
-            raise ClassificationError(
-                f"q-Casimir eigenvalues acquired imaginary parts up to "
-                f"{np.abs(cvals.imag).max():.3e}")
-        cvals = cvals.real
-    labels = []
-    residuals = []
-    cand_ts = sorted(candidates)
+def _label_levels(evals, c_rot, candidates, hermitian_c):
+    """Casimir labels and residuals of the eigenpairs of H (ascending evals)
+    from C' = V^H C V, C in the full orthonormal eigenbasis V of H.  A
+    nondegenerate level has value C'_ii; an H-degenerate cluster (adjacent
+    gaps <= CLASSIFY_DEGENERACY_TOL) is split by diagonalising its block of
+    C'.  The residual ||C v - c v|| of v = V u is ||C' u - c u||, as V is
+    unitary.  C' is overwritten."""
+    starts = np.flatnonzero(np.diff(evals, prepend=-np.inf) > CLASSIFY_DEGENERACY_TOL)
+    sizes = np.diff(starts, append=evals.size)
+    cvals = np.diagonal(c_rot).astype(complex)
+    vecs = {}
+    solve = np.linalg.eigh if hermitian_c else np.linalg.eig
+    for i, k in zip(starts[sizes > 1], sizes[sizes > 1]):
+        cvals[i:i + k], vecs[i] = solve(c_rot[i:i + k, i:i + k])
+    imag = np.repeat(np.maximum.reduceat(np.abs(cvals.imag), starts), sizes)
+    magnitude = np.repeat(np.maximum.reduceat(np.abs(cvals), starts), sizes)
+    imag_bad = (not hermitian_c) & (imag > 1e-8 * np.maximum(1.0, magnitude))
+    cand_ts = np.array(sorted(candidates))
     cand_vals = np.array([candidates[t] for t in cand_ts])
-    for i in range(cvals.size):
-        dists = np.abs(cand_vals - cvals[i])
-        order = np.argsort(dists)
-        d1 = dists[order[0]]
-        scale = max(1.0, abs(cand_vals[order[0]]))
-        if len(order) > 1:
-            d2 = dists[order[1]]
-            if d1 > 0 and d2 < DOMINANCE_FACTOR * d1 and d1 > 1e-14 * scale:
-                raise ClassificationError(
-                    f"ambiguous Casimir label: value {cvals[i]:.6g} sits between "
-                    f"candidates (distances {d1:.3e}, {d2:.3e})")
-        twice_s = cand_ts[order[0]]
-        vec = h_vecs @ (cvecs[:, i] / np.linalg.norm(cvecs[:, i]))
-        resid = np.linalg.norm(c_block @ vec - candidates[twice_s] * vec) / scale
-        if resid > CASIMIR_RESIDUAL_TOL:
+    # the inf column gives every level a second-nearest distance
+    dists = np.abs(np.append(cand_vals, np.inf) - cvals.real[:, None])
+    best = dists.argmin(axis=1)
+    d1, d2 = np.sort(dists, axis=1)[:, :2].T
+    target = cand_vals[best]
+    scale = np.maximum(1.0, np.abs(target))
+    ambiguous = (d1 > 0) & (d2 < DOMINANCE_FACTOR * d1) & (d1 > 1e-14 * scale)
+    single = np.flatnonzero(np.repeat(sizes == 1, sizes))
+    c_rot[single, single] -= target[single]
+    resid = np.sqrt(np.vecdot(c_rot, c_rot, axis=0).real)
+    for i, u in vecs.items():
+        j = i + u.shape[1]
+        r = c_rot[:, i:j] @ u
+        r[i:j] -= u * target[i:j]
+        resid[i:j] = np.linalg.norm(r, axis=0)
+    resid /= scale
+    bad = imag_bad | ambiguous | (resid > CASIMIR_RESIDUAL_TOL)
+    if bad.any():               # the first failing level, as a walk would find it
+        p = bad.argmax()
+        if imag_bad[p]:
             raise ClassificationError(
-                f"Casimir residual {resid:.3e} above tolerance after "
-                f"simultaneous diagonalization (label 2S={twice_s})")
-        labels.append(twice_s)
-        residuals.append(resid)
-    return labels, residuals
+                f"q-Casimir eigenvalues acquired imaginary parts up to {imag[p]:.3e}")
+        if ambiguous[p]:
+            raise ClassificationError(
+                f"ambiguous Casimir label: value {cvals[p].real:.6g} sits between "
+                f"candidates (distances {d1[p]:.3e}, {d2[p]:.3e})")
+        raise ClassificationError(
+            f"Casimir residual {resid[p]:.3e} above tolerance after "
+            f"simultaneous diagonalization (label 2S={cand_ts[best[p]]})")
+    return cand_ts[best], resid
 
 
-def _label_levels(evals, evecs, c_block, candidates, hermitian_c):
-    """Casimir label and residual of every eigenpair of H (ascending evals,
-    eigenvector columns): levels are grouped into H-degenerate clusters,
-    adjacent gaps <= CLASSIFY_DEGENERACY_TOL, and each cluster is labeled by
-    ``_label_cluster``."""
-    labels, residuals = [], []
-    i = 0
-    while i < evals.size:
-        j = i + 1
-        while j < evals.size and evals[j] - evals[j - 1] <= CLASSIFY_DEGENERACY_TOL:
-            j += 1
-        lab, res = _label_cluster(evecs[:, i:j], c_block, candidates, hermitian_c)
-        labels.extend(lab)
-        residuals.extend(res)
-        i = j
-    return labels, residuals
+def sector_spin_levels(H, ladder, space: SpinSpace, twice_s: int, spins):
+    """The spin-S states of an H commuting with ``ladder``'s algebra,
+    S = twice_s / 2: their energies (ascending) and Casimir residuals, and
+    every eigenvalue of the sector M = S.
 
-
-def sector_spin_levels(H, ladder, space: SpinSpace, twice_s: int):
-    """Energies (ascending) and Casimir residuals of the spin-S states of an
-    H commuting with ``ladder``'s algebra, S = twice_s / 2.
-
-    The sector M = S is diagonalized densely by ``sector_spectrum``;
-    degenerate H-eigenspaces are split by the restricted Casimir rather than
-    trusting solver bases, and each eigenvector is labeled by the nearest
-    ``ladder.casimir_value(t)`` over the spins t >= 2S present in the space.
+    The sector is diagonalized densely by ``sector_spectrum`` and the Casimir
+    rotated into its eigenbasis once; degenerate H-eigenspaces are split by
+    the Casimir rather than trusting solver bases, and each eigenvector is
+    labeled by the nearest ``ladder.casimir_value(t)`` over the spins t >= 2S
+    in ``spins`` (the 2S present in the space, as ``spin_multiplicities``
+    gives them).
     """
     rep = sector_spectrum(H, magnetization_sector(space, twice_s / 2),
                           want_vectors=True)
-    evals, evecs = rep.eigenvalues, rep.eigenvectors
-    c_block = sector_casimir(ladder, space, twice_s)
-    candidates = {t: ladder.casimir_value(t)
-                  for t in spin_multiplicities(space) if t >= twice_s}
-    labels, residuals = _label_levels(evals, evecs, c_block, candidates,
+    evals, vecs = rep.eigenvalues, rep.eigenvectors
+    c_rot = vecs.conj().T @ (_sparse_casimir(ladder, space, twice_s) @ vecs)
+    del rep, vecs               # C' is all the labelling needs
+    candidates = {t: ladder.casimir_value(t) for t in spins if t >= twice_s}
+    labels, residuals = _label_levels(evals, c_rot, candidates,
                                       ladder.hermitian_casimir)
-    mine = np.array(labels) == twice_s
+    mine = labels == twice_s
     if not mine.any():
         raise ClassificationError(
             f"no state labeled 2S={twice_s} found in its own sector")
-    return evals[mine], np.array(residuals)[mine]
+    return evals[mine], residuals[mine], evals
 
 
 def classify_total_spin(H, ladder, space: SpinSpace) -> SpinResolvedLevels:
@@ -245,9 +252,10 @@ def classify_total_spin(H, ladder, space: SpinSpace) -> SpinResolvedLevels:
     ``sector_spin_levels`` call per spin; the number of states labeled 2S
     must equal the multiplet count the sector dimensions imply."""
     mult = spin_multiplicities(space)
-    entries, max_entries, counts, residuals = {}, {}, {}, {}
+    entries, max_entries, counts, residuals, sector_levels = {}, {}, {}, {}, {}
     for twice_s in sorted(mult):
-        energies, res = sector_spin_levels(H, ladder, space, twice_s)
+        energies, res, sector_levels[twice_s] = sector_spin_levels(
+            H, ladder, space, twice_s, mult)
         if energies.size != mult[twice_s]:
             raise ClassificationError(
                 f"multiplet count mismatch at 2S={twice_s}: found {energies.size}, "
@@ -259,7 +267,8 @@ def classify_total_spin(H, ladder, space: SpinSpace) -> SpinResolvedLevels:
     return SpinResolvedLevels(entries=entries, max_entries=max_entries,
                               counts=counts,
                               twice_s_max=space.twice_m_total_max(),
-                              casimir_residuals=residuals)
+                              casimir_residuals=residuals,
+                              sector_levels=sector_levels)
 
 
 @dataclass

@@ -195,6 +195,15 @@ def test_lightcone_bad_grid_is_config_error(tmp_path, capsys, flags):
     ["droplet", "--q", "0.5", "--n", "1", "--Lmin", "2", "--Lmax", "2"],
     ["cluster", "--L", "2"],
     ["cluster", "--L", "0"],
+    ["foel", "--L", "0"],
+    ["foel", "--spin", "0.7"],
+    ["foel", "--spin", "nan"],
+    ["foel", "--J", "nan"],
+    ["spectrum", "--L", "0"],
+    ["spectrum", "--model", "aklt", "--L", "1"],
+    ["spectrum", "--model", "xxz_periodic", "--q", "0.5", "--L", "2"],
+    ["spectrum", "--model", "xxz_open", "--q", "1.5", "--L", "4"],
+    ["spectrum", "--model", "xxz_open", "--Delta", "nan", "--L", "4"],
 ])
 def test_range_errors_are_config_errors(tmp_path, capsys, argv):
     assert run([*argv, "--out", str(tmp_path / "r.csv")]) == 2
@@ -211,6 +220,16 @@ def test_lightcone_above_dense_cutoff_reports_memory(tmp_path, capsys):
     assert "Traceback" not in err
     lines = err.strip().splitlines()
     assert len(lines) == 1 and "dimension 8192" in lines[0] and "GiB" in lines[0]
+
+
+def test_droplet_beyond_memory_is_refused_before_assembly(tmp_path, capsys):
+    assert run(["droplet", "--q", "0.5", "--n", "1", "--Lmin", "40", "--Lmax", "40",
+                "--out", str(tmp_path / "d.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and "solver error: " in lines[0] and "GiB" in lines[0]
+    assert not (tmp_path / "d.csv").exists()
 
 
 def run_module(*args):

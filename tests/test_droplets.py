@@ -120,6 +120,15 @@ def test_sector_dimension_guard():
         open_chain_spin_level(XxzParams.from_q(60, 0.5), 8)
 
 
+def test_full_space_guard():
+    # the one-down-spin sectors of 40 sites hold 40 states, but H is still
+    # assembled on the full 2^40-state space: both passes refuse first
+    with pytest.raises(ValueError, match="1099511627776-state space .* GiB"):
+        momentum_band(XxzParams.from_q(40, 0.5, boundary="periodic"), 1)
+    with pytest.raises(ValueError, match="1099511627776-state space .* GiB"):
+        open_chain_spin_level(XxzParams.from_q(40, 0.5), 1)
+
+
 def test_down_spin_range_guard():
     # spin S_max - n = 2 - 3 does not exist on the 4-site open chain
     with pytest.raises(ValueError, match="outside 0..2"):

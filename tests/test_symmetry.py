@@ -7,10 +7,11 @@ from spinsys import (ClassificationError, SparseOperator, SpinSpace, XxzParams,
                      assemble, build_graph, classify_total_spin, custom,
                      embed_at, foel_check, heisenberg, lieb_mattis_check,
                      magnetization_sector, path_graph, restrict, ring_graph,
-                     sector_casimir, spin_matrices, spin_multiplicities,
+                     sector_casimir, sector_spectrum, spin_matrices, spin_multiplicities,
                      star_graph, su2_totals, suq2_generators, xxz)
 from spinsys.droplets import open_chain_spin_level
-from spinsys.symmetry import TotalSpinOps, lieb_mattis_hamiltonian
+from spinsys.symmetry import (CLASSIFY_DEGENERACY_TOL, TotalSpinOps, _label_levels,
+                              lieb_mattis_hamiltonian, sector_spin_levels)
 
 
 def spin_levels(g):
@@ -219,6 +220,90 @@ def test_classification_rejects_periodic_xxz_with_suq_ladder():
     H = assemble(xxz(p), space)
     with pytest.raises(ClassificationError, match="ambiguous Casimir label"):
         classify_total_spin(H, suq2_generators(p), space)
+
+
+def test_classification_rejects_sector_without_its_spin():
+    # a single spin-1 site: its M = 0 sector holds only the S = 1 state
+    g = path_graph(1, spin=1.0)
+    space = SpinSpace.from_graph(g)
+    H = assemble(heisenberg(g), space)
+    with pytest.raises(ClassificationError, match="no state labeled 2S=0"):
+        sector_spin_levels(H, su2_totals(space), space, 0, spin_multiplicities(space))
+
+
+def test_classification_rejects_complex_q_casimir_values():
+    # an H-degenerate pair whose block of C' is a rotation: eigenvalues e^(+-0.3i)
+    c, s = np.cos(0.3), np.sin(0.3)
+    rotation = np.array([[c, -s], [s, c]])
+    with pytest.raises(ClassificationError, match="q-Casimir eigenvalues acquired imaginary"):
+        _label_levels(np.zeros(2), rotation, {0: 1.0, 2: 3.0}, hermitian_c=False)
+
+
+def label_by_walk(evals, evecs, c_block, candidates, hermitian_c):
+    """The direct walk that labelling in the H eigenbasis replaced, kept as
+    its oracle: per H-degenerate cluster the dense Casimir block is
+    restricted to the cluster's eigenvectors and diagonalised, each vector is
+    labeled by the nearest candidate, and its residual ||C v - c v|| /
+    max(1, |c|) is taken with the dense C."""
+    cand_ts = sorted(candidates)
+    cand_vals = np.array([candidates[t] for t in cand_ts])
+    labels, residuals = [], []
+    i = 0
+    while i < evals.size:
+        j = i + 1
+        while j < evals.size and evals[j] - evals[j - 1] <= CLASSIFY_DEGENERACY_TOL:
+            j += 1
+        h_vecs = evecs[:, i:j]
+        sub = h_vecs.conj().T @ (c_block @ h_vecs)
+        cvals, cvecs = np.linalg.eigh(sub) if hermitian_c else np.linalg.eig(sub)
+        for k in range(cvals.size):
+            best = int(np.argmin(np.abs(cand_vals - cvals[k].real)))
+            vec = h_vecs @ (cvecs[:, k] / np.linalg.norm(cvecs[:, k]))
+            resid = np.linalg.norm(c_block @ vec - cand_vals[best] * vec)
+            labels.append(cand_ts[best])
+            residuals.append(resid / max(1.0, abs(cand_vals[best])))
+        i = j
+    return np.array(labels), np.array(residuals)
+
+
+def su2_case(g):
+    space = SpinSpace.from_graph(g)
+    return assemble(heisenberg(g), space), su2_totals(space), space
+
+
+def suq_case(L, q):
+    p = XxzParams.from_q(L, q)
+    space = SpinSpace((2,) * L)
+    return assemble(xxz(p), space), suq2_generators(p), space
+
+
+@pytest.mark.parametrize("case", [
+    lambda: su2_case(ring_graph(8)), lambda: su2_case(path_graph(5, spin=1.0)),
+    lambda: suq_case(8, 0.3), lambda: suq_case(8, 0.5)],
+    ids=["spin_half_ring_L8", "spin1_chain_L5", "xxz_open_L8_q0.3", "xxz_open_L8_q0.5"])
+def test_eigenbasis_labels_match_direct_walk(case):
+    H, ladder, space = case()
+    spins = spin_multiplicities(space)
+    clustered = False
+    for twice_s in spins:
+        rep = sector_spectrum(H, magnetization_sector(space, twice_s / 2), want_vectors=True)
+        evals, vecs = rep.eigenvalues, rep.eigenvectors
+        c_block = sector_casimir(ladder, space, twice_s)
+        candidates = {t: ladder.casimir_value(t) for t in spins if t >= twice_s}
+        ref_labels, ref_res = label_by_walk(evals, vecs, c_block, candidates,
+                                            ladder.hermitian_casimir)
+        labels, res = _label_levels(evals, vecs.conj().T @ c_block @ vecs, candidates,
+                                    ladder.hermitian_casimir)
+        assert np.array_equal(labels, ref_labels), twice_s
+        assert_allclose(res, ref_res, rtol=0, atol=1e-12)
+        # the library path, which builds C' from the sparse Casimir block
+        energies, mine_res, sector_levels = sector_spin_levels(H, ladder, space, twice_s, spins)
+        mine = ref_labels == twice_s
+        assert np.array_equal(energies, evals[mine]) and np.array_equal(sector_levels, evals)
+        assert_allclose(mine_res, ref_res[mine], rtol=0, atol=1e-12)
+        clustered |= bool(np.any(np.diff(evals) <= CLASSIFY_DEGENERACY_TOL))
+    if ladder.hermitian_casimir and space.n_sites == 8:
+        assert clustered        # the ring's +-k pairs give multi-vector clusters
 
 
 def highest_weight_levels(H, ladder, space):
