@@ -105,6 +105,8 @@ def merge_config(sub, file_sections, flag_values):
         merged[key] = value
     if merged["format"] not in ("csv", "json"):
         raise ConfigError(f"format must be csv or json, got {merged['format']!r}")
+    if merged["threads"] < 1:
+        raise ConfigError(f"threads must be at least 1, got {merged['threads']}")
     return merged
 
 
@@ -414,10 +416,18 @@ def run_perturb(cfg):
     lo = cfg.get("lambda_min", -0.1)
     hi = cfg.get("lambda_max", 0.1)
     step = cfg.get("lambda_step", 0.02)
+    if L < 3:
+        raise ConfigError(f"the AKLT ring needs at least 3 sites, got L={L}")
+    for name, value in (("lambda_min", lo), ("lambda_max", hi), ("lambda_step", step)):
+        if not math.isfinite(value):
+            raise ConfigError(f"{name} must be finite, got {value}")
     if step <= 0:
         raise ConfigError(f"lambda_step must be positive, got {step}")
     if hi < lo:
         raise ConfigError(f"lambda_max {hi} is below lambda_min {lo}")
+    if not math.isfinite((hi - lo) / step):
+        raise ConfigError(f"the lambda grid from {lo} to {hi} in steps of {step} "
+                          "has no finite length")
     count = int(round((hi - lo) / step)) + 1
     lambdas = [round(lo + i * step, 12) for i in range(count)]
     s3 = np.asarray(spin_matrices(1.0).s3)

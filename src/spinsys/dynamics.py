@@ -369,11 +369,15 @@ def ground_correlation(H, A, B, b: float, degeneracy_tol=1e-8) -> complex:
 class SectorCorrelator:
     """Imaginary-time ground correlations inside one magnetization sector,
     with an ARPACK ground state (``extremal_eigs``) and sparse propagation
-    (``expm_multiply``), for sectors too large to diagonalise densely."""
+    (``expm_multiply``), for sectors too large to diagonalise densely.
 
-    def __init__(self, h_block, degeneracy_tol=1e-8):
+    ``lowest`` is an existing solve of the same block: a SpectrumReport whose
+    first two levels are its two lowest, with the ground vector in the first
+    column of its eigenvectors.  Without it the block is solved here."""
+
+    def __init__(self, h_block, degeneracy_tol=1e-8, lowest=None):
         self.h = sp.csr_matrix(h_block)
-        rep = extremal_eigs(self.h, k=2)
+        rep = extremal_eigs(self.h, k=2) if lowest is None else lowest
         if rep.eigenvalues[1] - rep.eigenvalues[0] <= degeneracy_tol:
             raise ValueError("ground state degenerate within its sector")
         self.e0 = float(rep.eigenvalues[0])
@@ -439,6 +443,15 @@ def clustering_report(g: SpinGraph, phi: Interaction, local_op, lam: float,
 
     ``local_op`` is the single-site matrix used at both ends (centered in the
     ground state before evaluation).
+
+    The gap and the ground sector come from ``sector_sweep_lowest``.  For a
+    model declared SU(2)-invariant (``heisenberg``, ``aklt``,
+    ``lieb_mattis_hamiltonian``; the declaration is checked by the sweep)
+    that sweep solves only the sector M = 0 (or 1/2), lists each of its
+    levels 2S + 1 times, and returns its eigenvectors; the correlator then
+    reuses that ground state instead of solving the sector again.  Any other
+    model has every sector solved, and the correlator solves the ground
+    sector itself.
     """
     space = SpinSpace.from_graph(g)
     H = assemble(phi, space)
@@ -451,7 +464,9 @@ def clustering_report(g: SpinGraph, phi: Interaction, local_op, lam: float,
                        key=lambda lab: per_sector[lab].eigenvalues[0])
     sector = magnetization_sector(space, ground_label[1])
     h_block = restrict(H, sector, dense=False)
-    corr = SectorCorrelator(h_block)
+    ground = per_sector[ground_label]
+    corr = SectorCorrelator(h_block, lowest=ground if ground.eigenvectors is not None
+                            else None)
 
     phi_norm = lambda_norm(phi, lam, g)
     rates = clustering_mu(gamma, lam, phi_norm)

@@ -46,9 +46,14 @@ def spin_matrices(s) -> SpinMatrices:
 
 
 class SparseOperator:
-    """A sparse matrix on a tensor-product space with a verified Hermitian flag."""
+    """A sparse matrix on a tensor-product space with a verified Hermitian flag.
 
-    def __init__(self, matrix, hermitian=False):
+    ``su2_invariant`` is the model's declaration that the operator commutes
+    with the total spin (``models.assemble`` carries it over); it is not
+    verified here, and sums and products drop it.
+    """
+
+    def __init__(self, matrix, hermitian=False, su2_invariant=False):
         mat = sp.csr_matrix(matrix, dtype=complex)
         if mat.shape[0] != mat.shape[1]:
             raise ValueError("operator must be square")
@@ -62,6 +67,7 @@ class SparseOperator:
                 raise ValueError(f"hermitian flag asserted but max |M - M*| = {leak:.3e}")
         self.matrix = mat
         self.hermitian = bool(hermitian)
+        self.su2_invariant = bool(su2_invariant)
 
     @property
     def dim(self) -> int:

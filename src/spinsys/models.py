@@ -21,7 +21,12 @@ TERM_HERMITICITY_TOL = 1e-12
 
 @dataclass
 class Interaction:
-    """A list of (support, local Hermitian matrix) terms plus model metadata."""
+    """A list of (support, local Hermitian matrix) terms plus model metadata.
+
+    ``params["su2_invariant"]`` declares that the sum commutes with the total
+    spin.  It is set by the models that are, never inferred; ``scaled``
+    keeps it and ``+`` drops it along with the other params.
+    """
 
     terms: list                      # [(support tuple, ndarray), ...]
     name: str = "custom"
@@ -63,7 +68,7 @@ def heisenberg(g: SpinGraph) -> Interaction:
         dot = _two_site_dot(spin_matrices(g.spins[x]), spin_matrices(g.spins[y]))
         terms.append(((x, y), -w * dot))
     return Interaction(terms, name="heisenberg",
-                       params={"spins": g.spins})
+                       params={"spins": g.spins, "su2_invariant": True})
 
 
 def aklt(L: int, periodic=False) -> Interaction:
@@ -80,7 +85,8 @@ def aklt(L: int, periodic=False) -> Interaction:
         bonds.append((L - 1, 0))
     terms = [(b, bond) for b in bonds]
     return Interaction(terms, name="aklt",
-                       params={"L": L, "periodic": periodic, "spins": (1.0,) * L})
+                       params={"L": L, "periodic": periodic, "spins": (1.0,) * L,
+                               "su2_invariant": True})
 
 
 @dataclass(frozen=True)
@@ -99,12 +105,12 @@ class XxzParams:
             raise ValueError("chain length must be at least 2")
         if not (0 < self.q < 1):
             raise ValueError(f"q must lie in (0,1), got {self.q}")
-        if self.Delta <= 1:
+        if not self.Delta > 1:
             raise ValueError(f"Delta must exceed 1, got {self.Delta}")
         if abs(self.Delta - (self.q + 1 / self.q) / 2) >= 1e-12:
             raise ValueError("Delta and q violate Delta = (q + 1/q)/2")
-        if self.J <= 0:
-            raise ValueError("J must be positive")
+        if not self.J > 0:
+            raise ValueError(f"J must be positive, got {self.J}")
         if self.boundary not in ("open_with_field", "periodic"):
             raise ValueError(f"unknown boundary {self.boundary!r}")
 
@@ -114,8 +120,8 @@ class XxzParams:
 
     @classmethod
     def from_delta(cls, L, Delta, J=1.0, boundary="open_with_field"):
-        if Delta <= 1:
-            raise ValueError(f"Delta must exceed 1, got {Delta}")
+        if not 1 < Delta < math.inf:
+            raise ValueError(f"Delta must be finite and exceed 1, got {Delta}")
         q = Delta - math.sqrt(Delta ** 2 - 1)   # root in (0,1)
         return cls(L=L, Delta=Delta, q=q, J=J, boundary=boundary)
 
@@ -171,7 +177,8 @@ def lambda_norm(phi: Interaction, lam: float, g: SpinGraph) -> float:
 
 def assemble(phi: Interaction, space: SpinSpace) -> SparseOperator:
     """Hermitian sum of embedded terms, reduced in canonical term order so the
-    result is bit-identical regardless of input term order."""
+    result is bit-identical regardless of input term order.  The operator
+    carries the interaction's ``su2_invariant`` declaration."""
     for support, _ in phi.terms:
         if any(not 0 <= x < space.n_sites for x in support):
             raise ValueError(f"term support {support} outside the space")
@@ -183,4 +190,5 @@ def assemble(phi: Interaction, space: SpinSpace) -> SparseOperator:
     if total is None:
         import scipy.sparse as sp
         total = sp.csr_matrix((space.total_dim, space.total_dim), dtype=complex)
-    return SparseOperator(total, hermitian=True)
+    return SparseOperator(total, hermitian=True,
+                          su2_invariant=phi.params.get("su2_invariant", False))

@@ -166,15 +166,28 @@ def spectral_gap(report: SpectrumReport, degeneracy_tol=DEGENERACY_TOL) -> GapRe
 
 
 def sector_sweep_lowest(H, space: SpinSpace, k=4, threads=1):
-    """Lowest-k levels from every magnetization sector, merged ascending.
+    """Lowest-k levels over the magnetization sectors, merged ascending.
 
     Returns (merged SpectrumReport, dict label -> per-sector SpectrumReport).
     A sector solved densely (see ``sector_spectrum``) contributes all its
     levels.  The merge order is canonical (descending M), independent of
     any parallelism.
+
+    An H declared SU(2)-invariant (``H.su2_invariant``, which ``assemble``
+    carries from ``heisenberg``, ``aklt`` and ``lieb_mattis_hamiltonian``)
+    goes through ``symmetry.su2_sweep_lowest``.  It checks the declaration
+    (the sparse block commutators H_(M+1) S+ - S+ H_M on the blocks it forms,
+    and spec(M + 1) within spec(M) on the dense top sectors; a failed check
+    raises ``ValueError``), solves only the lowest sector M = 0 (or 1/2),
+    with eigenvectors, and lists each of its levels 2S + 1 times, S the total
+    spin of its Casimir label.  Its dict holds only the sectors it solved.
+    Every other H has every sector solved.
     """
     from .util import ordered_map
 
+    if getattr(H, "su2_invariant", False):
+        from .symmetry import su2_sweep_lowest
+        return su2_sweep_lowest(H, space, k=k, threads=threads)
     sectors = [magnetization_sector(space, M) for M in space.magnetization_values()]
     reports = ordered_map(lambda sec: sector_spectrum(H, sec, k=k), sectors, threads)
     per_sector = {sec.label: rep for sec, rep in zip(sectors, reports)}

@@ -13,6 +13,9 @@ Casimir in the eigenbasis V of H, built once per sector: a nondegenerate
 level's value is a diagonal entry of C', and only H-degenerate clusters
 diagonalise their block of C'.  ``classify_total_spin(H, ladder, space)``
 runs it over the spin grid and keeps every level of the sectors it solved.
+``su2_sweep_lowest`` labels the Ritz vectors of the lowest sector M = 0 (or
+1/2) the same way, so that the gap sweep of an H declared SU(2)-invariant
+solves that sector alone.
 Internally S is carried as the integer 2S to keep half-integers exact.
 """
 
@@ -26,12 +29,19 @@ import scipy.sparse as sp
 
 from .hilbert import SpinSpace, SparseOperator, spin_matrices, embed_at, \
     magnetization_sector, restrict
+from . import spectral
 from .models import XxzParams
-from .spectral import sector_spectrum
+from .spectral import SpectrumReport, sector_spectrum
+from .util import ordered_map
 
 CLASSIFY_DEGENERACY_TOL = 1e-8
 CASIMIR_RESIDUAL_TOL = 1e-8
 DOMINANCE_FACTOR = 1e3
+SU2_CHECK_TOL = 1e-10
+# A block commutator H_(M+1) S+ - S+ H_M is formed in this many row slices.
+# On the AKLT L=12 ring the whole M = 0 -> 1 commutator takes 365 MB of
+# sparse products at once and 0.41 s; in 8 slices, 52 MB and 0.39 s.
+COMMUTATOR_SLICES = 8
 
 
 class ClassificationError(RuntimeError):
@@ -56,11 +66,11 @@ class TotalSpinOps(NamedTuple):
 
 
 def su2_totals(space: SpinSpace) -> TotalSpinOps:
-    """The ladder totals S+ = sum_x S+_x and S- = (S+)^H."""
-    local = [spin_matrices(space.spin_at(x)) for x in range(space.n_sites)]
-    plus = sum(embed_at(space, [(x, s.plus)]).matrix for x, s in enumerate(local))
-    minus = sum(embed_at(space, [(x, s.minus)]).matrix for x, s in enumerate(local))
-    return TotalSpinOps(SparseOperator(plus), SparseOperator(minus))
+    """The ladder totals S+ = sum_x S+_x and S- = (S+)^H.  S+ is real and no
+    two sites share a matrix element, so S- is S+ transposed, bit for bit."""
+    plus = sum(embed_at(space, [(x, spin_matrices(space.spin_at(x)).plus)]).matrix
+               for x in range(space.n_sites))
+    return TotalSpinOps(SparseOperator(plus), SparseOperator(plus.T))
 
 
 class SuqOps(NamedTuple):
@@ -110,15 +120,21 @@ def suq2_generators(p: XxzParams) -> SuqOps:
                   SparseOperator(t_total, hermitian=True), p.q)
 
 
+def _casimir_factors(ladder, sector):
+    """The rectangular ladder blocks S+|(M-1 -> M) and S-|(M -> M-1) of the
+    Casimir on ``sector`` (M above the lowest sector); see ``sector_casimir``."""
+    below = magnetization_sector(sector.parent, sector.label[1] - 1)
+    return (restrict(ladder.plus, below, dense=False, target=sector),
+            restrict(ladder.minus, sector, dense=False, target=below))
+
+
 def _sparse_casimir(ladder, space: SpinSpace, twice_m: int):
     """``sector_casimir`` as a sparse CSR matrix, built from the rectangular
     ladder blocks."""
     sector = magnetization_sector(space, twice_m / 2)
     c = ladder.casimir_shift(twice_m) * sp.identity(sector.dim, format="csr")
     if twice_m > -space.twice_m_total_max():
-        below = magnetization_sector(space, twice_m / 2 - 1)
-        up = restrict(ladder.plus, below, dense=False, target=sector)
-        down = restrict(ladder.minus, sector, dense=False, target=below)
+        up, down = _casimir_factors(ladder, sector)
         c = c + up @ down
     return c
 
@@ -168,13 +184,15 @@ class SpinResolvedLevels:
         return self.entries[twice_s]
 
 
-def _label_levels(evals, c_rot, candidates, hermitian_c):
+def _label_levels(evals, c_rot, candidates, hermitian_c, basis=None):
     """Casimir labels and residuals of the eigenpairs of H (ascending evals)
-    from C' = V^H C V, C in the full orthonormal eigenbasis V of H.  A
-    nondegenerate level has value C'_ii; an H-degenerate cluster (adjacent
-    gaps <= CLASSIFY_DEGENERACY_TOL) is split by diagonalising its block of
-    C'.  The residual ||C v - c v|| of v = V u is ||C' u - c u||, as V is
-    unitary.  C' is overwritten."""
+    from C' = V^H C V, V orthonormal eigenvectors of H.  A nondegenerate
+    level has value C'_ii; an H-degenerate cluster (adjacent gaps <=
+    CLASSIFY_DEGENERACY_TOL) is split by diagonalising its block of C'.
+    When V is the full eigenbasis (``basis`` None), the residual
+    ||C v - c v|| of v = V u is ||C' u - c u||, as V is unitary, and C' is
+    overwritten.  For a partial basis, ``basis`` is (V, C V) and the
+    residual is computed from them directly."""
     starts = np.flatnonzero(np.diff(evals, prepend=-np.inf) > CLASSIFY_DEGENERACY_TOL)
     sizes = np.diff(starts, append=evals.size)
     cvals = np.diagonal(c_rot).astype(complex)
@@ -194,14 +212,21 @@ def _label_levels(evals, c_rot, candidates, hermitian_c):
     target = cand_vals[best]
     scale = np.maximum(1.0, np.abs(target))
     ambiguous = (d1 > 0) & (d2 < DOMINANCE_FACTOR * d1) & (d1 > 1e-14 * scale)
-    single = np.flatnonzero(np.repeat(sizes == 1, sizes))
-    c_rot[single, single] -= target[single]
-    resid = np.sqrt(np.vecdot(c_rot, c_rot, axis=0).real)
-    for i, u in vecs.items():
-        j = i + u.shape[1]
-        r = c_rot[:, i:j] @ u
-        r[i:j] -= u * target[i:j]
-        resid[i:j] = np.linalg.norm(r, axis=0)
+    if basis is not None:
+        v, cv = basis
+        rot = np.identity(evals.size, dtype=complex)
+        for i, u in vecs.items():
+            rot[i:i + u.shape[1], i:i + u.shape[1]] = u
+        resid = np.linalg.norm(cv @ rot - (v @ rot) * target, axis=0)
+    else:
+        single = np.flatnonzero(np.repeat(sizes == 1, sizes))
+        c_rot[single, single] -= target[single]
+        resid = np.sqrt(np.vecdot(c_rot, c_rot, axis=0).real)
+        for i, u in vecs.items():
+            j = i + u.shape[1]
+            r = c_rot[:, i:j] @ u
+            r[i:j] -= u * target[i:j]
+            resid[i:j] = np.linalg.norm(r, axis=0)
     resid /= scale
     bad = imag_bad | ambiguous | (resid > CASIMIR_RESIDUAL_TOL)
     if bad.any():               # the first failing level, as a walk would find it
@@ -244,6 +269,103 @@ def sector_spin_levels(H, ladder, space: SpinSpace, twice_s: int, spins):
         raise ClassificationError(
             f"no state labeled 2S={twice_s} found in its own sector")
     return evals[mine], residuals[mine], evals
+
+
+def _unmatched_level(upper, lower, tol):
+    """The first level of ``upper`` without a level of its own in ``lower``
+    within tol (both ascending, matched as multisets), or None."""
+    j = 0
+    for e in upper:
+        while j < lower.size and lower[j] < e - tol:
+            j += 1
+        if j == lower.size or lower[j] > e + tol:
+            return e
+        j += 1
+    return None
+
+
+def su2_sweep_lowest(H, space: SpinSpace, k=4, threads=1):
+    """``spectral.sector_sweep_lowest`` for an H declared SU(2)-invariant.
+
+    Every level of the sector M > 0 also lies in M - 1, so the lowest
+    sector M0 = 0 (or 1/2) holds every distinct level.  The declaration is
+    checked first, and a failed check raises ``ValueError``:
+
+    - ||H_(M+1) S+ - S+ H_M|| (largest entry of the sparse block
+      commutator, ``su2_totals`` ladder) is at most SU2_CHECK_TOL times the
+      largest entries of H and S+, for every adjacent pair of the blocks
+      formed: M0, M0 + 1, and the top sectors up to dimension
+      ``spectral.KRYLOV_CROSSOVER``;
+    - those top sectors, solved densely, nest: spec(M + 1) is contained,
+      as a multiset, in spec(M) to SU2_CHECK_TOL (M0 joins the chain when
+      it is dense too).
+
+    M0 is then solved with eigenvectors through ``sector_spectrum`` (its k
+    lowest levels, or all of them when dense), each vector is labelled by
+    the sector Casimir (``_label_levels``, residuals from the sparse C_M0),
+    and the merged report lists each level 2S + 1 times.  Returns (merged
+    report, label -> report of each sector solved, M0's with eigenvectors).
+    """
+    tmax = space.twice_m_total_max()
+    low = tmax % 2
+    sectors = {}
+    for t in range(tmax, low, -2):       # the dense top run, above M0
+        sec = magnetization_sector(space, t / 2)
+        if sec.dim > spectral.KRYLOV_CROSSOVER:
+            break
+        sectors[t] = sec
+    top = list(sectors)
+    for t in (low + 2, low):
+        if t <= tmax and t not in sectors:
+            sectors[t] = magnetization_sector(space, t / 2)
+
+    ladder = su2_totals(space)
+    ups = {t: restrict(ladder.plus, sectors[t], dense=False, target=sectors[t + 2])
+           for t in sectors if t + 2 in sectors}
+    # C_M0 is applied to M0's eigenvectors as up (down V) + shift V, unformed
+    up_c, down_c = _casimir_factors(ladder, sectors[low])
+    shift = ladder.casimir_shift(low)
+    candidates = {t: ladder.casimir_value(t) for t in range(low, tmax + 1, 2)}
+    del ladder                  # the full-space ladders are not needed past here
+    blocks = {t: restrict(H, sec, dense=False) for t, sec in sectors.items()}
+    largest = {t: np.abs(b.data).max(initial=1.0) for t, b in blocks.items()}
+    for t, up in sorted(ups.items()):
+        edges = np.linspace(0, up.shape[0], COMMUTATOR_SLICES + 1).astype(int)
+        dev = 0.0
+        for a, b in zip(edges[:-1], edges[1:]):
+            comm = blocks[t + 2][a:b] @ up - up[a:b] @ blocks[t]
+            dev = max(dev, np.abs(comm.data).max(initial=0.0))
+        scale = max(largest[t], largest[t + 2]) * np.abs(up.data).max(initial=0.0)
+        if dev > SU2_CHECK_TOL * scale:
+            raise ValueError(
+                f"H is declared SU(2)-invariant, but ||H S+ - S+ H|| = {dev:.3e} "
+                f"from M = {t / 2} to M = {t / 2 + 1}")
+    del blocks
+
+    def solve(t):
+        return sector_spectrum(H, sectors[t], k=k, want_vectors=t == low)
+
+    order = [low] + top
+    reports = dict(zip(order, ordered_map(solve, order, threads)))
+    full = {t for t, r in reports.items() if r.eigenvalues.size == sectors[t].dim}
+    for t in sorted(full):
+        if t + 2 not in full:
+            continue
+        lower = reports[t].eigenvalues
+        e = _unmatched_level(reports[t + 2].eigenvalues, lower,
+                             SU2_CHECK_TOL * max(1.0, np.abs(lower).max()))
+        if e is not None:
+            raise ValueError(
+                f"H is declared SU(2)-invariant, but the level {e!r} of "
+                f"M = {t / 2 + 1} has no partner in M = {t / 2}")
+
+    rep = reports[low]
+    vecs = rep.eigenvectors
+    cv = up_c @ (down_c @ vecs) + shift * vecs
+    labels, _ = _label_levels(rep.eigenvalues, vecs.conj().T @ cv, candidates, True,
+                              basis=None if low in full else (vecs, cv))
+    merged = SpectrumReport(np.repeat(rep.eigenvalues, labels + 1))
+    return merged, {sectors[t].label: reports[t] for t in top + [low]}
 
 
 def classify_total_spin(H, ladder, space: SpinSpace) -> SpinResolvedLevels:
@@ -321,7 +443,7 @@ def lieb_mattis_hamiltonian(g, part_a, part_b, intra_a=None, intra_b=None):
         sub = build_graph(g.n_vertices, edges,
                           spins={x: g.spins[x] for x in range(g.n_vertices)})
         terms = terms + heisenberg(sub).terms
-    return Interaction(terms, name="lieb_mattis")
+    return Interaction(terms, name="lieb_mattis", params={"su2_invariant": True})
 
 
 def lieb_mattis_levels(g, part_a, part_b, intra_a=None, intra_b=None) -> SpinResolvedLevels:

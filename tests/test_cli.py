@@ -8,6 +8,7 @@ import pytest
 import scipy
 
 import spinsys.cli
+import spinsys.models
 import spinsys.symmetry
 
 from spinsys.cli import ConfigError, merge_config, parse_config_file, run
@@ -204,6 +205,13 @@ def test_lightcone_bad_grid_is_config_error(tmp_path, capsys, flags):
     ["spectrum", "--model", "xxz_periodic", "--q", "0.5", "--L", "2"],
     ["spectrum", "--model", "xxz_open", "--q", "1.5", "--L", "4"],
     ["spectrum", "--model", "xxz_open", "--Delta", "nan", "--L", "4"],
+    ["perturb", "--L", "2"],
+    ["perturb", "--L", "4", "--lambda_min", "nan"],
+    ["perturb", "--L", "4", "--lambda_max", "inf"],
+    ["perturb", "--L", "4", "--lambda_step", "nan"],
+    ["perturb", "--L", "4", "--lambda_min=-1e308", "--lambda_max", "1e308"],
+    ["perturb", "--L", "4", "--threads", "-1"],
+    ["cluster", "--L", "5", "--threads", "0"],
 ])
 def test_range_errors_are_config_errors(tmp_path, capsys, argv):
     assert run([*argv, "--out", str(tmp_path / "r.csv")]) == 2
@@ -211,6 +219,34 @@ def test_range_errors_are_config_errors(tmp_path, capsys, argv):
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1 and err.startswith("config error: ")
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("delta", ["nan", "inf", "0.5"])
+def test_bad_xxz_delta_is_named_in_the_config_error(tmp_path, capsys, delta):
+    assert run(["spectrum", "--model", "xxz_open", "--Delta", delta, "--L", "4",
+                "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Delta" in err and "q " not in err
+
+
+def test_wrong_su2_declaration_is_a_solver_error(tmp_path, capsys, monkeypatch):
+    # the perturbed AKLT ring with its declaration forced on fails the check
+    add = spinsys.models.Interaction.__add__
+
+    def declared_sum(self, other):
+        out = add(self, other)
+        out.params["su2_invariant"] = True
+        return out
+
+    monkeypatch.setattr(spinsys.models.Interaction, "__add__", declared_sum)
+    assert run(["perturb", "--L", "4", "--lambda_min", "0.05", "--lambda_max", "0.05",
+                "--out", str(tmp_path / "p.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("solver error: ")
+    assert "SU(2)" in lines[0]
+    assert not (tmp_path / "p.csv").exists()
 
 
 def test_lightcone_above_dense_cutoff_reports_memory(tmp_path, capsys):

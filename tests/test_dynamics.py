@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import spinsys.dynamics
+import spinsys.spectral
 from spinsys import (HeisenbergDynamics, SpinSpace, aklt, assemble, clustering_mu,
                      commutator_grid, commutator_growth, custom, embed_at,
                      embed_local, full_spectrum, ground_correlation,
                      heisenberg, hermitian_unit_basis, lambda_norm,
                      lr_bound_rhs, lr_corollary_bound, lr_multisite_bound,
                      path_graph, ring_graph, spin_matrices)
+from spinsys.cli import run
 from spinsys.dynamics import SectorCorrelator
 from spinsys.hilbert import magnetization_sector, restrict
 from spinsys.spectral import sector_spectrum
@@ -296,3 +299,29 @@ def test_bounds_are_infinite_once_the_growth_overflows():
     assert lr_corollary_bound(g, 1.0, 1761.0, 0, (3,), 1.0, 1.0, 1.0) == float("inf")
     assert lr_bound_rhs(g, 1.0, 1761.0, 0, (3,), 1.0, 0.0) == 0.0
     assert lr_bound_rhs(g, 1.0, 1761.0, 3, (3,), 1.0, 0.1) < float("inf")
+
+
+def test_clustering_reuses_the_sweep_ground_state_bit_for_bit(tmp_path, monkeypatch):
+    # AKLT L=9: the ground sector (dim 3139) is above the Krylov crossover,
+    # so the sweep's solve is the k=2 ARPACK call SectorCorrelator would make
+    calls = []
+    eigs = spinsys.spectral.extremal_eigs
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return eigs(*args, **kwargs)
+
+    monkeypatch.setattr(spinsys.spectral, "extremal_eigs", counted)
+    monkeypatch.setattr(spinsys.dynamics, "extremal_eigs", counted)
+    reused, solved = tmp_path / "reused.csv", tmp_path / "solved.csv"
+    assert run(["cluster", "--L", "9", "--out", str(reused)]) == 0
+    assert calls == [3139]              # one solve of the ground sector
+
+    class OwnSolve(SectorCorrelator):
+        def __init__(self, h_block, degeneracy_tol=1e-8, lowest=None):
+            super().__init__(h_block, degeneracy_tol)
+
+    monkeypatch.setattr(spinsys.dynamics, "SectorCorrelator", OwnSolve)
+    assert run(["cluster", "--L", "9", "--out", str(solved)]) == 0
+    assert calls == [3139] * 3          # the sweep's, then the correlator's own
+    assert reused.read_bytes() == solved.read_bytes()

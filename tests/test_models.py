@@ -3,8 +3,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from spinsys import (SpinSpace, XxzParams, aklt, assemble, custom, heisenberg,
-                     lambda_norm, path_graph, ring_graph, spin_matrices, xxz)
+                     lambda_norm, path_graph, ring_graph, spin_matrices, star_graph, xxz)
 from spinsys.models import _two_site_dot
+from spinsys.symmetry import lieb_mattis_hamiltonian
 
 
 def test_two_site_heisenberg_eigenvalues():
@@ -104,3 +105,29 @@ def test_assemble_deterministic_bytes():
     b = assemble(heisenberg(g), space).matrix
     assert a.data.tobytes() == b.data.tobytes()
     assert a.indices.tobytes() == b.indices.tobytes()
+
+
+def test_su2_declaration_is_carried_and_dropped():
+    g = ring_graph(4)
+    space = SpinSpace.from_graph(g)
+    star = star_graph(3)
+    declared = [heisenberg(g), aklt(4, periodic=True), heisenberg(g).scaled(-2.0),
+                lieb_mattis_hamiltonian(star, [0], [1, 2, 3])]
+    assert all(phi.params["su2_invariant"] for phi in declared)
+    s3 = np.asarray(spin_matrices(0.5).s3)
+    for phi in (heisenberg(g) + heisenberg(g), custom([((0,), s3)]),
+                xxz(XxzParams.from_q(4, 0.5))):
+        assert not phi.params.get("su2_invariant", False)
+    H = assemble(heisenberg(g), space)
+    assert H.su2_invariant
+    assert not assemble(heisenberg(g) + custom([]), space).su2_invariant
+    assert not (H + H).su2_invariant
+    assert not (H @ H).su2_invariant
+
+
+@pytest.mark.parametrize("delta", [float("nan"), float("inf"), 1.0])
+def test_xxz_delta_checks_name_delta(delta):
+    with pytest.raises(ValueError, match="Delta"):
+        XxzParams.from_delta(4, delta)
+    with pytest.raises(ValueError, match="Delta"):
+        XxzParams(L=4, Delta=delta, q=0.5)

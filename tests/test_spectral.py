@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+import scipy.sparse as sps
 from numpy.testing import assert_allclose
 
 import spinsys.spectral
-from spinsys import (SpinSpace, aklt, assemble, extremal_eigs, full_spectrum,
-                     heisenberg, magnetization_sector, path_graph, restrict,
-                     ring_graph, sector_spectrum, sector_sweep_lowest, spectral_gap)
+import spinsys.symmetry
+from spinsys import (SparseOperator, SpinSpace, aklt, assemble, custom, extremal_eigs,
+                     frustration_free_check, full_spectrum, heisenberg,
+                     magnetization_sector, path_graph, restrict, ring_graph,
+                     sector_spectrum, sector_sweep_lowest, spectral_gap, spin_matrices,
+                     star_graph)
+from spinsys.symmetry import TotalSpinOps, _unmatched_level, lieb_mattis_hamiltonian
 
 
 def random_hermitian(rng, n):
@@ -40,17 +45,23 @@ def test_lanczos_degenerate_spectrum():
     assert_allclose(rep.eigenvalues, [0, 0, 0, 0], atol=1e-10)
 
 
+def szsz_ring(L):
+    """The S3 S3 ring perturbation of the ``perturb`` campaign (spin 1)."""
+    s3 = np.asarray(spin_matrices(1.0).s3)
+    return custom([((x, (x + 1) % L), np.kron(s3, s3)) for x in range(L)])
+
+
 def test_forced_krylov_matches_dense_on_aklt_ring(monkeypatch):
     # a start vector invariant under the ring's symmetries stays in the
-    # symmetric subspace and misses levels in most sectors
+    # symmetric subspace and misses levels in most sectors; every sector is
+    # solved on its own, as the declared AKLT ring's sweep solves only M = 0
     monkeypatch.setattr(spinsys.spectral, "KRYLOV_CROSSOVER", 100)
     space = SpinSpace((3,) * 8)
     H = assemble(aklt(8, periodic=True), space)
-    _, per_sector = sector_sweep_lowest(H, space, k=3)
     for M in space.magnetization_values():
         sec = magnetization_sector(space, M)
         dense = np.linalg.eigvalsh(restrict(H, sec))[:3]
-        got = per_sector[sec.label].eigenvalues[:3]     # dense sectors give all
+        got = sector_spectrum(H, sec, k=3).eigenvalues[:3]   # dense sectors give all
         assert_allclose(got, dense[:got.size], atol=1e-9, err_msg=str(sec.label))
 
 
@@ -72,10 +83,13 @@ def test_krylov_is_bitwise_repeatable(monkeypatch):
     b = extremal_eigs(block, k=3)
     assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
     assert a.eigenvectors.tobytes() == b.eigenvectors.tobytes()
-    # concurrent ARPACK runs, one per sector, give the same bytes
+    # concurrent ARPACK runs, one per sector, give the same bytes (on the
+    # perturbed ring, which is not SU(2)-invariant, so every sector is solved)
     monkeypatch.setattr(spinsys.spectral, "KRYLOV_CROSSOVER", 100)
-    one, _ = sector_sweep_lowest(H, space, k=3, threads=1)
+    H = assemble(aklt(6, periodic=True) + szsz_ring(6).scaled(0.05), space)
+    one, per_sector = sector_sweep_lowest(H, space, k=3, threads=1)
     four, _ = sector_sweep_lowest(H, space, k=3, threads=4)
+    assert sum(rep.eigenvalues.size == 3 for rep in per_sector.values()) >= 3
     assert one.eigenvalues.tobytes() == four.eigenvalues.tobytes()
 
 
@@ -101,9 +115,11 @@ def test_spectral_gap_degeneracy_counting():
 
 
 def test_sector_sweep_matches_dense():
+    # a boundary field breaks SU(2), so every sector is solved
     g = path_graph(8)
     space = SpinSpace.from_graph(g)
-    H = assemble(heisenberg(g), space)
+    field = custom([((0,), 0.3 * np.asarray(spin_matrices(0.5).s3))])
+    H = assemble(heisenberg(g) + field, space)
     merged, per_sector = sector_sweep_lowest(H, space, k=3, threads=2)
     dense = np.sort(np.linalg.eigvalsh(H.toarray()))
     assert_allclose(merged.eigenvalues[:3], dense[:3], atol=1e-9)
@@ -132,3 +148,102 @@ def test_lanczos_random_matrix_battery():
         rep = extremal_eigs(h, k=k)
         worst = max(worst, np.abs(rep.eigenvalues - dense[:k]).max())
     assert worst < 1e-9, f"worst deviation {worst:.3e}"
+
+
+def undeclared(H):
+    """The same matrix without the SU(2) declaration: every sector is solved."""
+    return SparseOperator(H.matrix, hermitian=True)
+
+
+def star_lieb_mattis(n_leaves, spin):
+    g = star_graph(n_leaves, spin=spin)
+    return lieb_mattis_hamiltonian(g, [0], range(1, n_leaves + 1)), SpinSpace.from_graph(g)
+
+
+REDUCED_SWEEP_CASES = {
+    "aklt_ring_6": lambda: (aklt(6, periodic=True), SpinSpace((3,) * 6)),
+    "aklt_ring_8": lambda: (aklt(8, periodic=True), SpinSpace((3,) * 8)),
+    "aklt_open_6": lambda: (aklt(6), SpinSpace((3,) * 6)),    # S = 0 and 1 at E = 0
+    "heisenberg_afm_ring_10": lambda: (heisenberg(ring_graph(10)).scaled(-1.0),
+                                       SpinSpace((2,) * 10)),
+    "heisenberg_afm_ring_9": lambda: (heisenberg(ring_graph(9)).scaled(-1.0),
+                                      SpinSpace((2,) * 9)),
+    "heisenberg_ferro_ring_8": lambda: (heisenberg(ring_graph(8)), SpinSpace((2,) * 8)),
+    "lieb_mattis_star_9": lambda: star_lieb_mattis(9, 0.5),
+    "lieb_mattis_star_spin1_5": lambda: star_lieb_mattis(5, 1.0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REDUCED_SWEEP_CASES))
+@pytest.mark.parametrize("k", [2, 6])
+def test_reduced_sweep_matches_full_sweep(case, k):
+    phi, space = REDUCED_SWEEP_CASES[case]()
+    H = assemble(phi, space)
+    assert H.su2_invariant
+    merged, per_sector = sector_sweep_lowest(H, space, k=k)
+    full, _ = sector_sweep_lowest(undeclared(H), space, k=k)
+    got, want = spectral_gap(merged), spectral_gap(full)
+    assert abs(got.ground_energy - want.ground_energy) <= 1e-10
+    assert abs(got.gap - want.gap) <= 1e-10
+    assert got.ground_degeneracy == want.ground_degeneracy
+    # the lowest sector comes back with its eigenvectors
+    low = ("M", space.twice_m_total_max() % 2 / 2)
+    assert per_sector[low].eigenvectors is not None
+    assert min(per_sector, key=lambda lab: abs(lab[1])) == low
+
+
+def test_reduced_sweep_lists_each_level_by_its_multiplicity():
+    # the whole spin-1/2 ring of 8 fits the dense path: the merged report is
+    # the full spectrum, every level 2S + 1 times
+    space = SpinSpace((2,) * 8)
+    H = assemble(heisenberg(ring_graph(8)).scaled(-1.0), space)
+    merged, per_sector = sector_sweep_lowest(H, space, k=2)
+    whole = np.linalg.eigvalsh(H.toarray())
+    assert merged.eigenvalues.size == whole.size
+    assert_allclose(merged.eigenvalues, whole, atol=1e-10)
+    assert set(per_sector) == {("M", M) for M in space.magnetization_values() if M >= 0}
+
+
+def test_frustration_free_report_unchanged_by_the_reduction():
+    # ``+ custom([])`` drops the declaration and leaves the terms alone
+    for phi, L in ((aklt(6, periodic=True), 6), (aklt(5), 5)):
+        space = SpinSpace((3,) * L)
+        got = frustration_free_check(phi, space, v0_size=1)
+        want = frustration_free_check(phi + custom([]), space, v0_size=1)
+        assert abs(got.ground_energy - want.ground_energy) <= 1e-12
+        assert abs(got.c - want.c) <= 1e-10 or (np.isnan(got.c) and np.isnan(want.c))
+        for name in ("ground_degeneracy", "psd", "zero_energy", "v0_size",
+                     "condition_holds"):
+            assert getattr(got, name) == getattr(want, name), name
+
+
+def test_wrong_declaration_fails_the_commutator_check():
+    space = SpinSpace((3,) * 6)
+    phi = aklt(6, periodic=True) + szsz_ring(6).scaled(0.05)
+    assert "su2_invariant" not in phi.params
+    phi.params["su2_invariant"] = True
+    with pytest.raises(ValueError, match=r"declared SU\(2\)-invariant.*S\+ - S\+ H"):
+        sector_sweep_lowest(assemble(phi, space), space, k=2)
+
+
+def test_wrong_declaration_fails_the_nesting_check(monkeypatch):
+    # with a zero ladder the commutator check sees nothing; the spectra of
+    # the dense top sectors still refuse the declaration
+    def blind_ladder(space):
+        zero = SparseOperator(sps.csr_matrix((space.total_dim,) * 2))
+        return TotalSpinOps(zero, zero)
+
+    monkeypatch.setattr(spinsys.symmetry, "su2_totals", blind_ladder)
+    space = SpinSpace((3,) * 6)
+    phi = aklt(6, periodic=True) + szsz_ring(6).scaled(0.05)
+    phi.params["su2_invariant"] = True
+    with pytest.raises(ValueError, match="has no partner"):
+        sector_sweep_lowest(assemble(phi, space), space, k=2)
+
+
+def test_unmatched_level_matches_multisets():
+    lower = np.array([0.0, 1.0, 1.0, 2.0])
+    assert _unmatched_level(np.array([1.0, 1.0 + 1e-12]), lower, 1e-10) is None
+    assert _unmatched_level(np.array([1.0, 1.0, 1.0]), lower, 1e-10) == 1.0
+    assert _unmatched_level(np.array([1.5]), lower, 1e-10) == 1.5
+    assert _unmatched_level(np.array([3.0]), lower, 1e-10) == 3.0
