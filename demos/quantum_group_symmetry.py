@@ -20,7 +20,8 @@ ops = suq2_generators(p)
 
 h = H.toarray()
 for name, op in (("S+", ops.plus), ("S-", ops.minus)):
-    comm = h @ op.toarray() - op.toarray() @ h
+    m = op(space, space).toarray()      # the ladder's block from the space to itself
+    comm = h @ m - m @ h
     print(f"|[H, {name}]| = {np.abs(comm).max():.2e}")
 
 # The q-Casimir is never formed on the full space: on the sector M it is

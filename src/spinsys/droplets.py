@@ -4,20 +4,20 @@ E_L(n) is the sector ground energy of the periodic chain with n down spins,
 read as the lowest level over the momentum blocks of that sector (the
 blocks partition it), so one pass per length also gives the band width;
 the open chain with boundary fields carries the quantum-group symmetry and
-its level E(H_L, S_max - n) is identified through the q-Casimir.  Both
-finite-L sequences are compared with the closed-form limit
+its level E(H_L, S_max - n) is identified through the q-Casimir.  H and
+the ladder blocks are built on the sectors alone, never on the 2^L space.
+Both finite-L sequences are compared with the closed-form limit
 E(n) = (1 - q^2)(1 - q^n) / ((1 + q^2)(1 + q^n)).
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from math import comb
 
 import numpy as np
 
-from .hilbert import SpinSpace, down_spin_sector, restrict
+from .hilbert import SpinSpace, down_spin_sector, magnetization_sector, restrict
 from .models import XxzParams, xxz, assemble
 from .symmetry import sector_spin_levels, spin_multiplicities, suq2_generators
 
@@ -43,10 +43,10 @@ def bandwidth_formula(q: float, n: int) -> float:
 
 
 def _check_sector(p: XxzParams, n: int):
-    """Reject n, and a full space beyond physical memory, before anything is
-    assembled.  The periodic chain has a band at every momentum for
-    1 <= n <= L - 1 (the n = 0 and n = L sectors hold one state each); the
-    open chain's spin S_max - n = L/2 - n needs 0 <= n <= L/2."""
+    """Reject n before anything is assembled.  The periodic chain has a band
+    at every momentum for 1 <= n <= L - 1 (the n = 0 and n = L sectors hold
+    one state each); the open chain's spin S_max - n = L/2 - n needs
+    0 <= n <= L/2."""
     lo, hi = (1, p.L - 1) if p.boundary == "periodic" else (0, p.L // 2)
     if not lo <= n <= hi:
         raise ValueError(f"down-spin number {n} outside {lo}..{hi} for the "
@@ -54,30 +54,21 @@ def _check_sector(p: XxzParams, n: int):
     dim = comb(p.L, n)
     if dim > SECTOR_DIM_LIMIT:
         raise ValueError(f"sector dimension {dim} is out of reach")
-    # H is still assembled on the full space: the diagonal plus one flip per
-    # antiparallel bond (half the bonds on average), each stored element
-    # counted as a complex128 value and an 8-byte column index
-    full = 2 ** p.L
-    bonds = p.L if p.boundary == "periodic" else p.L - 1
-    gib = full * (1 + bonds / 2) * 24 / 2 ** 30
-    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / 2 ** 30
-    if gib > physical:
-        raise ValueError(f"the full {full}-state space of the {p.L}-site chain needs "
-                         f"about {gib:.2f} GiB for its sparse Hamiltonian, above the "
-                         f"{physical:.2f} GiB of physical memory")
 
 
 def open_chain_spin_level(p: XxzParams, n: int) -> float:
     """E(H_L, S_max - n) for the boundary-field chain via q-Casimir labels.
 
-    The sector also holds one state from every multiplet with S > S_max - n,
-    so the minimum is taken over the states labeled exactly S = S_max - n.
+    H is assembled on the sector M = S_max - n alone.  The sector also holds
+    one state from every multiplet with S > S_max - n, so the minimum is
+    taken over the states labeled exactly S = S_max - n.
     """
     _check_sector(p, n)
     space = SpinSpace((2,) * p.L)
-    H = assemble(xxz(p), space)
-    energies, _, _ = sector_spin_levels(H, suq2_generators(p), space, p.L - 2 * n,
-                                        spin_multiplicities(space))
+    twice_s = p.L - 2 * n
+    H = assemble(xxz(p), magnetization_sector(space, twice_s / 2))
+    energies, _, _ = sector_spin_levels(H, suq2_generators(p), space, twice_s,
+                                        spin_multiplicities(space, twice_s))
     return float(energies[0])
 
 
@@ -115,10 +106,8 @@ def momentum_band(p: XxzParams, n: int) -> np.ndarray:
     if p.boundary != "periodic":
         raise ValueError("momentum resolution needs the periodic chain")
     _check_sector(p, n)
-    space = SpinSpace((2,) * p.L)
-    H = assemble(xxz(p), space)
-    sector = down_spin_sector(space, n)
-    h = restrict(H, sector)
+    sector = down_spin_sector(SpinSpace((2,) * p.L), n)
+    h = restrict(assemble(xxz(p), sector), sector)
     cycles = _translation_cycles(p, sector)
     out = np.empty(p.L)
     for k in range(p.L):

@@ -384,10 +384,12 @@ class SectorCorrelator:
         self.omega = rep.eigenvectors[:, 0]
         self.shifted = self.h - self.e0 * sp.identity(self.h.shape[0], format="csr")
 
-    def propagate(self, w, b: float) -> np.ndarray:
+    def propagate(self, w, b: float, num=1) -> np.ndarray:
         """e^(-b (H - E0)) w by scipy's ``expm_multiply``: a truncated Taylor
         series with scaling (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
-        488 (2011))."""
+        488 (2011)).  With ``num`` > 1, the rows e^(-b' (H - E0)) w at the
+        ``num`` equally spaced b' from 0 to b, from one call that shares the
+        norm estimates and the series length between them."""
         from scipy.sparse.linalg import expm_multiply
 
         # When b ||H - E0||_1 is large, scipy picks the series length from a
@@ -396,19 +398,34 @@ class SectorCorrelator:
         state = np.random.get_state()
         np.random.seed(0)
         try:
-            return expm_multiply(-b * self.shifted, w)
+            if num == 1:
+                return expm_multiply(-b * self.shifted, w)
+            return expm_multiply(-self.shifted, w, start=0.0, stop=b, num=num,
+                                 endpoint=True)
         finally:
             np.random.set_state(state)
+
+    def _centred(self, a_block, b_block):
+        """(A* Omega, B Omega - <B> Omega): the two vectors of
+        <Omega, A e^(-b(H-E0)) B_c Omega> = <A* Omega, e^(-b(H-E0)) B_c Omega>."""
+        omega = self.omega
+        w = b_block @ omega
+        return np.conj(a_block).T @ omega, w - np.vdot(omega, w) * omega
 
     def correlation(self, a_block, b_block, b: float) -> complex:
         """<Omega, A e^(-b(H-E0)) B_c Omega> with B centered in the ground state."""
         if b < 0:
             raise ValueError("imaginary time b must be nonnegative")
-        omega = self.omega
-        w = b_block @ omega
-        w = w - np.vdot(omega, w) * omega
-        a_vec = np.conj(a_block).T @ omega     # A* Omega, so <A Omega| = a_vec^dagger
+        a_vec, w = self._centred(a_block, b_block)
         return complex(np.vdot(a_vec, self.propagate(w, b)))
+
+    def window(self, a_block, b_block, b_max: float, num: int) -> np.ndarray:
+        """``correlation`` at the ``num`` equally spaced b from 0 to b_max, with
+        B centred once and one propagation for all of them."""
+        if b_max < 0:
+            raise ValueError("imaginary time b must be nonnegative")
+        a_vec, w = self._centred(a_block, b_block)
+        return self.propagate(w, b_max, num=num) @ a_vec.conj()
 
 
 @dataclass
@@ -451,7 +468,9 @@ def clustering_report(g: SpinGraph, phi: Interaction, local_op, lam: float,
     levels 2S + 1 times, and returns its eigenvectors; the correlator then
     reuses that ground state instead of solving the sector again.  Any other
     model has every sector solved, and the correlator solves the ground
-    sector itself.
+    sector itself.  The observable blocks are embedded on the ground sector
+    directly, and the n_window + 1 equally spaced b of a pair come from one
+    ``SectorCorrelator.window`` call.
     """
     space = SpinSpace.from_graph(g)
     H = assemble(phi, space)
@@ -480,9 +499,8 @@ def clustering_report(g: SpinGraph, phi: Interaction, local_op, lam: float,
                 by_d[int(d)] = y
         pairs = [(x0, by_d[d]) for d in sorted(by_d)]
 
-    blocks = {}
-    for site in {x for p in pairs for x in p}:
-        blocks[site] = restrict(embed_at(space, [(site, local_op)]), sector, dense=False)
+    blocks = {site: embed_at(sector, [(site, local_op)]).matrix
+              for site in {x for p in pairs for x in p}}
 
     rows = []
     per_distance = {}
@@ -490,9 +508,9 @@ def clustering_report(g: SpinGraph, phi: Interaction, local_op, lam: float,
         d = int(graph_distance(g, x, y))
         bmax = rates.b_max(d)
         bs = [0.0] + [bmax * k / n_window for k in range(1, n_window + 1)]
-        for b in bs:
-            val = abs(corr.correlation(blocks[x], blocks[y], b))
-            rows.append(ClusteringRow(x, y, d, b, val, None, b <= bmax + 1e-15))
+        vals = np.abs(corr.window(blocks[x], blocks[y], bmax, n_window + 1))
+        for b, val in zip(bs, vals):
+            rows.append(ClusteringRow(x, y, d, b, float(val), None, b <= bmax + 1e-15))
         per_distance.setdefault(d, []).extend(rows[-len(bs):])
 
     d_ref = min(per_distance)

@@ -1,15 +1,24 @@
-"""Tensor-product spin Hilbert spaces and sector bases.
+"""Tensor-product spin Hilbert spaces, sector bases, and the one embedding
+kernel that builds operators on either.
 
 Basis states are mixed-radix integers over the site dimensions,
 little-endian in the vertex id (site 0 is the fastest index).  Digit d at
 site x means the S^3 eigenvalue m = s_x - d, i.e. digit 0 is "spin up".
+
+A basis is either the whole ``SpinSpace`` or a ``SectorBasis`` (a sorted
+subset of its states).  ``embed_local``, ``embed_at`` and ``kron_chain``
+build a product of local matrices from any source basis to any target
+basis (default the source) without touching the states outside them, so a
+sector block never needs the full space.  A block touching a sector is
+float64 when every local matrix is real (a full-space operator stays
+complex128), and records the bases it maps between; ``restrict`` takes
+the block between sub-bases of them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -17,6 +26,7 @@ import scipy.sparse as sp
 
 HERMITICITY_TOL = 1e-12
 PRUNE_TOL = 1e-15
+LEAK_TOL = 1e-10
 
 
 class SpinMatrices(NamedTuple):
@@ -46,16 +56,27 @@ def spin_matrices(s) -> SpinMatrices:
 
 
 class SparseOperator:
-    """A sparse matrix on a tensor-product space with a verified Hermitian flag.
+    """A sparse matrix with a verified Hermitian flag.
+
+    ``basis`` is the basis of its columns (a ``SpinSpace`` or a
+    ``SectorBasis``; None when unknown, which ``restrict`` reads as the full
+    space) and ``target`` that of its rows, default ``basis``.  Only an
+    operator between two different bases may be rectangular.  An operator
+    touching a sector keeps float64 or complex128 as given; one on the full
+    space is complex128, the arithmetic of the full-space dynamics.
 
     ``su2_invariant`` is the model's declaration that the operator commutes
     with the total spin (``models.assemble`` carries it over); it is not
     verified here, and sums and products drop it.
     """
 
-    def __init__(self, matrix, hermitian=False, su2_invariant=False):
-        mat = sp.csr_matrix(matrix, dtype=complex)
-        if mat.shape[0] != mat.shape[1]:
+    def __init__(self, matrix, hermitian=False, su2_invariant=False, basis=None,
+                 target=None):
+        full = not isinstance(basis, SectorBasis) and not isinstance(target, SectorBasis)
+        mat = sp.csr_matrix(matrix, dtype=np.complex128 if full else None)
+        if mat.dtype not in (np.float64, np.complex128):
+            mat = mat.astype(np.result_type(mat.dtype, np.float64))
+        if target is None and mat.shape[0] != mat.shape[1]:
             raise ValueError("operator must be square")
         mat.data[np.abs(mat.data) < PRUNE_TOL] = 0.0
         mat.eliminate_zeros()
@@ -68,6 +89,8 @@ class SparseOperator:
         self.matrix = mat
         self.hermitian = bool(hermitian)
         self.su2_invariant = bool(su2_invariant)
+        self.basis = basis
+        self.target = basis if target is None else target
 
     @property
     def dim(self) -> int:
@@ -79,11 +102,12 @@ class SparseOperator:
     def __add__(self, other):
         herm = self.hermitian and getattr(other, "hermitian", False)
         mat = self.matrix + (other.matrix if isinstance(other, SparseOperator) else other)
-        return SparseOperator(mat, hermitian=herm)
+        return SparseOperator(mat, hermitian=herm, basis=self.basis, target=self.target)
 
     def __matmul__(self, other):
         mat = self.matrix @ (other.matrix if isinstance(other, SparseOperator) else other)
-        return SparseOperator(mat, hermitian=False)
+        return SparseOperator(mat, hermitian=False, basis=getattr(other, "basis", None),
+                              target=self.target)
 
     def __repr__(self):
         return f"SparseOperator(dim={self.dim}, nnz={self.matrix.nnz}, hermitian={self.hermitian})"
@@ -178,6 +202,20 @@ class SectorBasis:
     def dim(self) -> int:
         return self.states.size
 
+    # A sector stands wherever a space does as the basis of an operator.
+    @property
+    def site_dims(self) -> tuple:
+        return self.parent.site_dims
+
+    @property
+    def n_sites(self) -> int:
+        return self.parent.n_sites
+
+    @property
+    def total_dim(self) -> int:
+        """The number of basis states, as ``SpinSpace.total_dim`` is for the space."""
+        return self.dim
+
 
 def _digit_twice_m(space: SpinSpace):
     """Per site, the array of 2m values indexed by digit."""
@@ -225,42 +263,78 @@ def down_spin_sector(space: SpinSpace, n) -> SectorBasis:
     return SectorBasis(space, ("n", int(n)), basis.states)
 
 
-def _embed(space: SpinSpace, factors) -> SparseOperator:
-    """Product of local matrices on disjoint sites, identity elsewhere.
+def _states(basis):
+    """(space, states) of a basis; states is None for the whole space."""
+    if isinstance(basis, SectorBasis):
+        return basis.parent, basis.states
+    return basis, None
+
+
+def _leak_error(label, leak, state, col):
+    return ValueError(f"operator leaks out of sector {label}: |element| = {leak:.3e} "
+                      f"at state {state}, sector-col {col}")
+
+
+def _embed(basis, factors, target=None) -> SparseOperator:
+    """Product of local matrices on disjoint sites, identity elsewhere, from
+    ``basis`` (columns) to ``target`` (rows, default ``basis``); either is a
+    ``SpinSpace`` or a ``SectorBasis``.
 
     ``factors`` lists (sorted sites, matrix on their little-endian tensor
-    product).  The row and column offsets of each factor's nonzeros, and the
-    diagonal offsets of each run of free sites, are summed by broadcasting
-    into one COO array, converted once to CSR.  Values are multiplied in
-    ascending site order, as a chain of Kronecker products would.
+    product).  Factor by factor, the digits of every current state on the
+    factor's sites give its local column; the state is repeated once per
+    nonzero of that column and its digits replaced by the row's.  Values
+    are multiplied in ascending site order, as a chain of Kronecker products
+    would.  The final states are found in ``target`` by ``np.searchsorted``;
+    an element above LEAK_TOL that leaves it raises ``ValueError``.  A
+    block touching a sector is float64 when every factor is real.
     """
+    target = basis if target is None else target
+    space, new = _states(basis)
     dims, strides = space.site_dims, space.strides
-    rows = cols = np.zeros(1, dtype=np.int64)
-    data = np.ones(1, dtype=complex)
+    cols = np.arange(basis.total_dim)
+    new = cols if new is None else new
+    data = np.ones(cols.size)
     for sites, mat in sorted(factors, key=lambda f: f[0]):
+        mat = np.asarray(mat)
+        if np.iscomplexobj(mat) and not mat.imag.any():
+            mat = mat.real
         off = np.zeros(1, dtype=np.int64)
+        loc = np.zeros(new.size, dtype=np.int64)
         for x in sites:
+            loc += new // strides[x] % dims[x] * off.size
             off = (off[:, None] + np.arange(dims[x]) * strides[x]).ravel(order="F")
-        mat = np.asarray(mat, dtype=complex)
-        r, c = np.nonzero(mat)
-        rows = (off[r][:, None] + rows).ravel()
-        cols = (off[c][:, None] + cols).ravel()
-        data = (mat[r, c][:, None] * data).ravel()
-    covered = {x for sites, _ in factors for x in sites}
-    for free, run in groupby(range(space.n_sites), lambda x: x not in covered):
-        if free:
-            run = list(run)
-            off = np.arange(math.prod(dims[run[0]:run[-1] + 1])) * strides[run[0]]
-            rows = (off[:, None] + rows).ravel()
-            cols = (off[:, None] + cols).ravel()
-            data = np.tile(data, off.size)
-    n = space.total_dim
-    return SparseOperator(sp.coo_matrix((data, (rows, cols)), shape=(n, n)))
+        c, r = np.nonzero(mat.T)            # by column, rows ascending within it
+        vals = mat[r, c]
+        counts = np.bincount(c, minlength=off.size)
+        n_out = counts[loc]
+        pick = np.repeat(np.arange(new.size), n_out)
+        entry = (np.cumsum(counts) - counts)[loc][pick] + np.arange(pick.size) \
+            - np.repeat(np.cumsum(n_out) - n_out, n_out)
+        new = new[pick] + off[r[entry]] - off[loc[pick]]
+        data = vals[entry] * data[pick]
+        cols = cols[pick]
+    _, inside = _states(target)
+    if inside is None:
+        rows = new
+    else:
+        rows = np.minimum(np.searchsorted(inside, new), inside.size - 1)
+        hit = inside[rows] == new
+        if not hit.all():
+            leak = np.abs(data[~hit])
+            k = int(np.argmax(leak))
+            if leak[k] > LEAK_TOL:
+                raise _leak_error(target.label, leak[k], new[~hit][k], cols[~hit][k])
+            rows, cols, data = rows[hit], cols[hit], data[hit]
+    shape = (target.total_dim, basis.total_dim)
+    return SparseOperator(sp.coo_matrix((data, (rows, cols)), shape=shape), basis=basis,
+                          target=None if target is basis else target)
 
 
-def kron_chain(space: SpinSpace, site_ops: dict) -> SparseOperator:
+def kron_chain(space, site_ops: dict, target=None) -> SparseOperator:
     """Kronecker product over all sites; ``site_ops`` maps site -> local matrix,
-    identity elsewhere.  Little-endian: site 0 is the innermost factor."""
+    identity elsewhere.  Little-endian: site 0 is the innermost factor.
+    ``space`` and ``target`` are bases as in ``_embed``."""
     dims = space.site_dims
     for x, m in site_ops.items():
         if not 0 <= x < space.n_sites:
@@ -269,11 +343,12 @@ def kron_chain(space: SpinSpace, site_ops: dict) -> SparseOperator:
         if m.shape != (dims[x], dims[x]):
             raise ValueError(f"matrix at site {x} has shape {m.shape}, "
                              f"expected square of dim {dims[x]}")
-    return _embed(space, [((x,), m) for x, m in site_ops.items()])
+    return _embed(space, [((x,), m) for x, m in site_ops.items()], target)
 
 
-def embed_at(space: SpinSpace, ops) -> SparseOperator:
-    """Embed single-site matrices at distinct sites (identity elsewhere).
+def embed_at(space, ops, target=None) -> SparseOperator:
+    """Embed single-site matrices at distinct sites (identity elsewhere), from
+    the basis ``space`` to ``target`` (default ``space``).
 
     ``ops`` is a list of (vertex, matrix); supports mixed products with a
     different matrix on many sites, as needed by twisted symmetry sums.
@@ -281,46 +356,62 @@ def embed_at(space: SpinSpace, ops) -> SparseOperator:
     sites = [x for x, _ in ops]
     if len(set(sites)) != len(sites):
         raise ValueError("embedding sites must be distinct")
-    return kron_chain(space, {x: m for x, m in ops})
+    return kron_chain(space, {x: m for x, m in ops}, target)
 
 
-def embed_local(space: SpinSpace, support, matrix) -> SparseOperator:
+def embed_local(space, support, matrix, target=None) -> SparseOperator:
     """Embed a multi-site local matrix given on the tensor product of the
-    (sorted) support sites, little-endian within the support."""
+    (sorted) support sites, little-endian within the support, from the basis
+    ``space`` to ``target`` (default ``space``)."""
     support = tuple(sorted(set(support)))
     if not support:
         raise ValueError("empty support")
     sub_dim = math.prod(space.site_dims[x] for x in support)
-    matrix = np.asarray(matrix, dtype=complex)
+    matrix = np.asarray(matrix)
     if matrix.shape != (sub_dim, sub_dim):
         raise ValueError(f"local matrix has shape {matrix.shape}, "
                          f"expected dim {sub_dim} for support {support}")
-    return _embed(space, [(support, matrix)])
+    return _embed(space, [(support, matrix)], target)
 
 
-def restrict(op: SparseOperator, sector: SectorBasis, leak_tol=1e-10, dense=True,
+def _positions(basis, sub: SectorBasis):
+    """Positions of the states of ``sub`` in ``basis`` (a space, None for the
+    full space, or a sector), or None when ``sub`` is all of ``basis``."""
+    if not isinstance(basis, SectorBasis):
+        return sub.states
+    if basis is sub or np.array_equal(basis.states, sub.states):
+        return None
+    pos = np.minimum(np.searchsorted(basis.states, sub.states), basis.dim - 1)
+    if not np.array_equal(basis.states[pos], sub.states):
+        raise ValueError(f"sector {sub.label} is not part of the operator's "
+                         f"basis {basis.label}")
+    return pos
+
+
+def restrict(op: SparseOperator, sector: SectorBasis, leak_tol=LEAK_TOL, dense=True,
              target=None):
     """Block of ``op`` from ``sector`` (columns) to ``target`` (rows, default
-    ``sector``); errors if matrix elements leak out of ``target``.
+    ``sector``), each part of the basis the operator has on that side;
+    errors if matrix elements leak out of ``target``.  On an operator built
+    on exactly these bases it is a plain conversion.
 
     Returns a dense array by default (sector blocks are the dense workhorse),
     float64 when the block has no imaginary part.
     """
     target = sector if target is None else target
-    cols = op.matrix[:, sector.states]      # gathered from CSR: no full-matrix copy
-    mask = np.zeros(op.dim, dtype=bool)
-    mask[target.states] = True
-    outside = cols[~mask, :]
-    if outside.nnz:
-        leak = abs(outside).max()
-        if leak > leak_tol:
-            coo = abs(outside).tocoo()
-            k = int(np.argmax(coo.data))
-            raise ValueError(
-                f"operator leaks out of sector {target.label}: "
-                f"|element| = {leak:.3e} at outside-row {coo.row[k]}, sector-col {coo.col[k]}"
-            )
-    block = cols[mask, :]
-    if not np.any(block.data.imag):
+    cols, rows = _positions(op.basis, sector), _positions(op.target, target)
+    block = op.matrix if cols is None else op.matrix[:, cols]
+    if rows is not None:
+        mask = np.zeros(block.shape[0], dtype=bool)
+        mask[rows] = True
+        outside = abs(block[~mask, :]).tocoo()
+        if outside.nnz and outside.data.max() > leak_tol:
+            k = int(np.argmax(outside.data))
+            row = np.flatnonzero(~mask)[outside.row[k]]
+            _, states = _states(op.target)
+            raise _leak_error(target.label, outside.data[k],
+                              row if states is None else states[row], outside.col[k])
+        block = block[mask, :]
+    if np.iscomplexobj(block.data) and not block.data.imag.any():
         block = block.real
     return block.toarray() if dense else sp.csr_matrix(block)

@@ -1,5 +1,9 @@
 """Interactions (sets of local Hermitian terms) and assembled Hamiltonians.
 
+``assemble(phi, basis)`` builds H on the full space or straight on one
+sector, term by term through the embedding kernel of ``hilbert``, so a
+sector block never needs the 2^L (or d^L) states around it.
+
 Sign conventions follow the ferromagnetic normalization: the Heisenberg
 bond is -J S.S with J > 0 ferromagnetic, the XXZ bond carries its -1/4
 shift and the AKLT bond its +1/3 shift so that spectra sit exactly where
@@ -12,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .lattice import SpinGraph, diameter, is_connected
 from .hilbert import SpinSpace, SparseOperator, spin_matrices, embed_local
@@ -175,20 +180,20 @@ def lambda_norm(phi: Interaction, lam: float, g: SpinGraph) -> float:
     return max(per_vertex) if per_vertex else 0.0
 
 
-def assemble(phi: Interaction, space: SpinSpace) -> SparseOperator:
-    """Hermitian sum of embedded terms, reduced in canonical term order so the
-    result is bit-identical regardless of input term order.  The operator
-    carries the interaction's ``su2_invariant`` declaration."""
+def assemble(phi: Interaction, space) -> SparseOperator:
+    """Hermitian sum of embedded terms on the basis ``space`` (a ``SpinSpace``
+    or a ``SectorBasis``), reduced in canonical term order so the result is
+    bit-identical regardless of input term order, and the block on a sector
+    equals that sector's block of the full-space sum entry for entry.  A
+    sector block is float64 when every term is real; a term that does not conserve a sector
+    raises the leak ``ValueError``.  The operator carries the interaction's
+    ``su2_invariant`` declaration."""
     for support, _ in phi.terms:
         if any(not 0 <= x < space.n_sites for x in support):
             raise ValueError(f"term support {support} outside the space")
     ordered = sorted(phi.terms, key=lambda t: (t[0], t[1].tobytes()))
-    total = None
+    total = sp.csr_matrix((space.total_dim, space.total_dim))
     for support, mat in ordered:
-        emb = embed_local(space, support, mat).matrix
-        total = emb if total is None else total + emb
-    if total is None:
-        import scipy.sparse as sp
-        total = sp.csr_matrix((space.total_dim, space.total_dim), dtype=complex)
-    return SparseOperator(total, hermitian=True,
+        total = total + embed_local(space, support, mat).matrix
+    return SparseOperator(total, hermitian=True, basis=space,
                           su2_invariant=phi.params.get("su2_invariant", False))

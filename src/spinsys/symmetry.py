@@ -2,9 +2,14 @@
 Casimirs, and the classification of eigenstates by total spin.
 
 A ladder (``su2_totals`` or ``suq2_generators``) is the one description of
-its algebra: it carries the S+/S- totals, ``casimir_shift`` (the Casimir is
-S+ S- plus this on a sector), ``casimir_value`` (the Casimir on a spin-S
-multiplet) and ``hermitian_casimir`` (whether the Casimir is Hermitian).
+its algebra: ``plus(source, target)`` and ``minus(source, target)`` build
+the block of the S+/S- total between any two bases (the sum over x of one
+``embed_at`` product per site, so only the sectors involved are touched;
+no full-space ladder is formed unless both bases are the space; the SU(2)
+S- block is the transpose of an S+ block),
+``casimir_shift`` (the Casimir is S+ S- plus this on a sector),
+``casimir_value`` (the Casimir on a spin-S multiplet) and
+``hermitian_casimir`` (whether the Casimir is Hermitian).
 Both algebras are labelled by one function, ``sector_spin_levels``: every
 multiplet of total spin S contributes exactly one vector to the sector
 M = S, so labelling that sector's eigenvectors by the Casimir gives the
@@ -48,11 +53,34 @@ class ClassificationError(RuntimeError):
     pass
 
 
+def _ladder_block(terms, source, target) -> SparseOperator:
+    """sum over the factor lists ``terms`` of embed_at(source, factors,
+    target=target): one ladder total between two bases."""
+    total = sp.csr_matrix((target.total_dim, source.total_dim))
+    for factors in terms:
+        total = total + embed_at(source, factors, target=target).matrix
+    return SparseOperator(total, basis=source, target=target)
+
+
 class TotalSpinOps(NamedTuple):
-    plus: SparseOperator
-    minus: SparseOperator
+    """The SU(2) ladder totals S+ = sum_x S+_x and S- = (S+)^H on ``space``,
+    built as blocks between two bases on demand."""
+
+    space: SpinSpace
 
     hermitian_casimir = True
+
+    def plus(self, source, target) -> SparseOperator:
+        """The block of S+ from the basis ``source`` to ``target``."""
+        return _ladder_block([[(x, spin_matrices(self.space.spin_at(x)).plus)]
+                              for x in range(self.space.n_sites)], source, target)
+
+    def minus(self, source, target) -> SparseOperator:
+        """The block of S- from the basis ``source`` to ``target``: S+ is real
+        and no two sites share a matrix element, so S- is S+ transposed, bit
+        for bit."""
+        return SparseOperator(self.plus(target, source).matrix.T, basis=source,
+                              target=target)
 
     def casimir_shift(self, twice_m):
         """S.S = S+ S- + M(M - 1) on the sector M."""
@@ -66,20 +94,32 @@ class TotalSpinOps(NamedTuple):
 
 
 def su2_totals(space: SpinSpace) -> TotalSpinOps:
-    """The ladder totals S+ = sum_x S+_x and S- = (S+)^H.  S+ is real and no
-    two sites share a matrix element, so S- is S+ transposed, bit for bit."""
-    plus = sum(embed_at(space, [(x, spin_matrices(space.spin_at(x)).plus)]).matrix
-               for x in range(space.n_sites))
-    return TotalSpinOps(SparseOperator(plus), SparseOperator(plus.T))
+    """The SU(2) ladder of ``space``."""
+    return TotalSpinOps(space)
 
 
 class SuqOps(NamedTuple):
-    plus: SparseOperator
-    minus: SparseOperator
-    t_total: SparseOperator
+    """Twisted SU_q(2) ladder totals on the L-site spin-1/2 chain, built as
+    blocks between two bases on demand (see ``suq2_generators``)."""
+
+    L: int
     q: float
 
     hermitian_casimir = False
+
+    def plus(self, source, target) -> SparseOperator:
+        """The block of S+ = sum_x S+_x t_(x+1) ... t_L from ``source`` to ``target``."""
+        t = np.diag([1 / self.q, self.q])
+        return _ladder_block([[(x, spin_matrices(0.5).plus)]
+                              + [(y, t) for y in range(x + 1, self.L)]
+                              for x in range(self.L)], source, target)
+
+    def minus(self, source, target) -> SparseOperator:
+        """The block of S- = sum_x t_1^-1 ... t_(x-1)^-1 S-_x from ``source`` to ``target``."""
+        t_inv = np.diag([self.q, 1 / self.q])
+        return _ladder_block([[(y, t_inv) for y in range(x)]
+                              + [(x, spin_matrices(0.5).minus)]
+                              for x in range(self.L)], source, target)
 
     def casimir_shift(self, twice_m):
         """((qT)^-1 + qT) / (1/q - q)^2 on the sector M, where T = q^(-2M):
@@ -94,38 +134,27 @@ class SuqOps(NamedTuple):
 
 
 def suq2_generators(p: XxzParams) -> SuqOps:
-    """Twisted SU_q(2) ladder totals on the spin-1/2 chain.
+    """Twisted SU_q(2) ladder of the spin-1/2 chain.
 
     S+ carries the t = diag(1/q, q) tail on the sites after the raising
     site and S- the inverse tail before the lowering site; this is the
     spatial mirror of the more common left-tail convention and is the
     chirality that commutes with the boundary field -A(S3_L - S3_1).
-    T is the product of all t_x.  The q-Casimir S+ S- + ((qT)^-1 + qT) /
-    (1/q - q)^2 (see ``sector_casimir``) and the commutator relation
-    [S+, S-] = (q^(2 S3) - q^(-2 S3)) / (q - 1/q) are unchanged.
+    The tails are ordinary diagonal factors of each term's product.  With
+    T = q^(-2 S3) the product of all t_x, the q-Casimir is S+ S- +
+    ((qT)^-1 + qT) / (1/q - q)^2 (see ``sector_casimir``), and
+    [S+, S-] = (q^(2 S3) - q^(-2 S3)) / (q - 1/q).
     """
     if not (0 < p.q < 1):
         raise ValueError(f"q must lie in (0,1), got {p.q}")
-    L = p.L
-    space = SpinSpace((2,) * L)
-    s = spin_matrices(0.5)
-    t = np.diag([1 / p.q, p.q])
-    t_inv = np.diag([p.q, 1 / p.q])
-    plus = sum(embed_at(space, [(x, s.plus)] + [(y, t) for y in range(x + 1, L)]).matrix
-               for x in range(L))
-    minus = sum(embed_at(space, [(y, t_inv) for y in range(x)] + [(x, s.minus)]).matrix
-                for x in range(L))
-    t_total = embed_at(space, [(x, t) for x in range(L)]).matrix
-    return SuqOps(SparseOperator(plus), SparseOperator(minus),
-                  SparseOperator(t_total, hermitian=True), p.q)
+    return SuqOps(p.L, p.q)
 
 
 def _casimir_factors(ladder, sector):
     """The rectangular ladder blocks S+|(M-1 -> M) and S-|(M -> M-1) of the
     Casimir on ``sector`` (M above the lowest sector); see ``sector_casimir``."""
     below = magnetization_sector(sector.parent, sector.label[1] - 1)
-    return (restrict(ladder.plus, below, dense=False, target=sector),
-            restrict(ladder.minus, sector, dense=False, target=below))
+    return ladder.plus(below, sector).matrix, ladder.minus(sector, below).matrix
 
 
 def _sparse_casimir(ladder, space: SpinSpace, twice_m: int):
@@ -146,18 +175,19 @@ def sector_casimir(ladder, space: SpinSpace, twice_m: int) -> np.ndarray:
     return _sparse_casimir(ladder, space, twice_m).toarray()
 
 
-def spin_multiplicities(space: SpinSpace) -> dict:
-    """2S -> number of spin-S multiplets, from magnetization sector dimensions.
+def spin_multiplicities(space: SpinSpace, lowest=0) -> dict:
+    """2S -> number of spin-S multiplets, from magnetization sector dimensions,
+    for every 2S >= ``lowest`` (only the sectors M >= lowest / 2 are built).
 
     The grid is derived from the data (dim(M=S) - dim(M=S+1)), not from a
     closed formula, so mixed spin magnitudes are handled uniformly.
     """
     tmax = space.twice_m_total_max()
     dims = {}
-    for twice_m in range(tmax, -1, -2):
+    for twice_m in range(tmax, lowest - 1, -2):
         dims[twice_m] = magnetization_sector(space, twice_m / 2).dim
     mult = {}
-    for twice_s in range(tmax % 2, tmax + 1, 2):
+    for twice_s in sorted(dims):
         d_here = dims[twice_s]
         d_above = dims.get(twice_s + 2, 0)
         m = d_here - d_above
@@ -320,13 +350,12 @@ def su2_sweep_lowest(H, space: SpinSpace, k=4, threads=1):
             sectors[t] = magnetization_sector(space, t / 2)
 
     ladder = su2_totals(space)
-    ups = {t: restrict(ladder.plus, sectors[t], dense=False, target=sectors[t + 2])
+    ups = {t: ladder.plus(sectors[t], sectors[t + 2]).matrix
            for t in sectors if t + 2 in sectors}
     # C_M0 is applied to M0's eigenvectors as up (down V) + shift V, unformed
     up_c, down_c = _casimir_factors(ladder, sectors[low])
     shift = ladder.casimir_shift(low)
     candidates = {t: ladder.casimir_value(t) for t in range(low, tmax + 1, 2)}
-    del ladder                  # the full-space ladders are not needed past here
     blocks = {t: restrict(H, sec, dense=False) for t, sec in sectors.items()}
     largest = {t: np.abs(b.data).max(initial=1.0) for t, b in blocks.items()}
     for t, up in sorted(ups.items()):

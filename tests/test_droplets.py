@@ -1,5 +1,9 @@
+from math import comb
+
 import numpy as np
 import pytest
+
+import spinsys.hilbert
 
 from spinsys import (SpinSpace, XxzParams, assemble, bandwidth_formula,
                      compare_band_width, convergence_table, down_spin_sector,
@@ -120,13 +124,29 @@ def test_sector_dimension_guard():
         open_chain_spin_level(XxzParams.from_q(60, 0.5), 8)
 
 
-def test_full_space_guard():
-    # the one-down-spin sectors of 40 sites hold 40 states, but H is still
-    # assembled on the full 2^40-state space: both passes refuse first
-    with pytest.raises(ValueError, match="1099511627776-state space .* GiB"):
-        momentum_band(XxzParams.from_q(40, 0.5, boundary="periodic"), 1)
-    with pytest.raises(ValueError, match="1099511627776-state space .* GiB"):
-        open_chain_spin_level(XxzParams.from_q(40, 0.5), 1)
+def test_one_magnon_sectors_at_L40():
+    # the one-down-spin sectors of 40 sites hold 40 (and, below the open
+    # chain's, 780) states; H and the ladders are built on them alone
+    p = XxzParams.from_q(40, 0.5, boundary="periodic")
+    mb = np.sort(momentum_band(p, 1))
+    assert np.abs(mb - one_magnon_dispersion(p)).max() < 1e-12
+    e_open = open_chain_spin_level(XxzParams.from_q(40, 0.5), 1)
+    assert abs(e_open - droplet_energy_formula(0.5, 1)) < 2e-2
+
+
+def test_droplet_campaign_builds_nothing_beyond_its_sectors(monkeypatch):
+    # every embedding of a droplet table (H, both ladders) stays on sectors:
+    # the largest is the open chain's n + 1 = 4 sector at L = 12, C(12, 4)
+    seen = []
+    embed = spinsys.hilbert._embed
+
+    def spy(basis, factors, target=None):
+        seen.append(max(basis.total_dim, (basis if target is None else target).total_dim))
+        return embed(basis, factors, target)
+
+    monkeypatch.setattr(spinsys.hilbert, "_embed", spy)
+    convergence_table(0.5, 3, [8, 10, 12])
+    assert seen and max(seen) == comb(12, 4) == 495
 
 
 def test_down_spin_range_guard():

@@ -281,6 +281,21 @@ def test_sector_propagation_matches_dense_on_aklt_ring():
         assert_allclose(corr.propagate(w, b), expect, atol=1e-12)
 
 
+@pytest.mark.parametrize("b_max", [0.7, 40.0])
+def test_correlation_window_matches_per_b_path(b_max):
+    h_block, b_block = aklt_ring_block()
+    corr = SectorCorrelator(h_block)
+    sector = magnetization_sector(SpinSpace((3,) * 8), 0.0)
+    a_block = embed_at(sector, [(0, np.asarray(spin_matrices(1.0).s3))]).matrix
+    rows = corr.window(a_block, b_block, b_max, 5)
+    per_b = [corr.correlation(a_block, b_block, b_max * k / 4) for k in range(5)]
+    assert rows.shape == (5,)
+    assert_allclose(rows, per_b, rtol=0, atol=1e-12)
+    state = np.random.get_state()[1].copy()
+    corr.window(a_block, b_block, b_max, 5)
+    assert np.array_equal(np.random.get_state()[1], state)
+
+
 def test_sector_propagation_ignores_global_random_state():
     # at b ||H - E0||_1 this large scipy estimates 1-norms from random vectors
     h_block, b_block = aklt_ring_block()

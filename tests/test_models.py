@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spinsys import (SpinSpace, XxzParams, aklt, assemble, custom, heisenberg,
-                     lambda_norm, path_graph, ring_graph, spin_matrices, star_graph, xxz)
+from spinsys import (SpinSpace, XxzParams, aklt, assemble, build_graph, custom, heisenberg,
+                     lambda_norm, magnetization_sector, path_graph, restrict, ring_graph,
+                     spin_matrices, star_graph, xxz)
 from spinsys.models import _two_site_dot
+from spinsys.ssep import ssep_spin_interaction
 from spinsys.symmetry import lieb_mattis_hamiltonian
 
 
@@ -131,3 +133,77 @@ def test_xxz_delta_checks_name_delta(delta):
         XxzParams.from_delta(4, delta)
     with pytest.raises(ValueError, match="Delta"):
         XxzParams(L=4, Delta=delta, q=0.5)
+
+
+def _szsz_ring(L):
+    """The S3 S3 ring perturbation of the ``perturb`` campaign (spin 1)."""
+    s3 = np.asarray(spin_matrices(1.0).s3)
+    return custom([((x, (x + 1) % L), np.kron(s3, s3)) for x in range(L)])
+
+
+def _mixed_chain():
+    g = build_graph(5, [(0, 1, 1.0), (1, 2, 0.7), (2, 3, 1.3), (3, 4, 0.9), (4, 0, 0.4)],
+                    spins={0: 0.5, 1: 1.0, 2: 0.5, 3: 1.5, 4: 0.5})
+    return heisenberg(g), SpinSpace.from_graph(g)
+
+
+BUILDER_CASES = {
+    "heisenberg_spin_half_chain": lambda: (heisenberg(path_graph(7)), SpinSpace((2,) * 7)),
+    "heisenberg_spin1_chain": lambda: (heisenberg(path_graph(5, spin=1.0)), SpinSpace((3,) * 5)),
+    "aklt_open": lambda: (aklt(5), SpinSpace((3,) * 5)),
+    "aklt_ring": lambda: (aklt(5, periodic=True), SpinSpace((3,) * 5)),
+    "xxz_open": lambda: (xxz(XxzParams.from_q(8, 0.4)), SpinSpace((2,) * 8)),
+    "xxz_periodic": lambda: (xxz(XxzParams.from_q(8, 0.4, boundary="periodic")),
+                             SpinSpace((2,) * 8)),
+    "lieb_mattis_star": lambda: (lieb_mattis_hamiltonian(star_graph(5), [0], range(1, 6)),
+                                 SpinSpace((2,) * 6)),
+    "lieb_mattis_star_spin1": lambda: (
+        lieb_mattis_hamiltonian(star_graph(4, spin=1.0), [0], range(1, 5)), SpinSpace((3,) * 5)),
+    "lieb_mattis_ring_intra": lambda: (
+        lieb_mattis_hamiltonian(ring_graph(6), [0, 2, 4], [1, 3, 5],
+                                intra_a=[(0, 2, 0.5)], intra_b=[(1, 5, 0.3)]),
+        SpinSpace((2,) * 6)),
+    "ssep_spin_interaction": lambda: (
+        ssep_spin_interaction(build_graph(6, [(0, 1, 1.0), (1, 2, 0.5), (2, 3, 2.0),
+                                              (3, 4, 1.0), (4, 5, 0.7), (5, 0, 1.5), (1, 4, 0.3)])),
+        SpinSpace((2,) * 6)),
+    "aklt_plus_szsz": lambda: (aklt(5, periodic=True) + _szsz_ring(5).scaled(0.07),
+                               SpinSpace((3,) * 5)),
+    "mixed_spins": _mixed_chain,
+}
+
+
+@pytest.mark.parametrize("case", BUILDER_CASES.values(), ids=BUILDER_CASES.keys())
+def test_sector_assembly_matches_restricted_full_space(case):
+    # oracle: the block of the full-space H on each sector, gathered by restrict
+    phi, space = case()
+    H = assemble(phi, space)
+    for M in space.magnetization_values():
+        sector = magnetization_sector(space, M)
+        block = assemble(phi, sector)
+        assert block.basis is sector and block.matrix.dtype == np.float64
+        ref = restrict(H, sector)
+        assert ref.dtype == np.float64
+        assert_allclose(block.toarray(), ref, rtol=0,
+                        atol=1e-12 * max(1.0, np.abs(ref).max()))
+        # on the operator built for it, restrict is a plain conversion
+        assert np.array_equal(restrict(block, sector), block.toarray())
+
+
+def test_real_terms_give_float64_and_complex_terms_complex128():
+    space = SpinSpace((2,) * 3)
+    assert assemble(heisenberg(path_graph(3)), space).matrix.dtype == np.complex128
+    sector = magnetization_sector(space, 0.5)
+    assert assemble(heisenberg(path_graph(3)), sector).matrix.dtype == np.float64
+    s = spin_matrices(0.5)
+    dm = custom([((0, 1), 0.3j * (np.kron(s.plus, s.minus) - np.kron(s.minus, s.plus)))])
+    H = assemble(dm, magnetization_sector(space, 0.5))
+    assert H.matrix.dtype == np.complex128 and np.abs(H.matrix.data.imag).max() > 0
+
+
+def test_sector_breaking_term_is_refused():
+    # a transverse S1 field does not conserve M: its sector block leaks
+    s1 = np.asarray(spin_matrices(0.5).s1)
+    phi = heisenberg(path_graph(4)) + custom([((2,), 0.1 * s1)])
+    with pytest.raises(ValueError, match="leaks out of sector"):
+        assemble(phi, magnetization_sector(SpinSpace((2,) * 4), 0.0))

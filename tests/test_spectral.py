@@ -229,11 +229,14 @@ def test_wrong_declaration_fails_the_commutator_check():
 def test_wrong_declaration_fails_the_nesting_check(monkeypatch):
     # with a zero ladder the commutator check sees nothing; the spectra of
     # the dense top sectors still refuse the declaration
-    def blind_ladder(space):
-        zero = SparseOperator(sps.csr_matrix((space.total_dim,) * 2))
-        return TotalSpinOps(zero, zero)
+    class BlindLadder(TotalSpinOps):
+        def plus(self, source, target):
+            return SparseOperator(sps.csr_matrix((target.total_dim, source.total_dim)),
+                                  basis=source, target=target)
 
-    monkeypatch.setattr(spinsys.symmetry, "su2_totals", blind_ladder)
+        minus = plus
+
+    monkeypatch.setattr(spinsys.symmetry, "su2_totals", BlindLadder)
     space = SpinSpace((3,) * 6)
     phi = aklt(6, periodic=True) + szsz_ring(6).scaled(0.05)
     phi.params["su2_invariant"] = True

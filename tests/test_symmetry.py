@@ -35,12 +35,19 @@ def assert_sector_casimirs_match(ladder, space, c_full):
         assert_allclose(c, ref, rtol=0, atol=1e-12 * max(1.0, np.abs(ref).max()))
 
 
+def suq_total_t(ops):
+    """The full-space T, the product of t = diag(1/q, q) over the sites."""
+    space = SpinSpace((2,) * ops.L)
+    return embed_at(space, [(x, np.diag([1 / ops.q, ops.q])) for x in range(ops.L)]).matrix
+
+
 def suq_casimir_oracle(ops):
     """The full-space q-Casimir S+ S- + ((qT)^-1 + qT) / (1/q - q)^2."""
     q = ops.q
-    t = ops.t_total.matrix.diagonal()
+    space = SpinSpace((2,) * ops.L)
+    t = suq_total_t(ops).diagonal()
     t_terms = sps.diags((1 / (q * t) + q * t) / (1 / q - q) ** 2)
-    return ops.plus.matrix @ ops.minus.matrix + t_terms
+    return ops.plus(space, space).matrix @ ops.minus(space, space).matrix + t_terms
 
 
 def test_su2_totals_algebra():
@@ -49,9 +56,37 @@ def test_su2_totals_algebra():
         t = su2_totals(space)
         s1, s2, s3 = (sum(embed_at(space, [(x, spin_matrices(space.spin_at(x))[i])]).matrix
                           for x in range(space.n_sites)) for i in range(3))
-        assert_allclose(t.plus.toarray(), (s1 + 1j * s2).toarray(), atol=1e-15)
-        assert_allclose(t.minus.toarray(), (s1 - 1j * s2).toarray(), atol=1e-15)
+        assert_allclose(t.plus(space, space).toarray(), (s1 + 1j * s2).toarray(), atol=1e-15)
+        assert_allclose(t.minus(space, space).toarray(), (s1 - 1j * s2).toarray(), atol=1e-15)
         assert_sector_casimirs_match(t, space, s1 @ s1 + s2 @ s2 + s3 @ s3)
+
+
+@pytest.mark.parametrize("ladder,space", [
+    (su2_totals(SpinSpace((2, 3, 2, 4, 2))), SpinSpace((2, 3, 2, 4, 2))),
+    (su2_totals(SpinSpace((3,) * 5)), SpinSpace((3,) * 5)),
+    (suq2_generators(XxzParams.from_q(7, 0.3)), SpinSpace((2,) * 7))],
+    ids=["su2_mixed", "su2_spin1", "suq_L7"])
+def test_ladder_blocks_match_restricted_full_space_ladders(ladder, space):
+    plus, minus = ladder.plus(space, space), ladder.minus(space, space)
+    values = space.magnetization_values()
+    for upper, lower in zip(values, values[1:]):
+        sector, below = (magnetization_sector(space, M) for M in (upper, lower))
+        for block, full, src, dst in ((ladder.plus(below, sector), plus, below, sector),
+                                      (ladder.minus(sector, below), minus, sector, below)):
+            ref = restrict(full, src, target=dst)
+            assert block.matrix.dtype == np.float64
+            assert block.matrix.shape == (dst.dim, src.dim)
+            assert_allclose(block.toarray(), ref, rtol=0,
+                            atol=1e-14 * max(1.0, np.abs(ref).max()))
+            assert np.array_equal(restrict(block, src, target=dst), block.toarray())
+
+
+def test_spin_multiplicities_from_a_lowest_spin():
+    space = SpinSpace((2, 3, 2, 4, 2))
+    mult = spin_multiplicities(space)
+    for lowest in range(space.twice_m_total_max() % 2, space.twice_m_total_max() + 1, 2):
+        assert spin_multiplicities(space, lowest) == {t: m for t, m in mult.items()
+                                                      if t >= lowest}
 
 
 def test_spin_multiplicities_spin_half_chain():
@@ -126,7 +161,7 @@ def test_suq_generators_commute_with_hamiltonian():
     ops = suq2_generators(p)
     h = H.toarray()
     for name, op in (("plus", ops.plus), ("minus", ops.minus)):
-        m = op.matrix.toarray()
+        m = op(space, space).toarray()
         assert np.abs(h @ m - m @ h).max() < 1e-12, name
     for twice_m, sector, c in sector_blocks(ops, space):
         h_m = restrict(H, sector)
@@ -139,9 +174,10 @@ def test_suq_deformed_commutator():
     p = XxzParams.from_q(3, 0.4)
     ops = suq2_generators(p)
     q = p.q
-    sp_ = ops.plus.matrix.toarray()
-    sm = ops.minus.matrix.toarray()
-    t = ops.t_total.matrix.toarray()
+    space = SpinSpace((2,) * 3)
+    sp_ = ops.plus(space, space).toarray()
+    sm = ops.minus(space, space).toarray()
+    t = suq_total_t(ops).toarray()
     lhs = sp_ @ sm - sm @ sp_
     rhs = (np.linalg.inv(t) - t) / (q - 1 / q)
     assert np.abs(lhs - rhs).max() < 1e-12
@@ -316,7 +352,7 @@ def highest_weight_levels(H, ladder, space):
         sector = magnetization_sector(space, twice_s / 2)
         if twice_s < tmax:
             above = magnetization_sector(space, twice_s / 2 + 1)
-            up = restrict(ladder.plus, sector, target=above)
+            up = restrict(ladder.plus(space, space), sector, target=above)
             _, sv, vh = np.linalg.svd(up)
             rank = int(np.sum(sv > 1e-10 * sv.max()))
             kernel = vh[rank:].conj().T
