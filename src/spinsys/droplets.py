@@ -20,8 +20,7 @@ import numpy as np
 from .hilbert import SpinSpace, down_spin_sector, magnetization_sector, restrict
 from .models import XxzParams, xxz, assemble
 from .symmetry import sector_spin_levels, spin_multiplicities, suq2_generators
-
-SECTOR_DIM_LIMIT = 200_000
+from .util import require_memory
 
 
 def droplet_energy_formula(q: float, n: int) -> float:
@@ -43,17 +42,19 @@ def bandwidth_formula(q: float, n: int) -> float:
 
 
 def _check_sector(p: XxzParams, n: int):
-    """Reject n before anything is assembled.  The periodic chain has a band
+    """Reject n before any basis is enumerated.  The periodic chain has a band
     at every momentum for 1 <= n <= L - 1 (the n = 0 and n = L sectors hold
     one state each); the open chain's spin S_max - n = L/2 - n needs
-    0 <= n <= L/2."""
+    0 <= n <= L/2.  A pass whose bases (64 bytes per state of C(L, n) and
+    C(L, n + 1)) and seven dense sector arrays (an eigensolve holds five)
+    would exceed the physical memory is refused too."""
     lo, hi = (1, p.L - 1) if p.boundary == "periodic" else (0, p.L // 2)
     if not lo <= n <= hi:
         raise ValueError(f"down-spin number {n} outside {lo}..{hi} for the "
                          f"{p.L}-site {p.boundary} chain")
     dim = comb(p.L, n)
-    if dim > SECTOR_DIM_LIMIT:
-        raise ValueError(f"sector dimension {dim} is out of reach")
+    require_memory(7 * 8 * dim * dim + 64 * (dim + comb(p.L, n + 1)),
+                   f"the {p.L}-site sector with {n} down spins")
 
 
 def open_chain_spin_level(p: XxzParams, n: int) -> float:

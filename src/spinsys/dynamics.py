@@ -23,8 +23,8 @@ import scipy.sparse as sp
 from .lattice import SpinGraph, graph_distance, set_distance, distances_from
 from .hilbert import SpinSpace, SparseOperator, embed_at, magnetization_sector, restrict
 from .models import Interaction, lambda_norm, assemble
-from .spectral import DENSE_CUTOFF, dense_refusal, extremal_eigs, full_spectrum, \
-    sector_sweep_lowest, spectral_gap
+from .spectral import extremal_eigs, full_spectrum, sector_sweep_lowest, spectral_gap
+from .util import require_memory
 
 UNITARITY_TOL = 1e-10
 
@@ -78,16 +78,16 @@ class HeisenbergDynamics:
     states ``order[bounds[b]:bounds[b + 1]]`` and on no other.  ``labels``
     gives the block of each state.  H is diagonalised as real float64 when it
     has no imaginary part, so the eigenvectors of every real model come from
-    the real solver."""
+    the real solver.  It refuses an H whose eigenbasis and seven complex arrays
+    of its size (B, tau_t(A), their products and the SVD of the light-cone
+    check against the definition) would exceed the physical memory."""
 
-    def __init__(self, H, cutoff=DENSE_CUTOFF):
+    def __init__(self, H):
         mat = sp.csr_matrix(H.matrix if isinstance(H, SparseOperator) else H)
         dim = mat.shape[0]
         dtype = np.complex128 if np.any(mat.data.imag) else np.float64
-        if dim > cutoff:
-            raise ValueError(dense_refusal(
-                dim, cutoff, dtype,
-                "real-time evolution needs the full unitary, use a smaller system"))
+        require_memory(dim * dim * (np.dtype(dtype).itemsize + 7 * 16),
+                       f"real-time evolution in the dense {dim}-state eigenbasis")
         if dtype is np.float64:
             mat = mat.real
         self.labels = _block_labels(mat)

@@ -139,10 +139,7 @@ class SpinSpace:
 
     @property
     def total_dim(self) -> int:
-        out = 1
-        for d in self.site_dims:
-            out *= d
-        return out
+        return math.prod(self.site_dims)
 
     @property
     def n_max(self) -> int:
@@ -155,6 +152,8 @@ class SpinSpace:
         for d in self.site_dims:
             st.append(acc)
             acc *= d
+        if acc > 2 ** 63:
+            raise ValueError(f"the {self.n_sites}-site space has {acc} states, above 2^63")
         return tuple(st)
 
     def spin_at(self, x) -> float:
@@ -388,15 +387,14 @@ def _positions(basis, sub: SectorBasis):
     return pos
 
 
-def restrict(op: SparseOperator, sector: SectorBasis, leak_tol=LEAK_TOL, dense=True,
-             target=None):
+def restrict(op: SparseOperator, sector: SectorBasis, dense=True, target=None):
     """Block of ``op`` from ``sector`` (columns) to ``target`` (rows, default
     ``sector``), each part of the basis the operator has on that side;
     errors if matrix elements leak out of ``target``.  On an operator built
     on exactly these bases it is a plain conversion.
 
-    Returns a dense array by default (sector blocks are the dense workhorse),
-    float64 when the block has no imaginary part.
+    Returns a dense array by default and CSR with ``dense=False``, float64
+    when the block has no imaginary part.
     """
     target = sector if target is None else target
     cols, rows = _positions(op.basis, sector), _positions(op.target, target)
@@ -405,7 +403,7 @@ def restrict(op: SparseOperator, sector: SectorBasis, leak_tol=LEAK_TOL, dense=T
         mask = np.zeros(block.shape[0], dtype=bool)
         mask[rows] = True
         outside = abs(block[~mask, :]).tocoo()
-        if outside.nnz and outside.data.max() > leak_tol:
+        if outside.nnz and outside.data.max() > LEAK_TOL:
             k = int(np.argmax(outside.data))
             row = np.flatnonzero(~mask)[outside.row[k]]
             _, states = _states(op.target)

@@ -19,9 +19,11 @@ import numpy as np
 import scipy.sparse as sp
 
 from .lattice import SpinGraph, diameter, is_connected
-from .hilbert import SpinSpace, SparseOperator, spin_matrices, embed_local
+from .hilbert import SectorBasis, SpinSpace, SparseOperator, spin_matrices, embed_local
+from .util import require_memory
 
 TERM_HERMITICITY_TOL = 1e-12
+ASSEMBLY_COPIES = 3        # the running sum and the Hermiticity check copy H
 
 
 @dataclass
@@ -191,6 +193,12 @@ def assemble(phi: Interaction, space) -> SparseOperator:
     for support, _ in phi.terms:
         if any(not 0 <= x < space.n_sites for x in support):
             raise ValueError(f"term support {support} outside the space")
+    # a column of H: one diagonal entry plus each term's most off-diagonal local ones
+    per_column = 1 + sum(int(np.count_nonzero(m - np.diag(np.diag(m)), axis=0).max())
+                         for _, m in phi.terms)
+    real = isinstance(space, SectorBasis) and not any(m.imag.any() for _, m in phi.terms)
+    require_memory(ASSEMBLY_COPIES * space.total_dim * per_column * (4 + (8 if real else 16)),
+                   f"assembling H on {space.total_dim} states")
     ordered = sorted(phi.terms, key=lambda t: (t[0], t[1].tobytes()))
     total = sp.csr_matrix((space.total_dim, space.total_dim))
     for support, mat in ordered:

@@ -8,9 +8,9 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .hilbert import SpinSpace, SparseOperator, SectorBasis, magnetization_sector, restrict
+from .hilbert import SpinSpace, SectorBasis, magnetization_sector, restrict
+from .util import ordered_map, require_memory
 
-DENSE_CUTOFF = 4096
 DEGENERACY_TOL = 1e-8
 RESIDUAL_TOL = 1e-9
 # The one dense/ARPACK choice for k-lowest sector solves: dense eigvalsh up
@@ -34,7 +34,6 @@ class ConvergenceError(RuntimeError):
 class SpectrumReport:
     eigenvalues: np.ndarray
     eigenvectors: Optional[np.ndarray] = None     # columns
-    sector: Optional[tuple] = None
     residuals: Optional[np.ndarray] = None
 
     def __post_init__(self):
@@ -51,32 +50,18 @@ class GapReport:
     gap: float
 
 
-def _as_matrix(H):
-    if isinstance(H, SparseOperator):
-        return H.matrix
-    return H
-
-
-def dense_refusal(dim, cutoff, dtype, advice) -> str:
-    """The one-line refusal of a dense solve above the cutoff, with the
-    memory the dense matrix alone would take."""
-    gib = dim * dim * np.dtype(dtype).itemsize / 2 ** 30
-    return (f"dimension {dim} exceeds the dense cutoff {cutoff}: the dense "
-            f"{np.dtype(dtype).name} matrix would need {gib:.2f} GiB; {advice}")
-
-
 def _residuals(mat, evals, vecs):
     r = mat @ vecs - vecs * evals[None, :]
     return np.linalg.norm(r, axis=0)
 
 
-def full_spectrum(H, want_vectors=False, cutoff=DENSE_CUTOFF) -> SpectrumReport:
-    """All eigenpairs by dense Hermitian diagonalization (dim <= cutoff)."""
-    mat = _as_matrix(H)
-    if mat.shape[0] > cutoff:
-        raise ValueError(dense_refusal(
-            mat.shape[0], cutoff, mat.dtype,
-            "use extremal_eigs for the lowest part of the spectrum"))
+def full_spectrum(H, want_vectors=False) -> SpectrumReport:
+    """All eigenpairs by dense Hermitian diagonalization.  A sparse H is made
+    dense after the memory check; values peak at 2, vectors at 5.2 times dense H."""
+    mat = getattr(H, "matrix", H)
+    n = mat.shape[0]
+    require_memory((6 if want_vectors else 3) * n * n * mat.dtype.itemsize,
+                   f"the dense {mat.dtype} solve of dimension {n}")
     dense = mat.toarray() if sp.issparse(mat) else np.asarray(mat)
     if want_vectors:
         return SpectrumReport(*np.linalg.eigh(dense))
@@ -100,7 +85,7 @@ def extremal_eigs(H, k, want_vectors=True) -> SpectrumReport:
 
     # sparse even for dense input: numpy's and scipy's BLAS are separate
     # libraries, and alternating their thread pools stalls ARPACK
-    mat = sp.csr_matrix(_as_matrix(H))
+    mat = sp.csr_matrix(getattr(H, "matrix", H))
     dim = mat.shape[0]
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -110,11 +95,15 @@ def extremal_eigs(H, k, want_vectors=True) -> SpectrumReport:
     # copy on some AKLT, Heisenberg and XXZ ring sectors; k + 6 missed none).
     nev = k + 6
     if dim < nev + 2:
-        rep = full_spectrum(mat, want_vectors=True, cutoff=dim)
+        rep = full_spectrum(mat, want_vectors=True)
         evals, vecs = rep.eigenvalues[:k], rep.eigenvectors[:, :k]
         return SpectrumReport(evals, vecs, residuals=_residuals(mat, evals, vecs))
     if not np.any(mat.data.imag):
         mat = mat.real              # ARPACK's real symmetric routines are faster
+    # |H|, the shifted copy and its buffer; eigsh's ncv Lanczos, work and Ritz vectors
+    ncv, item = min(dim, max(2 * nev + 1, 20)), mat.dtype.itemsize
+    require_memory(3 * (mat.nnz + dim) * (item + 4) + (ncv + nev + 4) * dim * item,
+                   f"ARPACK on {dim} states")
     sigma = float(abs(mat).sum(axis=0).max()) + 1.0
     shifted = mat - sigma * sp.identity(dim, format="csr")
     rng = np.random.default_rng(0)
@@ -140,15 +129,10 @@ def sector_spectrum(H, sector: SectorBasis, k="all", want_vectors=False) -> Spec
     diagonalised densely and return every level; a larger sector returns
     its k lowest levels from ``extremal_eigs``.
     """
-    dense = k == "all" or sector.dim <= KRYLOV_CROSSOVER
-    block = restrict(H, sector, dense=dense)
-    if dense:
-        rep = full_spectrum(block, want_vectors=want_vectors,
-                            cutoff=max(DENSE_CUTOFF, sector.dim))
-    else:
-        rep = extremal_eigs(block, k=k, want_vectors=want_vectors)
-    rep.sector = sector.label
-    return rep
+    block = restrict(H, sector, dense=False)
+    if k == "all" or sector.dim <= KRYLOV_CROSSOVER:
+        return full_spectrum(block, want_vectors=want_vectors)
+    return extremal_eigs(block, k=k, want_vectors=want_vectors)
 
 
 def spectral_gap(report: SpectrumReport, degeneracy_tol=DEGENERACY_TOL) -> GapReport:
@@ -183,8 +167,6 @@ def sector_sweep_lowest(H, space: SpinSpace, k=4, threads=1):
     spin of its Casimir label.  Its dict holds only the sectors it solved.
     Every other H has every sector solved.
     """
-    from .util import ordered_map
-
     if getattr(H, "su2_invariant", False):
         from .symmetry import su2_sweep_lowest
         return su2_sweep_lowest(H, space, k=k, threads=threads)

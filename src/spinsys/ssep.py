@@ -15,10 +15,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from .lattice import SpinGraph, is_connected
-from .hilbert import SpinSpace, SparseOperator, down_spin_sector
+from .hilbert import SpinSpace, SparseOperator, down_spin_sector, spin_matrices
 from .models import Interaction, assemble, _two_site_dot
 from .spectral import full_spectrum, sector_spectrum
-from .hilbert import spin_matrices
 
 GAP_ZERO_TOL = 1e-10
 
@@ -77,7 +76,7 @@ class GeneratorReport:
 
 
 def _gap_of_generator(gen: SparseOperator) -> float:
-    evals = full_spectrum(gen, cutoff=gen.dim).eigenvalues
+    evals = full_spectrum(gen).eigenvalues
     positive = evals[evals > GAP_ZERO_TOL * max(1.0, abs(evals).max())]
     if positive.size == 0:
         raise ValueError("generator has no positive eigenvalue")
@@ -130,7 +129,7 @@ def xxx_conjugacy_check(g: SpinGraph, tol=1e-10) -> ConjugacyReport:
     for n in range(0, g.n_vertices + 1):
         space = ExclusionSpace(g, n)
         gen = ssep_generator(space)
-        spec_l = np.sort(full_spectrum(gen, cutoff=gen.dim).eigenvalues)
+        spec_l = np.sort(full_spectrum(gen).eigenvalues)
         sector = down_spin_sector(spin_space, g.n_vertices - n)  # M = n - |V|/2
         spec_h = np.sort(sector_spectrum(H, sector).eigenvalues)
         dev = float(np.abs(spec_l - spec_h).max()) if spec_l.size else 0.0
@@ -155,7 +154,7 @@ def semigroup_evolve(gen: SparseOperator, mu0, t: float) -> np.ndarray:
         raise ValueError("distribution size does not match the configuration space")
     if np.any(mu0 < -1e-12) or abs(mu0.sum() - 1.0) > 1e-12:
         raise ValueError("mu0 must be entrywise nonnegative and sum to 1")
-    rep = full_spectrum(gen, want_vectors=True, cutoff=gen.dim)
+    rep = full_spectrum(gen, want_vectors=True)
     V = rep.eigenvectors.real
     mu_t = V @ (np.exp(-t * rep.eigenvalues) * (V.T @ mu0))
     return mu_t

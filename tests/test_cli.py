@@ -10,6 +10,7 @@ import scipy
 import spinsys.cli
 import spinsys.models
 import spinsys.symmetry
+import spinsys.util
 
 from spinsys.cli import ConfigError, merge_config, parse_config_file, run
 
@@ -249,13 +250,57 @@ def test_wrong_su2_declaration_is_a_solver_error(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "p.csv").exists()
 
 
-def test_lightcone_above_dense_cutoff_reports_memory(tmp_path, capsys):
-    assert run(["lightcone", "--L", "13", "--tsteps", "2",
-                "--out", str(tmp_path / "c.csv")]) == 3
+STAR60 = "vertices 61\n" + "".join(f"0 {x} 1.0\n" for x in range(1, 61))
+
+
+BEYOND_MEMORY = [
+    # argv, the physical memory to pretend (None: the machine's), the refusing site
+    (["spectrum", "--L", "60"], None, "assembling H on 1152921504606846976 states"),
+    (["foel", "--L", "60"], None, "assembling H on 1152921504606846976 states"),
+    (["liebmattis", "--graph", "{star60}"], None, "assembling H on 2305843009213693952"),
+    # ssep: the 8 one-particle configurations fit, the 28 two-particle ones do not
+    (["ssep", "--graph", "{ring8}"], 10_000, "dense complex128 solve of dimension 28"),
+    (["droplet", "--q", "0.5", "--n", "10", "--Lmin", "40", "--Lmax", "40"], None,
+     "40-site sector with 10 down spins"),
+    # lightcone: H on 256 states fits, its dense eigenbasis does not
+    (["lightcone", "--L", "8", "--tsteps", "2"], 2 ** 21, "dense 256-state eigenbasis"),
+    (["cluster", "--L", "30"], None, "assembling H on 205891132094649 states"),
+    (["perturb", "--L", "30"], None, "assembling H on 205891132094649 states"),
+]
+
+
+@pytest.mark.parametrize("argv, memory, site", BEYOND_MEMORY,
+                         ids=[argv[0] for argv, _, _ in BEYOND_MEMORY])
+def test_campaign_beyond_memory_is_refused(tmp_path, capsys, monkeypatch, argv, memory,
+                                           site):
+    # refused by the memory pre-flight before the allocation: exit 3, one line
+    # naming the GiB, no output table, no traceback
+    if memory is not None:
+        monkeypatch.setattr(spinsys.util, "PHYSICAL_MEMORY", memory)
+    (tmp_path / "star60.txt").write_text(STAR60)
+    (tmp_path / "ring8.txt").write_text("vertices 8\n" + "".join(
+        f"{x} {(x + 1) % 8} {1 + x / 8}\n" for x in range(8)))
+    argv = [a.format(star60=tmp_path / "star60.txt", ring8=tmp_path / "ring8.txt")
+            for a in argv]
+    assert run([*argv, "--out", str(tmp_path / "m.csv")]) == 3
     err = capsys.readouterr().err
     assert "Traceback" not in err
     lines = err.strip().splitlines()
-    assert len(lines) == 1 and "dimension 8192" in lines[0] and "GiB" in lines[0]
+    assert len(lines) == 1 and lines[0].startswith("solver error: ")
+    assert site in lines[0] and "GiB, above the" in lines[0]
+    assert lines[0].endswith("GiB of physical memory")
+    assert not (tmp_path / "m.csv").exists()
+
+
+def test_droplet_past_64_bit_indices_is_refused(tmp_path, capsys):
+    # 2^64 states: a stride of 2^63 does not fit a 64-bit index
+    assert run(["droplet", "--q", "0.5", "--n", "1", "--Lmin", "64", "--Lmax", "64",
+                "--out", str(tmp_path / "d.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("solver error: ") and "2^63" in lines[0]
+    assert not (tmp_path / "d.csv").exists()
 
 
 def test_droplet_at_L40_runs_on_its_sectors(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sps
 from numpy.testing import assert_allclose
 
 import spinsys.dynamics
@@ -172,11 +173,15 @@ def test_commutator_grid_rejects_non_hermitian_b():
 
 
 def test_dense_refusals_give_dimension_and_memory():
-    g, space, H = chain_setup(6)
-    with pytest.raises(ValueError, match=r"dimension 64 .* float64 matrix would need 0\.00 GiB"):
-        HeisenbergDynamics(H, cutoff=32)
-    with pytest.raises(ValueError, match=r"dimension 64 .* complex128 matrix would need 0\.00 GiB"):
-        full_spectrum(H, cutoff=32)
+    # a diagonal H on 10^6 states: its dense forms would take terabytes, so
+    # both refuse before allocating them
+    H = sps.identity(10 ** 6, format="csr")
+    with pytest.raises(ValueError, match=r"dense 1000000-state eigenbasis needs about "
+                                         r"[0-9.e+]+ GiB, above the [0-9.]+ GiB of physical"):
+        HeisenbergDynamics(H)
+    with pytest.raises(ValueError, match=r"dense float64 solve of dimension 1000000 "
+                                         r"needs about [0-9.e+]+ GiB"):
+        full_spectrum(H)
 
 
 def test_corollary_bound_requires_exterior_site():

@@ -77,6 +77,13 @@ def test_down_spin_sector():
         down_spin_sector(SpinSpace((3, 3)), 1)
 
 
+def test_space_past_64_bit_indices_is_refused():
+    assert SpinSpace((2,) * 63).strides[-1] == 2 ** 62
+    with pytest.raises(ValueError, match="64-site space has 18446744073709551616 states, "
+                                         "above 2\\^63"):
+        magnetization_sector(SpinSpace((2,) * 64), 31)
+
+
 def test_kron_chain_little_endian():
     space = SpinSpace((2, 2))
     s = spin_matrices(0.5)

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import spinsys.util
+
 from spinsys import (SpinSpace, XxzParams, aklt, assemble, build_graph, custom, heisenberg,
                      lambda_norm, magnetization_sector, path_graph, restrict, ring_graph,
                      spin_matrices, star_graph, xxz)
-from spinsys.models import _two_site_dot
+from spinsys.models import ASSEMBLY_COPIES, _two_site_dot
 from spinsys.ssep import ssep_spin_interaction
 from spinsys.symmetry import lieb_mattis_hamiltonian
 
@@ -188,6 +190,34 @@ def test_sector_assembly_matches_restricted_full_space(case):
                         atol=1e-12 * max(1.0, np.abs(ref).max()))
         # on the operator built for it, restrict is a plain conversion
         assert np.array_equal(restrict(block, sector), block.toarray())
+
+
+@pytest.mark.parametrize("case", BUILDER_CASES.values(), ids=BUILDER_CASES.keys())
+def test_assembly_memory_bound(case, monkeypatch):
+    # the CSR bound (one diagonal entry plus, per term, the most off-diagonal
+    # nonzeros of a local column) holds on the space and on every sector, and
+    # a physical memory one byte below the estimate refuses the assembly
+    phi, space = case()
+    per_column = 1 + sum(int(np.count_nonzero(m - np.diag(np.diag(m)), axis=0).max())
+                         for _, m in phi.terms)
+    for basis in [space] + [magnetization_sector(space, M)
+                            for M in space.magnetization_values()]:
+        H = assemble(phi, basis).matrix
+        assert H.nnz <= basis.total_dim * per_column
+        need = ASSEMBLY_COPIES * basis.total_dim * per_column * (4 + H.dtype.itemsize)
+        with monkeypatch.context() as m:
+            m.setattr(spinsys.util, "PHYSICAL_MEMORY", need - 1)
+            with pytest.raises(ValueError, match=f"assembling H on {basis.total_dim} "
+                                                 "states needs about .* GiB"):
+                assemble(phi, basis)
+            m.setattr(spinsys.util, "PHYSICAL_MEMORY", need)
+            assemble(phi, basis)
+
+
+def test_assembly_beyond_any_memory_is_refused():
+    with pytest.raises(ValueError, match="assembling H on 1125899906842624 states "
+                                         "needs about .* GiB, above the"):
+        assemble(heisenberg(path_graph(50)), SpinSpace((2,) * 50))
 
 
 def test_real_terms_give_float64_and_complex_terms_complex128():

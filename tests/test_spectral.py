@@ -5,11 +5,13 @@ from numpy.testing import assert_allclose
 
 import spinsys.spectral
 import spinsys.symmetry
+import spinsys.util
 from spinsys import (SparseOperator, SpinSpace, aklt, assemble, custom, extremal_eigs,
                      frustration_free_check, full_spectrum, heisenberg,
                      magnetization_sector, path_graph, restrict, ring_graph,
                      sector_spectrum, sector_sweep_lowest, spectral_gap, spin_matrices,
                      star_graph)
+from spinsys.util import require_memory
 from spinsys.symmetry import TotalSpinOps, _unmatched_level, lieb_mattis_hamiltonian
 
 
@@ -91,6 +93,28 @@ def test_krylov_is_bitwise_repeatable(monkeypatch):
     four, _ = sector_sweep_lowest(H, space, k=3, threads=4)
     assert sum(rep.eigenvalues.size == 3 for rep in per_sector.values()) >= 3
     assert one.eigenvalues.tobytes() == four.eigenvalues.tobytes()
+
+
+def test_require_memory_compares_with_physical_memory(monkeypatch):
+    monkeypatch.setattr(spinsys.util, "PHYSICAL_MEMORY", 2 ** 30)
+    require_memory(2 ** 30, "one GiB")
+    with pytest.raises(ValueError, match=r"^two GiB needs about 2 GiB, above the "
+                                         r"1 GiB of physical memory$"):
+        require_memory(2 ** 31, "two GiB")
+
+
+def test_arpack_refuses_before_eigsh(monkeypatch):
+    # the AKLT ring's M = 0 block (1107 states, 11907 nonzeros) against 100 kB
+    space = SpinSpace((3,) * 8)
+    block = assemble(aklt(8, periodic=True), magnetization_sector(space, 0)).matrix
+
+    def eigsh(*args, **kwargs):
+        raise AssertionError("eigsh ran")
+
+    monkeypatch.setattr("scipy.sparse.linalg.eigsh", eigsh)
+    monkeypatch.setattr(spinsys.util, "PHYSICAL_MEMORY", 10 ** 5)
+    with pytest.raises(ValueError, match="ARPACK on 1107 states needs about .* GiB"):
+        extremal_eigs(block, k=2)
 
 
 def test_sector_spectrum_union_is_full_spectrum():
