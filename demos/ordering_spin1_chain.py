@@ -7,14 +7,13 @@ The spin labels come from the SU(2) Casimir S+ S- + M(M - 1) built on each
 magnetization sector from the ladder totals, not from counting alone.
 """
 
-from spinsys import (SpinSpace, assemble, classify_total_spin, foel_check,
+from spinsys import (SpinSpace, classify_total_spin, foel_check,
                      heisenberg, lieb_mattis_check, path_graph, star_graph,
                      su2_totals)
 
 g = path_graph(5, spin=1.0)
 space = SpinSpace.from_graph(g)
-H = assemble(heisenberg(g), space)
-levels = classify_total_spin(H, su2_totals(space), space)
+levels = classify_total_spin(heisenberg(g), su2_totals(space), space)
 
 print("spin-1 chain, L = 5, ferromagnetic J = 1")
 print(" 2S   multiplets   E(H,S)        top level")

@@ -60,6 +60,16 @@ class ConfigError(ValueError):
     pass
 
 
+def _graph(cfg, sub):
+    """The graph file of ``sub``; one that does not parse is a config error."""
+    if "graph" not in cfg:
+        raise ConfigError(f"{sub} needs a graph file")
+    try:
+        return load_graph(cfg["graph"])
+    except (ValueError, ZeroDivisionError) as exc:     # "spin 0 1/0" divides by zero
+        raise ConfigError(f"{cfg['graph']}: {exc}") from exc
+
+
 def parse_config_file(path):
     """Plain-text ``key = value`` file with optional [section] headers; only
     sections named 'common' or a subcommand are accepted."""
@@ -96,7 +106,11 @@ def merge_config(sub, file_sections, flag_values):
         for key, value in file_sections.get(section, {}).items():
             if key not in allowed:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            merged[key] = allowed[key](value)
+            try:
+                merged[key] = allowed[key](value)
+            except ValueError:
+                raise ConfigError(f"[{section}] {key} = {value!r} is not a "
+                                  f"{allowed[key].__name__}") from None
     for key, value in flag_values.items():
         if value is None:
             continue
@@ -157,7 +171,7 @@ def _model_space_and_interaction(cfg):
     _check_spin_and_coupling(spin, J)
     if model == "heisenberg":
         if "graph" in cfg:
-            g = load_graph(cfg["graph"])
+            g = _graph(cfg, "the heisenberg model")
         else:
             g = path_graph(L, weight=J, spin=spin)
         return g, SpinSpace.from_graph(g), heisenberg(g)
@@ -199,8 +213,7 @@ def run_spectrum(cfg):
 
 def run_foel(cfg):
     _, space, phi = _model_space_and_interaction(cfg)
-    H = assemble(phi, space)
-    levels = classify_total_spin(H, su2_totals(space), space)
+    levels = classify_total_spin(phi, su2_totals(space), space)
     verdict = foel_check(levels)
     e0 = min(levels.entries.values())
     rows = []
@@ -208,7 +221,8 @@ def run_foel(cfg):
         # the sectors M = S >= 0 were solved by the classification
         energies = levels.sector_levels.get(int(round(2 * M)))
         if energies is None:
-            energies = sector_spectrum(H, magnetization_sector(space, M)).eigenvalues
+            sector = magnetization_sector(space, M)
+            energies = sector_spectrum(assemble(phi, sector), sector).eigenvalues
         for e in energies:
             rows.append({"S3": M, "energy_offset": float(e - e0)})
     table_rows = [{"twice_S": t, "S": t / 2,
@@ -221,9 +235,7 @@ def run_foel(cfg):
 
 
 def run_liebmattis(cfg):
-    if "graph" not in cfg:
-        raise ConfigError("liebmattis needs a graph file")
-    g = load_graph(cfg["graph"])
+    g = _graph(cfg, "liebmattis")
     # 2-color by BFS from vertex 0
     dist = distances_from(g, 0)
     if any(math.isinf(d) for d in dist):
@@ -240,9 +252,7 @@ def run_liebmattis(cfg):
 
 
 def run_ssep(cfg):
-    if "graph" not in cfg:
-        raise ConfigError("ssep needs a graph file")
-    g = load_graph(cfg["graph"])
+    g = _graph(cfg, "ssep")
     report = ssep_gaps(g)
     rows = [{"n": n, "dim": report.dims[n], "lambda_n": report.gaps[n],
              "aldous_margin": report.aldous_margin}

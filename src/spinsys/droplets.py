@@ -17,7 +17,7 @@ from math import comb
 
 import numpy as np
 
-from .hilbert import SpinSpace, down_spin_sector, magnetization_sector, restrict
+from .hilbert import SpinSpace, down_spin_sector, restrict
 from .models import XxzParams, xxz, assemble
 from .symmetry import sector_spin_levels, spin_multiplicities, suq2_generators
 from .util import require_memory
@@ -67,8 +67,7 @@ def open_chain_spin_level(p: XxzParams, n: int) -> float:
     _check_sector(p, n)
     space = SpinSpace((2,) * p.L)
     twice_s = p.L - 2 * n
-    H = assemble(xxz(p), magnetization_sector(space, twice_s / 2))
-    energies, _, _ = sector_spin_levels(H, suq2_generators(p), space, twice_s,
+    energies, _, _ = sector_spin_levels(xxz(p), suq2_generators(p), space, twice_s,
                                         spin_multiplicities(space, twice_s))
     return float(energies[0])
 

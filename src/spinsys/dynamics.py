@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .lattice import SpinGraph, graph_distance, set_distance, distances_from
-from .hilbert import SpinSpace, SparseOperator, embed_at, magnetization_sector, restrict
+from .hilbert import SpinSpace, SparseOperator, embed_at, magnetization_sector
 from .models import Interaction, lambda_norm, assemble
 from .spectral import extremal_eigs, full_spectrum, sector_sweep_lowest, spectral_gap
 from .util import require_memory
@@ -105,14 +105,6 @@ class HeisenbergDynamics:
         """e^(-itE) over the eigenvalues E."""
         return np.exp(-1j * t * self.evals)
 
-    def to_eigenbasis(self, A) -> np.ndarray:
-        """V^H A V for the eigenvectors V; a sparse A is applied to V first."""
-        if isinstance(A, SparseOperator):
-            A = A.matrix
-        elif not sp.issparse(A):
-            A = np.asarray(A)
-        return self.vecs.conj().T @ (A @ self.vecs)
-
     def _eigenbasis_blocks(self, A) -> dict:
         """The blocks of V^H A V that the sparsity pattern of A allows to be
         nonzero, keyed by (row block, column block); every other block is
@@ -128,9 +120,10 @@ class HeisenbergDynamics:
                 for r, c in (divmod(k, n) for k in keys)}
 
     def evolve(self, A, t: float) -> np.ndarray:
-        """tau_t(A) = e^(itH) A e^(-itH)."""
+        """tau_t(A) = e^(itH) A e^(-itH), with V^H A V formed as V^H (A V)."""
+        A = A.matrix if isinstance(A, SparseOperator) else A if sp.issparse(A) else np.asarray(A)
         p = self.phases(t)
-        out = p.conj()[:, None] * self.to_eigenbasis(A) * p
+        out = p.conj()[:, None] * (self.vecs.conj().T @ (A @ self.vecs)) * p
         return self.vecs @ out @ self.vecs.conj().T
 
 
@@ -462,19 +455,15 @@ def clustering_report(g: SpinGraph, phi: Interaction, local_op, lam: float,
     ground state before evaluation).
 
     The gap and the ground sector come from ``sector_sweep_lowest``.  For a
-    model declared SU(2)-invariant (``heisenberg``, ``aklt``,
-    ``lieb_mattis_hamiltonian``; the declaration is checked by the sweep)
-    that sweep solves only the sector M = 0 (or 1/2), lists each of its
-    levels 2S + 1 times, and returns its eigenvectors; the correlator then
-    reuses that ground state instead of solving the sector again.  Any other
-    model has every sector solved, and the correlator solves the ground
-    sector itself.  The observable blocks are embedded on the ground sector
-    directly, and the n_window + 1 equally spaced b of a pair come from one
-    ``SectorCorrelator.window`` call.
+    model declared SU(2)-invariant it returns the eigenvectors of the sector
+    M = 0 (or 1/2), and the correlator reuses that ground state on the
+    sector's block, assembled once more; otherwise the correlator solves the
+    ground sector itself.  The observable blocks are embedded on the ground
+    sector directly, and the n_window + 1 equally spaced b of a pair come
+    from one ``SectorCorrelator.window`` call.
     """
     space = SpinSpace.from_graph(g)
-    H = assemble(phi, space)
-    merged, per_sector = sector_sweep_lowest(H, space, k=2, threads=threads)
+    merged, per_sector = sector_sweep_lowest(phi, space, k=2, threads=threads)
     gap_rep = spectral_gap(merged)
     if gap_rep.ground_degeneracy != 1:
         raise ValueError(f"ground state is {gap_rep.ground_degeneracy}-fold degenerate")
@@ -482,10 +471,9 @@ def clustering_report(g: SpinGraph, phi: Interaction, local_op, lam: float,
     ground_label = min(per_sector,
                        key=lambda lab: per_sector[lab].eigenvalues[0])
     sector = magnetization_sector(space, ground_label[1])
-    h_block = restrict(H, sector, dense=False)
     ground = per_sector[ground_label]
-    corr = SectorCorrelator(h_block, lowest=ground if ground.eigenvectors is not None
-                            else None)
+    corr = SectorCorrelator(assemble(phi, sector).matrix,
+                            lowest=ground if ground.eigenvectors is not None else None)
 
     phi_norm = lambda_norm(phi, lam, g)
     rates = clustering_mu(gamma, lam, phi_norm)

@@ -6,13 +6,13 @@ little-endian in the vertex id (site 0 is the fastest index).  Digit d at
 site x means the S^3 eigenvalue m = s_x - d, i.e. digit 0 is "spin up".
 
 A basis is either the whole ``SpinSpace`` or a ``SectorBasis`` (a sorted
-subset of its states).  ``embed_local``, ``embed_at`` and ``kron_chain``
-build a product of local matrices from any source basis to any target
-basis (default the source) without touching the states outside them, so a
-sector block never needs the full space.  A block touching a sector is
-float64 when every local matrix is real (a full-space operator stays
-complex128), and records the bases it maps between; ``restrict`` takes
-the block between sub-bases of them.
+subset of its states).  ``embed_local`` (a sum of local terms), ``embed_at``
+and ``kron_chain`` (one product) build an operator from any source basis to
+any target basis (default the source), converted to CSR once, without
+touching the states outside them, so a sector block never needs the full
+space.  A block touching a sector is float64 when every local matrix is
+real (a full-space operator stays complex128), and records the bases it
+maps between; ``restrict`` takes the block between sub-bases of them.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
+
+from .util import require_memory
 
 HERMITICITY_TOL = 1e-12
 PRUNE_TOL = 1e-15
@@ -64,14 +66,9 @@ class SparseOperator:
     operator between two different bases may be rectangular.  An operator
     touching a sector keeps float64 or complex128 as given; one on the full
     space is complex128, the arithmetic of the full-space dynamics.
-
-    ``su2_invariant`` is the model's declaration that the operator commutes
-    with the total spin (``models.assemble`` carries it over); it is not
-    verified here, and sums and products drop it.
     """
 
-    def __init__(self, matrix, hermitian=False, su2_invariant=False, basis=None,
-                 target=None):
+    def __init__(self, matrix, hermitian=False, basis=None, target=None):
         full = not isinstance(basis, SectorBasis) and not isinstance(target, SectorBasis)
         mat = sp.csr_matrix(matrix, dtype=np.complex128 if full else None)
         if mat.dtype not in (np.float64, np.complex128):
@@ -81,14 +78,15 @@ class SparseOperator:
         mat.data[np.abs(mat.data) < PRUNE_TOL] = 0.0
         mat.eliminate_zeros()
         mat.sort_indices()
-        if hermitian:
-            dev = abs(mat - mat.conj().T)
+        if hermitian:           # against M* formed once, conjugated in place
+            adj = mat.T.tocsr()
+            np.conjugate(adj.data, out=adj.data)
+            dev = abs(mat - adj)
             leak = dev.max() if dev.nnz else 0.0
             if leak >= HERMITICITY_TOL:
                 raise ValueError(f"hermitian flag asserted but max |M - M*| = {leak:.3e}")
         self.matrix = mat
         self.hermitian = bool(hermitian)
-        self.su2_invariant = bool(su2_invariant)
         self.basis = basis
         self.target = basis if target is None else target
 
@@ -98,16 +96,6 @@ class SparseOperator:
 
     def toarray(self) -> np.ndarray:
         return self.matrix.toarray()
-
-    def __add__(self, other):
-        herm = self.hermitian and getattr(other, "hermitian", False)
-        mat = self.matrix + (other.matrix if isinstance(other, SparseOperator) else other)
-        return SparseOperator(mat, hermitian=herm, basis=self.basis, target=self.target)
-
-    def __matmul__(self, other):
-        mat = self.matrix @ (other.matrix if isinstance(other, SparseOperator) else other)
-        return SparseOperator(mat, hermitian=False, basis=getattr(other, "basis", None),
-                              target=self.target)
 
     def __repr__(self):
         return f"SparseOperator(dim={self.dim}, nnz={self.matrix.nnz}, hermitian={self.hermitian})"
@@ -182,6 +170,14 @@ class SpinSpace:
         tmax = self.twice_m_total_max()
         return [(tmax - 2 * k) / 2 for k in range(tmax + 1)]
 
+    def magnetization_dims(self):
+        """The exact dimension of each sector, as ``magnetization_values``
+        orders them, counted without enumerating a state."""
+        counts = np.ones(1, dtype=object)
+        for n in self.site_dims:
+            counts = np.convolve(counts, np.ones(n, dtype=object))
+        return counts.tolist()
+
 
 @dataclass(frozen=True)
 class SectorBasis:
@@ -236,21 +232,24 @@ def magnetization_sector(space: SpinSpace, M) -> SectorBasis:
     Built site by site: each site's digits are broadcast against the partial
     indices of the earlier sites, and partial states whose 2m the remaining
     sites can no longer bring to 2M are dropped.  Every stride exceeds all
-    indices of the earlier sites, so digit-major order is ascending.
+    indices of the earlier sites, so digit-major order is ascending.  Its
+    counted dimension refuses a sector beyond the physical memory first.
     """
     twice_m = int(round(2 * float(M)))
-    if abs(twice_m) > space.twice_m_total_max() or (twice_m - space.twice_m_total_max()) % 2 != 0:
+    tmax = space.twice_m_total_max()
+    if abs(twice_m) > tmax or (twice_m - tmax) % 2 != 0:
         raise ValueError(f"magnetization {M} is not achievable on this space")
+    dim = space.magnetization_dims()[(tmax - twice_m) // 2]
+    require_memory(48 * space.n_max * dim,
+                   f"the M = {twice_m / 2:g} sector of the {space.n_sites}-site space")
     idx = tm = np.zeros(1, dtype=np.int64)
-    reach = space.twice_m_total_max()       # |2m| the remaining sites can add
+    reach = tmax                            # |2m| the remaining sites can add
     for col, stride, n in zip(_digit_twice_m(space), space.strides, space.site_dims):
         reach -= n - 1
         idx = (np.arange(n)[:, None] * stride + idx).ravel()
         tm = (col[:, None] + tm).ravel()
         keep = np.abs(twice_m - tm) <= reach
         idx, tm = idx[keep], tm[keep]
-    if idx.size == 0:
-        raise ValueError(f"magnetization sector M={M} is empty")
     return SectorBasis(space, ("M", twice_m / 2), idx)
 
 
@@ -274,75 +273,105 @@ def _leak_error(label, leak, state, col):
                       f"at state {state}, sector-col {col}")
 
 
-def _embed(basis, factors, target=None) -> SparseOperator:
-    """Product of local matrices on disjoint sites, identity elsewhere, from
-    ``basis`` (columns) to ``target`` (rows, default ``basis``); either is a
-    ``SpinSpace`` or a ``SectorBasis``.
+def _local(space, sites, mat):
+    """A factor's local matrix, checked against its sites, as ``_embed`` uses
+    it: real when it has no imaginary part, elements below PRUNE_TOL zero."""
+    if not sites:
+        raise ValueError("empty support")
+    for x in sites:
+        if not 0 <= x < space.n_sites:
+            raise ValueError(f"site {x} is not a site of the {space.n_sites}-site space")
+    sub = math.prod(space.site_dims[x] for x in sites)
+    mat = np.asarray(mat)
+    if mat.shape != (sub, sub):
+        raise ValueError(f"local matrix has shape {mat.shape}, expected dim {sub} for "
+                         f"sites {sites}")
+    if np.iscomplexobj(mat) and not mat.imag.any():
+        mat = mat.real
+    return np.where(np.abs(mat) >= PRUNE_TOL, mat, 0)
 
-    ``factors`` lists (sorted sites, matrix on their little-endian tensor
+
+def _embed(basis, products, target=None) -> SparseOperator:
+    """Sum of products of local matrices on disjoint sites, identity
+    elsewhere, from ``basis`` (columns) to ``target`` (rows, default
+    ``basis``); either is a ``SpinSpace`` or a ``SectorBasis``.
+
+    Each product lists (sorted sites, matrix on their little-endian tensor
     product).  Factor by factor, the digits of every current state on the
     factor's sites give its local column; the state is repeated once per
     nonzero of that column and its digits replaced by the row's.  Values
     are multiplied in ascending site order, as a chain of Kronecker products
     would.  The final states are found in ``target`` by ``np.searchsorted``;
-    an element above LEAK_TOL that leaves it raises ``ValueError``.  A
+    an element above LEAK_TOL that leaves it raises ``ValueError``.  From a
+    basis to itself, the diagonals of one-factor products add up in place;
+    the other elements fill arrays sized by the densest local columns and
+    are converted to CSR once, which adds the ones at the same position.  A
     block touching a sector is float64 when every factor is real.
     """
     target = basis if target is None else target
-    space, new = _states(basis)
-    dims, strides = space.site_dims, space.strides
-    cols = np.arange(basis.total_dim)
-    new = cols if new is None else new
-    data = np.ones(cols.size)
-    for sites, mat in sorted(factors, key=lambda f: f[0]):
-        mat = np.asarray(mat)
-        if np.iscomplexobj(mat) and not mat.imag.any():
-            mat = mat.real
-        off = np.zeros(1, dtype=np.int64)
-        loc = np.zeros(new.size, dtype=np.int64)
-        for x in sites:
-            loc += new // strides[x] % dims[x] * off.size
-            off = (off[:, None] + np.arange(dims[x]) * strides[x]).ravel(order="F")
-        c, r = np.nonzero(mat.T)            # by column, rows ascending within it
-        vals = mat[r, c]
-        counts = np.bincount(c, minlength=off.size)
-        n_out = counts[loc]
-        pick = np.repeat(np.arange(new.size), n_out)
-        entry = (np.cumsum(counts) - counts)[loc][pick] + np.arange(pick.size) \
-            - np.repeat(np.cumsum(n_out) - n_out, n_out)
-        new = new[pick] + off[r[entry]] - off[loc[pick]]
-        data = vals[entry] * data[pick]
-        cols = cols[pick]
+    space, first = _states(basis)
     _, inside = _states(target)
-    if inside is None:
-        rows = new
-    else:
-        rows = np.minimum(np.searchsorted(inside, new), inside.size - 1)
-        hit = inside[rows] == new
-        if not hit.all():
-            leak = np.abs(data[~hit])
-            k = int(np.argmax(leak))
-            if leak[k] > LEAK_TOL:
-                raise _leak_error(target.label, leak[k], new[~hit][k], cols[~hit][k])
-            rows, cols, data = rows[hit], cols[hit], data[hit]
+    dims, strides = space.site_dims, space.strides
+    start = np.arange(basis.total_dim)
+    first = start if first is None else first
+    prepared = []               # (factors, the diagonal kept apart or None)
+    for factors in products:
+        factors = [(sites, _local(space, sites, m))
+                   for sites, m in sorted(factors, key=lambda f: f[0])]
+        d = np.diagonal(factors[0][1]).copy() if target is basis and len(factors) == 1 else None
+        prepared.append(([(factors[0][0], factors[0][1] - np.diag(d))] if d is not None
+                         else factors, d))
     shape = (target.total_dim, basis.total_dim)
-    return SparseOperator(sp.coo_matrix((data, (rows, cols)), shape=shape), basis=basis,
-                          target=None if target is basis else target)
+    idx = np.int32 if max(shape) < 2 ** 31 else np.int64
+    diag = np.zeros(start.size, np.result_type(float, *(m for f, _ in prepared for _, m in f)))
+    size = start.size * (1 + sum(math.prod(int((m != 0).sum(0).max(initial=0)) for _, m in f)
+                                 for f, _ in prepared))
+    rows, cols_at, vals_at = np.empty(size, idx), np.empty(size, idx), np.empty(size, diag.dtype)
+    at = start.size if target is basis else 0          # the diagonal goes first
+    for factors, d in prepared:
+        cols, new, data = start, first, np.ones(start.size)
+        for sites, mat in factors:
+            off = np.zeros(1, dtype=np.int64)
+            loc = np.zeros(new.size, dtype=np.int64)
+            for x in sites:
+                loc += new // strides[x] % dims[x] * off.size
+                off = (off[:, None] + np.arange(dims[x]) * strides[x]).ravel(order="F")
+            if d is not None:
+                diag += d[loc]
+            c, r = np.nonzero(mat.T)            # by column, rows ascending within it
+            vals = mat[r, c]
+            counts = np.bincount(c, minlength=off.size)
+            n_out = counts[loc]
+            pick = np.repeat(np.arange(new.size), n_out)
+            entry = (np.cumsum(counts) - counts)[loc][pick] + np.arange(pick.size) \
+                - np.repeat(np.cumsum(n_out) - n_out, n_out)
+            new = new[pick] + off[r[entry]] - off[loc[pick]]
+            data = vals[entry] * data[pick]
+            cols = cols[pick]
+        if inside is not None:
+            new, out = np.minimum(np.searchsorted(inside, new), inside.size - 1), new
+            hit = inside[new] == out
+            if not hit.all():
+                leak = np.abs(data[~hit])
+                k = int(np.argmax(leak))
+                if leak[k] > LEAK_TOL:
+                    raise _leak_error(target.label, leak[k], out[~hit][k], cols[~hit][k])
+                new, cols, data = new[hit], cols[hit], data[hit]
+        rows[at:at + data.size], cols_at[at:at + data.size], vals_at[at:at + data.size] = \
+            new, cols, data
+        at += data.size
+    if target is basis:
+        rows[:start.size], cols_at[:start.size], vals_at[:start.size] = start, start, diag
+    mat = sp.csr_matrix((vals_at[:at], (rows[:at], cols_at[:at])), shape=shape)
+    del rows, cols_at, vals_at
+    return SparseOperator(mat, basis=basis, target=None if target is basis else target)
 
 
 def kron_chain(space, site_ops: dict, target=None) -> SparseOperator:
     """Kronecker product over all sites; ``site_ops`` maps site -> local matrix,
     identity elsewhere.  Little-endian: site 0 is the innermost factor.
     ``space`` and ``target`` are bases as in ``_embed``."""
-    dims = space.site_dims
-    for x, m in site_ops.items():
-        if not 0 <= x < space.n_sites:
-            raise ValueError(f"site {x} is not a site of the {space.n_sites}-site space")
-        m = np.asarray(m)
-        if m.shape != (dims[x], dims[x]):
-            raise ValueError(f"matrix at site {x} has shape {m.shape}, "
-                             f"expected square of dim {dims[x]}")
-    return _embed(space, [((x,), m) for x, m in site_ops.items()], target)
+    return _embed(space, [[((x,), m) for x, m in site_ops.items()]], target)
 
 
 def embed_at(space, ops, target=None) -> SparseOperator:
@@ -358,19 +387,11 @@ def embed_at(space, ops, target=None) -> SparseOperator:
     return kron_chain(space, {x: m for x, m in ops}, target)
 
 
-def embed_local(space, support, matrix, target=None) -> SparseOperator:
-    """Embed a multi-site local matrix given on the tensor product of the
-    (sorted) support sites, little-endian within the support, from the basis
-    ``space`` to ``target`` (default ``space``)."""
-    support = tuple(sorted(set(support)))
-    if not support:
-        raise ValueError("empty support")
-    sub_dim = math.prod(space.site_dims[x] for x in support)
-    matrix = np.asarray(matrix)
-    if matrix.shape != (sub_dim, sub_dim):
-        raise ValueError(f"local matrix has shape {matrix.shape}, "
-                         f"expected dim {sub_dim} for support {support}")
-    return _embed(space, [(support, matrix)], target)
+def embed_local(space, terms, target=None) -> SparseOperator:
+    """The sum of local terms (support, matrix on the tensor product of the
+    sorted support sites, little-endian within it) from the basis ``space``
+    to ``target`` (default ``space``), built by one kernel call."""
+    return _embed(space, [[(tuple(sorted(set(s))), m)] for s, m in terms], target)
 
 
 def _positions(basis, sub: SectorBasis):

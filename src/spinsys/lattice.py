@@ -63,13 +63,6 @@ class SpinGraph:
             adj[y].append(x)
         return adj
 
-    def weight(self, x, y) -> float:
-        pair = (min(x, y), max(x, y))
-        for (a, b, w) in self.edges:
-            if (a, b) == pair:
-                return w
-        raise KeyError(f"no edge {pair}")
-
 
 def build_graph(n, edge_list, spins=None, default_spin=0.5) -> SpinGraph:
     """Arbitrary edge list; ``spins`` maps vertex -> magnitude (default 1/2)."""

@@ -1,8 +1,8 @@
 """Interactions (sets of local Hermitian terms) and assembled Hamiltonians.
 
 ``assemble(phi, basis)`` builds H on the full space or straight on one
-sector, term by term through the embedding kernel of ``hilbert``, so a
-sector block never needs the 2^L (or d^L) states around it.
+sector, in one call of the embedding kernel of ``hilbert``, so a sector
+block never needs the 2^L (or d^L) states around it.
 
 Sign conventions follow the ferromagnetic normalization: the Heisenberg
 bond is -J S.S with J > 0 ferromagnetic, the XXZ bond carries its -1/4
@@ -16,14 +16,16 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .lattice import SpinGraph, diameter, is_connected
 from .hilbert import SectorBasis, SpinSpace, SparseOperator, spin_matrices, embed_local
 from .util import require_memory
 
 TERM_HERMITICITY_TOL = 1e-12
-ASSEMBLY_COPIES = 3        # the running sum and the Hermiticity check copy H
+# CSR copies of H at the peak: the gathered elements and their CSR, or H and
+# its adjoint in the Hermiticity check.  The ru_maxrss growth of Heisenberg
+# (L = 18, 20; M = 0 at L = 20, 22) and AKLT (L = 11, 12) rings: 1.14-1.47.
+ASSEMBLY_COPIES = 2
 
 
 @dataclass
@@ -183,25 +185,23 @@ def lambda_norm(phi: Interaction, lam: float, g: SpinGraph) -> float:
 
 
 def assemble(phi: Interaction, space) -> SparseOperator:
-    """Hermitian sum of embedded terms on the basis ``space`` (a ``SpinSpace``
-    or a ``SectorBasis``), reduced in canonical term order so the result is
-    bit-identical regardless of input term order, and the block on a sector
-    equals that sector's block of the full-space sum entry for entry.  A
-    sector block is float64 when every term is real; a term that does not conserve a sector
-    raises the leak ``ValueError``.  The operator carries the interaction's
-    ``su2_invariant`` declaration."""
+    """Hermitian sum of the terms on the basis ``space`` (a ``SpinSpace`` or a
+    ``SectorBasis``) by one ``embed_local`` call, in canonical term order with
+    the terms on one support added locally first: bit-identical for any input
+    term order, and on a sector equal to that block of the full-space sum to
+    rounding.  A sector block is float64 when every term is real; a term that
+    does not conserve a sector raises the leak ``ValueError``."""
     for support, _ in phi.terms:
         if any(not 0 <= x < space.n_sites for x in support):
             raise ValueError(f"term support {support} outside the space")
-    # a column of H: one diagonal entry plus each term's most off-diagonal local ones
-    per_column = 1 + sum(int(np.count_nonzero(m - np.diag(np.diag(m)), axis=0).max())
-                         for _, m in phi.terms)
-    real = isinstance(space, SectorBasis) and not any(m.imag.any() for _, m in phi.terms)
+    local = {}
+    for support, mat in sorted(phi.terms, key=lambda t: (t[0], t[1].tobytes())):
+        local[support] = local[support] + mat if support in local else mat
+    # a column of H: one diagonal entry plus each support's most off-diagonal local ones
+    per_column = 1 + sum(int(((m != 0).sum(0) - (m.diagonal() != 0)).max())
+                         for m in local.values())
+    real = isinstance(space, SectorBasis) and not any(m.imag.any() for m in local.values())
     require_memory(ASSEMBLY_COPIES * space.total_dim * per_column * (4 + (8 if real else 16)),
                    f"assembling H on {space.total_dim} states")
-    ordered = sorted(phi.terms, key=lambda t: (t[0], t[1].tobytes()))
-    total = sp.csr_matrix((space.total_dim, space.total_dim))
-    for support, mat in ordered:
-        total = total + embed_local(space, support, mat).matrix
-    return SparseOperator(total, hermitian=True, basis=space,
-                          su2_invariant=phi.params.get("su2_invariant", False))
+    return SparseOperator(embed_local(space, local.items()).matrix, hermitian=True,
+                          basis=space)

@@ -38,7 +38,7 @@ def frustration_free_check(phi: Interaction, space: SpinSpace, v0_size: int,
     second excitation scale entering H >= c (1 - |Omega><Omega|); the report
     states whether c reaches |V0| as the stability framework demands.
     """
-    levels, _ = sector_sweep_lowest(assemble(phi, space), space, k=6, threads=threads)
+    levels, _ = sector_sweep_lowest(phi, space, k=6, threads=threads)
     gap_rep = spectral_gap(levels, degeneracy_tol=max(tol, DEGENERACY_TOL))
     e0 = gap_rep.ground_energy
     psd = e0 >= -PSD_TOL * max(1.0, abs(levels.eigenvalues).max())
@@ -99,7 +99,8 @@ def gap_sweep(base_builder, pert_builder, lambdas, Ls, threads=1) -> StabilitySw
     ``base_builder`` and ``pert_builder`` map L to an Interaction; the space
     is built from the base's ``params["spins"]``.  The lambda = 0 column is
     computed from the base interaction alone, so it matches an unperturbed
-    run exactly.
+    run exactly.  Only the perturbation, for its norm, is assembled on the
+    full space; the sweeps assemble their sectors.
     """
     lambdas = [float(v) for v in lambdas]
     Ls = [int(L) for L in Ls]
@@ -118,8 +119,7 @@ def gap_sweep(base_builder, pert_builder, lambdas, Ls, threads=1) -> StabilitySw
         pert_norms[L] = float(max(abs(top), abs(bot)))
         for lam in lambdas:
             phi = base if lam == 0.0 else base + pert.scaled(lam)
-            levels, _ = sector_sweep_lowest(assemble(phi, space), space, k=6,
-                                            threads=threads)
+            levels, _ = sector_sweep_lowest(phi, space, k=6, threads=threads)
             rep = spectral_gap(levels)
             gaps[(L, lam)] = rep.gap
             energies[(L, lam)] = rep.ground_energy

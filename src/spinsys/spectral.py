@@ -9,6 +9,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .hilbert import SpinSpace, SectorBasis, magnetization_sector, restrict
+from .models import assemble
 from .util import ordered_map, require_memory
 
 DEGENERACY_TOL = 1e-8
@@ -149,29 +150,30 @@ def spectral_gap(report: SpectrumReport, degeneracy_tol=DEGENERACY_TOL) -> GapRe
                      gap=float(above[0] - e0))
 
 
-def sector_sweep_lowest(H, space: SpinSpace, k=4, threads=1):
-    """Lowest-k levels over the magnetization sectors, merged ascending.
+def sector_sweep_lowest(phi, space: SpinSpace, k=4, threads=1):
+    """Lowest-k levels of the interaction ``phi`` over the magnetization
+    sectors of ``space``, merged ascending; each block is assembled on its
+    sector alone (``assemble(phi, sector)``).
 
     Returns (merged SpectrumReport, dict label -> per-sector SpectrumReport).
     A sector solved densely (see ``sector_spectrum``) contributes all its
     levels.  The merge order is canonical (descending M), independent of
     any parallelism.
 
-    An H declared SU(2)-invariant (``H.su2_invariant``, which ``assemble``
-    carries from ``heisenberg``, ``aklt`` and ``lieb_mattis_hamiltonian``)
-    goes through ``symmetry.su2_sweep_lowest``.  It checks the declaration
-    (the sparse block commutators H_(M+1) S+ - S+ H_M on the blocks it forms,
-    and spec(M + 1) within spec(M) on the dense top sectors; a failed check
-    raises ``ValueError``), solves only the lowest sector M = 0 (or 1/2),
-    with eigenvectors, and lists each of its levels 2S + 1 times, S the total
-    spin of its Casimir label.  Its dict holds only the sectors it solved.
-    Every other H has every sector solved.
+    An interaction declared SU(2)-invariant (``phi.params["su2_invariant"]``:
+    ``heisenberg``, ``aklt``, ``lieb_mattis_hamiltonian``) goes through
+    ``symmetry.su2_sweep_lowest``, which checks the declaration and solves
+    the lowest sector M = 0 (or 1/2), with eigenvectors, and the dense top
+    sectors; its dict holds only those.
     """
-    if getattr(H, "su2_invariant", False):
+    if phi.params.get("su2_invariant", False):
         from .symmetry import su2_sweep_lowest
-        return su2_sweep_lowest(H, space, k=k, threads=threads)
-    sectors = [magnetization_sector(space, M) for M in space.magnetization_values()]
-    reports = ordered_map(lambda sec: sector_spectrum(H, sec, k=k), sectors, threads)
-    per_sector = {sec.label: rep for sec, rep in zip(sectors, reports)}
-    merged = np.sort(np.concatenate([r.eigenvalues for r in reports]))
+        return su2_sweep_lowest(phi, space, k=k, threads=threads)
+
+    def solve(M):
+        sector = magnetization_sector(space, M)
+        return sector.label, sector_spectrum(assemble(phi, sector), sector, k=k)
+
+    per_sector = dict(ordered_map(solve, space.magnetization_values(), threads))
+    merged = np.sort(np.concatenate([r.eigenvalues for r in per_sector.values()]))
     return SpectrumReport(merged), per_sector

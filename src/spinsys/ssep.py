@@ -123,7 +123,7 @@ def xxx_conjugacy_check(g: SpinGraph, tol=1e-10) -> ConjugacyReport:
     if not is_connected(g):
         raise ValueError("conjugacy check requires a connected graph")
     spin_space = SpinSpace.from_spins([0.5] * g.n_vertices)
-    H = assemble(ssep_spin_interaction(g), spin_space)
+    phi = ssep_spin_interaction(g)
     per_n = {}
     uniform = {}
     for n in range(0, g.n_vertices + 1):
@@ -131,7 +131,7 @@ def xxx_conjugacy_check(g: SpinGraph, tol=1e-10) -> ConjugacyReport:
         gen = ssep_generator(space)
         spec_l = np.sort(full_spectrum(gen).eigenvalues)
         sector = down_spin_sector(spin_space, g.n_vertices - n)  # M = n - |V|/2
-        spec_h = np.sort(sector_spectrum(H, sector).eigenvalues)
+        spec_h = np.sort(sector_spectrum(assemble(phi, sector), sector).eigenvalues)
         dev = float(np.abs(spec_l - spec_h).max()) if spec_l.size else 0.0
         per_n[n] = dev
         ones = np.ones(space.dim) / np.sqrt(space.dim)

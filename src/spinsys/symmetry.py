@@ -16,26 +16,27 @@ M = S, so labelling that sector's eigenvectors by the Casimir gives the
 spin-S levels.  The labels are read from C' = V^H C_M V, the sector
 Casimir in the eigenbasis V of H, built once per sector: a nondegenerate
 level's value is a diagonal entry of C', and only H-degenerate clusters
-diagonalise their block of C'.  ``classify_total_spin(H, ladder, space)``
-runs it over the spin grid and keeps every level of the sectors it solved.
-``su2_sweep_lowest`` labels the Ritz vectors of the lowest sector M = 0 (or
-1/2) the same way, so that the gap sweep of an H declared SU(2)-invariant
-solves that sector alone.
+diagonalise their block of C'.  ``classify_total_spin(phi, ladder, space)``
+runs it over the spin grid, on H assembled sector by sector, and keeps every
+level of the sectors it solved.  ``su2_sweep_lowest`` labels the Ritz
+vectors of the lowest sector M = 0 (or 1/2) the same way, so that the gap
+sweep of a model declared SU(2)-invariant solves that sector alone.
 Internally S is carried as the integer 2S to keep half-integers exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import takewhile
 from typing import NamedTuple, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from .hilbert import SpinSpace, SparseOperator, spin_matrices, embed_at, \
-    magnetization_sector, restrict
+    magnetization_sector
 from . import spectral
-from .models import XxzParams
+from .models import XxzParams, assemble
 from .spectral import SpectrumReport, sector_spectrum
 from .util import ordered_map
 
@@ -176,24 +177,14 @@ def sector_casimir(ladder, space: SpinSpace, twice_m: int) -> np.ndarray:
 
 
 def spin_multiplicities(space: SpinSpace, lowest=0) -> dict:
-    """2S -> number of spin-S multiplets, from magnetization sector dimensions,
-    for every 2S >= ``lowest`` (only the sectors M >= lowest / 2 are built).
-
-    The grid is derived from the data (dim(M=S) - dim(M=S+1)), not from a
-    closed formula, so mixed spin magnitudes are handled uniformly.
-    """
+    """2S -> number of spin-S multiplets, dim(M=S) - dim(M=S+1) from the
+    counted sector dimensions (``SpinSpace.magnetization_dims``), for every
+    2S >= ``lowest``; no closed formula, so mixed spin magnitudes are
+    handled uniformly."""
     tmax = space.twice_m_total_max()
-    dims = {}
-    for twice_m in range(tmax, lowest - 1, -2):
-        dims[twice_m] = magnetization_sector(space, twice_m / 2).dim
-    mult = {}
-    for twice_s in sorted(dims):
-        d_here = dims[twice_s]
-        d_above = dims.get(twice_s + 2, 0)
-        m = d_here - d_above
-        if m > 0:
-            mult[twice_s] = m
-    return mult
+    dims = dict(zip(range(tmax, -tmax - 1, -2), space.magnetization_dims()))
+    mult = {t: dims[t] - dims.get(t + 2, 0) for t in reversed(range(tmax, lowest - 1, -2))}
+    return {t: m for t, m in mult.items() if m > 0}
 
 
 @dataclass
@@ -209,9 +200,6 @@ class SpinResolvedLevels:
 
     def spins(self):
         return sorted(self.entries)
-
-    def energy(self, twice_s):
-        return self.entries[twice_s]
 
 
 def _label_levels(evals, c_rot, candidates, hermitian_c, basis=None):
@@ -274,20 +262,20 @@ def _label_levels(evals, c_rot, candidates, hermitian_c, basis=None):
     return cand_ts[best], resid
 
 
-def sector_spin_levels(H, ladder, space: SpinSpace, twice_s: int, spins):
-    """The spin-S states of an H commuting with ``ladder``'s algebra,
-    S = twice_s / 2: their energies (ascending) and Casimir residuals, and
-    every eigenvalue of the sector M = S.
+def sector_spin_levels(phi, ladder, space: SpinSpace, twice_s: int, spins):
+    """The spin-S states of an interaction commuting with ``ladder``'s
+    algebra, S = twice_s / 2: their energies (ascending) and Casimir
+    residuals, and every eigenvalue of the sector M = S.
 
-    The sector is diagonalized densely by ``sector_spectrum`` and the Casimir
-    rotated into its eigenbasis once; degenerate H-eigenspaces are split by
-    the Casimir rather than trusting solver bases, and each eigenvector is
-    labeled by the nearest ``ladder.casimir_value(t)`` over the spins t >= 2S
-    in ``spins`` (the 2S present in the space, as ``spin_multiplicities``
-    gives them).
+    H is assembled on that sector alone and diagonalized densely by
+    ``sector_spectrum``, and the Casimir rotated into its eigenbasis once;
+    degenerate H-eigenspaces are split by the Casimir rather than trusting
+    solver bases, and each eigenvector is labeled by the nearest
+    ``ladder.casimir_value(t)`` over the spins t >= 2S in ``spins`` (the 2S
+    present in the space, as ``spin_multiplicities`` gives them).
     """
-    rep = sector_spectrum(H, magnetization_sector(space, twice_s / 2),
-                          want_vectors=True)
+    sector = magnetization_sector(space, twice_s / 2)
+    rep = sector_spectrum(assemble(phi, sector), sector, want_vectors=True)
     evals, vecs = rep.eigenvalues, rep.eigenvectors
     c_rot = vecs.conj().T @ (_sparse_casimir(ladder, space, twice_s) @ vecs)
     del rep, vecs               # C' is all the labelling needs
@@ -314,8 +302,8 @@ def _unmatched_level(upper, lower, tol):
     return None
 
 
-def su2_sweep_lowest(H, space: SpinSpace, k=4, threads=1):
-    """``spectral.sector_sweep_lowest`` for an H declared SU(2)-invariant.
+def su2_sweep_lowest(phi, space: SpinSpace, k=4, threads=1):
+    """``spectral.sector_sweep_lowest`` for a ``phi`` declared SU(2)-invariant.
 
     Every level of the sector M > 0 also lies in M - 1, so the lowest
     sector M0 = 0 (or 1/2) holds every distinct level.  The declaration is
@@ -330,24 +318,20 @@ def su2_sweep_lowest(H, space: SpinSpace, k=4, threads=1):
       as a multiset, in spec(M) to SU2_CHECK_TOL (M0 joins the chain when
       it is dense too).
 
-    M0 is then solved with eigenvectors through ``sector_spectrum`` (its k
-    lowest levels, or all of them when dense), each vector is labelled by
-    the sector Casimir (``_label_levels``, residuals from the sparse C_M0),
+    Each block is assembled once, for the check and the solve.  M0 is then
+    solved with eigenvectors through ``sector_spectrum`` (its k lowest
+    levels, or all of them when dense), each vector is labelled by the
+    sector Casimir (``_label_levels``, residuals from the sparse C_M0),
     and the merged report lists each level 2S + 1 times.  Returns (merged
     report, label -> report of each sector solved, M0's with eigenvectors).
     """
     tmax = space.twice_m_total_max()
     low = tmax % 2
-    sectors = {}
-    for t in range(tmax, low, -2):       # the dense top run, above M0
-        sec = magnetization_sector(space, t / 2)
-        if sec.dim > spectral.KRYLOV_CROSSOVER:
-            break
-        sectors[t] = sec
-    top = list(sectors)
-    for t in (low + 2, low):
-        if t <= tmax and t not in sectors:
-            sectors[t] = magnetization_sector(space, t / 2)
+    dims = space.magnetization_dims()           # of 2M = tmax - 2i at index i
+    top = list(takewhile(lambda t: dims[(tmax - t) // 2] <= spectral.KRYLOV_CROSSOVER,
+                         range(tmax, low, -2)))  # the dense top run, above M0
+    sectors = {t: magnetization_sector(space, t / 2)
+               for t in dict.fromkeys(top + [low + 2, low]) if t <= tmax}
 
     ladder = su2_totals(space)
     ups = {t: ladder.plus(sectors[t], sectors[t + 2]).matrix
@@ -356,25 +340,26 @@ def su2_sweep_lowest(H, space: SpinSpace, k=4, threads=1):
     up_c, down_c = _casimir_factors(ladder, sectors[low])
     shift = ladder.casimir_shift(low)
     candidates = {t: ladder.casimir_value(t) for t in range(low, tmax + 1, 2)}
-    blocks = {t: restrict(H, sec, dense=False) for t, sec in sectors.items()}
-    largest = {t: np.abs(b.data).max(initial=1.0) for t, b in blocks.items()}
+    blocks = {t: assemble(phi, sec) for t, sec in sectors.items()}
+    largest = {t: np.abs(b.matrix.data).max(initial=1.0) for t, b in blocks.items()}
     for t, up in sorted(ups.items()):
         edges = np.linspace(0, up.shape[0], COMMUTATOR_SLICES + 1).astype(int)
         dev = 0.0
         for a, b in zip(edges[:-1], edges[1:]):
-            comm = blocks[t + 2][a:b] @ up - up[a:b] @ blocks[t]
+            comm = blocks[t + 2].matrix[a:b] @ up - up[a:b] @ blocks[t].matrix
             dev = max(dev, np.abs(comm.data).max(initial=0.0))
         scale = max(largest[t], largest[t + 2]) * np.abs(up.data).max(initial=0.0)
         if dev > SU2_CHECK_TOL * scale:
             raise ValueError(
                 f"H is declared SU(2)-invariant, but ||H S+ - S+ H|| = {dev:.3e} "
                 f"from M = {t / 2} to M = {t / 2 + 1}")
-    del blocks
+    order = [low] + top
+    blocks = {t: blocks[t] for t in order}      # M0 + 1, if not dense, was only checked
+    del ups
 
     def solve(t):
-        return sector_spectrum(H, sectors[t], k=k, want_vectors=t == low)
+        return sector_spectrum(blocks[t], sectors[t], k=k, want_vectors=t == low)
 
-    order = [low] + top
     reports = dict(zip(order, ordered_map(solve, order, threads)))
     full = {t for t, r in reports.items() if r.eigenvalues.size == sectors[t].dim}
     for t in sorted(full):
@@ -397,16 +382,17 @@ def su2_sweep_lowest(H, space: SpinSpace, k=4, threads=1):
     return merged, {sectors[t].label: reports[t] for t in top + [low]}
 
 
-def classify_total_spin(H, ladder, space: SpinSpace) -> SpinResolvedLevels:
-    """Build the spin-resolved level table of an H commuting with the Casimir
-    of ``ladder`` (``su2_totals`` or ``suq2_generators``), one
-    ``sector_spin_levels`` call per spin; the number of states labeled 2S
-    must equal the multiplet count the sector dimensions imply."""
+def classify_total_spin(phi, ladder, space: SpinSpace) -> SpinResolvedLevels:
+    """Build the spin-resolved level table of an interaction commuting with
+    the Casimir of ``ladder`` (``su2_totals`` or ``suq2_generators``), one
+    ``sector_spin_levels`` call per spin S, each on its sector M = S alone;
+    the number of states labeled 2S must equal the multiplet count the
+    sector dimensions imply."""
     mult = spin_multiplicities(space)
     entries, max_entries, counts, residuals, sector_levels = {}, {}, {}, {}, {}
     for twice_s in sorted(mult):
         energies, res, sector_levels[twice_s] = sector_spin_levels(
-            H, ladder, space, twice_s, mult)
+            phi, ladder, space, twice_s, mult)
         if energies.size != mult[twice_s]:
             raise ClassificationError(
                 f"multiplet count mismatch at 2S={twice_s}: found {energies.size}, "
@@ -477,12 +463,9 @@ def lieb_mattis_hamiltonian(g, part_a, part_b, intra_a=None, intra_b=None):
 
 def lieb_mattis_levels(g, part_a, part_b, intra_a=None, intra_b=None) -> SpinResolvedLevels:
     """Spin-resolved level table of ``lieb_mattis_hamiltonian``."""
-    from .models import assemble
-
     phi = lieb_mattis_hamiltonian(g, part_a, part_b, intra_a, intra_b)
     space = SpinSpace.from_graph(g)
-    H = assemble(phi, space)
-    return classify_total_spin(H, su2_totals(space), space)
+    return classify_total_spin(phi, su2_totals(space), space)
 
 
 def lieb_mattis_order(levels: SpinResolvedLevels, g, part_a, part_b,

@@ -25,8 +25,8 @@ def verdict(name, ok, detail):
 
 def spin_levels(g):
     space = SpinSpace.from_graph(g)
-    H = assemble(heisenberg(g), space)
-    return classify_total_spin(H, su2_totals(space), space), H, space
+    phi = heisenberg(g)
+    return classify_total_spin(phi, su2_totals(space), space), assemble(phi, space), space
 
 
 def test_01_ferromagnetic_level_ordering_figure():
@@ -195,8 +195,7 @@ def test_09_gap_stability_sweep():
     # lambda = 0 column must coincide with a standalone unperturbed run of
     # the same solve (gap_sweep keeps the 6 lowest levels per sector)
     ref = ss.spectral_gap(
-        ss.sector_sweep_lowest(assemble(base(8), SpinSpace((3,) * 8)),
-                               SpinSpace((3,) * 8), k=6, threads=4)[0]).gap
+        ss.sector_sweep_lowest(base(8), SpinSpace((3,) * 8), k=6, threads=4)[0]).gap
     exact0 = gap0 == ref
     verdict("gap_sweep_perturbed_aklt", positive and weyl and exact0,
             f"gap range [{min(sweep.gaps.values()):.4f}, "

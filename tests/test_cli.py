@@ -4,14 +4,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import scipy
 
 import spinsys.cli
+import spinsys.hilbert
 import spinsys.models
 import spinsys.symmetry
 import spinsys.util
 
+from spinsys import SectorBasis, SpinSpace, aklt, frustration_free_check, spin_matrices
 from spinsys.cli import ConfigError, merge_config, parse_config_file, run
 
 GRAPH4 = "vertices 4\n0 1 1.0\n1 2 1.0\n2 3 1.0\n"
@@ -43,6 +46,32 @@ def test_config_unknown_section_and_key(tmp_path):
         merge_config("spectrum", {"common": {"bogus_key": "1"}}, {})
     with pytest.raises(ConfigError):
         merge_config("spectrum", {}, {"bogus_flag": 1})
+
+
+@pytest.mark.parametrize("text", ["[spectrum]\nL = abc\n", "[common]\nthreads = 1.5\n"],
+                         ids=["L_abc", "threads_1.5"])
+def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert run(["spectrum", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("sub", ["liebmattis", "ssep", "spectrum", "foel"])
+def test_malformed_graph_file_is_config_error(tmp_path, capsys, sub):
+    gfile = tmp_path / "g.txt"
+    gfile.write_text("0 1 1.0\n1 2 1.0\n")          # no 'vertices N' header
+    assert run([sub, "--graph", str(gfile), "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
+    assert "vertices N" in lines[0]
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_flags_override_config_file(tmp_path):
@@ -255,16 +284,18 @@ STAR60 = "vertices 61\n" + "".join(f"0 {x} 1.0\n" for x in range(1, 61))
 
 BEYOND_MEMORY = [
     # argv, the physical memory to pretend (None: the machine's), the refusing site
+    # spectrum and perturb assemble on the full space (the trace check, the
+    # perturbation norm); foel, liebmattis and cluster only ever on sectors
     (["spectrum", "--L", "60"], None, "assembling H on 1152921504606846976 states"),
-    (["foel", "--L", "60"], None, "assembling H on 1152921504606846976 states"),
-    (["liebmattis", "--graph", "{star60}"], None, "assembling H on 2305843009213693952"),
+    (["foel", "--L", "60"], None, "the M = 0 sector of the 60-site space"),
+    (["liebmattis", "--graph", "{star60}"], None, "the M = 0.5 sector of the 61-site space"),
     # ssep: the 8 one-particle configurations fit, the 28 two-particle ones do not
     (["ssep", "--graph", "{ring8}"], 10_000, "dense complex128 solve of dimension 28"),
     (["droplet", "--q", "0.5", "--n", "10", "--Lmin", "40", "--Lmax", "40"], None,
      "40-site sector with 10 down spins"),
     # lightcone: H on 256 states fits, its dense eigenbasis does not
     (["lightcone", "--L", "8", "--tsteps", "2"], 2 ** 21, "dense 256-state eigenbasis"),
-    (["cluster", "--L", "30"], None, "assembling H on 205891132094649 states"),
+    (["cluster", "--L", "30"], None, "the M = 1 sector of the 30-site space"),
     (["perturb", "--L", "30"], None, "assembling H on 205891132094649 states"),
 ]
 
@@ -358,3 +389,30 @@ def test_liebmattis_classifies_once(tmp_path, monkeypatch):
     lines = read(out).strip().splitlines()
     assert lines[0] == "twice_S,S,E_min,E_max"
     assert [ln.split(",")[0] for ln in lines[1:]] == ["0", "2", "4"]
+
+
+def test_sweeps_build_nothing_beyond_their_sectors(tmp_path, monkeypatch):
+    # every embedding of these campaigns (H, the ladders, the observables)
+    # stays on sectors; perturb embeds only its perturbation on the full
+    # space, once, for the norm of the Weyl bound
+    full = []
+    embed = spinsys.hilbert._embed
+
+    def spy(basis, products, target=None):
+        if not (isinstance(basis, SectorBasis) and isinstance(target or basis, SectorBasis)):
+            full.append([m for product in products for _, m in product])
+        return embed(basis, products, target)
+
+    monkeypatch.setattr(spinsys.hilbert, "_embed", spy)
+    ring6 = tmp_path / "ring6.txt"
+    ring6.write_text("vertices 6\n" + "".join(f"{x} {(x + 1) % 6} 1.0\n" for x in range(6)))
+    for argv in (["cluster", "--L", "6"], ["foel", "--L", "8"],
+                 ["liebmattis", "--graph", str(ring6)], ["ssep", "--graph", str(ring6)]):
+        assert run([*argv, "--out", str(tmp_path / "o.csv")]) == 0, argv
+    frustration_free_check(aklt(6, periodic=True), SpinSpace((3,) * 6), v0_size=1)
+    assert full == []
+    assert run(["perturb", "--L", "4", "--lambda_min", "0.05", "--lambda_max", "0.05",
+                "--out", str(tmp_path / "p.csv")]) == 0
+    s3 = np.asarray(spin_matrices(1.0).s3)
+    assert len(full) == 1 and len(full[0]) == 4
+    assert all(np.array_equal(m, np.kron(s3, s3)) for m in full[0])

@@ -87,7 +87,7 @@ def model_cases():
     s, s1 = spin_matrices(0.5), spin_matrices(1.0)
     g, space, H = chain_setup(6)
     two_site = 0.6 * np.kron(s.s3, s.s3) + 0.3 * np.kron(s.s1, s.s2)
-    B = embed_local(space, (2, 3), two_site) + embed_at(space, [(2, s.s3)])
+    B = embed_local(space, [((2, 3), two_site), ((2,), s.s3)])
     yield space, H, B, True
 
     space = SpinSpace((3,) * 4)

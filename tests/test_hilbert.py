@@ -133,7 +133,7 @@ def test_embed_local_matches_kron_product():
     s = spin_matrices(0.5)
     sz = np.asarray(s.s3)
     two_site = np.kron(sz, sz)      # site order (x, y) with y slower
-    emb = embed_local(space, (0, 2), two_site).toarray()
+    emb = embed_local(space, [((0, 2), two_site)]).toarray()
     ref = (kron_chain(space, {0: sz}).matrix @ kron_chain(space, {2: sz}).matrix).toarray()
     assert_allclose(emb, ref, atol=1e-14)
 
@@ -143,9 +143,25 @@ def test_embed_local_nonadjacent_noncommuting():
     s = spin_matrices(0.5)
     sp, sm = np.asarray(s.plus), np.asarray(s.minus)
     # little-endian within the support: first support site is the fast index
-    emb = embed_local(space, (0, 2), np.kron(sm, sp)).toarray()
+    emb = embed_local(space, [((0, 2), np.kron(sm, sp))]).toarray()
     ref = (kron_chain(space, {0: sp}).matrix @ kron_chain(space, {2: sm}).matrix).toarray()
     assert_allclose(emb, ref, atol=1e-14)
+
+
+def test_embed_local_sums_its_terms():
+    # overlapping supports, a repeated one and a single site: one conversion
+    # adds the elements that land on the same position
+    space = SpinSpace((2, 3, 2, 2))
+    rng = np.random.default_rng(5)
+    terms = []
+    for support in [(0, 1), (1, 2), (0, 1), (3,), (0, 2, 3)]:
+        d = int(np.prod([space.site_dims[x] for x in support]))
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        terms.append((support, m + m.conj().T))
+    got = embed_local(space, terms).toarray()
+    want = sum(embed_local(space, [t]).toarray() for t in terms)
+    assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert embed_local(space, []).matrix.nnz == 0
 
 
 def _per_element_embed_local(space, support, matrix):
@@ -181,7 +197,7 @@ def test_embed_local_matches_per_element_embedding(dims, support):
     d = int(np.prod([dims[x] for x in support]))
     m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     m[rng.random((d, d)) < 0.4] = 0.0
-    got = embed_local(space, support, m).matrix
+    got = embed_local(space, [(support, m)]).matrix
     ref = _per_element_embed_local(space, support, m)
     assert got.shape == ref.shape == (space.total_dim,) * 2
     assert np.array_equal(got.indptr, ref.indptr)
@@ -221,8 +237,9 @@ def test_restrict_to_target_sector(dims):
 
 
 def test_sparse_operator_validation():
-    mat = np.array([[0.0, 1.0], [0.0, 0.0]])
-    with pytest.raises(ValueError):
-        SparseOperator(mat, hermitian=True)
+    # the second is symmetric but not Hermitian: the check conjugates
+    for mat in (np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[0.0, 1j], [1j, 0.0]])):
+        with pytest.raises(ValueError, match="hermitian flag asserted"):
+            SparseOperator(mat, hermitian=True)
     op = SparseOperator(np.array([[2.0, 0.0], [0.0, -1.0]]), hermitian=True)
     assert np.linalg.norm(op.toarray(), 2) == pytest.approx(2.0)

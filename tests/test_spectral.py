@@ -88,9 +88,9 @@ def test_krylov_is_bitwise_repeatable(monkeypatch):
     # concurrent ARPACK runs, one per sector, give the same bytes (on the
     # perturbed ring, which is not SU(2)-invariant, so every sector is solved)
     monkeypatch.setattr(spinsys.spectral, "KRYLOV_CROSSOVER", 100)
-    H = assemble(aklt(6, periodic=True) + szsz_ring(6).scaled(0.05), space)
-    one, per_sector = sector_sweep_lowest(H, space, k=3, threads=1)
-    four, _ = sector_sweep_lowest(H, space, k=3, threads=4)
+    phi = aklt(6, periodic=True) + szsz_ring(6).scaled(0.05)
+    one, per_sector = sector_sweep_lowest(phi, space, k=3, threads=1)
+    four, _ = sector_sweep_lowest(phi, space, k=3, threads=4)
     assert sum(rep.eigenvalues.size == 3 for rep in per_sector.values()) >= 3
     assert one.eigenvalues.tobytes() == four.eigenvalues.tobytes()
 
@@ -143,9 +143,9 @@ def test_sector_sweep_matches_dense():
     g = path_graph(8)
     space = SpinSpace.from_graph(g)
     field = custom([((0,), 0.3 * np.asarray(spin_matrices(0.5).s3))])
-    H = assemble(heisenberg(g) + field, space)
-    merged, per_sector = sector_sweep_lowest(H, space, k=3, threads=2)
-    dense = np.sort(np.linalg.eigvalsh(H.toarray()))
+    phi = heisenberg(g) + field
+    merged, per_sector = sector_sweep_lowest(phi, space, k=3, threads=2)
+    dense = np.sort(np.linalg.eigvalsh(assemble(phi, space).toarray()))
     assert_allclose(merged.eigenvalues[:3], dense[:3], atol=1e-9)
     assert set(per_sector) == {("M", M) for M in space.magnetization_values()}
 
@@ -153,9 +153,8 @@ def test_sector_sweep_matches_dense():
 def test_sweep_thread_counts_agree_bitwise():
     g = path_graph(7)
     space = SpinSpace.from_graph(g)
-    H = assemble(heisenberg(g), space)
-    a, _ = sector_sweep_lowest(H, space, k=2, threads=1)
-    b, _ = sector_sweep_lowest(H, space, k=2, threads=4)
+    a, _ = sector_sweep_lowest(heisenberg(g), space, k=2, threads=1)
+    b, _ = sector_sweep_lowest(heisenberg(g), space, k=2, threads=4)
     assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
 
 
@@ -172,11 +171,6 @@ def test_lanczos_random_matrix_battery():
         rep = extremal_eigs(h, k=k)
         worst = max(worst, np.abs(rep.eigenvalues - dense[:k]).max())
     assert worst < 1e-9, f"worst deviation {worst:.3e}"
-
-
-def undeclared(H):
-    """The same matrix without the SU(2) declaration: every sector is solved."""
-    return SparseOperator(H.matrix, hermitian=True)
 
 
 def star_lieb_mattis(n_leaves, spin):
@@ -202,10 +196,10 @@ REDUCED_SWEEP_CASES = {
 @pytest.mark.parametrize("k", [2, 6])
 def test_reduced_sweep_matches_full_sweep(case, k):
     phi, space = REDUCED_SWEEP_CASES[case]()
-    H = assemble(phi, space)
-    assert H.su2_invariant
-    merged, per_sector = sector_sweep_lowest(H, space, k=k)
-    full, _ = sector_sweep_lowest(undeclared(H), space, k=k)
+    assert phi.params["su2_invariant"]
+    merged, per_sector = sector_sweep_lowest(phi, space, k=k)
+    # ``+ custom([])`` drops the declaration: every sector is solved
+    full, _ = sector_sweep_lowest(phi + custom([]), space, k=k)
     got, want = spectral_gap(merged), spectral_gap(full)
     assert abs(got.ground_energy - want.ground_energy) <= 1e-10
     assert abs(got.gap - want.gap) <= 1e-10
@@ -220,9 +214,9 @@ def test_reduced_sweep_lists_each_level_by_its_multiplicity():
     # the whole spin-1/2 ring of 8 fits the dense path: the merged report is
     # the full spectrum, every level 2S + 1 times
     space = SpinSpace((2,) * 8)
-    H = assemble(heisenberg(ring_graph(8)).scaled(-1.0), space)
-    merged, per_sector = sector_sweep_lowest(H, space, k=2)
-    whole = np.linalg.eigvalsh(H.toarray())
+    phi = heisenberg(ring_graph(8)).scaled(-1.0)
+    merged, per_sector = sector_sweep_lowest(phi, space, k=2)
+    whole = np.linalg.eigvalsh(assemble(phi, space).toarray())
     assert merged.eigenvalues.size == whole.size
     assert_allclose(merged.eigenvalues, whole, atol=1e-10)
     assert set(per_sector) == {("M", M) for M in space.magnetization_values() if M >= 0}
@@ -247,7 +241,7 @@ def test_wrong_declaration_fails_the_commutator_check():
     assert "su2_invariant" not in phi.params
     phi.params["su2_invariant"] = True
     with pytest.raises(ValueError, match=r"declared SU\(2\)-invariant.*S\+ - S\+ H"):
-        sector_sweep_lowest(assemble(phi, space), space, k=2)
+        sector_sweep_lowest(phi, space, k=2)
 
 
 def test_wrong_declaration_fails_the_nesting_check(monkeypatch):
@@ -265,7 +259,7 @@ def test_wrong_declaration_fails_the_nesting_check(monkeypatch):
     phi = aklt(6, periodic=True) + szsz_ring(6).scaled(0.05)
     phi.params["su2_invariant"] = True
     with pytest.raises(ValueError, match="has no partner"):
-        sector_sweep_lowest(assemble(phi, space), space, k=2)
+        sector_sweep_lowest(phi, space, k=2)
 
 
 def test_unmatched_level_matches_multisets():

@@ -16,8 +16,7 @@ from spinsys.symmetry import (CLASSIFY_DEGENERACY_TOL, TotalSpinOps, _label_leve
 
 def spin_levels(g):
     space = SpinSpace.from_graph(g)
-    H = assemble(heisenberg(g), space)
-    return classify_total_spin(H, su2_totals(space), space)
+    return classify_total_spin(heisenberg(g), su2_totals(space), space)
 
 
 def sector_blocks(ladder, space):
@@ -220,20 +219,19 @@ def staggered_field_chain(h):
     g = path_graph(4)
     s3 = np.asarray(spin_matrices(0.5).s3)
     field = custom([((x,), h * (-1) ** x * s3) for x in range(4)])
-    space = SpinSpace.from_graph(g)
-    return assemble(heisenberg(g) + field, space), space
+    return heisenberg(g) + field, SpinSpace.from_graph(g)
 
 
 def test_classification_rejects_broken_symmetry():
-    H, space = staggered_field_chain(0.3)
+    phi, space = staggered_field_chain(0.3)
     with pytest.raises(ClassificationError, match="ambiguous Casimir label"):
-        classify_total_spin(H, su2_totals(space), space)
+        classify_total_spin(phi, su2_totals(space), space)
 
 
 def test_classification_rejects_casimir_residual():
-    H, space = staggered_field_chain(1e-7)
+    phi, space = staggered_field_chain(1e-7)
     with pytest.raises(ClassificationError, match="Casimir residual .* above tolerance"):
-        classify_total_spin(H, su2_totals(space), space)
+        classify_total_spin(phi, su2_totals(space), space)
 
 
 def test_classification_rejects_multiplet_count_mismatch():
@@ -245,26 +243,24 @@ def test_classification_rejects_multiplet_count_mismatch():
 
     g = path_graph(4)
     space = SpinSpace.from_graph(g)
-    H = assemble(heisenberg(g), space)
     with pytest.raises(ClassificationError, match="multiplet count mismatch"):
-        classify_total_spin(H, SwappedLadder(*su2_totals(space)), space)
+        classify_total_spin(heisenberg(g), SwappedLadder(*su2_totals(space)), space)
 
 
 def test_classification_rejects_periodic_xxz_with_suq_ladder():
     p = XxzParams.from_q(6, 0.5, boundary="periodic")
     space = SpinSpace((2,) * p.L)
-    H = assemble(xxz(p), space)
     with pytest.raises(ClassificationError, match="ambiguous Casimir label"):
-        classify_total_spin(H, suq2_generators(p), space)
+        classify_total_spin(xxz(p), suq2_generators(p), space)
 
 
 def test_classification_rejects_sector_without_its_spin():
     # a single spin-1 site: its M = 0 sector holds only the S = 1 state
     g = path_graph(1, spin=1.0)
     space = SpinSpace.from_graph(g)
-    H = assemble(heisenberg(g), space)
     with pytest.raises(ClassificationError, match="no state labeled 2S=0"):
-        sector_spin_levels(H, su2_totals(space), space, 0, spin_multiplicities(space))
+        sector_spin_levels(heisenberg(g), su2_totals(space), space, 0,
+                           spin_multiplicities(space))
 
 
 def test_classification_rejects_complex_q_casimir_values():
@@ -304,13 +300,12 @@ def label_by_walk(evals, evecs, c_block, candidates, hermitian_c):
 
 def su2_case(g):
     space = SpinSpace.from_graph(g)
-    return assemble(heisenberg(g), space), su2_totals(space), space
+    return heisenberg(g), su2_totals(space), space
 
 
 def suq_case(L, q):
     p = XxzParams.from_q(L, q)
-    space = SpinSpace((2,) * L)
-    return assemble(xxz(p), space), suq2_generators(p), space
+    return xxz(p), suq2_generators(p), SpinSpace((2,) * L)
 
 
 @pytest.mark.parametrize("case", [
@@ -318,7 +313,8 @@ def suq_case(L, q):
     lambda: suq_case(8, 0.3), lambda: suq_case(8, 0.5)],
     ids=["spin_half_ring_L8", "spin1_chain_L5", "xxz_open_L8_q0.3", "xxz_open_L8_q0.5"])
 def test_eigenbasis_labels_match_direct_walk(case):
-    H, ladder, space = case()
+    phi, ladder, space = case()
+    H = assemble(phi, space)            # the walk's oracle runs on the full space
     spins = spin_multiplicities(space)
     clustered = False
     for twice_s in spins:
@@ -333,7 +329,8 @@ def test_eigenbasis_labels_match_direct_walk(case):
         assert np.array_equal(labels, ref_labels), twice_s
         assert_allclose(res, ref_res, rtol=0, atol=1e-12)
         # the library path, which builds C' from the sparse Casimir block
-        energies, mine_res, sector_levels = sector_spin_levels(H, ladder, space, twice_s, spins)
+        energies, mine_res, sector_levels = sector_spin_levels(phi, ladder, space, twice_s,
+                                                               spins)
         mine = ref_labels == twice_s
         assert np.array_equal(energies, evals[mine]) and np.array_equal(sector_levels, evals)
         assert_allclose(mine_res, ref_res[mine], rtol=0, atol=1e-12)
@@ -364,9 +361,10 @@ def highest_weight_levels(H, ladder, space):
     return out
 
 
-def assert_levels_match_highest_weights(H, ladder, space):
-    levels = classify_total_spin(H, ladder, space)
-    oracle = highest_weight_levels(H, ladder, space)
+def assert_levels_match_highest_weights(phi, ladder, space):
+    # oracle: the highest weights of the full-space H
+    levels = classify_total_spin(phi, ladder, space)
+    oracle = highest_weight_levels(assemble(phi, space), ladder, space)
     assert sorted(oracle) == levels.spins()
     for twice_s, (e_hw, dim_hw) in oracle.items():
         assert abs(levels.entries[twice_s] - e_hw) <= 1e-10, twice_s
@@ -378,8 +376,7 @@ def assert_levels_match_highest_weights(H, ladder, space):
                          ids=["spin_half_L8", "spin1_L5"])
 def test_su2_levels_match_highest_weight_oracle(g):
     space = SpinSpace.from_graph(g)
-    H = assemble(heisenberg(g), space)
-    assert_levels_match_highest_weights(H, su2_totals(space), space)
+    assert_levels_match_highest_weights(heisenberg(g), su2_totals(space), space)
 
 
 @pytest.mark.parametrize("L", [6, 8])
@@ -387,7 +384,6 @@ def test_su2_levels_match_highest_weight_oracle(g):
 def test_suq_levels_match_highest_weight_oracle(L, q):
     p = XxzParams.from_q(L, q)
     space = SpinSpace((2,) * L)
-    H = assemble(xxz(p), space)
-    levels = assert_levels_match_highest_weights(H, suq2_generators(p), space)
+    levels = assert_levels_match_highest_weights(xxz(p), suq2_generators(p), space)
     for n in range(L // 2 + 1):
         assert levels.entries[L - 2 * n] == open_chain_spin_level(p, n)
