@@ -216,10 +216,13 @@ def run_foel(cfg):
     levels = classify_total_spin(phi, su2_totals(space), space)
     verdict = foel_check(levels)
     e0 = min(levels.entries.values())
+    # the sectors M = S >= 0 were solved by the classification, and under the
+    # global spin flip the sector M < 0 has the levels of -M
+    flip = phi.flip_invariant()
     rows = []
     for M in space.magnetization_values():
-        # the sectors M = S >= 0 were solved by the classification
-        energies = levels.sector_levels.get(int(round(2 * M)))
+        twice_m = int(round(2 * M))
+        energies = levels.sector_levels.get(abs(twice_m) if flip else twice_m)
         if energies is None:
             sector = magnetization_sector(space, M)
             energies = sector_spectrum(assemble(phi, sector), sector).eigenvalues

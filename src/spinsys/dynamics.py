@@ -460,7 +460,9 @@ def clustering_report(g: SpinGraph, phi: Interaction, local_op, lam: float,
     sector's block, assembled once more; otherwise the correlator solves the
     ground sector itself.  The observable blocks are embedded on the ground
     sector directly, and the n_window + 1 equally spaced b of a pair come
-    from one ``SectorCorrelator.window`` call.
+    from one ``SectorCorrelator.window`` call.  The large-b check propagates
+    each pair's centred vector once, step by step through the ascending
+    ``large_bs``.
     """
     space = SpinSpace.from_graph(g)
     merged, per_sector = sector_sweep_lowest(phi, space, k=2, threads=threads)
@@ -512,11 +514,17 @@ def clustering_report(g: SpinGraph, phi: Interaction, local_op, lam: float,
 
     # trivial large-b bound ||A|| ||B|| e^(-gamma b)
     op_norm = float(np.linalg.norm(np.asarray(local_op, dtype=complex), 2))
+    if min(large_bs, default=0.0) < 0:
+        raise ValueError("imaginary time b must be nonnegative")
     large_rows = []
     for (x, y) in pairs:
-        for b in large_bs:
-            val = abs(corr.correlation(blocks[x], blocks[y], b))
-            large_rows.append((y, b, val, op_norm * op_norm * math.exp(-gamma * b)))
+        a_vec, w = corr._centred(blocks[x], blocks[y])
+        vals, b_prev = {}, 0.0
+        for b in sorted(set(large_bs)):
+            w = corr.propagate(w, b - b_prev)
+            vals[b], b_prev = float(abs(np.vdot(a_vec, w))), b
+        large_rows.extend((y, b, vals[b], op_norm * op_norm * math.exp(-gamma * b))
+                          for b in large_bs)
 
     return ClusteringReport(gamma=gamma, ground_energy=gap_rep.ground_energy,
                             ground_degeneracy=gap_rep.ground_degeneracy,

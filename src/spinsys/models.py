@@ -35,6 +35,9 @@ class Interaction:
     ``params["su2_invariant"]`` declares that the sum commutes with the total
     spin.  It is set by the models that are, never inferred; ``scaled``
     keeps it and ``+`` drops it along with the other params.
+
+    The global spin flip m -> -m is not declared but checked on the terms
+    (``flip_invariant``), so it survives ``+`` and ``scaled``.
     """
 
     terms: list                      # [(support tuple, ndarray), ...]
@@ -52,6 +55,17 @@ class Interaction:
                 raise ValueError(f"term on {support} is not Hermitian")
             canon.append((support, mat))
         self.terms = canon
+
+    def flip_invariant(self) -> bool:
+        """Whether every term commutes with the global spin flip m -> -m, so
+        that the sector M and the sector -M have the same spectrum.
+
+        Reversing a mixed-radix index reverses every site's digit, d -> n - 1 - d,
+        which is m -> -m on every site: a term is flip-invariant when its local
+        matrix equals ``m[::-1, ::-1]`` to TERM_HERMITICITY_TOL relative to its
+        largest entry (S.S, S3 S3 and the XXZ bond are; a one-site S3 is not)."""
+        return all(np.abs(m - m[::-1, ::-1]).max()
+                   <= TERM_HERMITICITY_TOL * np.abs(m).max() for _, m in self.terms)
 
     def scaled(self, factor) -> "Interaction":
         return Interaction([(s, factor * m) for s, m in self.terms],

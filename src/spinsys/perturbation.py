@@ -100,7 +100,8 @@ def gap_sweep(base_builder, pert_builder, lambdas, Ls, threads=1) -> StabilitySw
     is built from the base's ``params["spins"]``.  The lambda = 0 column is
     computed from the base interaction alone, so it matches an unperturbed
     run exactly.  Only the perturbation, for its norm, is assembled on the
-    full space; the sweeps assemble their sectors.
+    full space; the sweeps assemble their sectors.  A diagonal perturbation
+    (S3 S3) has its norm read off the diagonal by ``extremal_eigs``.
     """
     lambdas = [float(v) for v in lambdas]
     Ls = [int(L) for L in Ls]

@@ -81,6 +81,11 @@ def extremal_eigs(H, k, want_vectors=True) -> SpectrumReport:
     ARPACK always runs at machine precision (``tol=0``); a residual above
     RESIDUAL_TOL * max(1, |E|) raises ``ConvergenceError``.  Only a matrix
     too small for the k + 6 Ritz values below is diagonalised densely.
+
+    A matrix whose stored entries all lie on the diagonal (such as a sum of
+    S3 S3 terms on the full space) runs neither: its k lowest diagonal
+    entries, in stable order, are returned with unit eigenvectors and zero
+    residuals, which is exact.
     """
     import scipy.sparse.linalg as spla
 
@@ -90,6 +95,15 @@ def extremal_eigs(H, k, want_vectors=True) -> SpectrumReport:
     dim = mat.shape[0]
     if k < 1:
         raise ValueError("k must be at least 1")
+    if mat.nnz <= dim and np.array_equal(
+            mat.indices, np.repeat(np.arange(dim), np.diff(mat.indptr))):
+        diag = mat.diagonal().real
+        order = np.argsort(diag, kind="stable")[:k]
+        vecs = None
+        if want_vectors:
+            vecs = np.zeros((dim, order.size), dtype=mat.dtype)
+            vecs[order, np.arange(order.size)] = 1.0
+        return SpectrumReport(diag[order], vecs, residuals=np.zeros(order.size))
     # Single-vector Lanczos finds the second copy of a degenerate level only
     # through rounding.  Six spare Ritz values keep every copy of the k
     # wanted levels in the restarted space (k, k + 2 and k + 4 each missed a
@@ -160,6 +174,11 @@ def sector_sweep_lowest(phi, space: SpinSpace, k=4, threads=1):
     levels.  The merge order is canonical (descending M), independent of
     any parallelism.
 
+    When every term commutes with the global spin flip
+    (``phi.flip_invariant()``), the sector -M has the spectrum of M: only the
+    sectors M >= 0 are solved, the merged report lists each M > 0 level
+    twice, and the dict holds only the sectors solved.
+
     An interaction declared SU(2)-invariant (``phi.params["su2_invariant"]``:
     ``heisenberg``, ``aklt``, ``lieb_mattis_hamiltonian``) goes through
     ``symmetry.su2_sweep_lowest``, which checks the declaration and solves
@@ -174,6 +193,10 @@ def sector_sweep_lowest(phi, space: SpinSpace, k=4, threads=1):
         sector = magnetization_sector(space, M)
         return sector.label, sector_spectrum(assemble(phi, sector), sector, k=k)
 
-    per_sector = dict(ordered_map(solve, space.magnetization_values(), threads))
-    merged = np.sort(np.concatenate([r.eigenvalues for r in per_sector.values()]))
+    flip = phi.flip_invariant()
+    values = [M for M in space.magnetization_values() if M >= 0 or not flip]
+    per_sector = dict(ordered_map(solve, values, threads))
+    # under the flip, each solved M > 0 also stands for -M
+    merged = np.sort(np.concatenate([np.tile(r.eigenvalues, 2 if flip and lab[1] > 0 else 1)
+                                     for lab, r in per_sector.items()]))
     return SpectrumReport(merged), per_sector

@@ -371,6 +371,38 @@ def test_tol_is_not_an_option(tmp_path):
     assert not (tmp_path / "c.csv").exists()
 
 
+def test_foel_mirrors_the_negative_sectors(tmp_path, monkeypatch):
+    # the Heisenberg chain is flip-invariant: the rows M < 0 repeat those of
+    # -M, and match the direct solves made when the flip check is switched off
+    solves = []
+    spectrum = spinsys.cli.sector_spectrum
+
+    def counted(H, sector, *args, **kwargs):
+        solves.append(sector.label)
+        return spectrum(H, sector, *args, **kwargs)
+
+    monkeypatch.setattr(spinsys.cli, "sector_spectrum", counted)
+    mirrored, solved = tmp_path / "mirrored.csv", tmp_path / "solved.csv"
+    assert run(["foel", "--L", "7", "--out", str(mirrored)]) == 0
+    assert solves == []
+    monkeypatch.setattr(spinsys.models.Interaction, "flip_invariant", lambda self: False)
+    assert run(["foel", "--L", "7", "--out", str(solved)]) == 0
+    assert solves == [("M", -M) for M in (0.5, 1.5, 2.5, 3.5)]
+
+    def rows(path):
+        out = {}
+        for line in read(path).strip().splitlines()[1:]:
+            m, e = line.split(",")
+            out.setdefault(float(m), []).append(float(e))
+        return out
+
+    got, want = rows(mirrored), rows(solved)
+    assert got.keys() == want.keys()
+    for m in got:
+        assert got[m] == got[abs(m)]
+        np.testing.assert_allclose(got[m], want[m], rtol=1e-12, atol=1e-12)
+
+
 def test_liebmattis_classifies_once(tmp_path, monkeypatch):
     gfile = tmp_path / "p4.graph"
     gfile.write_text(GRAPH4)

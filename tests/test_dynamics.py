@@ -321,6 +321,26 @@ def test_bounds_are_infinite_once_the_growth_overflows():
     assert lr_bound_rhs(g, 1.0, 1761.0, 3, (3,), 1.0, 0.1) < float("inf")
 
 
+def test_large_b_steps_match_one_correlation_per_b(monkeypatch):
+    # one propagation per pair through the ascending b, rows in the given order
+    g = ring_graph(6, spin=1.0)
+    phi = aklt(6, periodic=True)
+    s3 = np.asarray(spin_matrices(1.0).s3)
+    made = []
+    monkeypatch.setattr(spinsys.dynamics, "SectorCorrelator",
+                        lambda *a, **kw: made.append(SectorCorrelator(*a, **kw)) or made[-1])
+    large_bs = (3.0, 1.0, 6.0, 0.0)
+    rep = spinsys.dynamics.clustering_report(g, phi, s3, 1.0, large_bs=large_bs)
+    corr, = made
+    sector = magnetization_sector(SpinSpace.from_graph(g), 0.0)
+    a_block = embed_at(sector, [(0, s3)]).matrix
+    ys = sorted({y for (y, _, _, _) in rep.large_b})
+    assert [(y, b) for (y, b, _, _) in rep.large_b] == [(y, b) for y in ys for b in large_bs]
+    for (y, b, val, _) in rep.large_b:
+        want = abs(corr.correlation(a_block, embed_at(sector, [(y, s3)]).matrix, b))
+        assert val == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
 def test_clustering_reuses_the_sweep_ground_state_bit_for_bit(tmp_path, monkeypatch):
     # AKLT L=9: the ground sector (dim 3139) is above the Krylov crossover,
     # so the sweep's solve is the k=2 ARPACK call SectorCorrelator would make

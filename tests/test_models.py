@@ -123,6 +123,24 @@ def test_su2_declaration_is_carried_and_dropped():
         assert not phi.params.get("su2_invariant", False)
 
 
+def test_flip_check_reads_the_terms():
+    g = ring_graph(4)
+    s3 = np.asarray(spin_matrices(1.0).s3)
+    szsz = custom([((x, (x + 1) % 4), np.kron(s3, s3)) for x in range(4)])
+    flip = [heisenberg(g), heisenberg(star_graph(3, spin=1.0)), aklt(4, periodic=True),
+            xxz(XxzParams.from_q(4, 0.5, boundary="periodic")), szsz,
+            aklt(4, periodic=True) + szsz.scaled(0.04), custom([])]
+    assert all(phi.flip_invariant() for phi in flip)
+    # a one-site S3, the open XXZ boundary field, and a term off by 1e-9
+    off = np.kron(s3, s3) + 1e-9 * np.diag(np.arange(9.0))
+    for phi in (heisenberg(g) + custom([((0,), 0.1 * np.asarray(spin_matrices(0.5).s3))]),
+                xxz(XxzParams.from_q(4, 0.5)), custom([((0, 1), off)])):
+        assert not phi.flip_invariant()
+    # the check is relative to the term's scale
+    assert szsz.scaled(1e-20).flip_invariant()
+    assert not custom([((0, 1), 1e-20 * off)]).flip_invariant()
+
+
 @pytest.mark.parametrize("delta", [float("nan"), float("inf"), 1.0])
 def test_xxz_delta_checks_name_delta(delta):
     with pytest.raises(ValueError, match="Delta"):

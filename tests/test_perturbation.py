@@ -63,6 +63,19 @@ def test_gap_sweep_small_grid():
     assert sweep.pert_norms[6] == pytest.approx(6.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("L", [5, 6])
+def test_gap_sweep_szsz_norm_is_exactly_L(L):
+    # the S3 S3 ring is diagonal: its extremes, L (every m = 1) and -L or
+    # 2 - L, are read off the diagonal with no Krylov rounding
+    s3 = np.asarray(spin_matrices(1.0).s3)
+
+    def pert(LL):
+        return custom([((x, (x + 1) % LL), np.kron(s3, s3)) for x in range(LL)])
+
+    sweep = gap_sweep(lambda LL: aklt(LL, periodic=True), pert, [0.0], [L])
+    assert sweep.pert_norms[L] == float(L)
+
+
 def test_gap_sweep_needs_spins_in_base_params():
     assert aklt(4).params["spins"] == (1.0,) * 4
     sz = np.asarray(spin_matrices(1.0).s3)

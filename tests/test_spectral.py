@@ -6,11 +6,12 @@ from numpy.testing import assert_allclose
 import spinsys.spectral
 import spinsys.symmetry
 import spinsys.util
-from spinsys import (SparseOperator, SpinSpace, aklt, assemble, custom, extremal_eigs,
-                     frustration_free_check, full_spectrum, heisenberg,
+from spinsys import (SparseOperator, SpinSpace, XxzParams, aklt, assemble, custom,
+                     extremal_eigs, frustration_free_check, full_spectrum, heisenberg,
                      magnetization_sector, path_graph, restrict, ring_graph,
                      sector_spectrum, sector_sweep_lowest, spectral_gap, spin_matrices,
-                     star_graph)
+                     star_graph, xxz)
+from spinsys.spectral import SpectrumReport
 from spinsys.util import require_memory
 from spinsys.symmetry import TotalSpinOps, _unmatched_level, lieb_mattis_hamiltonian
 
@@ -41,8 +42,10 @@ def test_lanczos_matches_dense_small():
 
 def test_lanczos_degenerate_spectrum():
     # the Krylov space of any start vector is at most 3-dimensional here,
-    # and the lowest level is an exact zero
-    h = np.diag([0.0] * 5 + [1.0] * 60 + [2.0] * 35)
+    # and the lowest level is an exact zero; the rotation keeps the matrix
+    # off the diagonal shortcut, on ARPACK
+    q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((100, 100)))
+    h = q @ np.diag([0.0] * 5 + [1.0] * 60 + [2.0] * 35) @ q.T
     rep = extremal_eigs(h, k=4)
     assert_allclose(rep.eigenvalues, [0, 0, 0, 0], atol=1e-10)
 
@@ -86,9 +89,11 @@ def test_krylov_is_bitwise_repeatable(monkeypatch):
     assert a.eigenvalues.tobytes() == b.eigenvalues.tobytes()
     assert a.eigenvectors.tobytes() == b.eigenvectors.tobytes()
     # concurrent ARPACK runs, one per sector, give the same bytes (on the
-    # perturbed ring, which is not SU(2)-invariant, so every sector is solved)
+    # perturbed ring, which is not SU(2)-invariant, and whose one-site S3
+    # field breaks the spin flip, so every sector is solved)
     monkeypatch.setattr(spinsys.spectral, "KRYLOV_CROSSOVER", 100)
-    phi = aklt(6, periodic=True) + szsz_ring(6).scaled(0.05)
+    field = custom([((0,), 0.03 * np.asarray(spin_matrices(1.0).s3))])
+    phi = aklt(6, periodic=True) + szsz_ring(6).scaled(0.05) + field
     one, per_sector = sector_sweep_lowest(phi, space, k=3, threads=1)
     four, _ = sector_sweep_lowest(phi, space, k=3, threads=4)
     assert sum(rep.eigenvalues.size == 3 for rep in per_sector.values()) >= 3
@@ -131,7 +136,6 @@ def test_sector_spectrum_union_is_full_spectrum():
 
 
 def test_spectral_gap_degeneracy_counting():
-    from spinsys.spectral import SpectrumReport
     rep = SpectrumReport(np.array([-1.0, -1.0 + 1e-12, 0.5, 0.7]))
     gap = spectral_gap(rep)
     assert gap.ground_degeneracy == 2
@@ -198,9 +202,11 @@ def test_reduced_sweep_matches_full_sweep(case, k):
     phi, space = REDUCED_SWEEP_CASES[case]()
     assert phi.params["su2_invariant"]
     merged, per_sector = sector_sweep_lowest(phi, space, k=k)
-    # ``+ custom([])`` drops the declaration: every sector is solved
-    full, _ = sector_sweep_lowest(phi + custom([]), space, k=k)
-    got, want = spectral_gap(merged), spectral_gap(full)
+    # the reference solves every sector, each on its own block
+    full = np.sort(np.concatenate([
+        sector_spectrum(assemble(phi, sector), sector, k=k).eigenvalues
+        for sector in (magnetization_sector(space, M) for M in space.magnetization_values())]))
+    got, want = spectral_gap(merged), spectral_gap(SpectrumReport(full))
     assert abs(got.ground_energy - want.ground_energy) <= 1e-10
     assert abs(got.gap - want.gap) <= 1e-10
     assert got.ground_degeneracy == want.ground_degeneracy
@@ -268,3 +274,107 @@ def test_unmatched_level_matches_multisets():
     assert _unmatched_level(np.array([1.0, 1.0, 1.0]), lower, 1e-10) == 1.0
     assert _unmatched_level(np.array([1.5]), lower, 1e-10) == 1.5
     assert _unmatched_level(np.array([3.0]), lower, 1e-10) == 3.0
+
+
+def xxz_ring(L):
+    return xxz(XxzParams.from_delta(L, 1.5, boundary="periodic")), SpinSpace((2,) * L)
+
+
+def perturbed_aklt_ring(L):
+    return aklt(L, periodic=True) + szsz_ring(L).scaled(0.05), SpinSpace((3,) * L)
+
+
+# (interaction, space, crossover): L = 6 at crossover 100 puts M = 0 and 1 on
+# ARPACK and the rest dense, as L = 8 does at the default 512
+MIRROR_CASES = {
+    "aklt_szsz_6": lambda: (*perturbed_aklt_ring(6), 100),
+    "aklt_szsz_8": lambda: (*perturbed_aklt_ring(8), 512),
+    # ``+ custom([])`` drops the SU(2) declaration and keeps the flip
+    "heisenberg_ring_10": lambda: (heisenberg(ring_graph(10)) + custom([]),
+                                   SpinSpace((2,) * 10), 100),
+    "xxz_ring_10": lambda: (*xxz_ring(10), 100),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MIRROR_CASES))
+def test_mirrored_sectors_match_direct_solves(case, monkeypatch):
+    phi, space, crossover = MIRROR_CASES[case]()
+    monkeypatch.setattr(spinsys.spectral, "KRYLOV_CROSSOVER", crossover)
+    assert phi.flip_invariant() and not phi.params.get("su2_invariant", False)
+    merged, per_sector = sector_sweep_lowest(phi, space, k=3)
+    assert set(per_sector) == {("M", M) for M in space.magnetization_values() if M >= 0}
+    paths = set()
+    direct = []
+    for M in space.magnetization_values():
+        sector = magnetization_sector(space, M)
+        want = sector_spectrum(assemble(phi, sector), sector, k=3).eigenvalues
+        got = per_sector[("M", abs(M))].eigenvalues
+        assert_allclose(got, want, rtol=1e-12, atol=0)
+        paths.add(sector.dim > crossover)
+        direct.append(want)
+    assert paths == {True, False}          # both the dense and the ARPACK path
+    assert_allclose(merged.eigenvalues, np.sort(np.concatenate(direct)), rtol=1e-12, atol=0)
+
+
+def off_flip_bond():
+    # the Heisenberg bond plus 1e-9 on |up up>: Hermitian, conserves M, and
+    # differs from its reversal by 1e-9
+    s = spin_matrices(0.5)
+    bond = -(np.kron(s.s1, s.s1) + np.kron(s.s2, s.s2) + np.kron(s.s3, s.s3))
+    return bond + 1e-9 * np.diag([1.0, 0.0, 0.0, 0.0])
+
+
+FLIP_BREAKING_CASES = {
+    "xxz_open_with_field": lambda: (xxz(XxzParams.from_delta(8, 1.5)), SpinSpace((2,) * 8)),
+    "heisenberg_one_site_field": lambda: (
+        heisenberg(path_graph(8)) + custom([((3,), 0.2 * np.asarray(spin_matrices(0.5).s3))]),
+        SpinSpace((2,) * 8)),
+    "bond_off_by_1e-9": lambda: (
+        custom([((x, x + 1), off_flip_bond()) for x in range(7)]), SpinSpace((2,) * 8)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FLIP_BREAKING_CASES))
+def test_flip_breaking_terms_solve_every_sector(case):
+    phi, space = FLIP_BREAKING_CASES[case]()
+    assert not phi.flip_invariant()
+    merged, per_sector = sector_sweep_lowest(phi, space, k=3)
+    assert set(per_sector) == {("M", M) for M in space.magnetization_values()}
+    dense = np.linalg.eigvalsh(assemble(phi, space).toarray())
+    assert merged.eigenvalues.size == dense.size     # every sector is dense here
+    assert_allclose(merged.eigenvalues, dense, atol=1e-10)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_extremal_eigs_reads_a_diagonal_matrix(dtype, monkeypatch):
+    import scipy.sparse.linalg as spla
+
+    def no_arpack(*args, **kwargs):
+        raise AssertionError("ARPACK ran on a diagonal matrix")
+
+    monkeypatch.setattr(spla, "eigsh", no_arpack)
+    diag = np.array([2.0, -1.0, 0.5, -1.0, 3.0, 0.5, -1.0, 2.0] * 8)
+    mat = sps.diags(diag).astype(dtype).tocsr()
+    rep = extremal_eigs(mat, k=5)
+    dense_vals, dense_vecs = np.linalg.eigh(mat.toarray())
+    assert_allclose(rep.eigenvalues, dense_vals[:5], atol=1e-14)
+    # the stable order: the three copies of -1 by index, then the first 0.5
+    stable = np.argsort(diag, kind="stable")[:5]
+    assert rep.eigenvectors.dtype == mat.dtype
+    assert np.array_equal(rep.eigenvectors, np.eye(diag.size, dtype=dtype)[:, stable])
+    assert np.array_equal(rep.residuals, np.zeros(5))
+    assert np.array_equal(mat @ rep.eigenvectors, rep.eigenvectors * rep.eigenvalues)
+    # the threefold lowest level spans the space of dense eigh's vectors for it
+    ours, theirs = rep.eigenvectors[:, :3], dense_vecs[:, :3]
+    assert_allclose(ours @ ours.conj().T, theirs @ theirs.conj().T, atol=1e-12)
+    assert extremal_eigs(mat, k=2, want_vectors=False).eigenvectors is None
+
+
+def test_extremal_eigs_keeps_arpack_off_the_diagonal():
+    # one off-diagonal pair in place of two diagonal entries: no more stored
+    # entries than rows, yet not diagonal
+    mat = sps.diags(np.r_[0.0, 0.0, np.arange(2.0, 40.0)]).tocsr().tolil()
+    mat[0, 1] = mat[1, 0] = -0.5
+    assert mat.tocsr().nnz == 40
+    rep = extremal_eigs(mat.tocsr(), k=2)
+    assert_allclose(rep.eigenvalues, np.linalg.eigvalsh(mat.toarray())[:2], atol=1e-12)
