@@ -3,8 +3,9 @@
 E(H, S) denotes the lowest energy among total-spin-S states.  For the
 ferromagnetic chain the claim is strict decrease of E(H, S) in S, so the
 ground state is maximally polarized and the gap is E(H, S_max - 1) - E(H, S_max).
-The spin labels come from the SU(2) Casimir S+ S- + M(M - 1) built on each
-magnetization sector from the ladder totals, not from counting alone.
+The spin-S levels are those of the sector M = S that the sector M = S + 1
+lacks: H commutes with the ladder total S+ (checked on the sector blocks),
+so S+ carries every other level of M = S onto one of M = S + 1.
 """
 
 from spinsys import (SpinSpace, classify_total_spin, foel_check,

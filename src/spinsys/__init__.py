@@ -15,8 +15,8 @@ from .spectral import (ConvergenceError, GapReport, SpectrumReport, extremal_eig
                        spectral_gap)
 from .symmetry import (ClassificationError, OrderingVerdict, SpinResolvedLevels,
                        classify_total_spin, foel_check, lieb_mattis_check,
-                       sector_casimir, sector_spin_levels, spin_multiplicities,
-                       su2_totals, suq2_generators)
+                       sector_spin_levels, spin_multiplicities, su2_totals,
+                       suq2_generators)
 from .ssep import (ExclusionSpace, GeneratorReport, semigroup_evolve,
                    ssep_gaps, ssep_generator, ssep_spin_interaction,
                    xxx_conjugacy_check)

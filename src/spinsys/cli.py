@@ -24,7 +24,7 @@ from .hilbert import SpinSpace, embed_at, magnetization_sector, spin_matrices
 from .models import XxzParams, aklt, assemble, custom, heisenberg, lambda_norm, xxz
 from .spectral import ConvergenceError, sector_spectrum
 from .symmetry import classify_total_spin, foel_check, lieb_mattis_levels, \
-    lieb_mattis_order, su2_totals
+    lieb_mattis_order, su2_totals, suq2_generators
 from .ssep import ssep_gaps, xxx_conjugacy_check
 from .dynamics import HeisenbergDynamics, clustering_report, commutator_grid, \
     commutator_growth, hermitian_unit_basis, lr_bound_rhs, lr_corollary_bound
@@ -159,6 +159,9 @@ class OutputError(OSError):
 
 
 def _model_space_and_interaction(cfg):
+    """(space, interaction, total-spin ladder) of the configured model; the
+    ladder is None for the periodic XXZ chain, which commutes with neither
+    the SU(2) nor the SU_q(2) raising total."""
     model = cfg.get("model", "heisenberg")
     L = cfg.get("L", 6)
     J = cfg.get("J", 1.0)
@@ -174,10 +177,12 @@ def _model_space_and_interaction(cfg):
             g = _graph(cfg, "the heisenberg model")
         else:
             g = path_graph(L, weight=J, spin=spin)
-        return g, SpinSpace.from_graph(g), heisenberg(g)
+        space = SpinSpace.from_graph(g)
+        return space, heisenberg(g), su2_totals(space)
     if model == "aklt":
         g = path_graph(L, spin=1.0)
-        return g, SpinSpace.from_graph(g), aklt(L)
+        space = SpinSpace.from_graph(g)
+        return space, aklt(L), su2_totals(space)
     if model in ("xxz_open", "xxz_periodic"):
         if ("Delta" in cfg) == ("q" in cfg):
             raise ConfigError("give exactly one of Delta, q for the XXZ model")
@@ -189,12 +194,12 @@ def _model_space_and_interaction(cfg):
                 p = XxzParams.from_delta(L, cfg["Delta"], J=J, boundary=boundary)
         except ValueError as exc:       # q, Delta or J out of range
             raise ConfigError(str(exc)) from exc
-        g = ring_graph(L, weight=J) if boundary == "periodic" else path_graph(L, weight=J)
-        return g, SpinSpace((2,) * L), xxz(p)
+        ladder = None if boundary == "periodic" else suq2_generators(p)
+        return SpinSpace((2,) * L), xxz(p), ladder
 
 
 def run_spectrum(cfg):
-    _, space, phi = _model_space_and_interaction(cfg)
+    space, phi, _ = _model_space_and_interaction(cfg)
     H = assemble(phi, space)
     rows = []
     trace = float(np.real(H.matrix.diagonal().sum()))
@@ -212,8 +217,11 @@ def run_spectrum(cfg):
 
 
 def run_foel(cfg):
-    _, space, phi = _model_space_and_interaction(cfg)
-    levels = classify_total_spin(phi, su2_totals(space), space)
+    space, phi, ladder = _model_space_and_interaction(cfg)
+    if ladder is None:
+        raise ConfigError("foel needs a total-spin ladder, and the periodic XXZ "
+                          "chain has neither SU(2) nor SU_q(2) symmetry")
+    levels = classify_total_spin(phi, ladder, space)
     verdict = foel_check(levels)
     e0 = min(levels.entries.values())
     # the sectors M = S >= 0 were solved by the classification, and under the

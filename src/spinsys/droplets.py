@@ -3,9 +3,10 @@
 E_L(n) is the sector ground energy of the periodic chain with n down spins,
 read as the lowest level over the momentum blocks of that sector (the
 blocks partition it), so one pass per length also gives the band width;
-the open chain with boundary fields carries the quantum-group symmetry and
-its level E(H_L, S_max - n) is identified through the q-Casimir.  H and
-the ladder blocks are built on the sectors alone, never on the 2^L space.
+the open chain with boundary fields commutes with the SU_q(2) raising
+total S_q+, so its level E(H_L, S_max - n) is the lowest level of the
+sector M = S_max - n without a partner in the sector above.  H and the
+S_q+ block are built on the sectors alone, never on the 2^L space.
 Both finite-L sequences are compared with the closed-form limit
 E(n) = (1 - q^2)(1 - q^n) / ((1 + q^2)(1 + q^n)).
 """
@@ -19,7 +20,7 @@ import numpy as np
 
 from .hilbert import SpinSpace, down_spin_sector, restrict
 from .models import XxzParams, xxz, assemble
-from .symmetry import sector_spin_levels, spin_multiplicities, suq2_generators
+from .symmetry import sector_spin_levels, suq2_generators
 from .util import require_memory
 
 
@@ -46,29 +47,30 @@ def _check_sector(p: XxzParams, n: int):
     at every momentum for 1 <= n <= L - 1 (the n = 0 and n = L sectors hold
     one state each); the open chain's spin S_max - n = L/2 - n needs
     0 <= n <= L/2.  A pass whose bases (64 bytes per state of C(L, n) and
-    C(L, n + 1)) and seven dense sector arrays (an eigensolve holds five)
-    would exceed the physical memory is refused too."""
+    C(L, n - 1)) and three dense sector arrays (a values-only eigensolve,
+    as ``full_spectrum`` counts it) would exceed the physical memory is
+    refused too."""
     lo, hi = (1, p.L - 1) if p.boundary == "periodic" else (0, p.L // 2)
     if not lo <= n <= hi:
         raise ValueError(f"down-spin number {n} outside {lo}..{hi} for the "
                          f"{p.L}-site {p.boundary} chain")
     dim = comb(p.L, n)
-    require_memory(7 * 8 * dim * dim + 64 * (dim + comb(p.L, n + 1)),
+    require_memory(3 * 8 * dim * dim + 64 * (dim + comb(p.L, max(n - 1, 0))),
                    f"the {p.L}-site sector with {n} down spins")
 
 
 def open_chain_spin_level(p: XxzParams, n: int) -> float:
-    """E(H_L, S_max - n) for the boundary-field chain via q-Casimir labels.
+    """E(H_L, S_max - n) for the boundary-field chain.
 
-    H is assembled on the sector M = S_max - n alone.  The sector also holds
-    one state from every multiplet with S > S_max - n, so the minimum is
-    taken over the states labeled exactly S = S_max - n.
+    The sector M = S_max - n also holds one state from every multiplet with
+    S > S_max - n, and those are the levels of the sector above, so the
+    minimum is taken over spec(M) minus spec(M + 1) (``sector_spin_levels``
+    with the S_q+ of ``suq2_generators``).  H is assembled on those two
+    sectors alone.
     """
     _check_sector(p, n)
-    space = SpinSpace((2,) * p.L)
-    twice_s = p.L - 2 * n
-    energies, _, _ = sector_spin_levels(xxz(p), suq2_generators(p), space, twice_s,
-                                        spin_multiplicities(space, twice_s))
+    energies, _ = sector_spin_levels(xxz(p), suq2_generators(p), SpinSpace((2,) * p.L),
+                                     p.L - 2 * n)
     return float(energies[0])
 
 

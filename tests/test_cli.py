@@ -14,7 +14,8 @@ import spinsys.models
 import spinsys.symmetry
 import spinsys.util
 
-from spinsys import SectorBasis, SpinSpace, aklt, frustration_free_check, spin_matrices
+from spinsys import (SectorBasis, SpinSpace, XxzParams, aklt, classify_total_spin,
+                     frustration_free_check, spin_matrices, suq2_generators, xxz)
 from spinsys.cli import ConfigError, merge_config, parse_config_file, run
 
 GRAPH4 = "vertices 4\n0 1 1.0\n1 2 1.0\n2 3 1.0\n"
@@ -113,6 +114,42 @@ def test_foel_emits_level_table(tmp_path):
     levels = read(tmp_path / "foel.levels.csv").strip().splitlines()
     assert levels[0] == "twice_S,S,E_min,E_max"
     assert len(levels) == 6          # S = 0..4
+
+
+def test_foel_on_the_open_xxz_chain_uses_the_suq_ladder(tmp_path):
+    # the open chain commutes with S_q+, not with the SU(2) S+: its table is
+    # the library's SU_q(2) table, and the ordering is evaluated on it
+    out = tmp_path / "foel.csv"
+    assert run(["foel", "--model", "xxz_open", "--L", "8", "--q", "0.3",
+                "--out", str(out)]) == 0
+    [verdict] = json.loads(read(tmp_path / "foel.csv.manifest.json"))["assertions"]
+    assert verdict["name"] == "foel_holds" and verdict["passed"]
+    assert verdict["detail"].endswith("witness=None")
+    p = XxzParams.from_q(8, 0.3)
+    want = classify_total_spin(xxz(p), suq2_generators(p), SpinSpace((2,) * 8))
+    rows = [ln.split(",") for ln in read(tmp_path / "foel.levels.csv").splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == want.spins() == [0, 2, 4, 6, 8]
+    assert [float(r[2]) for r in rows] == [want.entries[t] for t in want.spins()]
+    assert len(read(out).splitlines()) == 1 + 2 ** 8     # every level of every M
+
+
+def test_foel_refuses_the_periodic_xxz_chain(tmp_path, capsys):
+    out = tmp_path / "foel.csv"
+    assert run(["foel", "--model", "xxz_periodic", "--L", "8", "--q", "0.3",
+                "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
+    assert "periodic XXZ" in lines[0]
+    assert not out.exists()
+
+
+def test_foel_witness_holds_plain_floats(tmp_path):
+    # the two-site AKLT bond is antiferromagnetic: FOEL fails, with a witness
+    out = tmp_path / "aklt.csv"
+    assert run(["foel", "--model", "aklt", "--L", "2", "--out", str(out)]) == 1
+    [verdict] = json.loads(read(tmp_path / "aklt.csv.manifest.json"))["assertions"]
+    assert not verdict["passed"] and "witness=(2, 0, " in verdict["detail"]
+    assert "np.float64" not in verdict["detail"]
 
 
 def test_ssep_subcommand(tmp_path):

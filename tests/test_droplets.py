@@ -95,8 +95,8 @@ def test_open_chain_agrees_with_periodic_in_the_limit():
 
 def test_sector_ground_energy_open_uses_casimir_label():
     # L=4, n=1: the M = 1 sector holds one state from the S=2 multiplet;
-    # the labeled S=1 minimum must exceed the raw sector minimum when the
-    # S=2 state lies lowest, and never be below it
+    # the S=1 minimum must exceed the raw sector minimum when the S=2 state
+    # lies lowest, and never be below it
     p = XxzParams.from_q(4, 0.5)
     labeled = open_chain_spin_level(p, 1)
     raw = float(whole_sector_levels(p, 1)[0])
@@ -136,8 +136,9 @@ def test_one_magnon_sectors_at_L40():
 
 
 def test_droplet_campaign_builds_nothing_beyond_its_sectors(monkeypatch):
-    # every embedding of a droplet table (H, both ladders) stays on sectors:
-    # the largest is the open chain's n + 1 = 4 sector at L = 12, C(12, 4)
+    # every embedding of a droplet table (H, the S_q+ block) stays on sectors:
+    # the largest is the n = 3 sector itself at L = 12, C(12, 3); the open
+    # chain's other sector, n - 1 = 2, is smaller
     seen = []
     embed = spinsys.hilbert._embed
 
@@ -147,7 +148,7 @@ def test_droplet_campaign_builds_nothing_beyond_its_sectors(monkeypatch):
 
     monkeypatch.setattr(spinsys.hilbert, "_embed", spy)
     convergence_table(0.5, 3, [8, 10, 12])
-    assert seen and max(seen) == comb(12, 4) == 495
+    assert seen and max(seen) == comb(12, 3) == 220
 
 
 def test_down_spin_range_guard():

@@ -13,7 +13,7 @@ from spinsys import (SparseOperator, SpinSpace, XxzParams, aklt, assemble, custo
                      star_graph, xxz)
 from spinsys.spectral import SpectrumReport
 from spinsys.util import require_memory
-from spinsys.symmetry import TotalSpinOps, _unmatched_level, lieb_mattis_hamiltonian
+from spinsys.symmetry import TotalSpinOps, _level_difference, lieb_mattis_hamiltonian
 
 
 def random_hermitian(rng, n):
@@ -270,10 +270,14 @@ def test_wrong_declaration_fails_the_nesting_check(monkeypatch):
 
 def test_unmatched_level_matches_multisets():
     lower = np.array([0.0, 1.0, 1.0, 2.0])
-    assert _unmatched_level(np.array([1.0, 1.0 + 1e-12]), lower, 1e-10) is None
-    assert _unmatched_level(np.array([1.0, 1.0, 1.0]), lower, 1e-10) == 1.0
-    assert _unmatched_level(np.array([1.5]), lower, 1e-10) == 1.5
-    assert _unmatched_level(np.array([3.0]), lower, 1e-10) == 3.0
+    rest, unmatched = _level_difference(lower, np.array([1.0, 1.0 + 1e-12]), 1e-10)
+    assert unmatched is None and np.array_equal(rest, [0.0, 2.0])
+    rest, unmatched = _level_difference(lower, np.array([0.0 - 1e-11, 2.0]), 1e-10)
+    assert unmatched is None and np.array_equal(rest, [1.0, 1.0])
+    assert np.array_equal(_level_difference(lower, np.empty(0), 1e-10)[0], lower)
+    assert _level_difference(lower, np.array([1.0, 1.0, 1.0]), 1e-10)[1] == 1.0
+    assert _level_difference(lower, np.array([1.5]), 1e-10)[1] == 1.5
+    assert _level_difference(lower, np.array([3.0]), 1e-10)[1] == 3.0
 
 
 def xxz_ring(L):
