@@ -7,8 +7,10 @@ Heisenberg and AKLT chains are the magnetization sectors.
 Light-cone commutator norms are taken in that eigenbasis, one connected
 component of the block pattern of the commutator at a time.
 Imaginary-time weights e^(-b(H-E0)) are applied by spectral decomposition on
-the dense path and, inside one sector, by scipy's ``expm_multiply`` on the
-sparse block.
+the dense path and, inside one sector, by a Lanczos recursion on the sparse
+block (``SectorCorrelator.propagate``): one recursion from a vector w gives
+e^(-b(H-E0)) w at every b asked for, so the clustering check runs one per
+pair of sites.
 """
 
 from __future__ import annotations
@@ -23,10 +25,18 @@ import scipy.sparse as sp
 from .lattice import SpinGraph, graph_distance, set_distance, distances_from
 from .hilbert import SpinSpace, SparseOperator, embed_at, magnetization_sector
 from .models import Interaction, lambda_norm, assemble
-from .spectral import extremal_eigs, full_spectrum, sector_sweep_lowest, spectral_gap
+from .spectral import (ConvergenceError, extremal_eigs, full_spectrum,
+                       sector_sweep_lowest, spectral_gap)
 from .util import require_memory
 
 UNITARITY_TOL = 1e-10
+# SectorCorrelator.propagate.  The pairs of the AKLT ring's clustering check
+# stop after 20 Lanczos steps (L = 6), 32-36 (L = 9), 40 (L = 12) and 44
+# (L = 14, 616227 states), the oracle tests after at most 32: the cap is
+# almost three times the largest.
+LANCZOS_MAX_STEPS = 128
+LANCZOS_CHECK_EVERY = 4
+PROPAGATION_TOL = 1e-14
 
 
 def hermitian_unit_basis(n: int):
@@ -361,12 +371,15 @@ def ground_correlation(H, A, B, b: float, degeneracy_tol=1e-8) -> complex:
 
 class SectorCorrelator:
     """Imaginary-time ground correlations inside one magnetization sector,
-    with an ARPACK ground state (``extremal_eigs``) and sparse propagation
-    (``expm_multiply``), for sectors too large to diagonalise densely.
+    with an ARPACK ground state (``extremal_eigs``) and Lanczos propagation
+    (``propagate``), for sectors too large to diagonalise densely.
 
-    ``lowest`` is an existing solve of the same block: a SpectrumReport whose
-    first two levels are its two lowest, with the ground vector in the first
-    column of its eigenvectors.  Without it the block is solved here."""
+    ``h_block`` is the sparse block of H on the sector; it is only ever
+    multiplied into vectors, so H - E0 is applied as h v - E0 v and never
+    formed.  ``lowest`` is an existing solve of the same block: a
+    SpectrumReport whose first two levels are its two lowest, with the ground
+    vector in the first column of its eigenvectors.  Without it the block is
+    solved here."""
 
     def __init__(self, h_block, degeneracy_tol=1e-8, lowest=None):
         self.h = sp.csr_matrix(h_block)
@@ -375,28 +388,66 @@ class SectorCorrelator:
             raise ValueError("ground state degenerate within its sector")
         self.e0 = float(rep.eigenvalues[0])
         self.omega = rep.eigenvectors[:, 0]
-        self.shifted = self.h - self.e0 * sp.identity(self.h.shape[0], format="csr")
 
-    def propagate(self, w, b: float, num=1) -> np.ndarray:
-        """e^(-b (H - E0)) w by scipy's ``expm_multiply``: a truncated Taylor
-        series with scaling (Al-Mohy & Higham, SIAM J. Sci. Comput. 33,
-        488 (2011)).  With ``num`` > 1, the rows e^(-b' (H - E0)) w at the
-        ``num`` equally spaced b' from 0 to b, from one call that shares the
-        norm estimates and the series length between them."""
-        from scipy.sparse.linalg import expm_multiply
+    def propagate(self, w, b) -> np.ndarray:
+        """e^(-b (H - E0)) w, for a float ``b``; for a list or tuple of b, one
+        row per b, in the order given.  Every b must be nonnegative.
 
-        # When b ||H - E0||_1 is large, scipy picks the series length from a
-        # 1-norm estimator that draws from numpy's global generator: seed it
-        # for the call, so the result is reproducible, and restore it after.
-        state = np.random.get_state()
-        np.random.seed(0)
-        try:
-            if num == 1:
-                return expm_multiply(-b * self.shifted, w)
-            return expm_multiply(-self.shifted, w, start=0.0, stop=b, num=num,
-                                 endpoint=True)
-        finally:
-            np.random.set_state(state)
+        One Lanczos recursion from w on H - E0, with full reorthogonalisation
+        (Saad, SIAM J. Numer. Anal. 29, 209 (1992)), serves every b: with the
+        tridiagonal T_m = U diag(lam) U^T of the orthonormal Krylov basis V_m,
+        e^(-b (H - E0)) w is ||w|| V_m U e^(-b lam) U^T e_1.  Every
+        LANCZOS_CHECK_EVERY steps the a posteriori estimate
+        beta_m ||w|| |e_m^T U e^(-b lam) U^T e_1| (Hochbruck & Lubich, SIAM J.
+        Numer. Anal. 34, 1911 (1997)) is taken for every b, and the recursion
+        stops once all are below PROPAGATION_TOL max(1, ||w||), at an
+        invariant subspace (beta_m = 0), or when the basis spans the sector.
+        Running past LANCZOS_MAX_STEPS raises ``ConvergenceError``; the basis
+        of that many vectors is counted against the physical memory before it
+        is allocated.  No random numbers are drawn."""
+        # imported here: scipy.linalg loads scipy's own BLAS library, which
+        # the campaigns without sector dynamics never load
+        from scipy.linalg import eigh_tridiagonal
+
+        many = isinstance(b, (list, tuple))
+        bs = np.array(b if many else [b], dtype=float)
+        if not np.all(bs >= 0):
+            raise ValueError("imaginary time b must be nonnegative")
+        w = np.asarray(w)
+        dim = w.size
+        dtype = np.result_type(self.h.dtype, w.dtype, np.float64)
+        norm = float(np.linalg.norm(w))
+        if norm == 0:
+            out = np.zeros((bs.size, dim), dtype)
+            return out if many else out[0]
+        require_memory(LANCZOS_MAX_STEPS * dim * np.dtype(dtype).itemsize,
+                       f"the Lanczos basis of {LANCZOS_MAX_STEPS} vectors of {dim} states")
+        steps = min(LANCZOS_MAX_STEPS, dim)
+        V = np.empty((steps, dim), dtype)
+        V[0] = w / norm
+        alpha, beta = np.empty(steps), np.empty(steps)
+        for j in range(steps):
+            u = self.h @ V[j] - self.e0 * V[j]
+            alpha[j] = np.vdot(V[j], u).real
+            u -= alpha[j] * V[j]
+            if j:
+                u -= beta[j - 1] * V[j - 1]
+            u -= (V[:j + 1] @ u.conj()).conj() @ V[:j + 1]
+            beta[j] = np.linalg.norm(u)
+            m = j + 1
+            if m % LANCZOS_CHECK_EVERY == 0 or not beta[j] or m == steps:
+                lam, U = eigh_tridiagonal(alpha[:m], beta[:m - 1])
+                coeffs = U @ (np.exp(-np.outer(lam, bs)) * U[0][:, None])
+                err = beta[j] * norm * np.abs(coeffs[-1]).max()
+                if err <= PROPAGATION_TOL * max(1.0, norm) or m == dim:
+                    break
+                if m == steps:
+                    raise ConvergenceError(
+                        f"Lanczos propagation of {dim} states did not converge in "
+                        f"{steps} steps", err)
+            V[m] = u / beta[j]
+        out = (norm * coeffs.T) @ V[:m]
+        return out if many else out[0]
 
     def _centred(self, a_block, b_block):
         """(A* Omega, B Omega - <B> Omega): the two vectors of
@@ -405,20 +456,18 @@ class SectorCorrelator:
         w = b_block @ omega
         return np.conj(a_block).T @ omega, w - np.vdot(omega, w) * omega
 
-    def correlation(self, a_block, b_block, b: float) -> complex:
-        """<Omega, A e^(-b(H-E0)) B_c Omega> with B centered in the ground state."""
-        if b < 0:
-            raise ValueError("imaginary time b must be nonnegative")
+    def correlation(self, a_block, b_block, b):
+        """<Omega, A e^(-b(H-E0)) B_c Omega> with B centred in the ground state;
+        for a list or tuple of b, an array of one value per b, from one
+        ``propagate`` call."""
         a_vec, w = self._centred(a_block, b_block)
-        return complex(np.vdot(a_vec, self.propagate(w, b)))
+        vals = self.propagate(w, b) @ a_vec.conj()
+        return vals if isinstance(b, (list, tuple)) else complex(vals)
 
     def window(self, a_block, b_block, b_max: float, num: int) -> np.ndarray:
-        """``correlation`` at the ``num`` equally spaced b from 0 to b_max, with
-        B centred once and one propagation for all of them."""
-        if b_max < 0:
-            raise ValueError("imaginary time b must be nonnegative")
-        a_vec, w = self._centred(a_block, b_block)
-        return self.propagate(w, b_max, num=num) @ a_vec.conj()
+        """``correlation`` at the ``num`` equally spaced b from 0 to b_max."""
+        return self.correlation(a_block, b_block,
+                                [b_max * k / max(num - 1, 1) for k in range(num)])
 
 
 @dataclass
@@ -456,13 +505,12 @@ def clustering_report(g: SpinGraph, phi: Interaction, local_op, lam: float,
 
     The gap and the ground sector come from ``sector_sweep_lowest``.  For a
     model declared SU(2)-invariant it returns the eigenvectors of the sector
-    M = 0 (or 1/2), and the correlator reuses that ground state on the
-    sector's block, assembled once more; otherwise the correlator solves the
-    ground sector itself.  The observable blocks are embedded on the ground
-    sector directly, and the n_window + 1 equally spaced b of a pair come
-    from one ``SectorCorrelator.window`` call.  The large-b check propagates
-    each pair's centred vector once, step by step through the ascending
-    ``large_bs``.
+    M = 0 (or 1/2) and the block they were solved from, and the correlator
+    reuses both; otherwise the correlator assembles and solves the ground
+    sector itself.  The observable blocks are embedded on the ground sector
+    directly.  Each pair takes one ``SectorCorrelator.propagate`` call, at
+    its n_window + 1 equally spaced b (the values written in the rows) and at
+    ``large_bs`` for the trivial large-b check.
     """
     space = SpinSpace.from_graph(g)
     merged, per_sector = sector_sweep_lowest(phi, space, k=2, threads=threads)
@@ -474,8 +522,10 @@ def clustering_report(g: SpinGraph, phi: Interaction, local_op, lam: float,
                        key=lambda lab: per_sector[lab].eigenvalues[0])
     sector = magnetization_sector(space, ground_label[1])
     ground = per_sector[ground_label]
-    corr = SectorCorrelator(assemble(phi, sector).matrix,
-                            lowest=ground if ground.eigenvectors is not None else None)
+    if ground.eigenvectors is None:
+        corr = SectorCorrelator(assemble(phi, sector).matrix)
+    else:
+        corr = SectorCorrelator(ground.block, lowest=ground)
 
     phi_norm = lambda_norm(phi, lam, g)
     rates = clustering_mu(gamma, lam, phi_norm)
@@ -492,16 +542,21 @@ def clustering_report(g: SpinGraph, phi: Interaction, local_op, lam: float,
     blocks = {site: embed_at(sector, [(site, local_op)]).matrix
               for site in {x for p in pairs for x in p}}
 
-    rows = []
+    # trivial large-b bound ||A|| ||B|| e^(-gamma b)
+    op_norm = float(np.linalg.norm(np.asarray(local_op, dtype=complex), 2))
+    large_bs = list(large_bs)
+    rows, large_rows = [], []
     per_distance = {}
     for (x, y) in pairs:
         d = int(graph_distance(g, x, y))
         bmax = rates.b_max(d)
         bs = [0.0] + [bmax * k / n_window for k in range(1, n_window + 1)]
-        vals = np.abs(corr.window(blocks[x], blocks[y], bmax, n_window + 1))
+        vals = np.abs(corr.correlation(blocks[x], blocks[y], bs + large_bs)).tolist()
         for b, val in zip(bs, vals):
-            rows.append(ClusteringRow(x, y, d, b, float(val), None, b <= bmax + 1e-15))
+            rows.append(ClusteringRow(x, y, d, b, val, None, b <= bmax + 1e-15))
         per_distance.setdefault(d, []).extend(rows[-len(bs):])
+        large_rows.extend((y, b, val, op_norm * op_norm * math.exp(-gamma * b))
+                          for b, val in zip(large_bs, vals[len(bs):]))
 
     d_ref = min(per_distance)
     c_constant = max(r.corr_abs / rates.envelope(r.distance, r.b)
@@ -511,20 +566,6 @@ def clustering_report(g: SpinGraph, phi: Interaction, local_op, lam: float,
         r.bound = c_constant * rates.envelope(r.distance, r.b)
         if r.distance > d_ref and r.in_window and r.corr_abs > r.bound + 1e-12:
             bound_holds = False
-
-    # trivial large-b bound ||A|| ||B|| e^(-gamma b)
-    op_norm = float(np.linalg.norm(np.asarray(local_op, dtype=complex), 2))
-    if min(large_bs, default=0.0) < 0:
-        raise ValueError("imaginary time b must be nonnegative")
-    large_rows = []
-    for (x, y) in pairs:
-        a_vec, w = corr._centred(blocks[x], blocks[y])
-        vals, b_prev = {}, 0.0
-        for b in sorted(set(large_bs)):
-            w = corr.propagate(w, b - b_prev)
-            vals[b], b_prev = float(abs(np.vdot(a_vec, w))), b
-        large_rows.extend((y, b, vals[b], op_norm * op_norm * math.exp(-gamma * b))
-                          for b in large_bs)
 
     return ClusteringReport(gamma=gamma, ground_energy=gap_rep.ground_energy,
                             ground_degeneracy=gap_rep.ground_degeneracy,

@@ -36,6 +36,7 @@ class SpectrumReport:
     eigenvalues: np.ndarray
     eigenvectors: Optional[np.ndarray] = None     # columns
     residuals: Optional[np.ndarray] = None
+    block: Optional[sp.csr_matrix] = None         # the sparse block solved, kept for reuse
 
     def __post_init__(self):
         ev = np.asarray(self.eigenvalues, dtype=float)

@@ -301,7 +301,8 @@ def su2_sweep_lowest(phi, space: SpinSpace, k=4, threads=1):
     SU(2) Casimir S+ S- + M0(M0 - 1) of the sector (``_label_levels``,
     residuals from the sparse ladder blocks), and the merged report lists
     each level 2S + 1 times.  Returns (merged report, label -> report of
-    each sector solved, M0's with eigenvectors).
+    each sector solved, M0's with eigenvectors and with its sparse block as
+    ``block``, for ``dynamics.clustering_report`` to propagate on).
     """
     tmax = space.twice_m_total_max()
     low = tmax % 2
@@ -335,6 +336,7 @@ def su2_sweep_lowest(phi, space: SpinSpace, k=4, threads=1):
         return sector_spectrum(blocks[t], sectors[t], k=k, want_vectors=t == low)
 
     reports = dict(zip(order, ordered_map(solve, order, threads)))
+    reports[low].block = blocks[low].matrix
     full = {t for t, r in reports.items() if r.eigenvalues.size == sectors[t].dim}
     for t in sorted(full):
         if t + 2 not in full:

@@ -5,6 +5,8 @@ from numpy.testing import assert_allclose
 
 import spinsys.dynamics
 import spinsys.spectral
+import spinsys.symmetry
+import spinsys.util
 from spinsys import (HeisenbergDynamics, SpinSpace, aklt, assemble, clustering_mu,
                      commutator_grid, commutator_growth, custom, embed_at,
                      embed_local, full_spectrum, ground_correlation,
@@ -14,7 +16,7 @@ from spinsys import (HeisenbergDynamics, SpinSpace, aklt, assemble, clustering_m
 from spinsys.cli import run
 from spinsys.dynamics import SectorCorrelator
 from spinsys.hilbert import magnetization_sector, restrict
-from spinsys.spectral import sector_spectrum
+from spinsys.spectral import ConvergenceError, sector_spectrum
 
 
 def chain_setup(L=6):
@@ -313,6 +315,161 @@ def test_sector_propagation_ignores_global_random_state():
     assert len(outs) == 1
 
 
+ORACLE_BS = [6.0, 0.0, 200.0, 0.5, 40.0, 6.0]      # unsorted, with a repeat
+
+
+def dense_propagation(h_block, e0, w, bs):
+    evals, vecs = np.linalg.eigh(h_block.toarray())
+    return [vecs @ (np.exp(-b * (evals - e0)) * (vecs.conj().T @ w)) for b in bs]
+
+
+def expm_propagation(h_block, e0, w, b):
+    from scipy.sparse.linalg import expm_multiply
+    shifted = h_block - e0 * sps.identity(h_block.shape[0], format="csr")
+    return expm_multiply(-b * shifted, w)
+
+
+@pytest.mark.parametrize("centred", [True, False])
+def test_lanczos_propagation_matches_eigh_and_expm_multiply(centred):
+    # AKLT L=8 M=0 (1107 states); the uncentred vector keeps its ground
+    # component, which only the largest b isolates
+    h_block, b_block = aklt_ring_block()
+    corr = SectorCorrelator(h_block)
+    w = b_block @ corr.omega
+    if centred:
+        w = w - np.vdot(corr.omega, w) * corr.omega
+    rows = corr.propagate(w, ORACLE_BS)
+    assert rows.shape == (len(ORACLE_BS), w.size)
+    dense = dense_propagation(h_block, corr.e0, w, ORACLE_BS)
+    for b, row, want in zip(ORACLE_BS, rows, dense):
+        assert_allclose(row, want, rtol=0, atol=1e-12)
+        assert_allclose(row, expm_propagation(h_block, corr.e0, w, b), rtol=0, atol=1e-12)
+    assert rows[0].tobytes() == rows[-1].tobytes()          # the repeated b
+    assert_allclose(rows[1], w, rtol=0, atol=1e-14)          # b = 0
+
+
+def test_lanczos_propagation_on_a_complex_hermitian_block():
+    # antiferromagnetic Heisenberg chain plus a Dzyaloshinskii-Moriya term
+    # D (S1_i S2_j - S2_i S1_j), which conserves M and makes the block complex
+    g = path_graph(8)
+    space = SpinSpace.from_graph(g)
+    s = spin_matrices(0.5)
+    dm = 0.4 * (np.kron(s.s1, s.s2) - np.kron(s.s2, s.s1))
+    phi = heisenberg(g).scaled(-1.0) + custom([((x, x + 1), dm) for x in range(7)])
+    sector = magnetization_sector(space, 0.0)
+    h_block = assemble(phi, sector).matrix
+    assert h_block.dtype == np.complex128 and abs(h_block.imag).max() > 0.1
+    corr = SectorCorrelator(h_block)
+    sz = np.asarray(s.s3)
+    a_block = embed_at(sector, [(1, sz)]).matrix
+    b_block = embed_at(sector, [(6, sz)]).matrix
+    a_vec, w = corr._centred(a_block, b_block)
+    rows = corr.propagate(w, ORACLE_BS)
+    dense = dense_propagation(h_block, corr.e0, w, ORACLE_BS)
+    for b, row, want in zip(ORACLE_BS, rows, dense):
+        assert_allclose(row, want, rtol=0, atol=1e-12)
+        assert_allclose(row, expm_propagation(h_block, corr.e0, w, b), rtol=0, atol=1e-12)
+    vals = corr.correlation(a_block, b_block, ORACLE_BS)
+    assert_allclose(vals, rows @ a_vec.conj(), rtol=0, atol=1e-15)
+    assert corr.correlation(a_block, b_block, 0.5) == pytest.approx(vals[3], abs=1e-14)
+
+
+class CountedMatvecs:
+    """A sparse matrix that counts the vectors multiplied into it."""
+
+    def __init__(self, mat):
+        self.mat, self.dtype, self.calls = mat, mat.dtype, 0
+
+    def __matmul__(self, v):
+        self.calls += 1
+        return self.mat @ v
+
+
+def test_lanczos_breaks_down_on_an_eigenvector_start():
+    # ground level 1 on (e1 - e2)/sqrt 2; e0 is an exact eigenvector of
+    # level 3, so the first residual is exactly zero and one step is exact
+    h_block = sps.csr_matrix(np.array([[3.0, 0, 0], [0, 2, 1], [0, 1, 2]]))
+    corr = SectorCorrelator(h_block)
+    corr.h = CountedMatvecs(corr.h)
+    w = np.array([2.0, 0.0, 0.0])
+    rows = corr.propagate(w, [0.0, 0.5, 7.0])
+    assert corr.h.calls == 1
+    expect = [2.0 * np.exp(-b * (3.0 - corr.e0)) for b in (0.0, 0.5, 7.0)]
+    assert_allclose(rows[:, 0], expect, rtol=1e-14)
+    assert not rows[:, 1:].any()
+
+
+def test_lanczos_propagation_of_zero_is_zero():
+    h_block, _ = aklt_ring_block()
+    corr = SectorCorrelator(h_block)
+    corr.h = CountedMatvecs(corr.h)
+    zero = np.zeros(h_block.shape[0])
+    assert corr.propagate(zero, 3.0).shape == zero.shape
+    assert not corr.propagate(zero, 3.0).any()
+    assert corr.propagate(zero, (0.0, 1.0)).shape == (2, zero.size)
+    assert corr.h.calls == 0
+
+
+def test_lanczos_propagation_is_bitwise_repeatable():
+    h_block, b_block = aklt_ring_block()
+    corr = SectorCorrelator(h_block)
+    w = b_block @ corr.omega
+    first = corr.propagate(w, ORACLE_BS)
+    assert first.tobytes() == corr.propagate(w, ORACLE_BS).tobytes()
+    assert corr.propagate(w, 200.0).tobytes() == corr.propagate(w, [200.0])[0].tobytes()
+
+
+@pytest.mark.parametrize("b", [-0.1, [0.0, 1.0, -1e-300], (float("nan"),)])
+def test_propagation_rejects_negative_imaginary_time(b):
+    h_block, b_block = aklt_ring_block()
+    corr = SectorCorrelator(h_block)
+    with pytest.raises(ValueError, match="nonnegative"):
+        corr.propagate(b_block @ corr.omega, b)
+
+
+def test_lanczos_step_cap_raises_convergence_error(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(spinsys.dynamics, "LANCZOS_MAX_STEPS", 4)
+    h_block, b_block = aklt_ring_block()
+    corr = SectorCorrelator(h_block)
+    with pytest.raises(ConvergenceError, match="did not converge in 4 steps"):
+        corr.propagate(b_block @ corr.omega, 1.0)
+    out = tmp_path / "c.csv"
+    assert run(["cluster", "--L", "6", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: Lanczos propagation") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_lanczos_basis_is_counted_before_it_is_allocated(monkeypatch):
+    h_block, b_block = aklt_ring_block()
+    corr = SectorCorrelator(h_block)
+    w = b_block @ corr.omega
+    basis = spinsys.dynamics.LANCZOS_MAX_STEPS * w.size * 8
+    monkeypatch.setattr(spinsys.util, "PHYSICAL_MEMORY", basis)
+    corr.propagate(w, 1.0)
+    monkeypatch.setattr(spinsys.util, "PHYSICAL_MEMORY", basis - 1)
+    monkeypatch.setattr(spinsys.dynamics.np, "empty", None)     # nothing is allocated
+    with pytest.raises(ValueError, match="^the Lanczos basis of .* above the"):
+        corr.propagate(w, 1.0)
+
+
+@pytest.mark.parametrize("L", [6, 9])
+def test_cluster_assembles_each_sector_once(L, tmp_path, monkeypatch):
+    sectors = []
+    for name in ("spectral", "symmetry", "dynamics"):
+        module = getattr(spinsys, name)
+        orig = module.assemble
+
+        def spy(phi, basis, _orig=orig):
+            sectors.append(getattr(basis, "label", "full space"))
+            return _orig(phi, basis)
+
+        monkeypatch.setattr(module, "assemble", spy)
+    assert run(["cluster", "--L", str(L), "--out", str(tmp_path / "c.csv")]) == 0
+    assert ("M", 0.0) in sectors
+    assert len(sectors) == len(set(sectors))
+
+
 def test_bounds_are_infinite_once_the_growth_overflows():
     g = path_graph(5)
     assert lr_bound_rhs(g, 1.0, 1761.0, 0, (3,), 1.0, 1.0) == float("inf")
@@ -322,7 +479,7 @@ def test_bounds_are_infinite_once_the_growth_overflows():
 
 
 def test_large_b_steps_match_one_correlation_per_b(monkeypatch):
-    # one propagation per pair through the ascending b, rows in the given order
+    # the large-b values of each pair's one propagation, rows in the given order
     g = ring_graph(6, spin=1.0)
     phi = aklt(6, periodic=True)
     s3 = np.asarray(spin_matrices(1.0).s3)
