@@ -27,9 +27,10 @@ sigma3 = 2.0 * np.asarray(spin_matrices(0.5).s3)
 B = embed_at(space, [(bsite, sigma3)])
 dyn = HeisenbergDynamics(H)
 
-# one call for the whole table: B and each local A are rotated into the
-# eigenbasis of H once, block by magnetization block, and every grid point is
-# a phase conjugation and one small eigvalsh or SVD per connected component
+# one call for the whole table: B is rotated into the eigenbasis of H once,
+# block by magnetization block; each local unit A is gathered there from
+# eigenvector rows, without embedding it; and all times are taken at once, a
+# phase conjugation and one stacked eigvalsh or SVD per connected component
 # of the block pattern of the commutator
 ts = (0.2, 0.5, 1.0)
 grid = commutator_grid(dyn, B, space, range(L), ts)

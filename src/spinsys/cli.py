@@ -341,6 +341,8 @@ def run_lightcone(cfg):
     bsite = cfg.get("bsite", L // 2)
     _check_lam(lam)
     _check_spin_and_coupling(spin, J)
+    if L < 1:
+        raise ConfigError(f"L must be at least 1, got L={L}")
     if tsteps < 2:
         raise ConfigError(f"tsteps must be at least 2, got {tsteps}")
     if not math.isfinite(tmax):
@@ -372,11 +374,12 @@ def run_lightcone(cfg):
             rows.append({"x": x, "t": t, "measured": measured,
                          "bound_thm1": bound, "bound_corollary": corollary})
     # Spot check of the eigenbasis norms against the definition at the site
-    # farthest from B at the last time: tau_t(A) from the full unitary, the
-    # commutator in the site basis, and its SVD norm.
+    # farthest from B at the last time: tau_t(A) = U^H A U from the full
+    # unitary, the commutator with the sparse B in the site basis, and its SVD
+    # norm.
     far = max(range(L), key=lambda x: abs(x - bsite))
     spot = commutator_growth(dyn, B, far, ts[-1], space)
-    direct = _commutator_by_definition(dyn, B.toarray(), far, ts[-1], space)
+    direct = _commutator_by_definition(dyn, B.matrix, far, ts[-1], space)
     asserts = [Assertion("commutator_below_bound", violations == 0,
                          f"{violations} grid points violate the bound"),
                Assertion("eigenbasis_norm_matches_definition",

@@ -1,11 +1,14 @@
 """Heisenberg dynamics, commutator light cones, and ground-state clustering.
 
-Real-time evolution goes through the dense eigendecomposition of H (the
-full unitary is needed anyway), taken block by block over the invariant
-blocks of H: the connected components of its sparsity pattern, which on the
-Heisenberg and AKLT chains are the magnetization sectors.
+Real-time evolution goes through the eigendecomposition of H, taken block
+by block over the invariant blocks of H: the connected components of its
+sparsity pattern, which on the Heisenberg and AKLT chains are the
+magnetization sectors.  Only the eigenvector blocks are stored.
 Light-cone commutator norms are taken in that eigenbasis, one connected
-component of the block pattern of the commutator at a time.
+component of the block pattern of the commutator at a time.  A single-site
+unit E_ij is rotated there by gathering eigenvector rows (no embedding), and
+every time step is handled at once: tau_t(A), tau_t(A) B and the commutator
+are (T, n, m) stacks, and each component's norm is one stacked solve.
 Imaginary-time weights e^(-b(H-E0)) are applied by spectral decomposition on
 the dense path and, inside one sector, by a Lanczos recursion on the sparse
 block (``SectorCorrelator.propagate``): one recursion from a vector w gives
@@ -82,15 +85,17 @@ class HeisenbergDynamics:
     H is split into its invariant blocks, the connected components of its
     sparsity pattern (the magnetization sectors of a Heisenberg chain; a
     single block once a transverse field couples them), and each block is
-    diagonalised on its own.  ``vecs`` is the full eigenbasis in the site
-    basis, with its columns grouped by block: columns ``bounds[b]`` to
-    ``bounds[b + 1]`` hold the eigenvectors of block b, which live on the
-    states ``order[bounds[b]:bounds[b + 1]]`` and on no other.  ``labels``
-    gives the block of each state.  H is diagonalised as real float64 when it
-    has no imaginary part, so the eigenvectors of every real model come from
-    the real solver.  It refuses an H whose eigenbasis and seven complex arrays
-    of its size (B, tau_t(A), their products and the SVD of the light-cone
-    check against the definition) would exceed the physical memory."""
+    diagonalised on its own.  ``blocks[b]`` holds the eigenvectors of block b,
+    with ``evals[bounds[b]:bounds[b + 1]]`` their eigenvalues: its rows are
+    the states ``order[bounds[b]:bounds[b + 1]]``, and state s is row
+    ``position[s]`` of the block ``labels[s]``.  These blocks are the only
+    store of the eigenbasis; ``vecs`` assembles the dense one from them.  H
+    is diagonalised as real float64 when it has no imaginary part, so the
+    eigenvectors of every real model come from the real solver.  It refuses
+    an H whose eigenbasis and seven complex arrays of its size (the full
+    unitary of ``evolve``, tau_t(A) and the products and SVD of the
+    light-cone check against the definition) would exceed the physical
+    memory."""
 
     def __init__(self, H):
         mat = sp.csr_matrix(H.matrix if isinstance(H, SparseOperator) else H)
@@ -103,13 +108,27 @@ class HeisenbergDynamics:
         self.labels = _block_labels(mat)
         self.order = np.argsort(self.labels, kind="stable")
         self.bounds = np.concatenate(([0], np.cumsum(np.bincount(self.labels))))
+        self.position = np.empty(dim, dtype=np.intp)
+        self.position[self.order] = np.arange(dim) - np.repeat(self.bounds[:-1],
+                                                               np.diff(self.bounds))
         self.evals = np.empty(dim)
-        self.vecs = np.zeros((dim, dim), dtype)
+        self.blocks = []
         for s, e in zip(self.bounds[:-1], self.bounds[1:]):
             states = self.order[s:e]
-            self.evals[s:e], self.vecs[states, s:e] = np.linalg.eigh(
-                mat[states][:, states].toarray())
+            self.evals[s:e], vb = np.linalg.eigh(mat[states][:, states].toarray())
+            self.blocks.append(vb)
         self.dim = dim
+
+    @property
+    def vecs(self) -> np.ndarray:
+        """The dense eigenbasis in the site basis, assembled from ``blocks``:
+        columns ``bounds[b]`` to ``bounds[b + 1]`` are the eigenvectors of
+        block b, zero off its states."""
+        V = np.zeros((self.dim, self.dim), self.blocks[0].dtype)
+        for b, vb in enumerate(self.blocks):
+            s, e = self.bounds[b], self.bounds[b + 1]
+            V[self.order[s:e], s:e] = vb
+        return V
 
     def phases(self, t: float) -> np.ndarray:
         """e^(-itE) over the eigenvalues E."""
@@ -118,23 +137,83 @@ class HeisenbergDynamics:
     def _eigenbasis_blocks(self, A) -> dict:
         """The blocks of V^H A V that the sparsity pattern of A allows to be
         nonzero, keyed by (row block, column block); every other block is
-        exactly zero."""
+        exactly zero.  Block (r, c) is V_r^H A_rc V_c from the eigenvector
+        blocks.  On a real eigenbasis a complex A is rotated as its real and
+        imaginary parts, so every product is real."""
         A = sp.csr_matrix(A.matrix if isinstance(A, SparseOperator) else A)
+        if not np.any(A.data.imag):
+            A = A.real
         rows, cols = A.nonzero()
-        n = len(self.bounds) - 1
+        n = len(self.blocks)
         keys = np.unique(self.labels[rows] * n + self.labels[cols]).tolist()
-        AV = A[self.order] @ self.vecs       # rows and columns in block order
-        b, order = self.bounds, self.order
-        return {(r, c): self.vecs[order[b[r]:b[r + 1]], b[r]:b[r + 1]].conj().T
-                @ AV[b[r]:b[r + 1], b[c]:b[c + 1]]
-                for r, c in (divmod(k, n) for k in keys)}
+        A = A[self.order][:, self.order]          # rows and columns in block order
+        split = np.iscomplexobj(A) and not np.iscomplexobj(self.blocks[0])
+        parts = (A.real, A.imag) if split else (A,)
+        b, V = self.bounds, self.blocks
+        out = {}
+        for r, c in (divmod(k, n) for k in keys):
+            rot = [V[r].conj().T @ (P[b[r]:b[r + 1], b[c]:b[c + 1]] @ V[c]) for P in parts]
+            out[r, c] = rot[0] + 1j * rot[1] if split else rot[0]
+        return out
+
+    def unit_blocks(self, space: SpinSpace, x: int) -> list:
+        """The blocks of V^H A V, as ``_eigenbasis_blocks`` gives them, for
+        each A of ``hermitian_unit_basis`` at site x, in its order, from
+        gathered rows of the eigenvector blocks; nothing is embedded.  The
+        site unit E_ij takes each state s whose site-x digit is j to
+        s' = s + (i - j) stride_x, so block (r, c) of V^H E_ij V is
+        V_r[s']^H V_c[s] over those s in block c with s' in block r: one
+        gather of rows and one product per block pair.  V^H E_ji V is its
+        conjugate transpose."""
+        if space.total_dim != self.dim:
+            raise ValueError(f"a {space.total_dim}-state space for a "
+                             f"{self.dim}-state Hamiltonian")
+        d, stride = space.site_dims[x], space.strides[x]
+        digit = np.arange(self.dim) // stride % d
+        n, V, pos = len(self.blocks), self.blocks, self.position
+
+        def gathered(i, j):
+            s = np.flatnonzero(digit == j)
+            s2 = s + (i - j) * stride
+            key = self.labels[s2] * n + self.labels[s]
+            perm = np.argsort(key, kind="stable")
+            keys, starts = np.unique(key[perm], return_index=True)
+            out = {}
+            for k, sel in zip(keys.tolist(), np.split(perm, starts[1:])):
+                r, c = divmod(k, n)
+                out[r, c] = V[r][pos[s2[sel]]].conj().T @ V[c][pos[s[sel]]]
+            return out
+
+        def plus_adjoint(G, w):
+            """w G + conj(w) G^H, block by block."""
+            out = {}
+            for (r, c), m in G.items():
+                for key, term in (((r, c), w * m), ((c, r), np.conj(w) * m.conj().T)):
+                    out[key] = out[key] + term if key in out else term
+            return out
+
+        units = [gathered(i, i) for i in range(d)]
+        for i in range(d):
+            for j in range(i + 1, d):
+                G = gathered(i, j)
+                units += [plus_adjoint(G, 1), plus_adjoint(G, 1j)]
+        return units
 
     def evolve(self, A, t: float) -> np.ndarray:
-        """tau_t(A) = e^(itH) A e^(-itH), with V^H A V formed as V^H (A V)."""
+        """tau_t(A) = U^H A U for the full unitary U = e^(-itH) = V e^(-itE) V^H,
+        which is formed once per call, block by invariant block (as two real
+        products where the eigenvectors are real)."""
         A = A.matrix if isinstance(A, SparseOperator) else A if sp.issparse(A) else np.asarray(A)
         p = self.phases(t)
-        out = p.conj()[:, None] * (self.vecs.conj().T @ (A @ self.vecs)) * p
-        return self.vecs @ out @ self.vecs.conj().T
+        U = np.zeros((self.dim, self.dim), dtype=complex)
+        for b, vb in enumerate(self.blocks):
+            s, e = self.bounds[b], self.bounds[b + 1]
+            if np.iscomplexobj(vb):
+                ub = (vb * p[s:e]) @ vb.conj().T
+            else:
+                ub = (vb * p[s:e].real) @ vb.T + 1j * ((vb * p[s:e].imag) @ vb.T)
+            U[np.ix_(self.order[s:e], self.order[s:e])] = ub
+        return U.conj().T @ (A @ U)
 
 
 def _block_components(pairs):
@@ -175,32 +254,51 @@ def _slices(blocks, sizes):
     return out, n
 
 
-def _component_norm(blocks, colour, X, sizes) -> float:
-    """||K|| for K = i(X - X^H) on one component of its block pattern, from
-    the blocks X[a, c] inside it.  A one-block component is the largest
-    |eigvalsh| of its block.  A 2-coloured component R | S is
+def _adjoint(m):
+    """The conjugate transpose of every matrix in a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
+def _component_size(blocks, colour, sizes) -> int:
+    """The number of entries of the matrix whose norm ``_component_norm``
+    takes on one component: n x n, or nR x nS for a 2-coloured R | S."""
+    n = sum(sizes[a] for a in blocks)
+    if colour is None:
+        return n * n
+    nr = sum(sizes[a] for a in blocks if colour[a] == 0)
+    return nr * (n - nr)
+
+
+def _component_norm(blocks, colour, keys, X, sizes, steps) -> np.ndarray:
+    """||K_t|| for K_t = i(X_t - X_t^H) at each of the ``steps`` time steps t,
+    on one component of the block pattern, from the (steps, n_a, n_c) stacks
+    X(a, c) of its ``keys``, each formed only when it is added in; one
+    stacked ``eigvalsh`` or SVD call takes every t.  A one-block component
+    is the largest |eigvalsh| of its block.  A 2-coloured component R | S is
     [[0, K_RS], [K_RS^H, 0]], whose norm is the largest singular value of
     K_RS = i(X_RS - X_SR^H).  Any other is the largest |eigvalsh| of the
     assembled component."""
     if len(blocks) == 1:
-        m = X[blocks[0], blocks[0]]
-        return np.abs(np.linalg.eigvalsh(1j * (m - m.conj().T))).max()
+        m = X(blocks[0], blocks[0])
+        return np.abs(np.linalg.eigvalsh(1j * (m - _adjoint(m)))).max(axis=1)
     if colour is None:
         at, n = _slices(blocks, sizes)
-        K = np.zeros((n, n), dtype=complex)
-        for (a, c), m in X.items():
-            K[at[a], at[c]] += m
-            K[at[c], at[a]] -= m.conj().T
-        return np.abs(np.linalg.eigvalsh(1j * K)).max()
+        K = np.zeros((steps, n, n), dtype=complex)
+        for a, c in keys:
+            m = X(a, c)
+            K[:, at[a], at[c]] += m
+            K[:, at[c], at[a]] -= _adjoint(m)
+        K *= 1j
+        return np.abs(np.linalg.eigvalsh(K)).max(axis=1)
     row, nr = _slices([a for a in blocks if colour[a] == 0], sizes)
     col, nc = _slices([a for a in blocks if colour[a] == 1], sizes)
-    K = np.zeros((nr, nc), dtype=complex)
-    for (a, c), m in X.items():
+    K = np.zeros((steps, nr, nc), dtype=complex)
+    for a, c in keys:
         if a in row:
-            K[row[a], col[c]] += m
+            K[:, row[a], col[c]] += X(a, c)
         else:
-            K[row[c], col[a]] -= m.conj().T
-    return np.linalg.norm(K, 2)
+            K[:, row[c], col[a]] -= _adjoint(X(a, c))
+    return np.linalg.svd(K, compute_uv=False)[:, 0]
 
 
 def commutator_grid(dyn: HeisenbergDynamics, B, space: SpinSpace, xs, ts) -> np.ndarray:
@@ -219,8 +317,11 @@ def commutator_grid(dyn: HeisenbergDynamics, B, space: SpinSpace, xs, ts) -> np.
     largest |eigenvalue| of the component, or, where the component is
     2-coloured R | S with no diagonal block, the largest singular value of its
     off-diagonal part K_RS.  The norm is unitarily invariant, so nothing is
-    rotated back.  B is rotated once, and each local A is embedded and
-    rotated once.
+    rotated back.  B is rotated once by ``_eigenbasis_blocks``.  Each local A
+    comes from gathered eigenvector rows (``HeisenbergDynamics.unit_blocks``).
+    tau_t(A), X and K are (T, n, m) stacks over all T time steps; each block
+    of X is formed when it is added into its component's K, and the size of
+    the largest K is counted against the physical memory first.
     """
     Bs = sp.csr_matrix(B.matrix if isinstance(B, SparseOperator) else B)
     if abs(Bs - Bs.conj().T).max() > 1e-10 * max(1.0, abs(Bs).max()):
@@ -230,24 +331,36 @@ def commutator_grid(dyn: HeisenbergDynamics, B, space: SpinSpace, xs, ts) -> np.
     for a, c in Bd:
         b_row.setdefault(a, []).append(c)
     sizes = np.diff(dyn.bounds).tolist()
-    phases = [np.split(dyn.phases(t), dyn.bounds[1:-1]) for t in ts]
-    out = np.zeros((len(xs), len(ts)))
+    steps = len(ts)
+    phases = np.split(np.array([dyn.phases(t) for t in ts]).reshape(steps, dyn.dim),
+                      dyn.bounds[1:-1], axis=1)
+
+    def product(Ad, terms):
+        """Block (a, c) of X = tau_t(A) B at every t, formed when asked for."""
+        def X(a, c):
+            return sum(phases[a].conj()[:, :, None] * Ad[a, b] * phases[b][:, None, :]
+                       @ Bd[b, c] for b in terms[a, c])
+        return X
+
+    out = np.zeros((len(xs), steps))
     for i, x in enumerate(xs):
-        for local in hermitian_unit_basis(space.site_dims[x]):
-            Ad = dyn._eigenbasis_blocks(embed_at(space, [(x, local)]))
+        for Ad in dyn.unit_blocks(space, x):
             terms = {}                # (a, c) -> the b with A[a, b] B[b, c] in X[a, c]
             for a, b in Ad:
                 for c in b_row.get(b, ()):
                     terms.setdefault((a, c), []).append(b)
             comps = [(blocks, colour, [k for k in terms if k[0] in blocks])
                      for blocks, colour in _block_components(terms)]
-            for j, p in enumerate(phases):
-                At = {(a, b): p[a].conj()[:, None] * m * p[b] for (a, b), m in Ad.items()}
-                X = {(a, c): sum(At[a, b] @ Bd[b, c] for b in bs)
-                     for (a, c), bs in terms.items()}
-                for blocks, colour, keys in comps:
-                    norm = _component_norm(blocks, colour, {k: X[k] for k in keys}, sizes)
-                    out[i, j] = max(out[i, j], norm)
+            # K and the temporaries of one block of X: four arrays the size
+            # of the largest component (at L = 10 and 21 steps 336 MiB, where
+            # ru_maxrss grew by 149 MiB)
+            entries = max(_component_size(bl, co, sizes) for bl, co, _ in comps)
+            require_memory(4 * 16 * steps * entries,
+                           f"the light-cone stack of {steps} time steps at site {x}")
+            X = product(Ad, terms)
+            for blocks, colour, keys in comps:
+                norm = _component_norm(blocks, colour, keys, X, sizes, steps)
+                np.maximum(out[i], norm, out=out[i])
     return out
 
 

@@ -247,6 +247,28 @@ def test_lightcone_bad_grid_is_config_error(tmp_path, capsys, flags):
     assert len(err.strip().splitlines()) == 1 and err.startswith("config error: ")
 
 
+@pytest.mark.parametrize("L", ["0", "-3"])
+def test_lightcone_chain_length_is_checked_first(tmp_path, capsys, L):
+    assert run(["lightcone", "--L", L, "--out", str(tmp_path / "c.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == [f"config error: L must be at least 1, got L={L}"]
+
+
+def test_lightcone_stacks_beyond_memory_are_refused(tmp_path, capsys, monkeypatch):
+    # the 256-state eigenbasis fits in 16 MB; the grid's stacks of 400 time
+    # steps do not, and are refused before they are formed
+    monkeypatch.setattr(spinsys.util, "PHYSICAL_MEMORY", 2 ** 24)
+    assert run(["lightcone", "--L", "8", "--tsteps", "400",
+                "--out", str(tmp_path / "c.csv")]) == 3
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(
+        "solver error: the light-cone stack of 400 time steps at site 0 needs about ")
+    assert lines[0].endswith("GiB of physical memory")
+    assert not (tmp_path / "c.csv").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["droplet", "--q", "0.5", "--Lmin", "10", "--Lmax", "8"],
     ["droplet", "--q", "0.5", "--n", "0"],

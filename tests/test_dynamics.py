@@ -7,7 +7,7 @@ import spinsys.dynamics
 import spinsys.spectral
 import spinsys.symmetry
 import spinsys.util
-from spinsys import (HeisenbergDynamics, SpinSpace, aklt, assemble, clustering_mu,
+from spinsys import (HeisenbergDynamics, SpinSpace, aklt, assemble, build_graph, clustering_mu,
                      commutator_grid, commutator_growth, custom, embed_at,
                      embed_local, full_spectrum, ground_correlation,
                      heisenberg, hermitian_unit_basis, lambda_norm,
@@ -164,6 +164,93 @@ def test_eigenbasis_is_block_structured(case):
     # every other model splits into exactly its magnetization sectors
     expect = 1 if CASE_IDS[case] == "transverse_field_L5" else len(space.magnetization_values())
     assert len(dyn.bounds) - 1 == expect
+
+
+def mixed_radix_case():
+    """A Heisenberg chain of spins 1/2, 1, 1/2, 3/2: site dimensions 2, 3, 2, 4."""
+    g = build_graph(4, [(0, 1, 1.0), (1, 2, 0.7), (2, 3, 1.3)],
+                    spins={1: 1.0, 3: 1.5})
+    space = SpinSpace.from_graph(g)
+    assert space.site_dims == (2, 3, 2, 4)
+    return space, assemble(heisenberg(g), space)
+
+
+@pytest.mark.parametrize("case", range(len(CASE_IDS) + 1), ids=CASE_IDS + ["mixed_radix_L4"])
+def test_gathered_units_match_embedded_rotation(case):
+    space, H = (list(model_cases())[case][:2] if case < len(CASE_IDS)
+                else mixed_radix_case())
+    dyn = HeisenbergDynamics(H)
+    for x in range(space.n_sites):
+        units = dyn.unit_blocks(space, x)
+        basis = hermitian_unit_basis(space.site_dims[x])
+        assert len(units) == len(basis)
+        for got, local in zip(units, basis):
+            want = dyn._eigenbasis_blocks(embed_at(space, [(x, local)]))
+            assert got.keys() == want.keys()
+            for key, m in want.items():
+                assert_allclose(got[key], m, rtol=0, atol=1e-14)
+
+
+def test_eigenbasis_blocks_of_a_complex_operator_are_real_products():
+    # a complex B on a real eigenbasis is rotated as its real and imaginary parts
+    g, space, H = chain_setup(5)
+    dyn = HeisenbergDynamics(H)
+    s = spin_matrices(0.5)
+    B = embed_local(space, [((1, 2), np.kron(s.s1, s.s2) + np.kron(s.s2, s.s1)),
+                            ((3,), s.s2)])
+    assert np.iscomplexobj(B.matrix.data)
+    got = dyn._eigenbasis_blocks(B)
+    V = dyn.vecs
+    full = V.conj().T @ B.toarray() @ V
+    b = dyn.bounds
+    for (r, c), m in got.items():
+        assert_allclose(m, full[b[r]:b[r + 1], b[c]:b[c + 1]], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("case", ["heisenberg_L6", "dm_chain_L5"])
+def test_evolve_matches_expm(case):
+    from scipy.linalg import expm
+    space, H, B, real = list(model_cases())[CASE_IDS.index(case)]
+    dyn = HeisenbergDynamics(H)
+    assert np.isrealobj(dyn.blocks[0]) == real
+    h = H.toarray()
+    for A in (B, embed_at(space, [(0, np.array([[0.2, 1 - 0.5j], [1 + 0.5j, -0.7]]))])):
+        for t in (0.35, -1.1):
+            expect = expm(1j * t * h) @ A.toarray() @ expm(-1j * t * h)
+            assert_allclose(dyn.evolve(A, t), expect, rtol=0, atol=1e-12)
+
+
+def test_commutator_grid_embeds_nothing(monkeypatch):
+    space, H, B, _ = list(model_cases())[CASE_IDS.index("spin1_chain_L4")]
+    dyn = HeisenbergDynamics(H)
+    expect = commutator_grid(dyn, B, space, range(space.n_sites), [0.0, 0.7])
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("commutator_grid embedded an operator")
+
+    for name in ("embed_at", "kron_chain", "embed_local", "_embed"):
+        monkeypatch.setattr(spinsys.hilbert, name, forbidden)
+    monkeypatch.setattr(spinsys.dynamics, "embed_at", forbidden)
+    grid = commutator_grid(dyn, B, space, range(space.n_sites), [0.0, 0.7])
+    assert grid.tobytes() == expect.tobytes()
+
+
+def test_commutator_grid_counts_its_stacks_before_forming_them(monkeypatch):
+    # the 256-state eigenbasis fits in 10 MB; the stacks of 400 time steps do not
+    g, space, H = chain_setup(8)
+    dyn = HeisenbergDynamics(H)
+    B = embed_at(space, [(4, np.asarray(spin_matrices(0.5).s3))])
+    monkeypatch.setattr(spinsys.util, "PHYSICAL_MEMORY", 10 * 2 ** 20)
+    HeisenbergDynamics(H)
+    norm, formed = spinsys.dynamics._component_norm, []
+    monkeypatch.setattr(spinsys.dynamics, "_component_norm",
+                        lambda *args: formed.append(args) or norm(*args))
+    with pytest.raises(ValueError, match=r"the light-cone stack of 400 time steps at site 0 "
+                                         r"needs about [0-9.]+ GiB, above the 0.00977 GiB"):
+        commutator_grid(dyn, B, space, range(8), np.linspace(0.0, 1.0, 400))
+    assert not formed
+    assert commutator_grid(dyn, B, space, range(8), [0.0, 1.0]).shape == (8, 2)
+    assert formed
 
 
 def test_commutator_grid_rejects_non_hermitian_b():
