@@ -360,6 +360,14 @@ def run_lightcone(cfg):
     B = embed_at(space, [(bsite, b_local)])
     b_norm = float(np.linalg.norm(b_local, 2))
     ts = [tmax * i / (tsteps - 1) for i in range(tsteps)]
+    # Spot check of the eigenbasis norms against the definition at the site
+    # farthest from B at the last time: tau_t(A) = U^H A U from the full
+    # unitary, the commutator with the sparse B in the site basis, and its SVD
+    # norm.  It runs first, so that the memory refusal of its dense unitary
+    # comes before the grid.
+    far = max(range(L), key=lambda x: abs(x - bsite))
+    spot = commutator_growth(dyn, B, far, ts[-1], space)
+    direct = _commutator_by_definition(dyn, B.matrix, far, ts[-1], space)
     grid = commutator_grid(dyn, B, space, range(L), ts)
     rows = []
     violations = 0
@@ -373,13 +381,6 @@ def run_lightcone(cfg):
                 violations += 1
             rows.append({"x": x, "t": t, "measured": measured,
                          "bound_thm1": bound, "bound_corollary": corollary})
-    # Spot check of the eigenbasis norms against the definition at the site
-    # farthest from B at the last time: tau_t(A) = U^H A U from the full
-    # unitary, the commutator with the sparse B in the site basis, and its SVD
-    # norm.
-    far = max(range(L), key=lambda x: abs(x - bsite))
-    spot = commutator_growth(dyn, B, far, ts[-1], space)
-    direct = _commutator_by_definition(dyn, B.matrix, far, ts[-1], space)
     asserts = [Assertion("commutator_below_bound", violations == 0,
                          f"{violations} grid points violate the bound"),
                Assertion("eigenbasis_norm_matches_definition",

@@ -18,7 +18,7 @@ from math import comb
 
 import numpy as np
 
-from .hilbert import SpinSpace, down_spin_sector, restrict
+from .hilbert import SpinSpace, down_spin_sector
 from .models import XxzParams, xxz, assemble
 from .symmetry import sector_spin_levels, suq2_generators
 from .util import require_memory
@@ -109,7 +109,7 @@ def momentum_band(p: XxzParams, n: int) -> np.ndarray:
         raise ValueError("momentum resolution needs the periodic chain")
     _check_sector(p, n)
     sector = down_spin_sector(SpinSpace((2,) * p.L), n)
-    h = restrict(assemble(xxz(p), sector), sector)
+    h = assemble(xxz(p), sector).toarray()
     cycles = _translation_cycles(p, sector)
     out = np.empty(p.L)
     for k in range(p.L):

@@ -27,7 +27,7 @@ import scipy.sparse as sp
 
 from .lattice import SpinGraph, graph_distance, set_distance, distances_from
 from .hilbert import SpinSpace, SparseOperator, embed_at, magnetization_sector
-from .models import Interaction, lambda_norm, assemble
+from .models import Interaction, lambda_norm
 from .spectral import (ConvergenceError, extremal_eigs, full_spectrum,
                        sector_sweep_lowest, spectral_gap)
 from .util import require_memory
@@ -92,30 +92,30 @@ class HeisenbergDynamics:
     store of the eigenbasis; ``vecs`` assembles the dense one from them.  H
     is diagonalised as real float64 when it has no imaginary part, so the
     eigenvectors of every real model come from the real solver.  It refuses
-    an H whose eigenbasis and seven complex arrays of its size (the full
-    unitary of ``evolve``, tau_t(A) and the products and SVD of the
-    light-cone check against the definition) would exceed the physical
-    memory."""
+    an H whose eigenvector blocks, with the dense solve of its largest block
+    as ``full_spectrum`` counts it, would exceed the physical memory; the
+    dense forms of ``evolve`` are counted there."""
 
     def __init__(self, H):
         mat = sp.csr_matrix(H.matrix if isinstance(H, SparseOperator) else H)
         dim = mat.shape[0]
-        dtype = np.complex128 if np.any(mat.data.imag) else np.float64
-        require_memory(dim * dim * (np.dtype(dtype).itemsize + 7 * 16),
-                       f"real-time evolution in the dense {dim}-state eigenbasis")
-        if dtype is np.float64:
+        if not np.any(mat.data.imag):
             mat = mat.real
         self.labels = _block_labels(mat)
         self.order = np.argsort(self.labels, kind="stable")
-        self.bounds = np.concatenate(([0], np.cumsum(np.bincount(self.labels))))
+        sizes = np.bincount(self.labels)
+        require_memory((np.sum(sizes.astype(float) ** 2) + 6.0 * sizes.max() ** 2)
+                       * mat.dtype.itemsize,
+                       f"the eigenvector blocks of the {dim}-state Hamiltonian")
+        self.bounds = np.concatenate(([0], np.cumsum(sizes)))
         self.position = np.empty(dim, dtype=np.intp)
         self.position[self.order] = np.arange(dim) - np.repeat(self.bounds[:-1],
                                                                np.diff(self.bounds))
         self.evals = np.empty(dim)
         self.blocks = []
+        mat = mat[self.order][:, self.order]      # rows and columns in block order
         for s, e in zip(self.bounds[:-1], self.bounds[1:]):
-            states = self.order[s:e]
-            self.evals[s:e], vb = np.linalg.eigh(mat[states][:, states].toarray())
+            self.evals[s:e], vb = np.linalg.eigh(mat[s:e, s:e].toarray())
             self.blocks.append(vb)
         self.dim = dim
 
@@ -202,7 +202,11 @@ class HeisenbergDynamics:
     def evolve(self, A, t: float) -> np.ndarray:
         """tau_t(A) = U^H A U for the full unitary U = e^(-itH) = V e^(-itE) V^H,
         which is formed once per call, block by invariant block (as two real
-        products where the eigenvectors are real)."""
+        products where the eigenvectors are real).  U, U^H, A U and the
+        result, four dense complex arrays, are counted against the physical
+        memory before any is formed."""
+        require_memory(4 * 16 * float(self.dim) ** 2,
+                       f"real-time evolution in the dense {self.dim}-state eigenbasis")
         A = A.matrix if isinstance(A, SparseOperator) else A if sp.issparse(A) else np.asarray(A)
         p = self.phases(t)
         U = np.zeros((self.dim, self.dim), dtype=complex)
@@ -490,13 +494,15 @@ class SectorCorrelator:
     ``h_block`` is the sparse block of H on the sector; it is only ever
     multiplied into vectors, so H - E0 is applied as h v - E0 v and never
     formed.  ``lowest`` is an existing solve of the same block: a
-    SpectrumReport whose first two levels are its two lowest, with the ground
-    vector in the first column of its eigenvectors.  Without it the block is
-    solved here."""
+    SpectrumReport whose first two levels are its two lowest.  Its ground
+    vector, the first column of its eigenvectors, is used as it is; without
+    it, or when the report kept no eigenvectors, the block is solved here."""
 
     def __init__(self, h_block, degeneracy_tol=1e-8, lowest=None):
         self.h = sp.csr_matrix(h_block)
-        rep = extremal_eigs(self.h, k=2) if lowest is None else lowest
+        rep = lowest
+        if rep is None or rep.eigenvectors is None:
+            rep = extremal_eigs(self.h, k=2)
         if rep.eigenvalues[1] - rep.eigenvalues[0] <= degeneracy_tol:
             raise ValueError("ground state degenerate within its sector")
         self.e0 = float(rep.eigenvalues[0])
@@ -616,14 +622,16 @@ def clustering_report(g: SpinGraph, phi: Interaction, local_op, lam: float,
     ``local_op`` is the single-site matrix used at both ends (centered in the
     ground state before evaluation).
 
-    The gap and the ground sector come from ``sector_sweep_lowest``.  For a
-    model declared SU(2)-invariant it returns the eigenvectors of the sector
-    M = 0 (or 1/2) and the block they were solved from, and the correlator
-    reuses both; otherwise the correlator assembles and solves the ground
-    sector itself.  The observable blocks are embedded on the ground sector
-    directly.  Each pair takes one ``SectorCorrelator.propagate`` call, at
-    its n_window + 1 equally spaced b (the values written in the rows) and at
-    ``large_bs`` for the trivial large-b check.
+    The gap and the ground sector come from ``sector_sweep_lowest``, whose
+    reports carry the block each sector was solved from: the correlator
+    propagates on the ground sector's block, so no sector is assembled
+    twice.  For a model declared SU(2)-invariant the report also holds the
+    eigenvectors of the sector M = 0 (or 1/2), which the correlator reuses;
+    otherwise the sweep kept values only and the correlator solves the block
+    again for its ground vector.  The observable blocks are embedded on the
+    ground sector directly.  Each pair takes one ``SectorCorrelator.propagate``
+    call, at its n_window + 1 equally spaced b (the values written in the
+    rows) and at ``large_bs`` for the trivial large-b check.
     """
     space = SpinSpace.from_graph(g)
     merged, per_sector = sector_sweep_lowest(phi, space, k=2, threads=threads)
@@ -635,10 +643,7 @@ def clustering_report(g: SpinGraph, phi: Interaction, local_op, lam: float,
                        key=lambda lab: per_sector[lab].eigenvalues[0])
     sector = magnetization_sector(space, ground_label[1])
     ground = per_sector[ground_label]
-    if ground.eigenvectors is None:
-        corr = SectorCorrelator(assemble(phi, sector).matrix)
-    else:
-        corr = SectorCorrelator(ground.block, lowest=ground)
+    corr = SectorCorrelator(ground.block, lowest=ground)
 
     phi_norm = lambda_norm(phi, lam, g)
     rates = clustering_mu(gamma, lam, phi_norm)

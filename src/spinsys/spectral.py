@@ -36,7 +36,7 @@ class SpectrumReport:
     eigenvalues: np.ndarray
     eigenvectors: Optional[np.ndarray] = None     # columns
     residuals: Optional[np.ndarray] = None
-    block: Optional[sp.csr_matrix] = None         # the sparse block solved, kept for reuse
+    block: Optional[sp.csr_matrix] = None         # the CSR block ``sector_spectrum`` solved
 
     def __post_init__(self):
         ev = np.asarray(self.eigenvalues, dtype=float)
@@ -143,12 +143,17 @@ def sector_spectrum(H, sector: SectorBasis, k="all", want_vectors=False) -> Spec
 
     ``k="all"`` and sectors of dimension up to KRYLOV_CROSSOVER are
     diagonalised densely and return every level; a larger sector returns
-    its k lowest levels from ``extremal_eigs``.
+    its k lowest levels from ``extremal_eigs``.  The report carries the
+    CSR block it solved as ``block``; for a real H built on the sector it
+    shares the arrays of H.
     """
     block = restrict(H, sector, dense=False)
     if k == "all" or sector.dim <= KRYLOV_CROSSOVER:
-        return full_spectrum(block, want_vectors=want_vectors)
-    return extremal_eigs(block, k=k, want_vectors=want_vectors)
+        rep = full_spectrum(block, want_vectors=want_vectors)
+    else:
+        rep = extremal_eigs(block, k=k, want_vectors=want_vectors)
+    rep.block = block
+    return rep
 
 
 def spectral_gap(report: SpectrumReport, degeneracy_tol=DEGENERACY_TOL) -> GapReport:
@@ -170,7 +175,8 @@ def sector_sweep_lowest(phi, space: SpinSpace, k=4, threads=1):
     sectors of ``space``, merged ascending; each block is assembled on its
     sector alone (``assemble(phi, sector)``).
 
-    Returns (merged SpectrumReport, dict label -> per-sector SpectrumReport).
+    Returns (merged SpectrumReport, dict label -> per-sector SpectrumReport,
+    each carrying the block it was solved from as ``block``).
     A sector solved densely (see ``sector_spectrum``) contributes all its
     levels.  The merge order is canonical (descending M), independent of
     any parallelism.

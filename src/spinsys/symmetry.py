@@ -5,8 +5,8 @@ A ladder (``su2_totals`` or ``suq2_generators``) is the one description of
 its algebra: ``plus(source, target)`` builds the block of the S+ total
 between any two bases (the sum over x of one ``embed_at`` product per site,
 so only the sectors involved are touched; no full-space ladder is formed
-unless both bases are the space).  The SU(2) ladder also has ``minus``, the
-transpose of an S+ block.
+unless both bases are the space).  S+ is real, so the SU(2) lowering block
+is the transpose of an S+ block.
 Both algebras are classified by one method, ``sector_spin_levels``: when
 H commutes with S+ (checked on the blocks, H_(M+1) S+ = S+ H_M), S+ maps
 the orthogonal complement of ker S+ in the sector M = S onto the sector
@@ -15,9 +15,11 @@ difference spec(H|M=S) minus spec(H|M=S+1).  No Casimir is formed and
 every sector is solved for its values alone.
 ``classify_total_spin(phi, ladder, space)`` walks the sectors M = S >= 0
 up from the lowest, solving each once, and keeps every level of each.
-``su2_sweep_lowest`` labels the Ritz vectors of the lowest sector M = 0
-(or 1/2) by the SU(2) Casimir instead, so that the gap sweep of a model
-declared SU(2)-invariant solves that sector alone.
+``su2_sweep_lowest`` labels the Ritz vectors of the lowest sector M0 = 0
+(or 1/2) instead, by the SU(2) Casimir (S+)^T S+ + M0(M0 + 1) applied
+from the S+ block M0 -> M0 + 1 it checks anyway (``_label_levels``), so
+that the gap sweep of a model declared SU(2)-invariant solves that sector
+alone.
 Internally S is carried as the integer 2S to keep half-integers exact.
 """
 
@@ -39,7 +41,6 @@ from .util import ordered_map
 
 CLASSIFY_DEGENERACY_TOL = 1e-8
 CASIMIR_RESIDUAL_TOL = 1e-8
-DOMINANCE_FACTOR = 1e3
 SU2_CHECK_TOL = 1e-10
 # A block commutator H_(M+1) S+ - S+ H_M is formed in this many row slices.
 # On the AKLT L=12 ring the whole M = 0 -> 1 commutator takes 365 MB of
@@ -61,8 +62,9 @@ def _ladder_block(terms, source, target) -> SparseOperator:
 
 
 class TotalSpinOps(NamedTuple):
-    """The SU(2) ladder totals S+ = sum_x S+_x and S- = (S+)^H on ``space``,
-    built as blocks between two bases on demand."""
+    """The SU(2) raising total S+ = sum_x S+_x on ``space``, built as blocks
+    between two bases on demand; S- = (S+)^T, bit for bit, as S+ is real and
+    no two sites share a matrix element."""
 
     space: SpinSpace
 
@@ -70,13 +72,6 @@ class TotalSpinOps(NamedTuple):
         """The block of S+ from the basis ``source`` to ``target``."""
         return _ladder_block([[(x, spin_matrices(self.space.spin_at(x)).plus)]
                               for x in range(self.space.n_sites)], source, target)
-
-    def minus(self, source, target) -> SparseOperator:
-        """The block of S- from the basis ``source`` to ``target``: S+ is real
-        and no two sites share a matrix element, so S- is S+ transposed, bit
-        for bit."""
-        return SparseOperator(self.plus(target, source).matrix.T, basis=source,
-                              target=target)
 
 
 def su2_totals(space: SpinSpace) -> TotalSpinOps:
@@ -142,58 +137,46 @@ class SpinResolvedLevels:
         return sorted(self.entries)
 
 
-def _label_levels(evals, c_rot, candidates, basis=None):
-    """Casimir labels and residuals of the eigenpairs of H (ascending evals)
-    from C' = V^H C V, V orthonormal eigenvectors of H, C the Hermitian
-    SU(2) Casimir.  A nondegenerate level has value C'_ii; an H-degenerate
-    cluster (adjacent gaps <= CLASSIFY_DEGENERACY_TOL) is split by
-    diagonalising its block of C'.
-    When V is the full eigenbasis (``basis`` None), the residual
-    ||C v - c v|| of v = V u is ||C' u - c u||, as V is unitary, and C' is
-    overwritten.  For a partial basis, ``basis`` is (V, C V) and the
-    residual is computed from them directly."""
+def _label_levels(evals, V, CV, twice_m0):
+    """The total-spin labels 2S and the Casimir residuals of the eigenvectors
+    V of H (columns, ascending ``evals``), from CV = C V, C the Hermitian
+    SU(2) Casimir on the sector M0 = twice_m0 / 2.
+
+    A nondegenerate level v is labelled by its value <v, C v>; an
+    H-degenerate cluster (adjacent gaps <= CLASSIFY_DEGENERACY_TOL) is split
+    by diagonalising V_c^H C V_c over its columns, and its columns of V and
+    CV are rotated into those vectors.  Each vector takes the nearest
+    S(S+1) on the grid 2S >= 2M0 of M0's parity, and its residual is
+    ||C v - S(S+1) v|| / max(1, S(S+1)).  A residual above
+    CASIMIR_RESIDUAL_TOL raises ``ClassificationError``.
+
+    The residual check is the only one needed.  For a unit v,
+    ||C v - c v|| >= |<v, C v> - c|, so every vector that passes lies within
+    CASIMIR_RESIDUAL_TOL * max(1, c) of its label.  Adjacent values of S(S+1)
+    on the grid lie at least 2 apart, so a value that sits between two of
+    them (at least 2/1001 from either, for a second-nearest distance under
+    1000 times the nearest) is refused by the residual long before it could
+    be mislabelled."""
     starts = np.flatnonzero(np.diff(evals, prepend=-np.inf) > CLASSIFY_DEGENERACY_TOL)
     sizes = np.diff(starts, append=evals.size)
-    cvals = np.diagonal(c_rot).real.copy()
-    vecs = {}
+    cvals = np.vecdot(V, CV, axis=0).real
+    V, CV = V.copy(), CV.copy()
     for i, k in zip(starts[sizes > 1], sizes[sizes > 1]):
-        cvals[i:i + k], vecs[i] = np.linalg.eigh(c_rot[i:i + k, i:i + k])
-    cand_ts = np.array(sorted(candidates))
-    cand_vals = np.array([candidates[t] for t in cand_ts])
-    # the inf column gives every level a second-nearest distance
-    dists = np.abs(np.append(cand_vals, np.inf) - cvals[:, None])
-    best = dists.argmin(axis=1)
-    d1, d2 = np.sort(dists, axis=1)[:, :2].T
-    target = cand_vals[best]
-    scale = np.maximum(1.0, np.abs(target))
-    ambiguous = (d1 > 0) & (d2 < DOMINANCE_FACTOR * d1) & (d1 > 1e-14 * scale)
-    if basis is not None:
-        v, cv = basis
-        rot = np.identity(evals.size, dtype=complex)
-        for i, u in vecs.items():
-            rot[i:i + u.shape[1], i:i + u.shape[1]] = u
-        resid = np.linalg.norm(cv @ rot - (v @ rot) * target, axis=0)
-    else:
-        single = np.flatnonzero(np.repeat(sizes == 1, sizes))
-        c_rot[single, single] -= target[single]
-        resid = np.sqrt(np.vecdot(c_rot, c_rot, axis=0).real)
-        for i, u in vecs.items():
-            j = i + u.shape[1]
-            r = c_rot[:, i:j] @ u
-            r[i:j] -= u * target[i:j]
-            resid[i:j] = np.linalg.norm(r, axis=0)
-    resid /= scale
-    bad = ambiguous | (resid > CASIMIR_RESIDUAL_TOL)
+        cvals[i:i + k], u = np.linalg.eigh(V[:, i:i + k].conj().T @ CV[:, i:i + k])
+        V[:, i:i + k], CV[:, i:i + k] = V[:, i:i + k] @ u, CV[:, i:i + k] @ u
+    # the grid reaches past sqrt(1 + 4c) - 1, the real 2S of the largest value
+    grid = np.arange(twice_m0, np.sqrt(1 + 4 * max(cvals.max(), 0.0)) + 2, 2)
+    casimir = grid / 2 * (grid / 2 + 1)
+    best = np.abs(casimir - cvals[:, None]).argmin(axis=1)
+    target = casimir[best]
+    resid = np.linalg.norm(CV - V * target, axis=0) / np.maximum(1.0, target)
+    bad = resid > CASIMIR_RESIDUAL_TOL
     if bad.any():               # the first failing level, as a walk would find it
         p = bad.argmax()
-        if ambiguous[p]:
-            raise ClassificationError(
-                f"ambiguous Casimir label: value {cvals[p]:.6g} sits between "
-                f"candidates (distances {d1[p]:.3e}, {d2[p]:.3e})")
         raise ClassificationError(
             f"Casimir residual {resid[p]:.3e} above tolerance after "
-            f"simultaneous diagonalization (label 2S={cand_ts[best[p]]})")
-    return cand_ts[best], resid
+            f"simultaneous diagonalization (label 2S={int(grid[best[p]])})")
+    return grid[best].astype(int), resid
 
 
 def _commutator_deviation(h_low, h_up, up) -> float:
@@ -298,11 +281,11 @@ def su2_sweep_lowest(phi, space: SpinSpace, k=4, threads=1):
     Each block is assembled once, for the check and the solve.  M0 is then
     solved with eigenvectors through ``sector_spectrum`` (its k lowest
     levels, or all of them when dense), each vector is labelled by the
-    SU(2) Casimir S+ S- + M0(M0 - 1) of the sector (``_label_levels``,
-    residuals from the sparse ladder blocks), and the merged report lists
-    each level 2S + 1 times.  Returns (merged report, label -> report of
-    each sector solved, M0's with eigenvectors and with its sparse block as
-    ``block``, for ``dynamics.clustering_report`` to propagate on).
+    SU(2) Casimir of the sector, C = (S+)^T S+ + M0(M0 + 1), applied from the
+    checked S+ block M0 -> M0 + 1 (C = M0(M0 + 1) where no M0 + 1 exists;
+    ``_label_levels``), and the merged report lists each level 2S + 1 times.
+    Returns (merged report, label -> report of each sector solved, M0's
+    with eigenvectors; each carries its sparse block as ``block``).
     """
     tmax = space.twice_m_total_max()
     low = tmax % 2
@@ -315,12 +298,6 @@ def su2_sweep_lowest(phi, space: SpinSpace, k=4, threads=1):
     ladder = su2_totals(space)
     ups = {t: ladder.plus(sectors[t], sectors[t + 2]).matrix
            for t in sectors if t + 2 in sectors}
-    # C_M0 is applied to M0's eigenvectors as up (down V) + shift V, unformed
-    below = magnetization_sector(space, low / 2 - 1)
-    up_c = ladder.plus(below, sectors[low]).matrix
-    down_c = ladder.minus(sectors[low], below).matrix
-    shift = low / 2 * (low / 2 - 1)
-    candidates = {t: t / 2 * (t / 2 + 1) for t in range(low, tmax + 1, 2)}
     blocks = {t: assemble(phi, sec) for t, sec in sectors.items()}
     for t, up in sorted(ups.items()):
         dev = _commutator_deviation(blocks[t].matrix, blocks[t + 2].matrix, up)
@@ -330,13 +307,13 @@ def su2_sweep_lowest(phi, space: SpinSpace, k=4, threads=1):
                 f"(relative) from M = {t / 2} to M = {t / 2 + 1}")
     order = [low] + top
     blocks = {t: blocks[t] for t in order}      # M0 + 1, if not dense, was only checked
+    up = ups.get(low)                           # kept for the Casimir of M0
     del ups
 
     def solve(t):
         return sector_spectrum(blocks[t], sectors[t], k=k, want_vectors=t == low)
 
     reports = dict(zip(order, ordered_map(solve, order, threads)))
-    reports[low].block = blocks[low].matrix
     full = {t for t, r in reports.items() if r.eigenvalues.size == sectors[t].dim}
     for t in sorted(full):
         if t + 2 not in full:
@@ -351,9 +328,10 @@ def su2_sweep_lowest(phi, space: SpinSpace, k=4, threads=1):
 
     rep = reports[low]
     vecs = rep.eigenvectors
-    cv = up_c @ (down_c @ vecs) + shift * vecs
-    labels, _ = _label_levels(rep.eigenvalues, vecs.conj().T @ cv, candidates,
-                              basis=None if low in full else (vecs, cv))
+    cv = low / 2 * (low / 2 + 1) * vecs
+    if up is not None:
+        cv += up.T @ (up @ vecs)
+    labels, _ = _label_levels(rep.eigenvalues, vecs, cv, low)
     merged = SpectrumReport(np.repeat(rep.eigenvalues, labels + 1))
     return merged, {sectors[t].label: reports[t] for t in top + [low]}
 

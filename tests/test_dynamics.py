@@ -262,12 +262,17 @@ def test_commutator_grid_rejects_non_hermitian_b():
 
 
 def test_dense_refusals_give_dimension_and_memory():
-    # a diagonal H on 10^6 states: its dense forms would take terabytes, so
-    # both refuse before allocating them
-    H = sps.identity(10 ** 6, format="csr")
-    with pytest.raises(ValueError, match=r"dense 1000000-state eigenbasis needs about "
+    # a diagonal H on 2^15 states: its eigenvector blocks are 2^15 numbers,
+    # but the dense unitary of evolve would take 64 GiB, so evolve refuses
+    # before allocating it
+    H = sps.identity(2 ** 15, format="csr")
+    dyn = HeisenbergDynamics(H)
+    assert len(dyn.blocks) == 2 ** 15
+    with pytest.raises(ValueError, match=r"dense 32768-state eigenbasis needs about "
                                          r"[0-9.e+]+ GiB, above the [0-9.]+ GiB of physical"):
-        HeisenbergDynamics(H)
+        dyn.evolve(H, 0.1)
+    # on 10^6 states, the dense solve of full_spectrum would take terabytes
+    H = sps.identity(10 ** 6, format="csr")
     with pytest.raises(ValueError, match=r"dense float64 solve of dimension 1000000 "
                                          r"needs about [0-9.e+]+ GiB"):
         full_spectrum(H)
@@ -545,6 +550,8 @@ def test_cluster_assembles_each_sector_once(L, tmp_path, monkeypatch):
     sectors = []
     for name in ("spectral", "symmetry", "dynamics"):
         module = getattr(spinsys, name)
+        if not hasattr(module, "assemble"):
+            continue
         orig = module.assemble
 
         def spy(phi, basis, _orig=orig):
@@ -555,6 +562,40 @@ def test_cluster_assembles_each_sector_once(L, tmp_path, monkeypatch):
     assert run(["cluster", "--L", str(L), "--out", str(tmp_path / "c.csv")]) == 0
     assert ("M", 0.0) in sectors
     assert len(sectors) == len(set(sectors))
+
+
+def test_cluster_without_su2_assembles_the_ground_sector_once(monkeypatch):
+    # a model not declared SU(2)-invariant: the correlator propagates on the
+    # block the sweep solved, and its rows are those of a correlator built on
+    # a fresh assembly of the ground sector
+    L = 6
+    s3 = np.asarray(spin_matrices(1.0).s3)
+    phi = aklt(L, periodic=True) + custom([((x, (x + 1) % L), np.kron(s3, s3))
+                                           for x in range(L)]).scaled(0.05)
+    assert not phi.params.get("su2_invariant", False)
+    g = ring_graph(L, spin=1.0)
+    sectors = []
+    orig = spinsys.spectral.assemble
+
+    def spy(phi, basis):
+        sectors.append(basis.label)
+        return orig(phi, basis)
+
+    for module in (spinsys.spectral, spinsys.dynamics):
+        if hasattr(module, "assemble"):
+            monkeypatch.setattr(module, "assemble", spy)
+    rep = spinsys.dynamics.clustering_report(g, phi, s3, 1.0)
+    assert sectors.count(("M", 0.0)) == 1
+    sector = magnetization_sector(SpinSpace.from_graph(g), 0.0)
+    corr = SectorCorrelator(orig(phi, sector).matrix)
+    block = {x: embed_at(sector, [(x, s3)]).matrix for x in range(L)}
+    for y in sorted({r.y for r in rep.rows}):
+        rows = [r for r in rep.rows if r.y == y]
+        large = [v for (yy, _, v, _) in rep.large_b if yy == y]
+        # one propagation per pair, at the window's b and the large-b checks
+        want = np.abs(corr.correlation(block[0], block[y], [r.b for r in rows]
+                                       + [1.0, 3.0, 6.0])).tolist()
+        assert [r.corr_abs for r in rows] + large == want
 
 
 def test_bounds_are_infinite_once_the_growth_overflows():

@@ -216,6 +216,34 @@ def test_reduced_sweep_matches_full_sweep(case, k):
     assert min(per_sector, key=lambda lab: abs(lab[1])) == low
 
 
+@pytest.mark.parametrize("phi, space", [
+    (aklt(6, periodic=True), SpinSpace((3,) * 6)),
+    (heisenberg(ring_graph(9)).scaled(-1.0), SpinSpace((2,) * 9))],
+    ids=["aklt_ring_6", "heisenberg_afm_ring_9"])
+def test_reduced_sweep_builds_one_ladder_block_per_adjacent_pair(phi, space, monkeypatch):
+    # the Casimir of M0 comes from the S+ block M0 -> M0 + 1 the commutator
+    # check builds: no sector below M0 is enumerated and no block is built twice
+    enumerated, ladders = [], []
+    real_sector = spinsys.symmetry.magnetization_sector
+    real_block = spinsys.symmetry._ladder_block
+
+    def sector_spy(space, M):
+        enumerated.append(M)
+        return real_sector(space, M)
+
+    def block_spy(terms, source, target):
+        ladders.append((source.label, target.label))
+        return real_block(terms, source, target)
+
+    monkeypatch.setattr(spinsys.symmetry, "magnetization_sector", sector_spy)
+    monkeypatch.setattr(spinsys.symmetry, "_ladder_block", block_spy)
+    sector_sweep_lowest(phi, space, k=2)
+    m0 = space.twice_m_total_max() % 2 / 2
+    assert min(enumerated) == m0
+    pairs = [(("M", M), ("M", M + 1)) for M in enumerated if M + 1 in enumerated]
+    assert sorted(ladders) == sorted(pairs)
+
+
 def test_reduced_sweep_lists_each_level_by_its_multiplicity():
     # the whole spin-1/2 ring of 8 fits the dense path: the merged report is
     # the full spectrum, every level 2S + 1 times
@@ -257,8 +285,6 @@ def test_wrong_declaration_fails_the_nesting_check(monkeypatch):
         def plus(self, source, target):
             return SparseOperator(sps.csr_matrix((target.total_dim, source.total_dim)),
                                   basis=source, target=target)
-
-        minus = plus
 
     monkeypatch.setattr(spinsys.symmetry, "su2_totals", BlindLadder)
     space = SpinSpace((3,) * 6)

@@ -51,14 +51,19 @@ def test_su2_totals_algebra():
         space = SpinSpace(dims)
         t = su2_totals(space)
         s1, s2, _ = su2_totals_full(space)
-        assert_allclose(t.plus(space, space).toarray(), (s1 + 1j * s2).toarray(), atol=1e-15)
-        assert_allclose(t.minus(space, space).toarray(), (s1 - 1j * s2).toarray(), atol=1e-15)
-        # the sector Casimir S+ S- + M(M - 1) that labels the su2 sweep's Ritz vectors
+        plus = t.plus(space, space).matrix
+        assert_allclose(plus.toarray(), (s1 + 1j * s2).toarray(), atol=1e-15)
+        # S- is the transpose of S+, bit for bit on the real entries
+        assert_allclose(plus.T.toarray(), (s1 - 1j * s2).toarray(), atol=1e-15)
+        # the sector Casimir (S+)^T S+ + M(M + 1) that labels the su2 sweep's
+        # Ritz vectors, from the block M -> M + 1 (M(M + 1) alone at the top)
         values = space.magnetization_values()
-        for upper, lower in zip(values, values[1:]):
-            sector, below = (magnetization_sector(space, M) for M in (upper, lower))
-            c = (t.plus(below, sector).matrix @ t.minus(sector, below).matrix).toarray()
-            c += upper * (upper - 1) * np.eye(sector.dim)
+        for upper, lower in zip([None] + values, values):
+            sector = magnetization_sector(space, lower)
+            c = lower * (lower + 1) * np.eye(sector.dim)
+            if upper is not None:
+                up = t.plus(sector, magnetization_sector(space, upper)).matrix
+                c += (up.T @ up).toarray()
             assert_allclose(c, su2_casimir_block(space, sector), rtol=0, atol=1e-12)
 
 
@@ -69,20 +74,24 @@ def test_su2_totals_algebra():
     ids=["su2_mixed", "su2_spin1", "suq_L7"])
 def test_ladder_blocks_match_restricted_full_space_ladders(ladder, space):
     plus = ladder.plus(space, space)
+    if isinstance(ladder, TotalSpinOps):
+        s1, s2, _ = su2_totals_full(space)
+        minus = SparseOperator(s1 - 1j * s2)
     values = space.magnetization_values()
     for upper, lower in zip(values, values[1:]):
         sector, below = (magnetization_sector(space, M) for M in (upper, lower))
-        checks = [(ladder.plus(below, sector), plus, below, sector)]
-        if isinstance(ladder, TotalSpinOps):        # only SU(2) has an S- block
-            checks.append((ladder.minus(sector, below), ladder.minus(space, space),
-                           sector, below))
-        for block, full, src, dst in checks:
+        block = ladder.plus(below, sector)
+        checks = [(block.matrix, plus, below, sector)]
+        if isinstance(ladder, TotalSpinOps):
+            # the SU(2) lowering block is the transpose of the S+ block
+            checks.append((block.matrix.T, minus, sector, below))
+        for mat, full, src, dst in checks:
             ref = restrict(full, src, target=dst)
-            assert block.matrix.dtype == np.float64
-            assert block.matrix.shape == (dst.dim, src.dim)
-            assert_allclose(block.toarray(), ref, rtol=0,
+            assert mat.dtype == np.float64
+            assert mat.shape == (dst.dim, src.dim)
+            assert_allclose(mat.toarray(), ref, rtol=0,
                             atol=1e-14 * max(1.0, np.abs(ref).max()))
-            assert np.array_equal(restrict(block, src, target=dst), block.toarray())
+        assert np.array_equal(restrict(block, below, target=sector), block.toarray())
 
 
 def test_spin_multiplicities_from_a_lowest_spin():
@@ -351,7 +360,7 @@ def test_eigenbasis_labels_match_direct_walk(case):
         c_block = su2_casimir_block(space, sector)
         candidates = {t: t / 2 * (t / 2 + 1) for t in spins if t >= twice_s}
         ref_labels, ref_res = label_by_walk(evals, vecs, c_block, candidates)
-        labels, res = _label_levels(evals, vecs.conj().T @ c_block @ vecs, candidates)
+        labels, res = _label_levels(evals, vecs, c_block @ vecs, twice_s)
         assert np.array_equal(labels, ref_labels), twice_s
         assert_allclose(res, ref_res, rtol=0, atol=1e-12)
         # the library path, which takes the nested sector spectra instead
@@ -362,6 +371,17 @@ def test_eigenbasis_labels_match_direct_walk(case):
         clustered |= bool(np.any(np.diff(evals) <= CLASSIFY_DEGENERACY_TOL))
     if space.n_sites == 8:
         assert clustered        # the ring's +-k pairs give multi-vector clusters
+
+
+def test_label_refuses_a_casimir_value_between_two_spins():
+    # a Rayleigh value of 1, midway between S(S+1) = 0 and 2 on the grid of
+    # the sector M0 = 0, is no label: its residual is 1 against either
+    V = np.eye(3)[:, :2]
+    CV = np.diag([0.0, 1.0, 2.0])[:, :2]
+    with pytest.raises(ClassificationError, match="Casimir residual 1.000e"):
+        _label_levels(np.array([0.0, 1.0]), V, CV, 0)
+    labels, res = _label_levels(np.array([0.0, 1.0]), V, np.diag([0.0, 2.0, 0.0])[:, :2], 0)
+    assert labels.tolist() == [0, 2] and res.max() == 0.0
 
 
 def highest_weight_levels(H, ladder, space):
