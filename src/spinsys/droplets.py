@@ -2,11 +2,14 @@
 
 E_L(n) is the sector ground energy of the periodic chain with n down spins,
 read as the lowest level over the momentum blocks of that sector (the
-blocks partition it), so one pass per length also gives the band width;
-the open chain with boundary fields commutes with the SU_q(2) raising
-total S_q+, so its level E(H_L, S_max - n) is the lowest level of the
-sector M = S_max - n without a partner in the sector above.  H and the
-S_q+ block are built on the sectors alone, never on the 2^L space.
+blocks partition it), so one pass per length also gives the band width.
+Block k reads only the columns of the shift orbits' representatives r_a in
+the sparse sector block h: h_k[b, a] = sqrt(m_a / m_b) sum_(t in orbit b)
+h[t, r_a] e^(2 pi i k pos(t) / L).  The open chain with boundary fields
+commutes with the SU_q(2) raising total S_q+, so its level
+E(H_L, S_max - n) is the lowest level of the sector M = S_max - n without
+a partner in the sector above.  H and the S_q+ block are built on the
+sectors alone, never on the 2^L space.
 Both finite-L sequences are compared with the closed-form limit
 E(n) = (1 - q^2)(1 - q^n) / ((1 + q^2)(1 + q^n)).
 """
@@ -14,7 +17,7 @@ E(n) = (1 - q^2)(1 - q^n) / ((1 + q^2)(1 + q^n)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, gcd
 
 import numpy as np
 
@@ -42,21 +45,18 @@ def bandwidth_formula(q: float, n: int) -> float:
     return 4 * q ** n * (1 - q ** 2) / (1 - q ** (2 * n))
 
 
-def _check_sector(p: XxzParams, n: int):
+def _check_sector(p: XxzParams, n: int, nbytes) -> None:
     """Reject n before any basis is enumerated.  The periodic chain has a band
     at every momentum for 1 <= n <= L - 1 (the n = 0 and n = L sectors hold
     one state each); the open chain's spin S_max - n = L/2 - n needs
-    0 <= n <= L/2.  A pass whose bases (64 bytes per state of C(L, n) and
-    C(L, n - 1)) and three dense sector arrays (a values-only eigensolve,
-    as ``full_spectrum`` counts it) would exceed the physical memory is
-    refused too."""
+    0 <= n <= L/2.  A pass whose own estimate ``nbytes(dim)`` of its arrays on
+    the dim = C(L, n)-state sector exceeds the physical memory is refused
+    too."""
     lo, hi = (1, p.L - 1) if p.boundary == "periodic" else (0, p.L // 2)
     if not lo <= n <= hi:
         raise ValueError(f"down-spin number {n} outside {lo}..{hi} for the "
                          f"{p.L}-site {p.boundary} chain")
-    dim = comb(p.L, n)
-    require_memory(3 * 8 * dim * dim + 64 * (dim + comb(p.L, max(n - 1, 0))),
-                   f"the {p.L}-site sector with {n} down spins")
+    require_memory(nbytes(comb(p.L, n)), f"the {p.L}-site sector with {n} down spins")
 
 
 def open_chain_spin_level(p: XxzParams, n: int) -> float:
@@ -66,35 +66,32 @@ def open_chain_spin_level(p: XxzParams, n: int) -> float:
     S > S_max - n, and those are the levels of the sector above, so the
     minimum is taken over spec(M) minus spec(M + 1) (``sector_spin_levels``
     with the S_q+ of ``suq2_generators``).  H is assembled on those two
-    sectors alone.
+    sectors alone.  Its pre-flight counts the bases (64 bytes per state of
+    C(L, n) and C(L, n - 1)) and three dense sector arrays (a values-only
+    eigensolve, as ``full_spectrum`` counts it).
     """
-    _check_sector(p, n)
+    _check_sector(p, n, lambda dim: 3 * 8 * dim * dim
+                  + 64 * (dim + comb(p.L, max(n - 1, 0))))
     energies, _ = sector_spin_levels(xxz(p), suq2_generators(p), SpinSpace((2,) * p.L),
                                      p.L - 2 * n)
     return float(energies[0])
 
 
-def _translation_cycles(p: XxzParams, sector):
-    """Orbits of the one-site shift acting on the sector bitmasks."""
-    states = sector.states
-    full_mask = (1 << p.L) - 1
-    # rotate the occupation pattern left by one site
-    shifted = ((states << 1) | (states >> (p.L - 1))) & full_mask
-    perm = np.searchsorted(states, shifted)
-    seen = np.zeros(states.size, dtype=bool)
-    cycles = []
-    for start in range(states.size):
-        if seen[start]:
-            continue
-        cyc = [start]
-        seen[start] = True
-        i = int(perm[start])
-        while i != start:
-            cyc.append(i)
-            seen[i] = True
-            i = int(perm[i])
-        cycles.append(cyc)
-    return cycles
+def _translation_orbits(p: XxzParams, sector):
+    """Orbits of the one-site shift T (a left rotation of the bitmask) on the
+    sector states, read off the stack of all L rotations at once.  Orbit a
+    has representative r_a, its smallest bitmask, at sector index
+    ``reps[a]`` and period ``period[a]``; orbits are numbered by ascending
+    r_a.  State s lies on orbit ``orbit[s]`` at position ``pos[s]``, the
+    j in 0..m - 1 with s = T^j r."""
+    states, L = sector.states, p.L
+    j = np.arange(L)[:, None]
+    rot = ((states << j) | (states >> (L - j))) & ((1 << L) - 1)   # row j: T^j s
+    period = L // (rot == states).sum(axis=0)
+    pos = -rot.argmin(axis=0) % period          # T^(-pos) s is the representative
+    rep_states, orbit = np.unique(rot.min(axis=0), return_inverse=True)
+    reps = np.searchsorted(states, rep_states)
+    return orbit, pos, period[reps], reps
 
 
 def momentum_band(p: XxzParams, n: int) -> np.ndarray:
@@ -103,28 +100,46 @@ def momentum_band(p: XxzParams, n: int) -> np.ndarray:
     The n-droplet band interleaves with scattering levels at larger L, so
     picking the lowest ``L`` sector eigenvalues mislabels the band.  The
     shift symmetry separates them: one bound state per momentum lies at the
-    bottom of its translation block.
+    bottom of its translation block.  Block k is spanned by
+    |a,k> = m_a^(-1/2) sum_j e^(-2 pi i k j / L) |T^j r_a> over the orbits a
+    with k m_a = 0 (mod L), and since h commutes with T its entries need
+    only the representative columns of the sparse sector block h:
+    h_k[b, a] = sqrt(m_a / m_b) sum_(t in orbit b) h[t, r_a] e^(2 pi i k pos(t) / L),
+    one scatter over the nonzeros of h[:, reps] per k.  The pre-flight
+    counts the basis with its L rotations, the sparse block (a diagonal
+    and L hops per column), the representative columns and the three
+    complex arrays of the k = 0 block, which holds every orbit.
     """
     if p.boundary != "periodic":
         raise ValueError("momentum resolution needs the periodic chain")
-    _check_sector(p, n)
-    sector = down_spin_sector(SpinSpace((2,) * p.L), n)
-    h = assemble(xxz(p), sector).toarray()
-    cycles = _translation_cycles(p, sector)
-    out = np.empty(p.L)
-    for k in range(p.L):
-        cols = []
-        for cyc in cycles:
-            m = len(cyc)
-            if (k * m) % p.L:
-                continue            # momentum not supported on this orbit
-            v = np.zeros(sector.dim, dtype=complex)
-            phase = np.exp(-2j * np.pi * k / p.L)
-            v[cyc] = phase ** np.arange(m) / np.sqrt(m)
-            cols.append(v)
-        basis = np.column_stack(cols)
-        block = basis.conj().T @ h @ basis
-        out[k] = np.linalg.eigvalsh(block)[0]
+    L = p.L
+
+    def nbytes(dim):
+        # orbits by Burnside: T^j fixes the C(g, n g / L) states of period g = gcd(j, L)
+        orbits = sum(comb(g, n * g // L) for g in (gcd(j, L) for j in range(L))
+                     if n * g % L == 0) // L
+        return ((64 + 9 * L + 12 * (L + 1)) * dim + 64 * (L + 1) * orbits
+                + 3 * 16 * orbits ** 2)
+
+    _check_sector(p, n, nbytes)
+    sector = down_spin_sector(SpinSpace((2,) * L), n)
+    orbit, pos, period, reps = _translation_orbits(p, sector)
+    cols = assemble(xxz(p), sector).matrix[:, reps].tocoo()
+    t, a = cols.row, cols.col
+    b = orbit[t]
+    weight = cols.data * np.sqrt(period[a] / period[b])
+    out = np.empty(L)
+    for k in range(L):
+        keep = k * period % L == 0
+        index = np.cumsum(keep) - 1             # block row of each kept orbit
+        nk = int(index[-1]) + 1
+        sel = keep[a] & keep[b]
+        flat = index[b[sel]] * nk + index[a[sel]]
+        angle = 2 * np.pi * (k * pos[t[sel]] % L) / L
+        w = weight[sel]
+        block = (np.bincount(flat, w * np.cos(angle), nk * nk)
+                 + 1j * np.bincount(flat, w * np.sin(angle), nk * nk))
+        out[k] = np.linalg.eigvalsh(block.reshape(nk, nk))[0]
     return out
 
 

@@ -84,9 +84,10 @@ class HeisenbergDynamics:
 
     H is split into its invariant blocks, the connected components of its
     sparsity pattern (the magnetization sectors of a Heisenberg chain; a
-    single block once a transverse field couples them), and each block is
-    diagonalised on its own.  ``blocks[b]`` holds the eigenvectors of block b,
-    with ``evals[bounds[b]:bounds[b + 1]]`` their eigenvalues: its rows are
+    single block once a transverse field couples them), and the blocks of
+    each size are diagonalised together by one stacked ``eigh``.
+    ``blocks[b]`` holds the eigenvectors of block b, with
+    ``evals[bounds[b]:bounds[b + 1]]`` their eigenvalues: its rows are
     the states ``order[bounds[b]:bounds[b + 1]]``, and state s is row
     ``position[s]`` of the block ``labels[s]``.  These blocks are the only
     store of the eigenbasis; ``vecs`` assembles the dense one from them.  H
@@ -112,11 +113,24 @@ class HeisenbergDynamics:
         self.position[self.order] = np.arange(dim) - np.repeat(self.bounds[:-1],
                                                                np.diff(self.bounds))
         self.evals = np.empty(dim)
-        self.blocks = []
-        mat = mat[self.order][:, self.order]      # rows and columns in block order
-        for s, e in zip(self.bounds[:-1], self.bounds[1:]):
-            self.evals[s:e], vb = np.linalg.eigh(mat[s:e, s:e].toarray())
-            self.blocks.append(vb)
+        self.blocks = [None] * sizes.size
+        # the blocks of each size, scattered from the block-ordered entries
+        # into one stack and solved by one stacked eigh
+        coo = mat[self.order][:, self.order].tocoo()
+        coo.sum_duplicates()
+        blk = self.labels[self.order[coo.row]]
+        row, col = coo.row - self.bounds[blk], coo.col - self.bounds[blk]
+        rank = np.empty(sizes.size, dtype=np.intp)
+        for m in np.unique(sizes):
+            ids = np.flatnonzero(sizes == m)
+            rank[ids] = np.arange(ids.size)
+            sel = sizes[blk] == m
+            stack = np.zeros((ids.size, m, m), mat.dtype)
+            stack[rank[blk[sel]], row[sel], col[sel]] = coo.data[sel]
+            vals, vecs = np.linalg.eigh(stack)
+            self.evals[self.bounds[ids][:, None] + np.arange(m)] = vals
+            for b, vb in zip(ids.tolist(), vecs):
+                self.blocks[b] = vb
         self.dim = dim
 
     @property

@@ -61,16 +61,81 @@ def test_momentum_band_matches_dispersion_for_one_magnon():
 
 
 def test_momentum_blocks_cover_the_sector():
-    # block dimensions over all momenta must add up to the sector dimension
-    from math import comb
-    from spinsys.droplets import _translation_cycles
-    from spinsys.hilbert import SpinSpace, down_spin_sector
-    p = XxzParams.from_q(8, 0.5, boundary="periodic")
-    sector = down_spin_sector(SpinSpace((2,) * 8), 3)
-    cycles = _translation_cycles(p, sector)
-    total = sum(sum(1 for k in range(8) if (k * len(c)) % 8 == 0)
-                for c in cycles)
-    assert total == comb(8, 3)
+    # every state is T^pos of its orbit's representative, every period
+    # divides L, and the block dimensions over all momenta add up to C(L, n)
+    from spinsys.droplets import _translation_orbits
+    for L, n in ((8, 3), (12, 4)):
+        p = XxzParams.from_q(L, 0.5, boundary="periodic")
+        sector = down_spin_sector(SpinSpace((2,) * L), n)
+        orbit, pos, period, reps = _translation_orbits(p, sector)
+        for s, state in enumerate(sector.states.tolist()):
+            r = int(sector.states[reps[orbit[s]]])
+            for _ in range(int(pos[s])):
+                r = ((r << 1) | (r >> (L - 1))) & ((1 << L) - 1)
+            assert r == state
+        assert np.all(L % period == 0)
+        total = sum(sum(1 for k in range(L) if (k * int(m)) % L == 0) for m in period)
+        assert total == comb(L, n)
+
+
+def cycle_basis_blocks(p, n):
+    """The translation blocks of the n-down-spin sector the direct way: each
+    orbit's states collected by applying the left rotation until it closes,
+    a dense complex m^(-1/2) e^(-2 pi i k j / L) vector per orbit and
+    momentum, and basis^H h basis against the whole sector block."""
+    L = p.L
+    sector = down_spin_sector(SpinSpace((2,) * L), n)
+    h = assemble(xxz(p), sector).matrix
+    index = {s: i for i, s in enumerate(sector.states.tolist())}
+    seen, orbits = set(), []
+    for s in sector.states.tolist():
+        if s in seen:
+            continue
+        orb, t = [], s
+        while t not in orb:
+            orb.append(t)
+            t = ((t << 1) | (t >> (L - 1))) & ((1 << L) - 1)
+        seen.update(orb)
+        orbits.append([index[t] for t in orb])
+    blocks = []
+    for k in range(L):
+        basis = []
+        for orb in orbits:
+            if (k * len(orb)) % L:
+                continue
+            v = np.zeros(sector.dim, dtype=complex)
+            v[orb] = np.exp(-2j * np.pi * k * np.arange(len(orb)) / L) / np.sqrt(len(orb))
+            basis.append(v)
+        basis = np.array(basis).T
+        blocks.append(basis.conj().T @ (h @ basis))
+    return blocks
+
+
+@pytest.mark.parametrize("L, n", [(6, 3), (8, 3), (9, 3), (12, 4), (12, 6), (15, 5)])
+@pytest.mark.parametrize("q", [0.3, 0.5])
+def test_momentum_band_matches_cycle_basis_blocks(L, n, q, monkeypatch):
+    # orbits of length 2, 3, 4 and 6 besides L: the representative-column
+    # blocks against the dense cycle basis entry by entry (a flipped phase
+    # conjugates a block and keeps its spectrum), the band momentum by
+    # momentum, and the block spectra together against one whole-sector solve
+    p = XxzParams.from_q(L, q, boundary="periodic")
+    blocks = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(block):
+        blocks.append(block)
+        return eigvalsh(block)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    band = momentum_band(p, n)
+    monkeypatch.undo()
+    oracle = cycle_basis_blocks(p, n)
+    assert len(blocks) == len(oracle) == L
+    for b, o in zip(blocks, oracle):
+        assert b.shape == o.shape and np.abs(b - o).max() < 1e-12
+    assert np.abs(band - [eigvalsh(o)[0] for o in oracle]).max() < 1e-12
+    union = np.sort(np.concatenate([eigvalsh(b) for b in blocks]))
+    assert np.abs(union - whole_sector_levels(p, n)).max() < 1e-10
 
 
 def test_two_droplet_band_below_scattering_reading():
