@@ -3,9 +3,11 @@
 Two statements are probed numerically.  First, the generator of the
 symmetric exclusion process with n particles has the same spectral gap as
 the single-particle random walk (the interchange/Aldous identity; proved on
-trees, data elsewhere).  Second, the full generator spectrum on n-particle
-configurations coincides with a magnetization sector of a ferromagnetic
-spin-1/2 Hamiltonian, multiset for multiset.
+trees, data elsewhere).  Second, the generator on n-particle configurations
+is, entry for entry, the n-down-spin sector block of the ferromagnetic
+spin-1/2 Hamiltonian sum_xy r_xy (1 - swap_xy): a particle is a down spin,
+both bases are the ascending bitmasks, and so the identity map of the bases
+conjugates the two and their spectra agree.
 """
 
 import numpy as np
@@ -31,5 +33,5 @@ print("  margin:", rep.aldous_margin)
 
 print("\nconjugacy with the spin chain (ring of 5)")
 conj = xxx_conjugacy_check(ring_graph(5))
-print("  worst multiset deviation over all particle numbers:",
+print("  worst entrywise deviation |L - H_n| over all particle numbers:",
       conj.max_deviation)

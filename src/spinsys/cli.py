@@ -25,7 +25,7 @@ from .models import XxzParams, aklt, assemble, custom, heisenberg, lambda_norm, 
 from .spectral import ConvergenceError, sector_spectrum
 from .symmetry import classify_total_spin, foel_check, lieb_mattis_levels, \
     lieb_mattis_order, su2_totals, suq2_generators
-from .ssep import ssep_gaps, xxx_conjugacy_check
+from .ssep import check_exclusion_graph, ssep_gaps, xxx_conjugacy_check
 from .dynamics import HeisenbergDynamics, clustering_report, commutator_grid, \
     commutator_growth, hermitian_unit_basis, lr_bound_rhs, lr_corollary_bound
 from .perturbation import gap_sweep
@@ -264,6 +264,10 @@ def run_liebmattis(cfg):
 
 def run_ssep(cfg):
     g = _graph(cfg, "ssep")
+    try:
+        check_exclusion_graph(g)
+    except ValueError as exc:
+        raise ConfigError(f"{cfg['graph']}: {exc}") from exc
     report = ssep_gaps(g)
     rows = [{"n": n, "dim": report.dims[n], "lambda_n": report.gaps[n],
              "aldous_margin": report.aldous_margin}
@@ -278,7 +282,7 @@ def run_ssep(cfg):
     try:
         conj = xxx_conjugacy_check(g)
         asserts.append(Assertion("xxx_conjugacy", True,
-                                 f"max deviation {conj.max_deviation!r}"))
+                                 f"max entry deviation {conj.max_deviation!r}"))
     except ValueError as exc:
         asserts.append(Assertion("xxx_conjugacy", False, str(exc)))
     return ["n", "dim", "lambda_n", "aldous_margin"], rows, asserts, {}

@@ -3,13 +3,14 @@
 Configurations of n particles are bitmasks over the vertex set, listed in
 ascending integer order; the exchange move eta -> eta^xy is a bit swap.
 Edge weights of the underlying graph are read as exchange rates r_xy > 0.
+A particle is a down spin: the generator on n particles is, entry for entry,
+the n-down-spin block of the spin-1/2 Hamiltonian sum_edges r_xy (1 - swap_xy).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import comb
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,7 +37,6 @@ class ExclusionSpace:
         masks = sorted(sum(1 << v for v in occ)
                        for occ in combinations(range(self.graph.n_vertices), self.n))
         object.__setattr__(self, "configs", tuple(masks))
-        assert len(masks) == comb(self.graph.n_vertices, self.n)
 
     @property
     def dim(self) -> int:
@@ -50,13 +50,9 @@ def ssep_generator(space: ExclusionSpace) -> SparseOperator:
     for i, eta in enumerate(space.configs):
         diag = 0.0
         for (x, y, r) in space.graph.edges:
-            bx = (eta >> x) & 1
-            by = (eta >> y) & 1
-            if bx != by:
-                swapped = eta ^ ((1 << x) | (1 << y))
-                j = index[swapped]
+            if ((eta >> x) ^ (eta >> y)) & 1:
                 rows.append(i)
-                cols.append(j)
+                cols.append(index[eta ^ (1 << x) ^ (1 << y)])
                 data.append(-r)
                 diag += r
         if diag:
@@ -75,72 +71,76 @@ class GeneratorReport:
     aldous_margin: float
 
 
-def _gap_of_generator(gen: SparseOperator) -> float:
-    evals = full_spectrum(gen).eigenvalues
-    positive = evals[evals > GAP_ZERO_TOL * max(1.0, abs(evals).max())]
-    if positive.size == 0:
-        raise ValueError("generator has no positive eigenvalue")
-    return float(positive[0])
+def check_exclusion_graph(g: SpinGraph):
+    """Refuse, in one line, a graph without exclusion gaps: fewer than two
+    vertices, a rate that is not positive, or a disconnected edge set."""
+    if g.n_vertices < 2:
+        raise ValueError(f"the exclusion process needs at least 2 vertices, got {g.n_vertices}")
+    if any(not w > 0 for (_, _, w) in g.edges):
+        raise ValueError("all exchange rates must be strictly positive")
+    if not is_connected(g):
+        raise ValueError("graph is disconnected: lambda(1) = 0 and the gaps degenerate")
+
+
+def _spin_blocks(g: SpinGraph, ns):
+    """(n, sector, H_n) per n: ``ssep_spin_interaction(g)`` assembled on n down spins."""
+    space = SpinSpace.from_spins([0.5] * g.n_vertices)
+    phi = ssep_spin_interaction(g)
+    for n in ns:
+        sector = down_spin_sector(space, n)
+        yield n, sector, assemble(phi, sector)
 
 
 def ssep_gaps(g: SpinGraph) -> GeneratorReport:
-    """lambda(n) for every 1 <= n <= |V|-1 plus the Aldous margin."""
-    if not is_connected(g):
-        raise ValueError("graph is disconnected: lambda(1) = 0 and the gaps degenerate")
+    """lambda(n), 1 <= n <= |V|-1, and the Aldous margin: one values solve of H_n per n."""
+    check_exclusion_graph(g)
     gaps, dims, stat = {}, {}, {}
-    for n in range(1, g.n_vertices):
-        space = ExclusionSpace(g, n)
-        gen = ssep_generator(space)
-        ones = np.ones(space.dim)
-        stat[n] = float(np.abs(gen.matrix @ ones).max())
-        gaps[n] = _gap_of_generator(gen)
-        dims[n] = space.dim
+    for n, sector, block in _spin_blocks(g, range(1, g.n_vertices)):
+        stat[n] = float(np.abs(block.matrix @ np.ones(sector.dim)).max())
+        evals = sector_spectrum(block, sector).eigenvalues
+        positive = evals[evals > GAP_ZERO_TOL * max(1.0, abs(evals).max())]
+        if positive.size == 0:
+            raise ValueError(f"the generator on {n} particles has no positive eigenvalue")
+        gaps[n], dims[n] = float(positive[0]), sector.dim
     margin = max(abs(gaps[n] - gaps[1]) for n in gaps)
     return GeneratorReport(gaps=gaps, dims=dims, stationary_checks=stat,
                            aldous_margin=float(margin))
 
 
 def ssep_spin_interaction(g: SpinGraph) -> Interaction:
-    """The conjugate spin-1/2 Hamiltonian sum_edges [-2 r S.S + r/2]."""
-    s = spin_matrices(0.5)
-    dot = _two_site_dot(s, s)
-    terms = []
-    for (x, y, r) in g.edges:
-        terms.append(((x, y), -2 * r * dot + (r / 2) * np.eye(4)))
-    return Interaction(terms, name="ssep_conjugate")
+    """The conjugate spin-1/2 Hamiltonian sum_edges [-2 r S.S + r/2] = sum_edges r (1 - swap)."""
+    dot = _two_site_dot(spin_matrices(0.5), spin_matrices(0.5))
+    return Interaction([((x, y), -2 * r * dot + (r / 2) * np.eye(4)) for (x, y, r) in g.edges],
+                       name="ssep_conjugate")
 
 
 @dataclass
 class ConjugacyReport:
     max_deviation: float
-    per_n: dict                 # n -> max |sorted spec L - sorted spec H|n|
+    per_n: dict                 # n -> max |L - H_n| entrywise, L the looped generator
     uniform_rayleigh: dict      # n -> quotient of the uniform vector
 
 
 def xxx_conjugacy_check(g: SpinGraph, tol=1e-10) -> ConjugacyReport:
-    """Verify spec(L on Omega_n) = spec(H_spin on the M = n - |V|/2 sector)
-    as multisets, for every particle number n."""
-    if not is_connected(g):
-        raise ValueError("conjugacy check requires a connected graph")
-    spin_space = SpinSpace.from_spins([0.5] * g.n_vertices)
-    phi = ssep_spin_interaction(g)
-    per_n = {}
-    uniform = {}
-    for n in range(0, g.n_vertices + 1):
+    """Verify, for every n, that the looped generator on Omega_n equals the
+    block H_n on n down spins entry for entry, on the same ascending bitmasks:
+    the identity map of the bases conjugates them.  Nothing is diagonalised."""
+    per_n, uniform = {}, {}
+    for n, sector, block in _spin_blocks(g, range(g.n_vertices + 1)):
         space = ExclusionSpace(g, n)
-        gen = ssep_generator(space)
-        spec_l = np.sort(full_spectrum(gen).eigenvalues)
-        sector = down_spin_sector(spin_space, g.n_vertices - n)  # M = n - |V|/2
-        spec_h = np.sort(sector_spectrum(assemble(phi, sector), sector).eigenvalues)
-        dev = float(np.abs(spec_l - spec_h).max()) if spec_l.size else 0.0
-        per_n[n] = dev
+        if not np.array_equal(space.configs, sector.states):
+            raise ValueError(f"conjugacy failure at n={n}: configurations differ "
+                             "from the down-spin sector states")
+        gen = ssep_generator(space).matrix
+        dev = abs(gen - block.matrix)
+        per_n[n] = float(dev.max()) if dev.nnz else 0.0
         ones = np.ones(space.dim) / np.sqrt(space.dim)
-        uniform[n] = float(np.real(ones @ (gen.matrix @ ones)))
+        uniform[n] = float(np.real(ones @ (gen @ ones)))
     worst = max(per_n.values())
     if worst > tol:
         bad = max(per_n, key=per_n.get)
         raise ValueError(
-            f"conjugacy failure at n={bad}: max eigenvalue deviation {worst:.3e}")
+            f"conjugacy failure at n={bad}: max entry deviation {worst:.3e}")
     return ConjugacyReport(max_deviation=worst, per_n=per_n, uniform_rayleigh=uniform)
 
 

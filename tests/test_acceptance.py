@@ -94,7 +94,8 @@ def test_04_exclusion_process_conjugacy():
         rep = ss.xxx_conjugacy_check(g, tol=1e-10)
         worst = max(worst, rep.max_deviation)
     verdict("ssep_spin_chain_conjugacy", worst < 1e-10,
-            f"max multiset deviation {worst:.1e} over paths and rings L<=5")
+            f"max entrywise deviation |L - H_n| {worst:.1e} between the generator "
+            "and the n-down-spin block, over paths and rings L<=5")
 
 
 def test_05_droplet_energy_convergence():

@@ -163,6 +163,22 @@ def test_ssep_subcommand(tmp_path):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize("text, reason", [
+    ("vertices 1\n", "at least 2 vertices, got 1"),
+    ("vertices 3\n0 1 1.0\n1 2 0.0\n", "rates must be strictly positive"),
+    ("vertices 4\n0 1 1.0\n2 3 1.0\n", "graph is disconnected"),
+], ids=["one_vertex", "zero_rate", "disconnected"])
+def test_ssep_graph_without_gaps_is_config_error(tmp_path, capsys, text, reason):
+    gfile = tmp_path / "g.graph"
+    gfile.write_text(text)
+    assert run(["ssep", "--graph", str(gfile), "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ") and reason in lines[0]
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_missing_graph_is_config_error(tmp_path):
     out = tmp_path / "x.csv"
     assert run(["ssep", "--out", str(out)]) == 2
@@ -349,7 +365,7 @@ BEYOND_MEMORY = [
     (["foel", "--L", "60"], None, "the M = 0 sector of the 60-site space"),
     (["liebmattis", "--graph", "{star60}"], None, "the M = 0.5 sector of the 61-site space"),
     # ssep: the 8 one-particle configurations fit, the 28 two-particle ones do not
-    (["ssep", "--graph", "{ring8}"], 10_000, "dense complex128 solve of dimension 28"),
+    (["ssep", "--graph", "{ring8}"], 10_000, "dense float64 solve of dimension 28"),
     (["droplet", "--q", "0.5", "--n", "10", "--Lmin", "40", "--Lmax", "40"], None,
      "40-site sector with 10 down spins"),
     # lightcone: H on 256 states fits, its dense eigenbasis does not

@@ -2,10 +2,31 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from spinsys import (build_graph, complete_graph, path_graph, ring_graph,
-                     semigroup_evolve, ssep_gaps, ssep_generator,
+import spinsys.spectral
+import spinsys.ssep
+from spinsys import (SpinSpace, assemble, build_graph, complete_graph, down_spin_sector,
+                     path_graph, ring_graph, semigroup_evolve, ssep_gaps, ssep_generator,
                      ssep_spin_interaction, xxx_conjugacy_check)
 from spinsys.ssep import ExclusionSpace
+
+
+def chorded_ring(L, chords, seed):
+    """A ring of L vertices plus chords, every rate seeded in [0.5, 1.5]."""
+    rng = np.random.default_rng(seed)
+    pairs = [(x, (x + 1) % L) for x in range(L)] + list(chords)
+    return build_graph(L, [(x, y, float(rng.uniform(0.5, 1.5))) for x, y in pairs])
+
+
+def grid_patch(rows, cols, seed):
+    """A rows x cols square-lattice patch, every rate seeded in [0.5, 1.5]."""
+    rng = np.random.default_rng(seed)
+    pairs = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    pairs += [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return build_graph(rows * cols, [(x, y, float(rng.uniform(0.5, 1.5))) for x, y in pairs])
+
+
+NON_TREES = {"ring10_chords": chorded_ring(10, [(0, 4), (2, 7)], seed=10),
+             "grid3x3": grid_patch(3, 3, seed=9)}
 
 
 def test_exclusion_space_dims():
@@ -97,3 +118,58 @@ def test_semigroup_preserves_probability():
     # long-time limit is uniform
     mu_inf = semigroup_evolve(gen, mu0, 200.0)
     assert np.abs(mu_inf - 1.0 / space.dim).max() < 1e-10
+
+
+@pytest.mark.parametrize("g", list(NON_TREES.values()), ids=list(NON_TREES))
+def test_generator_is_the_assembled_down_spin_block(g):
+    # a particle is a down spin: the same ascending bitmasks, the same matrix
+    space = SpinSpace.from_spins([0.5] * g.n_vertices)
+    phi = ssep_spin_interaction(g)
+    for n in range(g.n_vertices + 1):
+        configs = ExclusionSpace(g, n)
+        sector = down_spin_sector(space, n)
+        assert np.array_equal(configs.configs, sector.states)
+        block = assemble(phi, sector)
+        assert block.matrix.dtype == np.float64
+        assert np.abs(ssep_generator(configs).toarray() - block.toarray()).max() < 1e-13, n
+    rep = xxx_conjugacy_check(g)
+    assert set(rep.per_n) == set(range(g.n_vertices + 1)) and rep.max_deviation < 1e-13
+
+
+def test_conjugacy_check_catches_one_changed_rate(monkeypatch):
+    g = NON_TREES["ring10_chords"]
+    honest = spinsys.ssep.ssep_spin_interaction
+
+    def one_rate_off(graph):
+        (x, y, r), *rest = graph.edges
+        return honest(build_graph(graph.n_vertices, [(x, y, r * (1 + 1e-6)), *rest]))
+
+    monkeypatch.setattr(spinsys.ssep, "ssep_spin_interaction", one_rate_off)
+    with pytest.raises(ValueError, match="conjugacy failure"):
+        xxx_conjugacy_check(g)
+
+
+def test_gaps_match_dense_generator_oracle_with_one_solve_per_n(monkeypatch):
+    g = chorded_ring(9, [(0, 4), (2, 6)], seed=9)
+    oracle = {}
+    for n in range(1, g.n_vertices):
+        ev = np.linalg.eigvalsh(ssep_generator(ExclusionSpace(g, n)).toarray())
+        oracle[n] = ev[ev > 1e-10][0]
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module in (spinsys.ssep, spinsys.spectral):
+        for name in ("full_spectrum", "sector_spectrum"):
+            monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    xxx_conjugacy_check(g)
+    assert calls == []
+    rep = ssep_gaps(g)
+    assert calls.count("sector_spectrum") == g.n_vertices - 1
+    assert calls.count("full_spectrum") == g.n_vertices - 1      # each sector_spectrum's one
+    for n, lam in oracle.items():
+        assert rep.gaps[n] == pytest.approx(lam, rel=1e-12, abs=0), n
