@@ -4,11 +4,10 @@ E_L(n) is the sector ground energy of the periodic chain with n down spins,
 read as the lowest level over the momentum blocks of that sector (the
 blocks partition it), so one pass per length also gives the band width.
 Block k reads only the columns of the shift orbits' representatives r_a in
-the sparse sector block h: h_k[b, a] = sqrt(m_a / m_b) sum_(t in orbit b)
-h[t, r_a] e^(2 pi i k pos(t) / L).  The open chain with boundary fields
-commutes with the SU_q(2) raising total S_q+, so its level
-E(H_L, S_max - n) is the lowest level of the sector M = S_max - n without
-a partner in the sector above.  H and the S_q+ block are built on the
+the sparse sector block h (``hilbert.momentum_blocks``).  The open chain
+with boundary fields commutes with the SU_q(2) raising total S_q+, so its
+level E(H_L, S_max - n) is the lowest level of the sector M = S_max - n
+without a partner in the sector above.  H and the S_q+ block are built on the
 sectors alone, never on the 2^L space.
 Both finite-L sequences are compared with the closed-form limit
 E(n) = (1 - q^2)(1 - q^n) / ((1 + q^2)(1 + q^n)).
@@ -21,8 +20,9 @@ from math import comb, gcd
 
 import numpy as np
 
-from .hilbert import SpinSpace, down_spin_sector
+from .hilbert import SpinSpace, down_spin_sector, momentum_blocks, translation_orbits
 from .models import XxzParams, xxz, assemble
+from .spectral import full_spectrum
 from .symmetry import sector_spin_levels, suq2_generators
 from .util import require_memory
 
@@ -77,38 +77,22 @@ def open_chain_spin_level(p: XxzParams, n: int) -> float:
     return float(energies[0])
 
 
-def _translation_orbits(p: XxzParams, sector):
-    """Orbits of the one-site shift T (a left rotation of the bitmask) on the
-    sector states, read off the stack of all L rotations at once.  Orbit a
-    has representative r_a, its smallest bitmask, at sector index
-    ``reps[a]`` and period ``period[a]``; orbits are numbered by ascending
-    r_a.  State s lies on orbit ``orbit[s]`` at position ``pos[s]``, the
-    j in 0..m - 1 with s = T^j r."""
-    states, L = sector.states, p.L
-    j = np.arange(L)[:, None]
-    rot = ((states << j) | (states >> (L - j))) & ((1 << L) - 1)   # row j: T^j s
-    period = L // (rot == states).sum(axis=0)
-    pos = -rot.argmin(axis=0) % period          # T^(-pos) s is the representative
-    rep_states, orbit = np.unique(rot.min(axis=0), return_inverse=True)
-    reps = np.searchsorted(states, rep_states)
-    return orbit, pos, period[reps], reps
-
-
 def momentum_band(p: XxzParams, n: int) -> np.ndarray:
     """Lowest sector energy at each of the L momenta of the periodic chain.
 
     The n-droplet band interleaves with scattering levels at larger L, so
     picking the lowest ``L`` sector eigenvalues mislabels the band.  The
     shift symmetry separates them: one bound state per momentum lies at the
-    bottom of its translation block.  Block k is spanned by
-    |a,k> = m_a^(-1/2) sum_j e^(-2 pi i k j / L) |T^j r_a> over the orbits a
-    with k m_a = 0 (mod L), and since h commutes with T its entries need
-    only the representative columns of the sparse sector block h:
-    h_k[b, a] = sqrt(m_a / m_b) sum_(t in orbit b) h[t, r_a] e^(2 pi i k pos(t) / L),
-    one scatter over the nonzeros of h[:, reps] per k.  The pre-flight
-    counts the basis with its L rotations, the sparse block (a diagonal
-    and L hops per column), the representative columns and the three
-    complex arrays of the k = 0 block, which holds every orbit.
+    bottom of its translation block.  The blocks come from the orbits of the
+    shift on the sector (``hilbert.translation_orbits``) and the
+    representative columns of the sparse sector block
+    (``hilbert.momentum_blocks``).  h is real, so h_(L-k) is the complex
+    conjugate of h_k and has its spectrum: only k <= L/2 are solved, by
+    ``full_spectrum``, the blocks k = 0 and L/2 in real arithmetic.  The
+    pre-flight counts the basis with room for its L rotations, the sparse
+    block (a diagonal and L hops per column), the representative columns
+    and the three complex arrays of the k = 0 block, which holds every
+    orbit.
     """
     if p.boundary != "periodic":
         raise ValueError("momentum resolution needs the periodic chain")
@@ -123,24 +107,10 @@ def momentum_band(p: XxzParams, n: int) -> np.ndarray:
 
     _check_sector(p, n, nbytes)
     sector = down_spin_sector(SpinSpace((2,) * L), n)
-    orbit, pos, period, reps = _translation_orbits(p, sector)
-    cols = assemble(xxz(p), sector).matrix[:, reps].tocoo()
-    t, a = cols.row, cols.col
-    b = orbit[t]
-    weight = cols.data * np.sqrt(period[a] / period[b])
-    out = np.empty(L)
-    for k in range(L):
-        keep = k * period % L == 0
-        index = np.cumsum(keep) - 1             # block row of each kept orbit
-        nk = int(index[-1]) + 1
-        sel = keep[a] & keep[b]
-        flat = index[b[sel]] * nk + index[a[sel]]
-        angle = 2 * np.pi * (k * pos[t[sel]] % L) / L
-        w = weight[sel]
-        block = (np.bincount(flat, w * np.cos(angle), nk * nk)
-                 + 1j * np.bincount(flat, w * np.sin(angle), nk * nk))
-        out[k] = np.linalg.eigvalsh(block.reshape(nk, nk))[0]
-    return out
+    ks = range(L // 2 + 1)
+    lowest = [full_spectrum(block).eigenvalues[0] for block in
+              momentum_blocks(assemble(xxz(p), sector).matrix, translation_orbits(sector), ks)]
+    return np.array([lowest[min(k, L - k)] for k in range(L)])
 
 
 def one_magnon_dispersion(p: XxzParams) -> np.ndarray:

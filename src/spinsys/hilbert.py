@@ -261,6 +261,89 @@ def down_spin_sector(space: SpinSpace, n) -> SectorBasis:
     return SectorBasis(space, ("n", int(n)), basis.states)
 
 
+class TranslationOrbits(NamedTuple):
+    """Orbits of the one-site shift T (site x -> x + 1 mod L) on a sector.
+
+    State s (a sector index) lies on orbit ``orbit[s]`` at position
+    ``pos[s]``, the j in 0..m - 1 with s = T^j r; orbit a has period
+    ``period[a]`` = m and its representative r, its smallest state, at
+    sector index ``reps[a]``; orbits are numbered by ascending r.
+    ``shift[s]`` is the sector index of T s."""
+
+    orbit: np.ndarray
+    pos: np.ndarray
+    period: np.ndarray
+    reps: np.ndarray
+    shift: np.ndarray
+    n_sites: int
+
+    def block_dims(self) -> np.ndarray:
+        """The dimension of momentum block k, for k = 0..L - 1: the number of
+        orbits with k m = 0 (mod L)."""
+        L = self.n_sites
+        return ((np.arange(L)[:, None] * self.period) % L == 0).sum(axis=1)
+
+
+def translation_orbits(sector: SectorBasis) -> TranslationOrbits:
+    """The orbits of the one-site shift on a sector of a space whose L sites
+    share one dimension d.  T^j s is the rotation
+    rot_j(s) = (s mod d^(L-j)) d^j + s div d^(L-j) (for d = 2 a left rotation
+    of the bitmask), taken for one j at a time: the representative is the
+    smallest rotation, the period L over the number of rotations that fix s.
+    A sector that T does not map onto itself raises ``ValueError``."""
+    dims = set(sector.site_dims)
+    if len(dims) != 1:
+        raise ValueError("translation orbits need sites of one local dimension")
+    d, L, states = dims.pop(), sector.n_sites, sector.states
+    low, first = states.copy(), np.zeros(states.size, dtype=np.int64)
+    fixed = np.ones(states.size, dtype=np.int64)        # T^0 fixes every state
+    shift = np.arange(states.size)
+    for j in range(1, L):
+        rot = states % d ** (L - j) * d ** j + states // d ** (L - j)
+        if j == 1:
+            shift = np.minimum(np.searchsorted(states, rot), states.size - 1)
+            if not np.array_equal(states[shift], rot):
+                raise ValueError(f"the one-site shift leaves sector {sector.label}")
+        fixed += rot == states
+        smaller = rot < low
+        low[smaller], first[smaller] = rot[smaller], j
+    period = L // fixed
+    rep_states, orbit = np.unique(low, return_inverse=True)
+    reps = np.searchsorted(states, rep_states)
+    return TranslationOrbits(orbit, -first % period, period[reps], reps, shift, L)
+
+
+def momentum_blocks(h, orbits: TranslationOrbits, ks):
+    """Block k of a sector block ``h`` that commutes with the shift, as a
+    dense array, for each k in ``ks`` in turn.
+
+    Block k is spanned by |a,k> = m_a^(-1/2) sum_j e^(-2 pi i k j / L) |T^j r_a>
+    over the orbits a with k m_a = 0 (mod L), so its entries need only the
+    representative columns of the sparse h:
+    h_k[b, a] = sqrt(m_a / m_b) sum_(t in orbit b) h[t, r_a] e^(2 pi i k pos(t) / L),
+    one scatter over the nonzeros of h[:, reps] per k.  A real h gives real
+    blocks at k = 0 and k = L/2, whose phases are +-1."""
+    L = orbits.n_sites
+    cols = sp.csr_matrix(h)[:, orbits.reps].tocoo()
+    t, a = cols.row, cols.col
+    b = orbits.orbit[t]
+    weight = cols.data * np.sqrt(orbits.period[a] / orbits.period[b])
+    for k in ks:
+        keep = k * orbits.period % L == 0
+        index = np.cumsum(keep) - 1             # block row of each kept orbit
+        nk = int(index[-1]) + 1
+        sel = keep[a] & keep[b]
+        flat = index[b[sel]] * nk + index[a[sel]]
+        w = weight[sel]
+        if k * 2 % L == 0 and not np.iscomplexobj(w):
+            w = np.where(k * orbits.pos[t[sel]] % L, -w, w)
+            yield np.bincount(flat, w, nk * nk).reshape(nk, nk)
+            continue
+        w = w * np.exp(2j * np.pi * (k * orbits.pos[t[sel]] % L) / L)
+        yield (np.bincount(flat, w.real, nk * nk)
+               + 1j * np.bincount(flat, w.imag, nk * nk)).reshape(nk, nk)
+
+
 def _states(basis):
     """(space, states) of a basis; states is None for the whole space."""
     if isinstance(basis, SectorBasis):
@@ -268,9 +351,13 @@ def _states(basis):
     return basis, None
 
 
+class SectorLeakError(ValueError):
+    """An operator has an element above LEAK_TOL outside a sector."""
+
+
 def _leak_error(label, leak, state, col):
-    return ValueError(f"operator leaks out of sector {label}: |element| = {leak:.3e} "
-                      f"at state {state}, sector-col {col}")
+    return SectorLeakError(f"operator leaks out of sector {label}: |element| = {leak:.3e} "
+                           f"at state {state}, sector-col {col}")
 
 
 def _local(space, sites, mat):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hilbert import SpinSpace
+from .hilbert import SectorBasis, SectorLeakError, SpinSpace, magnetization_sector
 from .models import Interaction, assemble
 from .spectral import DEGENERACY_TOL, extremal_eigs, sector_sweep_lowest, spectral_gap
 
@@ -93,15 +93,42 @@ class StabilitySweep:
         return 2.0 * abs(lam) * self.pert_norms[L]
 
 
+def _largest_level(H) -> float:
+    """The largest |eigenvalue| of a Hermitian operator, from its two
+    extremal levels (read off the diagonal of a diagonal one)."""
+    top = extremal_eigs(-1 * H.matrix, k=1).eigenvalues[0]
+    bot = extremal_eigs(H.matrix, k=1).eigenvalues[0]
+    return float(max(abs(top), abs(bot)))
+
+
+def _operator_norm(phi: Interaction, space: SpinSpace) -> float:
+    """|| sum_x Phi_x ||, the largest |level| over the magnetization sectors
+    (only M >= 0 when the terms are flip-invariant, as -M has the spectrum
+    of M), from one block on the union of their states.  When no entry
+    leaves the union, the union is invariant and the block's largest |level|
+    is the norm: for flip-invariant terms the rest, M < 0, is the flip image
+    of a compression of the block.  Only a leak sends the norm to the full
+    space.  The largest sector, M = 0 (or 1/2), is enumerated first, so its
+    memory pre-flight refuses a space too large before any work."""
+    flip = phi.flip_invariant()
+    sectors = [magnetization_sector(space, M) for M in sorted(
+        (M for M in space.magnetization_values() if M >= 0 or not flip), key=abs)]
+    union = SectorBasis(space, ("M", tuple(sector.label[1] for sector in sectors)),
+                        np.sort(np.concatenate([sector.states for sector in sectors])))
+    try:
+        return _largest_level(assemble(phi, union))
+    except SectorLeakError:
+        return _largest_level(assemble(phi, space))
+
+
 def gap_sweep(base_builder, pert_builder, lambdas, Ls, threads=1) -> StabilitySweep:
     """Gaps and ground degeneracies of base(L) + lambda * pert(L) over the grid.
 
     ``base_builder`` and ``pert_builder`` map L to an Interaction; the space
     is built from the base's ``params["spins"]``.  The lambda = 0 column is
     computed from the base interaction alone, so it matches an unperturbed
-    run exactly.  Only the perturbation, for its norm, is assembled on the
-    full space; the sweeps assemble their sectors.  A diagonal perturbation
-    (S3 S3) has its norm read off the diagonal by ``extremal_eigs``.
+    run exactly.  The sweeps and the perturbation norm (``_operator_norm``)
+    assemble sectors only, unless the perturbation leaks out of them.
     """
     lambdas = [float(v) for v in lambdas]
     Ls = [int(L) for L in Ls]
@@ -113,11 +140,7 @@ def gap_sweep(base_builder, pert_builder, lambdas, Ls, threads=1) -> StabilitySw
             raise ValueError(f"base interaction {base.name!r} at L={L} has no "
                              "'spins' in its params to build the space from")
         space = SpinSpace.from_spins(base.params["spins"])
-        pert_H = assemble(pert, space)
-        # || sum Phi_x ||: extremal eigenvalues of the Hermitian sum
-        top = extremal_eigs(-1 * pert_H.matrix, k=1).eigenvalues[0]
-        bot = extremal_eigs(pert_H.matrix, k=1).eigenvalues[0]
-        pert_norms[L] = float(max(abs(top), abs(bot)))
+        pert_norms[L] = _operator_norm(pert, space)
         for lam in lambdas:
             phi = base if lam == 0.0 else base + pert.scaled(lam)
             levels, _ = sector_sweep_lowest(phi, space, k=6, threads=threads)

@@ -8,8 +8,9 @@ from typing import Optional
 import numpy as np
 import scipy.sparse as sp
 
-from .hilbert import SpinSpace, SectorBasis, magnetization_sector, restrict
-from .models import assemble
+from .hilbert import (SpinSpace, SectorBasis, magnetization_sector, momentum_blocks, restrict,
+                      translation_orbits)
+from .models import TERM_HERMITICITY_TOL, assemble
 from .util import ordered_map, require_memory
 
 DEGENERACY_TOL = 1e-8
@@ -138,22 +139,64 @@ def extremal_eigs(H, k, want_vectors=True) -> SpectrumReport:
     return SpectrumReport(evals, vecs if want_vectors else None, residuals=res)
 
 
-def sector_spectrum(H, sector: SectorBasis, k="all", want_vectors=False) -> SpectrumReport:
+def sector_spectrum(H, sector: SectorBasis, k="all", want_vectors=False,
+                    momenta=False) -> SpectrumReport:
     """Spectrum of H restricted to a sector (leak-checked restriction).
 
     ``k="all"`` and sectors of dimension up to KRYLOV_CROSSOVER are
     diagonalised densely and return every level; a larger sector returns
-    its k lowest levels from ``extremal_eigs``.  The report carries the
-    CSR block it solved as ``block``; for a real H built on the sector it
-    shares the arrays of H.
+    its k lowest levels from ``extremal_eigs``.  With ``momenta=True`` and
+    values only, a block that commutes with the one-site shift may instead
+    be solved by its momentum blocks (``_momentum_levels``), which return
+    every level.  The report carries the CSR block it solved as ``block``;
+    for a real H built on the sector it shares the arrays of H.
     """
     block = restrict(H, sector, dense=False)
-    if k == "all" or sector.dim <= KRYLOV_CROSSOVER:
+    rep = _momentum_levels(block, sector, k) if momenta and not want_vectors else None
+    if rep is None and (k == "all" or sector.dim <= KRYLOV_CROSSOVER):
         rep = full_spectrum(block, want_vectors=want_vectors)
-    else:
+    elif rep is None:
         rep = extremal_eigs(block, k=k, want_vectors=want_vectors)
     rep.block = block
     return rep
+
+
+def _momentum_levels(block, sector: SectorBasis, k):
+    """Every level of the sector block, as the sorted union of the spectra of
+    its momentum blocks (``hilbert.momentum_blocks``, each solved by
+    ``full_spectrum``), or None when the sector does not split.
+
+    Only a sector of equal sites splits, and only when two things hold.  The
+    blocks must be cheaper than the sector's own path: a dense solve of n
+    states counts w n^3, w = 1 for a real and 4 for a complex matrix, and
+    the blocks solved may count at most the sector's own
+    w min(dim, KRYLOV_CROSSOVER)^3 (w dim^3 for ``k="all"``).  And the block
+    must commute with the one-site shift T: P h P^T = h to
+    TERM_HERMITICITY_TOL of its largest entry, the tolerance of the terms'
+    spin-flip check.  A real h solves only k <= L/2 and lists each level of
+    0 < k < L/2 twice, since h_(L-k) is the complex conjugate of h_k; its
+    blocks k = 0 and L/2 are real.  A complex h solves all L blocks.
+    """
+    if len(set(sector.site_dims)) != 1:
+        return None
+    orbits = translation_orbits(sector)
+    L, real = sector.n_sites, not np.iscomplexobj(block.data)
+    dims = orbits.block_dims()
+    ks = [q for q in range(L // 2 + 1 if real else L) if dims[q]]
+    cost = sum((1 if real and 2 * q % L == 0 else 4) * int(dims[q]) ** 3 for q in ks)
+    own = (1 if real else 4) * (sector.dim if k == "all"
+                                 else min(sector.dim, KRYLOV_CROSSOVER)) ** 3
+    if cost > own:
+        return None
+    coo = block.tocoo()
+    moved = sp.csr_matrix((coo.data, (orbits.shift[coo.row], orbits.shift[coo.col])),
+                          shape=block.shape)
+    dev = abs(moved - block)
+    if dev.nnz and dev.max() > TERM_HERMITICITY_TOL * abs(coo.data).max():
+        return None
+    levels = [np.tile(full_spectrum(hq).eigenvalues, 2 if real and 0 < 2 * q < L else 1)
+              for q, hq in zip(ks, momentum_blocks(block, orbits, ks))]
+    return SpectrumReport(np.sort(np.concatenate(levels)))
 
 
 def spectral_gap(report: SpectrumReport, degeneracy_tol=DEGENERACY_TOL) -> GapReport:
@@ -178,8 +221,12 @@ def sector_sweep_lowest(phi, space: SpinSpace, k=4, threads=1):
     Returns (merged SpectrumReport, dict label -> per-sector SpectrumReport,
     each carrying the block it was solved from as ``block``).
     A sector solved densely (see ``sector_spectrum``) contributes all its
-    levels.  The merge order is canonical (descending M), independent of
-    any parallelism.
+    levels.  On a space of equal sites a sector whose block commutes with
+    the one-site shift is solved by its momentum blocks when they are
+    cheaper than its own dense or ARPACK solve (``_momentum_levels``); it
+    too contributes all its levels, and its report holds their sorted
+    union and the sector block.  The merge order is canonical (descending
+    M), independent of any parallelism.
 
     When every term commutes with the global spin flip
     (``phi.flip_invariant()``), the sector -M has the spectrum of M: only the
@@ -198,7 +245,8 @@ def sector_sweep_lowest(phi, space: SpinSpace, k=4, threads=1):
 
     def solve(M):
         sector = magnetization_sector(space, M)
-        return sector.label, sector_spectrum(assemble(phi, sector), sector, k=k)
+        return sector.label, sector_spectrum(assemble(phi, sector), sector, k=k,
+                                             momenta=True)
 
     flip = phi.flip_invariant()
     values = [M for M in space.magnetization_values() if M >= 0 or not flip]

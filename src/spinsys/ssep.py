@@ -92,16 +92,25 @@ def _spin_blocks(g: SpinGraph, ns):
 
 
 def ssep_gaps(g: SpinGraph) -> GeneratorReport:
-    """lambda(n), 1 <= n <= |V|-1, and the Aldous margin: one values solve of H_n per n."""
+    """lambda(n), 1 <= n <= |V|-1, and the Aldous margin: one values solve of H_n per n.
+
+    The particle-hole swap n <-> |V| - n is the spin flip M <-> -M, so when
+    the spin Hamiltonian passes the flip check (``flip_invariant``; its
+    r (1 - swap) bonds do) only n <= |V|/2 is solved and the rows of
+    |V| - n repeat those of n."""
     check_exclusion_graph(g)
+    V = g.n_vertices
+    flip = ssep_spin_interaction(g).flip_invariant()
     gaps, dims, stat = {}, {}, {}
-    for n, sector, block in _spin_blocks(g, range(1, g.n_vertices)):
+    for n, sector, block in _spin_blocks(g, range(1, V // 2 + 1 if flip else V)):
         stat[n] = float(np.abs(block.matrix @ np.ones(sector.dim)).max())
         evals = sector_spectrum(block, sector).eigenvalues
         positive = evals[evals > GAP_ZERO_TOL * max(1.0, abs(evals).max())]
         if positive.size == 0:
             raise ValueError(f"the generator on {n} particles has no positive eigenvalue")
         gaps[n], dims[n] = float(positive[0]), sector.dim
+    gaps, dims, stat = ({n: t[n] if n in t else t[V - n] for n in range(1, V)}
+                        for t in (gaps, dims, stat))
     margin = max(abs(gaps[n] - gaps[1]) for n in gaps)
     return GeneratorReport(gaps=gaps, dims=dims, stationary_checks=stat,
                            aldous_margin=float(margin))

@@ -10,6 +10,7 @@ from spinsys import (SpinSpace, XxzParams, assemble, bandwidth_formula,
                      droplet_energy_formula, momentum_band,
                      one_magnon_dispersion, open_chain_spin_level,
                      sector_spectrum, xxz)
+from spinsys.hilbert import translation_orbits
 
 
 def whole_sector_levels(p, n):
@@ -63,11 +64,9 @@ def test_momentum_band_matches_dispersion_for_one_magnon():
 def test_momentum_blocks_cover_the_sector():
     # every state is T^pos of its orbit's representative, every period
     # divides L, and the block dimensions over all momenta add up to C(L, n)
-    from spinsys.droplets import _translation_orbits
     for L, n in ((8, 3), (12, 4)):
-        p = XxzParams.from_q(L, 0.5, boundary="periodic")
         sector = down_spin_sector(SpinSpace((2,) * L), n)
-        orbit, pos, period, reps = _translation_orbits(p, sector)
+        orbit, pos, period, reps, _, _ = translation_orbits(sector)
         for s, state in enumerate(sector.states.tolist()):
             r = int(sector.states[reps[orbit[s]]])
             for _ in range(int(pos[s])):
@@ -115,9 +114,10 @@ def cycle_basis_blocks(p, n):
 @pytest.mark.parametrize("q", [0.3, 0.5])
 def test_momentum_band_matches_cycle_basis_blocks(L, n, q, monkeypatch):
     # orbits of length 2, 3, 4 and 6 besides L: the representative-column
-    # blocks against the dense cycle basis entry by entry (a flipped phase
-    # conjugates a block and keeps its spectrum), the band momentum by
-    # momentum, and the block spectra together against one whole-sector solve
+    # blocks k <= L/2 against the dense cycle basis entry by entry (a flipped
+    # phase conjugates a block and keeps its spectrum), the band momentum by
+    # momentum against all L blocks, and the block spectra together, those
+    # of 0 < k < L/2 twice, against one whole-sector solve
     p = XxzParams.from_q(L, q, boundary="periodic")
     blocks = []
     eigvalsh = np.linalg.eigvalsh
@@ -130,11 +130,13 @@ def test_momentum_band_matches_cycle_basis_blocks(L, n, q, monkeypatch):
     band = momentum_band(p, n)
     monkeypatch.undo()
     oracle = cycle_basis_blocks(p, n)
-    assert len(blocks) == len(oracle) == L
-    for b, o in zip(blocks, oracle):
+    assert len(oracle) == L and len(blocks) == L // 2 + 1
+    for k, (b, o) in enumerate(zip(blocks, oracle)):
         assert b.shape == o.shape and np.abs(b - o).max() < 1e-12
+        assert np.isrealobj(b) == (2 * k % L == 0)
     assert np.abs(band - [eigvalsh(o)[0] for o in oracle]).max() < 1e-12
-    union = np.sort(np.concatenate([eigvalsh(b) for b in blocks]))
+    union = np.sort(np.concatenate([np.tile(eigvalsh(b), 2 if 0 < 2 * k < L else 1)
+                                    for k, b in enumerate(blocks)]))
     assert np.abs(union - whole_sector_levels(p, n)).max() < 1e-10
 
 

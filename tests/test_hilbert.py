@@ -5,7 +5,8 @@ from numpy.testing import assert_allclose
 
 from spinsys import (SpinSpace, down_spin_sector, embed_at, embed_local,
                      kron_chain, magnetization_sector, restrict, spin_matrices)
-from spinsys.hilbert import SparseOperator, total_sz_diagonal
+from spinsys.hilbert import (SectorBasis, SparseOperator, momentum_blocks, total_sz_diagonal,
+                            translation_orbits)
 
 
 def test_spin_half_matrices():
@@ -243,3 +244,93 @@ def test_sparse_operator_validation():
             SparseOperator(mat, hermitian=True)
     op = SparseOperator(np.array([[2.0, 0.0], [0.0, -1.0]]), hermitian=True)
     assert np.linalg.norm(op.toarray(), 2) == pytest.approx(2.0)
+
+
+def shift_cycles(sector):
+    """The orbits of the one-site shift the direct way: each state's digits
+    moved one site on (site x to x + 1 mod L) until the state comes back."""
+    space = sector.parent
+    L = space.n_sites
+    index = {s: i for i, s in enumerate(sector.states.tolist())}
+
+    def shift(s):
+        digits = space.decode(s)
+        return space.encode([digits[(x - 1) % L] for x in range(L)])
+
+    cycles = {}
+    for s in sector.states.tolist():
+        cycle = [s]
+        while shift(cycle[-1]) != s:
+            cycle.append(shift(cycle[-1]))
+        rep = min(cycle)
+        cycles[s] = (cycle[cycle.index(rep):] + cycle[:cycle.index(rep)], index[shift(s)])
+    return cycles
+
+
+@pytest.mark.parametrize("dims, M", [((3,) * 6, 0), ((3,) * 6, 1), ((3,) * 6, 6),
+                                     ((2,) * 8, 1), ((2,) * 8, 0), ((2,) * 9, 0.5)])
+def test_translation_orbits_match_shift_cycles(dims, M):
+    # spin 1 at L = 6, M = 0 holds orbits of periods 1, 2, 3 and 6
+    sector = magnetization_sector(SpinSpace(dims), M)
+    orbits = translation_orbits(sector)
+    cycles = shift_cycles(sector)
+    periods = set()
+    for i, s in enumerate(sector.states.tolist()):
+        cycle, shifted = cycles[s]
+        a = orbits.orbit[i]
+        assert sector.states[orbits.reps[a]] == cycle[0]
+        assert orbits.period[a] == len(cycle)
+        assert cycle[orbits.pos[i]] == s                 # s = T^pos r
+        assert orbits.shift[i] == shifted
+        periods.add(len(cycle))
+    # orbits are numbered by ascending representative
+    assert np.all(np.diff(sector.states[orbits.reps]) > 0)
+    assert orbits.block_dims().sum() == sector.dim
+    if dims == (3,) * 6 and M == 0:
+        assert periods == {1, 2, 3, 6}
+
+
+def test_translation_orbits_refuse_unequal_sites_and_open_sectors():
+    with pytest.raises(ValueError, match="one local dimension"):
+        translation_orbits(magnetization_sector(SpinSpace((2, 3, 2)), 0))
+    space = SpinSpace((2,) * 4)
+    with pytest.raises(ValueError, match="shift leaves sector"):
+        translation_orbits(SectorBasis(space, ("custom", 0), np.array([1, 3])))
+
+
+def test_momentum_blocks_match_dense_cycle_basis_on_spin_one():
+    # the AKLT + S3 S3 ring, real, and with a chiral term, complex: block k
+    # against basis^H h basis over m^(-1/2) e^(-2 pi i k j / L) cycle vectors
+    from spinsys import aklt, assemble, custom
+    L = 6
+    s = spin_matrices(1.0)
+    s1, s2, s3 = (np.asarray(m) for m in (s.s1, s.s2, s.s3))
+    chiral = np.kron(s2, s1) - np.kron(s1, s2)         # S1_x S2_x+1 - S2_x S1_x+1
+    swap = np.eye(9)[[3 * (i % 3) + i // 3 for i in range(9)]]
+    ring = aklt(L, periodic=True) + custom([((x, (x + 1) % L), 0.05 * np.kron(s3, s3))
+                                            for x in range(L)])
+    twisted = ring + custom([((x, x + 1), 0.3 * chiral) for x in range(L - 1)]
+                            + [((0, L - 1), 0.3 * swap @ chiral @ swap)])
+    sector = magnetization_sector(SpinSpace((3,) * L), 0)
+    orbits = translation_orbits(sector)
+    cycles = shift_cycles(sector)
+    index = {st: i for i, st in enumerate(sector.states.tolist())}
+    reps = sorted({cycle[0] for cycle, _ in cycles.values()})
+    for phi in (ring, twisted):
+        h = assemble(phi, sector).matrix
+        blocks = list(momentum_blocks(h, orbits, range(L)))
+        for k, block in enumerate(blocks):
+            basis = []
+            for r in reps:
+                cycle = cycles[r][0]
+                if k * len(cycle) % L:
+                    continue
+                v = np.zeros(sector.dim, dtype=complex)
+                v[[index[t] for t in cycle]] = np.exp(-2j * np.pi * k * np.arange(len(cycle))
+                                                      / L) / np.sqrt(len(cycle))
+                basis.append(v)
+            basis = np.array(basis).T
+            want = basis.conj().T @ (h @ basis)
+            assert block.shape == want.shape == (orbits.block_dims()[k],) * 2
+            assert np.abs(block - want).max() < 1e-12
+            assert np.isrealobj(block) == (np.isrealobj(h.data) and 2 * k % L == 0)

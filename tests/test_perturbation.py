@@ -85,3 +85,41 @@ def test_gap_sweep_needs_spins_in_base_params():
 
     with pytest.raises(ValueError, match="'spins'"):
         gap_sweep(base, base, [0.0], [4])
+
+
+@pytest.mark.parametrize("name", ["szsz_ring", "one_site_field", "transverse_field"])
+def test_perturbation_norm_from_the_sectors(name, monkeypatch):
+    # one block on the sectors M >= 0 for the flip-invariant S3 S3 ring and
+    # transverse field, on every sector for a one-site S3 field, and the full
+    # space only for the transverse field, which leaks out of that block;
+    # each against the dense full-space norm
+    import spinsys.perturbation
+    from spinsys import SectorBasis, assemble
+    from spinsys.hilbert import total_sz_diagonal
+    s = spin_matrices(1.0)
+    s1, s3 = np.asarray(s.s1), np.asarray(s.s3)
+    L = 5
+    pert = {"szsz_ring": custom([((x, (x + 1) % L), np.kron(s3, s3)) for x in range(L)]),
+            "one_site_field": custom([((2,), s3 + 0.3 * s3 @ s3)]),
+            "transverse_field": custom([((x,), s1) for x in range(L)])}[name]
+    space = SpinSpace((3,) * L)
+    bases = []
+    real = spinsys.perturbation.assemble
+
+    def spy(phi, basis):
+        bases.append(basis)
+        return real(phi, basis)
+
+    monkeypatch.setattr(spinsys.perturbation, "assemble", spy)
+    sweep = gap_sweep(lambda LL: aklt(LL, periodic=True), lambda LL: pert, [0.0], [L])
+    want = np.abs(np.linalg.eigvalsh(assemble(pert, space).toarray())).max()
+    assert sweep.pert_norms[L] == pytest.approx(want, rel=1e-12, abs=0)
+    union, *rest = bases
+    assert isinstance(union, SectorBasis)
+    twice_m = 2 * total_sz_diagonal(space)
+    want = np.flatnonzero(twice_m >= 0 if pert.flip_invariant() else twice_m == twice_m)
+    assert np.array_equal(union.states, want)
+    if name == "transverse_field":
+        assert len(rest) == 1 and not isinstance(rest[0], SectorBasis)
+    else:
+        assert rest == []

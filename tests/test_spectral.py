@@ -306,6 +306,12 @@ def test_unmatched_level_matches_multisets():
     assert _level_difference(lower, np.array([3.0]), 1e-10)[1] == 3.0
 
 
+def szsz_chain(L):
+    """The S3 S3 perturbation on the open spin-1 chain."""
+    s3 = np.asarray(spin_matrices(1.0).s3)
+    return custom([((x, x + 1), np.kron(s3, s3)) for x in range(L - 1)])
+
+
 def xxz_ring(L):
     return xxz(XxzParams.from_delta(L, 1.5, boundary="periodic")), SpinSpace((2,) * L)
 
@@ -314,21 +320,30 @@ def perturbed_aklt_ring(L):
     return aklt(L, periodic=True) + szsz_ring(L).scaled(0.05), SpinSpace((3,) * L)
 
 
-# (interaction, space, crossover): L = 6 at crossover 100 puts M = 0 and 1 on
+# (interaction, space, crossover, whether the sweep reaches ARPACK): the
+# rings split every sector into momentum blocks, which give every level
+# (``test_split_sweep_matches_whole_sector_spectra``); the open chains keep
+# the dense and the ARPACK path: L = 6 at crossover 100 puts M = 0 and 1 on
 # ARPACK and the rest dense, as L = 8 does at the default 512
 MIRROR_CASES = {
-    "aklt_szsz_6": lambda: (*perturbed_aklt_ring(6), 100),
-    "aklt_szsz_8": lambda: (*perturbed_aklt_ring(8), 512),
+    "aklt_szsz_6": lambda: (*perturbed_aklt_ring(6), 100, False),
+    "aklt_szsz_8": lambda: (*perturbed_aklt_ring(8), 512, False),
     # ``+ custom([])`` drops the SU(2) declaration and keeps the flip
     "heisenberg_ring_10": lambda: (heisenberg(ring_graph(10)) + custom([]),
-                                   SpinSpace((2,) * 10), 100),
-    "xxz_ring_10": lambda: (*xxz_ring(10), 100),
+                                   SpinSpace((2,) * 10), 100, False),
+    "xxz_ring_10": lambda: (*xxz_ring(10), 100, False),
+    "aklt_szsz_open_6": lambda: (aklt(6) + szsz_chain(6).scaled(0.05), SpinSpace((3,) * 6),
+                                 100, True),
+    "aklt_szsz_open_8": lambda: (aklt(8) + szsz_chain(8).scaled(0.05), SpinSpace((3,) * 8),
+                                 512, True),
+    "heisenberg_path_10": lambda: (heisenberg(path_graph(10)) + custom([]),
+                                   SpinSpace((2,) * 10), 100, True),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MIRROR_CASES))
 def test_mirrored_sectors_match_direct_solves(case, monkeypatch):
-    phi, space, crossover = MIRROR_CASES[case]()
+    phi, space, crossover, arpack = MIRROR_CASES[case]()
     monkeypatch.setattr(spinsys.spectral, "KRYLOV_CROSSOVER", crossover)
     assert phi.flip_invariant() and not phi.params.get("su2_invariant", False)
     merged, per_sector = sector_sweep_lowest(phi, space, k=3)
@@ -339,11 +354,15 @@ def test_mirrored_sectors_match_direct_solves(case, monkeypatch):
         sector = magnetization_sector(space, M)
         want = sector_spectrum(assemble(phi, sector), sector, k=3).eigenvalues
         got = per_sector[("M", abs(M))].eigenvalues
-        assert_allclose(got, want, rtol=1e-12, atol=0)
-        paths.add(sector.dim > crossover)
+        # every level of a dense or split sector, the lowest 3 of an ARPACK one
+        n = min(got.size, want.size)
+        assert n in (3, sector.dim)
+        assert_allclose(got[:n], want[:n], rtol=1e-12, atol=0)
+        paths.add(got.size < sector.dim)
         direct.append(want)
-    assert paths == {True, False}          # both the dense and the ARPACK path
-    assert_allclose(merged.eigenvalues, np.sort(np.concatenate(direct)), rtol=1e-12, atol=0)
+    assert paths == ({True, False} if arpack else {False})
+    assert_allclose(merged.eigenvalues[:3], np.sort(np.concatenate(direct))[:3],
+                    rtol=1e-12, atol=0)
 
 
 def off_flip_bond():
@@ -408,3 +427,101 @@ def test_extremal_eigs_keeps_arpack_off_the_diagonal():
     assert mat.tocsr().nnz == 40
     rep = extremal_eigs(mat.tocsr(), k=2)
     assert_allclose(rep.eigenvalues, np.linalg.eigvalsh(mat.toarray())[:2], atol=1e-12)
+
+
+def momentum_spy(monkeypatch):
+    """The list of momenta of each ``momentum_blocks`` call the sweep makes."""
+    calls = []
+    blocks = spinsys.spectral.momentum_blocks
+
+    def spy(h, orbits, ks):
+        calls.append(list(ks))
+        return blocks(h, orbits, ks)
+
+    monkeypatch.setattr(spinsys.spectral, "momentum_blocks", spy)
+    return calls
+
+
+def whole_sector_levels(phi, space, M):
+    return np.linalg.eigvalsh(assemble(phi, magnetization_sector(space, M)).toarray())
+
+
+def chiral_ring(L):
+    """The spin-1/2 Heisenberg ring plus a chiral bond S1_x S2_x+1 - S2_x S1_x+1:
+    complex, shift-invariant, and not flip-invariant."""
+    s = spin_matrices(0.5)
+    s1, s2 = np.asarray(s.s1), np.asarray(s.s2)
+    chiral = np.kron(s2, s1) - np.kron(s1, s2)
+    swap = np.eye(4)[[0, 2, 1, 3]]
+    terms = [((x, x + 1), 0.4 * chiral) for x in range(L - 1)]
+    terms.append(((0, L - 1), 0.4 * swap @ chiral @ swap))    # site L - 1 before site 0
+    return heisenberg(ring_graph(L)) + custom(terms), SpinSpace((2,) * L)
+
+
+SPLIT_CASES = {
+    "aklt_szsz_6": lambda: perturbed_aklt_ring(6),
+    "aklt_szsz_7": lambda: perturbed_aklt_ring(7),
+    "aklt_szsz_8": lambda: perturbed_aklt_ring(8),
+    "xxz_ring_10": lambda: xxz_ring(10),
+    "chiral_ring_9": lambda: chiral_ring(9),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SPLIT_CASES))
+def test_split_sweep_matches_whole_sector_spectra(case, monkeypatch):
+    # every sector of these rings splits into momentum blocks and returns all
+    # its levels; a real h solves k <= L/2 only, a complex one every k
+    phi, space = SPLIT_CASES[case]()
+    L = space.n_sites
+    calls = momentum_spy(monkeypatch)
+    merged, per_sector = sector_sweep_lowest(phi, space, k=6)
+    assert len(calls) == len(per_sector)
+    for (_, M), rep in per_sector.items():
+        want = whole_sector_levels(phi, space, M)
+        assert rep.eigenvalues.size == want.size
+        assert np.abs(rep.eigenvalues - want).max() <= 1e-12
+    real = all(np.isrealobj(rep.block.data) for rep in per_sector.values())
+    assert real == (case != "chiral_ring_9") == phi.flip_invariant()
+    assert max(max(ks) for ks in calls) == (L // 2 if real else L - 1)
+    flip = 2 if phi.flip_invariant() else 1
+    assert merged.eigenvalues.size == sum(
+        (flip if M > 0 else 1) * rep.eigenvalues.size for (_, M), rep in per_sector.items())
+
+
+def xxz_ring_with(L, extra):
+    """The XXZ ring plus the terms ``extra(ring)``."""
+    phi, space = xxz_ring(L)
+    return phi + custom(extra(phi)), space
+
+
+NO_SPLIT_CASES = {
+    # the bond (3, 4) 1e-9 stronger than the others
+    "bond_off_by_1e-9": lambda: xxz_ring_with(10, lambda ring: [
+        (support, 1e-9 * bond) for support, bond in ring.terms if support == (3, 4)]),
+    "one_site_field": lambda: xxz_ring_with(10, lambda ring: [
+        ((3,), 0.2 * np.asarray(spin_matrices(0.5).s3))]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NO_SPLIT_CASES))
+def test_broken_translation_does_not_split(case, monkeypatch):
+    phi, space = NO_SPLIT_CASES[case]()
+    calls = momentum_spy(monkeypatch)
+    merged, per_sector = sector_sweep_lowest(phi, space, k=3)
+    # only the one-state sectors (all spins up or all down) commute with the shift
+    assert len(calls) == sum(magnetization_sector(space, M).dim == 1 for _, M in per_sector)
+    for (_, M), rep in per_sector.items():
+        sector = magnetization_sector(space, M)
+        want = sector_spectrum(assemble(phi, sector), sector, k=3).eigenvalues
+        assert rep.eigenvalues.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("case", ["aklt_szsz_7", "chiral_ring_9"])
+def test_split_sweep_threads_agree_bitwise(case):
+    phi, space = SPLIT_CASES[case]()
+    one, per_one = sector_sweep_lowest(phi, space, k=6, threads=1)
+    two, per_two = sector_sweep_lowest(phi, space, k=6, threads=2)
+    assert one.eigenvalues.tobytes() == two.eigenvalues.tobytes()
+    assert list(per_one) == list(per_two)
+    for label, rep in per_one.items():
+        assert rep.eigenvalues.tobytes() == per_two[label].eigenvalues.tobytes()

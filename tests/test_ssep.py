@@ -169,7 +169,26 @@ def test_gaps_match_dense_generator_oracle_with_one_solve_per_n(monkeypatch):
     xxx_conjugacy_check(g)
     assert calls == []
     rep = ssep_gaps(g)
-    assert calls.count("sector_spectrum") == g.n_vertices - 1
-    assert calls.count("full_spectrum") == g.n_vertices - 1      # each sector_spectrum's one
+    # one solve per n <= |V|/2; the particle-hole mirror gives the rest
+    assert calls.count("sector_spectrum") == g.n_vertices // 2
+    assert calls.count("full_spectrum") == g.n_vertices // 2      # each sector_spectrum's one
     for n, lam in oracle.items():
         assert rep.gaps[n] == pytest.approx(lam, rel=1e-12, abs=0), n
+
+
+@pytest.mark.parametrize("name", sorted(NON_TREES))
+def test_mirrored_gap_rows_match_direct_solves(name):
+    # the rows n > |V|/2 repeat those of |V| - n: each against a solve of its own block
+    g = NON_TREES[name]
+    V = g.n_vertices
+    assert ssep_spin_interaction(g).flip_invariant()
+    rep = ssep_gaps(g)
+    assert list(rep.gaps) == list(rep.dims) == list(rep.stationary_checks) == list(range(1, V))
+    space = SpinSpace.from_spins([0.5] * V)
+    for n in range(V // 2 + 1, V):
+        sector = down_spin_sector(space, n)
+        block = assemble(ssep_spin_interaction(g), sector)
+        ev = np.linalg.eigvalsh(block.toarray())
+        assert rep.gaps[n] == pytest.approx(ev[ev > 1e-10][0], rel=1e-12, abs=0), n
+        assert rep.dims[n] == sector.dim
+        assert rep.stationary_checks[n] < 1e-12
