@@ -20,9 +20,9 @@ from math import comb, gcd
 
 import numpy as np
 
-from .hilbert import SpinSpace, down_spin_sector, momentum_blocks, translation_orbits
+from .hilbert import SpinSpace, down_spin_sector, translation_orbits
 from .models import XxzParams, xxz, assemble
-from .spectral import full_spectrum
+from .spectral import momentum_spectra
 from .symmetry import sector_spin_levels, suq2_generators
 from .util import require_memory
 
@@ -84,15 +84,11 @@ def momentum_band(p: XxzParams, n: int) -> np.ndarray:
     picking the lowest ``L`` sector eigenvalues mislabels the band.  The
     shift symmetry separates them: one bound state per momentum lies at the
     bottom of its translation block.  The blocks come from the orbits of the
-    shift on the sector (``hilbert.translation_orbits``) and the
-    representative columns of the sparse sector block
-    (``hilbert.momentum_blocks``).  h is real, so h_(L-k) is the complex
-    conjugate of h_k and has its spectrum: only k <= L/2 are solved, by
-    ``full_spectrum``, the blocks k = 0 and L/2 in real arithmetic.  The
+    shift on the sector (``hilbert.translation_orbits``) and are solved by
+    ``spectral.momentum_spectra``: h is real, so only k <= L/2.  The
     pre-flight counts the basis with room for its L rotations, the sparse
-    block (a diagonal and L hops per column), the representative columns
-    and the three complex arrays of the k = 0 block, which holds every
-    orbit.
+    block (a diagonal and L hops per column), the representative columns and
+    the three complex arrays of the k = 0 block, which holds every orbit.
     """
     if p.boundary != "periodic":
         raise ValueError("momentum resolution needs the periodic chain")
@@ -107,10 +103,8 @@ def momentum_band(p: XxzParams, n: int) -> np.ndarray:
 
     _check_sector(p, n, nbytes)
     sector = down_spin_sector(SpinSpace((2,) * L), n)
-    ks = range(L // 2 + 1)
-    lowest = [full_spectrum(block).eigenvalues[0] for block in
-              momentum_blocks(assemble(xxz(p), sector).matrix, translation_orbits(sector), ks)]
-    return np.array([lowest[min(k, L - k)] for k in range(L)])
+    spectra = momentum_spectra(assemble(xxz(p), sector).matrix, translation_orbits(sector))
+    return np.array([levels[0] for levels in spectra])
 
 
 def one_magnon_dispersion(p: XxzParams) -> np.ndarray:

@@ -639,11 +639,11 @@ def clustering_report(g: SpinGraph, phi: Interaction, local_op, lam: float,
     The gap and the ground sector come from ``sector_sweep_lowest``, whose
     reports carry the block each sector was solved from: the correlator
     propagates on the ground sector's block, so no sector is assembled
-    twice.  For a model declared SU(2)-invariant the report also holds the
-    eigenvectors of the sector M = 0 (or 1/2), which the correlator reuses;
-    otherwise the sweep kept values only and the correlator solves the block
-    again for its ground vector.  The observable blocks are embedded on the
-    ground sector directly.  Each pair takes one ``SectorCorrelator.propagate``
+    twice.  For a model whose terms commute with the total spin the report
+    also holds the eigenvectors of the sector M = 0 (or 1/2), which the
+    correlator reuses; otherwise the sweep kept values only and the
+    correlator solves the block again for its ground vector.  The
+    observable blocks are embedded on the ground sector directly.  Each pair takes one ``SectorCorrelator.propagate``
     call, at its n_window + 1 equally spaced b (the values written in the
     rows) and at ``large_bs`` for the trivial large-b check.
     """

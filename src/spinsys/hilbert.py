@@ -362,7 +362,8 @@ def _leak_error(label, leak, state, col):
 
 def _local(space, sites, mat):
     """A factor's local matrix, checked against its sites, as ``_embed`` uses
-    it: real when it has no imaginary part, elements below PRUNE_TOL zero."""
+    it: real when it has no imaginary part, elements below PRUNE_TOL zero.  A
+    matrix that is not finite raises ``ValueError``."""
     if not sites:
         raise ValueError("empty support")
     for x in sites:
@@ -373,6 +374,8 @@ def _local(space, sites, mat):
     if mat.shape != (sub, sub):
         raise ValueError(f"local matrix has shape {mat.shape}, expected dim {sub} for "
                          f"sites {sites}")
+    if not np.isfinite(mat).all():
+        raise ValueError(f"local matrix on sites {sites} is not finite")
     if np.iscomplexobj(mat) and not mat.imag.any():
         mat = mat.real
     return np.where(np.abs(mat) >= PRUNE_TOL, mat, 0)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 INF = math.inf
@@ -46,7 +46,9 @@ class SpinGraph:
             if pair in seen:
                 raise ValueError(f"duplicate edge {pair}")
             seen.add(pair)
-            canon.append((pair[0], pair[1], float(w)))
+            if not math.isfinite(w := float(w)):
+                raise ValueError(f"edge {pair} has weight {w}, not a finite number")
+            canon.append((pair[0], pair[1], w))
         object.__setattr__(self, "edges", tuple(canon))
         if len(self.spins) != self.n_vertices:
             raise ValueError("one spin magnitude per vertex required")

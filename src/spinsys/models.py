@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import SpinGraph, diameter, is_connected
+from .lattice import SpinGraph, diameter
 from .hilbert import SectorBasis, SpinSpace, SparseOperator, spin_matrices, embed_local
 from .util import require_memory
 
@@ -32,12 +32,9 @@ ASSEMBLY_COPIES = 2
 class Interaction:
     """A list of (support, local Hermitian matrix) terms plus model metadata.
 
-    ``params["su2_invariant"]`` declares that the sum commutes with the total
-    spin.  It is set by the models that are, never inferred; ``scaled``
-    keeps it and ``+`` drops it along with the other params.
-
-    The global spin flip m -> -m is not declared but checked on the terms
-    (``flip_invariant``), so it survives ``+`` and ``scaled``.
+    Both symmetries the sweeps use are checked on the terms, never declared:
+    the global spin flip m -> -m (``flip_invariant``) and the total spin
+    (``su2_invariant``), so both survive ``+`` and ``scaled``.
     """
 
     terms: list                      # [(support tuple, ndarray), ...]
@@ -51,6 +48,8 @@ class Interaction:
             if not support:
                 raise ValueError("term support must be nonempty")
             mat = np.asarray(mat, dtype=complex)
+            if not np.isfinite(mat).all():
+                raise ValueError(f"term on {support} is not finite")
             if np.abs(mat - mat.conj().T).max() >= TERM_HERMITICITY_TOL:
                 raise ValueError(f"term on {support} is not Hermitian")
             canon.append((support, mat))
@@ -66,6 +65,22 @@ class Interaction:
         largest entry (S.S, S3 S3 and the XXZ bond are; a one-site S3 is not)."""
         return all(np.abs(m - m[::-1, ::-1]).max()
                    <= TERM_HERMITICITY_TOL * np.abs(m).max() for _, m in self.terms)
+
+    def su2_invariant(self, space) -> bool:
+        """Whether the sum commutes with the total spin on ``space``: on every
+        support X the sum of its terms (``_support_sums``) commutes with S+_X
+        and S3_X (``np.kron`` of ``spin_matrices``, first site innermost) to
+        TERM_HERMITICITY_TOL of the largest entries of term and generator."""
+        for support, m in _support_sums(self.terms, space).items():
+            for op in ("plus", "s3"):
+                gen = np.zeros((1, 1))          # op_X on the sites so far, the first innermost
+                for x in support:
+                    a = getattr(spin_matrices(space.spin_at(x)), op)
+                    gen = np.kron(a, np.eye(len(gen))) + np.kron(np.eye(len(a)), gen)
+                if (np.abs(m @ gen - gen @ m).max()
+                        > TERM_HERMITICITY_TOL * np.abs(m).max() * np.abs(gen).max()):
+                    return False
+        return True
 
     def scaled(self, factor) -> "Interaction":
         return Interaction([(s, factor * m) for s, m in self.terms],
@@ -90,8 +105,7 @@ def heisenberg(g: SpinGraph) -> Interaction:
     for (x, y, w) in g.edges:
         dot = _two_site_dot(spin_matrices(g.spins[x]), spin_matrices(g.spins[y]))
         terms.append(((x, y), -w * dot))
-    return Interaction(terms, name="heisenberg",
-                       params={"spins": g.spins, "su2_invariant": True})
+    return Interaction(terms, name="heisenberg", params={"spins": g.spins})
 
 
 def aklt(L: int, periodic=False) -> Interaction:
@@ -108,8 +122,7 @@ def aklt(L: int, periodic=False) -> Interaction:
         bonds.append((L - 1, 0))
     terms = [(b, bond) for b in bonds]
     return Interaction(terms, name="aklt",
-                       params={"L": L, "periodic": periodic, "spins": (1.0,) * L,
-                               "su2_invariant": True})
+                       params={"L": L, "periodic": periodic, "spins": (1.0,) * L})
 
 
 @dataclass(frozen=True)
@@ -198,6 +211,17 @@ def lambda_norm(phi: Interaction, lam: float, g: SpinGraph) -> float:
     return max(per_vertex) if per_vertex else 0.0
 
 
+def _support_sums(terms, space) -> dict:
+    """support -> the sum of its terms, added in canonical term order; a
+    support with a site outside ``space`` raises ``ValueError``."""
+    local = {}
+    for support, mat in sorted(terms, key=lambda t: (t[0], t[1].tobytes())):
+        if any(not 0 <= x < space.n_sites for x in support):
+            raise ValueError(f"term support {support} outside the space")
+        local[support] = local[support] + mat if support in local else mat
+    return local
+
+
 def assemble(phi: Interaction, space) -> SparseOperator:
     """Hermitian sum of the terms on the basis ``space`` (a ``SpinSpace`` or a
     ``SectorBasis``) by one ``embed_local`` call, in canonical term order with
@@ -205,12 +229,7 @@ def assemble(phi: Interaction, space) -> SparseOperator:
     term order, and on a sector equal to that block of the full-space sum to
     rounding.  A sector block is float64 when every term is real; a term that
     does not conserve a sector raises the leak ``ValueError``."""
-    for support, _ in phi.terms:
-        if any(not 0 <= x < space.n_sites for x in support):
-            raise ValueError(f"term support {support} outside the space")
-    local = {}
-    for support, mat in sorted(phi.terms, key=lambda t: (t[0], t[1].tobytes())):
-        local[support] = local[support] + mat if support in local else mat
+    local = _support_sums(phi.terms, space)
     # a column of H: one diagonal entry plus each support's most off-diagonal local ones
     per_column = 1 + sum(int(((m != 0).sum(0) - (m.diagonal() != 0)).max())
                          for m in local.values())

@@ -161,29 +161,36 @@ def sector_spectrum(H, sector: SectorBasis, k="all", want_vectors=False,
     return rep
 
 
+def momentum_spectra(block, orbits) -> list:
+    """The spectra of the momentum blocks k = 0..L - 1 of a sector block that
+    commutes with the one-site shift (``hilbert.momentum_blocks``, solved by
+    ``full_spectrum`` in ascending k).  A real block solves k <= L/2 only, and
+    k > L/2 takes the levels of L - k (h_(L-k) = conj h_k); a complex one all L."""
+    L, real = orbits.n_sites, not np.iscomplexobj(block.data)
+    ks = [q for q, n in enumerate(orbits.block_dims()[:L // 2 + 1 if real else L]) if n]
+    solved = dict(zip(ks, (full_spectrum(h).eigenvalues
+                           for h in momentum_blocks(block, orbits, ks))))
+    return [solved.get(min(q, L - q) if real else q, np.empty(0)) for q in range(L)]
+
+
 def _momentum_levels(block, sector: SectorBasis, k):
     """Every level of the sector block, as the sorted union of the spectra of
-    its momentum blocks (``hilbert.momentum_blocks``, each solved by
-    ``full_spectrum``), or None when the sector does not split.
+    its momentum blocks (``momentum_spectra``), or None when the sector does
+    not split.
 
     Only a sector of equal sites splits, and only when two things hold.  The
     blocks must be cheaper than the sector's own path: a dense solve of n
-    states counts w n^3, w = 1 for a real and 4 for a complex matrix, and
-    the blocks solved may count at most the sector's own
-    w min(dim, KRYLOV_CROSSOVER)^3 (w dim^3 for ``k="all"``).  And the block
-    must commute with the one-site shift T: P h P^T = h to
-    TERM_HERMITICITY_TOL of its largest entry, the tolerance of the terms'
-    spin-flip check.  A real h solves only k <= L/2 and lists each level of
-    0 < k < L/2 twice, since h_(L-k) is the complex conjugate of h_k; its
-    blocks k = 0 and L/2 are real.  A complex h solves all L blocks.
-    """
+    states counts w n^3, w = 1 for a real and 4 for a complex matrix (2 n^3
+    per block of each pair k, L - k of a real h, which solves one of them),
+    at most w min(dim, KRYLOV_CROSSOVER)^3 (w dim^3 for ``k="all"``).  And
+    h must commute with the one-site shift T: P h P^T = h to
+    TERM_HERMITICITY_TOL of its largest entry, as in the terms' flip check."""
     if len(set(sector.site_dims)) != 1:
         return None
     orbits = translation_orbits(sector)
     L, real = sector.n_sites, not np.iscomplexobj(block.data)
-    dims = orbits.block_dims()
-    ks = [q for q in range(L // 2 + 1 if real else L) if dims[q]]
-    cost = sum((1 if real and 2 * q % L == 0 else 4) * int(dims[q]) ** 3 for q in ks)
+    cost = sum(((1 if 2 * q % L == 0 else 2) if real else 4) * int(n) ** 3
+               for q, n in enumerate(orbits.block_dims()))
     own = (1 if real else 4) * (sector.dim if k == "all"
                                  else min(sector.dim, KRYLOV_CROSSOVER)) ** 3
     if cost > own:
@@ -194,9 +201,7 @@ def _momentum_levels(block, sector: SectorBasis, k):
     dev = abs(moved - block)
     if dev.nnz and dev.max() > TERM_HERMITICITY_TOL * abs(coo.data).max():
         return None
-    levels = [np.tile(full_spectrum(hq).eigenvalues, 2 if real and 0 < 2 * q < L else 1)
-              for q, hq in zip(ks, momentum_blocks(block, orbits, ks))]
-    return SpectrumReport(np.sort(np.concatenate(levels)))
+    return SpectrumReport(np.sort(np.concatenate(momentum_spectra(block, orbits))))
 
 
 def spectral_gap(report: SpectrumReport, degeneracy_tol=DEGENERACY_TOL) -> GapReport:
@@ -233,13 +238,11 @@ def sector_sweep_lowest(phi, space: SpinSpace, k=4, threads=1):
     sectors M >= 0 are solved, the merged report lists each M > 0 level
     twice, and the dict holds only the sectors solved.
 
-    An interaction declared SU(2)-invariant (``phi.params["su2_invariant"]``:
-    ``heisenberg``, ``aklt``, ``lieb_mattis_hamiltonian``) goes through
-    ``symmetry.su2_sweep_lowest``, which checks the declaration and solves
-    the lowest sector M = 0 (or 1/2), with eigenvectors, and the dense top
-    sectors; its dict holds only those.
+    An interaction that passes ``phi.su2_invariant(space)`` goes through
+    ``symmetry.su2_sweep_lowest``: it solves the lowest sector M = 0 (or
+    1/2), with eigenvectors, and the dense top sectors, and returns those.
     """
-    if phi.params.get("su2_invariant", False):
+    if phi.su2_invariant(space):
         from .symmetry import su2_sweep_lowest
         return su2_sweep_lowest(phi, space, k=k, threads=threads)
 

@@ -18,8 +18,8 @@ up from the lowest, solving each once, and keeps every level of each.
 ``su2_sweep_lowest`` labels the Ritz vectors of the lowest sector M0 = 0
 (or 1/2) instead, by the SU(2) Casimir (S+)^T S+ + M0(M0 + 1) applied
 from the S+ block M0 -> M0 + 1 it checks anyway (``_label_levels``), so
-that the gap sweep of a model declared SU(2)-invariant solves that sector
-alone.
+that the gap sweep of a model whose terms commute with the total spin
+(``Interaction.su2_invariant``) solves that sector alone.
 Internally S is carried as the integer 2S to keep half-integers exact.
 """
 
@@ -35,7 +35,8 @@ import scipy.sparse as sp
 from .hilbert import SpinSpace, SparseOperator, spin_matrices, embed_at, \
     magnetization_sector
 from . import spectral
-from .models import XxzParams, assemble
+from .lattice import build_graph
+from .models import Interaction, XxzParams, assemble, heisenberg
 from .spectral import SpectrumReport, sector_spectrum
 from .util import ordered_map
 
@@ -264,25 +265,24 @@ def sector_spin_levels(phi, ladder, space: SpinSpace, twice_s: int):
 
 
 def su2_sweep_lowest(phi, space: SpinSpace, k=4, threads=1):
-    """``spectral.sector_sweep_lowest`` for a ``phi`` declared SU(2)-invariant.
+    """``spectral.sector_sweep_lowest`` for a ``phi`` whose terms commute with
+    the total spin (``Interaction.su2_invariant``).
 
     Every level of the sector M > 0 also lies in M - 1, so the lowest
-    sector M0 = 0 (or 1/2) holds every distinct level.  The declaration is
-    checked first, and a failed check raises ``ValueError``:
+    sector M0 = 0 (or 1/2) holds every distinct level.  The blocks formed
+    cross-check the term check, and a failed check raises ``ValueError``:
 
-    - ||H_(M+1) S+ - S+ H_M|| (``_commutator_deviation``, ``su2_totals``
-      ladder) is at most SU2_CHECK_TOL, for every adjacent pair of the
-      blocks formed: M0, M0 + 1, and the top sectors up to dimension
-      ``spectral.KRYLOV_CROSSOVER``;
-    - those top sectors, solved densely, nest: spec(M + 1) is contained,
-      as a multiset, in spec(M) to SU2_CHECK_TOL (``_level_difference``;
-      M0 joins the chain when it is dense too).
+    - ||H_(M0+1) S+ - S+ H_M0|| <= SU2_CHECK_TOL (``_commutator_deviation``)
+      on the sweep's one S+ block, M0 -> M0 + 1 (``su2_totals``);
+    - the top sectors up to dimension ``spectral.KRYLOV_CROSSOVER``, solved
+      densely, nest: spec(M + 1) lies in spec(M) as a multiset, to
+      SU2_CHECK_TOL (``_level_difference``; M0 joins when dense too).
 
     Each block is assembled once, for the check and the solve.  M0 is then
     solved with eigenvectors through ``sector_spectrum`` (its k lowest
     levels, or all of them when dense), each vector is labelled by the
     SU(2) Casimir of the sector, C = (S+)^T S+ + M0(M0 + 1), applied from the
-    checked S+ block M0 -> M0 + 1 (C = M0(M0 + 1) where no M0 + 1 exists;
+    checked S+ block (C = M0(M0 + 1) where no M0 + 1 exists;
     ``_label_levels``), and the merged report lists each level 2S + 1 times.
     Returns (merged report, label -> report of each sector solved, M0's
     with eigenvectors; each carries its sparse block as ``block``).
@@ -294,36 +294,30 @@ def su2_sweep_lowest(phi, space: SpinSpace, k=4, threads=1):
                          range(tmax, low, -2)))  # the dense top run, above M0
     sectors = {t: magnetization_sector(space, t / 2)
                for t in dict.fromkeys(top + [low + 2, low]) if t <= tmax}
-
-    ladder = su2_totals(space)
-    ups = {t: ladder.plus(sectors[t], sectors[t + 2]).matrix
-           for t in sectors if t + 2 in sectors}
     blocks = {t: assemble(phi, sec) for t, sec in sectors.items()}
-    for t, up in sorted(ups.items()):
-        dev = _commutator_deviation(blocks[t].matrix, blocks[t + 2].matrix, up)
+    up = None                                   # S+ from M0 to M0 + 1, for the Casimir
+    if low + 2 in sectors:
+        up = su2_totals(space).plus(sectors[low], sectors[low + 2]).matrix
+        dev = _commutator_deviation(blocks[low].matrix, blocks[low + 2].matrix, up)
         if dev > SU2_CHECK_TOL:
             raise ValueError(
-                f"H is declared SU(2)-invariant, but ||H S+ - S+ H|| = {dev:.3e} "
-                f"(relative) from M = {t / 2} to M = {t / 2 + 1}")
+                f"H passed the SU(2) term check, but ||H S+ - S+ H|| = {dev:.3e} "
+                f"(relative) from M = {low / 2} to M = {low / 2 + 1}")
     order = [low] + top
     blocks = {t: blocks[t] for t in order}      # M0 + 1, if not dense, was only checked
-    up = ups.get(low)                           # kept for the Casimir of M0
-    del ups
 
     def solve(t):
         return sector_spectrum(blocks[t], sectors[t], k=k, want_vectors=t == low)
 
     reports = dict(zip(order, ordered_map(solve, order, threads)))
     full = {t for t, r in reports.items() if r.eigenvalues.size == sectors[t].dim}
-    for t in sorted(full):
-        if t + 2 not in full:
-            continue
+    for t in sorted(t for t in full if t + 2 in full):
         lower = reports[t].eigenvalues
         _, e = _level_difference(lower, reports[t + 2].eigenvalues,
                                  SU2_CHECK_TOL * max(1.0, np.abs(lower).max()))
         if e is not None:
             raise ValueError(
-                f"H is declared SU(2)-invariant, but the level {e!r} of "
+                f"H passed the SU(2) term check, but the level {e!r} of "
                 f"M = {t / 2 + 1} has no partner in M = {t / 2}")
 
     rep = reports[low]
@@ -382,8 +376,6 @@ def lieb_mattis_hamiltonian(g, part_a, part_b, intra_a=None, intra_b=None):
     ``g`` must be bipartite with respect to the declared parts; ``intra_a`` /
     ``intra_b`` are optional SpinGraph-compatible edge lists inside the parts.
     """
-    from .models import heisenberg, Interaction
-
     part_a, part_b = set(part_a), set(part_b)
     if part_a & part_b or part_a | part_b != set(range(g.n_vertices)):
         raise ValueError("parts must partition the vertex set")
@@ -391,18 +383,14 @@ def lieb_mattis_hamiltonian(g, part_a, part_b, intra_a=None, intra_b=None):
         if (x in part_a) == (y in part_a):
             raise ValueError(f"edge ({x},{y}) does not cross the declared parts; "
                              "graph is not bipartite for them")
-    terms = heisenberg(g).scaled(-1).terms  # -H_V = +sum J S.S
+    phi = heisenberg(g).scaled(-1)          # -H_V = +sum J S.S
     for edges, part in ((intra_a, part_a), (intra_b, part_b)):
-        if not edges:
-            continue
-        for (x, y, w) in edges:
+        for (x, y, _) in edges or ():
             if x not in part or y not in part:
                 raise ValueError(f"intra-part edge ({x},{y}) leaves its part")
-        from .lattice import build_graph
-        sub = build_graph(g.n_vertices, edges,
-                          spins={x: g.spins[x] for x in range(g.n_vertices)})
-        terms = terms + heisenberg(sub).terms
-    return Interaction(terms, name="lieb_mattis", params={"su2_invariant": True})
+        if edges:
+            phi = phi + heisenberg(build_graph(g.n_vertices, edges, dict(enumerate(g.spins))))
+    return Interaction(phi.terms, name="lieb_mattis")
 
 
 def lieb_mattis_levels(g, part_a, part_b, intra_a=None, intra_b=None) -> SpinResolvedLevels:

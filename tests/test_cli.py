@@ -75,6 +75,20 @@ def test_malformed_graph_file_is_config_error(tmp_path, capsys, sub):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("weight", ["nan", "inf"])
+@pytest.mark.parametrize("sub", ["liebmattis", "ssep", "spectrum", "foel"])
+def test_non_finite_coupling_is_config_error(tmp_path, capsys, sub, weight):
+    gfile = tmp_path / "g.txt"
+    gfile.write_text(f"vertices 4\n0 1 1.0\n1 2 {weight}\n2 3 1.0\n3 0 1.0\n")
+    assert run([sub, "--graph", str(gfile), "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
+    assert f"weight {weight}, not a finite number" in lines[0]
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_flags_override_config_file(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[spectrum]\nL = 3\n")
@@ -335,15 +349,9 @@ def test_bad_xxz_delta_is_named_in_the_config_error(tmp_path, capsys, delta):
 
 
 def test_wrong_su2_declaration_is_a_solver_error(tmp_path, capsys, monkeypatch):
-    # the perturbed AKLT ring with its declaration forced on fails the check
-    add = spinsys.models.Interaction.__add__
-
-    def declared_sum(self, other):
-        out = add(self, other)
-        out.params["su2_invariant"] = True
-        return out
-
-    monkeypatch.setattr(spinsys.models.Interaction, "__add__", declared_sum)
+    # the perturbed AKLT ring with the SU(2) term check forced to pass fails
+    # the block commutator check
+    monkeypatch.setattr(spinsys.models.Interaction, "su2_invariant", lambda self, space: True)
     assert run(["perturb", "--L", "4", "--lambda_min", "0.05", "--lambda_max", "0.05",
                 "--out", str(tmp_path / "p.csv")]) == 3
     err = capsys.readouterr().err

@@ -565,15 +565,15 @@ def test_cluster_assembles_each_sector_once(L, tmp_path, monkeypatch):
 
 
 def test_cluster_without_su2_assembles_the_ground_sector_once(monkeypatch):
-    # a model not declared SU(2)-invariant: the correlator propagates on the
-    # block the sweep solved, and its rows are those of a correlator built on
-    # a fresh assembly of the ground sector
+    # a model whose terms do not commute with the total spin: the correlator
+    # propagates on the block the sweep solved, and its rows are those of a
+    # correlator built on a fresh assembly of the ground sector
     L = 6
     s3 = np.asarray(spin_matrices(1.0).s3)
     phi = aklt(L, periodic=True) + custom([((x, (x + 1) % L), np.kron(s3, s3))
                                            for x in range(L)]).scaled(0.05)
-    assert not phi.params.get("su2_invariant", False)
     g = ring_graph(L, spin=1.0)
+    assert not phi.su2_invariant(SpinSpace.from_graph(g))
     sectors = []
     orig = spinsys.spectral.assemble
 

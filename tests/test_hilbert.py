@@ -139,6 +139,16 @@ def test_embed_local_matches_kron_product():
     assert_allclose(emb, ref, atol=1e-14)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_local_matrix_raises(value):
+    # a NaN element fails ``>= PRUNE_TOL`` and was pruned to zero
+    space = SpinSpace((2, 2))
+    for embed in (lambda m: embed_local(space, [((0,), m)]),
+                  lambda m: embed_at(space, [(1, m)])):
+        with pytest.raises(ValueError, match="not finite"):
+            embed(np.array([[0.0, value], [value, 1.0]]))
+
+
 def test_embed_local_nonadjacent_noncommuting():
     space = SpinSpace((2, 2, 2))
     s = spin_matrices(0.5)

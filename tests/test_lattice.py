@@ -41,6 +41,12 @@ def test_edges_normalized_and_deduplicated():
     assert build_graph(3, [(0, 1, -1.0)]).edges[0][2] == -1.0
 
 
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+def test_non_finite_weight_is_refused(weight):
+    with pytest.raises(ValueError, match="not a finite number"):
+        build_graph(3, [(0, 1, 1.0), (1, 2, weight)])
+
+
 def test_disconnected_graph():
     g = build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
     assert not is_connected(g)

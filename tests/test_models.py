@@ -91,6 +91,13 @@ def test_custom_rejects_non_hermitian():
         custom([((0,), bad)])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_custom_rejects_non_finite(value):
+    # NaN passes a Hermiticity check that compares with ``>=``
+    with pytest.raises(ValueError, match="not finite"):
+        custom([((0,), np.diag([value, 0.0]))])
+
+
 def test_lambda_norm_interior_value():
     # spin-1/2 chain, J=1, lambda=1: interior vertex carries two bond terms,
     # each contributing |X| ||Phi(X)|| N^(2|X|) e^lambda = 2 (3/4) 16 e = 24e
@@ -111,16 +118,30 @@ def test_assemble_deterministic_bytes():
     assert a.indices.tobytes() == b.indices.tobytes()
 
 
-def test_su2_declaration_is_carried_and_dropped():
-    g = ring_graph(4)
-    star = star_graph(3)
-    declared = [heisenberg(g), aklt(4, periodic=True), heisenberg(g).scaled(-2.0),
-                lieb_mattis_hamiltonian(star, [0], [1, 2, 3])]
-    assert all(phi.params["su2_invariant"] for phi in declared)
-    s3 = np.asarray(spin_matrices(0.5).s3)
-    for phi in (heisenberg(g) + heisenberg(g), custom([((0,), s3)]),
-                xxz(XxzParams.from_q(4, 0.5))):
-        assert not phi.params.get("su2_invariant", False)
+def test_su2_check_reads_the_terms():
+    g, half, one = ring_graph(4), SpinSpace((2,) * 4), SpinSpace((3,) * 4)
+    s, s1 = spin_matrices(0.5), spin_matrices(1.0)
+    szsz = custom([((x, (x + 1) % 4), np.kron(s1.s3, s1.s3)) for x in range(4)])
+    bond = -sum(np.kron(a, a) for a in (s.s1, s.s2, s.s3))
+    mixed = build_graph(3, [(0, 1, 1.0), (1, 2, -0.7)], spins={0: 1.5, 2: 1.0})
+    invariant = [(heisenberg(g), half), (heisenberg(g) + heisenberg(g), half),
+                 (heisenberg(g).scaled(-2.0), half), (aklt(4, periodic=True), one),
+                 (lieb_mattis_hamiltonian(star_graph(3), [0], [1, 2, 3]), half),
+                 (heisenberg(mixed), SpinSpace.from_graph(mixed)), (custom([]), half)]
+    assert all(phi.su2_invariant(space) for phi, space in invariant)
+    # a uniform S3 field, AKLT + 0.04 S3 S3, the XXZ bond, and a Heisenberg
+    # bond plus 1e-9 S1 S1
+    off = bond + 1e-9 * np.kron(s.s1, s.s1)
+    broken = [(custom([((x,), s.s3) for x in range(4)]), half),
+              (aklt(4, periodic=True) + szsz.scaled(0.04), one),
+              (xxz(XxzParams.from_q(4, 0.5, boundary="periodic")), half),
+              (custom([((0, 1), off)]), half)]
+    assert not any(phi.su2_invariant(space) for phi, space in broken)
+    # the check is relative to the scale of the terms
+    assert heisenberg(g).scaled(1e-20).su2_invariant(half)
+    assert not custom([((0, 1), 1e-20 * off)]).su2_invariant(half)
+    with pytest.raises(ValueError, match="outside the space"):
+        heisenberg(ring_graph(5)).su2_invariant(half)
 
 
 def test_flip_check_reads_the_terms():

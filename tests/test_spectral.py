@@ -6,12 +6,14 @@ from numpy.testing import assert_allclose
 import spinsys.spectral
 import spinsys.symmetry
 import spinsys.util
-from spinsys import (SparseOperator, SpinSpace, XxzParams, aklt, assemble, custom,
+from spinsys import (SparseOperator, SpinSpace, XxzParams, aklt, assemble, build_graph, custom,
                      extremal_eigs, frustration_free_check, full_spectrum, heisenberg,
                      magnetization_sector, path_graph, restrict, ring_graph,
                      sector_spectrum, sector_sweep_lowest, spectral_gap, spin_matrices,
                      star_graph, xxz)
+from spinsys.models import Interaction
 from spinsys.spectral import SpectrumReport
+from spinsys.ssep import ssep_spin_interaction
 from spinsys.util import require_memory
 from spinsys.symmetry import TotalSpinOps, _level_difference, lieb_mattis_hamiltonian
 
@@ -182,6 +184,22 @@ def star_lieb_mattis(n_leaves, spin):
     return lieb_mattis_hamiltonian(g, [0], range(1, n_leaves + 1)), SpinSpace.from_graph(g)
 
 
+def bilinear_biquadratic_ring(L, theta):
+    """cos(theta) S.S + sin(theta) (S.S)^2 on the spin-1 ring."""
+    s = spin_matrices(1.0)
+    dot = sum(np.kron(a, a) for a in (s.s1, s.s2, s.s3))
+    bond = np.cos(theta) * dot + np.sin(theta) * dot @ dot
+    return custom([((x, (x + 1) % L), bond) for x in range(L)]), SpinSpace((3,) * L)
+
+
+def seeded_chorded_ring(L, chords, seed):
+    """A ring of L vertices plus chords, every rate seeded in [0.5, 1.5]."""
+    rng = np.random.default_rng(seed)
+    pairs = [(x, (x + 1) % L) for x in range(L)] + chords
+    return build_graph(L, [(x, y, float(rng.uniform(0.5, 1.5))) for x, y in pairs])
+
+
+# the last three are plain sums of custom-built terms
 REDUCED_SWEEP_CASES = {
     "aklt_ring_6": lambda: (aklt(6, periodic=True), SpinSpace((3,) * 6)),
     "aklt_ring_8": lambda: (aklt(8, periodic=True), SpinSpace((3,) * 8)),
@@ -193,6 +211,14 @@ REDUCED_SWEEP_CASES = {
     "heisenberg_ferro_ring_8": lambda: (heisenberg(ring_graph(8)), SpinSpace((2,) * 8)),
     "lieb_mattis_star_9": lambda: star_lieb_mattis(9, 0.5),
     "lieb_mattis_star_spin1_5": lambda: star_lieb_mattis(5, 1.0),
+    "heisenberg_sum_8": lambda: (
+        heisenberg(ring_graph(8)).scaled(-1.0)
+        + heisenberg(build_graph(8, [(0, 1, 0.3), (0, 4, 0.5), (2, 6, -0.7)])),
+        SpinSpace((2,) * 8)),
+    "ssep_chorded_ring_10": lambda: (
+        ssep_spin_interaction(seeded_chorded_ring(10, [(0, 4), (2, 7)], seed=10)),
+        SpinSpace((2,) * 10)),
+    "bilinear_biquadratic_ring_6": lambda: bilinear_biquadratic_ring(6, -0.3),
 }
 
 
@@ -200,7 +226,7 @@ REDUCED_SWEEP_CASES = {
 @pytest.mark.parametrize("k", [2, 6])
 def test_reduced_sweep_matches_full_sweep(case, k):
     phi, space = REDUCED_SWEEP_CASES[case]()
-    assert phi.params["su2_invariant"]
+    assert phi.su2_invariant(space)
     merged, per_sector = sector_sweep_lowest(phi, space, k=k)
     # the reference solves every sector, each on its own block
     full = np.sort(np.concatenate([
@@ -220,9 +246,9 @@ def test_reduced_sweep_matches_full_sweep(case, k):
     (aklt(6, periodic=True), SpinSpace((3,) * 6)),
     (heisenberg(ring_graph(9)).scaled(-1.0), SpinSpace((2,) * 9))],
     ids=["aklt_ring_6", "heisenberg_afm_ring_9"])
-def test_reduced_sweep_builds_one_ladder_block_per_adjacent_pair(phi, space, monkeypatch):
-    # the Casimir of M0 comes from the S+ block M0 -> M0 + 1 the commutator
-    # check builds: no sector below M0 is enumerated and no block is built twice
+def test_reduced_sweep_builds_one_ladder_block(phi, space, monkeypatch):
+    # the one S+ block is M0 -> M0 + 1, which both the block commutator check
+    # and the Casimir of M0 use; no sector below M0 or twice is enumerated
     enumerated, ladders = [], []
     real_sector = spinsys.symmetry.magnetization_sector
     real_block = spinsys.symmetry._ladder_block
@@ -239,9 +265,8 @@ def test_reduced_sweep_builds_one_ladder_block_per_adjacent_pair(phi, space, mon
     monkeypatch.setattr(spinsys.symmetry, "_ladder_block", block_spy)
     sector_sweep_lowest(phi, space, k=2)
     m0 = space.twice_m_total_max() % 2 / 2
-    assert min(enumerated) == m0
-    pairs = [(("M", M), ("M", M + 1)) for M in enumerated if M + 1 in enumerated]
-    assert sorted(ladders) == sorted(pairs)
+    assert min(enumerated) == m0 and len(enumerated) == len(set(enumerated))
+    assert ladders == [(("M", m0), ("M", m0 + 1))]
 
 
 def test_reduced_sweep_lists_each_level_by_its_multiplicity():
@@ -256,12 +281,14 @@ def test_reduced_sweep_lists_each_level_by_its_multiplicity():
     assert set(per_sector) == {("M", M) for M in space.magnetization_values() if M >= 0}
 
 
-def test_frustration_free_report_unchanged_by_the_reduction():
-    # ``+ custom([])`` drops the declaration and leaves the terms alone
+def test_frustration_free_report_unchanged_by_the_reduction(monkeypatch):
+    # the reference fails the SU(2) term check by force and solves every sector
     for phi, L in ((aklt(6, periodic=True), 6), (aklt(5), 5)):
         space = SpinSpace((3,) * L)
         got = frustration_free_check(phi, space, v0_size=1)
-        want = frustration_free_check(phi + custom([]), space, v0_size=1)
+        with monkeypatch.context() as patch:
+            patch.setattr(Interaction, "su2_invariant", lambda self, space: False)
+            want = frustration_free_check(phi, space, v0_size=1)
         assert abs(got.ground_energy - want.ground_energy) <= 1e-12
         assert abs(got.c - want.c) <= 1e-10 or (np.isnan(got.c) and np.isnan(want.c))
         for name in ("ground_degeneracy", "psd", "zero_energy", "v0_size",
@@ -269,12 +296,13 @@ def test_frustration_free_report_unchanged_by_the_reduction():
             assert getattr(got, name) == getattr(want, name), name
 
 
-def test_wrong_declaration_fails_the_commutator_check():
+def test_wrong_declaration_fails_the_commutator_check(monkeypatch):
+    # the SU(2) term check forced to pass: the block commutator M0 -> M0 + 1 refuses
     space = SpinSpace((3,) * 6)
     phi = aklt(6, periodic=True) + szsz_ring(6).scaled(0.05)
-    assert "su2_invariant" not in phi.params
-    phi.params["su2_invariant"] = True
-    with pytest.raises(ValueError, match=r"declared SU\(2\)-invariant.*S\+ - S\+ H"):
+    assert not phi.su2_invariant(space)
+    monkeypatch.setattr(Interaction, "su2_invariant", lambda self, space: True)
+    with pytest.raises(ValueError, match=r"SU\(2\) term check.*S\+ - S\+ H.*M = 0\.0 "):
         sector_sweep_lowest(phi, space, k=2)
 
 
@@ -287,9 +315,9 @@ def test_wrong_declaration_fails_the_nesting_check(monkeypatch):
                                   basis=source, target=target)
 
     monkeypatch.setattr(spinsys.symmetry, "su2_totals", BlindLadder)
+    monkeypatch.setattr(Interaction, "su2_invariant", lambda self, space: True)
     space = SpinSpace((3,) * 6)
     phi = aklt(6, periodic=True) + szsz_ring(6).scaled(0.05)
-    phi.params["su2_invariant"] = True
     with pytest.raises(ValueError, match="has no partner"):
         sector_sweep_lowest(phi, space, k=2)
 
@@ -328,16 +356,14 @@ def perturbed_aklt_ring(L):
 MIRROR_CASES = {
     "aklt_szsz_6": lambda: (*perturbed_aklt_ring(6), 100, False),
     "aklt_szsz_8": lambda: (*perturbed_aklt_ring(8), 512, False),
-    # ``+ custom([])`` drops the SU(2) declaration and keeps the flip
-    "heisenberg_ring_10": lambda: (heisenberg(ring_graph(10)) + custom([]),
-                                   SpinSpace((2,) * 10), 100, False),
+    # the test fails the SU(2) term check of the Heisenberg cases by force
+    "heisenberg_ring_10": lambda: (heisenberg(ring_graph(10)), SpinSpace((2,) * 10), 100, False),
     "xxz_ring_10": lambda: (*xxz_ring(10), 100, False),
     "aklt_szsz_open_6": lambda: (aklt(6) + szsz_chain(6).scaled(0.05), SpinSpace((3,) * 6),
                                  100, True),
     "aklt_szsz_open_8": lambda: (aklt(8) + szsz_chain(8).scaled(0.05), SpinSpace((3,) * 8),
                                  512, True),
-    "heisenberg_path_10": lambda: (heisenberg(path_graph(10)) + custom([]),
-                                   SpinSpace((2,) * 10), 100, True),
+    "heisenberg_path_10": lambda: (heisenberg(path_graph(10)), SpinSpace((2,) * 10), 100, True),
 }
 
 
@@ -345,7 +371,8 @@ MIRROR_CASES = {
 def test_mirrored_sectors_match_direct_solves(case, monkeypatch):
     phi, space, crossover, arpack = MIRROR_CASES[case]()
     monkeypatch.setattr(spinsys.spectral, "KRYLOV_CROSSOVER", crossover)
-    assert phi.flip_invariant() and not phi.params.get("su2_invariant", False)
+    monkeypatch.setattr(Interaction, "su2_invariant", lambda self, space: False)
+    assert phi.flip_invariant() and not phi.su2_invariant(space)
     merged, per_sector = sector_sweep_lowest(phi, space, k=3)
     assert set(per_sector) == {("M", M) for M in space.magnetization_values() if M >= 0}
     paths = set()
