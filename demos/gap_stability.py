@@ -20,21 +20,16 @@ print(f"unperturbed ring, L = {L}: E0 = {ff.ground_energy:.2e}, "
 
 s3 = np.asarray(spin_matrices(1.0).s3)
 szsz = np.kron(s3, s3)
-
-def base(LL):
-    return aklt(LL, periodic=True)
-
-def pert(LL):
-    return custom([(((x, (x + 1) % LL)), szsz) for x in range(LL)])
+pert = custom([((x, (x + 1) % L), szsz) for x in range(L)])
 
 lams = [round(-0.1 + 0.025 * i, 10) for i in range(9)]
-sweep = gap_sweep(base, pert, lams, [L], threads=2)
+sweep = gap_sweep(aklt(L, periodic=True), pert, SpinSpace((3,) * L), lams, threads=2)
 
 print(" lambda    gap        |gap - gap0|   Weyl cap")
-gap0 = sweep.gaps[(L, 0.0)]
+gap0 = sweep.gaps[0.0]
 for lam in lams:
-    gap = sweep.gaps[(L, lam)]
+    gap = sweep.gaps[lam]
     print(f" {lam:+.3f}   {gap:.6f}   {abs(gap - gap0):.6f}      "
-          f"{sweep.weyl_bound(L, lam):.4f}")
+          f"{sweep.weyl_bound(lam):.4f}")
 print("gap stays open on the whole grid:",
-      all(sweep.gaps[(L, lam)] > 0 for lam in lams))
+      all(sweep.gaps[lam] > 0 for lam in lams))

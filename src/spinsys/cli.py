@@ -184,18 +184,23 @@ def _model_space_and_interaction(cfg):
         space = SpinSpace.from_graph(g)
         return space, aklt(L), su2_totals(space)
     if model in ("xxz_open", "xxz_periodic"):
-        if ("Delta" in cfg) == ("q" in cfg):
-            raise ConfigError("give exactly one of Delta, q for the XXZ model")
         boundary = "periodic" if model == "xxz_periodic" else "open_with_field"
-        try:
-            if "q" in cfg:
-                p = XxzParams.from_q(L, cfg["q"], J=J, boundary=boundary)
-            else:
-                p = XxzParams.from_delta(L, cfg["Delta"], J=J, boundary=boundary)
-        except ValueError as exc:       # q, Delta or J out of range
-            raise ConfigError(str(exc)) from exc
+        p = _xxz_params(cfg, L, J, boundary)
         ladder = None if boundary == "periodic" else suq2_generators(p)
         return SpinSpace((2,) * L), xxz(p), ladder
+
+
+def _xxz_params(cfg, L, J, boundary="open_with_field") -> XxzParams:
+    """The XXZ chain of the configured Delta or q (exactly one); a value that
+    ``XxzParams`` refuses is a config error.  ``droplet`` reads q alone."""
+    if ("Delta" in cfg) == ("q" in cfg):
+        raise ConfigError("give exactly one of Delta, q")
+    try:
+        if "q" in cfg:
+            return XxzParams.from_q(L, cfg["q"], J=J, boundary=boundary)
+        return XxzParams.from_delta(L, cfg["Delta"], J=J, boundary=boundary)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def run_spectrum(cfg):
@@ -289,23 +294,11 @@ def run_ssep(cfg):
 
 
 def run_droplet(cfg):
-    if ("Delta" in cfg) == ("q" in cfg):
-        raise ConfigError("give exactly one of Delta, q")
-    if "q" in cfg:
-        q = cfg["q"]
-    else:
-        D = cfg["Delta"]
-        if not 1 < D < math.inf:
-            raise ConfigError(f"Delta must be finite and above 1, got {D}")
-        q = D - math.sqrt(D * D - 1)
     n = cfg.get("n", 1)
     J = cfg.get("J", 1.0)
     Lmax = cfg.get("Lmax", 12)
     Lmin = cfg.get("Lmin", max(4, 2 * n + 2))
-    if not 0 < q < 1:
-        raise ConfigError(f"q must lie in (0, 1), got {q}")
-    if not 0 < J < math.inf:
-        raise ConfigError(f"J must be positive and finite, got {J}")
+    q = _xxz_params(cfg, 2, J).q
     if n < 1:
         raise ConfigError(f"n must be at least 1, got {n}")
     # the ring needs 3 sites, and the open chain's spin S_max - n = L/2 - n
@@ -431,7 +424,7 @@ def run_cluster(cfg):
         Assertion("unique_gapped_ground", report.ground_degeneracy == 1
                   and report.gamma > 0, f"gamma={report.gamma!r}"),
         Assertion("decay_bound_holds", report.bound_holds,
-                  f"c={report.c_constant!r}"),
+                  f"c={report.c_constant!r} on {report.checked_rows} checked rows"),
         Assertion("trivial_large_b_bound",
                   all(v <= bd + 1e-12 for (_, _, v, bd) in report.large_b),
                   "corr <= |A||B| e^(-gamma b)"),
@@ -461,27 +454,21 @@ def run_perturb(cfg):
     lambdas = [round(lo + i * step, 12) for i in range(count)]
     s3 = np.asarray(spin_matrices(1.0).s3)
     szsz = np.kron(s3, s3)
-
-    def base(LL):
-        return aklt(LL, periodic=True)
-
-    def pert(LL):
-        return custom([(((x, (x + 1) % LL)), szsz) for x in range(LL)])
-
-    sweep = gap_sweep(base, pert, lambdas, [L], threads=cfg["threads"])
-    rows = [{"L": L, "lambda": lam, "ground_energy": sweep.ground_energies[(L, lam)],
-             "degeneracy": sweep.ground_degeneracies[(L, lam)],
-             "gap": sweep.gaps[(L, lam)]} for lam in lambdas]
-    gap0 = sweep.gaps[(L, 0.0)] if (L, 0.0) in sweep.gaps else None
+    pert = custom([((x, (x + 1) % L), szsz) for x in range(L)])
+    sweep = gap_sweep(aklt(L, periodic=True), pert, SpinSpace((3,) * L), lambdas,
+                      threads=cfg["threads"])
+    rows = [{"L": L, "lambda": lam, "ground_energy": sweep.ground_energies[lam],
+             "degeneracy": sweep.ground_degeneracies[lam],
+             "gap": sweep.gaps[lam]} for lam in lambdas]
+    gap0 = sweep.gaps.get(0.0)
     weyl_ok = gap0 is None or all(
-        abs(sweep.gaps[(L, lam)] - gap0) <= sweep.weyl_bound(L, lam) + 1e-8
-        for lam in lambdas)
+        abs(sweep.gaps[lam] - gap0) <= sweep.weyl_bound(lam) + 1e-8 for lam in lambdas)
     asserts = [
         Assertion("gap_positive_throughout",
-                  all(sweep.gaps[(L, lam)] > 0 for lam in lambdas),
+                  all(sweep.gaps[lam] > 0 for lam in lambdas),
                   f"min gap {min(sweep.gaps.values())!r}"),
         Assertion("weyl_estimate_respected", weyl_ok,
-                  f"pert norm {sweep.pert_norms[L]!r}"),
+                  f"pert norm {sweep.pert_norm!r}"),
     ]
     return ["L", "lambda", "ground_energy", "degeneracy", "gap"], rows, asserts, {}
 

@@ -28,11 +28,10 @@ import scipy.sparse as sp
 from .lattice import SpinGraph, graph_distance, set_distance, distances_from
 from .hilbert import SpinSpace, SparseOperator, embed_at, magnetization_sector
 from .models import Interaction, lambda_norm
-from .spectral import (ConvergenceError, extremal_eigs, full_spectrum,
+from .spectral import (DEGENERACY_TOL, ConvergenceError, extremal_eigs, full_spectrum,
                        sector_sweep_lowest, spectral_gap)
 from .util import require_memory
 
-UNITARITY_TOL = 1e-10
 # SectorCorrelator.propagate.  The pairs of the AKLT ring's clustering check
 # stop after 20 Lanczos steps (L = 6), 32-36 (L = 9), 40 (L = 12) and 44
 # (L = 14, 616227 states), the oracle tests after at most 32: the cap is
@@ -40,6 +39,7 @@ UNITARITY_TOL = 1e-10
 LANCZOS_MAX_STEPS = 128
 LANCZOS_CHECK_EVERY = 4
 PROPAGATION_TOL = 1e-14
+CLUSTERING_WINDOW_STEPS = 4    # equal steps across each pair's window [0, b_max]
 
 
 def hermitian_unit_basis(n: int):
@@ -291,14 +291,10 @@ def _component_norm(blocks, colour, keys, X, sizes, steps) -> np.ndarray:
     """||K_t|| for K_t = i(X_t - X_t^H) at each of the ``steps`` time steps t,
     on one component of the block pattern, from the (steps, n_a, n_c) stacks
     X(a, c) of its ``keys``, each formed only when it is added in; one
-    stacked ``eigvalsh`` or SVD call takes every t.  A one-block component
-    is the largest |eigvalsh| of its block.  A 2-coloured component R | S is
-    [[0, K_RS], [K_RS^H, 0]], whose norm is the largest singular value of
-    K_RS = i(X_RS - X_SR^H).  Any other is the largest |eigvalsh| of the
-    assembled component."""
-    if len(blocks) == 1:
-        m = X(blocks[0], blocks[0])
-        return np.abs(np.linalg.eigvalsh(1j * (m - _adjoint(m)))).max(axis=1)
+    stacked ``eigvalsh`` or SVD call takes every t.  A 2-coloured component
+    R | S is [[0, K_RS], [K_RS^H, 0]], whose norm is the largest singular
+    value of K_RS = i(X_RS - X_SR^H).  Any other, a one-block component
+    among them, is the largest |eigvalsh| of the assembled component."""
     if colour is None:
         at, n = _slices(blocks, sizes)
         K = np.zeros((steps, n, n), dtype=complex)
@@ -397,27 +393,24 @@ def _lr_growth(phi_norm: float, t: float) -> float:
 
 
 def lr_bound_rhs(g: SpinGraph, lam: float, phi_norm: float, x: int,
-                 support, b_norm: float, t: float, profile=None) -> float:
+                 support, b_norm: float, t: float) -> float:
     """Right-hand side of the commutator bound:
-    e^(2|t| ||Phi||) C_B(x,0) + sum_{y != x} e^(-lam d(x,y)) (e^(2|t| ||Phi||) - 1) C_B(y,0).
+    e^(2|t| ||Phi||) C_B(x,0) + sum_{y != x} e^(-lam d(x,y)) (e^(2|t| ||Phi||) - 1) C_B(y,0),
+    with C_B(y,0) = 2 ||B|| on the support of B and 0 off it.
 
-    ``profile`` maps y -> C_B(y,0); default is 2 ||B|| on the support of B.
     Once e^(2|t| ||Phi||) overflows a float the bound is vacuous: inf.
     """
     if not lam > 0:
         raise ValueError("lambda must be positive")
-    support = set(support)
-    if profile is None:
-        profile = {y: 2.0 * b_norm for y in support}
+    support, c0 = set(support), 2.0 * b_norm
     grow = _lr_growth(phi_norm, t)
     if grow == math.inf:
         return math.inf
     dist = distances_from(g, x)
-    total = grow * profile.get(x, 0.0)
-    for y, c0 in profile.items():
-        if y == x:
-            continue
-        total += math.exp(-lam * dist[y]) * (grow - 1.0) * c0
+    total = grow * c0 if x in support else 0.0
+    for y in support:
+        if y != x:
+            total += math.exp(-lam * dist[y]) * (grow - 1.0) * c0
     return total
 
 
@@ -477,15 +470,15 @@ def clustering_mu(gamma: float, lam: float, phi_norm: float) -> ClusteringRates:
     return ClusteringRates(gamma, lam, phi_norm)
 
 
-def ground_correlation(H, A, B, b: float, degeneracy_tol=1e-8) -> complex:
+def ground_correlation(H, A, B, b: float) -> complex:
     """<Omega, A tau_{ib}(B) Omega> with B centered (its ground expectation
     subtracted), by full dense eigendecomposition; the ground state must be
-    unique."""
+    unique (no second level within DEGENERACY_TOL)."""
     if b < 0:
         raise ValueError("imaginary time b must be nonnegative")
     rep = full_spectrum(H, want_vectors=True)
     ev = rep.eigenvalues
-    degeneracy = int(np.sum(ev <= ev[0] + degeneracy_tol))
+    degeneracy = int(np.sum(ev <= ev[0] + DEGENERACY_TOL))
     if degeneracy != 1:
         raise ValueError(f"ground state is {degeneracy}-fold degenerate; "
                          "correlations need a unique ground state")
@@ -510,14 +503,15 @@ class SectorCorrelator:
     formed.  ``lowest`` is an existing solve of the same block: a
     SpectrumReport whose first two levels are its two lowest.  Its ground
     vector, the first column of its eigenvectors, is used as it is; without
-    it, or when the report kept no eigenvectors, the block is solved here."""
+    it, or when the report kept no eigenvectors, the block is solved here.
+    The two lowest levels must lie more than DEGENERACY_TOL apart."""
 
-    def __init__(self, h_block, degeneracy_tol=1e-8, lowest=None):
+    def __init__(self, h_block, lowest=None):
         self.h = sp.csr_matrix(h_block)
         rep = lowest
         if rep is None or rep.eigenvectors is None:
             rep = extremal_eigs(self.h, k=2)
-        if rep.eigenvalues[1] - rep.eigenvalues[0] <= degeneracy_tol:
+        if rep.eigenvalues[1] - rep.eigenvalues[0] <= DEGENERACY_TOL:
             raise ValueError("ground state degenerate within its sector")
         self.e0 = float(rep.eigenvalues[0])
         self.omega = rep.eigenvectors[:, 0]
@@ -622,16 +616,18 @@ class ClusteringReport:
     rates: ClusteringRates
     c_constant: float
     rows: list
-    bound_holds: bool
+    checked_rows: int              # in-window rows beyond the fitted distance
+    bound_holds: bool              # checked_rows > 0 and none exceeds its bound
     large_b: list = field(default_factory=list)   # (y, b, corr_abs, trivial_bound)
 
 
 def clustering_report(g: SpinGraph, phi: Interaction, local_op, lam: float,
-                      x0=0, pairs=None, n_window=4, large_bs=(1.0, 3.0, 6.0),
-                      threads=1) -> ClusteringReport:
+                      large_bs=(1.0, 3.0, 6.0), threads=1) -> ClusteringReport:
     """Tabulate |<Omega, A tau_{ib}(B) Omega>| for single-site observables
-    against the decay bound, fitting the constant at distance 1 and asserting
-    the bound at every larger distance inside the validity window.
+    against the decay bound, for vertex 0 and one vertex at each distance
+    from it: the constant is fitted at the smallest distance and the bound
+    asserted at every larger one inside the validity window.  With no such
+    row (every vertex at the fitted distance) the bound does not hold.
 
     ``local_op`` is the single-site matrix used at both ends (centered in the
     ground state before evaluation).
@@ -644,8 +640,8 @@ def clustering_report(g: SpinGraph, phi: Interaction, local_op, lam: float,
     correlator reuses; otherwise the sweep kept values only and the
     correlator solves the block again for its ground vector.  The
     observable blocks are embedded on the ground sector directly.  Each pair takes one ``SectorCorrelator.propagate``
-    call, at its n_window + 1 equally spaced b (the values written in the
-    rows) and at ``large_bs`` for the trivial large-b check.
+    call, at its CLUSTERING_WINDOW_STEPS + 1 equally spaced b (the values
+    written in the rows) and at ``large_bs`` for the trivial large-b check.
     """
     space = SpinSpace.from_graph(g)
     merged, per_sector = sector_sweep_lowest(phi, space, k=2, threads=threads)
@@ -662,14 +658,12 @@ def clustering_report(g: SpinGraph, phi: Interaction, local_op, lam: float,
     phi_norm = lambda_norm(phi, lam, g)
     rates = clustering_mu(gamma, lam, phi_norm)
 
-    if pairs is None:
-        dist = distances_from(g, x0)
-        by_d = {}
-        for y in g.vertices:
-            d = dist[y]
-            if y != x0 and not math.isinf(d) and d not in by_d:
-                by_d[int(d)] = y
-        pairs = [(x0, by_d[d]) for d in sorted(by_d)]
+    dist = distances_from(g, 0)
+    by_d = {}                       # distance -> the first vertex at it
+    for y in g.vertices:
+        if y != 0 and not math.isinf(dist[y]):
+            by_d.setdefault(int(dist[y]), y)
+    pairs = [(0, by_d[d]) for d in sorted(by_d)]
 
     blocks = {site: embed_at(sector, [(site, local_op)]).matrix
               for site in {x for p in pairs for x in p}}
@@ -682,7 +676,8 @@ def clustering_report(g: SpinGraph, phi: Interaction, local_op, lam: float,
     for (x, y) in pairs:
         d = int(graph_distance(g, x, y))
         bmax = rates.b_max(d)
-        bs = [0.0] + [bmax * k / n_window for k in range(1, n_window + 1)]
+        bs = [0.0] + [bmax * k / CLUSTERING_WINDOW_STEPS
+                      for k in range(1, CLUSTERING_WINDOW_STEPS + 1)]
         vals = np.abs(corr.correlation(blocks[x], blocks[y], bs + large_bs)).tolist()
         for b, val in zip(bs, vals):
             rows.append(ClusteringRow(x, y, d, b, val, None, b <= bmax + 1e-15))
@@ -693,13 +688,13 @@ def clustering_report(g: SpinGraph, phi: Interaction, local_op, lam: float,
     d_ref = min(per_distance)
     c_constant = max(r.corr_abs / rates.envelope(r.distance, r.b)
                      for r in per_distance[d_ref] if r.in_window)
-    bound_holds = True
     for r in rows:
         r.bound = c_constant * rates.envelope(r.distance, r.b)
-        if r.distance > d_ref and r.in_window and r.corr_abs > r.bound + 1e-12:
-            bound_holds = False
+    checked = [r for r in rows if r.distance > d_ref and r.in_window]
+    bound_holds = bool(checked) and not any(r.corr_abs > r.bound + 1e-12 for r in checked)
 
     return ClusteringReport(gamma=gamma, ground_energy=gap_rep.ground_energy,
                             ground_degeneracy=gap_rep.ground_degeneracy,
                             rates=rates, c_constant=c_constant, rows=rows,
-                            bound_holds=bound_holds, large_b=large_rows)
+                            checked_rows=len(checked), bound_holds=bound_holds,
+                            large_b=large_rows)

@@ -13,7 +13,7 @@ the droplet and gap formulas expect them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,16 +30,15 @@ ASSEMBLY_COPIES = 2
 
 @dataclass
 class Interaction:
-    """A list of (support, local Hermitian matrix) terms plus model metadata.
+    """A list of (support, local Hermitian matrix) terms, and nothing else.
 
     Both symmetries the sweeps use are checked on the terms, never declared:
     the global spin flip m -> -m (``flip_invariant``) and the total spin
-    (``su2_invariant``), so both survive ``+`` and ``scaled``.
+    (``su2_invariant``), so both survive ``+`` and ``scaled``.  The space an
+    interaction acts on is passed alongside it wherever one is needed.
     """
 
     terms: list                      # [(support tuple, ndarray), ...]
-    name: str = "custom"
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         canon = []
@@ -83,12 +82,10 @@ class Interaction:
         return True
 
     def scaled(self, factor) -> "Interaction":
-        return Interaction([(s, factor * m) for s, m in self.terms],
-                           name=self.name, params=dict(self.params))
+        return Interaction([(s, factor * m) for s, m in self.terms])
 
     def __add__(self, other: "Interaction") -> "Interaction":
-        return Interaction(self.terms + other.terms,
-                           name=f"{self.name}+{other.name}")
+        return Interaction(self.terms + other.terms)
 
 
 def _two_site_dot(sa, sb) -> np.ndarray:
@@ -105,7 +102,7 @@ def heisenberg(g: SpinGraph) -> Interaction:
     for (x, y, w) in g.edges:
         dot = _two_site_dot(spin_matrices(g.spins[x]), spin_matrices(g.spins[y]))
         terms.append(((x, y), -w * dot))
-    return Interaction(terms, name="heisenberg", params={"spins": g.spins})
+    return Interaction(terms)
 
 
 def aklt(L: int, periodic=False) -> Interaction:
@@ -120,9 +117,7 @@ def aklt(L: int, periodic=False) -> Interaction:
         if L < 3:
             raise ValueError("periodic AKLT needs at least 3 sites")
         bonds.append((L - 1, 0))
-    terms = [(b, bond) for b in bonds]
-    return Interaction(terms, name="aklt",
-                       params={"L": L, "periodic": periodic, "spins": (1.0,) * L})
+    return Interaction([(b, bond) for b in bonds])
 
 
 @dataclass(frozen=True)
@@ -143,10 +138,10 @@ class XxzParams:
             raise ValueError(f"q must lie in (0,1), got {self.q}")
         if not self.Delta > 1:
             raise ValueError(f"Delta must exceed 1, got {self.Delta}")
-        if abs(self.Delta - (self.q + 1 / self.q) / 2) >= 1e-12:
+        if abs(self.Delta - (self.q + 1 / self.q) / 2) >= 1e-12 * self.Delta:
             raise ValueError("Delta and q violate Delta = (q + 1/q)/2")
-        if not self.J > 0:
-            raise ValueError(f"J must be positive, got {self.J}")
+        if not 0 < self.J < math.inf:
+            raise ValueError(f"J must be positive and finite, got {self.J}")
         if self.boundary not in ("open_with_field", "periodic"):
             raise ValueError(f"unknown boundary {self.boundary!r}")
 
@@ -158,7 +153,7 @@ class XxzParams:
     def from_delta(cls, L, Delta, J=1.0, boundary="open_with_field"):
         if not 1 < Delta < math.inf:
             raise ValueError(f"Delta must be finite and exceed 1, got {Delta}")
-        q = Delta - math.sqrt(Delta ** 2 - 1)   # root in (0,1)
+        q = 1 / (Delta + math.sqrt(Delta ** 2 - 1))   # the root in (0,1), without cancellation
         return cls(L=L, Delta=Delta, q=q, J=J, boundary=boundary)
 
     @property
@@ -183,14 +178,12 @@ def xxz(p: XxzParams) -> Interaction:
         A = p.A_Delta
         terms.append(((0,), A * np.asarray(s.s3)))       # +A S3_1
         terms.append(((p.L - 1,), -A * np.asarray(s.s3)))  # -A S3_L
-    return Interaction(terms, name="xxz",
-                       params={"L": p.L, "Delta": p.Delta, "q": p.q, "J": p.J,
-                               "boundary": p.boundary, "spins": (0.5,) * p.L})
+    return Interaction(terms)
 
 
 def custom(terms) -> Interaction:
     """Store user terms verbatim (after Hermiticity validation)."""
-    return Interaction(list(terms), name="custom")
+    return Interaction(list(terms))
 
 
 def lambda_norm(phi: Interaction, lam: float, g: SpinGraph) -> float:

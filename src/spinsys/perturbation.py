@@ -2,21 +2,23 @@
 
 The frustration-free check verifies H >= 0, H Omega = 0 and measures the
 constant c in H >= c (1 - |Omega><Omega|); the sweep tracks the spectral
-gap of base + lambda * perturbation over an (L, lambda) grid.
+gap of base + lambda * perturbation over a lambda grid on one space.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .hilbert import SectorBasis, SectorLeakError, SpinSpace, magnetization_sector
 from .models import Interaction, assemble
-from .spectral import DEGENERACY_TOL, extremal_eigs, sector_sweep_lowest, spectral_gap
+from .spectral import extremal_eigs, sector_sweep_lowest, spectral_gap
 
 PSD_TOL = 1e-12
+ZERO_ENERGY_TOL = 1e-9     # E0 = 0 and c >= |V0| in frustration_free_check
+KERNEL_TOL = 1e-10         # ker h, relative to h's largest level, and phi on it
 
 
 @dataclass
@@ -30,32 +32,34 @@ class FrustrationFreeReport:
     condition_holds: bool      # c >= |V0|
 
 
-def frustration_free_check(phi: Interaction, space: SpinSpace, v0_size: int,
-                           tol=1e-9, threads=1) -> FrustrationFreeReport:
+def frustration_free_check(phi: Interaction, space: SpinSpace,
+                           v0_size: int) -> FrustrationFreeReport:
     """Check the unperturbed-model assumption at finite volume.
 
     c is the energy of the first level above the ground space, i.e. the
     second excitation scale entering H >= c (1 - |Omega><Omega|); the report
-    states whether c reaches |V0| as the stability framework demands.
+    states whether c reaches |V0| as the stability framework demands.  The
+    ground space is the levels within ``spectral.DEGENERACY_TOL`` of the
+    lowest; zero energy and c >= |V0| are judged to ZERO_ENERGY_TOL.
     """
-    levels, _ = sector_sweep_lowest(phi, space, k=6, threads=threads)
-    gap_rep = spectral_gap(levels, degeneracy_tol=max(tol, DEGENERACY_TOL))
+    levels, _ = sector_sweep_lowest(phi, space, k=6)
+    gap_rep = spectral_gap(levels)
     e0 = gap_rep.ground_energy
     psd = e0 >= -PSD_TOL * max(1.0, abs(levels.eigenvalues).max())
-    zero = abs(e0) <= tol
+    zero = abs(e0) <= ZERO_ENERGY_TOL
     c = gap_rep.gap if zero else math.nan
     return FrustrationFreeReport(
         ground_energy=e0, ground_degeneracy=gap_rep.ground_degeneracy,
         psd=bool(psd), zero_energy=bool(zero), c=float(c), v0_size=v0_size,
         condition_holds=bool(zero and psd and gap_rep.ground_degeneracy == 1
-                             and c >= v0_size - tol))
+                             and c >= v0_size - ZERO_ENERGY_TOL))
 
 
-def relative_bound_alpha(phi_r, h, tol=1e-10):
+def relative_bound_alpha(phi_r, h):
     """Smallest alpha with |<psi, phi psi>| <= alpha ||h^(1/2) psi||^2.
 
-    Infinite when phi_r does not vanish on ker h; otherwise the spectral
-    norm of h^(-1/2) phi_r h^(-1/2) on the range of h.
+    Infinite when phi_r does not vanish on ker h (both to KERNEL_TOL);
+    otherwise the spectral norm of h^(-1/2) phi_r h^(-1/2) on the range of h.
     """
     phi_r = np.asarray(phi_r, dtype=complex)
     h = np.asarray(h, dtype=complex)
@@ -66,11 +70,11 @@ def relative_bound_alpha(phi_r, h, tol=1e-10):
     scale = max(1.0, abs(w).max())
     if w[0] < -1e-10 * scale:
         raise ValueError("h must be positive semidefinite")
-    kernel = w <= tol * scale
+    kernel = w <= KERNEL_TOL * scale
     if kernel.all():
-        return math.inf if np.abs(phi_r).max() > tol else 0.0
+        return math.inf if np.abs(phi_r).max() > KERNEL_TOL else 0.0
     P_ker = U[:, kernel]
-    if P_ker.size and np.abs(phi_r @ P_ker).max() > tol:
+    if P_ker.size and np.abs(phi_r @ P_ker).max() > KERNEL_TOL:
         return math.inf
     R = U[:, ~kernel]
     inv_sqrt = 1.0 / np.sqrt(w[~kernel])
@@ -81,16 +85,15 @@ def relative_bound_alpha(phi_r, h, tol=1e-10):
 @dataclass
 class StabilitySweep:
     lambdas: list
-    Ls: list
-    gaps: dict                      # (L, lambda) -> gap
-    ground_energies: dict           # (L, lambda) -> E0
-    ground_degeneracies: dict       # (L, lambda) -> count
-    pert_norms: dict                # L -> || sum_x Phi_x ||
-    stable_lambdas: list = field(default_factory=list)
+    gaps: dict                      # lambda -> gap
+    ground_energies: dict           # lambda -> E0
+    ground_degeneracies: dict       # lambda -> count
+    pert_norm: float                # || sum_x Phi_x ||
+    stable_lambdas: list
 
-    def weyl_bound(self, L, lam):
+    def weyl_bound(self, lam):
         """2 |lambda| ||sum Phi_x||: an upper bound on the gap change."""
-        return 2.0 * abs(lam) * self.pert_norms[L]
+        return 2.0 * abs(lam) * self.pert_norm
 
 
 def _largest_level(H) -> float:
@@ -121,38 +124,28 @@ def _operator_norm(phi: Interaction, space: SpinSpace) -> float:
         return _largest_level(assemble(phi, space))
 
 
-def gap_sweep(base_builder, pert_builder, lambdas, Ls, threads=1) -> StabilitySweep:
-    """Gaps and ground degeneracies of base(L) + lambda * pert(L) over the grid.
+def gap_sweep(base: Interaction, pert: Interaction, space: SpinSpace, lambdas,
+              threads=1) -> StabilitySweep:
+    """Gaps and ground degeneracies of base + lambda * pert on ``space`` for
+    every lambda of ``lambdas``.
 
-    ``base_builder`` and ``pert_builder`` map L to an Interaction; the space
-    is built from the base's ``params["spins"]``.  The lambda = 0 column is
-    computed from the base interaction alone, so it matches an unperturbed
-    run exactly.  The sweeps and the perturbation norm (``_operator_norm``)
-    assemble sectors only, unless the perturbation leaks out of them.
+    The lambda = 0 row is computed from the base interaction alone, so it
+    matches an unperturbed run exactly.  The sweeps and the perturbation norm
+    (``_operator_norm``) assemble sectors only, unless the perturbation leaks
+    out of them.  A lambda is stable when its gap exceeds half the reference
+    gap: the lambda = 0 gap, or the largest one when 0 is not on the grid.
     """
     lambdas = [float(v) for v in lambdas]
-    Ls = [int(L) for L in Ls]
-    gaps, energies, degs, pert_norms = {}, {}, {}, {}
-    for L in Ls:
-        base = base_builder(L)
-        pert = pert_builder(L)
-        if "spins" not in base.params:
-            raise ValueError(f"base interaction {base.name!r} at L={L} has no "
-                             "'spins' in its params to build the space from")
-        space = SpinSpace.from_spins(base.params["spins"])
-        pert_norms[L] = _operator_norm(pert, space)
-        for lam in lambdas:
-            phi = base if lam == 0.0 else base + pert.scaled(lam)
-            levels, _ = sector_sweep_lowest(phi, space, k=6, threads=threads)
-            rep = spectral_gap(levels)
-            gaps[(L, lam)] = rep.gap
-            energies[(L, lam)] = rep.ground_energy
-            degs[(L, lam)] = rep.ground_degeneracy
-    L_big = max(Ls)
-    ref = gaps[(L_big, 0.0)] if (L_big, 0.0) in gaps else max(
-        gaps[(L_big, lam)] for lam in lambdas)
-    stable = [lam for lam in lambdas if gaps[(L_big, lam)] > ref / 2]
-    return StabilitySweep(lambdas=lambdas, Ls=Ls, gaps=gaps,
-                          ground_energies=energies, ground_degeneracies=degs,
-                          pert_norms=pert_norms, stable_lambdas=stable)
-
+    gaps, energies, degs = {}, {}, {}
+    pert_norm = _operator_norm(pert, space)
+    for lam in lambdas:
+        phi = base if lam == 0.0 else base + pert.scaled(lam)
+        levels, _ = sector_sweep_lowest(phi, space, k=6, threads=threads)
+        rep = spectral_gap(levels)
+        gaps[lam] = rep.gap
+        energies[lam] = rep.ground_energy
+        degs[lam] = rep.ground_degeneracy
+    ref = gaps[0.0] if 0.0 in gaps else max(gaps.values())
+    return StabilitySweep(lambdas=lambdas, gaps=gaps, ground_energies=energies,
+                          ground_degeneracies=degs, pert_norm=pert_norm,
+                          stable_lambdas=[lam for lam in lambdas if gaps[lam] > ref / 2])

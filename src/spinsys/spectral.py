@@ -13,7 +13,7 @@ from .hilbert import (SpinSpace, SectorBasis, magnetization_sector, momentum_blo
 from .models import TERM_HERMITICITY_TOL, assemble
 from .util import ordered_map, require_memory
 
-DEGENERACY_TOL = 1e-8
+DEGENERACY_TOL = 1e-8      # levels this close to the lowest are one degenerate level
 RESIDUAL_TOL = 1e-9
 # The one dense/ARPACK choice for k-lowest sector solves: dense eigvalsh up
 # to this dimension, ARPACK above.  Timed with one BLAS thread on real AKLT
@@ -204,16 +204,16 @@ def _momentum_levels(block, sector: SectorBasis, k):
     return SpectrumReport(np.sort(np.concatenate(momentum_spectra(block, orbits))))
 
 
-def spectral_gap(report: SpectrumReport, degeneracy_tol=DEGENERACY_TOL) -> GapReport:
-    """Gap = first eigenvalue above ground + tol, minus the ground energy."""
+def spectral_gap(report: SpectrumReport) -> GapReport:
+    """Gap = first eigenvalue above ground + DEGENERACY_TOL, minus the ground energy."""
     ev = report.eigenvalues
     if ev.size < 2:
         raise ValueError("need at least 2 eigenvalues to define a gap")
     e0 = float(ev[0])
-    above = ev[ev > e0 + degeneracy_tol]
+    above = ev[ev > e0 + DEGENERACY_TOL]
     if above.size == 0:
         raise ValueError("spectrum is fully degenerate within tolerance; no gap defined")
-    degeneracy = int(np.sum(ev <= e0 + degeneracy_tol))
+    degeneracy = int(np.sum(ev <= e0 + DEGENERACY_TOL))
     return GapReport(ground_energy=e0, ground_degeneracy=degeneracy,
                      gap=float(above[0] - e0))
 

@@ -21,6 +21,7 @@ from .models import Interaction, assemble, _two_site_dot
 from .spectral import full_spectrum, sector_spectrum
 
 GAP_ZERO_TOL = 1e-10
+CONJUGACY_TOL = 1e-10      # largest entry deviation of the generator from the spin block
 
 
 @dataclass(frozen=True)
@@ -119,8 +120,7 @@ def ssep_gaps(g: SpinGraph) -> GeneratorReport:
 def ssep_spin_interaction(g: SpinGraph) -> Interaction:
     """The conjugate spin-1/2 Hamiltonian sum_edges [-2 r S.S + r/2] = sum_edges r (1 - swap)."""
     dot = _two_site_dot(spin_matrices(0.5), spin_matrices(0.5))
-    return Interaction([((x, y), -2 * r * dot + (r / 2) * np.eye(4)) for (x, y, r) in g.edges],
-                       name="ssep_conjugate")
+    return Interaction([((x, y), -2 * r * dot + (r / 2) * np.eye(4)) for (x, y, r) in g.edges])
 
 
 @dataclass
@@ -130,10 +130,11 @@ class ConjugacyReport:
     uniform_rayleigh: dict      # n -> quotient of the uniform vector
 
 
-def xxx_conjugacy_check(g: SpinGraph, tol=1e-10) -> ConjugacyReport:
+def xxx_conjugacy_check(g: SpinGraph) -> ConjugacyReport:
     """Verify, for every n, that the looped generator on Omega_n equals the
-    block H_n on n down spins entry for entry, on the same ascending bitmasks:
-    the identity map of the bases conjugates them.  Nothing is diagonalised."""
+    block H_n on n down spins entry for entry (to CONJUGACY_TOL), on the same
+    ascending bitmasks: the identity map of the bases conjugates them.
+    Nothing is diagonalised."""
     per_n, uniform = {}, {}
     for n, sector, block in _spin_blocks(g, range(g.n_vertices + 1)):
         space = ExclusionSpace(g, n)
@@ -146,7 +147,7 @@ def xxx_conjugacy_check(g: SpinGraph, tol=1e-10) -> ConjugacyReport:
         ones = np.ones(space.dim) / np.sqrt(space.dim)
         uniform[n] = float(np.real(ones @ (gen @ ones)))
     worst = max(per_n.values())
-    if worst > tol:
+    if worst > CONJUGACY_TOL:
         bad = max(per_n, key=per_n.get)
         raise ValueError(
             f"conjugacy failure at n={bad}: max entry deviation {worst:.3e}")

@@ -36,11 +36,11 @@ from .hilbert import SpinSpace, SparseOperator, spin_matrices, embed_at, \
     magnetization_sector
 from . import spectral
 from .lattice import build_graph
-from .models import Interaction, XxzParams, assemble, heisenberg
+from .models import XxzParams, assemble, heisenberg
 from .spectral import SpectrumReport, sector_spectrum
 from .util import ordered_map
 
-CLASSIFY_DEGENERACY_TOL = 1e-8
+ORDERING_STRICT_TOL = 1e-9     # the margin of a strict step in E(S)
 CASIMIR_RESIDUAL_TOL = 1e-8
 SU2_CHECK_TOL = 1e-10
 # A block commutator H_(M+1) S+ - S+ H_M is formed in this many row slices.
@@ -144,7 +144,7 @@ def _label_levels(evals, V, CV, twice_m0):
     SU(2) Casimir on the sector M0 = twice_m0 / 2.
 
     A nondegenerate level v is labelled by its value <v, C v>; an
-    H-degenerate cluster (adjacent gaps <= CLASSIFY_DEGENERACY_TOL) is split
+    H-degenerate cluster (adjacent gaps <= spectral.DEGENERACY_TOL) is split
     by diagonalising V_c^H C V_c over its columns, and its columns of V and
     CV are rotated into those vectors.  Each vector takes the nearest
     S(S+1) on the grid 2S >= 2M0 of M0's parity, and its residual is
@@ -158,7 +158,7 @@ def _label_levels(evals, V, CV, twice_m0):
     them (at least 2/1001 from either, for a second-nearest distance under
     1000 times the nearest) is refused by the residual long before it could
     be mislabelled."""
-    starts = np.flatnonzero(np.diff(evals, prepend=-np.inf) > CLASSIFY_DEGENERACY_TOL)
+    starts = np.flatnonzero(np.diff(evals, prepend=-np.inf) > spectral.DEGENERACY_TOL)
     sizes = np.diff(starts, append=evals.size)
     cvals = np.vecdot(V, CV, axis=0).real
     V, CV = V.copy(), CV.copy()
@@ -354,8 +354,9 @@ class OrderingVerdict:
     margin: Optional[float] = None   # min adjacent energy difference
 
 
-def foel_check(levels: SpinResolvedLevels, strict_tol=1e-9) -> OrderingVerdict:
-    """E(H,S) strictly decreasing in S: E(S) < E(S') whenever S' < S."""
+def foel_check(levels: SpinResolvedLevels) -> OrderingVerdict:
+    """E(H,S) strictly decreasing in S: E(S) < E(S') whenever S' < S, by more
+    than ORDERING_STRICT_TOL."""
     grid = levels.spins()
     lo = grid[0]
     if set(grid) != set(range(lo, levels.twice_s_max + 1, 2)):
@@ -365,7 +366,7 @@ def foel_check(levels: SpinResolvedLevels, strict_tol=1e-9) -> OrderingVerdict:
     for t_lo, t_hi in zip(grid[:-1], grid[1:]):
         diff = levels.entries[t_lo] - levels.entries[t_hi]   # E(S') - E(S), S' < S
         margin = min(margin, diff)
-        if diff <= strict_tol and witness is None:
+        if diff <= ORDERING_STRICT_TOL and witness is None:
             witness = (t_hi, t_lo, float(levels.entries[t_hi]), float(levels.entries[t_lo]))
     return OrderingVerdict("FOEL", witness is None, witness, float(margin))
 
@@ -390,7 +391,7 @@ def lieb_mattis_hamiltonian(g, part_a, part_b, intra_a=None, intra_b=None):
                 raise ValueError(f"intra-part edge ({x},{y}) leaves its part")
         if edges:
             phi = phi + heisenberg(build_graph(g.n_vertices, edges, dict(enumerate(g.spins))))
-    return Interaction(phi.terms, name="lieb_mattis")
+    return phi
 
 
 def lieb_mattis_levels(g, part_a, part_b, intra_a=None, intra_b=None) -> SpinResolvedLevels:
@@ -400,10 +401,9 @@ def lieb_mattis_levels(g, part_a, part_b, intra_a=None, intra_b=None) -> SpinRes
     return classify_total_spin(phi, su2_totals(space), space)
 
 
-def lieb_mattis_order(levels: SpinResolvedLevels, g, part_a, part_b,
-                      strict_tol=1e-9) -> OrderingVerdict:
+def lieb_mattis_order(levels: SpinResolvedLevels, g, part_a, part_b) -> OrderingVerdict:
     """The bipartite ordering on a level table: ground at S = |S_A - S_B| and
-    E(H,S) strictly increasing above it."""
+    E(H,S) strictly increasing above it, both to ORDERING_STRICT_TOL."""
     twice_sa = int(round(2 * sum(g.spins[x] for x in part_a)))
     twice_sb = int(round(2 * sum(g.spins[x] for x in part_b)))
     twice_s0 = abs(twice_sa - twice_sb)
@@ -411,7 +411,7 @@ def lieb_mattis_order(levels: SpinResolvedLevels, g, part_a, part_b,
     ground = min(levels.entries.values())
     margin = np.inf
     witness = None
-    if abs(levels.entries.get(twice_s0, np.inf) - ground) > strict_tol:
+    if abs(levels.entries.get(twice_s0, np.inf) - ground) > ORDERING_STRICT_TOL:
         s_at_ground = min(levels.entries, key=levels.entries.get)
         e_s0 = levels.entries.get(twice_s0)
         witness = (twice_s0, s_at_ground, None if e_s0 is None else float(e_s0),
@@ -420,14 +420,13 @@ def lieb_mattis_order(levels: SpinResolvedLevels, g, part_a, part_b,
     for t_lo, t_hi in zip(upper[:-1], upper[1:]):
         diff = levels.entries[t_hi] - levels.entries[t_lo]
         margin = min(margin, diff)
-        if diff <= strict_tol and witness is None:
+        if diff <= ORDERING_STRICT_TOL and witness is None:
             witness = (t_lo, t_hi, float(levels.entries[t_lo]), float(levels.entries[t_hi]))
     return OrderingVerdict("LiebMattis", witness is None, witness, float(margin))
 
 
-def lieb_mattis_check(g, part_a, part_b, intra_a=None, intra_b=None,
-                      strict_tol=1e-9) -> OrderingVerdict:
+def lieb_mattis_check(g, part_a, part_b, intra_a=None, intra_b=None) -> OrderingVerdict:
     """Verify the bipartite ordering: ground at S = |S_A - S_B| and E(H,S)
     strictly increasing above it."""
     levels = lieb_mattis_levels(g, part_a, part_b, intra_a, intra_b)
-    return lieb_mattis_order(levels, g, part_a, part_b, strict_tol)
+    return lieb_mattis_order(levels, g, part_a, part_b)

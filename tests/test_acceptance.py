@@ -91,7 +91,7 @@ def test_04_exclusion_process_conjugacy():
     worst = 0.0
     for g in (ss.path_graph(3), ss.path_graph(4), ss.path_graph(5),
               ss.ring_graph(3), ss.ring_graph(4), ss.ring_graph(5)):
-        rep = ss.xxx_conjugacy_check(g, tol=1e-10)
+        rep = ss.xxx_conjugacy_check(g)
         worst = max(worst, rep.max_deviation)
     verdict("ssep_spin_chain_conjugacy", worst < 1e-10,
             f"max entrywise deviation |L - H_n| {worst:.1e} between the generator "
@@ -180,23 +180,18 @@ def test_08_exponential_clustering():
 def test_09_gap_stability_sweep():
     s3 = np.asarray(spin_matrices(1.0).s3)
     szsz = np.kron(s3, s3)
-
-    def base(L):
-        return ss.aklt(L, periodic=True)
-
-    def pert(L):
-        return custom([(((x, (x + 1) % L)), szsz) for x in range(L)])
-
+    base = ss.aklt(8, periodic=True)
+    pert = custom([((x, (x + 1) % 8), szsz) for x in range(8)])
+    space = SpinSpace((3,) * 8)
     lams = [round(-0.1 + 0.02 * i, 10) for i in range(11)]
-    sweep = ss.gap_sweep(base, pert, lams, [8], threads=4)
-    gap0 = sweep.gaps[(8, 0.0)]
-    positive = all(sweep.gaps[(8, lam)] > 0 for lam in lams)
-    weyl = all(abs(sweep.gaps[(8, lam)] - gap0) <= sweep.weyl_bound(8, lam) + 1e-8
+    sweep = ss.gap_sweep(base, pert, space, lams, threads=4)
+    gap0 = sweep.gaps[0.0]
+    positive = all(sweep.gaps[lam] > 0 for lam in lams)
+    weyl = all(abs(sweep.gaps[lam] - gap0) <= sweep.weyl_bound(lam) + 1e-8
                for lam in lams)
-    # lambda = 0 column must coincide with a standalone unperturbed run of
+    # lambda = 0 row must coincide with a standalone unperturbed run of
     # the same solve (gap_sweep keeps the 6 lowest levels per sector)
-    ref = ss.spectral_gap(
-        ss.sector_sweep_lowest(base(8), SpinSpace((3,) * 8), k=6, threads=4)[0]).gap
+    ref = ss.spectral_gap(ss.sector_sweep_lowest(base, space, k=6, threads=4)[0]).gap
     exact0 = gap0 == ref
     verdict("gap_sweep_perturbed_aklt", positive and weyl and exact0,
             f"gap range [{min(sweep.gaps.values()):.4f}, "

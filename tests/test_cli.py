@@ -218,6 +218,26 @@ def test_byte_identical_across_threads(tmp_path):
     assert read(a) == read(b)
 
 
+def test_cluster_bound_fails_when_no_row_is_checked(tmp_path, capsys):
+    # every vertex of the 3-ring lies at distance 1, where the constant is
+    # fitted: nothing is left to check, and the verdict must not pass
+    manifests = {}
+    for L in (3, 4):
+        out = tmp_path / f"c{L}.csv"
+        code = run(["cluster", "--L", str(L), "--out", str(out)])
+        manifests[L] = (code, {a["name"]: a for a in
+                               json.loads(read(tmp_path / f"c{L}.csv.manifest.json"))["assertions"]})
+    code, asserts = manifests[3]
+    assert code == 1
+    assert not asserts["decay_bound_holds"]["passed"]
+    assert asserts["decay_bound_holds"]["detail"].endswith(" on 0 checked rows")
+    assert [name for name, a in asserts.items() if not a["passed"]] == ["decay_bound_holds"]
+    code, asserts = manifests[4]
+    assert code == 0 and asserts["decay_bound_holds"]["passed"]
+    assert asserts["decay_bound_holds"]["detail"].endswith(" on 5 checked rows")
+    assert "[FAIL] decay_bound_holds: " in capsys.readouterr().out
+
+
 def test_droplet_assertion_failure_is_exit_one(tmp_path):
     # n = 3 at tiny L is far from the infinite-volume value
     out = tmp_path / "drop.csv"
@@ -311,6 +331,7 @@ def test_lightcone_stacks_beyond_memory_are_refused(tmp_path, capsys, monkeypatc
     ["droplet", "--Delta", "0.5"],
     ["droplet", "--q", "0.5", "--J", "-1"],
     ["droplet", "--q", "0.5", "--J", "nan"],
+    ["droplet", "--q", "0.5", "--J", "inf"],
     ["droplet", "--q", "0.5", "--n", "3", "--Lmin", "4", "--Lmax", "6"],
     ["droplet", "--q", "0.5", "--n", "1", "--Lmin", "2", "--Lmax", "2"],
     ["cluster", "--L", "2"],
@@ -324,6 +345,7 @@ def test_lightcone_stacks_beyond_memory_are_refused(tmp_path, capsys, monkeypatc
     ["spectrum", "--model", "xxz_periodic", "--q", "0.5", "--L", "2"],
     ["spectrum", "--model", "xxz_open", "--q", "1.5", "--L", "4"],
     ["spectrum", "--model", "xxz_open", "--Delta", "nan", "--L", "4"],
+    ["spectrum", "--model", "xxz_open", "--q", "0.5", "--J", "inf", "--L", "4"],
     ["perturb", "--L", "2"],
     ["perturb", "--L", "4", "--lambda_min", "nan"],
     ["perturb", "--L", "4", "--lambda_max", "inf"],

@@ -643,8 +643,8 @@ def test_clustering_reuses_the_sweep_ground_state_bit_for_bit(tmp_path, monkeypa
     assert calls == [3139]              # one solve of the ground sector
 
     class OwnSolve(SectorCorrelator):
-        def __init__(self, h_block, degeneracy_tol=1e-8, lowest=None):
-            super().__init__(h_block, degeneracy_tol)
+        def __init__(self, h_block, lowest=None):
+            super().__init__(h_block)
 
     monkeypatch.setattr(spinsys.dynamics, "SectorCorrelator", OwnSolve)
     assert run(["cluster", "--L", "9", "--out", str(solved)]) == 0

@@ -162,6 +162,21 @@ def test_flip_check_reads_the_terms():
     assert not custom([((0, 1), 1e-20 * off)]).flip_invariant()
 
 
+@pytest.mark.parametrize("J", [float("inf"), float("nan"), 0.0, -1.0])
+def test_xxz_params_refuse_a_coupling_that_is_not_positive_and_finite(J):
+    with pytest.raises(ValueError, match="J must be positive and finite"):
+        XxzParams.from_q(4, 0.5, J=J)
+
+
+@pytest.mark.parametrize("delta", [17.5, 20.0, 1e3, 1e8])
+def test_xxz_params_from_a_large_delta(delta):
+    # the root q of Delta = (q + 1/q)/2 is taken without cancellation, so the
+    # pair stays consistent however large Delta is
+    p = XxzParams.from_delta(4, delta)
+    assert p.Delta == delta
+    assert (p.q + 1 / p.q) / 2 == pytest.approx(delta, rel=1e-14)
+
+
 @pytest.mark.parametrize("delta", [float("nan"), float("inf"), 1.0])
 def test_xxz_delta_checks_name_delta(delta):
     with pytest.raises(ValueError, match="Delta"):

@@ -43,24 +43,18 @@ def test_relative_bound_alpha_validates_inputs():
 
 def test_gap_sweep_small_grid():
     sz = np.asarray(spin_matrices(1.0).s3)
-
-    def base(L):
-        return aklt(L, periodic=True)
-
-    def pert(L):
-        return custom([((x,), sz @ sz) for x in range(L)])
-
+    pert = custom([((x,), sz @ sz) for x in range(6)])
     lams = [-0.05, 0.0, 0.05]
-    sweep = gap_sweep(base, pert, lams, [6])
-    assert sweep.ground_degeneracies[(6, 0.0)] == 1
-    g0 = sweep.gaps[(6, 0.0)]
+    sweep = gap_sweep(aklt(6, periodic=True), pert, SpinSpace((3,) * 6), lams)
+    assert sweep.ground_degeneracies[0.0] == 1
+    g0 = sweep.gaps[0.0]
     assert g0 > 0.3
     for lam in lams:
-        assert sweep.gaps[(6, lam)] > 0
-        assert abs(sweep.gaps[(6, lam)] - g0) <= sweep.weyl_bound(6, lam) + 1e-10
+        assert sweep.gaps[lam] > 0
+        assert abs(sweep.gaps[lam] - g0) <= sweep.weyl_bound(lam) + 1e-10
     assert sweep.stable_lambdas == lams
     # perturbation norm is L for Sum (S^3)^2 on a spin-1 ring
-    assert sweep.pert_norms[6] == pytest.approx(6.0, abs=1e-6)
+    assert sweep.pert_norm == pytest.approx(6.0, abs=1e-6)
 
 
 @pytest.mark.parametrize("L", [5, 6])
@@ -68,23 +62,9 @@ def test_gap_sweep_szsz_norm_is_exactly_L(L):
     # the S3 S3 ring is diagonal: its extremes, L (every m = 1) and -L or
     # 2 - L, are read off the diagonal with no Krylov rounding
     s3 = np.asarray(spin_matrices(1.0).s3)
-
-    def pert(LL):
-        return custom([((x, (x + 1) % LL), np.kron(s3, s3)) for x in range(LL)])
-
-    sweep = gap_sweep(lambda LL: aklt(LL, periodic=True), pert, [0.0], [L])
-    assert sweep.pert_norms[L] == float(L)
-
-
-def test_gap_sweep_needs_spins_in_base_params():
-    assert aklt(4).params["spins"] == (1.0,) * 4
-    sz = np.asarray(spin_matrices(1.0).s3)
-
-    def base(L):
-        return custom([((x, (x + 1) % L), np.kron(sz, sz)) for x in range(L)])
-
-    with pytest.raises(ValueError, match="'spins'"):
-        gap_sweep(base, base, [0.0], [4])
+    pert = custom([((x, (x + 1) % L), np.kron(s3, s3)) for x in range(L)])
+    sweep = gap_sweep(aklt(L, periodic=True), pert, SpinSpace((3,) * L), [0.0])
+    assert sweep.pert_norm == float(L)
 
 
 @pytest.mark.parametrize("name", ["szsz_ring", "one_site_field", "transverse_field"])
@@ -111,9 +91,9 @@ def test_perturbation_norm_from_the_sectors(name, monkeypatch):
         return real(phi, basis)
 
     monkeypatch.setattr(spinsys.perturbation, "assemble", spy)
-    sweep = gap_sweep(lambda LL: aklt(LL, periodic=True), lambda LL: pert, [0.0], [L])
+    sweep = gap_sweep(aklt(L, periodic=True), pert, space, [0.0])
     want = np.abs(np.linalg.eigvalsh(assemble(pert, space).toarray())).max()
-    assert sweep.pert_norms[L] == pytest.approx(want, rel=1e-12, abs=0)
+    assert sweep.pert_norm == pytest.approx(want, rel=1e-12, abs=0)
     union, *rest = bases
     assert isinstance(union, SectorBasis)
     twice_m = 2 * total_sz_diagonal(space)

@@ -10,7 +10,8 @@ from spinsys import (ClassificationError, SparseOperator, SpinSpace, XxzParams,
                      sector_spectrum, spin_matrices, spin_multiplicities,
                      star_graph, su2_totals, suq2_generators, xxz)
 from spinsys.droplets import open_chain_spin_level
-from spinsys.symmetry import (CLASSIFY_DEGENERACY_TOL, SpinResolvedLevels, TotalSpinOps,
+from spinsys.spectral import DEGENERACY_TOL
+from spinsys.symmetry import (SpinResolvedLevels, TotalSpinOps,
                               _commutator_deviation, _label_levels, lieb_mattis_hamiltonian,
                               lieb_mattis_order, sector_spin_levels)
 
@@ -325,7 +326,7 @@ def label_by_walk(evals, evecs, c_block, candidates):
     i = 0
     while i < evals.size:
         j = i + 1
-        while j < evals.size and evals[j] - evals[j - 1] <= CLASSIFY_DEGENERACY_TOL:
+        while j < evals.size and evals[j] - evals[j - 1] <= DEGENERACY_TOL:
             j += 1
         h_vecs = evecs[:, i:j]
         sub = h_vecs.conj().T @ (c_block @ h_vecs)
@@ -368,7 +369,7 @@ def test_eigenbasis_labels_match_direct_walk(case):
         mine = ref_labels == twice_s
         assert_allclose(energies, evals[mine], rtol=0, atol=1e-12)
         assert_allclose(sector_levels, evals, rtol=0, atol=1e-12)
-        clustered |= bool(np.any(np.diff(evals) <= CLASSIFY_DEGENERACY_TOL))
+        clustered |= bool(np.any(np.diff(evals) <= DEGENERACY_TOL))
     if space.n_sites == 8:
         assert clustered        # the ring's +-k pairs give multi-vector clusters
 
