@@ -20,9 +20,8 @@ from .symmetry import (ClassificationError, OrderingVerdict, SpinResolvedLevels,
 from .ssep import (ExclusionSpace, GeneratorReport, semigroup_evolve,
                    ssep_gaps, ssep_generator, ssep_spin_interaction,
                    xxx_conjugacy_check)
-from .dynamics import (ClusteringRates, HeisenbergDynamics, clustering_mu,
-                       clustering_report, commutator_grid, commutator_growth,
-                       ground_correlation,
+from .dynamics import (ClusteringRates, HeisenbergDynamics, clustering_report,
+                       commutator_grid, commutator_growth, ground_correlation,
                        hermitian_unit_basis, lr_bound_rhs, lr_corollary_bound,
                        lr_multisite_bound)
 from .perturbation import (frustration_free_check, gap_sweep,

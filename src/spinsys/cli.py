@@ -20,10 +20,10 @@ import scipy
 
 from . import __version__
 from .lattice import load_graph, path_graph, ring_graph, distances_from
-from .hilbert import SpinSpace, embed_at, magnetization_sector, spin_matrices
+from .hilbert import SpinSpace, check_spin, embed_at, magnetization_sector, spin_matrices
 from .models import XxzParams, aklt, assemble, custom, heisenberg, lambda_norm, xxz
 from .spectral import ConvergenceError, sector_spectrum
-from .symmetry import classify_total_spin, foel_check, lieb_mattis_levels, \
+from .symmetry import classify_total_spin, foel_check, lieb_mattis_hamiltonian, \
     lieb_mattis_order, su2_totals, suq2_generators
 from .ssep import check_exclusion_graph, ssep_gaps, xxx_conjugacy_check
 from .dynamics import HeisenbergDynamics, clustering_report, commutator_grid, \
@@ -44,7 +44,7 @@ MODEL_KEYS = {
 SUB_KEYS = {
     "spectrum": dict(MODEL_KEYS),
     "foel": dict(MODEL_KEYS),
-    "liebmattis": {"graph": str, "spin": float},
+    "liebmattis": {"graph": str},
     "ssep": {"graph": str},
     "droplet": {"q": float, "Delta": float, "n": int, "Lmin": int, "Lmax": int,
                 "J": float},
@@ -66,7 +66,7 @@ def _graph(cfg, sub):
         raise ConfigError(f"{sub} needs a graph file")
     try:
         return load_graph(cfg["graph"])
-    except (ValueError, ZeroDivisionError) as exc:     # "spin 0 1/0" divides by zero
+    except ValueError as exc:
         raise ConfigError(f"{cfg['graph']}: {exc}") from exc
 
 
@@ -258,7 +258,12 @@ def run_liebmattis(cfg):
         raise ConfigError("graph must be connected for the bipartition")
     part_a = [x for x in g.vertices if int(dist[x]) % 2 == 0]
     part_b = [x for x in g.vertices if int(dist[x]) % 2 == 1]
-    levels = lieb_mattis_levels(g, part_a, part_b)
+    try:
+        phi = lieb_mattis_hamiltonian(g, part_a, part_b)
+    except ValueError as exc:
+        raise ConfigError(f"{cfg['graph']}: {exc}") from exc
+    space = SpinSpace.from_graph(g)
+    levels = classify_total_spin(phi, su2_totals(space), space)
     verdict = lieb_mattis_order(levels, g, part_a, part_b)
     rows = [{"twice_S": t, "S": t / 2, "E_min": levels.entries[t],
              "E_max": levels.max_entries[t]} for t in levels.spins()]
@@ -397,8 +402,10 @@ def _commutator_by_definition(dyn, B, x, t, space):
 def _check_spin_and_coupling(spin, J):
     if not math.isfinite(J):
         raise ConfigError(f"J must be finite, got {J}")
-    if not (spin > 0 and (2 * spin).is_integer()):
-        raise ConfigError(f"spin must be a positive half-integer, got {spin}")
+    try:
+        check_spin(spin)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _check_lam(lam):

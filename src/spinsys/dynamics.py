@@ -67,7 +67,8 @@ def _block_labels(mat) -> np.ndarray:
     """The invariant blocks of a Hermitian matrix: the connected components of
     its sparsity pattern, found by label propagation with pointer jumping.
     Entry i is the block of basis state i; blocks are numbered in the order
-    of their first state."""
+    of their first state.  (``scipy.sparse.csgraph`` would load scipy.linalg
+    and its own BLAS library, about 11 MB of resident memory.)"""
     rows, cols = mat.nonzero()
     label = np.arange(mat.shape[0])
     while True:
@@ -384,8 +385,11 @@ def commutator_growth(dyn: HeisenbergDynamics, B, x: int, t: float,
     return float(commutator_grid(dyn, B, space, [x], [t])[0, 0])
 
 
-def _lr_growth(phi_norm: float, t: float) -> float:
-    """e^(2|t| ||Phi||), or inf where it overflows a float."""
+def _lr_growth(lam: float, phi_norm: float, t: float) -> float:
+    """e^(2|t| ||Phi||), or inf where it overflows a float; the decay rate
+    lambda of the bound that grows with it must be positive."""
+    if not lam > 0:
+        raise ValueError("lambda must be positive")
     try:
         return math.exp(2.0 * abs(t) * phi_norm)
     except OverflowError:
@@ -400,10 +404,8 @@ def lr_bound_rhs(g: SpinGraph, lam: float, phi_norm: float, x: int,
 
     Once e^(2|t| ||Phi||) overflows a float the bound is vacuous: inf.
     """
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
     support, c0 = set(support), 2.0 * b_norm
-    grow = _lr_growth(phi_norm, t)
+    grow = _lr_growth(lam, phi_norm, t)
     if grow == math.inf:
         return math.inf
     dist = distances_from(g, x)
@@ -418,13 +420,11 @@ def lr_corollary_bound(g: SpinGraph, lam: float, phi_norm: float, x: int,
                        support, a_norm: float, b_norm: float, t: float) -> float:
     """2 |Y| ||A|| ||B|| (e^(2|t| ||Phi||) - 1) e^(-lam d(x,Y)), for x outside Y;
     inf once e^(2|t| ||Phi||) overflows a float."""
-    if not lam > 0:
-        raise ValueError("lambda must be positive")
+    grow = _lr_growth(lam, phi_norm, t)
     support = set(support)
     if x in support:
         raise ValueError("the corollary form requires x outside the support of B")
     d = set_distance(g, x, support)
-    grow = _lr_growth(phi_norm, t)
     if grow == math.inf:
         return math.inf
     return (2.0 * len(support) * a_norm * b_norm
@@ -464,10 +464,6 @@ class ClusteringRates:
         mu = self.mu
         return math.exp(-mu * distance *
                         (1.0 + self.gamma ** 2 * b ** 2 / (4.0 * mu ** 2 * distance ** 2)))
-
-
-def clustering_mu(gamma: float, lam: float, phi_norm: float) -> ClusteringRates:
-    return ClusteringRates(gamma, lam, phi_norm)
 
 
 def ground_correlation(H, A, B, b: float) -> complex:
@@ -517,8 +513,8 @@ class SectorCorrelator:
         self.omega = rep.eigenvectors[:, 0]
 
     def propagate(self, w, b) -> np.ndarray:
-        """e^(-b (H - E0)) w, for a float ``b``; for a list or tuple of b, one
-        row per b, in the order given.  Every b must be nonnegative.
+        """e^(-b (H - E0)) w for each b of the sequence ``b``, one row per b,
+        in the order given.  Every b must be nonnegative.
 
         One Lanczos recursion from w on H - E0, with full reorthogonalisation
         (Saad, SIAM J. Numer. Anal. 29, 209 (1992)), serves every b: with the
@@ -536,8 +532,7 @@ class SectorCorrelator:
         # the campaigns without sector dynamics never load
         from scipy.linalg import eigh_tridiagonal
 
-        many = isinstance(b, (list, tuple))
-        bs = np.array(b if many else [b], dtype=float)
+        bs = np.array(b, dtype=float)
         if not np.all(bs >= 0):
             raise ValueError("imaginary time b must be nonnegative")
         w = np.asarray(w)
@@ -545,8 +540,7 @@ class SectorCorrelator:
         dtype = np.result_type(self.h.dtype, w.dtype, np.float64)
         norm = float(np.linalg.norm(w))
         if norm == 0:
-            out = np.zeros((bs.size, dim), dtype)
-            return out if many else out[0]
+            return np.zeros((bs.size, dim), dtype)
         require_memory(LANCZOS_MAX_STEPS * dim * np.dtype(dtype).itemsize,
                        f"the Lanczos basis of {LANCZOS_MAX_STEPS} vectors of {dim} states")
         steps = min(LANCZOS_MAX_STEPS, dim)
@@ -573,8 +567,7 @@ class SectorCorrelator:
                         f"Lanczos propagation of {dim} states did not converge in "
                         f"{steps} steps", err)
             V[m] = u / beta[j]
-        out = (norm * coeffs.T) @ V[:m]
-        return out if many else out[0]
+        return (norm * coeffs.T) @ V[:m]
 
     def _centred(self, a_block, b_block):
         """(A* Omega, B Omega - <B> Omega): the two vectors of
@@ -583,18 +576,12 @@ class SectorCorrelator:
         w = b_block @ omega
         return np.conj(a_block).T @ omega, w - np.vdot(omega, w) * omega
 
-    def correlation(self, a_block, b_block, b):
-        """<Omega, A e^(-b(H-E0)) B_c Omega> with B centred in the ground state;
-        for a list or tuple of b, an array of one value per b, from one
-        ``propagate`` call."""
+    def correlation(self, a_block, b_block, b) -> np.ndarray:
+        """<Omega, A e^(-b(H-E0)) B_c Omega> with B centred in the ground state,
+        one value for each b of the sequence ``b``, from one ``propagate``
+        call."""
         a_vec, w = self._centred(a_block, b_block)
-        vals = self.propagate(w, b) @ a_vec.conj()
-        return vals if isinstance(b, (list, tuple)) else complex(vals)
-
-    def window(self, a_block, b_block, b_max: float, num: int) -> np.ndarray:
-        """``correlation`` at the ``num`` equally spaced b from 0 to b_max."""
-        return self.correlation(a_block, b_block,
-                                [b_max * k / max(num - 1, 1) for k in range(num)])
+        return self.propagate(w, b) @ a_vec.conj()
 
 
 @dataclass
@@ -656,7 +643,7 @@ def clustering_report(g: SpinGraph, phi: Interaction, local_op, lam: float,
     corr = SectorCorrelator(ground.block, lowest=ground)
 
     phi_norm = lambda_norm(phi, lam, g)
-    rates = clustering_mu(gamma, lam, phi_norm)
+    rates = ClusteringRates(gamma, lam, phi_norm)
 
     dist = distances_from(g, 0)
     by_d = {}                       # distance -> the first vertex at it

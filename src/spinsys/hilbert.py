@@ -39,11 +39,17 @@ class SpinMatrices(NamedTuple):
     minus: np.ndarray
 
 
+def check_spin(s) -> float:
+    """s as a float; ``ValueError`` unless a positive half-integer (NaN, inf are not)."""
+    s = float(s)
+    if not (s > 0 and (2 * s).is_integer()):
+        raise ValueError(f"spin magnitude must be a positive half-integer, got {s}")
+    return s
+
+
 def spin_matrices(s) -> SpinMatrices:
     """Standard spin-s matrices, basis ordered by descending S^3 eigenvalue."""
-    s = float(s)
-    if s <= 0 or round(2 * s) != 2 * s:
-        raise ValueError(f"spin magnitude must be a positive half-integer, got {s}")
+    s = check_spin(s)
     dim = int(round(2 * s + 1))
     m = s - np.arange(dim)          # m values, descending
     s3 = np.diag(m).astype(complex)

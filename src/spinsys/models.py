@@ -68,14 +68,21 @@ class Interaction:
     def su2_invariant(self, space) -> bool:
         """Whether the sum commutes with the total spin on ``space``: on every
         support X the sum of its terms (``_support_sums``) commutes with S+_X
-        and S3_X (``np.kron`` of ``spin_matrices``, first site innermost) to
-        TERM_HERMITICITY_TOL of the largest entries of term and generator."""
+        and S3_X (``np.kron`` of ``spin_matrices``, first site innermost, built
+        once per tuple of spins) to TERM_HERMITICITY_TOL of the largest
+        entries of term and generator."""
+        generators = {}                     # spins of X -> [S+_X, S3_X]
         for support, m in _support_sums(self.terms, space).items():
-            for op in ("plus", "s3"):
-                gen = np.zeros((1, 1))          # op_X on the sites so far, the first innermost
-                for x in support:
-                    a = getattr(spin_matrices(space.spin_at(x)), op)
-                    gen = np.kron(a, np.eye(len(gen))) + np.kron(np.eye(len(a)), gen)
+            spins = tuple(space.spin_at(x) for x in support)
+            if spins not in generators:
+                generators[spins] = []
+                for op in ("plus", "s3"):
+                    gen = np.zeros((1, 1))      # op_X on the sites so far, the first innermost
+                    for s in spins:
+                        a = getattr(spin_matrices(s), op)
+                        gen = np.kron(a, np.eye(len(gen))) + np.kron(np.eye(len(a)), gen)
+                    generators[spins].append(gen)
+            for gen in generators[spins]:
                 if (np.abs(m @ gen - gen @ m).max()
                         > TERM_HERMITICITY_TOL * np.abs(m).max() * np.abs(gen).max()):
                     return False

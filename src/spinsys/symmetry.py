@@ -106,10 +106,8 @@ def suq2_generators(p: XxzParams) -> SuqOps:
     factors of each term's product.  With T = q^(-2 S3) the product of all
     t_x, [S+, S-] = (q^(2 S3) - q^(-2 S3)) / (q - 1/q).  For 0 < q < 1 the
     representation theory is that of SU(2), which is all the
-    classification uses of it.
+    classification uses of it.  ``XxzParams`` has checked 0 < q < 1.
     """
-    if not (0 < p.q < 1):
-        raise ValueError(f"q must lie in (0,1), got {p.q}")
     return SuqOps(p.L, p.q)
 
 
@@ -394,13 +392,6 @@ def lieb_mattis_hamiltonian(g, part_a, part_b, intra_a=None, intra_b=None):
     return phi
 
 
-def lieb_mattis_levels(g, part_a, part_b, intra_a=None, intra_b=None) -> SpinResolvedLevels:
-    """Spin-resolved level table of ``lieb_mattis_hamiltonian``."""
-    phi = lieb_mattis_hamiltonian(g, part_a, part_b, intra_a, intra_b)
-    space = SpinSpace.from_graph(g)
-    return classify_total_spin(phi, su2_totals(space), space)
-
-
 def lieb_mattis_order(levels: SpinResolvedLevels, g, part_a, part_b) -> OrderingVerdict:
     """The bipartite ordering on a level table: ground at S = |S_A - S_B| and
     E(H,S) strictly increasing above it, both to ORDERING_STRICT_TOL."""
@@ -428,5 +419,7 @@ def lieb_mattis_order(levels: SpinResolvedLevels, g, part_a, part_b) -> Ordering
 def lieb_mattis_check(g, part_a, part_b, intra_a=None, intra_b=None) -> OrderingVerdict:
     """Verify the bipartite ordering: ground at S = |S_A - S_B| and E(H,S)
     strictly increasing above it."""
-    levels = lieb_mattis_levels(g, part_a, part_b, intra_a, intra_b)
+    phi = lieb_mattis_hamiltonian(g, part_a, part_b, intra_a, intra_b)
+    space = SpinSpace.from_graph(g)
+    levels = classify_total_spin(phi, su2_totals(space), space)
     return lieb_mattis_order(levels, g, part_a, part_b)

@@ -65,14 +65,17 @@ def test_config_value_of_wrong_type_is_config_error(tmp_path, capsys, text):
 @pytest.mark.parametrize("sub", ["liebmattis", "ssep", "spectrum", "foel"])
 def test_malformed_graph_file_is_config_error(tmp_path, capsys, sub):
     gfile = tmp_path / "g.txt"
-    gfile.write_text("0 1 1.0\n1 2 1.0\n")          # no 'vertices N' header
-    assert run([sub, "--graph", str(gfile), "--out", str(tmp_path / "x.csv")]) == 2
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    lines = err.strip().splitlines()
-    assert len(lines) == 1 and lines[0].startswith("config error: ")
-    assert "vertices N" in lines[0]
-    assert not (tmp_path / "x.csv").exists()
+    for text, why in [("0 1 1.0\n1 2 1.0\n", "vertices N"),     # no header
+                      ("vertices 2\n0 1 1.0\nspin 0 1e400\n", "bad spin line"),
+                      ("vertices 2\n0 1 1.0\nspin 0 1/0\n", "bad spin line")]:
+        gfile.write_text(text)
+        assert run([sub, "--graph", str(gfile), "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
+        assert why in lines[0]
+        assert not (tmp_path / "x.csv").exists()
 
 
 @pytest.mark.parametrize("weight", ["nan", "inf"])
@@ -289,7 +292,8 @@ def test_lightcone_spin1_bound_overflow_is_infinite(tmp_path):
                                    ["--bsite", "9"], ["--bsite", "-1"],
                                    ["--tmax", "nan"], ["--tmax", "inf"],
                                    ["--lam", "nan"], ["--lam", "0"], ["--lam", "inf"],
-                                   ["--spin", "0.7"], ["--J", "nan"], ["--J", "inf"]])
+                                   ["--spin", "0.7"], ["--spin", "inf"],
+                                   ["--J", "nan"], ["--J", "inf"]])
 def test_lightcone_bad_grid_is_config_error(tmp_path, capsys, flags):
     assert run(["lightcone", "--L", "4", *flags, "--out", str(tmp_path / "c.csv")]) == 2
     err = capsys.readouterr().err
@@ -506,6 +510,34 @@ def test_foel_mirrors_the_negative_sectors(tmp_path, monkeypatch):
     for m in got:
         assert got[m] == got[abs(m)]
         np.testing.assert_allclose(got[m], want[m], rtol=1e-12, atol=1e-12)
+
+
+def test_liebmattis_on_a_graph_that_is_not_bipartite_is_config_error(tmp_path, capsys):
+    gfile = tmp_path / "triangle.graph"
+    gfile.write_text("vertices 3\n0 1 1.0\n1 2 1.0\n0 2 1.0\n")
+    assert run(["liebmattis", "--graph", str(gfile), "--out", str(tmp_path / "x.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == [
+        f"config error: {gfile}: edge (1,2) does not cross the declared parts; "
+        "graph is not bipartite for them"]
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_liebmattis_takes_no_spin(tmp_path, capsys):
+    # the spins come from the graph file alone
+    gfile = tmp_path / "p4.graph"
+    gfile.write_text(GRAPH4)
+    argv = ["liebmattis", "--graph", str(gfile), "--out", str(tmp_path / "x.csv")]
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--spin", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --spin 1" in capsys.readouterr().err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[liebmattis]\nspin = 1\n")
+    assert run([*argv, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.strip().splitlines() == [
+        "config error: unknown key 'spin' in section [liebmattis]"]
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_liebmattis_classifies_once(tmp_path, monkeypatch):

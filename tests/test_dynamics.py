@@ -7,7 +7,7 @@ import spinsys.dynamics
 import spinsys.spectral
 import spinsys.symmetry
 import spinsys.util
-from spinsys import (HeisenbergDynamics, SpinSpace, aklt, assemble, build_graph, clustering_mu,
+from spinsys import (ClusteringRates, HeisenbergDynamics, SpinSpace, aklt, assemble, build_graph,
                      commutator_grid, commutator_growth, custom, embed_at,
                      embed_local, full_spectrum, ground_correlation,
                      heisenberg, hermitian_unit_basis, lambda_norm,
@@ -306,11 +306,11 @@ def test_decay_rate_must_be_positive(lam):
     with pytest.raises(ValueError):
         lr_corollary_bound(g, lam, 5.0, 0, (3,), 1.0, 1.0, 0.2)
     with pytest.raises(ValueError):
-        clustering_mu(0.4, lam, 10.0)
+        ClusteringRates(0.4, lam, 10.0)
 
 
 def test_clustering_rates_window():
-    rates = clustering_mu(0.4, 1.0, 10.0)
+    rates = ClusteringRates(0.4, 1.0, 10.0)
     assert rates.mu == pytest.approx(0.4 / 40.4)
     assert rates.b_max(3) == pytest.approx(2 * rates.mu * 3 / 0.4)
     # envelope at b=0 reduces to exp(-mu d)
@@ -348,7 +348,7 @@ def test_sector_correlator_matches_dense():
     sz = np.asarray(spin_matrices(0.5).s3)
     a_block = restrict(embed_at(space, [(0, sz)]), sector, dense=False)
     b_block = restrict(embed_at(space, [(4, sz)]), sector, dense=False)
-    got = corr.correlation(a_block, b_block, 0.5)
+    got, = corr.correlation(a_block, b_block, [0.5])
 
     A = restrict(embed_at(space, [(0, sz)]), sector)
     B = restrict(embed_at(space, [(4, sz)]), sector)
@@ -375,9 +375,9 @@ def test_sector_propagation_matches_dense_on_aklt_ring():
     corr = SectorCorrelator(h_block)
     w = b_block @ corr.omega
     evals, vecs = np.linalg.eigh(h_block.toarray())
-    for b in (0.5, 6.0):
+    for b, row in zip((0.5, 6.0), corr.propagate(w, (0.5, 6.0))):
         expect = vecs @ (np.exp(-b * (evals - evals[0])) * (vecs.T @ w))
-        assert_allclose(corr.propagate(w, b), expect, atol=1e-12)
+        assert_allclose(row, expect, atol=1e-12)
 
 
 @pytest.mark.parametrize("b_max", [0.7, 40.0])
@@ -386,12 +386,13 @@ def test_correlation_window_matches_per_b_path(b_max):
     corr = SectorCorrelator(h_block)
     sector = magnetization_sector(SpinSpace((3,) * 8), 0.0)
     a_block = embed_at(sector, [(0, np.asarray(spin_matrices(1.0).s3))]).matrix
-    rows = corr.window(a_block, b_block, b_max, 5)
-    per_b = [corr.correlation(a_block, b_block, b_max * k / 4) for k in range(5)]
+    window = [b_max * k / 4 for k in range(5)]
+    rows = corr.correlation(a_block, b_block, window)
+    per_b = [corr.correlation(a_block, b_block, [b])[0] for b in window]
     assert rows.shape == (5,)
     assert_allclose(rows, per_b, rtol=0, atol=1e-12)
     state = np.random.get_state()[1].copy()
-    corr.window(a_block, b_block, b_max, 5)
+    corr.correlation(a_block, b_block, window)
     assert np.array_equal(np.random.get_state()[1], state)
 
 
@@ -403,7 +404,7 @@ def test_sector_propagation_ignores_global_random_state():
     outs = set()
     for seed in range(10):
         np.random.seed(seed)
-        outs.add(corr.propagate(w, 200.0).tobytes())
+        outs.add(corr.propagate(w, [200.0]).tobytes())
     assert len(outs) == 1
 
 
@@ -463,7 +464,6 @@ def test_lanczos_propagation_on_a_complex_hermitian_block():
         assert_allclose(row, expm_propagation(h_block, corr.e0, w, b), rtol=0, atol=1e-12)
     vals = corr.correlation(a_block, b_block, ORACLE_BS)
     assert_allclose(vals, rows @ a_vec.conj(), rtol=0, atol=1e-15)
-    assert corr.correlation(a_block, b_block, 0.5) == pytest.approx(vals[3], abs=1e-14)
 
 
 class CountedMatvecs:
@@ -496,8 +496,8 @@ def test_lanczos_propagation_of_zero_is_zero():
     corr = SectorCorrelator(h_block)
     corr.h = CountedMatvecs(corr.h)
     zero = np.zeros(h_block.shape[0])
-    assert corr.propagate(zero, 3.0).shape == zero.shape
-    assert not corr.propagate(zero, 3.0).any()
+    assert corr.propagate(zero, [3.0]).shape == (1, zero.size)
+    assert not corr.propagate(zero, [3.0]).any()
     assert corr.propagate(zero, (0.0, 1.0)).shape == (2, zero.size)
     assert corr.h.calls == 0
 
@@ -508,10 +508,9 @@ def test_lanczos_propagation_is_bitwise_repeatable():
     w = b_block @ corr.omega
     first = corr.propagate(w, ORACLE_BS)
     assert first.tobytes() == corr.propagate(w, ORACLE_BS).tobytes()
-    assert corr.propagate(w, 200.0).tobytes() == corr.propagate(w, [200.0])[0].tobytes()
 
 
-@pytest.mark.parametrize("b", [-0.1, [0.0, 1.0, -1e-300], (float("nan"),)])
+@pytest.mark.parametrize("b", [[-0.1], [0.0, 1.0, -1e-300], (float("nan"),)])
 def test_propagation_rejects_negative_imaginary_time(b):
     h_block, b_block = aklt_ring_block()
     corr = SectorCorrelator(h_block)
@@ -524,7 +523,7 @@ def test_lanczos_step_cap_raises_convergence_error(monkeypatch, tmp_path, capsys
     h_block, b_block = aklt_ring_block()
     corr = SectorCorrelator(h_block)
     with pytest.raises(ConvergenceError, match="did not converge in 4 steps"):
-        corr.propagate(b_block @ corr.omega, 1.0)
+        corr.propagate(b_block @ corr.omega, [1.0])
     out = tmp_path / "c.csv"
     assert run(["cluster", "--L", "6", "--out", str(out)]) == 3
     err = capsys.readouterr().err
@@ -538,11 +537,11 @@ def test_lanczos_basis_is_counted_before_it_is_allocated(monkeypatch):
     w = b_block @ corr.omega
     basis = spinsys.dynamics.LANCZOS_MAX_STEPS * w.size * 8
     monkeypatch.setattr(spinsys.util, "PHYSICAL_MEMORY", basis)
-    corr.propagate(w, 1.0)
+    corr.propagate(w, [1.0])
     monkeypatch.setattr(spinsys.util, "PHYSICAL_MEMORY", basis - 1)
     monkeypatch.setattr(spinsys.dynamics.np, "empty", None)     # nothing is allocated
     with pytest.raises(ValueError, match="^the Lanczos basis of .* above the"):
-        corr.propagate(w, 1.0)
+        corr.propagate(w, [1.0])
 
 
 @pytest.mark.parametrize("L", [6, 9])
@@ -622,7 +621,7 @@ def test_large_b_steps_match_one_correlation_per_b(monkeypatch):
     ys = sorted({y for (y, _, _, _) in rep.large_b})
     assert [(y, b) for (y, b, _, _) in rep.large_b] == [(y, b) for y in ys for b in large_bs]
     for (y, b, val, _) in rep.large_b:
-        want = abs(corr.correlation(a_block, embed_at(sector, [(y, s3)]).matrix, b))
+        want = abs(corr.correlation(a_block, embed_at(sector, [(y, s3)]).matrix, [b])[0])
         assert val == pytest.approx(want, rel=1e-12, abs=1e-15)
 
 

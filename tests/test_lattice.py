@@ -2,9 +2,9 @@ import math
 
 import pytest
 
-from spinsys import (build_graph, complete_graph, diameter, graph_distance,
+from spinsys import (SpinGraph, build_graph, complete_graph, diameter, graph_distance,
                      is_connected, parse_graph_file, path_graph, ring_graph,
-                     set_distance, star_graph)
+                     set_distance, spin_matrices, star_graph)
 from spinsys.lattice import distances_from
 
 
@@ -47,6 +47,16 @@ def test_non_finite_weight_is_refused(weight):
         build_graph(3, [(0, 1, 1.0), (1, 2, weight)])
 
 
+@pytest.mark.parametrize("spin", [math.nan, math.inf, -math.inf, 0.0, 0.7])
+def test_spin_that_is_not_a_positive_half_integer_is_refused(spin):
+    # one check serves the spin matrices and the graphs; inf used to raise
+    # OverflowError from round(2 s)
+    for make in (spin_matrices, lambda s: path_graph(3, spin=s),
+                 lambda s: SpinGraph(1, (), (s,))):
+        with pytest.raises(ValueError, match="positive half-integer"):
+            make(spin)
+
+
 def test_disconnected_graph():
     g = build_graph(4, [(0, 1, 1.0), (2, 3, 1.0)])
     assert not is_connected(g)
@@ -83,3 +93,7 @@ def test_parse_graph_file_errors():
         parse_graph_file("vertices 2\n0 5 1.0\n")
     with pytest.raises(ValueError):
         parse_graph_file("vertices 2\nspin 0 0.3\n")
+    # a spin that converts to no finite float, or divides by zero
+    for value in ("1e400", "1/0"):
+        with pytest.raises(ValueError, match="bad spin line"):
+            parse_graph_file(f"vertices 2\nspin 0 {value}\n")

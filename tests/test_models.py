@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import spinsys.models
 import spinsys.util
 
 from spinsys import (SpinSpace, XxzParams, aklt, assemble, build_graph, custom, heisenberg,
@@ -142,6 +143,22 @@ def test_su2_check_reads_the_terms():
     assert not custom([((0, 1), 1e-20 * off)]).su2_invariant(half)
     with pytest.raises(ValueError, match="outside the space"):
         heisenberg(ring_graph(5)).su2_invariant(half)
+
+
+def test_su2_check_builds_each_total_once(monkeypatch):
+    # S+_X and S3_X once per tuple of spins on the supports: the AKLT ring
+    # has nine bonds of one kind, the mixed chain two bonds of two kinds
+    mixed = build_graph(3, [(0, 1, 1.0), (1, 2, -0.7)], spins={0: 1.5, 2: 1.0})
+    cases = [(aklt(9, periodic=True), SpinSpace((3,) * 9), 4),
+             (heisenberg(mixed), SpinSpace.from_graph(mixed), 8)]
+    calls = []
+    real = spinsys.models.spin_matrices
+    monkeypatch.setattr(spinsys.models, "spin_matrices",
+                        lambda s: calls.append(s) or real(s))
+    for phi, space, built in cases:
+        calls.clear()
+        assert phi.su2_invariant(space)
+        assert len(calls) == built
 
 
 def test_flip_check_reads_the_terms():

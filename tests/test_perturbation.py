@@ -58,9 +58,15 @@ def test_gap_sweep_small_grid():
 
 
 @pytest.mark.parametrize("L", [5, 6])
-def test_gap_sweep_szsz_norm_is_exactly_L(L):
+def test_gap_sweep_szsz_norm_is_exactly_L(L, monkeypatch):
     # the S3 S3 ring is diagonal: its extremes, L (every m = 1) and -L or
-    # 2 - L, are read off the diagonal with no Krylov rounding
+    # 2 - L, are read off the diagonal with no Krylov rounding and no ARPACK
+    import scipy.sparse.linalg as spla
+
+    def no_arpack(*args, **kwargs):
+        raise AssertionError("ARPACK ran on a diagonal operator")
+
+    monkeypatch.setattr(spla, "eigsh", no_arpack)
     s3 = np.asarray(spin_matrices(1.0).s3)
     pert = custom([((x, (x + 1) % L), np.kron(s3, s3)) for x in range(L)])
     sweep = gap_sweep(aklt(L, periodic=True), pert, SpinSpace((3,) * L), [0.0])
