@@ -9,8 +9,8 @@ so S+ carries every other level of M = S onto one of M = S + 1.
 """
 
 from spinsys import (SpinSpace, classify_total_spin, foel_check,
-                     heisenberg, lieb_mattis_check, path_graph, star_graph,
-                     su2_totals)
+                     heisenberg, lieb_mattis_hamiltonian, lieb_mattis_order,
+                     path_graph, star_graph, su2_totals)
 
 g = path_graph(5, spin=1.0)
 space = SpinSpace.from_graph(g)
@@ -29,5 +29,8 @@ print("gap E(H,4) - E(H,5):", gap)
 
 # the antiferromagnetic counterpart on a star: ground spin |S_A - S_B|
 star = star_graph(3)
-lm = lieb_mattis_check(star, [0], [1, 2, 3])
+star_space = SpinSpace.from_graph(star)
+star_levels = classify_total_spin(lieb_mattis_hamiltonian(star, [0], [1, 2, 3]),
+                                  su2_totals(star_space), star_space)
+lm = lieb_mattis_order(star_levels, star, [0], [1, 2, 3])
 print("bipartite ordering on the 3-leaf star:", lm.holds, " margin:", lm.margin)

@@ -12,7 +12,7 @@ conjugates the two and their spectra agree.
 
 import numpy as np
 
-from spinsys import build_graph, ring_graph, ssep_gaps, xxx_conjugacy_check
+from spinsys import build_graph, complete_graph, ring_graph, ssep_gaps, xxx_conjugacy_check
 
 rng = np.random.default_rng(11)
 
@@ -30,6 +30,10 @@ rep = ssep_gaps(build_graph(6, edges))
 for n in sorted(rep.gaps):
     print(f"  n={n}  dim {rep.dims[n]:3d}  lambda {rep.gaps[n]:.8f}")
 print("  margin:", rep.aldous_margin)
+
+# unit rates on the complete graph K_6: lambda(n) = 6 for every n
+rep = ssep_gaps(complete_graph(6))
+print("\ncomplete graph K_6:", " ".join(f"{rep.gaps[n]:.10f}" for n in sorted(rep.gaps)))
 
 print("\nconjugacy with the spin chain (ring of 5)")
 conj = xxx_conjugacy_check(ring_graph(5))

@@ -14,19 +14,14 @@ from .spectral import (ConvergenceError, GapReport, SpectrumReport, extremal_eig
                        full_spectrum, sector_spectrum, sector_sweep_lowest,
                        spectral_gap)
 from .symmetry import (ClassificationError, OrderingVerdict, SpinResolvedLevels,
-                       classify_total_spin, foel_check, lieb_mattis_check,
-                       sector_spin_levels, spin_multiplicities, su2_totals,
-                       suq2_generators)
-from .ssep import (ExclusionSpace, GeneratorReport, semigroup_evolve,
-                   ssep_gaps, ssep_generator, ssep_spin_interaction,
-                   xxx_conjugacy_check)
+                       classify_total_spin, foel_check, lieb_mattis_hamiltonian,
+                       lieb_mattis_order, sector_spin_levels, spin_multiplicities,
+                       su2_totals, suq2_generators)
+from .ssep import (ExclusionSpace, GeneratorReport, ssep_gaps, ssep_generator,
+                   ssep_spin_interaction, xxx_conjugacy_check)
 from .dynamics import (ClusteringRates, HeisenbergDynamics, clustering_report,
                        commutator_grid, commutator_growth, ground_correlation,
-                       hermitian_unit_basis, lr_bound_rhs, lr_corollary_bound,
-                       lr_multisite_bound)
-from .perturbation import (frustration_free_check, gap_sweep,
-                           relative_bound_alpha)
-from .droplets import (bandwidth_formula, compare_band_width,
-                       convergence_table, droplet_energy_formula,
-                       momentum_band, one_magnon_dispersion,
+                       hermitian_unit_basis, lr_bound_rhs, lr_corollary_bound)
+from .perturbation import frustration_free_check, gap_sweep
+from .droplets import (bound_state_dispersion, convergence_table, momentum_band,
                        open_chain_spin_level)

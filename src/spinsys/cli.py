@@ -319,17 +319,24 @@ def run_droplet(cfg):
              "E_formula": table.formula_energy,
              "abs_dev": r.dev_periodic,
              "band_width_measured": r.band_width,
-             "band_width_formula": table.formula_width}
+             "band_dev": r.band_dev}
             for r in table.rows]
     last = table.rows[-1]
+    # the band deviation must fall from each L to L + 2 while it is above
+    # the round-off floor (the n = 1 band is exact at every L)
+    rises = [b.L for a, b in zip(table.rows, table.rows[1:])
+             if a.band_dev > 1e-8 and not b.band_dev < a.band_dev]
     asserts = [
         Assertion("periodic_converges", last.dev_periodic < 1e-2,
                   f"|E_L(n) - E(n)| = {last.dev_periodic!r} at L={last.L}"),
         Assertion("open_suq_converges", last.dev_open < 2e-2,
                   f"|E_open - E(n)| = {last.dev_open!r} at L={last.L}"),
+        Assertion("band_matches_dispersion", last.band_dev < 1e-2 and not rises,
+                  f"max_k |E_L(k) - E_n(k)| = {last.band_dev!r} at L={last.L}"
+                  + (f"; no fall from L - 2 at L = {rises}" if rises else "")),
     ]
     cols = ["q", "n", "L", "E_L_periodic", "E_open_suq", "E_formula",
-            "abs_dev", "band_width_measured", "band_width_formula"]
+            "abs_dev", "band_width_measured", "band_dev"]
     return cols, rows, asserts, {}
 
 

@@ -9,8 +9,9 @@ with boundary fields commutes with the SU_q(2) raising total S_q+, so its
 level E(H_L, S_max - n) is the lowest level of the sector M = S_max - n
 without a partner in the sector above.  H and the S_q+ block are built on the
 sectors alone, never on the 2^L space.
-Both finite-L sequences are compared with the closed-form limit
-E(n) = (1 - q^2)(1 - q^n) / ((1 + q^2)(1 + q^n)).
+Both finite-L sequences are compared with the closed-form limit E(n), and
+the band momentum by momentum with the bound-state dispersion E_n(k)
+(``bound_state_dispersion``), whose k = 0 value is E(n).
 """
 
 from __future__ import annotations
@@ -27,22 +28,28 @@ from .symmetry import sector_spin_levels, suq2_generators
 from .util import require_memory
 
 
-def droplet_energy_formula(q: float, n: int) -> float:
-    """Limiting droplet energy (1 - q^2)(1 - q^n) / ((1 + q^2)(1 + q^n))."""
-    if not 0 < q < 1:
-        raise ValueError(f"q must lie in (0,1), got {q}")
-    if n < 0:
-        raise ValueError("droplet size must be nonnegative")
-    return (1 - q ** 2) * (1 - q ** n) / ((1 + q ** 2) * (1 + q ** n))
+def bound_state_dispersion(q: float, n: int, k, J=1.0):
+    """Energy of the n-magnon bound state (the n-droplet) of the infinite
+    chain at momentum k, in the normalization of ``models.xxz``:
 
+        E_n(k) = J (1 - q^2)/(1 + q^2) (1 + q^(2n) - 2 q^n cos k)/(1 - q^(2n)),
 
-def bandwidth_formula(q: float, n: int) -> float:
-    """Printed droplet band width 4 q^n (1 - q^2) / (1 - q^(2n)); n >= 1."""
+    summed as E(n) + W sin^2(k/2), so that k = 0 gives the droplet energy
+    E(n) = J (1 - q^2)(1 - q^n) / ((1 + q^2)(1 + q^n)) of Nachtergaele & Starr,
+    Commun. Math. Phys. 218, 569 (2001), to the last bit.  The k dependence is
+    that of the n-string solution of the Bethe equations (Takahashi,
+    Thermodynamics of One-Dimensional Solvable Models, 1999): with q = e^-eta,
+    E_n(k) = J sinh(eta) (cosh(n eta) - cos k) / (Delta sinh(n eta)).  The band
+    width is W = E_n(pi) - E_n(0) = J 4 q^n (1 - q^2) / ((1 + q^2)(1 - q^(2n))),
+    and n = 1 is the one-magnon band J (1 - cos k / Delta).
+    """
     if not 0 < q < 1:
         raise ValueError(f"q must lie in (0,1), got {q}")
     if n < 1:
-        raise ValueError("band width formula is singular at n = 0")
-    return 4 * q ** n * (1 - q ** 2) / (1 - q ** (2 * n))
+        raise ValueError(f"a droplet needs at least one down spin, got n = {n}")
+    bottom = (1 - q ** 2) * (1 - q ** n) / ((1 + q ** 2) * (1 + q ** n))
+    width = 4 * q ** n * (1 - q ** 2) / ((1 + q ** 2) * (1 - q ** (2 * n)))
+    return J * (bottom + width * np.sin(np.asarray(k) / 2) ** 2)
 
 
 def _check_sector(p: XxzParams, n: int, nbytes) -> None:
@@ -107,17 +114,12 @@ def momentum_band(p: XxzParams, n: int) -> np.ndarray:
     return np.array([levels[0] for levels in spectra])
 
 
-def one_magnon_dispersion(p: XxzParams) -> np.ndarray:
-    """Closed-form periodic n=1 spectrum J (1 - cos(2 pi j / L) / Delta)."""
-    k = 2 * np.pi * np.arange(p.L) / p.L
-    return np.sort(p.J * (1 - np.cos(k) / p.Delta))
-
-
 @dataclass
 class DropletRow:
     L: int
     e_periodic: float
     band_width: float         # spread of the lowest momentum-block levels
+    band_dev: float           # largest |E_L(k) - E_n(k)| over the L momenta
     e_open_suq: float
     dev_periodic: float
     dev_open: float
@@ -128,7 +130,6 @@ class DropletTable:
     q: float
     n: int
     formula_energy: float
-    formula_width: float
     rows: list
 
 
@@ -137,11 +138,11 @@ def convergence_table(q: float, n: int, Ls, J=1.0) -> DropletTable:
     against the closed-form E(n), for n >= 1.
 
     Each length takes one periodic pass, ``momentum_band``, whose lowest
-    level is E_L(n) and whose spread is the band width, and one open pass,
-    ``open_chain_spin_level``.
+    level is E_L(n), whose spread is the band width, and whose level at
+    k = 2 pi j / L is compared with ``bound_state_dispersion``; and one open
+    pass, ``open_chain_spin_level``.
     """
-    e_formula = droplet_energy_formula(q, n)
-    w_formula = bandwidth_formula(q, n)
+    e_formula = float(bound_state_dispersion(q, n, 0.0, J))
     rows = []
     for L in sorted(int(L) for L in Ls):
         pp = XxzParams.from_q(L, q, J=J, boundary="periodic")
@@ -149,35 +150,11 @@ def convergence_table(q: float, n: int, Ls, J=1.0) -> DropletTable:
         band = momentum_band(pp, n)
         ep = float(band.min())
         eo = open_chain_spin_level(po, n)
+        dispersion = bound_state_dispersion(q, n, 2 * np.pi * np.arange(L) / L, J)
         rows.append(DropletRow(L=L, e_periodic=ep,
                                band_width=float(band.max() - band.min()),
+                               band_dev=float(np.abs(band - dispersion).max()),
                                e_open_suq=eo,
                                dev_periodic=abs(ep - e_formula),
                                dev_open=abs(eo - e_formula)))
-    return DropletTable(q=q, n=n, formula_energy=e_formula,
-                        formula_width=w_formula, rows=rows)
-
-
-@dataclass
-class WidthComparison:
-    measured: float
-    printed: float
-    printed_over_delta: float
-    rel_dev_printed: float
-    rel_dev_over_delta: float
-    closer: str               # "printed" or "printed/Delta"
-
-
-def compare_band_width(p: XxzParams, n: int) -> WidthComparison:
-    """Measured droplet band width against the printed formula and the printed
-    formula divided by Delta; the closer reading is flagged, not assumed."""
-    band_levels = momentum_band(p, n)
-    width = float(band_levels.max() - band_levels.min())
-    printed = bandwidth_formula(p.q, n)
-    over_delta = printed / p.Delta
-    dev_p = abs(width - printed) / printed
-    dev_d = abs(width - over_delta) / over_delta
-    return WidthComparison(measured=width, printed=printed,
-                           printed_over_delta=over_delta,
-                           rel_dev_printed=dev_p, rel_dev_over_delta=dev_d,
-                           closer="printed" if dev_p < dev_d else "printed/Delta")
+    return DropletTable(q=q, n=n, formula_energy=e_formula, rows=rows)

@@ -431,16 +431,6 @@ def lr_corollary_bound(g: SpinGraph, lam: float, phi_norm: float, x: int,
             * (grow - 1.0) * math.exp(-lam * d))
 
 
-def lr_multisite_bound(g: SpinGraph, lam: float, phi_norm: float, X,
-                       support, a_norm: float, b_norm: float, t: float,
-                       n_local: int) -> float:
-    """N^(2|X|) ||A|| sum_{x in X} C_B(x,t) with each C_B(x,t) replaced by the
-    single-site bound; the multi-site estimate for A supported on X."""
-    X = set(X)
-    total = sum(lr_bound_rhs(g, lam, phi_norm, x, support, b_norm, t) for x in X)
-    return n_local ** (2 * len(X)) * a_norm * total
-
-
 @dataclass(frozen=True)
 class ClusteringRates:
     gamma: float
@@ -469,7 +459,8 @@ class ClusteringRates:
 def ground_correlation(H, A, B, b: float) -> complex:
     """<Omega, A tau_{ib}(B) Omega> with B centered (its ground expectation
     subtracted), by full dense eigendecomposition; the ground state must be
-    unique (no second level within DEGENERACY_TOL)."""
+    unique (no second level within DEGENERACY_TOL).  The dense reference
+    for ``SectorCorrelator``, kept for the tests; no campaign calls it."""
     if b < 0:
         raise ValueError("imaginary time b must be nonnegative")
     rep = full_spectrum(H, want_vectors=True)

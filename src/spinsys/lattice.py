@@ -64,9 +64,10 @@ class SpinGraph:
 def build_graph(n, edge_list, spins=None, default_spin=0.5) -> SpinGraph:
     """Arbitrary edge list; ``spins`` maps vertex -> magnitude (default 1/2)."""
     s = [default_spin] * n
-    if spins:
-        for x, sx in spins.items():
-            s[x] = sx
+    for x, sx in (spins or {}).items():
+        if not 0 <= x < n:
+            raise ValueError(f"spin for vertex {x} outside 0..{n - 1}")
+        s[x] = sx
     return SpinGraph(n, tuple(edge_list), tuple(s))
 
 

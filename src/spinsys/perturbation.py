@@ -18,7 +18,6 @@ from .spectral import extremal_eigs, sector_sweep_lowest, spectral_gap
 
 PSD_TOL = 1e-12
 ZERO_ENERGY_TOL = 1e-9     # E0 = 0 and c >= |V0| in frustration_free_check
-KERNEL_TOL = 1e-10         # ker h, relative to h's largest level, and phi on it
 
 
 @dataclass
@@ -53,33 +52,6 @@ def frustration_free_check(phi: Interaction, space: SpinSpace,
         psd=bool(psd), zero_energy=bool(zero), c=float(c), v0_size=v0_size,
         condition_holds=bool(zero and psd and gap_rep.ground_degeneracy == 1
                              and c >= v0_size - ZERO_ENERGY_TOL))
-
-
-def relative_bound_alpha(phi_r, h):
-    """Smallest alpha with |<psi, phi psi>| <= alpha ||h^(1/2) psi||^2.
-
-    Infinite when phi_r does not vanish on ker h (both to KERNEL_TOL);
-    otherwise the spectral norm of h^(-1/2) phi_r h^(-1/2) on the range of h.
-    """
-    phi_r = np.asarray(phi_r, dtype=complex)
-    h = np.asarray(h, dtype=complex)
-    for name, m in (("phi", phi_r), ("h", h)):
-        if np.abs(m - m.conj().T).max() > 1e-12:
-            raise ValueError(f"{name} must be Hermitian")
-    w, U = np.linalg.eigh(h)
-    scale = max(1.0, abs(w).max())
-    if w[0] < -1e-10 * scale:
-        raise ValueError("h must be positive semidefinite")
-    kernel = w <= KERNEL_TOL * scale
-    if kernel.all():
-        return math.inf if np.abs(phi_r).max() > KERNEL_TOL else 0.0
-    P_ker = U[:, kernel]
-    if P_ker.size and np.abs(phi_r @ P_ker).max() > KERNEL_TOL:
-        return math.inf
-    R = U[:, ~kernel]
-    inv_sqrt = 1.0 / np.sqrt(w[~kernel])
-    M = (inv_sqrt[:, None] * (R.conj().T @ phi_r @ R)) * inv_sqrt[None, :]
-    return float(np.abs(np.linalg.eigvalsh(M)).max())
 
 
 @dataclass

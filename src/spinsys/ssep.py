@@ -18,7 +18,7 @@ import scipy.sparse as sp
 from .lattice import SpinGraph, is_connected
 from .hilbert import SpinSpace, SparseOperator, down_spin_sector, spin_matrices
 from .models import Interaction, assemble, _two_site_dot
-from .spectral import full_spectrum, sector_spectrum
+from .spectral import sector_spectrum
 
 GAP_ZERO_TOL = 1e-10
 CONJUGACY_TOL = 1e-10      # largest entry deviation of the generator from the spin block
@@ -152,19 +152,3 @@ def xxx_conjugacy_check(g: SpinGraph) -> ConjugacyReport:
         raise ValueError(
             f"conjugacy failure at n={bad}: max entry deviation {worst:.3e}")
     return ConjugacyReport(max_deviation=worst, per_n=per_n, uniform_rayleigh=uniform)
-
-
-def semigroup_evolve(gen: SparseOperator, mu0, t: float) -> np.ndarray:
-    """mu_t = e^(-tL) mu_0 by spectral decomposition (L is symmetric, so the
-    duality pairing reduces to matrix action on the distribution)."""
-    if t < 0:
-        raise ValueError("time must be nonnegative")
-    mu0 = np.asarray(mu0, dtype=float)
-    if mu0.ndim != 1 or mu0.size != gen.dim:
-        raise ValueError("distribution size does not match the configuration space")
-    if np.any(mu0 < -1e-12) or abs(mu0.sum() - 1.0) > 1e-12:
-        raise ValueError("mu0 must be entrywise nonnegative and sum to 1")
-    rep = full_spectrum(gen, want_vectors=True)
-    V = rep.eigenvectors.real
-    mu_t = V @ (np.exp(-t * rep.eigenvalues) * (V.T @ mu0))
-    return mu_t

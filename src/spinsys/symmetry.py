@@ -115,7 +115,7 @@ def spin_multiplicities(space: SpinSpace, lowest=0) -> dict:
     """2S -> number of spin-S multiplets, dim(M=S) - dim(M=S+1) from the
     counted sector dimensions (``SpinSpace.magnetization_dims``), for every
     2S >= ``lowest``; no closed formula, so mixed spin magnitudes are
-    handled uniformly."""
+    handled uniformly.  A test oracle: no campaign calls it."""
     tmax = space.twice_m_total_max()
     dims = dict(zip(range(tmax, -tmax - 1, -2), space.magnetization_dims()))
     mult = {t: dims[t] - dims.get(t + 2, 0) for t in reversed(range(tmax, lowest - 1, -2))}
@@ -414,12 +414,3 @@ def lieb_mattis_order(levels: SpinResolvedLevels, g, part_a, part_b) -> Ordering
         if diff <= ORDERING_STRICT_TOL and witness is None:
             witness = (t_lo, t_hi, float(levels.entries[t_lo]), float(levels.entries[t_hi]))
     return OrderingVerdict("LiebMattis", witness is None, witness, float(margin))
-
-
-def lieb_mattis_check(g, part_a, part_b, intra_a=None, intra_b=None) -> OrderingVerdict:
-    """Verify the bipartite ordering: ground at S = |S_A - S_B| and E(H,S)
-    strictly increasing above it."""
-    phi = lieb_mattis_hamiltonian(g, part_a, part_b, intra_a, intra_b)
-    space = SpinSpace.from_graph(g)
-    levels = classify_total_spin(phi, su2_totals(space), space)
-    return lieb_mattis_order(levels, g, part_a, part_b)

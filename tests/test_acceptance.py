@@ -118,19 +118,21 @@ def test_05_droplet_energy_convergence():
 
 
 def test_06_droplet_band_width():
-    q = 0.5
-    p1 = XxzParams.from_q(12, q, boundary="periodic")
-    w1 = ss.compare_band_width(p1, 1)
-    exact1 = 4 * q / (1 + q * q)
-    ok1 = abs(w1.measured - exact1) < 1e-6
-    p2 = XxzParams.from_q(14, q, boundary="periodic")
-    w2 = ss.compare_band_width(p2, 2)
-    within = [w2.rel_dev_printed < 0.15, w2.rel_dev_over_delta < 0.15]
-    ok2 = sum(within) == 1
-    verdict("droplet_band_widths", ok1 and ok2,
-            f"n=1 width={w1.measured:.8f} (closed form {exact1}); "
-            f"n=2 measured={w2.measured:.4f} printed={w2.printed} "
-            f"printed/Delta={w2.printed_over_delta} winner={w2.closer}")
+    # the lowest level of every momentum block against the bound-state
+    # dispersion E_n(k): exact for one magnon, and within 1e-2 for the
+    # two-droplet at L = 16, at q = 1/2 and away from it
+    details = []
+    ok = True
+    for q in (0.3, 0.5):
+        for n, L, tol in ((1, 12, 1e-12), (2, 16, 1e-2)):
+            band = ss.momentum_band(XxzParams.from_q(L, q, boundary="periodic"), n)
+            dispersion = ss.bound_state_dispersion(q, n, 2 * np.pi * np.arange(L) / L)
+            dev = float(np.abs(band - dispersion).max())
+            ok &= dev < tol
+            details.append(f"q={q} n={n} L={L}: width {band.max() - band.min():.6f} "
+                           f"(E_n(pi) - E_n(0) = {dispersion.max() - dispersion.min():.6f}), "
+                           f"max_k dev {dev:.1e}")
+    verdict("droplet_band_widths", ok, "; ".join(details))
 
 
 def test_07_commutator_light_cone():

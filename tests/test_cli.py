@@ -67,7 +67,9 @@ def test_malformed_graph_file_is_config_error(tmp_path, capsys, sub):
     gfile = tmp_path / "g.txt"
     for text, why in [("0 1 1.0\n1 2 1.0\n", "vertices N"),     # no header
                       ("vertices 2\n0 1 1.0\nspin 0 1e400\n", "bad spin line"),
-                      ("vertices 2\n0 1 1.0\nspin 0 1/0\n", "bad spin line")]:
+                      ("vertices 2\n0 1 1.0\nspin 0 1/0\n", "bad spin line"),
+                      ("vertices 2\n0 1 1.0\nspin 5 1\n", "vertex 5 outside 0..1"),
+                      ("vertices 2\n0 1 1.0\nspin -1 1\n", "vertex -1 outside 0..1")]:
         gfile.write_text(text)
         assert run([sub, "--graph", str(gfile), "--out", str(tmp_path / "x.csv")]) == 2
         err = capsys.readouterr().err

@@ -5,11 +5,9 @@ import pytest
 
 import spinsys.hilbert
 
-from spinsys import (SpinSpace, XxzParams, assemble, bandwidth_formula,
-                     compare_band_width, convergence_table, down_spin_sector,
-                     droplet_energy_formula, momentum_band,
-                     one_magnon_dispersion, open_chain_spin_level,
-                     sector_spectrum, xxz)
+from spinsys import (SpinSpace, XxzParams, assemble, bound_state_dispersion,
+                     convergence_table, down_spin_sector, momentum_band,
+                     open_chain_spin_level, sector_spectrum, xxz)
 from spinsys.hilbert import translation_orbits
 
 
@@ -22,43 +20,89 @@ def whole_sector_levels(p, n):
     return sector_spectrum(H, down_spin_sector(space, n)).eigenvalues
 
 
+def momenta(L):
+    return 2 * np.pi * np.arange(L) / L
+
+
 def test_formula_values():
     # q = 1/2: E(1) = (3/4)(1/2) / ((5/4)(3/2)) = 1/5
-    assert droplet_energy_formula(0.5, 1) == pytest.approx(0.2, abs=1e-15)
-    assert droplet_energy_formula(0.5, 0) == 0.0
-    # monotone increasing in n, bounded by the n -> inf limit
-    vals = [droplet_energy_formula(0.5, n) for n in range(8)]
+    assert bound_state_dispersion(0.5, 1, 0.0) == pytest.approx(0.2, abs=1e-15)
+    # the k = 0 value is the droplet energy to the last bit, and J scales it
+    for q in (0.3, 0.5, 0.7):
+        for n in range(1, 8):
+            e = (1 - q ** 2) * (1 - q ** n) / ((1 + q ** 2) * (1 + q ** n))
+            assert bound_state_dispersion(q, n, 0.0) == e
+            assert bound_state_dispersion(q, n, 0.0, J=2.0) == 2 * e
+    # the n-string form J sinh(eta) (cosh(n eta) - cos k) / (Delta sinh(n eta)),
+    # q = e^-eta, at every momentum of the 12-ring
+    k = momenta(12)
+    for q in (0.3, 0.5, 0.7):
+        eta = -np.log(q)
+        for n in (1, 2, 3, 5):
+            string = np.sinh(eta) * (np.cosh(n * eta) - np.cos(k)) / (
+                np.cosh(eta) * np.sinh(n * eta))
+            assert np.abs(bound_state_dispersion(q, n, k, J=0.5) - 0.5 * string).max() < 1e-14
+    # the band bottom increases with n, below the n -> inf limit
+    vals = [bound_state_dispersion(0.5, n, 0.0) for n in range(1, 8)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
-    limit = (1 - 0.25) / (1 + 0.25)
-    assert vals[-1] < limit
+    assert vals[-1] < (1 - 0.25) / (1 + 0.25)
     with pytest.raises(ValueError):
-        droplet_energy_formula(1.5, 1)
+        bound_state_dispersion(1.5, 1, 0.0)
     with pytest.raises(ValueError):
-        bandwidth_formula(0.5, 0)
+        bound_state_dispersion(0.5, 0, 0.0)
 
 
 def test_one_magnon_band_exact():
-    # periodic n=1 sector: E(k) = J (1 - cos k / Delta), k = 2 pi j / L
-    p = XxzParams.from_q(8, 0.5, boundary="periodic")
-    levels = whole_sector_levels(p, 1)
-    disp = one_magnon_dispersion(p)
-    assert np.abs(np.sort(levels) - disp).max() < 1e-10
+    # periodic n = 1 sector: E(k) = J (1 - cos k / Delta), k = 2 pi j / L,
+    # for the whole sector's levels and for J = 2
+    for q in (0.3, 0.5):
+        for J in (1.0, 2.0):
+            p = XxzParams.from_q(8, q, J=J, boundary="periodic")
+            levels = whole_sector_levels(p, 1)
+            magnon = J * (1 - np.cos(momenta(8)) / p.Delta)
+            assert np.abs(levels - np.sort(magnon)).max() < 1e-10
+            assert np.abs(bound_state_dispersion(q, 1, momenta(8), J) - magnon).max() < 1e-15
     # lowest one-magnon level equals E(1) = J(1 - 1/Delta) at every L
-    assert levels[0] == pytest.approx(0.2, abs=1e-9)
+    assert whole_sector_levels(XxzParams.from_q(8, 0.5, boundary="periodic"), 1)[0] \
+        == pytest.approx(0.2, abs=1e-9)
 
 
 def test_one_magnon_width_closed_form():
-    p = XxzParams.from_q(10, 0.5, boundary="periodic")
-    wc = compare_band_width(p, 1)
-    # measured width = 2J/Delta = 4q/(1+q^2)
-    assert wc.measured == pytest.approx(4 * 0.5 / (1 + 0.25), abs=1e-6)
-    assert wc.closer == "printed/Delta"
+    # the one-magnon band spans E_1(pi) - E_1(0) = 2J/Delta = 4 J q/(1 + q^2)
+    for q in (0.3, 0.5, 0.7):
+        width = bound_state_dispersion(q, 1, np.pi) - bound_state_dispersion(q, 1, 0.0)
+        assert width == pytest.approx(4 * q / (1 + q * q), abs=1e-15)
+        band = momentum_band(XxzParams.from_q(10, q, boundary="periodic"), 1)
+        assert band.max() - band.min() == pytest.approx(width, abs=1e-12)
 
 
 def test_momentum_band_matches_dispersion_for_one_magnon():
+    # momentum by momentum on an odd ring, where k = pi is not a momentum and
+    # k > L/2 takes the levels of L - k
     p = XxzParams.from_q(9, 0.5, boundary="periodic")
-    mb = np.sort(momentum_band(p, 1))
-    assert np.abs(mb - one_magnon_dispersion(p)).max() < 1e-12
+    assert np.abs(momentum_band(p, 1) - bound_state_dispersion(0.5, 1, momenta(9))).max() < 1e-12
+
+
+# the largest per-k deviation at L = 16 stays below this; slower for larger q
+BAND_TOL_AT_16 = {0.3: 1e-3, 0.5: 1e-2, 0.7: 3e-2}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.7])
+def test_momentum_band_converges_to_the_bound_state_dispersion(q, n):
+    # every block's lowest level approaches E_n(k) at its own momentum: the
+    # largest deviation falls from each L to L + 2 (n = 1 is exact at every L)
+    # and lies below the bound at L = 16.  A band width off by a factor, such
+    # as the printed 4 q^n (1 - q^2) / (1 - q^(2n)), fails the bound at q = 0.3.
+    devs = []
+    for L in range(2 * n + 4, 17, 2):
+        band = momentum_band(XxzParams.from_q(L, q, boundary="periodic"), n)
+        devs.append(float(np.abs(band - bound_state_dispersion(q, n, momenta(L))).max()))
+    if n == 1:
+        assert max(devs) <= 1e-12
+    else:
+        assert all(b < a for a, b in zip(devs, devs[1:])), devs
+    assert devs[-1] < BAND_TOL_AT_16[q]
 
 
 def test_momentum_blocks_cover_the_sector():
@@ -141,12 +185,18 @@ def test_momentum_band_matches_cycle_basis_blocks(L, n, q, monkeypatch):
 
 
 def test_two_droplet_band_below_scattering_reading():
-    # at L=14 the lowest-91-levels reading underestimates the band; the
-    # momentum-resolved width sits near the printed formula divided by Delta
-    p = XxzParams.from_q(14, 0.5, boundary="periodic")
-    w = compare_band_width(p, 2)
-    assert w.closer == "printed/Delta"
-    assert w.rel_dev_over_delta < 0.05
+    # at L = 14 scattering levels interleave with the band, so the lowest
+    # L levels of the sector span much less than the band; the momentum-
+    # resolved band follows E_2(k) at every k and has its width
+    q, L = 0.5, 14
+    p = XxzParams.from_q(L, q, boundary="periodic")
+    band = momentum_band(p, 2)
+    dispersion = bound_state_dispersion(q, 2, momenta(L))
+    width = dispersion.max() - dispersion.min()
+    assert np.abs(band - dispersion).max() < 1e-2
+    assert abs(band.max() - band.min() - width) < 0.02 * width
+    lowest = whole_sector_levels(p, 2)[:L]
+    assert lowest.max() - lowest.min() < 0.75 * width
 
 
 def test_open_chain_agrees_with_periodic_in_the_limit():
@@ -173,14 +223,19 @@ def test_sector_ground_energy_open_uses_casimir_label():
 
 def test_periodic_energy_is_lowest_whole_sector_level():
     # the momentum blocks partition the sector, so the lowest block level
-    # is the whole sector's ground energy; the width is compare_band_width's
+    # is the whole sector's ground energy; the width and the deviation from
+    # E_n(k) are read from the same band
     for q in (0.3, 0.5):
         for n in (1, 2, 3):
             table = convergence_table(q, n, range(8, 15))
+            assert table.formula_energy == bound_state_dispersion(q, n, 0.0)
             for r in table.rows:
                 p = XxzParams.from_q(r.L, q, boundary="periodic")
                 assert abs(r.e_periodic - whole_sector_levels(p, n)[0]) < 1e-12
-                assert r.band_width == compare_band_width(p, n).measured
+                band = momentum_band(p, n)
+                assert r.band_width == band.max() - band.min()
+                assert r.band_dev == np.abs(
+                    band - bound_state_dispersion(q, n, momenta(r.L))).max()
 
 
 def test_sector_dimension_guard():
@@ -196,10 +251,10 @@ def test_one_magnon_sectors_at_L40():
     # the one-down-spin sectors of 40 sites hold 40 (and, below the open
     # chain's, 780) states; H and the ladders are built on them alone
     p = XxzParams.from_q(40, 0.5, boundary="periodic")
-    mb = np.sort(momentum_band(p, 1))
-    assert np.abs(mb - one_magnon_dispersion(p)).max() < 1e-12
+    mb = momentum_band(p, 1)
+    assert np.abs(mb - bound_state_dispersion(0.5, 1, momenta(40))).max() < 1e-12
     e_open = open_chain_spin_level(XxzParams.from_q(40, 0.5), 1)
-    assert abs(e_open - droplet_energy_formula(0.5, 1)) < 2e-2
+    assert abs(e_open - bound_state_dispersion(0.5, 1, 0.0)) < 2e-2
 
 
 def test_droplet_campaign_builds_nothing_beyond_its_sectors(monkeypatch):

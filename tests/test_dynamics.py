@@ -11,7 +11,7 @@ from spinsys import (ClusteringRates, HeisenbergDynamics, SpinSpace, aklt, assem
                      commutator_grid, commutator_growth, custom, embed_at,
                      embed_local, full_spectrum, ground_correlation,
                      heisenberg, hermitian_unit_basis, lambda_norm,
-                     lr_bound_rhs, lr_corollary_bound, lr_multisite_bound,
+                     lr_bound_rhs, lr_corollary_bound,
                      path_graph, ring_graph, spin_matrices)
 from spinsys.cli import run
 from spinsys.dynamics import SectorCorrelator
@@ -287,13 +287,6 @@ def test_corollary_bound_requires_exterior_site():
     # farther site gives a smaller bound
     closer = lr_corollary_bound(g, 1.0, 10.0, 2, (3, 4), 1.0, 1.0, 0.1)
     assert val < closer
-
-
-def test_multisite_bound_dominates_singleton():
-    g = path_graph(6)
-    one = lr_bound_rhs(g, 1.0, 5.0, 0, (4,), 1.0, 0.2)
-    multi = lr_multisite_bound(g, 1.0, 5.0, (0,), (4,), 1.0, 1.0, 0.2, n_local=2)
-    assert multi == pytest.approx(4.0 * one, rel=1e-12)   # N^2 ||A|| = 4
 
 
 @pytest.mark.parametrize("lam", [0.0, -1.0, float("nan")])

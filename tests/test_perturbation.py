@@ -1,10 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
-from spinsys import (SpinSpace, aklt, frustration_free_check, gap_sweep,
-                     relative_bound_alpha, spin_matrices)
+from spinsys import SpinSpace, aklt, frustration_free_check, gap_sweep, spin_matrices
 from spinsys.models import custom
 
 
@@ -21,24 +18,6 @@ def test_open_chain_reports_degeneracy():
     assert rep.zero_energy
     assert rep.ground_degeneracy == 4     # two free edge spins-1/2
     assert not rep.condition_holds
-
-
-def test_relative_bound_alpha_basics():
-    h = np.diag([0.0, 1.0, 4.0])
-    # phi supported on the range of h
-    phi = np.diag([0.0, 2.0, 2.0])
-    assert relative_bound_alpha(phi, h) == pytest.approx(2.0)
-    # overlap with ker h forces alpha = infinity
-    assert math.isinf(relative_bound_alpha(np.diag([1.0, 0, 0]), h))
-    # zero perturbation
-    assert relative_bound_alpha(np.zeros((3, 3)), h) == 0.0
-
-
-def test_relative_bound_alpha_validates_inputs():
-    with pytest.raises(ValueError):
-        relative_bound_alpha(np.array([[0, 1], [0, 0]]), np.eye(2))
-    with pytest.raises(ValueError):
-        relative_bound_alpha(np.eye(2), -np.eye(2))
 
 
 def test_gap_sweep_small_grid():

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 import spinsys.spectral
 import spinsys.ssep
 from spinsys import (SpinSpace, assemble, build_graph, complete_graph, down_spin_sector,
-                     path_graph, ring_graph, semigroup_evolve, ssep_gaps, ssep_generator,
+                     path_graph, ring_graph, ssep_gaps, ssep_generator,
                      ssep_spin_interaction, xxx_conjugacy_check)
 from spinsys.ssep import ExclusionSpace
 
@@ -104,22 +104,6 @@ def test_xxx_conjugacy(g):
     assert max(abs(v) for v in rep.uniform_rayleigh.values()) < 1e-12
 
 
-def test_semigroup_preserves_probability():
-    g = ring_graph(5)
-    space = ExclusionSpace(g, 2)
-    gen = ssep_generator(space)
-    rng = np.random.default_rng(3)
-    mu0 = rng.random(space.dim)
-    mu0 /= mu0.sum()
-    for t in (0.1, 1.0, 10.0):
-        mu = semigroup_evolve(gen, mu0, t)
-        assert mu.sum() == pytest.approx(1.0, abs=1e-10)
-        assert mu.min() > -1e-12
-    # long-time limit is uniform
-    mu_inf = semigroup_evolve(gen, mu0, 200.0)
-    assert np.abs(mu_inf - 1.0 / space.dim).max() < 1e-10
-
-
 @pytest.mark.parametrize("g", list(NON_TREES.values()), ids=list(NON_TREES))
 def test_generator_is_the_assembled_down_spin_block(g):
     # a particle is a down spin: the same ascending bitmasks, the same matrix
@@ -163,9 +147,11 @@ def test_gaps_match_dense_generator_oracle_with_one_solve_per_n(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    for module in (spinsys.ssep, spinsys.spectral):
-        for name in ("full_spectrum", "sector_spectrum"):
-            monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
+    # ssep solves through sector_spectrum alone; spectral holds both
+    for module, name in ((spinsys.ssep, "sector_spectrum"),
+                         (spinsys.spectral, "full_spectrum"),
+                         (spinsys.spectral, "sector_spectrum")):
+        monkeypatch.setattr(module, name, spy(name, getattr(module, name)))
     xxx_conjugacy_check(g)
     assert calls == []
     rep = ssep_gaps(g)

@@ -5,10 +5,9 @@ from numpy.testing import assert_allclose
 import spinsys.symmetry
 from spinsys import (ClassificationError, SparseOperator, SpinSpace, XxzParams,
                      assemble, build_graph, classify_total_spin, custom,
-                     embed_at, foel_check, heisenberg, lieb_mattis_check,
-                     magnetization_sector, path_graph, restrict, ring_graph,
-                     sector_spectrum, spin_matrices, spin_multiplicities,
-                     star_graph, su2_totals, suq2_generators, xxz)
+                     embed_at, foel_check, heisenberg, magnetization_sector,
+                     path_graph, restrict, ring_graph, sector_spectrum, spin_matrices,
+                     spin_multiplicities, star_graph, su2_totals, suq2_generators, xxz)
 from spinsys.droplets import open_chain_spin_level
 from spinsys.spectral import DEGENERACY_TOL
 from spinsys.symmetry import (SpinResolvedLevels, TotalSpinOps,
@@ -153,8 +152,12 @@ def test_foel_detects_violation():
 
 
 def test_lieb_mattis_star():
+    # the liebmattis campaign's three calls: Hamiltonian, spin table, ordering
     g = star_graph(3)
-    verdict = lieb_mattis_check(g, [0], [1, 2, 3])
+    space = SpinSpace.from_graph(g)
+    levels = classify_total_spin(lieb_mattis_hamiltonian(g, [0], [1, 2, 3]),
+                                 su2_totals(space), space)
+    verdict = lieb_mattis_order(levels, g, [0], [1, 2, 3])
     assert verdict.holds
     assert verdict.margin > 1e-6
 
