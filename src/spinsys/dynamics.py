@@ -40,6 +40,7 @@ LANCZOS_MAX_STEPS = 128
 LANCZOS_CHECK_EVERY = 4
 PROPAGATION_TOL = 1e-14
 CLUSTERING_WINDOW_STEPS = 4    # equal steps across each pair's window [0, b_max]
+CLUSTERING_LARGE_B = (1.0, 3.0, 6.0)   # the b of the trivial large-b check
 
 
 def hermitian_unit_basis(n: int):
@@ -465,7 +466,7 @@ def ground_correlation(H, A, B, b: float) -> complex:
         raise ValueError("imaginary time b must be nonnegative")
     rep = full_spectrum(H, want_vectors=True)
     ev = rep.eigenvalues
-    degeneracy = int(np.sum(ev <= ev[0] + DEGENERACY_TOL))
+    degeneracy = spectral_gap(rep).ground_degeneracy
     if degeneracy != 1:
         raise ValueError(f"ground state is {degeneracy}-fold degenerate; "
                          "correlations need a unique ground state")
@@ -600,7 +601,7 @@ class ClusteringReport:
 
 
 def clustering_report(g: SpinGraph, phi: Interaction, local_op, lam: float,
-                      large_bs=(1.0, 3.0, 6.0), threads=1) -> ClusteringReport:
+                      threads=1) -> ClusteringReport:
     """Tabulate |<Omega, A tau_{ib}(B) Omega>| for single-site observables
     against the decay bound, for vertex 0 and one vertex at each distance
     from it: the constant is fitted at the smallest distance and the bound
@@ -619,7 +620,7 @@ def clustering_report(g: SpinGraph, phi: Interaction, local_op, lam: float,
     correlator solves the block again for its ground vector.  The
     observable blocks are embedded on the ground sector directly.  Each pair takes one ``SectorCorrelator.propagate``
     call, at its CLUSTERING_WINDOW_STEPS + 1 equally spaced b (the values
-    written in the rows) and at ``large_bs`` for the trivial large-b check.
+    written in the rows) and at CLUSTERING_LARGE_B for the trivial large-b check.
     """
     space = SpinSpace.from_graph(g)
     merged, per_sector = sector_sweep_lowest(phi, space, k=2, threads=threads)
@@ -648,7 +649,7 @@ def clustering_report(g: SpinGraph, phi: Interaction, local_op, lam: float,
 
     # trivial large-b bound ||A|| ||B|| e^(-gamma b)
     op_norm = float(np.linalg.norm(np.asarray(local_op, dtype=complex), 2))
-    large_bs = list(large_bs)
+    large_bs = list(CLUSTERING_LARGE_B)
     rows, large_rows = [], []
     per_distance = {}
     for (x, y) in pairs:

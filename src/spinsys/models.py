@@ -68,20 +68,17 @@ class Interaction:
     def su2_invariant(self, space) -> bool:
         """Whether the sum commutes with the total spin on ``space``: on every
         support X the sum of its terms (``_support_sums``) commutes with S+_X
-        and S3_X (``np.kron`` of ``spin_matrices``, first site innermost, built
+        and S3_X (``embed_local`` on the support's own ``SpinSpace``, built
         once per tuple of spins) to TERM_HERMITICITY_TOL of the largest
         entries of term and generator."""
         generators = {}                     # spins of X -> [S+_X, S3_X]
         for support, m in _support_sums(self.terms, space).items():
             spins = tuple(space.spin_at(x) for x in support)
             if spins not in generators:
-                generators[spins] = []
-                for op in ("plus", "s3"):
-                    gen = np.zeros((1, 1))      # op_X on the sites so far, the first innermost
-                    for s in spins:
-                        a = getattr(spin_matrices(s), op)
-                        gen = np.kron(a, np.eye(len(gen))) + np.kron(np.eye(len(a)), gen)
-                    generators[spins].append(gen)
+                generators[spins] = [embed_local(SpinSpace.from_spins(spins),
+                                                 [((i,), getattr(spin_matrices(s), op))
+                                                  for i, s in enumerate(spins)]).toarray()
+                                     for op in ("plus", "s3")]
             for gen in generators[spins]:
                 if (np.abs(m @ gen - gen @ m).max()
                         > TERM_HERMITICITY_TOL * np.abs(m).max() * np.abs(gen).max()):
@@ -170,8 +167,8 @@ class XxzParams:
 
 def xxz(p: XxzParams) -> Interaction:
     """Bond terms -J [ (S1S1 + S2S2)/Delta + (S3S3 - 1/4) ]; the open variant
-    adds the boundary field -A(Delta)(S3_L - S3_1), the periodic one closes
-    the ring and drops the field."""
+    adds the boundary field -J A(Delta)(S3_L - S3_1), so that J scales the
+    whole chain, the periodic one closes the ring and drops the field."""
     s = spin_matrices(0.5)
     bond = -p.J * ((np.kron(s.s1, s.s1) + np.kron(s.s2, s.s2)) / p.Delta
                    + (np.kron(s.s3, s.s3) - np.eye(4) / 4))
@@ -182,9 +179,9 @@ def xxz(p: XxzParams) -> Interaction:
             raise ValueError("periodic chain needs at least 3 sites")
         terms.append(((p.L - 1, 0), bond))
     else:
-        A = p.A_Delta
-        terms.append(((0,), A * np.asarray(s.s3)))       # +A S3_1
-        terms.append(((p.L - 1,), -A * np.asarray(s.s3)))  # -A S3_L
+        A = p.J * p.A_Delta
+        terms.append(((0,), A * np.asarray(s.s3)))       # +J A S3_1
+        terms.append(((p.L - 1,), -A * np.asarray(s.s3)))  # -J A S3_L
     return Interaction(terms)
 
 

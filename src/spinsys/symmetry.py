@@ -1,18 +1,19 @@
 """Total-spin structure: SU(2) and SU_q(2) ladder totals and the
 classification of levels by total spin.
 
-A ladder (``su2_totals`` or ``suq2_generators``) is the one description of
-its algebra: ``plus(source, target)`` builds the block of the S+ total
-between any two bases (the sum over x of one ``embed_at`` product per site,
-so only the sectors involved are touched; no full-space ladder is formed
-unless both bases are the space).  S+ is real, so the SU(2) lowering block
-is the transpose of an S+ block.
+Both ladders (``su2_totals``, ``suq2_generators``) are one ``Ladder``: the
+name of the algebra and the factor lists of its S+ total, whose block
+between any two bases ``plus(source, target)`` builds (one ``embed_at``
+product per term, so only the sectors involved are touched).  S+ is real,
+so the SU(2) lowering block is the transpose of an S+ block.
 Both algebras are classified by one method, ``sector_spin_levels``: when
-H commutes with S+ (checked on the blocks, H_(M+1) S+ = S+ H_M), S+ maps
-the orthogonal complement of ker S+ in the sector M = S onto the sector
-M = S + 1 and intertwines H there, so the spin-S levels are the multiset
-difference spec(H|M=S) minus spec(H|M=S+1).  No Casimir is formed and
-every sector is solved for its values alone.
+H commutes with S+ (H_(M+1) S+ = S+ H_M, checked on the blocks by
+``_checked_plus``), S+ maps the orthogonal complement of ker S+ in the
+sector M = S onto the sector M = S + 1 and intertwines H there, so the
+spin-S levels are the multiset difference spec(H|M=S) minus spec(H|M=S+1)
+(``_level_difference``, which refuses a level of M = S + 1 without a
+partner).  Both checks raise ``ClassificationError`` naming the ladder.
+No Casimir is formed and every sector is solved for its values alone.
 ``classify_total_spin(phi, ladder, space)`` walks the sectors M = S >= 0
 up from the lowest, solving each once, and keeps every level of each.
 ``su2_sweep_lowest`` labels the Ritz vectors of the lowest sector M0 = 0
@@ -53,62 +54,46 @@ class ClassificationError(RuntimeError):
     pass
 
 
-def _ladder_block(terms, source, target) -> SparseOperator:
-    """sum over the factor lists ``terms`` of embed_at(source, factors,
-    target=target): one ladder total between two bases."""
-    total = sp.csr_matrix((target.total_dim, source.total_dim))
-    for factors in terms:
-        total = total + embed_at(source, factors, target=target).matrix
-    return SparseOperator(total, basis=source, target=target)
+class Ladder(NamedTuple):
+    """A raising total S+ = the sum over ``terms`` of one product of
+    single-site factors each ([(site, matrix), ...]), of the algebra
+    ``name`` ("SU(2)" or "SU_q(2)")."""
 
-
-class TotalSpinOps(NamedTuple):
-    """The SU(2) raising total S+ = sum_x S+_x on ``space``, built as blocks
-    between two bases on demand; S- = (S+)^T, bit for bit, as S+ is real and
-    no two sites share a matrix element."""
-
-    space: SpinSpace
+    name: str
+    terms: list
 
     def plus(self, source, target) -> SparseOperator:
-        """The block of S+ from the basis ``source`` to ``target``."""
-        return _ladder_block([[(x, spin_matrices(self.space.spin_at(x)).plus)]
-                              for x in range(self.space.n_sites)], source, target)
+        """The block of S+ from the basis ``source`` to ``target``, one
+        ``embed_at`` per term."""
+        total = sp.csr_matrix((target.total_dim, source.total_dim))
+        for factors in self.terms:
+            total = total + embed_at(source, factors, target=target).matrix
+        return SparseOperator(total, basis=source, target=target)
 
 
-def su2_totals(space: SpinSpace) -> TotalSpinOps:
-    """The SU(2) ladder of ``space``."""
-    return TotalSpinOps(space)
+def su2_totals(space: SpinSpace) -> Ladder:
+    """The SU(2) ladder of ``space``, S+ = sum_x S+_x; S- = (S+)^T, bit for
+    bit, as S+ is real and no two sites share a matrix element."""
+    return Ladder("SU(2)", [[(x, spin_matrices(space.spin_at(x)).plus)]
+                            for x in range(space.n_sites)])
 
 
-class SuqOps(NamedTuple):
-    """The twisted SU_q(2) raising total on the L-site spin-1/2 chain, built
-    as blocks between two bases on demand (see ``suq2_generators``)."""
-
-    L: int
-    q: float
-
-    def plus(self, source, target) -> SparseOperator:
-        """The block of S+ = sum_x S+_x t_(x+1) ... t_L from ``source`` to ``target``."""
-        t = np.diag([1 / self.q, self.q])
-        return _ladder_block([[(x, spin_matrices(0.5).plus)]
-                              + [(y, t) for y in range(x + 1, self.L)]
-                              for x in range(self.L)], source, target)
-
-
-def suq2_generators(p: XxzParams) -> SuqOps:
+def suq2_generators(p: XxzParams) -> Ladder:
     """Twisted SU_q(2) ladder of the spin-1/2 chain.
 
-    S+ carries the t = diag(1/q, q) tail on the sites after the raising
-    site (and S- = sum_x t_1^-1 ... t_(x-1)^-1 S-_x the inverse tail before
-    the lowering site); this is the spatial mirror of the more common
-    left-tail convention and is the chirality that commutes with the
-    boundary field -A(S3_L - S3_1).  The tails are ordinary diagonal
-    factors of each term's product.  With T = q^(-2 S3) the product of all
-    t_x, [S+, S-] = (q^(2 S3) - q^(-2 S3)) / (q - 1/q).  For 0 < q < 1 the
-    representation theory is that of SU(2), which is all the
-    classification uses of it.  ``XxzParams`` has checked 0 < q < 1.
+    S+ = sum_x S+_x t_(x+1) ... t_L carries the t = diag(1/q, q) tail on the
+    sites after the raising site (and S- = sum_x t_1^-1 ... t_(x-1)^-1 S-_x
+    the inverse tail before the lowering site); this is the spatial mirror
+    of the more common left-tail convention and is the chirality that
+    commutes with the boundary field -J A(S3_L - S3_1).  The tails are
+    ordinary diagonal factors of each term's product.  With T = q^(-2 S3)
+    the product of all t_x, [S+, S-] = (q^(2 S3) - q^(-2 S3)) / (q - 1/q).
+    For 0 < q < 1 the representation theory is that of SU(2), which is all
+    the classification uses of it.  ``XxzParams`` has checked 0 < q < 1.
     """
-    return SuqOps(p.L, p.q)
+    t = np.diag([1 / p.q, p.q])
+    return Ladder("SU_q(2)", [[(x, spin_matrices(0.5).plus)]
+                              + [(y, t) for y in range(x + 1, p.L)] for x in range(p.L)])
 
 
 def spin_multiplicities(space: SpinSpace, lowest=0) -> dict:
@@ -192,36 +177,46 @@ def _commutator_deviation(h_low, h_up, up) -> float:
     return dev / (largest * np.abs(up.data).max(initial=1.0))
 
 
-def _level_difference(lower, upper, tol):
-    """The multiset difference of two ascending spectra, levels matched
-    within tol: (the levels of ``lower`` without a partner in ``upper``,
-    the first level of ``upper`` without a partner in ``lower``, or None)."""
+def _checked_plus(ladder, below, above, h_below, h_above):
+    """The CSR block of ``ladder``'s S+ from the sector ``below`` (M) to
+    ``above`` (M + 1), checked against the CSR blocks of H on both:
+    ||H_(M+1) S+ - S+ H_M|| above SU2_CHECK_TOL (``_commutator_deviation``)
+    raises ``ClassificationError``."""
+    up = ladder.plus(below, above).matrix
+    dev = _commutator_deviation(h_below, h_above, up)
+    if dev > SU2_CHECK_TOL:
+        raise ClassificationError(
+            f"H does not commute with S+: ||H S+ - S+ H|| = {dev:.3e} (relative) "
+            f"from M = {below.label[1]} to M = {above.label[1]} ({ladder.name} ladder)")
+    return up
+
+
+def _level_difference(lower, upper, ladder, m):
+    """The levels of the ascending spectrum ``lower`` of the sector M = m
+    without a partner in ``upper``, that of M + 1, levels matched within
+    SU2_CHECK_TOL * max(1, |E|): a multiset difference.  A level of
+    ``upper`` without a partner in ``lower`` raises ``ClassificationError``."""
+    tol = SU2_CHECK_TOL * max(1.0, np.abs(lower).max())
     matched = np.zeros(lower.size, dtype=bool)
     j = 0
     for e in upper:
         while j < lower.size and lower[j] < e - tol:
             j += 1
         if j == lower.size or lower[j] > e + tol:
-            return lower[~matched], e
+            raise ClassificationError(f"the level {float(e)!r} of M = {m + 1} has no partner "
+                                      f"in M = {m} ({ladder.name} ladder)")
         matched[j] = True
         j += 1
-    return lower[~matched], None
+    return lower[~matched]
 
 
 def _nested_spin_levels(phi, ladder, space: SpinSpace, twice_spins):
     """2S -> (the spin-S levels, every level of the sector M = S) for each
-    2S >= 0 in ``twice_spins``.
-
-    The sectors M = S and M = S + 1 are walked up from the lowest, each
-    assembled (``assemble(phi, sector)``) and solved for its values
-    (``sector_spectrum``) once.  Before M = S + 1 is solved, its block and
-    that of M = S must satisfy H_(M+1) S+ = S+ H_M to SU2_CHECK_TOL
-    (``_commutator_deviation``, S+ from ``ladder``).  S+ then maps the
-    orthogonal complement of ker S+ in M = S onto M = S + 1 and intertwines
-    H there, so the spin-S levels are spec(M = S) minus spec(M = S + 1),
-    matched to SU2_CHECK_TOL * max(1, |E|).  A failed check, or a level of
-    M = S + 1 left without a partner, raises ``ClassificationError``.
-    """
+    2S >= 0 in ``twice_spins``.  The sectors M = S and M = S + 1 are walked
+    up from the lowest, each assembled (``assemble(phi, sector)``) and
+    solved for its values (``sector_spectrum``) once; each step is checked
+    (``_checked_plus``) before M = S + 1 is solved, and the spin-S levels
+    are spec(M = S) minus spec(M = S + 1) (``_level_difference``)."""
     tmax = space.twice_m_total_max()
     wanted = set(twice_spins)
     out, last = {}, None        # (2M, sector, block, levels) of the last sector solved
@@ -231,20 +226,10 @@ def _nested_spin_levels(phi, ladder, space: SpinSpace, twice_spins):
         paired = last is not None and last[0] == t - 2 and t - 2 in wanted
         if paired:
             _, sector_below, block_below, lower = last
-            dev = _commutator_deviation(block_below.matrix, block.matrix,
-                                        ladder.plus(sector_below, sector).matrix)
-            if dev > SU2_CHECK_TOL:
-                raise ClassificationError(
-                    f"H does not commute with S+: ||H S+ - S+ H|| = {dev:.3e} "
-                    f"(relative) from M = {t / 2 - 1} to M = {t / 2}")
+            _checked_plus(ladder, sector_below, sector, block_below.matrix, block.matrix)
         levels = sector_spectrum(block, sector).eigenvalues
         if paired:
-            own, e = _level_difference(lower, levels,
-                                       SU2_CHECK_TOL * max(1.0, np.abs(lower).max()))
-            if e is not None:
-                raise ClassificationError(
-                    f"the level {e!r} of M = {t / 2} has no partner in M = {t / 2 - 1}")
-            out[t - 2] = own, lower
+            out[t - 2] = _level_difference(lower, levels, ladder, t / 2 - 1), lower
         if t == tmax and t in wanted:
             out[t] = levels, levels
         last = t, sector, block, levels
@@ -268,13 +253,11 @@ def su2_sweep_lowest(phi, space: SpinSpace, k=4, threads=1):
 
     Every level of the sector M > 0 also lies in M - 1, so the lowest
     sector M0 = 0 (or 1/2) holds every distinct level.  The blocks formed
-    cross-check the term check, and a failed check raises ``ValueError``:
-
-    - ||H_(M0+1) S+ - S+ H_M0|| <= SU2_CHECK_TOL (``_commutator_deviation``)
-      on the sweep's one S+ block, M0 -> M0 + 1 (``su2_totals``);
-    - the top sectors up to dimension ``spectral.KRYLOV_CROSSOVER``, solved
-      densely, nest: spec(M + 1) lies in spec(M) as a multiset, to
-      SU2_CHECK_TOL (``_level_difference``; M0 joins when dense too).
+    cross-check the term check by the two checks of the nested walk: the
+    commutator (``_checked_plus``) on the sweep's one S+ block, M0 -> M0 + 1
+    (``su2_totals``), and the nesting (``_level_difference``) of the top
+    sectors up to dimension ``spectral.KRYLOV_CROSSOVER``, solved densely
+    (M0 joins when dense too).
 
     Each block is assembled once, for the check and the solve.  M0 is then
     solved with eigenvectors through ``sector_spectrum`` (its k lowest
@@ -293,14 +276,10 @@ def su2_sweep_lowest(phi, space: SpinSpace, k=4, threads=1):
     sectors = {t: magnetization_sector(space, t / 2)
                for t in dict.fromkeys(top + [low + 2, low]) if t <= tmax}
     blocks = {t: assemble(phi, sec) for t, sec in sectors.items()}
-    up = None                                   # S+ from M0 to M0 + 1, for the Casimir
+    ladder, up = su2_totals(space), None        # S+ from M0 to M0 + 1, for the Casimir
     if low + 2 in sectors:
-        up = su2_totals(space).plus(sectors[low], sectors[low + 2]).matrix
-        dev = _commutator_deviation(blocks[low].matrix, blocks[low + 2].matrix, up)
-        if dev > SU2_CHECK_TOL:
-            raise ValueError(
-                f"H passed the SU(2) term check, but ||H S+ - S+ H|| = {dev:.3e} "
-                f"(relative) from M = {low / 2} to M = {low / 2 + 1}")
+        up = _checked_plus(ladder, sectors[low], sectors[low + 2],
+                           blocks[low].matrix, blocks[low + 2].matrix)
     order = [low] + top
     blocks = {t: blocks[t] for t in order}      # M0 + 1, if not dense, was only checked
 
@@ -310,13 +289,7 @@ def su2_sweep_lowest(phi, space: SpinSpace, k=4, threads=1):
     reports = dict(zip(order, ordered_map(solve, order, threads)))
     full = {t for t, r in reports.items() if r.eigenvalues.size == sectors[t].dim}
     for t in sorted(t for t in full if t + 2 in full):
-        lower = reports[t].eigenvalues
-        _, e = _level_difference(lower, reports[t + 2].eigenvalues,
-                                 SU2_CHECK_TOL * max(1.0, np.abs(lower).max()))
-        if e is not None:
-            raise ValueError(
-                f"H passed the SU(2) term check, but the level {e!r} of "
-                f"M = {t / 2 + 1} has no partner in M = {t / 2}")
+        _level_difference(reports[t].eigenvalues, reports[t + 2].eigenvalues, ladder, t / 2)
 
     rep = reports[low]
     vecs = rep.eigenvectors
@@ -352,21 +325,27 @@ class OrderingVerdict:
     margin: Optional[float] = None   # min adjacent energy difference
 
 
+def _strict_steps(entries, pairs):
+    """The smallest step E(b) - E(a) over the spin pairs (a, b), walked in
+    order, and the first pair whose step is at most ORDERING_STRICT_TOL as
+    the witness (a, b, E(a), E(b)), or None."""
+    margin, witness = np.inf, None
+    for a, b in pairs:
+        diff = entries[b] - entries[a]
+        margin = min(margin, diff)
+        if diff <= ORDERING_STRICT_TOL and witness is None:
+            witness = (a, b, float(entries[a]), float(entries[b]))
+    return float(margin), witness
+
+
 def foel_check(levels: SpinResolvedLevels) -> OrderingVerdict:
     """E(H,S) strictly decreasing in S: E(S) < E(S') whenever S' < S, by more
     than ORDERING_STRICT_TOL."""
     grid = levels.spins()
-    lo = grid[0]
-    if set(grid) != set(range(lo, levels.twice_s_max + 1, 2)):
+    if set(grid) != set(range(grid[0], levels.twice_s_max + 1, 2)):
         raise ValueError("level table does not cover a contiguous spin grid")
-    margin = np.inf
-    witness = None
-    for t_lo, t_hi in zip(grid[:-1], grid[1:]):
-        diff = levels.entries[t_lo] - levels.entries[t_hi]   # E(S') - E(S), S' < S
-        margin = min(margin, diff)
-        if diff <= ORDERING_STRICT_TOL and witness is None:
-            witness = (t_hi, t_lo, float(levels.entries[t_hi]), float(levels.entries[t_lo]))
-    return OrderingVerdict("FOEL", witness is None, witness, float(margin))
+    margin, witness = _strict_steps(levels.entries, [(hi, lo) for lo, hi in zip(grid, grid[1:])])
+    return OrderingVerdict("FOEL", witness is None, witness, margin)
 
 
 def lieb_mattis_hamiltonian(g, part_a, part_b, intra_a=None, intra_b=None):
@@ -398,19 +377,14 @@ def lieb_mattis_order(levels: SpinResolvedLevels, g, part_a, part_b) -> Ordering
     twice_sa = int(round(2 * sum(g.spins[x] for x in part_a)))
     twice_sb = int(round(2 * sum(g.spins[x] for x in part_b)))
     twice_s0 = abs(twice_sa - twice_sb)
-    grid = levels.spins()
     ground = min(levels.entries.values())
-    margin = np.inf
     witness = None
     if abs(levels.entries.get(twice_s0, np.inf) - ground) > ORDERING_STRICT_TOL:
         s_at_ground = min(levels.entries, key=levels.entries.get)
         e_s0 = levels.entries.get(twice_s0)
         witness = (twice_s0, s_at_ground, None if e_s0 is None else float(e_s0),
                    float(levels.entries[s_at_ground]))
-    upper = [t for t in grid if t >= twice_s0]
-    for t_lo, t_hi in zip(upper[:-1], upper[1:]):
-        diff = levels.entries[t_hi] - levels.entries[t_lo]
-        margin = min(margin, diff)
-        if diff <= ORDERING_STRICT_TOL and witness is None:
-            witness = (t_lo, t_hi, float(levels.entries[t_lo]), float(levels.entries[t_hi]))
-    return OrderingVerdict("LiebMattis", witness is None, witness, float(margin))
+    upper = [t for t in levels.spins() if t >= twice_s0]
+    margin, step = _strict_steps(levels.entries, zip(upper, upper[1:]))
+    witness = witness or step
+    return OrderingVerdict("LiebMattis", witness is None, witness, margin)

@@ -238,6 +238,18 @@ def test_periodic_energy_is_lowest_whole_sector_level():
                     band - bound_state_dispersion(q, n, momenta(r.L))).max()
 
 
+def test_coupling_scales_every_droplet_column_exactly():
+    # J scales the bonds and the open chain's boundary field alike, so every
+    # column at J = 2 is twice the J = 1 value, bit for bit
+    one, two = (convergence_table(0.3, 2, range(6, 13), J=J) for J in (1.0, 2.0))
+    assert two.formula_energy == 2 * one.formula_energy
+    for a, b in zip(one.rows, two.rows):
+        assert b.L == a.L
+        for name in ("e_periodic", "band_width", "band_dev", "e_open_suq",
+                     "dev_periodic", "dev_open"):
+            assert getattr(b, name) == 2 * getattr(a, name), (a.L, name)
+
+
 def test_sector_dimension_guard():
     # the C(60, 8) = 2.6e9-state sector's dense arrays exceed any memory:
     # both passes refuse before a basis is enumerated

@@ -607,7 +607,8 @@ def test_large_b_steps_match_one_correlation_per_b(monkeypatch):
     monkeypatch.setattr(spinsys.dynamics, "SectorCorrelator",
                         lambda *a, **kw: made.append(SectorCorrelator(*a, **kw)) or made[-1])
     large_bs = (3.0, 1.0, 6.0, 0.0)
-    rep = spinsys.dynamics.clustering_report(g, phi, s3, 1.0, large_bs=large_bs)
+    monkeypatch.setattr(spinsys.dynamics, "CLUSTERING_LARGE_B", large_bs)
+    rep = spinsys.dynamics.clustering_report(g, phi, s3, 1.0)
     corr, = made
     sector = magnetization_sector(SpinSpace.from_graph(g), 0.0)
     a_block = embed_at(sector, [(0, s3)]).matrix

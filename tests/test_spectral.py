@@ -15,7 +15,8 @@ from spinsys.models import Interaction
 from spinsys.spectral import SpectrumReport
 from spinsys.ssep import ssep_spin_interaction
 from spinsys.util import require_memory
-from spinsys.symmetry import TotalSpinOps, _level_difference, lieb_mattis_hamiltonian
+from spinsys.symmetry import (ClassificationError, Ladder, _level_difference,
+                              classify_total_spin, lieb_mattis_hamiltonian)
 
 
 def random_hermitian(rng, n):
@@ -251,18 +252,18 @@ def test_reduced_sweep_builds_one_ladder_block(phi, space, monkeypatch):
     # and the Casimir of M0 use; no sector below M0 or twice is enumerated
     enumerated, ladders = [], []
     real_sector = spinsys.symmetry.magnetization_sector
-    real_block = spinsys.symmetry._ladder_block
+    real_plus = Ladder.plus
 
     def sector_spy(space, M):
         enumerated.append(M)
         return real_sector(space, M)
 
-    def block_spy(terms, source, target):
+    def plus_spy(ladder, source, target):
         ladders.append((source.label, target.label))
-        return real_block(terms, source, target)
+        return real_plus(ladder, source, target)
 
     monkeypatch.setattr(spinsys.symmetry, "magnetization_sector", sector_spy)
-    monkeypatch.setattr(spinsys.symmetry, "_ladder_block", block_spy)
+    monkeypatch.setattr(Ladder, "plus", plus_spy)
     sector_sweep_lowest(phi, space, k=2)
     m0 = space.twice_m_total_max() % 2 / 2
     assert min(enumerated) == m0 and len(enumerated) == len(set(enumerated))
@@ -302,36 +303,57 @@ def test_wrong_declaration_fails_the_commutator_check(monkeypatch):
     phi = aklt(6, periodic=True) + szsz_ring(6).scaled(0.05)
     assert not phi.su2_invariant(space)
     monkeypatch.setattr(Interaction, "su2_invariant", lambda self, space: True)
-    with pytest.raises(ValueError, match=r"SU\(2\) term check.*S\+ - S\+ H.*M = 0\.0 "):
+    with pytest.raises(ClassificationError,
+                       match=r"S\+ - S\+ H.*from M = 0\.0 to M = 1\.0 \(SU\(2\) ladder\)"):
         sector_sweep_lowest(phi, space, k=2)
 
 
 def test_wrong_declaration_fails_the_nesting_check(monkeypatch):
-    # with a zero ladder the commutator check sees nothing; the spectra of
-    # the dense top sectors still refuse the declaration
-    class BlindLadder(TotalSpinOps):
-        def plus(self, source, target):
-            return SparseOperator(sps.csr_matrix((target.total_dim, source.total_dim)),
-                                  basis=source, target=target)
-
-    monkeypatch.setattr(spinsys.symmetry, "su2_totals", BlindLadder)
+    # with a ladder of no terms the commutator check sees nothing; the
+    # spectra of the dense top sectors still refuse the declaration
+    monkeypatch.setattr(spinsys.symmetry, "su2_totals", lambda space: Ladder("SU(2)", []))
     monkeypatch.setattr(Interaction, "su2_invariant", lambda self, space: True)
     space = SpinSpace((3,) * 6)
     phi = aklt(6, periodic=True) + szsz_ring(6).scaled(0.05)
-    with pytest.raises(ValueError, match="has no partner"):
+    with pytest.raises(ClassificationError, match="has no partner"):
         sector_sweep_lowest(phi, space, k=2)
 
 
+@pytest.mark.parametrize("blind, failure", [(False, "H does not commute with S+"),
+                                            (True, "has no partner")],
+                         ids=["commutator", "nesting"])
+def test_nested_walk_and_reduced_sweep_refuse_alike(blind, failure, monkeypatch):
+    # the perturbed AKLT ring with the SU(2) term check forced to pass: the
+    # nested walk and the reduced sweep take the same checked S+ step from
+    # M = 0 and refuse with one message, at the commutator for the SU(2)
+    # ladder and at the nesting for a ladder with no terms
+    space = SpinSpace((3,) * 6)
+    phi = aklt(6, periodic=True) + szsz_ring(6).scaled(0.05)
+    if blind:
+        monkeypatch.setattr(spinsys.symmetry, "su2_totals", lambda space: Ladder("SU(2)", []))
+    monkeypatch.setattr(Interaction, "su2_invariant", lambda self, space: True)
+    with pytest.raises(ClassificationError) as walk:
+        classify_total_spin(phi, spinsys.symmetry.su2_totals(space), space)
+    with pytest.raises(ClassificationError) as sweep:
+        sector_sweep_lowest(phi, space, k=2)
+    assert str(walk.value) == str(sweep.value)
+    assert failure in str(walk.value) and str(walk.value).endswith("(SU(2) ladder)")
+
+
 def test_unmatched_level_matches_multisets():
+    # levels within SU2_CHECK_TOL * max(1, |E|) = 2e-10 of each other match
+    ladder = Ladder("SU(2)", [])
     lower = np.array([0.0, 1.0, 1.0, 2.0])
-    rest, unmatched = _level_difference(lower, np.array([1.0, 1.0 + 1e-12]), 1e-10)
-    assert unmatched is None and np.array_equal(rest, [0.0, 2.0])
-    rest, unmatched = _level_difference(lower, np.array([0.0 - 1e-11, 2.0]), 1e-10)
-    assert unmatched is None and np.array_equal(rest, [1.0, 1.0])
-    assert np.array_equal(_level_difference(lower, np.empty(0), 1e-10)[0], lower)
-    assert _level_difference(lower, np.array([1.0, 1.0, 1.0]), 1e-10)[1] == 1.0
-    assert _level_difference(lower, np.array([1.5]), 1e-10)[1] == 1.5
-    assert _level_difference(lower, np.array([3.0]), 1e-10)[1] == 3.0
+    assert np.array_equal(_level_difference(lower, np.array([1.0, 1.0 + 1e-12]), ladder, 0.0),
+                          [0.0, 2.0])
+    assert np.array_equal(_level_difference(lower, np.array([0.0 - 1e-11, 2.0]), ladder, 0.0),
+                          [1.0, 1.0])
+    assert np.array_equal(_level_difference(lower, np.empty(0), ladder, 0.0), lower)
+    for upper, e in (([1.0, 1.0, 1.0], 1.0), ([1.5], 1.5), ([3.0], 3.0)):
+        with pytest.raises(ClassificationError,
+                           match=rf"the level {e!r} of M = 1\.5 has no partner in "
+                                 rf"M = 0\.5 \(SU\(2\) ladder\)"):
+            _level_difference(lower, np.array(upper), ladder, 0.5)
 
 
 def szsz_chain(L):

@@ -10,7 +10,7 @@ from spinsys import (ClassificationError, SparseOperator, SpinSpace, XxzParams,
                      spin_multiplicities, star_graph, su2_totals, suq2_generators, xxz)
 from spinsys.droplets import open_chain_spin_level
 from spinsys.spectral import DEGENERACY_TOL
-from spinsys.symmetry import (SpinResolvedLevels, TotalSpinOps,
+from spinsys.symmetry import (SpinResolvedLevels, _checked_plus,
                               _commutator_deviation, _label_levels, lieb_mattis_hamiltonian,
                               lieb_mattis_order, sector_spin_levels)
 
@@ -32,18 +32,18 @@ def su2_casimir_block(space, sector):
     return restrict(SparseOperator(s1 @ s1 + s2 @ s2 + s3 @ s3), sector)
 
 
-def suq_total_t(ops):
+def suq_total_t(p):
     """The full-space T, the product of t = diag(1/q, q) over the sites."""
-    space = SpinSpace((2,) * ops.L)
-    return embed_at(space, [(x, np.diag([1 / ops.q, ops.q])) for x in range(ops.L)]).matrix
+    space = SpinSpace((2,) * p.L)
+    return embed_at(space, [(x, np.diag([1 / p.q, p.q])) for x in range(p.L)]).matrix
 
 
-def suq_minus(ops, space):
+def suq_minus(p, space):
     """S- = sum_x t_1^-1 ... t_(x-1)^-1 S-_x on the full space, the partner
     of the library's S_q+, built here from its definition."""
-    t_inv = np.diag([ops.q, 1 / ops.q])
+    t_inv = np.diag([p.q, 1 / p.q])
     return sum(embed_at(space, [(y, t_inv) for y in range(x)]
-                        + [(x, spin_matrices(0.5).minus)]).matrix for x in range(ops.L))
+                        + [(x, spin_matrices(0.5).minus)]).matrix for x in range(p.L))
 
 
 def test_su2_totals_algebra():
@@ -74,7 +74,7 @@ def test_su2_totals_algebra():
     ids=["su2_mixed", "su2_spin1", "suq_L7"])
 def test_ladder_blocks_match_restricted_full_space_ladders(ladder, space):
     plus = ladder.plus(space, space)
-    if isinstance(ladder, TotalSpinOps):
+    if ladder.name == "SU(2)":
         s1, s2, _ = su2_totals_full(space)
         minus = SparseOperator(s1 - 1j * s2)
     values = space.magnetization_values()
@@ -82,7 +82,7 @@ def test_ladder_blocks_match_restricted_full_space_ladders(ladder, space):
         sector, below = (magnetization_sector(space, M) for M in (upper, lower))
         block = ladder.plus(below, sector)
         checks = [(block.matrix, plus, below, sector)]
-        if isinstance(ladder, TotalSpinOps):
+        if ladder.name == "SU(2)":
             # the SU(2) lowering block is the transpose of the S+ block
             checks.append((block.matrix.T, minus, sector, below))
         for mat, full, src, dst in checks:
@@ -178,7 +178,7 @@ def test_suq_generators_commute_with_hamiltonian():
     ops = suq2_generators(p)
     h = H.toarray()
     for name, m in (("plus", ops.plus(space, space).toarray()),
-                    ("minus", suq_minus(ops, space).toarray())):
+                    ("minus", suq_minus(p, space).toarray())):
         assert np.abs(h @ m - m @ h).max() < 1e-12, name
     # the sliced block check the classification runs, on every sector pair
     values = space.magnetization_values()
@@ -190,6 +190,21 @@ def test_suq_generators_commute_with_hamiltonian():
         assert dev < 1e-14, upper
 
 
+@pytest.mark.parametrize("J", [0.5, 2.0])
+def test_suq_block_commutator_holds_at_any_coupling(J):
+    # the boundary field scales with J as the bonds do: every block pair of
+    # the open chain passes the checked S_q+ step, and the walk classifies it
+    p = XxzParams.from_q(6, 0.3, J=J)
+    space = SpinSpace((2,) * p.L)
+    ladder = suq2_generators(p)
+    values = space.magnetization_values()
+    for upper, lower in zip(values, values[1:]):
+        sector, below = (magnetization_sector(space, M) for M in (upper, lower))
+        _checked_plus(ladder, below, sector, assemble(xxz(p), below).matrix,
+                      assemble(xxz(p), sector).matrix)
+    assert classify_total_spin(xxz(p), ladder, space).counts == spin_multiplicities(space)
+
+
 def test_suq_deformed_commutator():
     # [S+, S-] = (q^(2 S3) - q^(-2 S3)) / (q - 1/q), with T = q^(-2 S3)
     p = XxzParams.from_q(3, 0.4)
@@ -197,8 +212,8 @@ def test_suq_deformed_commutator():
     q = p.q
     space = SpinSpace((2,) * 3)
     sp_ = ops.plus(space, space).toarray()
-    sm = suq_minus(ops, space).toarray()
-    t = suq_total_t(ops).toarray()
+    sm = suq_minus(p, space).toarray()
+    t = suq_total_t(p).toarray()
     lhs = sp_ @ sm - sm @ sp_
     rhs = (np.linalg.inv(t) - t) / (q - 1 / q)
     assert np.abs(lhs - rhs).max() < 1e-12
