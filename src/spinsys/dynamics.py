@@ -8,7 +8,10 @@ Light-cone commutator norms are taken in that eigenbasis, one connected
 component of the block pattern of the commutator at a time.  A single-site
 unit E_ij is rotated there by gathering eigenvector rows (no embedding), and
 every time step is handled at once: tau_t(A), tau_t(A) B and the commutator
-are (T, n, m) stacks, and each component's norm is one stacked solve.
+are (T, n, m) stacks, and each component's norm is one stacked solve.  A unit
+whose norm another fixes exactly is not solved: E_11 = 1 - E_00 on a spin-1/2
+site, and i(E_ij - E_ji) = W (E_ij + E_ji) W^* where a phase W, a power of i
+on each invariant block of H, commutes with B (``commutator_grid``).
 Imaginary-time weights e^(-b(H-E0)) are applied by spectral decomposition on
 the dense path and, inside one sector, by a Lanczos recursion on the sparse
 block (``SectorCorrelator.propagate``): one recursion from a vector w gives
@@ -236,33 +239,54 @@ class HeisenbergDynamics:
         return U.conj().T @ (A @ U)
 
 
-def _block_components(pairs):
+def _block_components(edges, modulus=2):
     """Connected components of the graph on blocks with an edge a - c for
-    every (a, c) in ``pairs``.  Each is (blocks, colour): ``colour`` maps the
-    blocks to 0 and 1 so that every edge joins two colours, or is None when
-    the component has an odd cycle or a loop a - a."""
+    every (a, c, w) in ``edges``.  Each is (blocks, theta): ``theta`` maps
+    the blocks to 0, ..., modulus - 1 so that theta_a - theta_c = w (mod
+    ``modulus``) on every edge, or is None when no such numbers exist.  With
+    every w = 1 and modulus 2 it is a 2-colouring, None on an odd cycle or a
+    loop a - a."""
     adj = {}
-    for a, c in pairs:
-        adj.setdefault(a, set()).add(c)
-        adj.setdefault(c, set()).add(a)
+    for a, c, w in edges:
+        adj.setdefault(a, set()).add((c, -w))
+        adj.setdefault(c, set()).add((a, w))
     seen = set()
     comps = []
     for start in sorted(adj):
         if start in seen:
             continue
-        colour = {start: 0}
+        theta = {start: 0}
         queue = [start]
-        bipartite = True
+        consistent = True
         for a in queue:
-            for c in adj[a]:
-                if c not in colour:
-                    colour[c] = 1 - colour[a]
+            for c, w in adj[a]:
+                if c not in theta:
+                    theta[c] = (theta[a] + w) % modulus
                     queue.append(c)
-                elif colour[c] == colour[a]:
-                    bipartite = False
-        seen.update(colour)
-        comps.append((sorted(colour), colour if bipartite else None))
+                elif (theta[c] - theta[a] - w) % modulus:
+                    consistent = False
+        seen.update(theta)
+        comps.append((sorted(theta), theta if consistent else None))
     return comps
+
+
+def _repeated_units(dyn: HeisenbergDynamics, space: SpinSpace, x: int, b_pairs) -> set:
+    """The positions, in ``hermitian_unit_basis`` order, of the units at
+    site x that ``commutator_grid`` skips by its identities (a) and (b):
+    E_11 on a site of dimension 2, and i(E_ij - E_ji) for each pair i < j
+    whose block walk, over the block pairs (r, c) of E_ij with weight 1 and
+    the block pairs ``b_pairs`` of B with weight 0, is consistent mod 4."""
+    d, stride = space.site_dims[x], space.strides[x]
+    digit = np.arange(dyn.dim) // stride % d
+    b_edges = [(a, c, 0) for a, c in b_pairs]
+    out = {1} if d == 2 else set()
+    for k, (i, j) in enumerate((i, j) for i in range(d) for j in range(i + 1, d)):
+        s = np.flatnonzero(digit == j)
+        e_pairs = set(zip(dyn.labels[s + (i - j) * stride].tolist(), dyn.labels[s].tolist()))
+        walk = _block_components([(r, c, 1) for r, c in e_pairs] + b_edges, 4)
+        if all(theta is not None for _, theta in walk):
+            out.add(d + 2 * k + 1)        # the antisymmetric unit of the pair
+    return out
 
 
 def _slices(blocks, sizes):
@@ -338,6 +362,20 @@ def commutator_grid(dyn: HeisenbergDynamics, B, space: SpinSpace, xs, ts) -> np.
     tau_t(A), X and K are (T, n, m) stacks over all T time steps; each block
     of X is formed when it is added into its component's K, and the size of
     the largest K is counted against the physical memory first.
+
+    A unit whose norm equals, at every t, that of a unit solved before is
+    skipped (``_repeated_units``).  (a) On a site of dimension 2,
+    E_11 = 1 - E_00, so [tau_t(E_11), B] = -[tau_t(E_00), B], for any H and
+    B.  (b) For a pair i < j, let theta be a whole number on each invariant
+    block of H with theta_r - theta_c = 1 (mod 4) on every block pair (r, c)
+    of E_ij and theta_a = theta_c (mod 4) on every block pair (a, c) of B.
+    Then W = (+) i^theta_a 1_a is a scalar on each block of H, so it
+    commutes with H; it commutes with B; and W E_ij W^* = i E_ij, so W maps
+    E_ij + E_ji to i(E_ij - E_ji), whose norm is then that of the symmetric
+    unit.  The theta come from one walk over the blocks of both patterns;
+    they exist on the magnetization sectors when B keeps the magnetization,
+    and not when H is one block (a transverse field) or B moves the
+    magnetization (sigma^1), where both units are solved.
     """
     Bs = sp.csr_matrix(B.matrix if isinstance(B, SparseOperator) else B)
     if abs(Bs - Bs.conj().T).max() > 1e-10 * max(1.0, abs(Bs).max()):
@@ -360,13 +398,16 @@ def commutator_grid(dyn: HeisenbergDynamics, B, space: SpinSpace, xs, ts) -> np.
 
     out = np.zeros((len(xs), steps))
     for i, x in enumerate(xs):
-        for Ad in dyn.unit_blocks(space, x):
+        repeated = _repeated_units(dyn, space, x, Bd)
+        for u, Ad in enumerate(dyn.unit_blocks(space, x)):
+            if u in repeated:
+                continue
             terms = {}                # (a, c) -> the b with A[a, b] B[b, c] in X[a, c]
             for a, b in Ad:
                 for c in b_row.get(b, ()):
                     terms.setdefault((a, c), []).append(b)
             comps = [(blocks, colour, [k for k in terms if k[0] in blocks])
-                     for blocks, colour in _block_components(terms)]
+                     for blocks, colour in _block_components([(a, c, 1) for a, c in terms])]
             # K and the temporaries of one block of X: four arrays the size
             # of the largest component (at L = 10 and 21 steps 336 MiB, where
             # ru_maxrss grew by 149 MiB)

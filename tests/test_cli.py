@@ -253,6 +253,21 @@ def test_droplet_assertion_failure_is_exit_one(tmp_path):
     assert any(not a["passed"] for a in manifest["assertions"])
 
 
+def test_droplet_thresholds_are_in_units_of_j(tmp_path):
+    # every deviation scales with J: at J = 5 the open-chain deviation at
+    # L = 16 is 0.0215, past the 2e-2 bound in absolute units
+    devs = {}
+    for J in ("1", "5"):
+        out = tmp_path / f"drop{J}.csv"
+        assert run(["droplet", "--q", "0.3", "--n", "2", "--Lmax", "16", "--J", J,
+                    "--out", str(out)]) == 0
+        manifest = json.loads(read(tmp_path / f"drop{J}.csv.manifest.json"))
+        detail = {a["name"]: a["detail"] for a in manifest["assertions"]}
+        devs[J] = float(detail["open_suq_converges"].split(" = ")[1].split()[0])
+    assert devs["5"] > 2e-2
+    assert devs["5"] == pytest.approx(5 * devs["1"], rel=1e-9)
+
+
 def test_memory_error_is_exit_three(tmp_path, monkeypatch, capsys):
     def out_of_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 11.9 GiB for an array")

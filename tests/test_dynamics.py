@@ -191,6 +191,41 @@ def test_gathered_units_match_embedded_rotation(case):
                 assert_allclose(got[key], m, rtol=0, atol=1e-14)
 
 
+def test_commutator_grid_matches_definition_on_mixed_radix_chain():
+    # units of dimension 2, 3 and 4: identity (a) at the spin-1/2 sites
+    # only, identity (b) at every pair of every site
+    space, H = mixed_radix_case()
+    dyn = HeisenbergDynamics(H)
+    B = embed_at(space, [(3, np.diag([1.7, 0.4, -0.6, -1.5]))])
+    b_pairs = dyn._eigenbasis_blocks(B)
+    repeated = [spinsys.dynamics._repeated_units(dyn, space, x, b_pairs) for x in range(4)]
+    assert repeated == [{1, 3}, {4, 6, 8}, {1, 3}, {5, 7, 9, 11, 13, 15}]
+    ts = [0.0, 0.35, 1.1]
+    grid = commutator_grid(dyn, B, space, range(4), ts)
+    expect = np.array([[growth_by_definition(dyn, B, x, t, space) for t in ts] for x in range(4)])
+    assert_allclose(grid, expect, rtol=0, atol=1e-12)
+    assert grid[:, 1:].min() > 1e-6
+
+
+@pytest.mark.parametrize("case, repeated", [("sigma3_chain_L6", {1, 3}),
+                                            ("transverse_field_L5", {1}),
+                                            ("sigma1_chain_L5", {1})])
+def test_phase_identity_needs_quarter_phases(case, repeated):
+    # identity (b) needs a block phase W with W E_01 W^* = i E_01 that
+    # commutes with B: the light-cone campaign's sigma^3 keeps every sector,
+    # a transverse field makes H one block, and sigma^1 joins the sectors
+    # that E_01 joins with no phase step
+    if case == "sigma3_chain_L6":
+        g, space, H = chain_setup(6)
+        B = embed_at(space, [(3, 2.0 * np.asarray(spin_matrices(0.5).s3))])
+    else:
+        space, H, B, _ = list(model_cases())[CASE_IDS.index(case)]
+    dyn = HeisenbergDynamics(H)
+    b_pairs = dyn._eigenbasis_blocks(B)
+    for x in range(space.n_sites):
+        assert spinsys.dynamics._repeated_units(dyn, space, x, b_pairs) == repeated
+
+
 def test_eigenbasis_blocks_of_a_complex_operator_are_real_products():
     # a complex B on a real eigenbasis is rotated as its real and imaginary parts
     g, space, H = chain_setup(5)
