@@ -371,10 +371,10 @@ def run_lightcone(cfg):
     b_norm = float(np.linalg.norm(b_local, 2))
     ts = [tmax * i / (tsteps - 1) for i in range(tsteps)]
     # Spot check of the eigenbasis norms against the definition at the site
-    # farthest from B at the last time: tau_t(A) = U^H A U from the full
-    # unitary, the commutator with the sparse B in the site basis, and its
-    # norm.  It runs first, so that the memory refusal of its dense unitary
-    # comes before the grid.
+    # farthest from B at the last time: tau_-t(B) = U B U^H from the full
+    # unitary, its commutator with each embedded unit A in the site basis,
+    # and its norm.  It runs first, so that the memory refusal of its dense
+    # unitary comes before the grid.
     far = max(range(L), key=lambda x: abs(x - bsite))
     spot = commutator_growth(dyn, B, far, ts[-1], space)
     direct = _commutator_by_definition(dyn, B.matrix, far, ts[-1], space)
@@ -400,11 +400,15 @@ def run_lightcone(cfg):
 
 
 def _commutator_by_definition(dyn, B, x, t, space):
+    # [tau_t(A), B] = U^H [A, tau_-t(B)] U, so one backward evolution of B
+    # serves every unit A at x, and the unitary invariance of the norm
+    # leaves ||[A, tau_-t(B)]||
+    Bt = dyn.evolve(B, -t)
     best = 0.0
     for local in hermitian_unit_basis(space.site_dims[x]):
-        At = dyn.evolve(embed_at(space, [(x, local)]), t)
-        # i[tau_t(A), B] is Hermitian: its norm is its largest |eigenvalue|
-        best = max(best, float(np.abs(np.linalg.eigvalsh(1j * (At @ B - B @ At))).max()))
+        A = embed_at(space, [(x, local)]).matrix
+        # i[A, tau_-t(B)] is Hermitian: its norm is its largest |eigenvalue|
+        best = max(best, float(np.abs(np.linalg.eigvalsh(1j * (A @ Bt - Bt @ A))).max()))
     return best
 
 

@@ -10,8 +10,15 @@ unit E_ij is rotated there by gathering eigenvector rows (no embedding), and
 every time step is handled at once: tau_t(A), tau_t(A) B and the commutator
 are (T, n, m) stacks, and each component's norm is one stacked solve.  A unit
 whose norm another fixes exactly is not solved: E_11 = 1 - E_00 on a spin-1/2
-site, and i(E_ij - E_ji) = W (E_ij + E_ji) W^* where a phase W, a power of i
-on each invariant block of H, commutes with B (``commutator_grid``).
+site, i(E_ij - E_ji) = W (E_ij + E_ji) W^* where a phase W, a power of i on
+each invariant block of H, commutes with B, and, where the global spin flip F
+(every site digit i -> d - 1 - i) commutes with H and F B F = +-B, a unit
+that the site flip maps to +-(an earlier unit) + c 1 (``commutator_grid``).
+F also halves the solves: a block and its mirror image share one ``eigh``
+(V_mirror = V[::-1]), a self-mirrored block is solved by its two parity
+halves, and where F K F = +-K for the commutator K, of two mirror-image
+components one is solved and a self-mirrored one by its parity halves
+(``flip``).
 Imaginary-time weights e^(-b(H-E0)) are applied by spectral decomposition on
 the dense path and, inside one sector, by a Lanczos recursion on the sparse
 block (``SectorCorrelator.propagate``): one recursion from a vector w gives
@@ -34,6 +41,8 @@ from .models import Interaction, lambda_norm
 from .spectral import (DEGENERACY_TOL, ConvergenceError, extremal_eigs, full_spectrum,
                        sector_sweep_lowest, spectral_gap)
 from .util import require_memory
+from .flip import (_flip_mirror, _flip_sign, _parity_eigh, _parity_norm, _parity_plan,
+                   _traceless)
 
 # SectorCorrelator.propagate.  The pairs of the AKLT ring's clustering check
 # stop after 20 Lanczos steps (L = 6), 32-36 (L = 9), 40 (L = 12) and 44
@@ -90,7 +99,15 @@ class HeisenbergDynamics:
     H is split into its invariant blocks, the connected components of its
     sparsity pattern (the magnetization sectors of a Heisenberg chain; a
     single block once a transverse field couples them), and the blocks of
-    each size are diagonalised together by one stacked ``eigh``.
+    each size are diagonalised together by one stacked ``eigh``.  Where the
+    global flip F: s -> dim - 1 - s commutes with H (``_flip_mirror``), F
+    maps block b onto block ``mirror[b]`` with its states in reverse order:
+    of a block pair b < mirror[b] only b is solved, and V_mirror[b] =
+    V_b[::-1] exactly, so that in the eigenbasis F swaps the two blocks'
+    columns; a self-mirrored block is solved by two half-size ``eigh``
+    calls in its parity basis (``_parity_eigh``), and ``parity`` holds the
+    parity +-1 of each of its columns (0 on every other column; ``mirror``
+    is None and ``parity`` all 0 where F does not commute with H).
     ``blocks[b]`` holds the eigenvectors of block b, with
     ``evals[bounds[b]:bounds[b + 1]]`` their eigenvalues: its rows are
     the states ``order[bounds[b]:bounds[b + 1]]``, and state s is row
@@ -119,23 +136,39 @@ class HeisenbergDynamics:
                                                                np.diff(self.bounds))
         self.evals = np.empty(dim)
         self.blocks = [None] * sizes.size
-        # the blocks of each size, scattered from the block-ordered entries
-        # into one stack and solved by one stacked eigh
+        self.mirror = _flip_mirror(mat, self.labels, self.order, self.bounds)
+        self.parity = np.zeros(dim, dtype=np.int8)
+        mirror = np.arange(sizes.size) if self.mirror is None else self.mirror
+        # the blocks of each size that are not the mirror image of a block
+        # before them, scattered from the block-ordered entries into one
+        # stack and solved by one stacked eigh; a self-mirrored block is
+        # solved by its two parity halves instead
         coo = mat[self.order][:, self.order].tocoo()
         coo.sum_duplicates()
         blk = self.labels[self.order[coo.row]]
         row, col = coo.row - self.bounds[blk], coo.col - self.bounds[blk]
         rank = np.empty(sizes.size, dtype=np.intp)
-        for m in np.unique(sizes):
-            ids = np.flatnonzero(sizes == m)
+        solved = mirror >= np.arange(sizes.size)
+        for m in np.unique(sizes[solved]):
+            ids = np.flatnonzero(solved & (sizes == m))
             rank[ids] = np.arange(ids.size)
-            sel = sizes[blk] == m
+            sel = solved[blk] & (sizes[blk] == m)
             stack = np.zeros((ids.size, m, m), mat.dtype)
             stack[rank[blk[sel]], row[sel], col[sel]] = coo.data[sel]
-            vals, vecs = np.linalg.eigh(stack)
-            self.evals[self.bounds[ids][:, None] + np.arange(m)] = vals
-            for b, vb in zip(ids.tolist(), vecs):
-                self.blocks[b] = vb
+            halved = (mirror[ids] == ids) & (self.mirror is not None)
+            if not halved.all():
+                vals, vecs = np.linalg.eigh(stack[~halved])
+                self.evals[self.bounds[ids[~halved]][:, None] + np.arange(m)] = vals
+                for b, vb in zip(ids[~halved].tolist(), vecs):
+                    self.blocks[b] = vb
+            for b, h in zip(ids[halved].tolist(), stack[halved]):
+                s = self.bounds[b]
+                self.evals[s:s + m], self.blocks[b], self.parity[s:s + m] = _parity_eigh(h)
+        for b in np.flatnonzero(~solved).tolist():
+            a = mirror[b]
+            self.blocks[b] = self.blocks[a][::-1]
+            self.evals[self.bounds[b]:self.bounds[b + 1]] = \
+                self.evals[self.bounds[a]:self.bounds[a + 1]]
         self.dim = dim
 
     @property
@@ -175,48 +208,54 @@ class HeisenbergDynamics:
             out[r, c] = rot[0] + 1j * rot[1] if split else rot[0]
         return out
 
-    def unit_blocks(self, space: SpinSpace, x: int) -> list:
+    def unit_blocks(self, space: SpinSpace, x: int, units=None) -> list:
         """The blocks of V^H A V, as ``_eigenbasis_blocks`` gives them, for
-        each A of ``hermitian_unit_basis`` at site x, in its order, from
-        gathered rows of the eigenvector blocks; nothing is embedded.  The
-        site unit E_ij takes each state s whose site-x digit is j to
-        s' = s + (i - j) stride_x, so block (r, c) of V^H E_ij V is
-        V_r[s']^H V_c[s] over those s in block c with s' in block r: one
-        gather of rows and one product per block pair.  V^H E_ji V is its
-        conjugate transpose."""
+        the A of ``hermitian_unit_basis`` at site x at the positions
+        ``units`` (every one by default), in that order, from gathered rows
+        of the eigenvector blocks; nothing is embedded, and a unit not asked
+        for is not gathered.  The site unit E_ij takes each state s whose
+        site-x digit is j to s' = s + (i - j) stride_x, so block (r, c) of
+        V^H E_ij V is V_r[s']^H V_c[s] over those s in block c with s' in
+        block r: one gather of rows and one product per block pair
+        (``_gathered``).  V^H E_ji V is its conjugate transpose."""
         if space.total_dim != self.dim:
             raise ValueError(f"a {space.total_dim}-state space for a "
                              f"{self.dim}-state Hamiltonian")
         d, stride = space.site_dims[x], space.strides[x]
         digit = np.arange(self.dim) // stride % d
-        n, V, pos = len(self.blocks), self.blocks, self.position
-
-        def gathered(i, j):
-            s = np.flatnonzero(digit == j)
-            s2 = s + (i - j) * stride
-            key = self.labels[s2] * n + self.labels[s]
-            perm = np.argsort(key, kind="stable")
-            keys, starts = np.unique(key[perm], return_index=True)
-            out = {}
-            for k, sel in zip(keys.tolist(), np.split(perm, starts[1:])):
-                r, c = divmod(k, n)
-                out[r, c] = V[r][pos[s2[sel]]].conj().T @ V[c][pos[s[sel]]]
-            return out
-
-        def plus_adjoint(G, w):
-            """w G + conj(w) G^H, block by block."""
-            out = {}
+        pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
+        gathered = {}
+        out = []
+        for u in range(d * d) if units is None else units:
+            i, j = (u, u) if u < d else pairs[(u - d) // 2]
+            if (i, j) not in gathered:
+                gathered[i, j] = self._gathered(digit, stride, i, j)
+            G = gathered[i, j]
+            if i == j:
+                out.append(G)
+                continue
+            w = 1j if (u - d) % 2 else 1      # i(E_ij - E_ji) or E_ij + E_ji
+            unit = {}
             for (r, c), m in G.items():
                 for key, term in (((r, c), w * m), ((c, r), np.conj(w) * m.conj().T)):
-                    out[key] = out[key] + term if key in out else term
-            return out
+                    unit[key] = unit[key] + term if key in unit else term
+            out.append(unit)
+        return out
 
-        units = [gathered(i, i) for i in range(d)]
-        for i in range(d):
-            for j in range(i + 1, d):
-                G = gathered(i, j)
-                units += [plus_adjoint(G, 1), plus_adjoint(G, 1j)]
-        return units
+    def _gathered(self, digit, stride, i, j) -> dict:
+        """The blocks of V^H E_ij V, where E_ij acts on the site of ``stride``
+        whose digits are ``digit``, from gathered eigenvector rows."""
+        n, V, pos = len(self.blocks), self.blocks, self.position
+        s = np.flatnonzero(digit == j)
+        s2 = s + (i - j) * stride
+        key = self.labels[s2] * n + self.labels[s]
+        perm = np.argsort(key, kind="stable")
+        keys, starts = np.unique(key[perm], return_index=True)
+        out = {}
+        for k, sel in zip(keys.tolist(), np.split(perm, starts[1:])):
+            r, c = divmod(k, n)
+            out[r, c] = V[r][pos[s2[sel]]].conj().T @ V[c][pos[s[sel]]]
+        return out
 
     def evolve(self, A, t: float) -> np.ndarray:
         """tau_t(A) = U^H A U for the full unitary U = e^(-itH) = V e^(-itE) V^H,
@@ -270,12 +309,16 @@ def _block_components(edges, modulus=2):
     return comps
 
 
-def _repeated_units(dyn: HeisenbergDynamics, space: SpinSpace, x: int, b_pairs) -> set:
+def _repeated_units(dyn: HeisenbergDynamics, space: SpinSpace, x: int, b_pairs,
+                    b_sign=0) -> set:
     """The positions, in ``hermitian_unit_basis`` order, of the units at
-    site x that ``commutator_grid`` skips by its identities (a) and (b):
-    E_11 on a site of dimension 2, and i(E_ij - E_ji) for each pair i < j
+    site x that ``commutator_grid`` skips by its identities (a), (b) and
+    (c): E_11 on a site of dimension 2; i(E_ij - E_ji) for each pair i < j
     whose block walk, over the block pairs (r, c) of E_ij with weight 1 and
-    the block pairs ``b_pairs`` of B with weight 0, is consistent mod 4."""
+    the block pairs ``b_pairs`` of B with weight 0, is consistent mod 4;
+    and, where the flip commutes with H and F B F = ``b_sign`` B (nonzero),
+    each unit that the site flip maps to plus or minus an earlier unit up
+    to a multiple of 1."""
     d, stride = space.site_dims[x], space.strides[x]
     digit = np.arange(dyn.dim) // stride % d
     b_edges = [(a, c, 0) for a, c in b_pairs]
@@ -286,6 +329,11 @@ def _repeated_units(dyn: HeisenbergDynamics, space: SpinSpace, x: int, b_pairs) 
         walk = _block_components([(r, c, 1) for r, c in e_pairs] + b_edges, 4)
         if all(theta is not None for _, theta in walk):
             out.add(d + 2 * k + 1)        # the antisymmetric unit of the pair
+    if b_sign and dyn.mirror is not None:
+        units = [_traceless(m) for m in hermitian_unit_basis(d)]
+        for u, m in enumerate(units):
+            if any(np.array_equal(m[::-1, ::-1], s * units[v]) for v in range(u) for s in (1, -1)):
+                out.add(u)
     return out
 
 
@@ -364,18 +412,33 @@ def commutator_grid(dyn: HeisenbergDynamics, B, space: SpinSpace, xs, ts) -> np.
     the largest K is counted against the physical memory first.
 
     A unit whose norm equals, at every t, that of a unit solved before is
-    skipped (``_repeated_units``).  (a) On a site of dimension 2,
-    E_11 = 1 - E_00, so [tau_t(E_11), B] = -[tau_t(E_00), B], for any H and
-    B.  (b) For a pair i < j, let theta be a whole number on each invariant
-    block of H with theta_r - theta_c = 1 (mod 4) on every block pair (r, c)
-    of E_ij and theta_a = theta_c (mod 4) on every block pair (a, c) of B.
-    Then W = (+) i^theta_a 1_a is a scalar on each block of H, so it
-    commutes with H; it commutes with B; and W E_ij W^* = i E_ij, so W maps
-    E_ij + E_ji to i(E_ij - E_ji), whose norm is then that of the symmetric
-    unit.  The theta come from one walk over the blocks of both patterns;
-    they exist on the magnetization sectors when B keeps the magnetization,
-    and not when H is one block (a transverse field) or B moves the
-    magnetization (sigma^1), where both units are solved.
+    skipped (``_repeated_units``), and never gathered.  (a) On a site of
+    dimension 2, E_11 = 1 - E_00, so [tau_t(E_11), B] = -[tau_t(E_00), B],
+    for any H and B.  (b) For a pair i < j, let theta be a whole number on
+    each invariant block of H with theta_r - theta_c = 1 (mod 4) on every
+    block pair (r, c) of E_ij and theta_a = theta_c (mod 4) on every block
+    pair (a, c) of B.  Then W = (+) i^theta_a 1_a is a scalar on each block
+    of H, so it commutes with H; it commutes with B; and W E_ij W^* = i E_ij,
+    so W maps E_ij + E_ji to i(E_ij - E_ji), whose norm is then that of the
+    symmetric unit.  The theta come from one walk over the blocks of both
+    patterns; they exist on the magnetization sectors when B keeps the
+    magnetization, and not when H is one block (a transverse field) or B
+    moves the magnetization (sigma^1), where both units are solved.  (c)
+    Where the global flip F (every site digit i -> d - 1 - i) commutes with
+    H (``HeisenbergDynamics.mirror``) and F B F = e_B B with e_B = +1 or -1,
+    F [tau_t(A), B] F = e_B [tau_t(F A F), B]: a unit that the site flip
+    maps to plus or minus an earlier unit, up to a multiple of 1, is
+    skipped (E_22 after E_00 on a spin-1 site).
+
+    With such an F, a unit A whose traceless part A_0 = A - (tr A / d) 1
+    (which has the same commutator) has F A_0 F = e_A A_0 gives
+    F K F = eps K, eps = e_A e_B.  X is then formed from A_0, and F maps
+    each component of the pattern onto a component of equal norm: of a
+    component and its mirror image only the first is solved, and a
+    component that is its own image is solved by its parity halves
+    (``_parity_norm``), from only the blocks of X that are not the mirror
+    image of another.  Where eps = 0 (H breaks the flip, B or A_0 has no
+    flip sign) every component is solved whole.
     """
     Bs = sp.csr_matrix(B.matrix if isinstance(B, SparseOperator) else B)
     if abs(Bs - Bs.conj().T).max() > 1e-10 * max(1.0, abs(Bs).max()):
@@ -385,6 +448,12 @@ def commutator_grid(dyn: HeisenbergDynamics, B, space: SpinSpace, xs, ts) -> np.
     for a, c in Bd:
         b_row.setdefault(a, []).append(c)
     sizes = np.diff(dyn.bounds).tolist()
+    mirror = None if dyn.mirror is None else dyn.mirror.tolist()
+    b_sign = 0
+    if mirror is not None and all((mirror[a], mirror[c]) in Bd for a, c in Bd):
+        b_sign = _flip_sign(Bs)
+        plus = [int(np.count_nonzero(dyn.parity[dyn.bounds[a]:dyn.bounds[a + 1]] > 0))
+                for a in range(len(sizes))]
     steps = len(ts)
     phases = np.split(np.array([dyn.phases(t) for t in ts]).reshape(steps, dyn.dim),
                       dyn.bounds[1:-1], axis=1)
@@ -398,25 +467,47 @@ def commutator_grid(dyn: HeisenbergDynamics, B, space: SpinSpace, xs, ts) -> np.
 
     out = np.zeros((len(xs), steps))
     for i, x in enumerate(xs):
-        repeated = _repeated_units(dyn, space, x, Bd)
-        for u, Ad in enumerate(dyn.unit_blocks(space, x)):
-            if u in repeated:
-                continue
+        d = space.site_dims[x]
+        repeated = _repeated_units(dyn, space, x, Bd, b_sign)
+        units = [u for u in range(d * d) if u not in repeated]
+        local = hermitian_unit_basis(d)
+        for u, Ad in zip(units, dyn.unit_blocks(space, x, units)):
+            eps = b_sign * _flip_sign(_traceless(local[u])) if b_sign else 0
+            if eps and u < d:                 # E_uu: the traceless part
+                Ad = dict(Ad)
+                for a, n in enumerate(sizes):
+                    Ad[a, a] = Ad.get((a, a), 0.0) - np.eye(n) / d
             terms = {}                # (a, c) -> the b with A[a, b] B[b, c] in X[a, c]
             for a, b in Ad:
                 for c in b_row.get(b, ()):
                     terms.setdefault((a, c), []).append(b)
-            comps = [(blocks, colour, [k for k in terms if k[0] in blocks])
-                     for blocks, colour in _block_components([(a, c, 1) for a, c in terms])]
+            comps, solved = [], set()
+            for blocks, colour in _block_components([(a, c, 1) for a, c in terms]):
+                keys, plan = [k for k in terms if k[0] in blocks], None
+                if eps:
+                    image = frozenset(mirror[a] for a in blocks)
+                    if image in solved:       # the mirror image of a solved one
+                        continue
+                    solved.add(frozenset(blocks))
+                    if image == frozenset(blocks):
+                        keys = [(a, c) for a, c in keys if (a, c) <= (mirror[a], mirror[c])]
+                        plan = _parity_plan(blocks, colour, mirror, plus, sizes, eps)
+                comps.append((blocks, colour, keys, plan))
             # K and the temporaries of one block of X: four arrays the size
-            # of the largest component (at L = 10 and 21 steps 336 MiB, where
-            # ru_maxrss grew by 149 MiB)
-            entries = max(_component_size(bl, co, sizes) for bl, co, _ in comps)
+            # of the largest component's stacks (at L = 10 and 21 steps 336
+            # MiB for a whole 512 x 512 component, where ru_maxrss grew by
+            # 149 MiB)
+            entries = max(_component_size(bl, co, sizes) if plan is None
+                          else sum(r * c for *_, (r, c) in plan[1])
+                          for bl, co, _, plan in comps)
             require_memory(4 * 16 * steps * entries,
                            f"the light-cone stack of {steps} time steps at site {x}")
             X = product(Ad, terms)
-            for blocks, colour, keys in comps:
-                norm = _component_norm(blocks, colour, keys, X, sizes, steps)
+            for blocks, colour, keys, plan in comps:
+                if plan is None:
+                    norm = _component_norm(blocks, colour, keys, X, sizes, steps)
+                else:
+                    norm = _parity_norm(plan, keys, X, mirror, plus, sizes, eps, steps)
                 np.maximum(out[i], norm, out=out[i])
     return out
 

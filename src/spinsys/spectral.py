@@ -22,6 +22,13 @@ RESIDUAL_TOL = 1e-9
 # 10-16 ms, ARPACK 9-36 ms), and ARPACK is 2-8x faster at dims 784-1554
 # and 45x at 3139 (2.8 s against 0.06 s).
 KRYLOV_CROSSOVER = 512
+# The fixed cost of a momentum split (``_momentum_levels``), in the n^3 units
+# of its cost rule.  Timed with one BLAS thread on the perturbed AKLT ring
+# sectors of L = 8 and 10: the split of a 1-state sector takes 0.8-1.0 ms
+# (its orbits, its shift check and one 1 x 1 block) against 0.02 ms whole,
+# and a real dense eigvalsh takes 2.0-3.5e-10 s per n^3 at n = 200-350
+# (2.7 ms at 200, 8.7 ms at 350), so the fixed part is about 4e6 n^3.
+MOMENTUM_SPLIT_COST = 4_000_000
 
 
 class ConvergenceError(RuntimeError):
@@ -182,7 +189,8 @@ def _momentum_levels(block, sector: SectorBasis, k):
     blocks must be cheaper than the sector's own path: a dense solve of n
     states counts w n^3, w = 1 for a real and 4 for a complex matrix (2 n^3
     per block of each pair k, L - k of a real h, which solves one of them),
-    at most w min(dim, KRYLOV_CROSSOVER)^3 (w dim^3 for ``k="all"``).  And
+    and the split itself MOMENTUM_SPLIT_COST, against the sector's own
+    w min(dim, KRYLOV_CROSSOVER)^3 (w dim^3 for ``k="all"``).  And
     h must commute with the one-site shift T: P h P^T = h to
     TERM_HERMITICITY_TOL of its largest entry, as in the terms' flip check."""
     if len(set(sector.site_dims)) != 1:
@@ -193,7 +201,7 @@ def _momentum_levels(block, sector: SectorBasis, k):
                for q, n in enumerate(orbits.block_dims()))
     own = (1 if real else 4) * (sector.dim if k == "all"
                                  else min(sector.dim, KRYLOV_CROSSOVER)) ** 3
-    if cost > own:
+    if cost + MOMENTUM_SPLIT_COST > own:
         return None
     coo = block.tocoo()
     moved = sp.csr_matrix((coo.data, (orbits.shift[coo.row], orbits.shift[coo.col])),

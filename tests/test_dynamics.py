@@ -13,7 +13,7 @@ from spinsys import (ClusteringRates, HeisenbergDynamics, SpinSpace, aklt, assem
                      heisenberg, hermitian_unit_basis, lambda_norm,
                      lr_bound_rhs, lr_corollary_bound,
                      path_graph, ring_graph, spin_matrices)
-from spinsys.cli import run
+from spinsys.cli import _commutator_by_definition, run
 from spinsys.dynamics import SectorCorrelator
 from spinsys.hilbert import magnetization_sector, restrict
 from spinsys.spectral import ConvergenceError, sector_spectrum
@@ -224,6 +224,186 @@ def test_phase_identity_needs_quarter_phases(case, repeated):
     b_pairs = dyn._eigenbasis_blocks(B)
     for x in range(space.n_sites):
         assert spinsys.dynamics._repeated_units(dyn, space, x, b_pairs) == repeated
+
+
+# case -> (whether the global flip commutes with H, the flip sign e_B of B,
+# the signs eps = e_A e_B of the components solved by parity halves)
+FLIP_SIGNS = {"heisenberg_L6": (True, 0, set()), "aklt_L4": (True, 0, set()),
+              "dm_chain_L5": (False, 0, set()), "transverse_field_L5": (True, 0, set()),
+              # of the units solved at spin 1 only E_11 and E_02 + E_20 have a
+              # flip sign, +1
+              "spin1_chain_L4": (True, -1, {-1}),
+              # the flip swaps the two components of E_01 + E_10, so only
+              # E_00 - 1/2 (e_A = -1) is solved by parity halves
+              "sigma1_chain_L5": (True, 1, {-1}),
+              "transverse_field_sigma3_L5": (True, -1, {1, -1})}
+
+
+@pytest.mark.parametrize("case", range(len(CASE_IDS) + 1), ids=CASE_IDS + ["mixed_radix_L4"])
+def test_flip_mirrors_the_eigenvector_blocks(case):
+    # the Dzyaloshinskii-Moriya bonds break the flip; every other H keeps it
+    space, H = (list(model_cases())[case][:2] if case < len(CASE_IDS)
+                else mixed_radix_case())
+    dyn = HeisenbergDynamics(H)
+    flip = FLIP_SIGNS[CASE_IDS[case]][0] if case < len(CASE_IDS) else True
+    assert (dyn.mirror is not None) == flip
+    if not flip:
+        assert not dyn.parity.any()
+        return
+    odd = False
+    for b, a in enumerate(dyn.mirror.tolist()):
+        s, e = dyn.bounds[b], dyn.bounds[b + 1]
+        assert dyn.mirror[a] == b
+        if a < b:                     # solved once, mirrored exactly
+            assert np.array_equal(dyn.blocks[b], dyn.blocks[a][::-1])
+            assert np.array_equal(dyn.evals[s:e], dyn.evals[dyn.bounds[a]:dyn.bounds[a + 1]])
+        if a != b:
+            assert not dyn.parity[s:e].any()
+            continue
+        p = dyn.parity[s:e]
+        assert set(p.tolist()) <= {1, -1}
+        assert np.abs(dyn.blocks[b][::-1] - dyn.blocks[b] * p).max() <= 1e-14
+        odd |= (e - s) % 2 == 1
+    # the M = 0 sector of a 4-site spin-1 chain has 19 states; its middle
+    # state is in the + half
+    assert odd == (CASE_IDS[case:case + 1] in (["aklt_L4"], ["spin1_chain_L4"]))
+
+
+def transverse_field_sigma3_case():
+    """The transverse-field chain, one block that the flip maps onto itself,
+    with B = 2 S^3 of flip sign -1."""
+    s = spin_matrices(0.5)
+    space, H, _, _ = list(model_cases())[CASE_IDS.index("transverse_field_L5")]
+    return space, H, embed_at(space, [(2, 2.0 * np.asarray(s.s3))])
+
+
+@pytest.mark.parametrize("case", CASE_IDS + ["transverse_field_sigma3_L5"])
+def test_flip_parity_solves_where_b_has_a_flip_sign(case, monkeypatch):
+    # F K F = eps K with eps = e_A e_B; e_B = 0 (the first four cases, where
+    # B has no flip sign or H breaks the flip) keeps the whole-component path
+    if case in CASE_IDS:
+        space, H, B, _ = list(model_cases())[CASE_IDS.index(case)]
+    else:
+        space, H, B = transverse_field_sigma3_case()
+    _, b_sign, eps = FLIP_SIGNS[case]
+    dyn = HeisenbergDynamics(H)
+    assert spinsys.dynamics._flip_sign(B.matrix) == b_sign
+    signs = []
+    norm = spinsys.dynamics._parity_norm
+    monkeypatch.setattr(spinsys.dynamics, "_parity_norm",
+                        lambda *args: signs.append(args[6]) or norm(*args))
+    ts = [0.0, 0.35, 1.1]
+    grid = commutator_grid(dyn, B, space, range(space.n_sites), ts)
+    assert set(signs) == eps
+    if case == "transverse_field_sigma3_L5":
+        expect = np.array([[growth_by_definition(dyn, B, x, t, space) for t in ts]
+                           for x in range(space.n_sites)])
+        assert_allclose(grid, expect, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", ["spin1_chain_L4", "sigma1_chain_L5",
+                                  "transverse_field_sigma3_L5", "sigma3_chain_L6",
+                                  "sigma3_chain_L5", "spin3/2_chain_L3", "spin1_sigma1_L3"])
+def test_parity_halves_match_the_whole_component(case, monkeypatch):
+    # each parity solve against the whole component it stands for, rebuilt
+    # from the blocks of X and their mirror images: the grid keeps only the
+    # largest unit, which hides an error in the others (the charge-2 units
+    # of a spin-1 site, whose blocks join a representative to a mirror block)
+    s = spin_matrices(0.5)
+    if case in CASE_IDS:
+        space, H, B, _ = list(model_cases())[CASE_IDS.index(case)]
+    elif case == "transverse_field_sigma3_L5":
+        space, H, B = transverse_field_sigma3_case()
+    elif case in ("spin3/2_chain_L3", "spin1_sigma1_L3"):
+        spin = 1.5 if case.startswith("spin3/2") else 1.0
+        g = path_graph(3, spin=spin)
+        space = SpinSpace.from_graph(g)
+        H = assemble(heisenberg(g), space)
+        s_spin = spin_matrices(spin)
+        # 2 S^3 keeps the sectors; 1.2 S^1 with the charge-2 units gives
+        # blocks of X that join a representative to a mirror block across M = 0
+        local = 2.0 * s_spin.s3 if spin == 1.5 else 1.2 * s_spin.s1
+        B = embed_at(space, [(1, np.asarray(local))])
+    else:
+        g, space, H = chain_setup(int(case[-1]))
+        B = embed_at(space, [(2, 2.0 * np.asarray(s.s3))])
+    dyn = HeisenbergDynamics(H)
+    norm, whole, checked = spinsys.dynamics._parity_norm, spinsys.dynamics._component_norm, []
+
+    def compared(plan, keys, X, mirror, plus, sizes, eps, steps):
+        got = norm(plan, keys, X, mirror, plus, sizes, eps, steps)
+        every = sorted(set(keys) | {(mirror[a], mirror[c]) for a, c in keys})
+        blocks = sorted({a for key in every for a in key})
+        assert_allclose(got, whole(blocks, None, every, X, sizes, steps), rtol=0, atol=1e-12)
+        checked.append(eps)
+        return got
+
+    monkeypatch.setattr(spinsys.dynamics, "_parity_norm", compared)
+    commutator_grid(dyn, B, space, range(space.n_sites), [0.0, 0.35, 1.1])
+    assert checked
+
+
+def test_flip_skips_mirror_components(monkeypatch):
+    # spin-1/2 chain of 6 sites, B = 2 S^3: E_00 - 1/2 has one component per
+    # sector, the 7 sectors are 3 mirror pairs and M = 0, so 3 are solved
+    # whole and M = 0 by its parity halves; E_01 + E_10 has one 2-coloured
+    # path through all 7, which the flip maps onto itself
+    g, space, H = chain_setup(6)
+    dyn = HeisenbergDynamics(H)
+    B = embed_at(space, [(3, 2.0 * np.asarray(spin_matrices(0.5).s3))])
+    calls = {"_component_norm": 0, "_parity_norm": 0}
+    for name in calls:
+        solve = getattr(spinsys.dynamics, name)
+
+        def counted(*args, _name=name, _solve=solve):
+            calls[_name] += 1
+            return _solve(*args)
+
+        monkeypatch.setattr(spinsys.dynamics, name, counted)
+    commutator_grid(dyn, B, space, range(6), [0.0, 0.7])
+    assert calls == {"_component_norm": 6 * 3, "_parity_norm": 6 * 2}
+
+
+@pytest.mark.parametrize("spin, solved, skipped", [
+    (0.5, [(0, 0), (0, 1)], {1, 3}),
+    (1.0, [(0, 0), (1, 1), (0, 1), (0, 2)], {2, 4, 6, 7, 8}),
+    (1.5, [(0, 0), (1, 1), (0, 1), (0, 2), (0, 3), (1, 2)],
+     {2, 3, 5, 7, 9, 11, 12, 13, 14, 15})])
+def test_skipped_units_are_never_gathered(spin, solved, skipped, monkeypatch):
+    # identity (c): the site flip maps E_22 to E_00 and the pair (1, 2) to
+    # (0, 1) on a spin-1 site, so with B = 2 S^3 neither is gathered
+    g = path_graph(3, spin=spin)
+    space = SpinSpace.from_graph(g)
+    dyn = HeisenbergDynamics(assemble(heisenberg(g), space))
+    B = embed_at(space, [(1, 2.0 * np.asarray(spin_matrices(spin).s3))])
+    b_pairs = dyn._eigenbasis_blocks(B)
+    for x in range(3):
+        assert spinsys.dynamics._repeated_units(dyn, space, x, b_pairs, -1) == skipped
+    gathered = []
+    gather = HeisenbergDynamics._gathered
+    monkeypatch.setattr(HeisenbergDynamics, "_gathered", lambda self, digit, stride, i, j:
+                        gathered.append((i, j)) or gather(self, digit, stride, i, j))
+    ts = [0.0, 0.35, 1.1]
+    grid = commutator_grid(dyn, B, space, range(3), ts)
+    assert gathered == solved * 3
+    expect = np.array([[growth_by_definition(dyn, B, x, t, space) for t in ts] for x in range(3)])
+    assert_allclose(grid, expect, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("case", range(len(CASE_IDS) + 1), ids=CASE_IDS + ["mixed_radix_L4"])
+def test_check_by_definition_evolves_b_backwards(case):
+    # ||[tau_t(A), B]|| = ||[A, tau_-t(B)]||: the campaign's check by
+    # definition against the forward evolution of every unit
+    if case < len(CASE_IDS):
+        space, H, B, _ = list(model_cases())[case]
+    else:
+        space, H = mixed_radix_case()
+        B = embed_at(space, [(3, np.diag([1.7, 0.4, -0.6, -1.5]))])
+    dyn = HeisenbergDynamics(H)
+    for x in range(space.n_sites):
+        for t in (0.35, 1.1):
+            got = _commutator_by_definition(dyn, B.matrix, x, t, space)
+            assert abs(got - growth_by_definition(dyn, B, x, t, space)) <= 1e-12
 
 
 def test_eigenbasis_blocks_of_a_complex_operator_are_real_products():

@@ -392,7 +392,10 @@ MIRROR_CASES = {
 @pytest.mark.parametrize("case", sorted(MIRROR_CASES))
 def test_mirrored_sectors_match_direct_solves(case, monkeypatch):
     phi, space, crossover, arpack = MIRROR_CASES[case]()
+    # small rings in place of large ones: a lower crossover, and no fixed
+    # cost per momentum split
     monkeypatch.setattr(spinsys.spectral, "KRYLOV_CROSSOVER", crossover)
+    monkeypatch.setattr(spinsys.spectral, "MOMENTUM_SPLIT_COST", 0)
     monkeypatch.setattr(Interaction, "su2_invariant", lambda self, space: False)
     assert phi.flip_invariant() and not phi.su2_invariant(space)
     merged, per_sector = sector_sweep_lowest(phi, space, k=3)
@@ -518,8 +521,10 @@ SPLIT_CASES = {
 
 @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
 def test_split_sweep_matches_whole_sector_spectra(case, monkeypatch):
-    # every sector of these rings splits into momentum blocks and returns all
-    # its levels; a real h solves k <= L/2 only, a complex one every k
+    # without the fixed cost per split, every sector of these rings splits
+    # into momentum blocks and returns all its levels; a real h solves
+    # k <= L/2 only, a complex one every k
+    monkeypatch.setattr(spinsys.spectral, "MOMENTUM_SPLIT_COST", 0)
     phi, space = SPLIT_CASES[case]()
     L = space.n_sites
     calls = momentum_spy(monkeypatch)
@@ -535,6 +540,23 @@ def test_split_sweep_matches_whole_sector_spectra(case, monkeypatch):
     flip = 2 if phi.flip_invariant() else 1
     assert merged.eigenvalues.size == sum(
         (flip if M > 0 else 1) * rep.eigenvalues.size for (_, M), rep in per_sector.items())
+
+
+def test_small_sectors_stay_whole_under_the_split_cost(monkeypatch):
+    # the fixed cost per split keeps the sectors of 1, 8, 36 and 112 states of
+    # the perturbed AKLT ring of 8 sites whole; those of 266 states and more
+    # split; every level agrees with the whole-sector solve
+    phi, space = perturbed_aklt_ring(8)
+    dims = []
+    blocks = spinsys.spectral.momentum_blocks
+    monkeypatch.setattr(spinsys.spectral, "momentum_blocks",
+                        lambda h, orbits, ks: dims.append(h.shape[0]) or blocks(h, orbits, ks))
+    merged, per_sector = sector_sweep_lowest(phi, space, k=6)
+    assert sorted(dims) == [266, 504, 784, 1016, 1107]
+    for (_, M), rep in per_sector.items():
+        want = whole_sector_levels(phi, space, M)
+        assert rep.eigenvalues.size == want.size
+        assert np.abs(rep.eigenvalues - want).max() <= 1e-12
 
 
 def xxz_ring_with(L, extra):
@@ -556,8 +578,10 @@ NO_SPLIT_CASES = {
 def test_broken_translation_does_not_split(case, monkeypatch):
     phi, space = NO_SPLIT_CASES[case]()
     calls = momentum_spy(monkeypatch)
+    monkeypatch.setattr(spinsys.spectral, "MOMENTUM_SPLIT_COST", 0)
     merged, per_sector = sector_sweep_lowest(phi, space, k=3)
-    # only the one-state sectors (all spins up or all down) commute with the shift
+    # only the one-state sectors (all spins up or all down) commute with the
+    # shift, and without the fixed cost per split they split
     assert len(calls) == sum(magnetization_sector(space, M).dim == 1 for _, M in per_sector)
     for (_, M), rep in per_sector.items():
         sector = magnetization_sector(space, M)
