@@ -402,13 +402,41 @@ def run_lightcone(cfg):
 def _commutator_by_definition(dyn, B, x, t, space):
     # [tau_t(A), B] = U^H [A, tau_-t(B)] U, so one backward evolution of B
     # serves every unit A at x, and the unitary invariance of the norm
-    # leaves ||[A, tau_-t(B)]||
-    Bt = dyn.evolve(B, -t)
+    # leaves ||[A, tau_-t(B)]||.  With the unit a = W diag(lam) W^H, X =
+    # tau_-t(B) is rotated by W on site x alone, a reshape to (hi, d, lo)
+    # rows and columns; there i[A, X] is i(lam_r - lam_c) X_rc.  Where lam
+    # takes two values lam_1 < lam_2, with P the projector of lam_1 and Q = 1 - P,
+    # i[A, X] = i(lam_2 - lam_1)(Q X P - P X Q), of norm
+    # (lam_2 - lam_1) sigma_max(P X Q); a unit whose pair {P, Q} was taken
+    # before (E_11 = 1 - E_00 on spin 1/2) reuses it.  Any other unit is the
+    # largest |eigenvalue| of the Hermitian i(lam_r - lam_c) X_rc.
+    d, lo = space.site_dims[x], space.strides[x]
+    hi = dyn.dim // (d * lo)
+    X = dyn.evolve(B, -t).reshape(hi, d, lo * dyn.dim)
+
+    def rotated(left, right):
+        """left^H X right on the digits of site x, as a matrix."""
+        Y = np.matmul(left.conj().T, X).reshape(-1, d, lo)
+        return np.matmul(right.T, Y).reshape(hi * left.shape[1] * lo, -1)
+
+    taken = []                   # (P, sigma_max(P X Q)) of each pair taken
     best = 0.0
-    for local in hermitian_unit_basis(space.site_dims[x]):
-        A = embed_at(space, [(x, local)]).matrix
-        # i[A, tau_-t(B)] is Hermitian: its norm is its largest |eigenvalue|
-        best = max(best, float(np.abs(np.linalg.eigvalsh(1j * (A @ Bt - Bt @ A))).max()))
+    for local in hermitian_unit_basis(d):
+        lam, W = np.linalg.eigh(local)
+        cuts = np.flatnonzero(np.diff(lam) > 1e-9) + 1
+        if cuts.size == 1:
+            low, high = W[:, :cuts[0]], W[:, cuts[0]:]
+            P = low @ low.conj().T
+            sigma = next((s for Pt, s in taken if np.allclose(P, Pt, rtol=0, atol=1e-12)
+                          or np.allclose(P, np.eye(d) - Pt, rtol=0, atol=1e-12)), None)
+            if sigma is None:
+                sigma = float(np.linalg.svd(rotated(low, high), compute_uv=False)[0])
+                taken.append((P, sigma))
+            best = max(best, float(lam[-1] - lam[0]) * sigma)
+        elif cuts.size > 1:
+            gap = (lam[:, None] - lam)[None, :, None, None, :, None]
+            K = 1j * gap * rotated(W, W).reshape(hi, d, lo, hi, d, lo)
+            best = max(best, float(np.abs(np.linalg.eigvalsh(K.reshape(dyn.dim, -1))).max()))
     return best
 
 

@@ -18,7 +18,9 @@ F also halves the solves: a block and its mirror image share one ``eigh``
 (V_mirror = V[::-1]), a self-mirrored block is solved by its two parity
 halves, and where F K F = +-K for the commutator K, of two mirror-image
 components one is solved and a self-mirrored one by its parity halves
-(``flip``).
+(``flip``); only the row blocks of a unit that those solves read are
+gathered.  The components of the block pattern and their whole solves are
+in ``components``.
 Imaginary-time weights e^(-b(H-E0)) are applied by spectral decomposition on
 the dense path and, inside one sector, by a Lanczos recursion on the sparse
 block (``SectorCorrelator.propagate``): one recursion from a vector w gives
@@ -43,6 +45,7 @@ from .spectral import (DEGENERACY_TOL, ConvergenceError, extremal_eigs, full_spe
 from .util import require_memory
 from .flip import (_flip_mirror, _flip_sign, _parity_eigh, _parity_norm, _parity_plan,
                    _traceless)
+from .components import _block_components, _component_norm, _component_size, _rows_read
 
 # SectorCorrelator.propagate.  The pairs of the AKLT ring's clustering check
 # stop after 20 Lanczos steps (L = 6), 32-36 (L = 9), 40 (L = 12) and 44
@@ -208,28 +211,28 @@ class HeisenbergDynamics:
             out[r, c] = rot[0] + 1j * rot[1] if split else rot[0]
         return out
 
-    def unit_blocks(self, space: SpinSpace, x: int, units=None) -> list:
+    def unit_blocks(self, space: SpinSpace, x: int, units=None, rows=None) -> list:
         """The blocks of V^H A V, as ``_eigenbasis_blocks`` gives them, for
         the A of ``hermitian_unit_basis`` at site x at the positions
         ``units`` (every one by default), in that order, from gathered rows
         of the eigenvector blocks; nothing is embedded, and a unit not asked
-        for is not gathered.  The site unit E_ij takes each state s whose
-        site-x digit is j to s' = s + (i - j) stride_x, so block (r, c) of
-        V^H E_ij V is V_r[s']^H V_c[s] over those s in block c with s' in
-        block r: one gather of rows and one product per block pair
-        (``_gathered``).  V^H E_ji V is its conjugate transpose."""
+        for is not gathered.  With a set ``rows`` of row blocks, only the
+        blocks (r, c) with r in ``rows`` are formed.  The site unit E_ij takes
+        each state s whose site-x digit is j to s' = s + (i - j) stride_x, so
+        block (r, c) of V^H E_ij V is V_r[s']^H V_c[s] over those s in block
+        c with s' in block r: one gather of rows and one product per block
+        pair (``_gathered``).  V^H E_ji V is its conjugate transpose."""
         if space.total_dim != self.dim:
             raise ValueError(f"a {space.total_dim}-state space for a "
                              f"{self.dim}-state Hamiltonian")
         d, stride = space.site_dims[x], space.strides[x]
         digit = np.arange(self.dim) // stride % d
-        pairs = [(i, j) for i in range(d) for j in range(i + 1, d)]
         gathered = {}
         out = []
         for u in range(d * d) if units is None else units:
-            i, j = (u, u) if u < d else pairs[(u - d) // 2]
+            i, j = _unit_pair(u, d)
             if (i, j) not in gathered:
-                gathered[i, j] = self._gathered(digit, stride, i, j)
+                gathered[i, j] = self._gathered(digit, stride, i, j, rows)
             G = gathered[i, j]
             if i == j:
                 out.append(G)
@@ -238,13 +241,16 @@ class HeisenbergDynamics:
             unit = {}
             for (r, c), m in G.items():
                 for key, term in (((r, c), w * m), ((c, r), np.conj(w) * m.conj().T)):
-                    unit[key] = unit[key] + term if key in unit else term
+                    if rows is None or key[0] in rows:
+                        unit[key] = unit[key] + term if key in unit else term
             out.append(unit)
         return out
 
-    def _gathered(self, digit, stride, i, j) -> dict:
+    def _gathered(self, digit, stride, i, j, rows=None) -> dict:
         """The blocks of V^H E_ij V, where E_ij acts on the site of ``stride``
-        whose digits are ``digit``, from gathered eigenvector rows."""
+        whose digits are ``digit``, from gathered eigenvector rows; with a set
+        ``rows``, only those whose row block, or for i != j whose column block
+        (the row block of V^H E_ji V), is in it."""
         n, V, pos = len(self.blocks), self.blocks, self.position
         s = np.flatnonzero(digit == j)
         s2 = s + (i - j) * stride
@@ -254,7 +260,8 @@ class HeisenbergDynamics:
         out = {}
         for k, sel in zip(keys.tolist(), np.split(perm, starts[1:])):
             r, c = divmod(k, n)
-            out[r, c] = V[r][pos[s2[sel]]].conj().T @ V[c][pos[s[sel]]]
+            if rows is None or r in rows or (i != j and c in rows):
+                out[r, c] = V[r][pos[s2[sel]]].conj().T @ V[c][pos[s[sel]]]
         return out
 
     def evolve(self, A, t: float) -> np.ndarray:
@@ -278,35 +285,28 @@ class HeisenbergDynamics:
         return U.conj().T @ (A @ U)
 
 
-def _block_components(edges, modulus=2):
-    """Connected components of the graph on blocks with an edge a - c for
-    every (a, c, w) in ``edges``.  Each is (blocks, theta): ``theta`` maps
-    the blocks to 0, ..., modulus - 1 so that theta_a - theta_c = w (mod
-    ``modulus``) on every edge, or is None when no such numbers exist.  With
-    every w = 1 and modulus 2 it is a 2-colouring, None on an odd cycle or a
-    loop a - a."""
-    adj = {}
-    for a, c, w in edges:
-        adj.setdefault(a, set()).add((c, -w))
-        adj.setdefault(c, set()).add((a, w))
-    seen = set()
-    comps = []
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        theta = {start: 0}
-        queue = [start]
-        consistent = True
-        for a in queue:
-            for c, w in adj[a]:
-                if c not in theta:
-                    theta[c] = (theta[a] + w) % modulus
-                    queue.append(c)
-                elif (theta[c] - theta[a] - w) % modulus:
-                    consistent = False
-        seen.update(theta)
-        comps.append((sorted(theta), theta if consistent else None))
-    return comps
+def _unit_pair(u: int, d: int):
+    """(i, j) of the unit at position u of ``hermitian_unit_basis(d)``: E_ii,
+    or E_ij + E_ji and i(E_ij - E_ji) of the pair i < j."""
+    return (u, u) if u < d else [(i, j) for i in range(d) for j in range(i + 1, d)][(u - d) // 2]
+
+
+def _unit_pairs(dyn: HeisenbergDynamics, space: SpinSpace, x: int, i: int, j: int) -> list:
+    """The block pairs (r, c) of V^H E_ij V at site x, in the order of
+    ``_gathered``, from the block labels alone."""
+    d, stride = space.site_dims[x], space.strides[x]
+    s = np.flatnonzero(np.arange(dyn.dim) // stride % d == j)
+    n = len(dyn.blocks)
+    return [divmod(k, n) for k in
+            np.unique(dyn.labels[s + (i - j) * stride] * n + dyn.labels[s]).tolist()]
+
+
+def _unit_pattern(dyn: HeisenbergDynamics, space: SpinSpace, x: int, u: int) -> list:
+    """The keys (r, c) of every block that ``unit_blocks`` gives for the unit
+    at position u at site x, in its order; nothing is formed."""
+    i, j = _unit_pair(u, space.site_dims[x])
+    pairs = _unit_pairs(dyn, space, x, i, j)
+    return pairs if i == j else list(dict.fromkeys(p for r, c in pairs for p in ((r, c), (c, r))))
 
 
 def _repeated_units(dyn: HeisenbergDynamics, space: SpinSpace, x: int, b_pairs,
@@ -319,14 +319,12 @@ def _repeated_units(dyn: HeisenbergDynamics, space: SpinSpace, x: int, b_pairs,
     and, where the flip commutes with H and F B F = ``b_sign`` B (nonzero),
     each unit that the site flip maps to plus or minus an earlier unit up
     to a multiple of 1."""
-    d, stride = space.site_dims[x], space.strides[x]
-    digit = np.arange(dyn.dim) // stride % d
+    d = space.site_dims[x]
     b_edges = [(a, c, 0) for a, c in b_pairs]
     out = {1} if d == 2 else set()
     for k, (i, j) in enumerate((i, j) for i in range(d) for j in range(i + 1, d)):
-        s = np.flatnonzero(digit == j)
-        e_pairs = set(zip(dyn.labels[s + (i - j) * stride].tolist(), dyn.labels[s].tolist()))
-        walk = _block_components([(r, c, 1) for r, c in e_pairs] + b_edges, 4)
+        walk = _block_components([(r, c, 1) for r, c in _unit_pairs(dyn, space, x, i, j)]
+                                 + b_edges, 4)
         if all(theta is not None for _, theta in walk):
             out.add(d + 2 * k + 1)        # the antisymmetric unit of the pair
     if b_sign and dyn.mirror is not None:
@@ -335,58 +333,6 @@ def _repeated_units(dyn: HeisenbergDynamics, space: SpinSpace, x: int, b_pairs,
             if any(np.array_equal(m[::-1, ::-1], s * units[v]) for v in range(u) for s in (1, -1)):
                 out.add(u)
     return out
-
-
-def _slices(blocks, sizes):
-    """The slice each of ``blocks`` takes in their concatenation, and its length."""
-    out, n = {}, 0
-    for a in blocks:
-        out[a] = slice(n, n + sizes[a])
-        n += sizes[a]
-    return out, n
-
-
-def _adjoint(m):
-    """The conjugate transpose of every matrix in a stack."""
-    return m.conj().swapaxes(-1, -2)
-
-
-def _component_size(blocks, colour, sizes) -> int:
-    """The number of entries of the matrix whose norm ``_component_norm``
-    takes on one component: n x n, or nR x nS for a 2-coloured R | S."""
-    n = sum(sizes[a] for a in blocks)
-    if colour is None:
-        return n * n
-    nr = sum(sizes[a] for a in blocks if colour[a] == 0)
-    return nr * (n - nr)
-
-
-def _component_norm(blocks, colour, keys, X, sizes, steps) -> np.ndarray:
-    """||K_t|| for K_t = i(X_t - X_t^H) at each of the ``steps`` time steps t,
-    on one component of the block pattern, from the (steps, n_a, n_c) stacks
-    X(a, c) of its ``keys``, each formed only when it is added in; one
-    stacked ``eigvalsh`` or SVD call takes every t.  A 2-coloured component
-    R | S is [[0, K_RS], [K_RS^H, 0]], whose norm is the largest singular
-    value of K_RS = i(X_RS - X_SR^H).  Any other, a one-block component
-    among them, is the largest |eigvalsh| of the assembled component."""
-    if colour is None:
-        at, n = _slices(blocks, sizes)
-        K = np.zeros((steps, n, n), dtype=complex)
-        for a, c in keys:
-            m = X(a, c)
-            K[:, at[a], at[c]] += m
-            K[:, at[c], at[a]] -= _adjoint(m)
-        K *= 1j
-        return np.abs(np.linalg.eigvalsh(K)).max(axis=1)
-    row, nr = _slices([a for a in blocks if colour[a] == 0], sizes)
-    col, nc = _slices([a for a in blocks if colour[a] == 1], sizes)
-    K = np.zeros((steps, nr, nc), dtype=complex)
-    for a, c in keys:
-        if a in row:
-            K[:, row[a], col[c]] += X(a, c)
-        else:
-            K[:, row[c], col[a]] -= _adjoint(X(a, c))
-    return np.linalg.svd(K, compute_uv=False)[:, 0]
 
 
 def commutator_grid(dyn: HeisenbergDynamics, B, space: SpinSpace, xs, ts) -> np.ndarray:
@@ -406,7 +352,10 @@ def commutator_grid(dyn: HeisenbergDynamics, B, space: SpinSpace, xs, ts) -> np.
     2-coloured R | S with no diagonal block, the largest singular value of its
     off-diagonal part K_RS.  The norm is unitarily invariant, so nothing is
     rotated back.  B is rotated once by ``_eigenbasis_blocks``.  Each local A
-    comes from gathered eigenvector rows (``HeisenbergDynamics.unit_blocks``).
+    comes from gathered eigenvector rows (``HeisenbergDynamics.unit_blocks``),
+    in only the row blocks that the formed blocks of X read (``_rows_read``),
+    which the components, found from the block labels (``_unit_pattern``),
+    give before any block is formed.
     tau_t(A), X and K are (T, n, m) stacks over all T time steps; each block
     of X is formed when it is added into its component's K, and the size of
     the largest K is counted against the physical memory first.
@@ -471,14 +420,14 @@ def commutator_grid(dyn: HeisenbergDynamics, B, space: SpinSpace, xs, ts) -> np.
         repeated = _repeated_units(dyn, space, x, Bd, b_sign)
         units = [u for u in range(d * d) if u not in repeated]
         local = hermitian_unit_basis(d)
-        for u, Ad in zip(units, dyn.unit_blocks(space, x, units)):
+        plans, rows = [], set()
+        for u in units:
             eps = b_sign * _flip_sign(_traceless(local[u])) if b_sign else 0
+            pattern = _unit_pattern(dyn, space, x, u)
             if eps and u < d:                 # E_uu: the traceless part
-                Ad = dict(Ad)
-                for a, n in enumerate(sizes):
-                    Ad[a, a] = Ad.get((a, a), 0.0) - np.eye(n) / d
+                pattern = list(dict.fromkeys(pattern + [(a, a) for a in range(len(sizes))]))
             terms = {}                # (a, c) -> the b with A[a, b] B[b, c] in X[a, c]
-            for a, b in Ad:
+            for a, b in pattern:
                 for c in b_row.get(b, ()):
                     terms.setdefault((a, c), []).append(b)
             comps, solved = [], set()
@@ -493,6 +442,12 @@ def commutator_grid(dyn: HeisenbergDynamics, B, space: SpinSpace, xs, ts) -> np.
                         keys = [(a, c) for a, c in keys if (a, c) <= (mirror[a], mirror[c])]
                         plan = _parity_plan(blocks, colour, mirror, plus, sizes, eps)
                 comps.append((blocks, colour, keys, plan))
+            rows |= _rows_read(comps)
+            plans.append((eps, terms, comps))
+        for u, (eps, terms, comps), Ad in zip(units, plans, dyn.unit_blocks(space, x, units, rows)):
+            if eps and u < d:                 # the traceless part, on the rows formed
+                for a in rows:
+                    Ad[a, a] = Ad.get((a, a), 0.0) - np.eye(sizes[a]) / d
             # K and the temporaries of one block of X: four arrays the size
             # of the largest component's stacks (at L = 10 and 21 steps 336
             # MiB for a whole 512 x 512 component, where ru_maxrss grew by

@@ -44,10 +44,14 @@ from .util import ordered_map
 ORDERING_STRICT_TOL = 1e-9     # the margin of a strict step in E(S)
 CASIMIR_RESIDUAL_TOL = 1e-8
 SU2_CHECK_TOL = 1e-10
-# A block commutator H_(M+1) S+ - S+ H_M is formed in this many row slices.
-# On the AKLT L=12 ring the whole M = 0 -> 1 commutator takes 365 MB of
-# sparse products at once and 0.41 s; in 8 slices, 52 MB and 0.39 s.
-COMMUTATOR_SLICES = 8
+# A block commutator H_(M+1) S+ - S+ H_M is formed in row slices whose two
+# sparse products take at most this many bytes, counted from above as one
+# value and one index per multiply-add.  The products take 0.17 MB on the
+# largest droplet block (one slice), 4.5 MB on the M = 0 -> 1 block of the
+# AKLT L=9 ring (two slices) and 187 MB on that of L=12 (52 slices of 2.7
+# to 4.7 MB: 0.33 s, against 0.37 s in 8 slices and 0.47 s in 220, one BLAS
+# thread); every slice has a fixed cost of the width of S+.
+COMMUTATOR_SLICE_BYTES = 4 * 2 ** 20
 
 
 class ClassificationError(RuntimeError):
@@ -166,9 +170,13 @@ def _label_levels(evals, V, CV, twice_m0):
 def _commutator_deviation(h_low, h_up, up) -> float:
     """The largest entry of the block commutator H_(M+1) S+ - S+ H_M, from
     the CSR blocks of H on M and M + 1 and of S+ from M to M + 1, relative
-    to the largest entries of H and S+.  It is formed in COMMUTATOR_SLICES
-    row slices."""
-    edges = np.linspace(0, up.shape[0], COMMUTATOR_SLICES + 1).astype(int)
+    to the largest entries of H and S+.  It is formed in row slices of at
+    most COMMUTATOR_SLICE_BYTES of products."""
+    pairs = (np.diff(up.indptr)[h_up.indices].sum()
+             + np.diff(h_low.indptr)[up.indices].sum())
+    size = np.result_type(h_up.dtype, up.dtype).itemsize + up.indices.itemsize
+    count = max(1, -(-int(pairs) * size // COMMUTATOR_SLICE_BYTES))
+    edges = np.linspace(0, up.shape[0], count + 1).astype(int)
     dev = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         comm = h_up[a:b] @ up - up[a:b] @ h_low

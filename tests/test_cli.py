@@ -292,6 +292,19 @@ def test_lightcone_small_chain(tmp_path):
     assert all(a["passed"] for a in manifest["assertions"])
 
 
+def test_lightcone_check_by_definition_catches_a_wrong_grid(tmp_path, monkeypatch):
+    # the spot value off by one part in 10^6 is caught by the check by
+    # definition, whose tolerance is 1e-9
+    growth = spinsys.cli.commutator_growth
+    monkeypatch.setattr(spinsys.cli, "commutator_growth",
+                        lambda *args: growth(*args) * (1 + 1e-6))
+    out = tmp_path / "cone.csv"
+    assert run(["lightcone", "--L", "6", "--out", str(out)]) == 1
+    manifest = json.loads(read(tmp_path / "cone.csv.manifest.json"))
+    failed = [a["name"] for a in manifest["assertions"] if not a["passed"]]
+    assert failed == ["eigenbasis_norm_matches_definition"]
+
+
 def test_lightcone_spin1_bound_overflow_is_infinite(tmp_path):
     # ||Phi||_lambda = 1761 for the spin-1 chain: e^(2 t ||Phi||) overflows at t = 1
     out = tmp_path / "cone.csv"

@@ -180,15 +180,22 @@ def test_gathered_units_match_embedded_rotation(case):
     space, H = (list(model_cases())[case][:2] if case < len(CASE_IDS)
                 else mixed_radix_case())
     dyn = HeisenbergDynamics(H)
+    rows = set(range(0, len(dyn.blocks), 2))
     for x in range(space.n_sites):
         units = dyn.unit_blocks(space, x)
         basis = hermitian_unit_basis(space.site_dims[x])
         assert len(units) == len(basis)
-        for got, local in zip(units, basis):
+        for u, (got, local, part) in enumerate(zip(units, basis,
+                                                   dyn.unit_blocks(space, x, rows=rows))):
             want = dyn._eigenbasis_blocks(embed_at(space, [(x, local)]))
             assert got.keys() == want.keys()
+            assert list(got) == spinsys.dynamics._unit_pattern(dyn, space, x, u)
             for key, m in want.items():
                 assert_allclose(got[key], m, rtol=0, atol=1e-14)
+            # with a set of row blocks, only the blocks in those rows
+            assert list(part) == [k for k in got if k[0] in rows]
+            for key, m in part.items():
+                assert_allclose(m, got[key], rtol=0, atol=0)
 
 
 def test_commutator_grid_matches_definition_on_mixed_radix_chain():
@@ -339,6 +346,9 @@ def test_parity_halves_match_the_whole_component(case, monkeypatch):
         return got
 
     monkeypatch.setattr(spinsys.dynamics, "_parity_norm", compared)
+    # the grid forms only the rows it reads; the whole component needs the
+    # mirror rows too
+    monkeypatch.setattr(spinsys.dynamics, "_rows_read", lambda comps: set(range(len(dyn.blocks))))
     commutator_grid(dyn, B, space, range(space.n_sites), [0.0, 0.35, 1.1])
     assert checked
 
@@ -381,8 +391,8 @@ def test_skipped_units_are_never_gathered(spin, solved, skipped, monkeypatch):
         assert spinsys.dynamics._repeated_units(dyn, space, x, b_pairs, -1) == skipped
     gathered = []
     gather = HeisenbergDynamics._gathered
-    monkeypatch.setattr(HeisenbergDynamics, "_gathered", lambda self, digit, stride, i, j:
-                        gathered.append((i, j)) or gather(self, digit, stride, i, j))
+    monkeypatch.setattr(HeisenbergDynamics, "_gathered", lambda self, digit, stride, i, j, rows:
+                        gathered.append((i, j)) or gather(self, digit, stride, i, j, rows))
     ts = [0.0, 0.35, 1.1]
     grid = commutator_grid(dyn, B, space, range(3), ts)
     assert gathered == solved * 3
@@ -404,6 +414,31 @@ def test_check_by_definition_evolves_b_backwards(case):
         for t in (0.35, 1.1):
             got = _commutator_by_definition(dyn, B.matrix, x, t, space)
             assert abs(got - growth_by_definition(dyn, B, x, t, space)) <= 1e-12
+
+
+@pytest.mark.parametrize("spin, L, svds, eigvalsh", [(0.5, 6, 3, 0), (1.0, 4, 3, 6)])
+def test_check_by_definition_takes_two_valued_units_by_svd(spin, L, svds, eigvalsh,
+                                                           monkeypatch):
+    # a unit with two eigenvalues is one SVD of the off-diagonal block
+    # P X (1 - P): E_00 and both pair units on spin 1/2, where E_11 reuses the
+    # projector pair of E_00, and each E_ii on spin 1; the six pair units of
+    # spin 1, of eigenvalues 1, 0 and -1, are each one eigvalsh
+    g = path_graph(L, spin=spin)
+    space = SpinSpace.from_graph(g)
+    dyn = HeisenbergDynamics(assemble(heisenberg(g), space))
+    B = embed_at(space, [(L // 2, 2.0 * np.asarray(spin_matrices(spin).s3))])
+    calls = {"svd": 0, "eigvalsh": 0}
+
+    def counted(name):
+        solve = getattr(np.linalg, name)
+        return lambda *args, **kw: calls.__setitem__(name, calls[name] + 1) or solve(*args, **kw)
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
+    got = _commutator_by_definition(dyn, B.matrix, 0, 0.7, space)
+    assert calls == {"svd": svds, "eigvalsh": eigvalsh}
+    monkeypatch.undo()
+    assert abs(got - growth_by_definition(dyn, B, 0, 0.7, space)) <= 1e-12
 
 
 def test_eigenbasis_blocks_of_a_complex_operator_are_real_products():

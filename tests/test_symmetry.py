@@ -253,6 +253,20 @@ def staggered_field_chain(h):
 COMMUTATOR_ERROR = r"H does not commute with S\+: \|\|H S\+ - S\+ H\|\| = .* from M = "
 
 
+def test_block_commutator_does_not_depend_on_its_slices(monkeypatch):
+    # the deviation of a broken SU(2) is the same in one slice as in one
+    # slice per row: 66 multiply-adds of 12 bytes in a 256-byte budget
+    phi, space = staggered_field_chain(0.3)
+    below, above = (magnetization_sector(space, M) for M in (0, 1))
+    args = (assemble(phi, below).matrix, assemble(phi, above).matrix,
+            su2_totals(space).plus(below, above).matrix)
+    devs = []
+    for budget in (2 ** 8, 2 ** 30):
+        monkeypatch.setattr(spinsys.symmetry, "COMMUTATOR_SLICE_BYTES", budget)
+        devs.append(_commutator_deviation(*args))
+    assert devs[0] == devs[1] > 1e-2
+
+
 def test_classification_rejects_broken_symmetry():
     phi, space = staggered_field_chain(0.3)
     with pytest.raises(ClassificationError, match=COMMUTATOR_ERROR):
