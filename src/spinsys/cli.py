@@ -132,12 +132,17 @@ class Assertion:
 
 
 def emit(columns, rows, fmt, path):
-    """Write a table; floats go out with 17 significant digits."""
+    """Write a table; floats go out with 17 significant digits.  JSON has no
+    NaN or infinity, so a JSON table holds a non-finite float as the text of
+    its CSV cell ("nan", "inf", "-inf"), which ``float`` reads back alike."""
 
     def cell(v):
         if isinstance(v, float):
             return fmt_float(v)
         return str(v)
+
+    def value(v):
+        return cell(v) if isinstance(v, float) and not math.isfinite(v) else v
 
     try:
         if fmt == "csv":
@@ -146,8 +151,8 @@ def emit(columns, rows, fmt, path):
                 lines.append(",".join(cell(row[c]) for c in columns))
             payload = "\n".join(lines) + "\n"
         else:
-            data = {c: [row[c] for row in rows] for c in columns}
-            payload = json.dumps(data, indent=1, sort_keys=True) + "\n"
+            data = {c: [value(row[c]) for row in rows] for c in columns}
+            payload = json.dumps(data, indent=1, sort_keys=True, allow_nan=False) + "\n"
         with open(path, "w") as fh:
             fh.write(payload)
     except OSError as exc:

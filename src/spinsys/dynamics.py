@@ -9,18 +9,18 @@ component of the block pattern of the commutator at a time.  A single-site
 unit E_ij is rotated there by gathering eigenvector rows (no embedding), and
 every time step is handled at once: tau_t(A), tau_t(A) B and the commutator
 are (T, n, m) stacks, and each component's norm is one stacked solve.  A unit
-whose norm another fixes exactly is not solved: E_11 = 1 - E_00 on a spin-1/2
-site, i(E_ij - E_ji) = W (E_ij + E_ji) W^* where a phase W, a power of i on
-each invariant block of H, commutes with B, and, where the global spin flip F
-(every site digit i -> d - 1 - i) commutes with H and F B F = +-B, a unit
-that the site flip maps to +-(an earlier unit) + c 1 (``commutator_grid``).
+whose norm another fixes exactly is not solved: one whose traceless part is
++-(that of an earlier unit), or, where the global spin flip F (every site
+digit i -> d - 1 - i) commutes with H and F B F = +-B, +-(its site-flip
+image), and i(E_ij - E_ji) = W (E_ij + E_ji) W^* where a phase W, a power
+of i on each invariant block of H, commutes with B (``commutator_grid``).
 F also halves the solves: a block and its mirror image share one ``eigh``
 (V_mirror = V[::-1]), a self-mirrored block is solved by its two parity
 halves, and where F K F = +-K for the commutator K, of two mirror-image
-components one is solved and a self-mirrored one by its parity halves
-(``flip``); only the row blocks of a unit that those solves read are
-gathered.  The components of the block pattern and their whole solves are
-in ``components``.
+components one is solved and a self-mirrored one by its parity halves; a
+component solved whole is the parity split of the trivial flip, so one
+kernel takes every norm (``flip``).  Only the row blocks of a unit that
+those solves read are gathered.
 Imaginary-time weights e^(-b(H-E0)) are applied by spectral decomposition on
 the dense path and, inside one sector, by a Lanczos recursion on the sparse
 block (``SectorCorrelator.propagate``): one recursion from a vector w gives
@@ -39,13 +39,12 @@ import scipy.sparse as sp
 
 from .lattice import SpinGraph, graph_distance, set_distance, distances_from
 from .hilbert import SpinSpace, SparseOperator, embed_at, magnetization_sector
-from .models import Interaction, lambda_norm
+from .models import Interaction, _flip_sign, lambda_norm
 from .spectral import (DEGENERACY_TOL, ConvergenceError, extremal_eigs, full_spectrum,
                        sector_sweep_lowest, spectral_gap)
 from .util import require_memory
-from .flip import (_flip_mirror, _flip_sign, _parity_eigh, _parity_norm, _parity_plan,
-                   _traceless)
-from .components import _block_components, _component_norm, _component_size, _rows_read
+from .flip import (_block_components, _component_norm, _component_plans, _flip_mirror,
+                   _parity_eigh, _rows_read, _traceless)
 
 # SectorCorrelator.propagate.  The pairs of the AKLT ring's clustering check
 # stop after 20 Lanczos steps (L = 6), 32-36 (L = 9), 40 (L = 12) and 44
@@ -312,26 +311,24 @@ def _unit_pattern(dyn: HeisenbergDynamics, space: SpinSpace, x: int, u: int) -> 
 def _repeated_units(dyn: HeisenbergDynamics, space: SpinSpace, x: int, b_pairs,
                     b_sign=0) -> set:
     """The positions, in ``hermitian_unit_basis`` order, of the units at
-    site x that ``commutator_grid`` skips by its identities (a), (b) and
-    (c): E_11 on a site of dimension 2; i(E_ij - E_ji) for each pair i < j
-    whose block walk, over the block pairs (r, c) of E_ij with weight 1 and
-    the block pairs ``b_pairs`` of B with weight 0, is consistent mod 4;
-    and, where the flip commutes with H and F B F = ``b_sign`` B (nonzero),
-    each unit that the site flip maps to plus or minus an earlier unit up
-    to a multiple of 1."""
+    site x that ``commutator_grid`` skips by its two identities: each unit
+    whose traceless part is plus or minus that of an earlier unit, or, where
+    the flip commutes with H and F B F = ``b_sign`` B (nonzero), plus or
+    minus its site-flip image; and i(E_ij - E_ji) for each pair i < j whose
+    block walk, over the block pairs (r, c) of E_ij with weight 1 and the
+    block pairs ``b_pairs`` of B with weight 0, is consistent mod 4."""
     d = space.site_dims[x]
+    units = [_traceless(m) for m in hermitian_unit_basis(d)]
+    flips = (False, True) if b_sign and dyn.mirror is not None else (False,)
+    out = {u for u, m in enumerate(units)
+           if any(np.array_equal(m[::-1, ::-1] if f else m, s * units[v])
+                  for f in flips for v in range(u) for s in (1, -1))}
     b_edges = [(a, c, 0) for a, c in b_pairs]
-    out = {1} if d == 2 else set()
     for k, (i, j) in enumerate((i, j) for i in range(d) for j in range(i + 1, d)):
         walk = _block_components([(r, c, 1) for r, c in _unit_pairs(dyn, space, x, i, j)]
                                  + b_edges, 4)
         if all(theta is not None for _, theta in walk):
             out.add(d + 2 * k + 1)        # the antisymmetric unit of the pair
-    if b_sign and dyn.mirror is not None:
-        units = [_traceless(m) for m in hermitian_unit_basis(d)]
-        for u, m in enumerate(units):
-            if any(np.array_equal(m[::-1, ::-1], s * units[v]) for v in range(u) for s in (1, -1)):
-                out.add(u)
     return out
 
 
@@ -361,33 +358,33 @@ def commutator_grid(dyn: HeisenbergDynamics, B, space: SpinSpace, xs, ts) -> np.
     the largest K is counted against the physical memory first.
 
     A unit whose norm equals, at every t, that of a unit solved before is
-    skipped (``_repeated_units``), and never gathered.  (a) On a site of
-    dimension 2, E_11 = 1 - E_00, so [tau_t(E_11), B] = -[tau_t(E_00), B],
-    for any H and B.  (b) For a pair i < j, let theta be a whole number on
-    each invariant block of H with theta_r - theta_c = 1 (mod 4) on every
-    block pair (r, c) of E_ij and theta_a = theta_c (mod 4) on every block
-    pair (a, c) of B.  Then W = (+) i^theta_a 1_a is a scalar on each block
-    of H, so it commutes with H; it commutes with B; and W E_ij W^* = i E_ij,
-    so W maps E_ij + E_ji to i(E_ij - E_ji), whose norm is then that of the
-    symmetric unit.  The theta come from one walk over the blocks of both
-    patterns; they exist on the magnetization sectors when B keeps the
-    magnetization, and not when H is one block (a transverse field) or B
-    moves the magnetization (sigma^1), where both units are solved.  (c)
-    Where the global flip F (every site digit i -> d - 1 - i) commutes with
-    H (``HeisenbergDynamics.mirror``) and F B F = e_B B with e_B = +1 or -1,
-    F [tau_t(A), B] F = e_B [tau_t(F A F), B]: a unit that the site flip
-    maps to plus or minus an earlier unit, up to a multiple of 1, is
-    skipped (E_22 after E_00 on a spin-1 site).
+    skipped (``_repeated_units``), and never gathered.  (a) The traceless
+    part A_0 = A - (tr A / d) 1 has the commutators of A, so a unit with
+    A_0 = +-(that of an earlier unit) is skipped (E_11 after E_00 on a site
+    of dimension 2), for any H and B.  Where the global flip F (every site
+    digit i -> d - 1 - i) commutes with H (``HeisenbergDynamics.mirror``)
+    and F B F = e_B B with e_B = +1 or -1, F [tau_t(A), B] F =
+    e_B [tau_t(F A F), B], so the site-flip image of A_0 counts too (E_22
+    after E_00 on a spin-1 site).  (b) For a pair i < j, let theta be a
+    whole number on each invariant block of H with theta_r - theta_c = 1
+    (mod 4) on every block pair (r, c) of E_ij and theta_a = theta_c (mod 4)
+    on every block pair (a, c) of B.  Then W = (+) i^theta_a 1_a is a scalar
+    on each block of H, so it commutes with H; it commutes with B; and
+    W E_ij W^* = i E_ij, so W maps E_ij + E_ji to i(E_ij - E_ji), whose norm
+    is then that of the symmetric unit.  The theta come from one walk over
+    the blocks of both patterns; they exist on the magnetization sectors
+    when B keeps the magnetization, and not when H is one block (a
+    transverse field) or B moves the magnetization (sigma^1), where both
+    units are solved.
 
-    With such an F, a unit A whose traceless part A_0 = A - (tr A / d) 1
-    (which has the same commutator) has F A_0 F = e_A A_0 gives
-    F K F = eps K, eps = e_A e_B.  X is then formed from A_0, and F maps
-    each component of the pattern onto a component of equal norm: of a
-    component and its mirror image only the first is solved, and a
-    component that is its own image is solved by its parity halves
-    (``_parity_norm``), from only the blocks of X that are not the mirror
-    image of another.  Where eps = 0 (H breaks the flip, B or A_0 has no
-    flip sign) every component is solved whole.
+    With such an F, a unit A with F A_0 F = e_A A_0 gives F K F = eps K,
+    eps = e_A e_B.  X is then formed from A_0, and F maps each component of
+    the pattern onto a component of equal norm: of a component and its
+    mirror image only the first is solved, and a component that is its own
+    image is solved by its parity halves, from only the blocks of X that
+    are not the mirror image of another (``_component_plans``).  Where
+    eps = 0 (H breaks the flip, B or A_0 has no flip sign) every component
+    is solved whole, by the same kernel (``_component_norm``).
     """
     Bs = sp.csr_matrix(B.matrix if isinstance(B, SparseOperator) else B)
     if abs(Bs - Bs.conj().T).max() > 1e-10 * max(1.0, abs(Bs).max()):
@@ -430,18 +427,7 @@ def commutator_grid(dyn: HeisenbergDynamics, B, space: SpinSpace, xs, ts) -> np.
             for a, b in pattern:
                 for c in b_row.get(b, ()):
                     terms.setdefault((a, c), []).append(b)
-            comps, solved = [], set()
-            for blocks, colour in _block_components([(a, c, 1) for a, c in terms]):
-                keys, plan = [k for k in terms if k[0] in blocks], None
-                if eps:
-                    image = frozenset(mirror[a] for a in blocks)
-                    if image in solved:       # the mirror image of a solved one
-                        continue
-                    solved.add(frozenset(blocks))
-                    if image == frozenset(blocks):
-                        keys = [(a, c) for a, c in keys if (a, c) <= (mirror[a], mirror[c])]
-                        plan = _parity_plan(blocks, colour, mirror, plus, sizes, eps)
-                comps.append((blocks, colour, keys, plan))
+            comps = _component_plans(list(terms), sizes, (mirror, plus, eps) if eps else None)
             rows |= _rows_read(comps)
             plans.append((eps, terms, comps))
         for u, (eps, terms, comps), Ad in zip(units, plans, dyn.unit_blocks(space, x, units, rows)):
@@ -452,18 +438,12 @@ def commutator_grid(dyn: HeisenbergDynamics, B, space: SpinSpace, xs, ts) -> np.
             # of the largest component's stacks (at L = 10 and 21 steps 336
             # MiB for a whole 512 x 512 component, where ru_maxrss grew by
             # 149 MiB)
-            entries = max(_component_size(bl, co, sizes) if plan is None
-                          else sum(r * c for *_, (r, c) in plan[1])
-                          for bl, co, _, plan in comps)
+            entries = max(sum(r * c for *_, (r, c) in stacks) for _, (*_, stacks) in comps)
             require_memory(4 * 16 * steps * entries,
                            f"the light-cone stack of {steps} time steps at site {x}")
             X = product(Ad, terms)
-            for blocks, colour, keys, plan in comps:
-                if plan is None:
-                    norm = _component_norm(blocks, colour, keys, X, sizes, steps)
-                else:
-                    norm = _parity_norm(plan, keys, X, mirror, plus, sizes, eps, steps)
-                np.maximum(out[i], norm, out=out[i])
+            for keys, plan in comps:
+                np.maximum(out[i], _component_norm(plan, keys, X, steps), out=out[i])
     return out
 
 

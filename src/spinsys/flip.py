@@ -1,13 +1,18 @@
 """The global spin flip F: s -> dim - 1 - s, which reverses every site digit
-(i -> d - 1 - i), and the parity halves it splits a solve into.
+(i -> d - 1 - i), and the components of a light-cone commutator
+K = i(X - X^H) in the eigenbasis of H (``dynamics.commutator_grid``).
 
 Every symmetry is checked on the matrices, never declared: ``_flip_sign``
-reads F m F = +-m, and ``_flip_mirror`` the block that F maps each invariant
-block of H onto.  A self-mirrored block is solved in the parity basis
-(e_i + p e_(n-1-i)) / sqrt 2 (``_parity_eigh``), its columns of parity +1
-first; ``_parity_plan`` and ``_parity_norm`` use that layout to take the norm
-of a commutator K with F K F = +-K on a component of the light-cone grid
-(``dynamics.commutator_grid``) from its parity halves.
+(in ``models``) reads F m F = +-m, and ``_flip_mirror`` the block that F maps
+each invariant block of H onto.  A self-mirrored block is solved in the
+parity basis (e_i + p e_(n-1-i)) / sqrt 2 (``_parity_eigh``), its columns of
+parity +1 first.  The block pattern of K splits into connected components
+over the invariant blocks of H (``_block_components``); ``_component_plans``
+picks the ones to solve, and one kernel takes the norm of each
+(``_component_plan``, ``_component_norm``): from its parity halves where
+F K F = +-K and F maps the component onto itself, and whole otherwise, as
+the parity halves of the trivial flip.  ``_rows_read`` gives the rows of the
+unit that the solved components read.
 """
 
 from __future__ import annotations
@@ -16,19 +21,7 @@ import math
 
 import numpy as np
 
-from .models import TERM_HERMITICITY_TOL
-
-
-def _flip_sign(m) -> int:
-    """s = +1 or -1 where F m F = s m for the flip F that reverses the basis
-    (m[::-1, ::-1] = s m) to TERM_HERMITICITY_TOL of the largest entry of
-    m, dense or sparse; 0 where neither holds."""
-    rev = np.arange(m.shape[0])[::-1]
-    flipped, scale = m[rev][:, rev], TERM_HERMITICITY_TOL * abs(m).max()
-    for s in (1, -1):
-        if abs(flipped - s * m).max() <= scale:
-            return s
-    return 0
+from .models import _flip_sign
 
 
 def _flip_mirror(mat, labels, order, bounds):
@@ -74,58 +67,116 @@ def _parity_eigh(h):
     return np.concatenate(vals), np.hstack(vecs), np.concatenate(parity)
 
 
-def _parity_plan(blocks, colour, mirror, plus, sizes, eps):
-    """The parity stacks that ``_parity_norm`` forms on a component of the
-    block pattern of K that the flip maps onto itself, where F K F = eps K:
-    (colour, [(s, rows, cols, shape)]).  ``rows`` and ``cols`` place each
-    representative block a <= mirror[a] in the half of parity s and s eps:
-    a self-mirrored block takes its columns of that parity (``plus[a]`` of
-    them are +1), a block paired with its mirror all of its columns.  The
-    halves are K^(++) and K^(--) (eps = 1) or K^(+-) (eps = -1), or, for a
-    2-coloured R | S that the flip keeps (it may swap R and S instead, and
-    is then treated as uncoloured), K_RS^(s, s eps) for both s."""
+def _block_components(edges, modulus=2):
+    """Connected components of the graph on blocks with an edge a - c for
+    every (a, c, w) in ``edges``.  Each is (blocks, theta): ``theta`` maps
+    the blocks to 0, ..., modulus - 1 so that theta_a - theta_c = w (mod
+    ``modulus``) on every edge, or is None when no such numbers exist.  With
+    every w = 1 and modulus 2 it is a 2-colouring, None on an odd cycle or a
+    loop a - a."""
+    adj = {}
+    for a, c, w in edges:
+        adj.setdefault(a, set()).add((c, -w))
+        adj.setdefault(c, set()).add((a, w))
+    seen = set()
+    comps = []
+    for start in sorted(adj):
+        if start in seen:
+            continue
+        theta = {start: 0}
+        queue = [start]
+        consistent = True
+        for a in queue:
+            for c, w in adj[a]:
+                if c not in theta:
+                    theta[c] = (theta[a] + w) % modulus
+                    queue.append(c)
+                elif (theta[c] - theta[a] - w) % modulus:
+                    consistent = False
+        seen.update(theta)
+        comps.append((sorted(theta), theta if consistent else None))
+    return comps
+
+
+def _component_plans(keys, sizes, flip=None) -> list:
+    """(keys, plan) of each component of the block pattern of K, over the
+    blocks ``keys`` of X, that is solved.  With ``flip`` = (mirror, plus,
+    eps), where F K F = eps K, of a component and its mirror image only the
+    first is solved, and a component that is its own image by its parity
+    halves, from only its blocks (a, c) <= (mirror[a], mirror[c]); every
+    other component is solved whole."""
+    mirror = None if flip is None else flip[0]
+    comps, solved = [], set()
+    for blocks, colour in _block_components([(a, c, 1) for a, c in keys]):
+        own = [k for k in keys if k[0] in blocks]
+        image = frozenset(blocks if mirror is None else (mirror[a] for a in blocks))
+        if image in solved:                   # the mirror image of a solved one
+            continue
+        solved.add(frozenset(blocks))
+        halved = mirror is not None and image == frozenset(blocks)
+        if halved:
+            own = [(a, c) for a, c in own if (a, c) <= (mirror[a], mirror[c])]
+        comps.append((own, _component_plan(blocks, colour, sizes, flip if halved else None)))
+    return comps
+
+
+def _component_plan(blocks, colour, sizes, flip=None):
+    """The stacks that ``_component_norm`` forms on one component of the
+    block pattern of K: (colour, eps, mirror, [(rows, cols, shape)]).  With
+    ``flip`` = (mirror, plus, eps), F maps the component onto itself and
+    F K F = eps K: each stack is a parity half of K, K^(++) and K^(--)
+    (eps = 1) or K^(+-) (eps = -1), or, for a 2-coloured R | S that the flip
+    keeps (it may swap R and S instead, and is then treated as uncoloured),
+    K_RS^(s, s eps) for both s.  Without, the component is solved whole, as
+    the parity halves of the trivial flip (every block its own mirror, all
+    ``sizes[a]`` columns of parity +1, eps = 1): one stack, K, or K_RS for a
+    2-coloured R | S.  ``rows`` and ``cols`` map each block a of their side
+    to (the slice of its representative min(a, mirror[a]) in the half, the
+    columns of a that enter it, their factor): a self-mirrored block enters
+    with its columns of the half's parity (``plus[a]`` of them are +1), a
+    block paired with its mirror with all of them, times 1/sqrt 2, or
+    s/sqrt 2 from the mirror side, in the parity basis
+    (e_a + s e_mirror[a]) / sqrt 2.  Empty halves are left out."""
+    mirror, plus, eps = flip or ({a: a for a in blocks}, sizes, 1)
     if colour is not None and colour[mirror[blocks[0]]] != colour[blocks[0]]:
         colour = None
-    reps = [a for a in blocks if a <= mirror[a]]
 
-    def layout(group, s):
-        widths = [sizes[a] if mirror[a] != a else plus[a] if s > 0 else sizes[a] - plus[a]
-                  for a in group]
-        ends = np.cumsum([0] + widths).tolist()
-        return {a: slice(ends[k], ends[k + 1]) for k, a in enumerate(group)}, ends[-1]
+    def layout(side, s):
+        out, n = {}, 0
+        for a in blocks:
+            if a > mirror[a] or colour is not None and colour[a] != side:
+                continue
+            if mirror[a] == a:
+                cut = slice(0, plus[a]) if s > 0 else slice(plus[a], sizes[a])
+                out[a] = (slice(n, n + cut.stop - cut.start), cut, 1.0)
+            else:
+                out[a] = (slice(n, n + sizes[a]), slice(None), math.sqrt(0.5))
+                out[mirror[a]] = (out[a][0], slice(None), s * math.sqrt(0.5))
+            n = out[a][0].stop
+        return out, n
 
-    row_group = reps if colour is None else [a for a in reps if colour[a] == 0]
-    col_group = reps if colour is None else [a for a in reps if colour[a] == 1]
     stacks = []
     for s in ((1,) if colour is None and eps < 0 else (1, -1)):
-        (rows, nr), (cols, nc) = layout(row_group, s), layout(col_group, s * eps)
-        stacks.append((s, rows, cols, (nr, nc)))
-    return colour, stacks
+        (rows, nr), (cols, nc) = layout(0, s), layout(1, s * eps)
+        if nr * nc:
+            stacks.append((rows, cols, (nr, nc)))
+    return colour, eps, mirror, stacks
 
 
-def _parity_norm(plan, keys, X, mirror, plus, sizes, eps, steps) -> np.ndarray:
-    """||K_t|| at each time step on a component that the flip maps onto
-    itself, from its parity stacks (``_parity_plan``).  F is the identity
-    swap of V_a and V_mirror[a] = V_a[::-1] and the column parity on a
-    self-mirrored block, so F X F = eps X gives X(mirror[a], mirror[c]) =
-    eps S_a X(a, c) S_c (S the parity signs, or 1): only the blocks of
-    ``keys`` with (a, c) <= (mirror[a], mirror[c]) are formed, and each
-    counts twice where its mirror block is another.  In the parity basis
-    (e_a + s e_mirror[a]) / sqrt 2 a block term Y at (p, q) enters the half
-    s at the representatives of p and q, times 1/sqrt 2 (or s/sqrt 2 from the
-    mirror side) on each paired side, and cut to the columns of parity s on
-    a self-mirrored side.  The norm is the largest |eigvalsh| of K^(++) and
-    K^(--), or the largest singular value of K^(+-) or of the two K_RS
-    halves."""
-    colour, stacks = plan
+def _component_norm(plan, keys, X, steps) -> np.ndarray:
+    """||K_t|| for K_t = i(X_t - X_t^H) at each of the ``steps`` time steps t
+    on one component, from the stacks of its plan (``_component_plan``) and
+    the (steps, n_a, n_c) stacks X(a, c) of its ``keys``, each formed only
+    when it is added in.  Where F X F = eps X, X(mirror[a], mirror[c]) =
+    eps S_a X(a, c) S_c (S the parity signs, or 1): a key whose mirror block
+    is another counts twice.  A key's term Y = X(a, c) enters every stack at
+    its rows and columns, and so does -Y^H at the transposed place, each on
+    its side of a 2-coloured R | S only.  The norm is the largest |eigvalsh|
+    of each Hermitian stack (uncoloured, eps = 1), or else the largest
+    singular value, K_RS being the off-diagonal part of [[0, K_RS],
+    [K_RS^H, 0]]; one stacked call takes every t."""
+    colour, eps, mirror, stacks = plan
     K = [np.zeros((steps,) + shape, dtype=complex) for *_, shape in stacks]
-
-    def part(a, s):
-        """(representative, columns of parity s, factor) of block a."""
-        if mirror[a] == a:
-            return a, slice(0, plus[a]) if s > 0 else slice(plus[a], sizes[a]), 1.0
-        return min(a, mirror[a]), slice(None), (1.0 if a < mirror[a] else s) * math.sqrt(0.5)
-
     for a, c in keys:
         m = X(a, c)
         twice = 1 if (mirror[a], mirror[c]) == (a, c) else 2
@@ -134,18 +185,21 @@ def _parity_norm(plan, keys, X, mirror, plus, sizes, eps, steps) -> np.ndarray:
             terms.append((a, c, m, 1j * twice))
         if colour is None or colour[c] == 0:
             terms.append((c, a, m.conj().swapaxes(-1, -2), -1j * twice))
-        for (s, rows, cols, _), Ks in zip(stacks, K):
+        for (rows, cols, _), Ks in zip(stacks, K):
             for p, q, Y, w in terms:
-                rp, rsel, rf = part(p, s)
-                cp, csel, cf = part(q, s * eps)
-                Ks[:, rows[rp], cols[cp]] += (w * rf * cf) * Y[:, rsel, csel]
+                (rp, rsel, rf), (cp, csel, cf) = rows[p], cols[q]
+                Ks[:, rp, cp] += (w * rf * cf) * Y[:, rsel, csel]
     norm = np.zeros(steps)
     for Ks in K:
-        if Ks.size == 0:
-            continue
         if colour is None and eps > 0:
             half = np.abs(np.linalg.eigvalsh(Ks)).max(axis=1)
         else:
             half = np.linalg.svd(Ks, compute_uv=False)[:, 0]
         np.maximum(norm, half, out=norm)
     return norm
+
+
+def _rows_read(comps) -> set:
+    """The row blocks of A whose blocks the (keys, plan) pairs ``comps``
+    read: the rows of the blocks of X that they form."""
+    return {a for keys, _ in comps for a, _ in keys}

@@ -28,6 +28,18 @@ TERM_HERMITICITY_TOL = 1e-12
 ASSEMBLY_COPIES = 2
 
 
+def _flip_sign(m) -> int:
+    """s = +1 or -1 where F m F = s m for the flip F that reverses the basis
+    (m[::-1, ::-1] = s m) to TERM_HERMITICITY_TOL of the largest entry of
+    m, dense or sparse; 0 where neither holds."""
+    rev = np.arange(m.shape[0])[::-1]
+    flipped, scale = m[rev][:, rev], TERM_HERMITICITY_TOL * abs(m).max()
+    for s in (1, -1):
+        if abs(flipped - s * m).max() <= scale:
+            return s
+    return 0
+
+
 @dataclass
 class Interaction:
     """A list of (support, local Hermitian matrix) terms, and nothing else.
@@ -61,9 +73,9 @@ class Interaction:
         Reversing a mixed-radix index reverses every site's digit, d -> n - 1 - d,
         which is m -> -m on every site: a term is flip-invariant when its local
         matrix equals ``m[::-1, ::-1]`` to TERM_HERMITICITY_TOL relative to its
-        largest entry (S.S, S3 S3 and the XXZ bond are; a one-site S3 is not)."""
-        return all(np.abs(m - m[::-1, ::-1]).max()
-                   <= TERM_HERMITICITY_TOL * np.abs(m).max() for _, m in self.terms)
+        largest entry, ``_flip_sign(m) == 1`` (S.S, S3 S3 and the XXZ bond
+        are; a one-site S3 is not)."""
+        return all(_flip_sign(m) == 1 for _, m in self.terms)
 
     def su2_invariant(self, space) -> bool:
         """Whether the sum commutes with the total spin on ``space``: on every

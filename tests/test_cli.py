@@ -126,6 +126,48 @@ def test_json_format(tmp_path):
     assert len(data["energy"]) == 8
 
 
+# a small run of every campaign; rings this small fail the droplet
+# convergence assertions (exit 1), which still writes the table
+JSON_RUNS = {"spectrum": ["--L", "3"], "foel": ["--L", "4", "--spin", "1"],
+             "liebmattis": ["--graph", "{graph}"], "ssep": ["--graph", "{graph}"],
+             "droplet": ["--q", "0.5", "--n", "2", "--Lmin", "8", "--Lmax", "10"],
+             "lightcone": ["--L", "4", "--tsteps", "2", "--tmax", "5"],
+             "cluster": ["--L", "4"],
+             "perturb": ["--L", "4", "--lambda_min", "0.05", "--lambda_max", "0.05"]}
+
+
+@pytest.mark.parametrize("sub", sorted(JSON_RUNS))
+def test_json_tables_are_strict_json(tmp_path, sub):
+    # JSON has no NaN or Infinity: a non-finite float goes out as the text of
+    # its CSV cell, so float() reads every value of both formats alike (the
+    # light cone has NaN in bound_corollary at x = bsite, and inf where a
+    # bound overflows)
+    assert set(JSON_RUNS) == set(spinsys.cli.RUNNERS)
+    graph = tmp_path / "g.graph"
+    graph.write_text(GRAPH4)
+    argv = [sub] + [a.format(graph=graph) for a in JSON_RUNS[sub]]
+    assert run(argv + ["--out", str(tmp_path / "t.csv")]) in (0, 1)
+    assert run(argv + ["--format", "json", "--out", str(tmp_path / "t.json")]) in (0, 1)
+
+    def refuse(name):
+        raise ValueError(f"{name} in a JSON table")
+
+    for path in tmp_path.glob("t*.csv"):        # the table and any extra table
+        table = json.loads(read(path.with_suffix(".json")), parse_constant=refuse)
+        header, *lines = read(path).strip().splitlines()
+        columns = header.split(",")
+        assert sorted(table) == sorted(columns)
+        for k, line in enumerate(lines):
+            for c, text in zip(columns, line.split(",")):
+                v = table[c][k]
+                if isinstance(v, float) or v in ("nan", "inf", "-inf"):
+                    assert float(v) == float(text) or np.isnan(float(v)) and text == "nan"
+                else:
+                    assert str(v) == text
+        if sub == "lightcone":
+            assert "nan" in table["bound_corollary"] and "inf" in table["bound_thm1"]
+
+
 def test_foel_emits_level_table(tmp_path):
     out = tmp_path / "foel.csv"
     code = run(["foel", "--L", "4", "--spin", "1", "--out", str(out)])

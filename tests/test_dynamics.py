@@ -4,6 +4,7 @@ import scipy.sparse as sps
 from numpy.testing import assert_allclose
 
 import spinsys.dynamics
+import spinsys.flip
 import spinsys.spectral
 import spinsys.symmetry
 import spinsys.util
@@ -199,8 +200,8 @@ def test_gathered_units_match_embedded_rotation(case):
 
 
 def test_commutator_grid_matches_definition_on_mixed_radix_chain():
-    # units of dimension 2, 3 and 4: identity (a) at the spin-1/2 sites
-    # only, identity (b) at every pair of every site
+    # units of dimension 2, 3 and 4: identity (a), with no flip sign of B,
+    # at the spin-1/2 sites only, identity (b) at every pair of every site
     space, H = mixed_radix_case()
     dyn = HeisenbergDynamics(H)
     B = embed_at(space, [(3, np.diag([1.7, 0.4, -0.6, -1.5]))])
@@ -284,10 +285,23 @@ def transverse_field_sigma3_case():
     return space, H, embed_at(space, [(2, 2.0 * np.asarray(s.s3))])
 
 
+def recorded_plans(monkeypatch) -> list:
+    """(flip, plan) of every component plan the grid makes, in order."""
+    plans, plan = [], spinsys.flip._component_plan
+
+    def recorded(blocks, colour, sizes, flip=None):
+        got = plan(blocks, colour, sizes, flip)
+        plans.append((flip, got))
+        return got
+
+    monkeypatch.setattr(spinsys.flip, "_component_plan", recorded)
+    return plans
+
+
 @pytest.mark.parametrize("case", CASE_IDS + ["transverse_field_sigma3_L5"])
 def test_flip_parity_solves_where_b_has_a_flip_sign(case, monkeypatch):
     # F K F = eps K with eps = e_A e_B; e_B = 0 (the first four cases, where
-    # B has no flip sign or H breaks the flip) keeps the whole-component path
+    # B has no flip sign or H breaks the flip) solves every component whole
     if case in CASE_IDS:
         space, H, B, _ = list(model_cases())[CASE_IDS.index(case)]
     else:
@@ -295,13 +309,12 @@ def test_flip_parity_solves_where_b_has_a_flip_sign(case, monkeypatch):
     _, b_sign, eps = FLIP_SIGNS[case]
     dyn = HeisenbergDynamics(H)
     assert spinsys.dynamics._flip_sign(B.matrix) == b_sign
-    signs = []
-    norm = spinsys.dynamics._parity_norm
-    monkeypatch.setattr(spinsys.dynamics, "_parity_norm",
-                        lambda *args: signs.append(args[6]) or norm(*args))
+    plans = recorded_plans(monkeypatch)
     ts = [0.0, 0.35, 1.1]
     grid = commutator_grid(dyn, B, space, range(space.n_sites), ts)
-    assert set(signs) == eps
+    assert {plan[1] for flip, plan in plans if flip is not None} == eps
+    # a whole component is the parity split of the trivial flip: one stack
+    assert all(plan[1] == 1 and len(plan[3]) == 1 for flip, plan in plans if flip is None)
     if case == "transverse_field_sigma3_L5":
         expect = np.array([[growth_by_definition(dyn, B, x, t, space) for t in ts]
                            for x in range(space.n_sites)])
@@ -310,12 +323,16 @@ def test_flip_parity_solves_where_b_has_a_flip_sign(case, monkeypatch):
 
 @pytest.mark.parametrize("case", ["spin1_chain_L4", "sigma1_chain_L5",
                                   "transverse_field_sigma3_L5", "sigma3_chain_L6",
-                                  "sigma3_chain_L5", "spin3/2_chain_L3", "spin1_sigma1_L3"])
+                                  "sigma3_chain_L5", "spin3/2_chain_L3", "spin1_sigma1_L3",
+                                  "dm_chain_L5"])
 def test_parity_halves_match_the_whole_component(case, monkeypatch):
-    # each parity solve against the whole component it stands for, rebuilt
-    # from the blocks of X and their mirror images: the grid keeps only the
+    # every component solve against the largest |eigvalsh| of the dense K of
+    # the whole component it stands for, built here from the blocks of X and,
+    # for a parity solve, their mirror images: the grid keeps only the
     # largest unit, which hides an error in the others (the charge-2 units
-    # of a spin-1 site, whose blocks join a representative to a mirror block)
+    # of a spin-1 site, whose blocks join a representative to a mirror
+    # block).  The Dzyaloshinskii-Moriya chain breaks the flip, so its
+    # uncoloured and 2-coloured components are solved whole.
     s = spin_matrices(0.5)
     if case in CASE_IDS:
         space, H, B, _ = list(model_cases())[CASE_IDS.index(case)]
@@ -335,22 +352,32 @@ def test_parity_halves_match_the_whole_component(case, monkeypatch):
         g, space, H = chain_setup(int(case[-1]))
         B = embed_at(space, [(2, 2.0 * np.asarray(s.s3))])
     dyn = HeisenbergDynamics(H)
-    norm, whole, checked = spinsys.dynamics._parity_norm, spinsys.dynamics._component_norm, []
+    norm, checked, plans = spinsys.dynamics._component_norm, set(), recorded_plans(monkeypatch)
 
-    def compared(plan, keys, X, mirror, plus, sizes, eps, steps):
-        got = norm(plan, keys, X, mirror, plus, sizes, eps, steps)
+    def compared(plan, keys, X, steps):
+        got = norm(plan, keys, X, steps)
+        colour, _, mirror, _ = plan
         every = sorted(set(keys) | {(mirror[a], mirror[c]) for a, c in keys})
         blocks = sorted({a for key in every for a in key})
-        assert_allclose(got, whole(blocks, None, every, X, sizes, steps), rtol=0, atol=1e-12)
-        checked.append(eps)
+        at = np.cumsum([0] + [len(dyn.blocks[a]) for a in blocks]).tolist()
+        at = {a: slice(at[k], at[k + 1]) for k, a in enumerate(blocks)}
+        K = np.zeros((steps, at[blocks[-1]].stop, at[blocks[-1]].stop), dtype=complex)
+        for a, c in every:
+            m = X(a, c)
+            K[:, at[a], at[c]] += 1j * m
+            K[:, at[c], at[a]] -= 1j * m.conj().swapaxes(-1, -2)
+        assert_allclose(got, np.abs(np.linalg.eigvalsh(K)).max(axis=1), rtol=0, atol=1e-12)
+        checked.add(colour is not None)
         return got
 
-    monkeypatch.setattr(spinsys.dynamics, "_parity_norm", compared)
+    monkeypatch.setattr(spinsys.dynamics, "_component_norm", compared)
     # the grid forms only the rows it reads; the whole component needs the
     # mirror rows too
     monkeypatch.setattr(spinsys.dynamics, "_rows_read", lambda comps: set(range(len(dyn.blocks))))
     commutator_grid(dyn, B, space, range(space.n_sites), [0.0, 0.35, 1.1])
-    assert checked
+    assert any(flip is not None for flip, _ in plans) == (case != "dm_chain_L5")
+    if case == "dm_chain_L5":
+        assert checked == {False, True}
 
 
 def test_flip_skips_mirror_components(monkeypatch):
@@ -361,17 +388,14 @@ def test_flip_skips_mirror_components(monkeypatch):
     g, space, H = chain_setup(6)
     dyn = HeisenbergDynamics(H)
     B = embed_at(space, [(3, 2.0 * np.asarray(spin_matrices(0.5).s3))])
-    calls = {"_component_norm": 0, "_parity_norm": 0}
-    for name in calls:
-        solve = getattr(spinsys.dynamics, name)
-
-        def counted(*args, _name=name, _solve=solve):
-            calls[_name] += 1
-            return _solve(*args)
-
-        monkeypatch.setattr(spinsys.dynamics, name, counted)
+    plans, solves = recorded_plans(monkeypatch), []
+    norm = spinsys.dynamics._component_norm
+    monkeypatch.setattr(spinsys.dynamics, "_component_norm",
+                        lambda *args: solves.append(args[0]) or norm(*args))
     commutator_grid(dyn, B, space, range(6), [0.0, 0.7])
-    assert calls == {"_component_norm": 6 * 3, "_parity_norm": 6 * 2}
+    assert [flip is None for flip, _ in plans].count(True) == 6 * 3
+    assert [flip is None for flip, _ in plans].count(False) == 6 * 2
+    assert solves == [plan for _, plan in plans]
 
 
 @pytest.mark.parametrize("spin, solved, skipped", [
@@ -380,8 +404,9 @@ def test_flip_skips_mirror_components(monkeypatch):
     (1.5, [(0, 0), (1, 1), (0, 1), (0, 2), (0, 3), (1, 2)],
      {2, 3, 5, 7, 9, 11, 12, 13, 14, 15})])
 def test_skipped_units_are_never_gathered(spin, solved, skipped, monkeypatch):
-    # identity (c): the site flip maps E_22 to E_00 and the pair (1, 2) to
-    # (0, 1) on a spin-1 site, so with B = 2 S^3 neither is gathered
+    # identity (a) with the flip: the site flip maps E_22 to E_00 and the
+    # pair (1, 2) to (0, 1) on a spin-1 site, so with B = 2 S^3 neither is
+    # gathered
     g = path_graph(3, spin=spin)
     space = SpinSpace.from_graph(g)
     dyn = HeisenbergDynamics(assemble(heisenberg(g), space))
