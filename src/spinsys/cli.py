@@ -30,7 +30,7 @@ from .dynamics import HeisenbergDynamics, clustering_report, commutator_grid, \
     commutator_growth, hermitian_unit_basis, lr_bound_rhs, lr_corollary_bound
 from .perturbation import gap_sweep
 from .droplets import convergence_table
-from .util import fmt_float
+from .util import fmt_float, require_memory
 
 COMMON_KEYS = {
     "out": str, "format": str, "threads": int, "config": str,
@@ -317,8 +317,7 @@ def run_droplet(cfg):
         raise ConfigError(f"Lmin {Lmin} is below max(3, 2n) = {max(3, 2 * n)}")
     if Lmin > Lmax:
         raise ConfigError(f"Lmin {Lmin} exceeds Lmax {Lmax}")
-    Ls = list(range(Lmin, Lmax + 1, 2))
-    table = convergence_table(q, n, Ls, J=J)
+    table = convergence_table(q, n, range(Lmin, Lmax + 1, 2), J=J)
     rows = [{"q": q, "n": n, "L": r.L,
              "E_L_periodic": r.e_periodic, "E_open_suq": r.e_open_suq,
              "E_formula": table.formula_energy,
@@ -364,6 +363,8 @@ def run_lightcone(cfg):
         raise ConfigError(f"tmax must be finite, got {tmax}")
     if not 0 <= bsite < L:
         raise ConfigError(f"bsite {bsite} is not a site of the {L}-site chain")
+    # the time grid, and about 1 KiB a table row: the row and its CSV or JSON text
+    require_memory(32 * tsteps + 1024 * L * tsteps, f"the light-cone table of {L * tsteps} rows")
     g = path_graph(L, weight=J, spin=spin)
     space = SpinSpace.from_graph(g)
     phi = heisenberg(g)
@@ -504,6 +505,8 @@ def run_perturb(cfg):
         raise ConfigError(f"the lambda grid from {lo} to {hi} in steps of {step} "
                           "has no finite length")
     count = int(round((hi - lo) / step)) + 1
+    # about 1 KiB a lambda: its row, its sweep records and its CSV or JSON text
+    require_memory(1024 * count, f"the gap table of {count} lambda values")
     lambdas = [round(lo + i * step, 12) for i in range(count)]
     s3 = np.asarray(spin_matrices(1.0).s3)
     szsz = np.kron(s3, s3)

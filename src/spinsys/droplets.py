@@ -102,9 +102,10 @@ def momentum_band(p: XxzParams, n: int) -> np.ndarray:
     L = p.L
 
     def nbytes(dim):
-        # orbits by Burnside: T^j fixes the C(g, n g / L) states of period g = gcd(j, L)
-        orbits = sum(comb(g, n * g // L) for g in (gcd(j, L) for j in range(L))
-                     if n * g % L == 0) // L
+        # orbits by Burnside: T^j fixes the C(g, n g / L) states of period
+        # g = gcd(j, L) when L divides n g, that is when L / gcd(n, L) divides j
+        orbits = sum(comb(g, n * g // L)
+                     for g in (gcd(j, L) for j in range(0, L, L // gcd(n, L)))) // L
         return ((64 + 9 * L + 12 * (L + 1)) * dim + 64 * (L + 1) * orbits
                 + 3 * 16 * orbits ** 2)
 
@@ -135,16 +136,19 @@ class DropletTable:
 
 def convergence_table(q: float, n: int, Ls, J=1.0) -> DropletTable:
     """Both finite-L sequences (periodic E_L(n), open-chain E(H_L, S_max - n))
-    against the closed-form E(n), for n >= 1.
+    against the closed-form E(n), for n >= 1: one row for each length of
+    the sequence ``Ls``, in its order.
 
     Each length takes one periodic pass, ``momentum_band``, whose lowest
     level is E_L(n), whose spread is the band width, and whose level at
     k = 2 pi j / L is compared with ``bound_state_dispersion``; and one open
-    pass, ``open_chain_spin_level``.
+    pass, ``open_chain_spin_level``.  The lengths are solved from the last
+    back, so a range of increasing lengths is refused by the memory
+    pre-flights of its longest before it is listed.
     """
     e_formula = float(bound_state_dispersion(q, n, 0.0, J))
     rows = []
-    for L in sorted(int(L) for L in Ls):
+    for L in map(int, reversed(Ls)):
         pp = XxzParams.from_q(L, q, J=J, boundary="periodic")
         po = XxzParams.from_q(L, q, J=J, boundary="open_with_field")
         band = momentum_band(pp, n)
@@ -157,4 +161,4 @@ def convergence_table(q: float, n: int, Ls, J=1.0) -> DropletTable:
                                e_open_suq=eo,
                                dev_periodic=abs(ep - e_formula),
                                dev_open=abs(eo - e_formula)))
-    return DropletTable(q=q, n=n, formula_energy=e_formula, rows=rows)
+    return DropletTable(q=q, n=n, formula_energy=e_formula, rows=rows[::-1])

@@ -5,11 +5,12 @@ by block over the invariant blocks of H: the connected components of its
 sparsity pattern, which on the Heisenberg and AKLT chains are the
 magnetization sectors.  Only the eigenvector blocks are stored.
 Light-cone commutator norms are taken in that eigenbasis, one connected
-component of the block pattern of the commutator at a time.  A single-site
-unit E_ij is rotated there by gathering eigenvector rows (no embedding), and
-every time step is handled at once: tau_t(A), tau_t(A) B and the commutator
-are (T, n, m) stacks, and each component's norm is one stacked solve.  A unit
-whose norm another fixes exactly is not solved: one whose traceless part is
+component of the block pattern of the commutator at a time.  One kernel
+moves B and every single-site unit there by gathering eigenvector rows,
+with no embedding (``HeisenbergDynamics._rotated``).  Every time step is
+handled at once: tau_t(A), tau_t(A) B and the commutator are (T, n, m)
+stacks, and each component's norm is one stacked solve.  A unit whose norm
+another fixes exactly is not solved: one whose traceless part is
 +-(that of an earlier unit), or, where the global spin flip F (every site
 digit i -> d - 1 - i) commutes with H and F B F = +-B, +-(its site-flip
 image), and i(E_ij - E_ji) = W (E_ij + E_ji) W^* where a phase W, a power
@@ -19,8 +20,7 @@ F also halves the solves: a block and its mirror image share one ``eigh``
 halves, and where F K F = +-K for the commutator K, of two mirror-image
 components one is solved and a self-mirrored one by its parity halves; a
 component solved whole is the parity split of the trivial flip, so one
-kernel takes every norm (``flip``).  Only the row blocks of a unit that
-those solves read are gathered.
+kernel takes every norm (``flip``).
 Imaginary-time weights e^(-b(H-E0)) are applied by spectral decomposition on
 the dense path and, inside one sector, by a Lanczos recursion on the sparse
 block (``SectorCorrelator.propagate``): one recursion from a vector w gives
@@ -44,7 +44,7 @@ from .spectral import (DEGENERACY_TOL, ConvergenceError, extremal_eigs, full_spe
                        sector_sweep_lowest, spectral_gap)
 from .util import require_memory
 from .flip import (_block_components, _component_norm, _component_plans, _flip_mirror,
-                   _parity_eigh, _rows_read, _traceless)
+                   _parity_eigh, _traceless)
 
 # SectorCorrelator.propagate.  The pairs of the AKLT ring's clustering check
 # stop after 20 Lanczos steps (L = 6), 32-36 (L = 9), 40 (L = 12) and 44
@@ -60,21 +60,13 @@ CLUSTERING_LARGE_B = (1.0, 3.0, 6.0)   # the b of the trivial large-b check
 def hermitian_unit_basis(n: int):
     """A Hermitian spanning set of M_n, each element of operator norm 1:
     the diagonal units E_ii, the symmetric pairs E_ij + E_ji, and the
-    antisymmetric pairs i(E_ij - E_ji)."""
+    antisymmetric pairs i(E_ij - E_ji), in the order of ``_unit_pair``."""
     basis = []
-    for i in range(n):
+    for u in range(n * n):
+        i, j, w = _unit_pair(u, n)
         m = np.zeros((n, n), dtype=complex)
-        m[i, i] = 1.0
+        m[i, j], m[j, i] = w, np.conj(w)
         basis.append(m)
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = np.zeros((n, n), dtype=complex)
-            m[i, j] = m[j, i] = 1.0
-            basis.append(m)
-            m = np.zeros((n, n), dtype=complex)
-            m[i, j] = 1j
-            m[j, i] = -1j
-            basis.append(m)
     return basis
 
 
@@ -188,79 +180,61 @@ class HeisenbergDynamics:
         """e^(-itE) over the eigenvalues E."""
         return np.exp(-1j * t * self.evals)
 
-    def _eigenbasis_blocks(self, A) -> dict:
-        """The blocks of V^H A V that the sparsity pattern of A allows to be
-        nonzero, keyed by (row block, column block); every other block is
-        exactly zero.  Block (r, c) is V_r^H A_rc V_c from the eigenvector
-        blocks.  On a real eigenbasis a complex A is rotated as its real and
-        imaginary parts, so every product is real."""
-        A = sp.csr_matrix(A.matrix if isinstance(A, SparseOperator) else A)
-        if not np.any(A.data.imag):
-            A = A.real
-        rows, cols = A.nonzero()
-        n = len(self.blocks)
-        keys = np.unique(self.labels[rows] * n + self.labels[cols]).tolist()
-        A = A[self.order][:, self.order]          # rows and columns in block order
-        split = np.iscomplexobj(A) and not np.iscomplexobj(self.blocks[0])
-        parts = (A.real, A.imag) if split else (A,)
-        b, V = self.bounds, self.blocks
-        out = {}
-        for r, c in (divmod(k, n) for k in keys):
-            rot = [V[r].conj().T @ (P[b[r]:b[r + 1], b[c]:b[c + 1]] @ V[c]) for P in parts]
-            out[r, c] = rot[0] + 1j * rot[1] if split else rot[0]
-        return out
+    def _pattern(self, targets, sources) -> np.ndarray:
+        """The key r n + c of the block pair (r, c) of each element
+        |targets_k><sources_k|, from the block labels alone."""
+        return self.labels[targets] * len(self.blocks) + self.labels[sources]
 
-    def unit_blocks(self, space: SpinSpace, x: int, units=None, rows=None) -> list:
-        """The blocks of V^H A V, as ``_eigenbasis_blocks`` gives them, for
-        the A of ``hermitian_unit_basis`` at site x at the positions
-        ``units`` (every one by default), in that order, from gathered rows
-        of the eigenvector blocks; nothing is embedded, and a unit not asked
-        for is not gathered.  With a set ``rows`` of row blocks, only the
-        blocks (r, c) with r in ``rows`` are formed.  The site unit E_ij takes
-        each state s whose site-x digit is j to s' = s + (i - j) stride_x, so
-        block (r, c) of V^H E_ij V is V_r[s']^H V_c[s] over those s in block
-        c with s' in block r: one gather of rows and one product per block
-        pair (``_gathered``).  V^H E_ji V is its conjugate transpose."""
-        if space.total_dim != self.dim:
-            raise ValueError(f"a {space.total_dim}-state space for a "
-                             f"{self.dim}-state Hamiltonian")
-        d, stride = space.site_dims[x], space.strides[x]
-        digit = np.arange(self.dim) // stride % d
-        gathered = {}
-        out = []
-        for u in range(d * d) if units is None else units:
-            i, j = _unit_pair(u, d)
-            if (i, j) not in gathered:
-                gathered[i, j] = self._gathered(digit, stride, i, j, rows)
-            G = gathered[i, j]
-            if i == j:
-                out.append(G)
-                continue
-            w = 1j if (u - d) % 2 else 1      # i(E_ij - E_ji) or E_ij + E_ji
-            unit = {}
-            for (r, c), m in G.items():
-                for key, term in (((r, c), w * m), ((c, r), np.conj(w) * m.conj().T)):
-                    if rows is None or key[0] in rows:
-                        unit[key] = unit[key] + term if key in unit else term
-            out.append(unit)
-        return out
-
-    def _gathered(self, digit, stride, i, j, rows=None) -> dict:
-        """The blocks of V^H E_ij V, where E_ij acts on the site of ``stride``
-        whose digits are ``digit``, from gathered eigenvector rows; with a set
-        ``rows``, only those whose row block, or for i != j whose column block
-        (the row block of V^H E_ji V), is in it."""
+    def _rotated(self, targets, sources, weights=None) -> dict:
+        """The blocks of V^H A V for A = sum_k w_k |targets_k><sources_k|
+        (every w_k = 1 without ``weights``), keyed by (row block, column
+        block) in increasing key order (``_pattern``); every other block is
+        exactly zero.  Block (r, c) is V_r[targets]^H (w V_c[sources]) over
+        its elements: one gather of eigenvector rows and one product.  On a
+        real eigenbasis complex weights enter as their real and imaginary
+        parts, so every product is real."""
+        if np.iscomplexobj(weights) and not np.iscomplexobj(self.blocks[0]):
+            re, im = (self._rotated(targets, sources, w) for w in (weights.real, weights.imag))
+            return {key: re[key] + 1j * im[key] for key in re}
         n, V, pos = len(self.blocks), self.blocks, self.position
-        s = np.flatnonzero(digit == j)
-        s2 = s + (i - j) * stride
-        key = self.labels[s2] * n + self.labels[s]
+        key = self._pattern(targets, sources)
         perm = np.argsort(key, kind="stable")
         keys, starts = np.unique(key[perm], return_index=True)
         out = {}
         for k, sel in zip(keys.tolist(), np.split(perm, starts[1:])):
             r, c = divmod(k, n)
-            if rows is None or r in rows or (i != j and c in rows):
-                out[r, c] = V[r][pos[s2[sel]]].conj().T @ V[c][pos[s[sel]]]
+            right = V[c][pos[sources[sel]]]
+            if weights is not None:
+                right = weights[sel, None] * right
+            out[r, c] = V[r][pos[targets[sel]]].conj().T @ right
+        return out
+
+    def unit_blocks(self, space: SpinSpace, x: int, units=None) -> list:
+        """The blocks of V^H A V, as ``_rotated`` gives them, for the A of
+        ``hermitian_unit_basis`` at site x at the positions ``units`` (every
+        one by default), in that order; nothing is embedded, and a unit not
+        asked for is not rotated.  The site unit E_ij enters ``_rotated`` as
+        its elements (``_unit_elements``); V^H E_ji V is the conjugate
+        transpose of V^H E_ij V."""
+        if space.total_dim != self.dim:
+            raise ValueError(f"a {space.total_dim}-state space for a "
+                             f"{self.dim}-state Hamiltonian")
+        d = space.site_dims[x]
+        rotated = {}
+        out = []
+        for u in range(d * d) if units is None else units:
+            i, j, w = _unit_pair(u, d)
+            if (i, j) not in rotated:
+                rotated[i, j] = self._rotated(*_unit_elements(self, space, x, i, j))
+            G = rotated[i, j]
+            if i == j:
+                out.append(G)
+                continue
+            unit = {}
+            for (r, c), m in G.items():
+                for key, term in (((r, c), w * m), ((c, r), np.conj(w) * m.conj().T)):
+                    unit[key] = unit[key] + term if key in unit else term
+            out.append(unit)
         return out
 
     def evolve(self, A, t: float) -> np.ndarray:
@@ -285,27 +259,21 @@ class HeisenbergDynamics:
 
 
 def _unit_pair(u: int, d: int):
-    """(i, j) of the unit at position u of ``hermitian_unit_basis(d)``: E_ii,
-    or E_ij + E_ji and i(E_ij - E_ji) of the pair i < j."""
-    return (u, u) if u < d else [(i, j) for i in range(d) for j in range(i + 1, d)][(u - d) // 2]
+    """(i, j, w) of the unit w E_ij + conj(w) E_ji (E_ii for i = j) at
+    position u of ``hermitian_unit_basis(d)``: E_ii, then for each pair
+    i < j, E_ij + E_ji (w = 1) and i(E_ij - E_ji) (w = i)."""
+    if u < d:
+        return u, u, 1
+    i, j = [(i, j) for i in range(d) for j in range(i + 1, d)][(u - d) // 2]
+    return i, j, 1j if (u - d) % 2 else 1
 
 
-def _unit_pairs(dyn: HeisenbergDynamics, space: SpinSpace, x: int, i: int, j: int) -> list:
-    """The block pairs (r, c) of V^H E_ij V at site x, in the order of
-    ``_gathered``, from the block labels alone."""
+def _unit_elements(dyn: HeisenbergDynamics, space: SpinSpace, x: int, i: int, j: int):
+    """(targets, sources) of the site unit E_ij at site x: each state s whose
+    site-x digit is j goes to s + (i - j) stride_x."""
     d, stride = space.site_dims[x], space.strides[x]
     s = np.flatnonzero(np.arange(dyn.dim) // stride % d == j)
-    n = len(dyn.blocks)
-    return [divmod(k, n) for k in
-            np.unique(dyn.labels[s + (i - j) * stride] * n + dyn.labels[s]).tolist()]
-
-
-def _unit_pattern(dyn: HeisenbergDynamics, space: SpinSpace, x: int, u: int) -> list:
-    """The keys (r, c) of every block that ``unit_blocks`` gives for the unit
-    at position u at site x, in its order; nothing is formed."""
-    i, j = _unit_pair(u, space.site_dims[x])
-    pairs = _unit_pairs(dyn, space, x, i, j)
-    return pairs if i == j else list(dict.fromkeys(p for r, c in pairs for p in ((r, c), (c, r))))
+    return s + (i - j) * stride, s
 
 
 def _repeated_units(dyn: HeisenbergDynamics, space: SpinSpace, x: int, b_pairs,
@@ -315,18 +283,19 @@ def _repeated_units(dyn: HeisenbergDynamics, space: SpinSpace, x: int, b_pairs,
     whose traceless part is plus or minus that of an earlier unit, or, where
     the flip commutes with H and F B F = ``b_sign`` B (nonzero), plus or
     minus its site-flip image; and i(E_ij - E_ji) for each pair i < j whose
-    block walk, over the block pairs (r, c) of E_ij with weight 1 and the
-    block pairs ``b_pairs`` of B with weight 0, is consistent mod 4."""
+    block walk, over the block pairs (r, c) of E_ij with weight 1, from the
+    block labels alone (``_pattern``), and the block pairs ``b_pairs`` of B
+    with weight 0, is consistent mod 4."""
     d = space.site_dims[x]
     units = [_traceless(m) for m in hermitian_unit_basis(d)]
     flips = (False, True) if b_sign and dyn.mirror is not None else (False,)
     out = {u for u, m in enumerate(units)
            if any(np.array_equal(m[::-1, ::-1] if f else m, s * units[v])
                   for f in flips for v in range(u) for s in (1, -1))}
-    b_edges = [(a, c, 0) for a, c in b_pairs]
+    n, b_edges = len(dyn.blocks), [(a, c, 0) for a, c in b_pairs]
     for k, (i, j) in enumerate((i, j) for i in range(d) for j in range(i + 1, d)):
-        walk = _block_components([(r, c, 1) for r, c in _unit_pairs(dyn, space, x, i, j)]
-                                 + b_edges, 4)
+        pairs = np.unique(dyn._pattern(*_unit_elements(dyn, space, x, i, j))).tolist()
+        walk = _block_components([(*divmod(p, n), 1) for p in pairs] + b_edges, 4)
         if all(theta is not None for _, theta in walk):
             out.add(d + 2 * k + 1)        # the antisymmetric unit of the pair
     return out
@@ -348,17 +317,17 @@ def commutator_grid(dyn: HeisenbergDynamics, B, space: SpinSpace, xs, ts) -> np.
     largest |eigenvalue| of the component, or, where the component is
     2-coloured R | S with no diagonal block, the largest singular value of its
     off-diagonal part K_RS.  The norm is unitarily invariant, so nothing is
-    rotated back.  B is rotated once by ``_eigenbasis_blocks``.  Each local A
-    comes from gathered eigenvector rows (``HeisenbergDynamics.unit_blocks``),
-    in only the row blocks that the formed blocks of X read (``_rows_read``),
-    which the components, found from the block labels (``_unit_pattern``),
-    give before any block is formed.
+    rotated back.  One kernel, ``HeisenbergDynamics._rotated``, moves B from
+    its nonzero entries and each local A from its elements, never embedded
+    (``HeisenbergDynamics.unit_blocks``), into the eigenbasis, and each unit
+    takes one pass: its blocks, its components, their norms.
     tau_t(A), X and K are (T, n, m) stacks over all T time steps; each block
-    of X is formed when it is added into its component's K, and the size of
-    the largest K is counted against the physical memory first.
+    of X is formed when it is added into its component's K.  The phases of
+    all T steps, and then the size of each unit's largest K, are counted
+    against the physical memory before they are formed.
 
     A unit whose norm equals, at every t, that of a unit solved before is
-    skipped (``_repeated_units``), and never gathered.  (a) The traceless
+    skipped (``_repeated_units``), and never rotated.  (a) The traceless
     part A_0 = A - (tr A / d) 1 has the commutators of A, so a unit with
     A_0 = +-(that of an earlier unit) is skipped (E_11 after E_00 on a site
     of dimension 2), for any H and B.  Where the global flip F (every site
@@ -389,7 +358,10 @@ def commutator_grid(dyn: HeisenbergDynamics, B, space: SpinSpace, xs, ts) -> np.
     Bs = sp.csr_matrix(B.matrix if isinstance(B, SparseOperator) else B)
     if abs(Bs - Bs.conj().T).max() > 1e-10 * max(1.0, abs(Bs).max()):
         raise ValueError("B must be Hermitian")
-    Bd = dyn._eigenbasis_blocks(Bs)
+    coo = Bs.tocoo()
+    nonzero = coo.data != 0
+    w = coo.data[nonzero]
+    Bd = dyn._rotated(coo.row[nonzero], coo.col[nonzero], w if np.any(w.imag) else w.real)
     b_row = {}
     for a, c in Bd:
         b_row.setdefault(a, []).append(c)
@@ -401,15 +373,10 @@ def commutator_grid(dyn: HeisenbergDynamics, B, space: SpinSpace, xs, ts) -> np.
         plus = [int(np.count_nonzero(dyn.parity[dyn.bounds[a]:dyn.bounds[a + 1]] > 0))
                 for a in range(len(sizes))]
     steps = len(ts)
-    phases = np.split(np.array([dyn.phases(t) for t in ts]).reshape(steps, dyn.dim),
+    require_memory(16 * steps * dyn.dim,
+                   f"the phase stack of {steps} time steps on {dyn.dim} states")
+    phases = np.split(np.fromiter(map(dyn.phases, ts), np.dtype((complex, dyn.dim)), steps),
                       dyn.bounds[1:-1], axis=1)
-
-    def product(Ad, terms):
-        """Block (a, c) of X = tau_t(A) B at every t, formed when asked for."""
-        def X(a, c):
-            return sum(phases[a].conj()[:, :, None] * Ad[a, b] * phases[b][:, None, :]
-                       @ Bd[b, c] for b in terms[a, c])
-        return X
 
     out = np.zeros((len(xs), steps))
     for i, x in enumerate(xs):
@@ -417,31 +384,29 @@ def commutator_grid(dyn: HeisenbergDynamics, B, space: SpinSpace, xs, ts) -> np.
         repeated = _repeated_units(dyn, space, x, Bd, b_sign)
         units = [u for u in range(d * d) if u not in repeated]
         local = hermitian_unit_basis(d)
-        plans, rows = [], set()
-        for u in units:
+        for u, Ad in zip(units, dyn.unit_blocks(space, x, units)):
             eps = b_sign * _flip_sign(_traceless(local[u])) if b_sign else 0
-            pattern = _unit_pattern(dyn, space, x, u)
             if eps and u < d:                 # E_uu: the traceless part
-                pattern = list(dict.fromkeys(pattern + [(a, a) for a in range(len(sizes))]))
+                for a in range(len(sizes)):
+                    Ad[a, a] = Ad.get((a, a), 0.0) - np.eye(sizes[a]) / d
             terms = {}                # (a, c) -> the b with A[a, b] B[b, c] in X[a, c]
-            for a, b in pattern:
+            for a, b in Ad:
                 for c in b_row.get(b, ()):
                     terms.setdefault((a, c), []).append(b)
             comps = _component_plans(list(terms), sizes, (mirror, plus, eps) if eps else None)
-            rows |= _rows_read(comps)
-            plans.append((eps, terms, comps))
-        for u, (eps, terms, comps), Ad in zip(units, plans, dyn.unit_blocks(space, x, units, rows)):
-            if eps and u < d:                 # the traceless part, on the rows formed
-                for a in rows:
-                    Ad[a, a] = Ad.get((a, a), 0.0) - np.eye(sizes[a]) / d
-            # K and the temporaries of one block of X: four arrays the size
+            # K and the temporaries of one block of X, four arrays the size
             # of the largest component's stacks (at L = 10 and 21 steps 336
             # MiB for a whole 512 x 512 component, where ru_maxrss grew by
-            # 149 MiB)
+            # 149 MiB), next to the phases
             entries = max(sum(r * c for *_, (r, c) in stacks) for _, (*_, stacks) in comps)
-            require_memory(4 * 16 * steps * entries,
+            require_memory(16 * steps * (dyn.dim + 4 * entries),
                            f"the light-cone stack of {steps} time steps at site {x}")
-            X = product(Ad, terms)
+
+            def X(a, c):
+                """Block (a, c) of X = tau_t(A) B at every t, formed when asked for."""
+                return sum(phases[a].conj()[:, :, None] * Ad[a, b] * phases[b][:, None, :]
+                           @ Bd[b, c] for b in terms[a, c])
+
             for keys, plan in comps:
                 np.maximum(out[i], _component_norm(plan, keys, X, steps), out=out[i])
     return out

@@ -11,8 +11,7 @@ over the invariant blocks of H (``_block_components``); ``_component_plans``
 picks the ones to solve, and one kernel takes the norm of each
 (``_component_plan``, ``_component_norm``): from its parity halves where
 F K F = +-K and F maps the component onto itself, and whole otherwise, as
-the parity halves of the trivial flip.  ``_rows_read`` gives the rows of the
-unit that the solved components read.
+the parity halves of the trivial flip.
 """
 
 from __future__ import annotations
@@ -198,8 +197,3 @@ def _component_norm(plan, keys, X, steps) -> np.ndarray:
         np.maximum(norm, half, out=norm)
     return norm
 
-
-def _rows_read(comps) -> set:
-    """The row blocks of A whose blocks the (keys, plan) pairs ``comps``
-    read: the rows of the blocks of X that they form."""
-    return {a for keys, _ in comps for a, _ in keys}

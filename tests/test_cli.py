@@ -504,6 +504,27 @@ def test_campaign_beyond_memory_is_refused(tmp_path, capsys, monkeypatch, argv, 
     assert not (tmp_path / "m.csv").exists()
 
 
+OVERSIZED_GRIDS = [
+    (["lightcone", "--L", "8", "--tsteps", "100000000"], "the light-cone table of 800000000 rows"),
+    (["perturb", "--L", "4", "--lambda_min", "0", "--lambda_max", "1e12", "--lambda_step", "1"],
+     "the gap table of 1000000000001 lambda values"),
+    # the longest length first: its pre-flight refuses before the range is listed
+    (["droplet", "--n", "1", "--q", "0.3", "--Lmin", "4", "--Lmax", "1000000000000"],
+     "the 1000000000000-site sector with 1 down spins"),
+]
+
+
+@pytest.mark.parametrize("argv, what", OVERSIZED_GRIDS, ids=[a[0] for a, _ in OVERSIZED_GRIDS])
+def test_oversized_grids_are_refused_before_they_are_built(tmp_path, capsys, argv, what):
+    # refused from the grid's length alone: without the pre-flight each grid
+    # is a list that grows toward the physical memory
+    assert run([*argv, "--out", str(tmp_path / "g.csv")]) == 3
+    err = capsys.readouterr().err
+    assert err.strip().splitlines() == [err.strip()]
+    assert err.startswith(f"solver error: {what} needs about ")
+    assert not (tmp_path / "g.csv").exists()
+
+
 def test_droplet_past_64_bit_indices_is_refused(tmp_path, capsys):
     # 2^64 states: a stride of 2^63 does not fit a 64-bit index
     assert run(["droplet", "--q", "0.5", "--n", "1", "--Lmin", "64", "--Lmax", "64",

@@ -176,27 +176,45 @@ def mixed_radix_case():
     return space, assemble(heisenberg(g), space)
 
 
+def entries(B):
+    """(targets, sources, weights) of the stored entries of the operator B."""
+    coo = B.matrix.tocoo()
+    return coo.row, coo.col, coo.data
+
+
+def assert_dense_rotation(dyn, got, A):
+    """The blocks ``got`` against V^H A V from the dense eigenbasis
+    ``dyn.vecs``, sliced by ``dyn.bounds``: each given block to 1e-14, and
+    every block left out exactly zero."""
+    V, b, n = dyn.vecs, dyn.bounds, len(dyn.blocks)
+    full = V.conj().T @ A @ V
+    for r in range(n):
+        for c in range(n):
+            want = full[b[r]:b[r + 1], b[c]:b[c + 1]]
+            if (r, c) in got:
+                assert_allclose(got[r, c], want, rtol=0, atol=1e-14)
+            else:
+                assert not want.any(), (r, c)
+
+
 @pytest.mark.parametrize("case", range(len(CASE_IDS) + 1), ids=CASE_IDS + ["mixed_radix_L4"])
 def test_gathered_units_match_embedded_rotation(case):
-    space, H = (list(model_cases())[case][:2] if case < len(CASE_IDS)
-                else mixed_radix_case())
+    # the one kernel that moves operators into the eigenbasis, for B (the
+    # two-site-plus-one-site B of the first case among them) and for every
+    # unit at every site, against the dense rotation of the embedded operator
+    if case < len(CASE_IDS):
+        space, H, B, _ = list(model_cases())[case]
+    else:
+        space, H = mixed_radix_case()
+        B = embed_at(space, [(3, np.diag([1.7, 0.4, -0.6, -1.5]))])
     dyn = HeisenbergDynamics(H)
-    rows = set(range(0, len(dyn.blocks), 2))
+    assert_dense_rotation(dyn, dyn._rotated(*entries(B)), B.toarray())
     for x in range(space.n_sites):
         units = dyn.unit_blocks(space, x)
         basis = hermitian_unit_basis(space.site_dims[x])
         assert len(units) == len(basis)
-        for u, (got, local, part) in enumerate(zip(units, basis,
-                                                   dyn.unit_blocks(space, x, rows=rows))):
-            want = dyn._eigenbasis_blocks(embed_at(space, [(x, local)]))
-            assert got.keys() == want.keys()
-            assert list(got) == spinsys.dynamics._unit_pattern(dyn, space, x, u)
-            for key, m in want.items():
-                assert_allclose(got[key], m, rtol=0, atol=1e-14)
-            # with a set of row blocks, only the blocks in those rows
-            assert list(part) == [k for k in got if k[0] in rows]
-            for key, m in part.items():
-                assert_allclose(m, got[key], rtol=0, atol=0)
+        for got, local in zip(units, basis):
+            assert_dense_rotation(dyn, got, embed_at(space, [(x, local)]).toarray())
 
 
 def test_commutator_grid_matches_definition_on_mixed_radix_chain():
@@ -205,7 +223,7 @@ def test_commutator_grid_matches_definition_on_mixed_radix_chain():
     space, H = mixed_radix_case()
     dyn = HeisenbergDynamics(H)
     B = embed_at(space, [(3, np.diag([1.7, 0.4, -0.6, -1.5]))])
-    b_pairs = dyn._eigenbasis_blocks(B)
+    b_pairs = dyn._rotated(*entries(B))
     repeated = [spinsys.dynamics._repeated_units(dyn, space, x, b_pairs) for x in range(4)]
     assert repeated == [{1, 3}, {4, 6, 8}, {1, 3}, {5, 7, 9, 11, 13, 15}]
     ts = [0.0, 0.35, 1.1]
@@ -229,7 +247,7 @@ def test_phase_identity_needs_quarter_phases(case, repeated):
     else:
         space, H, B, _ = list(model_cases())[CASE_IDS.index(case)]
     dyn = HeisenbergDynamics(H)
-    b_pairs = dyn._eigenbasis_blocks(B)
+    b_pairs = dyn._rotated(*entries(B))
     for x in range(space.n_sites):
         assert spinsys.dynamics._repeated_units(dyn, space, x, b_pairs) == repeated
 
@@ -371,9 +389,6 @@ def test_parity_halves_match_the_whole_component(case, monkeypatch):
         return got
 
     monkeypatch.setattr(spinsys.dynamics, "_component_norm", compared)
-    # the grid forms only the rows it reads; the whole component needs the
-    # mirror rows too
-    monkeypatch.setattr(spinsys.dynamics, "_rows_read", lambda comps: set(range(len(dyn.blocks))))
     commutator_grid(dyn, B, space, range(space.n_sites), [0.0, 0.35, 1.1])
     assert any(flip is not None for flip, _ in plans) == (case != "dm_chain_L5")
     if case == "dm_chain_L5":
@@ -411,16 +426,20 @@ def test_skipped_units_are_never_gathered(spin, solved, skipped, monkeypatch):
     space = SpinSpace.from_graph(g)
     dyn = HeisenbergDynamics(assemble(heisenberg(g), space))
     B = embed_at(space, [(1, 2.0 * np.asarray(spin_matrices(spin).s3))])
-    b_pairs = dyn._eigenbasis_blocks(B)
+    b_pairs = dyn._rotated(*entries(B))
     for x in range(3):
         assert spinsys.dynamics._repeated_units(dyn, space, x, b_pairs, -1) == skipped
-    gathered = []
-    gather = HeisenbergDynamics._gathered
-    monkeypatch.setattr(HeisenbergDynamics, "_gathered", lambda self, digit, stride, i, j, rows:
-                        gathered.append((i, j)) or gather(self, digit, stride, i, j, rows))
+    rotated, rotate = [], HeisenbergDynamics._rotated
+    monkeypatch.setattr(HeisenbergDynamics, "_rotated",
+                        lambda self, *args: rotated.append(args) or rotate(self, *args))
     ts = [0.0, 0.35, 1.1]
     grid = commutator_grid(dyn, B, space, range(3), ts)
-    assert gathered == solved * 3
+    # B from its entries and their weights, then each solved E_ij once
+    want = [spinsys.dynamics._unit_elements(dyn, space, x, i, j)
+            for x in range(3) for i, j in solved]
+    assert len(rotated) == 1 + len(want) and len(rotated[0]) == 3
+    for got, elements in zip(rotated[1:], want):
+        assert len(got) == 2 and all(map(np.array_equal, got, elements))
     expect = np.array([[growth_by_definition(dyn, B, x, t, space) for t in ts] for x in range(3)])
     assert_allclose(grid, expect, rtol=0, atol=1e-12)
 
@@ -466,20 +485,21 @@ def test_check_by_definition_takes_two_valued_units_by_svd(spin, L, svds, eigval
     assert abs(got - growth_by_definition(dyn, B, 0, 0.7, space)) <= 1e-12
 
 
-def test_eigenbasis_blocks_of_a_complex_operator_are_real_products():
-    # a complex B on a real eigenbasis is rotated as its real and imaginary parts
+def test_eigenbasis_blocks_of_a_complex_operator_are_real_products(monkeypatch):
+    # a complex B on a real eigenbasis is rotated as its real and imaginary
+    # parts, two rotations with real weights
     g, space, H = chain_setup(5)
     dyn = HeisenbergDynamics(H)
     s = spin_matrices(0.5)
     B = embed_local(space, [((1, 2), np.kron(s.s1, s.s2) + np.kron(s.s2, s.s1)),
                             ((3,), s.s2)])
-    assert np.iscomplexobj(B.matrix.data)
-    got = dyn._eigenbasis_blocks(B)
-    V = dyn.vecs
-    full = V.conj().T @ B.toarray() @ V
-    b = dyn.bounds
-    for (r, c), m in got.items():
-        assert_allclose(m, full[b[r]:b[r + 1], b[c]:b[c + 1]], rtol=0, atol=1e-14)
+    assert np.any(B.matrix.data.imag) and np.isrealobj(dyn.blocks[0])
+    weights, rotate = [], HeisenbergDynamics._rotated
+    monkeypatch.setattr(HeisenbergDynamics, "_rotated", lambda self, targets, sources, w=None:
+                        weights.append(w) or rotate(self, targets, sources, w))
+    got = dyn._rotated(*entries(B))
+    assert [np.iscomplexobj(w) for w in weights] == [True, False, False]
+    assert_dense_rotation(dyn, got, B.toarray())
 
 
 @pytest.mark.parametrize("case", ["heisenberg_L6", "dm_chain_L5"])
@@ -526,6 +546,19 @@ def test_commutator_grid_counts_its_stacks_before_forming_them(monkeypatch):
     assert not formed
     assert commutator_grid(dyn, B, space, range(8), [0.0, 1.0]).shape == (8, 2)
     assert formed
+
+
+def test_commutator_grid_counts_its_phases_before_forming_them(monkeypatch):
+    # the 256-state eigenbasis fits in 52 MB; the phases of 20000 time steps
+    # (78 MiB) do not, and are refused before the first is formed
+    g, space, H = chain_setup(8)
+    dyn = HeisenbergDynamics(H)
+    B = embed_at(space, [(4, np.asarray(spin_matrices(0.5).s3))])
+    monkeypatch.setattr(spinsys.util, "PHYSICAL_MEMORY", 52 * 2 ** 20)
+    monkeypatch.setattr(dyn, "phases", lambda t: pytest.fail("a phase formed before the count"))
+    with pytest.raises(ValueError, match=r"the phase stack of 20000 time steps on 256 states "
+                                         r"needs about 0.0763 GiB"):
+        commutator_grid(dyn, B, space, range(8), np.linspace(0.0, 1.0, 20000))
 
 
 def test_commutator_grid_rejects_non_hermitian_b():
