@@ -134,7 +134,9 @@ class Assertion:
 def emit(columns, rows, fmt, path):
     """Write a table; floats go out with 17 significant digits.  JSON has no
     NaN or infinity, so a JSON table holds a non-finite float as the text of
-    its CSV cell ("nan", "inf", "-inf"), which ``float`` reads back alike."""
+    its CSV cell ("nan", "inf", "-inf"), which ``float`` reads back alike.
+    Each CSV line is written as it is formed and the JSON text is dumped to
+    the file, so the table's text is never held whole."""
 
     def cell(v):
         if isinstance(v, float):
@@ -145,16 +147,15 @@ def emit(columns, rows, fmt, path):
         return cell(v) if isinstance(v, float) and not math.isfinite(v) else v
 
     try:
-        if fmt == "csv":
-            lines = [",".join(columns)]
-            for row in rows:
-                lines.append(",".join(cell(row[c]) for c in columns))
-            payload = "\n".join(lines) + "\n"
-        else:
-            data = {c: [value(row[c]) for row in rows] for c in columns}
-            payload = json.dumps(data, indent=1, sort_keys=True, allow_nan=False) + "\n"
         with open(path, "w") as fh:
-            fh.write(payload)
+            if fmt == "csv":
+                fh.write(",".join(columns) + "\n")
+                for row in rows:
+                    fh.write(",".join(cell(row[c]) for c in columns) + "\n")
+            else:
+                json.dump({c: [value(row[c]) for row in rows] for c in columns}, fh,
+                          indent=1, sort_keys=True, allow_nan=False)
+                fh.write("\n")
     except OSError as exc:
         raise OutputError(f"cannot write {path}: {exc}") from exc
 

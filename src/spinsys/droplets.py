@@ -4,10 +4,11 @@ E_L(n) is the sector ground energy of the periodic chain with n down spins,
 read as the lowest level over the momentum blocks of that sector (the
 blocks partition it), so one pass per length also gives the band width.
 Block k reads only the columns of the shift orbits' representatives r_a in
-the sparse sector block h (``hilbert.momentum_blocks``).  The open chain
-with boundary fields commutes with the SU_q(2) raising total S_q+, so its
-level E(H_L, S_max - n) is the lowest level of the sector M = S_max - n
-without a partner in the sector above.  H and the S_q+ block are built on the
+the sparse sector block h (``hilbert.momentum_blocks``), and is real: the
+ring also commutes with the reflection, so each block has a real basis.
+The open chain with boundary fields commutes with the SU_q(2) raising
+total S_q+, so its level E(H_L, S_max - n) is the lowest level of the
+sector M = S_max - n without a partner in the sector above.  H and the S_q+ block are built on the
 sectors alone, never on the 2^L space.
 Both finite-L sequences are compared with the closed-form limit E(n), and
 the band momentum by momentum with the bound-state dispersion E_n(k)
@@ -92,10 +93,13 @@ def momentum_band(p: XxzParams, n: int) -> np.ndarray:
     shift symmetry separates them: one bound state per momentum lies at the
     bottom of its translation block.  The blocks come from the orbits of the
     shift on the sector (``hilbert.translation_orbits``) and are solved by
-    ``spectral.momentum_spectra``: h is real, so only k <= L/2.  The
-    pre-flight counts the basis with room for its L rotations, the sparse
-    block (a diagonal and L hops per column), the representative columns and
-    the three complex arrays of the k = 0 block, which holds every orbit.
+    ``spectral.momentum_spectra``: h is real and commutes with the
+    reflection, so only k <= L/2, each block real, k = 0 and L/2 in their
+    two parity halves.  The pre-flight counts the basis with room for its L
+    rotations, the sparse block (a diagonal and L hops per column), the
+    representative columns with their four-slot scatter (at most 171 bytes
+    per orbit and nonzero measured at L = 16 and 18) and three real arrays
+    of the k = 0 block, which holds every orbit.
     """
     if p.boundary != "periodic":
         raise ValueError("momentum resolution needs the periodic chain")
@@ -106,8 +110,8 @@ def momentum_band(p: XxzParams, n: int) -> np.ndarray:
         # g = gcd(j, L) when L divides n g, that is when L / gcd(n, L) divides j
         orbits = sum(comb(g, n * g // L)
                      for g in (gcd(j, L) for j in range(0, L, L // gcd(n, L)))) // L
-        return ((64 + 9 * L + 12 * (L + 1)) * dim + 64 * (L + 1) * orbits
-                + 3 * 16 * orbits ** 2)
+        return ((64 + 9 * L + 12 * (L + 1)) * dim + 256 * (L + 1) * orbits
+                + 3 * 8 * orbits ** 2)
 
     _check_sector(p, n, nbytes)
     sector = down_spin_sector(SpinSpace((2,) * L), n)

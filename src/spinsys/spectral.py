@@ -168,16 +168,62 @@ def sector_spectrum(H, sector: SectorBasis, k="all", want_vectors=False,
     return rep
 
 
-def momentum_spectra(block, orbits) -> list:
+def _commutes(block, perm) -> bool:
+    """Whether the sector permutation ``perm`` (state s to ``perm[s]``) maps
+    the block onto itself: perm h perm^T = h to TERM_HERMITICITY_TOL of its
+    largest entry, as in the terms' flip check."""
+    coo = block.tocoo()
+    moved = sp.csr_matrix((coo.data, (perm[coo.row], perm[coo.col])), shape=block.shape)
+    dev = abs(moved - block)
+    return not (dev.nnz and dev.max() > TERM_HERMITICITY_TOL * abs(coo.data).max())
+
+
+def _reflected(block, orbits) -> bool:
+    """Whether a block that commutes with the shift T also commutes with the
+    reflection P, to the tolerance of ``_commutes``.  P h P^T commutes with
+    T as h does (P T P = T^-1), and two such blocks agree when their
+    representative columns do, so h[P t, P r_a] = h[t, r_a] is checked at
+    the nonzeros of h[:, reps] alone; the nonzeros of a column P r_a are
+    those of r_a' shifted, so none is missed."""
+    if orbits.reflect is None:
+        return False
+    cols = block[:, orbits.reps].tocoo()
+    ref = orbits.reflect
+    mirrored = np.asarray(block[ref[cols.row], ref[orbits.reps[cols.col]]]).ravel()
+    return not (cols.nnz and np.abs(mirrored - cols.data).max()
+                > TERM_HERMITICITY_TOL * abs(block.data).max())
+
+
+def momentum_spectra(block, orbits, reflected=None) -> list:
     """The spectra of the momentum blocks k = 0..L - 1 of a sector block that
     commutes with the one-site shift (``hilbert.momentum_blocks``, solved by
     ``full_spectrum`` in ascending k).  A real block solves k <= L/2 only, and
-    k > L/2 takes the levels of L - k (h_(L-k) = conj h_k); a complex one all L."""
+    k > L/2 takes the levels of L - k (h_(L-k) = conj h_k); a complex one all
+    L.  A real block that also commutes with the reflection (``reflected``,
+    checked by ``_reflected`` when None) is solved by real blocks alone: the
+    J-real form of each k, in two halves at k = 0 and L/2."""
     L, real = orbits.n_sites, not np.iscomplexobj(block.data)
+    if reflected is None:
+        reflected = real and _reflected(block, orbits)
     ks = [q for q, n in enumerate(orbits.block_dims()[:L // 2 + 1 if real else L]) if n]
-    solved = dict(zip(ks, (full_spectrum(h).eigenvalues
-                           for h in momentum_blocks(block, orbits, ks))))
+    solved = {q: np.sort(np.concatenate([full_spectrum(h).eigenvalues for h in halves if h.size]))
+              for q, halves in zip(ks, momentum_blocks(block, orbits, ks, parity=reflected))}
     return [solved.get(min(q, L - q) if real else q, np.empty(0)) for q in range(L)]
+
+
+def _split_cost(orbits, real, reflected) -> int:
+    """The cost of a momentum split in the n^3 units of ``_momentum_levels``:
+    MOMENTUM_SPLIT_COST and w n^3 per solved block, w = 1 for a real and 4
+    for a complex matrix.  A reflected block solves real blocks alone, k <= L/2
+    and the halves of k = 0 and L/2 apart; a plain real one the real k = 0
+    and L/2 and one complex block of each pair k, L - k (2 n^3 per block);
+    a complex one every complex block."""
+    L, dims = orbits.n_sites, orbits.block_dims()
+    if reflected:
+        _, solved = orbits.slots(range(L // 2 + 1), parity=True)
+        return MOMENTUM_SPLIT_COST + sum(d ** 3 for sizes in solved for d in sizes)
+    weights = [(1 if 2 * q % L == 0 else 2) if real else 4 for q in range(L)]
+    return MOMENTUM_SPLIT_COST + sum(w * int(n) ** 3 for w, n in zip(weights, dims))
 
 
 def _momentum_levels(block, sector: SectorBasis, k):
@@ -186,30 +232,25 @@ def _momentum_levels(block, sector: SectorBasis, k):
     not split.
 
     Only a sector of equal sites splits, and only when two things hold.  The
-    blocks must be cheaper than the sector's own path: a dense solve of n
-    states counts w n^3, w = 1 for a real and 4 for a complex matrix (2 n^3
-    per block of each pair k, L - k of a real h, which solves one of them),
-    and the split itself MOMENTUM_SPLIT_COST, against the sector's own
-    w min(dim, KRYLOV_CROSSOVER)^3 (w dim^3 for ``k="all"``).  And
-    h must commute with the one-site shift T: P h P^T = h to
-    TERM_HERMITICITY_TOL of its largest entry, as in the terms' flip check."""
+    blocks must be cheaper than the sector's own path (``_split_cost``
+    against w min(dim, KRYLOV_CROSSOVER)^3, w dim^3 for ``k="all"``), and h
+    must commute with the one-site shift T (``_commutes``).  The cost of a
+    real h is first taken as that of its reflected blocks, the cheaper;
+    when the reflection check fails, the cost of the plain blocks decides."""
     if len(set(sector.site_dims)) != 1:
         return None
     orbits = translation_orbits(sector)
-    L, real = sector.n_sites, not np.iscomplexobj(block.data)
-    cost = sum(((1 if 2 * q % L == 0 else 2) if real else 4) * int(n) ** 3
-               for q, n in enumerate(orbits.block_dims()))
+    real = not np.iscomplexobj(block.data)
     own = (1 if real else 4) * (sector.dim if k == "all"
                                  else min(sector.dim, KRYLOV_CROSSOVER)) ** 3
-    if cost + MOMENTUM_SPLIT_COST > own:
+    reflected = real and orbits.reflect is not None
+    if _split_cost(orbits, real, reflected) > own or not _commutes(block, orbits.shift):
         return None
-    coo = block.tocoo()
-    moved = sp.csr_matrix((coo.data, (orbits.shift[coo.row], orbits.shift[coo.col])),
-                          shape=block.shape)
-    dev = abs(moved - block)
-    if dev.nnz and dev.max() > TERM_HERMITICITY_TOL * abs(coo.data).max():
-        return None
-    return SpectrumReport(np.sort(np.concatenate(momentum_spectra(block, orbits))))
+    if reflected and not _reflected(block, orbits):
+        reflected = False
+        if _split_cost(orbits, real, False) > own:
+            return None
+    return SpectrumReport(np.sort(np.concatenate(momentum_spectra(block, orbits, reflected))))
 
 
 def spectral_gap(report: SpectrumReport) -> GapReport:

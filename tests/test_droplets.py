@@ -110,7 +110,7 @@ def test_momentum_blocks_cover_the_sector():
     # divides L, and the block dimensions over all momenta add up to C(L, n)
     for L, n in ((8, 3), (12, 4)):
         sector = down_spin_sector(SpinSpace((2,) * L), n)
-        orbit, pos, period, reps, _, _ = translation_orbits(sector)
+        orbit, pos, period, reps, *_ = translation_orbits(sector)
         for s, state in enumerate(sector.states.tolist()):
             r = int(sector.states[reps[orbit[s]]])
             for _ in range(int(pos[s])):
@@ -157,11 +157,14 @@ def cycle_basis_blocks(p, n):
 @pytest.mark.parametrize("L, n", [(6, 3), (8, 3), (9, 3), (12, 4), (12, 6), (15, 5)])
 @pytest.mark.parametrize("q", [0.3, 0.5])
 def test_momentum_band_matches_cycle_basis_blocks(L, n, q, monkeypatch):
-    # orbits of length 2, 3, 4 and 6 besides L: the representative-column
-    # blocks k <= L/2 against the dense cycle basis entry by entry (a flipped
-    # phase conjugates a block and keeps its spectrum), the band momentum by
-    # momentum against all L blocks, and the block spectra together, those
-    # of 0 < k < L/2 twice, against one whole-sector solve
+    # orbits of length 2, 3, 4 and 6 besides L: the plain representative-
+    # column blocks k <= L/2 against the dense cycle basis entry by entry (a
+    # flipped phase conjugates a block and keeps its spectrum); the real
+    # blocks the band solves, the two parity halves of k = 0 and L/2 and one
+    # block for each other k, against the spectrum of the cycle-basis block;
+    # the band momentum by momentum against all L blocks, and the block
+    # spectra together, those of 0 < k < L/2 twice, against one whole-sector
+    # solve
     p = XxzParams.from_q(L, q, boundary="periodic")
     blocks = []
     eigvalsh = np.linalg.eigvalsh
@@ -174,13 +177,28 @@ def test_momentum_band_matches_cycle_basis_blocks(L, n, q, monkeypatch):
     band = momentum_band(p, n)
     monkeypatch.undo()
     oracle = cycle_basis_blocks(p, n)
-    assert len(oracle) == L and len(blocks) == L // 2 + 1
-    for k, (b, o) in enumerate(zip(blocks, oracle)):
+    assert len(oracle) == L
+    sector = down_spin_sector(SpinSpace((2,) * L), n)
+    plain = spinsys.hilbert.momentum_blocks(assemble(xxz(p), sector).matrix,
+                                            translation_orbits(sector), range(L // 2 + 1))
+    for k, ((b,), o) in enumerate(zip(plain, oracle)):
         assert b.shape == o.shape and np.abs(b - o).max() < 1e-12
         assert np.isrealobj(b) == (2 * k % L == 0)
+    assert all(np.isrealobj(b) for b in blocks)
+    at, solved = 0, []
+    for k in range(L // 2 + 1):
+        pieces = []
+        while sum(b.shape[0] for b in pieces) < oracle[k].shape[0]:
+            pieces.append(blocks[at])
+            at += 1
+        assert len(pieces) == (2 if 2 * k % L == 0 else 1)
+        levels = np.sort(np.concatenate([eigvalsh(b) for b in pieces]))
+        assert np.abs(levels - eigvalsh(oracle[k])).max() < 1e-12
+        solved.append(levels)
+    assert at == len(blocks)
     assert np.abs(band - [eigvalsh(o)[0] for o in oracle]).max() < 1e-12
-    union = np.sort(np.concatenate([np.tile(eigvalsh(b), 2 if 0 < 2 * k < L else 1)
-                                    for k, b in enumerate(blocks)]))
+    union = np.sort(np.concatenate([np.tile(levels, 2 if 0 < 2 * k < L else 1)
+                                    for k, levels in enumerate(solved)]))
     assert np.abs(union - whole_sector_levels(p, n)).max() < 1e-10
 
 

@@ -328,7 +328,7 @@ def test_momentum_blocks_match_dense_cycle_basis_on_spin_one():
     reps = sorted({cycle[0] for cycle, _ in cycles.values()})
     for phi in (ring, twisted):
         h = assemble(phi, sector).matrix
-        blocks = list(momentum_blocks(h, orbits, range(L)))
+        blocks = [block for (block,) in momentum_blocks(h, orbits, range(L))]
         for k, block in enumerate(blocks):
             basis = []
             for r in reps:
@@ -344,3 +344,85 @@ def test_momentum_blocks_match_dense_cycle_basis_on_spin_one():
             assert block.shape == want.shape == (orbits.block_dims()[k],) * 2
             assert np.abs(block - want).max() < 1e-12
             assert np.isrealobj(block) == (np.isrealobj(h.data) and 2 * k % L == 0)
+
+
+def cycle_vectors(sector, k):
+    """The m^(-1/2) e^(-2 pi i k j / L) cycle vectors of block k, as columns
+    in ascending representative, from ``shift_cycles``."""
+    L = sector.n_sites
+    cycles = shift_cycles(sector)
+    index = {st: i for i, st in enumerate(sector.states.tolist())}
+    basis = []
+    for r in sorted({cycle[0] for cycle, _ in cycles.values()}):
+        cycle = cycles[r][0]
+        if k * len(cycle) % L == 0:
+            v = np.zeros(sector.dim, dtype=complex)
+            v[[index[t] for t in cycle]] = (np.exp(-2j * np.pi * k * np.arange(len(cycle)) / L)
+                                            / np.sqrt(len(cycle)))
+            basis.append(v)
+    return np.array(basis).T
+
+
+def reflection_matrix(sector):
+    """The reflection x -> L - 1 - x on the sector, digit by digit."""
+    space = sector.parent
+    index = {st: i for i, st in enumerate(sector.states.tolist())}
+    P = np.zeros((sector.dim, sector.dim))
+    for i, s in enumerate(sector.states.tolist()):
+        P[index[space.encode(space.decode(s)[::-1])], i] = 1.0
+    return P
+
+
+def parity_cases():
+    from spinsys import XxzParams, aklt, custom, xxz
+    s3 = np.asarray(spin_matrices(1.0).s3)
+    for L, M in ((6, 0), (6, 1), (7, 1)):
+        ring = aklt(L, periodic=True) + custom([((x, (x + 1) % L), 0.05 * np.kron(s3, s3))
+                                                for x in range(L)])
+        yield ring, magnetization_sector(SpinSpace((3,) * L), M)
+    for L, n in ((8, 3), (8, 4), (9, 3)):
+        p = XxzParams.from_delta(L, 1.5, boundary="periodic")
+        yield xxz(p), down_spin_sector(SpinSpace((2,) * L), n)
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_parity_blocks_are_the_j_real_cycle_basis(case):
+    # the columns of ``slots`` over the cycle vectors are orthonormal and
+    # fixed by J = P K; the block is U^H h U in them, real; at k = 0 and L/2
+    # the two halves are the columns P fixes and the ones P negates, and h
+    # has no entry between them
+    from spinsys import assemble
+    phi, sector = list(parity_cases())[case]
+    L = sector.n_sites
+    orbits = translation_orbits(sector)
+    h = assemble(phi, sector).matrix
+    P = reflection_matrix(sector)
+    assert np.array_equal(P[orbits.reflect, np.arange(sector.dim)], np.ones(sector.dim))
+    amps = orbits.slot_amps()
+    ks = range(L // 2 + 1)
+    for k, halves in zip(ks, momentum_blocks(h, orbits, ks, parity=True)):
+        (table,), (dims,) = orbits.slots([k], parity=True)
+        columns, turns = table[:2], table[2:]
+        n = sum(dims)
+        kept = np.flatnonzero(k * orbits.period % L == 0)
+        C = np.zeros((kept.size, n), dtype=complex)
+        for row, a in enumerate(kept):
+            for c, turn in zip(columns[:, a], turns[:, a]):
+                if c < n:
+                    C[row, c] += amps[a] * np.exp(2j * np.pi * turn / (4 * L))
+        U = cycle_vectors(sector, k) @ C
+        assert np.abs(U.conj().T @ U - np.eye(n)).max() < 1e-12
+        assert np.abs(P @ U.conj() - U).max() < 1e-12
+        want = U.conj().T @ (h @ U)
+        assert np.abs(want.imag).max() < 1e-12
+        assert len(halves) == len(dims) == (2 if 2 * k % L == 0 else 1)
+        at = 0
+        for block, d in zip(halves, dims):
+            assert np.isrealobj(block) and block.shape == (d, d)
+            assert np.abs(block - want[at:at + d, at:at + d].real).max() < 1e-12
+            at += d
+        if len(dims) == 2:
+            even = dims[0]
+            assert np.abs(P @ U[:, :even] - U[:, :even]).max() < 1e-12
+            assert np.abs(P @ U[:, even:] + U[:, even:]).max() < 1e-12
+            assert np.abs(want[:even, even:]).max() < 1e-12

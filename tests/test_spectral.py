@@ -486,9 +486,9 @@ def momentum_spy(monkeypatch):
     calls = []
     blocks = spinsys.spectral.momentum_blocks
 
-    def spy(h, orbits, ks):
+    def spy(h, orbits, ks, parity=False):
         calls.append(list(ks))
-        return blocks(h, orbits, ks)
+        return blocks(h, orbits, ks, parity)
 
     monkeypatch.setattr(spinsys.spectral, "momentum_blocks", spy)
     return calls
@@ -549,8 +549,8 @@ def test_small_sectors_stay_whole_under_the_split_cost(monkeypatch):
     phi, space = perturbed_aklt_ring(8)
     dims = []
     blocks = spinsys.spectral.momentum_blocks
-    monkeypatch.setattr(spinsys.spectral, "momentum_blocks",
-                        lambda h, orbits, ks: dims.append(h.shape[0]) or blocks(h, orbits, ks))
+    monkeypatch.setattr(spinsys.spectral, "momentum_blocks", lambda h, orbits, ks, parity=False:
+                        dims.append(h.shape[0]) or blocks(h, orbits, ks, parity))
     merged, per_sector = sector_sweep_lowest(phi, space, k=6)
     assert sorted(dims) == [266, 504, 784, 1016, 1107]
     for (_, M), rep in per_sector.items():
@@ -598,3 +598,143 @@ def test_split_sweep_threads_agree_bitwise(case):
     assert list(per_one) == list(per_two)
     for label, rep in per_one.items():
         assert rep.eigenvalues.tobytes() == per_two[label].eigenvalues.tobytes()
+
+
+def three_site_ring(L):
+    """The spin-1/2 Heisenberg ring plus S3_x (S+_x+1 S-_x+2 + h.c.): real,
+    shift-invariant, and broken by the reflection, which moves S3 to the
+    other end of the three sites."""
+    s = spin_matrices(0.5)
+    s3, plus, minus = (np.asarray(m).real for m in (s.s3, s.plus, s.minus))
+
+    def product(ops):          # little-endian over the sorted sites
+        mat = np.ones((1, 1))
+        for x in sorted(ops):
+            mat = np.kron(ops[x], mat)
+        return tuple(sorted(ops)), mat
+
+    terms = []
+    for x in range(L):
+        y, z = (x + 1) % L, (x + 2) % L
+        (sites, one), (_, two) = product({x: s3, y: plus, z: minus}), product({x: s3, y: minus,
+                                                                               z: plus})
+        terms.append((sites, 0.3 * (one + two)))
+    return heisenberg(ring_graph(L)) + custom(terms), SpinSpace((2,) * L)
+
+
+# (interaction, space, whether its blocks are real and reflected)
+REFLECTION_CASES = {
+    "aklt_szsz_6": lambda: (aklt(6, periodic=True) + szsz_ring(6).scaled(0.06),
+                            SpinSpace((3,) * 6), True),
+    "aklt_szsz_7": lambda: (aklt(7, periodic=True) + szsz_ring(7).scaled(0.06),
+                            SpinSpace((3,) * 7), True),
+    "aklt_szsz_8": lambda: (aklt(8, periodic=True) + szsz_ring(8).scaled(0.06),
+                            SpinSpace((3,) * 8), True),
+    "heisenberg_ring_10": lambda: (heisenberg(ring_graph(10)), SpinSpace((2,) * 10), True),
+    "three_site_ring_10": lambda: (*three_site_ring(10), False),
+    "chiral_ring_9": lambda: (*chiral_ring(9), False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFLECTION_CASES))
+def test_reflected_blocks_match_whole_sector_spectra(case, monkeypatch):
+    # without the fixed cost per split every sector splits; a real ring that
+    # the reflection maps onto itself is solved by real blocks alone, and one
+    # that breaks it (or a complex one) by the plain momentum blocks, at
+    # least in its largest sector (the one-state sectors, and the one-magnon
+    # sectors of the three-site ring, are reflected); every level agrees
+    # with the whole-sector solve
+    monkeypatch.setattr(spinsys.spectral, "MOMENTUM_SPLIT_COST", 0)
+    monkeypatch.setattr(Interaction, "su2_invariant", lambda self, space: False)
+    phi, space, reflected = REFLECTION_CASES[case]()
+    parities = []
+    blocks = spinsys.spectral.momentum_blocks
+    monkeypatch.setattr(spinsys.spectral, "momentum_blocks", lambda h, orbits, ks, parity=False:
+                        parities.append(parity) or blocks(h, orbits, ks, parity))
+    solved = []
+    full = spinsys.spectral.full_spectrum
+    monkeypatch.setattr(spinsys.spectral, "full_spectrum",
+                        lambda H, **kw: solved.append(np.iscomplexobj(H)) or full(H, **kw))
+    _, per_sector = sector_sweep_lowest(phi, space, k=6)
+    assert len(parities) == len(per_sector)
+    by_sector = dict(zip(per_sector, parities))
+    assert by_sector[min(by_sector, key=lambda label: abs(label[1]))] == reflected
+    assert all(by_sector.values()) == reflected
+    assert (True in solved) == (case != "heisenberg_ring_10" and not reflected)
+    for (_, M), rep in per_sector.items():
+        want = whole_sector_levels(phi, space, M)
+        assert rep.eigenvalues.size == want.size
+        assert np.abs(rep.eigenvalues - want).max() <= 1e-12
+
+
+@pytest.mark.parametrize("L", [9, 12])
+def test_reflected_momentum_spectra_match_plain_blocks(L):
+    # the periodic XXZ ring at odd L (no k = pi) and even L: the levels of
+    # every momentum from the real blocks against those of the plain block,
+    # and all of them against one whole-sector solve
+    from spinsys.hilbert import down_spin_sector, momentum_blocks, translation_orbits
+    p = XxzParams.from_q(L, 0.4, boundary="periodic")
+    for n in range(1, L):
+        sector = down_spin_sector(SpinSpace((2,) * L), n)
+        h = assemble(xxz(p), sector).matrix
+        orbits = translation_orbits(sector)
+        assert spinsys.spectral._reflected(h, orbits)
+        spectra = spinsys.spectral.momentum_spectra(h, orbits)
+        plain = momentum_blocks(h, orbits, range(L))
+        for levels, (block,) in zip(spectra, plain):
+            want = np.linalg.eigvalsh(block) if block.size else np.empty(0)
+            assert levels.size == want.size
+            assert levels.size == 0 or np.abs(levels - want).max() <= 1e-12
+        union = np.sort(np.concatenate(spectra))
+        assert np.abs(union - np.linalg.eigvalsh(h.toarray())).max() <= 1e-12
+
+
+def solve_spy(monkeypatch):
+    """The dense solves (dimension, complex) of ``full_spectrum``, with a
+    ("split", momenta, block dims) entry where each momentum split begins."""
+    calls = []
+    full, blocks = spinsys.spectral.full_spectrum, spinsys.spectral.momentum_blocks
+
+    def solve(H, **kw):
+        calls.append((H.shape[0], np.iscomplexobj(H)))
+        return full(H, **kw)
+
+    def split(h, orbits, ks, parity=False):
+        calls.append(("split", list(ks), orbits.block_dims()))
+        return blocks(h, orbits, ks, parity)
+
+    monkeypatch.setattr(spinsys.spectral, "full_spectrum", solve)
+    monkeypatch.setattr(spinsys.spectral, "momentum_blocks", split)
+    return calls
+
+
+def assert_halved(calls, L):
+    """No complex solve, and after each split: two halves of k = 0 and L/2
+    that add up to the block, one solve of each other k."""
+    assert not [c for c in calls if c[0] != "split" and c[1]]
+    starts = [i for i, c in enumerate(calls) if c[0] == "split"]
+    assert starts
+    for i in starts:
+        _, ks, dims = calls[i]
+        at = i + 1
+        for k in ks:
+            halves = 2 if 2 * k % L == 0 else 1
+            sizes = [c[0] for c in calls[at:at + halves]]
+            assert all(size > 0 for size in sizes) and sum(sizes) == dims[k]
+            at += halves
+    return len(starts)
+
+
+def test_sweep_and_band_make_no_complex_dense_solve(monkeypatch, tmp_path):
+    # the perturb sweep at L = 8 (lambda = 0.06) splits its five largest
+    # sectors, and the droplet band at L = 16 its one sector: every dense
+    # solve is real, and k = 0 and L/2 are solved in two halves
+    import spinsys.cli
+    from spinsys import momentum_band
+    calls = solve_spy(monkeypatch)
+    assert spinsys.cli.run(["perturb", "--L", "8", "--lambda_min", "0.06", "--lambda_max",
+                            "0.06", "--out", str(tmp_path / "p.csv")]) == 0
+    assert assert_halved(calls, 8) == 5
+    calls.clear()
+    band = momentum_band(XxzParams.from_q(16, 0.3, boundary="periodic"), 3)
+    assert band.size == 16 and assert_halved(calls, 16) == 1
