@@ -5,7 +5,8 @@ read as the lowest level over the momentum blocks of that sector (the
 blocks partition it), so one pass per length also gives the band width.
 Block k reads only the columns of the shift orbits' representatives r_a in
 the sparse sector block h (``hilbert.momentum_blocks``), and is real: the
-ring also commutes with the reflection, so each block has a real basis.
+ring commutes with the shift and the reflection, which
+``spectral.momentum_spectra`` checks, so each block has a real basis.
 The open chain with boundary fields commutes with the SU_q(2) raising
 total S_q+, so its level E(H_L, S_max - n) is the lowest level of the
 sector M = S_max - n without a partner in the sector above.  H and the S_q+ block are built on the
@@ -93,9 +94,10 @@ def momentum_band(p: XxzParams, n: int) -> np.ndarray:
     shift symmetry separates them: one bound state per momentum lies at the
     bottom of its translation block.  The blocks come from the orbits of the
     shift on the sector (``hilbert.translation_orbits``) and are solved by
-    ``spectral.momentum_spectra``: h is real and commutes with the
-    reflection, so only k <= L/2, each block real, k = 0 and L/2 in their
-    two parity halves.  The pre-flight counts the basis with room for its L
+    ``spectral.momentum_spectra``: h is real and commutes with the shift
+    and the reflection, so only k <= L/2, each block real, k = 0 and L/2 in
+    their two parity halves.  A block that fails those checks raises
+    ``ValueError``.  The pre-flight counts the basis with room for its L
     rotations, the sparse block (a diagonal and L hops per column), the
     representative columns with their four-slot scatter (at most 171 bytes
     per orbit and nonzero measured at L = 16 and 18) and three real arrays
@@ -116,6 +118,9 @@ def momentum_band(p: XxzParams, n: int) -> np.ndarray:
     _check_sector(p, n, nbytes)
     sector = down_spin_sector(SpinSpace((2,) * L), n)
     spectra = momentum_spectra(assemble(xxz(p), sector).matrix, translation_orbits(sector))
+    if spectra is None:
+        raise ValueError(f"the {L}-site chain's sector block is complex or breaks the shift "
+                         "or the reflection")
     return np.array([levels[0] for levels in spectra])
 
 

@@ -286,41 +286,32 @@ class TranslationOrbits(NamedTuple):
     n_sites: int
     reflect: np.ndarray | None
 
-    def block_dims(self) -> np.ndarray:
-        """The dimension of momentum block k, for k = 0..L - 1: the number of
-        orbits with k m = 0 (mod L)."""
-        L = self.n_sites
-        return ((np.arange(L)[:, None] * self.period) % L == 0).sum(axis=1)
-
-    def slots(self, ks, parity=False):
-        """The columns of momentum block k (``momentum_blocks``) that each
-        orbit enters, for each k of ``ks``: (table, dims).  ``table[q]``, for
-        the q-th k, has a row of columns for each slot, then a row of turns
-        for each slot, and one entry per orbit: column c of block k is
+    def slots(self, ks):
+        """The J-real columns of momentum block k (``momentum_blocks``) that
+        each orbit enters, for each k of ``ks``: (table, dims).  ``table[q]``,
+        for the q-th k, has a row of columns for each slot, then a row of
+        turns for each slot, and one entry per orbit: column c of block k is
         sum_a amp_a e^(2 pi i turn / 4L) |a,k> over the slots (column, turn)
         of the orbits a with that column (``slot_amps``), and an empty slot
         holds the block dimension.  ``dims[q]`` lists the sizes of the
-        diagonal blocks the columns fall into, in order.
+        diagonal blocks the columns fall into, in order; they add up to n_k,
+        the number of orbits a with k m_a = 0 (mod L).  ``reflect`` must be
+        set.
 
-        Without ``parity`` each orbit of the block has one slot, the column
-        |a,k> itself, and dims is (n_k,).  With ``parity`` the columns are
-        real under J = P K (P the reflection, K complex conjugation), which
-        maps |a,k> to w_a |a',k>, where P r_a = T^l r_a' and
-        w_a = e^(2 pi i k l / L): a self-reflected orbit (a' = a) takes
-        e^(i pi k l / L) |a,k>, and a pair a < a' the two columns
-        (|a,k> + w_a |a',k>) / sqrt 2 and i (|a,k> - w_a |a',k>) / sqrt 2.
-        The first of each pair and the self-reflected orbits with w_a != -1
-        come first, in ascending a.  At k = 0 and L/2, where w_a = +-1, they
-        are the reflection-even columns and the rest the odd ones, which h
-        does not mix: dims is (even, odd) there, (n_k,) at any other k."""
+        The columns are real under J = P K (P the reflection, K complex
+        conjugation), which maps |a,k> to w_a |a',k>, where
+        P r_a = T^l r_a' and w_a = e^(2 pi i k l / L): a self-reflected orbit
+        (a' = a) takes e^(i pi k l / L) |a,k>, and a pair a < a' the two
+        columns (|a,k> + w_a |a',k>) / sqrt 2 and
+        i (|a,k> - w_a |a',k>) / sqrt 2.  The first of each pair and the
+        self-reflected orbits with w_a != -1 come first, in ascending a.  At
+        k = 0 and L/2, where w_a = +-1, they are the reflection-even columns
+        and the rest the odd ones, which h does not mix: dims is (even, odd)
+        there, (n_k,) at any other k."""
         L, n = self.n_sites, self.period.size
         ks = np.asarray(ks, dtype=np.int64).reshape(-1, 1)
         keep = ks * self.period % L == 0
         size = keep.sum(axis=1, keepdims=True)
-        if not parity:
-            columns = np.where(keep, np.cumsum(keep, axis=1) - 1, size)
-            return (np.stack([columns, np.zeros_like(columns)], axis=1),
-                    [(int(d),) for d in size[:, 0]])
         ref = self.reflect[self.reps]
         mirror, lag, a = self.orbit[ref], self.pos[ref], np.arange(n)
         pair = np.sign(mirror - a)             # 0 self-reflected, +1 first, -1 second of a pair
@@ -336,7 +327,7 @@ class TranslationOrbits(NamedTuple):
         return np.concatenate([columns, turns % (4 * L)], axis=1), dims
 
     def slot_amps(self) -> np.ndarray:
-        """The amplitude of each orbit in its ``slots`` under parity: 1 for a
+        """The amplitude of each orbit in its ``slots``: 1 for a
         self-reflected orbit, 1 / sqrt 2 for one of a pair."""
         return np.where(self.orbit[self.reflect[self.reps]] == np.arange(self.period.size),
                         1.0, math.sqrt(0.5))
@@ -379,50 +370,41 @@ def translation_orbits(sector: SectorBasis) -> TranslationOrbits:
     return TranslationOrbits(orbit, -first % period, period[reps], reps, shift, L, reflect)
 
 
-def momentum_blocks(h, orbits: TranslationOrbits, ks, parity=False):
-    """For each k in ``ks`` in turn, the tuple of dense blocks of a sector
-    block ``h`` that commutes with the shift whose spectra together are that
-    of momentum block k.
+def momentum_blocks(h, orbits: TranslationOrbits, ks):
+    """For each k in ``ks`` in turn, the tuple of real dense blocks whose
+    spectra together are that of momentum block k of a real sector block
+    ``h`` that commutes with the shift T and the reflection P, which the
+    caller has checked (``spectral._commutes``).
 
     Block k is spanned by |a,k> = m_a^(-1/2) sum_j e^(-2 pi i k j / L) |T^j r_a>
     over the orbits a with k m_a = 0 (mod L), so its entries need only the
     representative columns of the sparse h:
     <b,k|h|a,k> = sqrt(m_a / m_b) sum_(t in orbit b) h[t, r_a] e^(2 pi i k pos(t) / L).
-    It is written in the columns of ``TranslationOrbits.slots``, where each
-    orbit enters at most two columns: every nonzero of h[:, reps] scatters
-    into at most four entries conj(C[b, i]) C[a, j] <b,k|h|a,k>, by one
-    ``bincount`` (empty slots into one spare bin).
-
-    Without ``parity`` the block is h_k itself, (h_k,), real at k = 0 and
-    k = L/2 of a real h, whose phases are +-1, and complex otherwise.  With
-    ``parity`` a real h also commutes with the reflection P, which the
-    caller has checked; each block is then real in the J-real columns of
-    ``slots`` and keeps the size of h_k, and at k = 0 and L/2 it is the
-    pair of its reflection-even and odd halves."""
+    It is written in the J-real columns of ``TranslationOrbits.slots``,
+    where each orbit enters at most two columns: every nonzero of h[:, reps]
+    scatters into at most four entries conj(C[b, i]) C[a, j] <b,k|h|a,k>, by
+    one ``bincount`` (empty slots into one spare bin).  Each block is real
+    and keeps the size of h_k, and at k = 0 and L/2 it is the pair of its
+    reflection-even and odd halves.  A complex h raises ``ValueError``."""
     L = orbits.n_sites
     cols = sp.csr_matrix(h)[:, orbits.reps].tocoo()
+    if np.iscomplexobj(cols.data):
+        raise ValueError("momentum blocks need a real h")
     t, a = cols.row, cols.col
     b = orbits.orbit[t]
-    weight = cols.data * np.sqrt(orbits.period[a] / orbits.period[b])
-    if parity:
-        if np.iscomplexobj(weight):
-            raise ValueError("reflection-real momentum blocks need a real h")
-        amps = orbits.slot_amps()
-        weight = weight * (amps[a] * amps[b])
-    # e^(2 pi i j / 4L) at index j + 4L, for the turns -4L < j < 8L of an entry
-    phases = np.exp(2j * np.pi * np.arange(-4 * L, 8 * L) / (4 * L))
+    amps = orbits.slot_amps()
+    weight = cols.data * np.sqrt(orbits.period[a] / orbits.period[b]) * (amps[a] * amps[b])
+    # the real part of e^(2 pi i j / 4L) at index j + 4L, for the turns
+    # -4L < j < 8L of an entry
+    phases = np.exp(2j * np.pi * np.arange(-4 * L, 8 * L) / (4 * L)).real
     pos4 = 4 * orbits.pos[t]
-    tables, dims = orbits.slots(ks, parity)
+    tables, dims = orbits.slots(ks)
     for k, table, sizes in zip(ks, tables, dims):
         slots, n = len(table) // 2, sum(sizes) + 1      # and one spare bin for empty slots
         at_b, at_a = table.take(b, axis=1), table.take(a, axis=1)
         flat = (at_b[:slots, None] * n + at_a[None, :slots]).ravel()
         turn = k * pos4 % (4 * L) + 4 * L + at_a[None, slots:] - at_b[slots:, None]
-        if np.iscomplexobj(weight) or not (parity or 2 * k % L == 0):
-            w = (weight * phases[turn]).ravel()
-            block = np.bincount(flat, w.real, n * n) + 1j * np.bincount(flat, w.imag, n * n)
-        else:
-            block = np.bincount(flat, (weight * phases.real[turn]).ravel(), n * n)
+        block = np.bincount(flat, (weight * phases[turn]).ravel(), n * n)
         block, edges = block.reshape(n, n), np.cumsum((0,) + sizes)
         yield tuple(block[i:j, i:j] for i, j in zip(edges, edges[1:]))
 

@@ -153,10 +153,11 @@ def sector_spectrum(H, sector: SectorBasis, k="all", want_vectors=False,
     ``k="all"`` and sectors of dimension up to KRYLOV_CROSSOVER are
     diagonalised densely and return every level; a larger sector returns
     its k lowest levels from ``extremal_eigs``.  With ``momenta=True`` and
-    values only, a block that commutes with the one-site shift may instead
-    be solved by its momentum blocks (``_momentum_levels``), which return
-    every level.  The report carries the CSR block it solved as ``block``;
-    for a real H built on the sector it shares the arrays of H.
+    values only, a real block that commutes with the one-site shift and the
+    reflection may instead be solved by its momentum blocks
+    (``_momentum_levels``), which return every level.  The report carries
+    the CSR block it solved as ``block``; for a real H built on the sector
+    it shares the arrays of H.
     """
     block = restrict(H, sector, dense=False)
     rep = _momentum_levels(block, sector, k) if momenta and not want_vectors else None
@@ -168,62 +169,46 @@ def sector_spectrum(H, sector: SectorBasis, k="all", want_vectors=False,
     return rep
 
 
-def _commutes(block, perm) -> bool:
-    """Whether the sector permutation ``perm`` (state s to ``perm[s]``) maps
-    the block onto itself: perm h perm^T = h to TERM_HERMITICITY_TOL of its
-    largest entry, as in the terms' flip check."""
-    coo = block.tocoo()
-    moved = sp.csr_matrix((coo.data, (perm[coo.row], perm[coo.col])), shape=block.shape)
-    dev = abs(moved - block)
-    return not (dev.nnz and dev.max() > TERM_HERMITICITY_TOL * abs(coo.data).max())
+def _commutes(block, perm, cols=None) -> bool:
+    """Whether h[perm t, perm s] = h[t, s] at every nonzero (t, s) of the
+    columns ``cols`` (default all) of the sector block h, to
+    TERM_HERMITICITY_TOL of its largest entry as in the terms' flip check;
+    ``perm`` maps state s to ``perm[s]``, and the moved entries are gathered
+    from h.  Over all columns this is perm h perm^T = h: perm maps the nnz
+    nonzeros one to one, so a nonzero it misses means another moved onto a
+    zero.
 
-
-def _reflected(block, orbits) -> bool:
-    """Whether a block that commutes with the shift T also commutes with the
-    reflection P, to the tolerance of ``_commutes``.  P h P^T commutes with
-    T as h does (P T P = T^-1), and two such blocks agree when their
-    representative columns do, so h[P t, P r_a] = h[t, r_a] is checked at
-    the nonzeros of h[:, reps] alone; the nonzeros of a column P r_a are
-    those of r_a' shifted, so none is missed."""
-    if orbits.reflect is None:
-        return False
-    cols = block[:, orbits.reps].tocoo()
-    ref = orbits.reflect
-    mirrored = np.asarray(block[ref[cols.row], ref[orbits.reps[cols.col]]]).ravel()
-    return not (cols.nnz and np.abs(mirrored - cols.data).max()
+    For the reflection P of a block that commutes with the one-site shift T
+    the representative columns suffice: P h P^T commutes with T as h does
+    (P T P = T^-1), two such blocks agree when their representative columns
+    do, and the columns P r_a (those of r_a' shifted) hold as many nonzeros
+    as the columns r_a."""
+    coo = (block if cols is None else block[:, cols]).tocoo()
+    col = coo.col if cols is None else cols[coo.col]
+    moved = np.asarray(block[perm[coo.row], perm[col]]).ravel()
+    return not (coo.nnz and np.abs(moved - coo.data).max()
                 > TERM_HERMITICITY_TOL * abs(block.data).max())
 
 
-def momentum_spectra(block, orbits, reflected=None) -> list:
-    """The spectra of the momentum blocks k = 0..L - 1 of a sector block that
-    commutes with the one-site shift (``hilbert.momentum_blocks``, solved by
-    ``full_spectrum`` in ascending k).  A real block solves k <= L/2 only, and
-    k > L/2 takes the levels of L - k (h_(L-k) = conj h_k); a complex one all
-    L.  A real block that also commutes with the reflection (``reflected``,
-    checked by ``_reflected`` when None) is solved by real blocks alone: the
-    J-real form of each k, in two halves at k = 0 and L/2."""
-    L, real = orbits.n_sites, not np.iscomplexobj(block.data)
-    if reflected is None:
-        reflected = real and _reflected(block, orbits)
-    ks = [q for q, n in enumerate(orbits.block_dims()[:L // 2 + 1 if real else L]) if n]
+def momentum_spectra(block, orbits):
+    """The spectra of the momentum blocks k = 0..L - 1 of a real sector block
+    that commutes with the one-site shift T and the reflection P, or None
+    when the block is complex or breaks either symmetry (``_commutes``, on
+    every column for T and on the representative columns for P).
+
+    The blocks k <= L/2 are solved (``hilbert.momentum_blocks``, by
+    ``full_spectrum`` in ascending k), each real in the J-real basis of
+    J = P K and k = 0 and L/2 in their two parity halves; k > L/2 takes the
+    levels of L - k (h_(L-k) = conj h_k)."""
+    L = orbits.n_sites
+    if (np.iscomplexobj(block.data) or orbits.reflect is None
+            or not _commutes(block, orbits.shift)
+            or not _commutes(block, orbits.reflect, orbits.reps)):
+        return None
+    ks = [q for q in range(L // 2 + 1) if (q * orbits.period % L == 0).any()]
     solved = {q: np.sort(np.concatenate([full_spectrum(h).eigenvalues for h in halves if h.size]))
-              for q, halves in zip(ks, momentum_blocks(block, orbits, ks, parity=reflected))}
-    return [solved.get(min(q, L - q) if real else q, np.empty(0)) for q in range(L)]
-
-
-def _split_cost(orbits, real, reflected) -> int:
-    """The cost of a momentum split in the n^3 units of ``_momentum_levels``:
-    MOMENTUM_SPLIT_COST and w n^3 per solved block, w = 1 for a real and 4
-    for a complex matrix.  A reflected block solves real blocks alone, k <= L/2
-    and the halves of k = 0 and L/2 apart; a plain real one the real k = 0
-    and L/2 and one complex block of each pair k, L - k (2 n^3 per block);
-    a complex one every complex block."""
-    L, dims = orbits.n_sites, orbits.block_dims()
-    if reflected:
-        _, solved = orbits.slots(range(L // 2 + 1), parity=True)
-        return MOMENTUM_SPLIT_COST + sum(d ** 3 for sizes in solved for d in sizes)
-    weights = [(1 if 2 * q % L == 0 else 2) if real else 4 for q in range(L)]
-    return MOMENTUM_SPLIT_COST + sum(w * int(n) ** 3 for w, n in zip(weights, dims))
+              for q, halves in zip(ks, momentum_blocks(block, orbits, ks))}
+    return [solved.get(min(q, L - q), np.empty(0)) for q in range(L)]
 
 
 def _momentum_levels(block, sector: SectorBasis, k):
@@ -231,26 +216,23 @@ def _momentum_levels(block, sector: SectorBasis, k):
     its momentum blocks (``momentum_spectra``), or None when the sector does
     not split.
 
-    Only a sector of equal sites splits, and only when two things hold.  The
-    blocks must be cheaper than the sector's own path (``_split_cost``
-    against w min(dim, KRYLOV_CROSSOVER)^3, w dim^3 for ``k="all"``), and h
-    must commute with the one-site shift T (``_commutes``).  The cost of a
-    real h is first taken as that of its reflected blocks, the cheaper;
-    when the reflection check fails, the cost of the plain blocks decides."""
+    Only a sector of equal sites that the reflection maps onto itself
+    splits, and only when its blocks are cheaper than the sector's own path:
+    MOMENTUM_SPLIT_COST + sum n^3 over the real blocks ``momentum_spectra``
+    solves, against min(dim, KRYLOV_CROSSOVER)^3 (dim^3 for ``k="all"``).
+    A block that is complex or breaks the shift or the reflection is not
+    split either."""
     if len(set(sector.site_dims)) != 1:
         return None
     orbits = translation_orbits(sector)
-    real = not np.iscomplexobj(block.data)
-    own = (1 if real else 4) * (sector.dim if k == "all"
-                                 else min(sector.dim, KRYLOV_CROSSOVER)) ** 3
-    reflected = real and orbits.reflect is not None
-    if _split_cost(orbits, real, reflected) > own or not _commutes(block, orbits.shift):
+    if orbits.reflect is None:
         return None
-    if reflected and not _reflected(block, orbits):
-        reflected = False
-        if _split_cost(orbits, real, False) > own:
-            return None
-    return SpectrumReport(np.sort(np.concatenate(momentum_spectra(block, orbits, reflected))))
+    _, dims = orbits.slots(range(orbits.n_sites // 2 + 1))
+    own = (sector.dim if k == "all" else min(sector.dim, KRYLOV_CROSSOVER)) ** 3
+    if MOMENTUM_SPLIT_COST + sum(d ** 3 for sizes in dims for d in sizes) > own:
+        return None
+    spectra = momentum_spectra(block, orbits)
+    return None if spectra is None else SpectrumReport(np.sort(np.concatenate(spectra)))
 
 
 def spectral_gap(report: SpectrumReport) -> GapReport:
@@ -275,11 +257,11 @@ def sector_sweep_lowest(phi, space: SpinSpace, k=4, threads=1):
     Returns (merged SpectrumReport, dict label -> per-sector SpectrumReport,
     each carrying the block it was solved from as ``block``).
     A sector solved densely (see ``sector_spectrum``) contributes all its
-    levels.  On a space of equal sites a sector whose block commutes with
-    the one-site shift is solved by its momentum blocks when they are
-    cheaper than its own dense or ARPACK solve (``_momentum_levels``); it
-    too contributes all its levels, and its report holds their sorted
-    union and the sector block.  The merge order is canonical (descending
+    levels.  On a space of equal sites a sector whose real block commutes
+    with the one-site shift and the reflection is solved by its momentum
+    blocks when they are cheaper than its own dense or ARPACK solve
+    (``_momentum_levels``); it too contributes all its levels, and its
+    report holds their sorted union and the sector block.  The merge order is canonical (descending
     M), independent of any parallelism.
 
     When every term commutes with the global spin flip

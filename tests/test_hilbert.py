@@ -295,7 +295,8 @@ def test_translation_orbits_match_shift_cycles(dims, M):
         periods.add(len(cycle))
     # orbits are numbered by ascending representative
     assert np.all(np.diff(sector.states[orbits.reps]) > 0)
-    assert orbits.block_dims().sum() == sector.dim
+    _, dims = orbits.slots(range(len(dims)))
+    assert sum(map(sum, dims)) == sector.dim
     if dims == (3,) * 6 and M == 0:
         assert periods == {1, 2, 3, 6}
 
@@ -309,8 +310,9 @@ def test_translation_orbits_refuse_unequal_sites_and_open_sectors():
 
 
 def test_momentum_blocks_match_dense_cycle_basis_on_spin_one():
-    # the AKLT + S3 S3 ring, real, and with a chiral term, complex: block k
-    # against basis^H h basis over m^(-1/2) e^(-2 pi i k j / L) cycle vectors
+    # the AKLT + S3 S3 ring: the blocks of every k, k > L/2 too, against the
+    # spectrum of basis^H h basis over the m^(-1/2) e^(-2 pi i k j / L) cycle
+    # vectors; with a chiral term h is complex, and raises
     from spinsys import aklt, assemble, custom
     L = 6
     s = spin_matrices(1.0)
@@ -323,27 +325,15 @@ def test_momentum_blocks_match_dense_cycle_basis_on_spin_one():
                             + [((0, L - 1), 0.3 * swap @ chiral @ swap)])
     sector = magnetization_sector(SpinSpace((3,) * L), 0)
     orbits = translation_orbits(sector)
-    cycles = shift_cycles(sector)
-    index = {st: i for i, st in enumerate(sector.states.tolist())}
-    reps = sorted({cycle[0] for cycle, _ in cycles.values()})
-    for phi in (ring, twisted):
-        h = assemble(phi, sector).matrix
-        blocks = [block for (block,) in momentum_blocks(h, orbits, range(L))]
-        for k, block in enumerate(blocks):
-            basis = []
-            for r in reps:
-                cycle = cycles[r][0]
-                if k * len(cycle) % L:
-                    continue
-                v = np.zeros(sector.dim, dtype=complex)
-                v[[index[t] for t in cycle]] = np.exp(-2j * np.pi * k * np.arange(len(cycle))
-                                                      / L) / np.sqrt(len(cycle))
-                basis.append(v)
-            basis = np.array(basis).T
-            want = basis.conj().T @ (h @ basis)
-            assert block.shape == want.shape == (orbits.block_dims()[k],) * 2
-            assert np.abs(block - want).max() < 1e-12
-            assert np.isrealobj(block) == (np.isrealobj(h.data) and 2 * k % L == 0)
+    h = assemble(ring, sector).matrix
+    for k, halves in enumerate(momentum_blocks(h, orbits, range(L))):
+        basis = cycle_vectors(sector, k)
+        want = np.linalg.eigvalsh(basis.conj().T @ (h @ basis))
+        assert all(np.isrealobj(block) for block in halves)
+        got = np.sort(np.concatenate([np.linalg.eigvalsh(block) for block in halves]))
+        assert got.shape == want.shape and np.abs(got - want).max() < 1e-12
+    with pytest.raises(ValueError, match="real h"):
+        next(momentum_blocks(assemble(twisted, sector).matrix, orbits, [0]))
 
 
 def cycle_vectors(sector, k):
@@ -400,8 +390,8 @@ def test_parity_blocks_are_the_j_real_cycle_basis(case):
     assert np.array_equal(P[orbits.reflect, np.arange(sector.dim)], np.ones(sector.dim))
     amps = orbits.slot_amps()
     ks = range(L // 2 + 1)
-    for k, halves in zip(ks, momentum_blocks(h, orbits, ks, parity=True)):
-        (table,), (dims,) = orbits.slots([k], parity=True)
+    for k, halves in zip(ks, momentum_blocks(h, orbits, ks)):
+        (table,), (dims,) = orbits.slots([k])
         columns, turns = table[:2], table[2:]
         n = sum(dims)
         kept = np.flatnonzero(k * orbits.period % L == 0)

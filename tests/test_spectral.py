@@ -482,13 +482,14 @@ def test_extremal_eigs_keeps_arpack_off_the_diagonal():
 
 
 def momentum_spy(monkeypatch):
-    """The list of momenta of each ``momentum_blocks`` call the sweep makes."""
+    """The sector dimension and the momenta of each ``momentum_blocks`` call
+    the sweep makes."""
     calls = []
     blocks = spinsys.spectral.momentum_blocks
 
-    def spy(h, orbits, ks, parity=False):
-        calls.append(list(ks))
-        return blocks(h, orbits, ks, parity)
+    def spy(h, orbits, ks):
+        calls.append((h.shape[0], list(ks)))
+        return blocks(h, orbits, ks)
 
     monkeypatch.setattr(spinsys.spectral, "momentum_blocks", spy)
     return calls
@@ -521,22 +522,22 @@ SPLIT_CASES = {
 
 @pytest.mark.parametrize("case", sorted(SPLIT_CASES))
 def test_split_sweep_matches_whole_sector_spectra(case, monkeypatch):
-    # without the fixed cost per split, every sector of these rings splits
-    # into momentum blocks and returns all its levels; a real h solves
-    # k <= L/2 only, a complex one every k
+    # without the fixed cost per split, every sector of the real rings splits
+    # into momentum blocks k <= L/2 and returns all its levels; the complex
+    # chiral ring splits only its two one-state sectors, which are real
     monkeypatch.setattr(spinsys.spectral, "MOMENTUM_SPLIT_COST", 0)
     phi, space = SPLIT_CASES[case]()
     L = space.n_sites
     calls = momentum_spy(monkeypatch)
     merged, per_sector = sector_sweep_lowest(phi, space, k=6)
-    assert len(calls) == len(per_sector)
     for (_, M), rep in per_sector.items():
         want = whole_sector_levels(phi, space, M)
         assert rep.eigenvalues.size == want.size
         assert np.abs(rep.eigenvalues - want).max() <= 1e-12
     real = all(np.isrealobj(rep.block.data) for rep in per_sector.values())
     assert real == (case != "chiral_ring_9") == phi.flip_invariant()
-    assert max(max(ks) for ks in calls) == (L // 2 if real else L - 1)
+    assert len(calls) == (len(per_sector) if real else 2)
+    assert max(max(ks) for _, ks in calls) == (L // 2 if real else 0)
     flip = 2 if phi.flip_invariant() else 1
     assert merged.eigenvalues.size == sum(
         (flip if M > 0 else 1) * rep.eigenvalues.size for (_, M), rep in per_sector.items())
@@ -547,12 +548,9 @@ def test_small_sectors_stay_whole_under_the_split_cost(monkeypatch):
     # the perturbed AKLT ring of 8 sites whole; those of 266 states and more
     # split; every level agrees with the whole-sector solve
     phi, space = perturbed_aklt_ring(8)
-    dims = []
-    blocks = spinsys.spectral.momentum_blocks
-    monkeypatch.setattr(spinsys.spectral, "momentum_blocks", lambda h, orbits, ks, parity=False:
-                        dims.append(h.shape[0]) or blocks(h, orbits, ks, parity))
+    calls = momentum_spy(monkeypatch)
     merged, per_sector = sector_sweep_lowest(phi, space, k=6)
-    assert sorted(dims) == [266, 504, 784, 1016, 1107]
+    assert sorted(dim for dim, _ in calls) == [266, 504, 784, 1016, 1107]
     for (_, M), rep in per_sector.items():
         want = whole_sector_levels(phi, space, M)
         assert rep.eigenvalues.size == want.size
@@ -589,19 +587,23 @@ def test_broken_translation_does_not_split(case, monkeypatch):
         assert rep.eigenvalues.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("case", ["aklt_szsz_7", "chiral_ring_9"])
-def test_split_sweep_threads_agree_bitwise(case):
+@pytest.mark.parametrize("case", ["aklt_szsz_7", "xxz_ring_10"])
+def test_split_sweep_threads_agree_bitwise(case, monkeypatch):
+    # both rings split their largest sectors under the default split cost
     phi, space = SPLIT_CASES[case]()
+    calls = momentum_spy(monkeypatch)
     one, per_one = sector_sweep_lowest(phi, space, k=6, threads=1)
+    split = len(calls)
     two, per_two = sector_sweep_lowest(phi, space, k=6, threads=2)
+    assert split and len(calls) == 2 * split
     assert one.eigenvalues.tobytes() == two.eigenvalues.tobytes()
     assert list(per_one) == list(per_two)
     for label, rep in per_one.items():
         assert rep.eigenvalues.tobytes() == per_two[label].eigenvalues.tobytes()
 
 
-def three_site_ring(L):
-    """The spin-1/2 Heisenberg ring plus S3_x (S+_x+1 S-_x+2 + h.c.): real,
+def three_site_term(L):
+    """S3_x (S+_x+1 S-_x+2 + h.c.) on the spin-1/2 ring: real,
     shift-invariant, and broken by the reflection, which moves S3 to the
     other end of the three sites."""
     s = spin_matrices(0.5)
@@ -619,72 +621,125 @@ def three_site_ring(L):
         (sites, one), (_, two) = product({x: s3, y: plus, z: minus}), product({x: s3, y: minus,
                                                                                z: plus})
         terms.append((sites, 0.3 * (one + two)))
-    return heisenberg(ring_graph(L)) + custom(terms), SpinSpace((2,) * L)
+    return custom(terms)
 
 
-# (interaction, space, whether its blocks are real and reflected)
+def three_site_ring(L):
+    """The spin-1/2 Heisenberg ring plus ``three_site_term``."""
+    return heisenberg(ring_graph(L)) + three_site_term(L), SpinSpace((2,) * L)
+
+
+# (interaction, space, the largest sector that splits, None for every one)
 REFLECTION_CASES = {
     "aklt_szsz_6": lambda: (aklt(6, periodic=True) + szsz_ring(6).scaled(0.06),
-                            SpinSpace((3,) * 6), True),
+                            SpinSpace((3,) * 6), None),
     "aklt_szsz_7": lambda: (aklt(7, periodic=True) + szsz_ring(7).scaled(0.06),
-                            SpinSpace((3,) * 7), True),
+                            SpinSpace((3,) * 7), None),
     "aklt_szsz_8": lambda: (aklt(8, periodic=True) + szsz_ring(8).scaled(0.06),
-                            SpinSpace((3,) * 8), True),
-    "heisenberg_ring_10": lambda: (heisenberg(ring_graph(10)), SpinSpace((2,) * 10), True),
-    "three_site_ring_10": lambda: (*three_site_ring(10), False),
-    "chiral_ring_9": lambda: (*chiral_ring(9), False),
+                            SpinSpace((3,) * 8), None),
+    "heisenberg_ring_10": lambda: (heisenberg(ring_graph(10)), SpinSpace((2,) * 10), None),
+    "three_site_ring_10": lambda: (*three_site_ring(10), 10),
+    "chiral_ring_9": lambda: (*chiral_ring(9), 1),
 }
 
 
 @pytest.mark.parametrize("case", sorted(REFLECTION_CASES))
 def test_reflected_blocks_match_whole_sector_spectra(case, monkeypatch):
-    # without the fixed cost per split every sector splits; a real ring that
-    # the reflection maps onto itself is solved by real blocks alone, and one
-    # that breaks it (or a complex one) by the plain momentum blocks, at
-    # least in its largest sector (the one-state sectors, and the one-magnon
-    # sectors of the three-site ring, are reflected); every level agrees
-    # with the whole-sector solve
+    # without the fixed cost per split, a real ring that the reflection maps
+    # onto itself splits every sector and is solved by real blocks alone; a
+    # ring that breaks the reflection, or a complex one, splits no sector but
+    # those that are real and reflected by chance (the one-state sectors,
+    # and the one-magnon sectors of the three-site ring), and only the
+    # complex one makes a complex solve; every level agrees with the
+    # whole-sector solve
     monkeypatch.setattr(spinsys.spectral, "MOMENTUM_SPLIT_COST", 0)
     monkeypatch.setattr(Interaction, "su2_invariant", lambda self, space: False)
-    phi, space, reflected = REFLECTION_CASES[case]()
-    parities = []
-    blocks = spinsys.spectral.momentum_blocks
-    monkeypatch.setattr(spinsys.spectral, "momentum_blocks", lambda h, orbits, ks, parity=False:
-                        parities.append(parity) or blocks(h, orbits, ks, parity))
+    phi, space, most = REFLECTION_CASES[case]()
+    calls = momentum_spy(monkeypatch)
     solved = []
     full = spinsys.spectral.full_spectrum
     monkeypatch.setattr(spinsys.spectral, "full_spectrum",
                         lambda H, **kw: solved.append(np.iscomplexobj(H)) or full(H, **kw))
     _, per_sector = sector_sweep_lowest(phi, space, k=6)
-    assert len(parities) == len(per_sector)
-    by_sector = dict(zip(per_sector, parities))
-    assert by_sector[min(by_sector, key=lambda label: abs(label[1]))] == reflected
-    assert all(by_sector.values()) == reflected
-    assert (True in solved) == (case != "heisenberg_ring_10" and not reflected)
+    dims = [rep.block.shape[0] for rep in per_sector.values()]
+    assert [dim for dim, _ in calls] == [d for d in dims if most is None or d <= most]
+    assert (True in solved) == (case == "chiral_ring_9")
     for (_, M), rep in per_sector.items():
         want = whole_sector_levels(phi, space, M)
         assert rep.eigenvalues.size == want.size
         assert np.abs(rep.eigenvalues - want).max() <= 1e-12
 
 
+# (interaction, space, whether it commutes with the shift, with the
+# reflection): a complex ring, a real one that breaks the reflection, and a
+# real one that breaks the shift alone (the reflection maps the bond (4, 5)
+# of the 10-ring onto itself)
+BROKEN_SYMMETRY_CASES = {
+    "chiral_ring_9": lambda: (*chiral_ring(9), True, False),
+    "three_site_ring_10": lambda: (*three_site_ring(10), True, False),
+    "bond_off_by_1e-9": lambda: (*xxz_ring_with(10, lambda ring: [
+        (support, 1e-9 * bond) for support, bond in ring.terms if support == (4, 5)]),
+        False, True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_SYMMETRY_CASES))
+def test_broken_symmetry_blocks_take_the_sector_path(case, monkeypatch):
+    # momentum_spectra declines every sector of more than L states, and
+    # without the fixed cost per split the sweep makes no momentum_blocks
+    # call on one: its levels are those of the sector's own dense solve bit
+    # for bit (the smaller sectors that split are real and symmetric by
+    # chance: the one-state sectors, and the one-magnon sectors of the
+    # three-site ring)
+    from spinsys.hilbert import translation_orbits
+    monkeypatch.setattr(spinsys.spectral, "MOMENTUM_SPLIT_COST", 0)
+    phi, space, shifted, reflected = BROKEN_SYMMETRY_CASES[case]()
+    L = space.n_sites
+    calls = momentum_spy(monkeypatch)
+    _, per_sector = sector_sweep_lowest(phi, space, k=3)
+    assert calls and max(dim for dim, _ in calls) <= L
+    large = 0
+    for (_, M), rep in per_sector.items():
+        sector = magnetization_sector(space, M)
+        if sector.dim > L:
+            large += 1
+            orbits = translation_orbits(sector)
+            assert spinsys.spectral._commutes(rep.block, orbits.shift) == shifted
+            assert spinsys.spectral._commutes(rep.block, orbits.reflect, orbits.reps) == reflected
+            assert spinsys.spectral.momentum_spectra(rep.block, orbits) is None
+            want = sector_spectrum(assemble(phi, sector), sector, k=3).eigenvalues
+            assert rep.eigenvalues.tobytes() == want.tobytes()
+    assert large >= 3
+
+
+def test_momentum_band_refuses_a_block_that_breaks_the_reflection(monkeypatch):
+    import spinsys.droplets
+    from spinsys import momentum_band
+    p = XxzParams.from_q(10, 0.3, boundary="periodic")
+    assert momentum_band(p, 3).size == 10
+    monkeypatch.setattr(spinsys.droplets, "xxz", lambda p: xxz(p) + three_site_term(p.L))
+    with pytest.raises(ValueError, match="breaks the shift or the reflection"):
+        momentum_band(p, 3)
+
+
 @pytest.mark.parametrize("L", [9, 12])
 def test_reflected_momentum_spectra_match_plain_blocks(L):
     # the periodic XXZ ring at odd L (no k = pi) and even L: the levels of
-    # every momentum from the real blocks against those of the plain block,
-    # and all of them against one whole-sector solve
-    from spinsys.hilbert import down_spin_sector, momentum_blocks, translation_orbits
+    # every momentum from the real blocks against the spectrum of the dense
+    # cycle-basis block h_k, and all of them against one whole-sector solve
+    from spinsys.hilbert import down_spin_sector, translation_orbits
+    from test_droplets import cycle_basis_blocks
     p = XxzParams.from_q(L, 0.4, boundary="periodic")
     for n in range(1, L):
         sector = down_spin_sector(SpinSpace((2,) * L), n)
         h = assemble(xxz(p), sector).matrix
-        orbits = translation_orbits(sector)
-        assert spinsys.spectral._reflected(h, orbits)
-        spectra = spinsys.spectral.momentum_spectra(h, orbits)
-        plain = momentum_blocks(h, orbits, range(L))
-        for levels, (block,) in zip(spectra, plain):
-            want = np.linalg.eigvalsh(block) if block.size else np.empty(0)
+        spectra = spinsys.spectral.momentum_spectra(h, translation_orbits(sector))
+        oracle = cycle_basis_blocks(p, n)
+        assert len(spectra) == len(oracle) == L
+        for levels, block in zip(spectra, oracle):
+            want = np.linalg.eigvalsh(block)
             assert levels.size == want.size
-            assert levels.size == 0 or np.abs(levels - want).max() <= 1e-12
+            assert np.abs(levels - want).max() <= 1e-12
         union = np.sort(np.concatenate(spectra))
         assert np.abs(union - np.linalg.eigvalsh(h.toarray())).max() <= 1e-12
 
@@ -699,9 +754,9 @@ def solve_spy(monkeypatch):
         calls.append((H.shape[0], np.iscomplexobj(H)))
         return full(H, **kw)
 
-    def split(h, orbits, ks, parity=False):
-        calls.append(("split", list(ks), orbits.block_dims()))
-        return blocks(h, orbits, ks, parity)
+    def split(h, orbits, ks):
+        calls.append(("split", list(ks), [sum(sizes) for sizes in orbits.slots(ks)[1]]))
+        return blocks(h, orbits, ks)
 
     monkeypatch.setattr(spinsys.spectral, "full_spectrum", solve)
     monkeypatch.setattr(spinsys.spectral, "momentum_blocks", split)
@@ -717,10 +772,10 @@ def assert_halved(calls, L):
     for i in starts:
         _, ks, dims = calls[i]
         at = i + 1
-        for k in ks:
+        for k, dim in zip(ks, dims):
             halves = 2 if 2 * k % L == 0 else 1
             sizes = [c[0] for c in calls[at:at + halves]]
-            assert all(size > 0 for size in sizes) and sum(sizes) == dims[k]
+            assert all(size > 0 for size in sizes) and sum(sizes) == dim
             at += halves
     return len(starts)
 
