@@ -117,7 +117,9 @@ def momentum_band(p: XxzParams, n: int) -> np.ndarray:
 
     _check_sector(p, n, nbytes)
     sector = down_spin_sector(SpinSpace((2,) * L), n)
-    spectra = momentum_spectra(assemble(xxz(p), sector).matrix, translation_orbits(sector))
+    orbits = translation_orbits(sector)
+    spectra = momentum_spectra(assemble(xxz(p), sector).matrix, orbits,
+                               orbits.slots(range(L // 2 + 1)))
     if spectra is None:
         raise ValueError(f"the {L}-site chain's sector block is complex or breaks the shift "
                          "or the reflection")

@@ -288,12 +288,12 @@ class TranslationOrbits(NamedTuple):
 
     def slots(self, ks):
         """The J-real columns of momentum block k (``momentum_blocks``) that
-        each orbit enters, for each k of ``ks``: (table, dims).  ``table[q]``,
-        for the q-th k, has a row of columns for each slot, then a row of
+        each orbit enters, as a list of (k, table, sizes), one for each k of
+        ``ks``.  ``table`` has a row of columns for each slot, then a row of
         turns for each slot, and one entry per orbit: column c of block k is
         sum_a amp_a e^(2 pi i turn / 4L) |a,k> over the slots (column, turn)
         of the orbits a with that column (``slot_amps``), and an empty slot
-        holds the block dimension.  ``dims[q]`` lists the sizes of the
+        holds the block dimension.  ``sizes`` lists the sizes of the
         diagonal blocks the columns fall into, in order; they add up to n_k,
         the number of orbits a with k m_a = 0 (mod L).  ``reflect`` must be
         set.
@@ -306,7 +306,7 @@ class TranslationOrbits(NamedTuple):
         i (|a,k> - w_a |a',k>) / sqrt 2.  The first of each pair and the
         self-reflected orbits with w_a != -1 come first, in ascending a.  At
         k = 0 and L/2, where w_a = +-1, they are the reflection-even columns
-        and the rest the odd ones, which h does not mix: dims is (even, odd)
+        and the rest the odd ones, which h does not mix: sizes is (even, odd)
         there, (n_k,) at any other k."""
         L, n = self.n_sites, self.period.size
         ks = np.asarray(ks, dtype=np.int64).reshape(-1, 1)
@@ -324,7 +324,8 @@ class TranslationOrbits(NamedTuple):
         turns = ((2 - 2 * pair) * ks * lag)[:, None] + np.array([[0], [L]]) * pair
         dims = [(int(e), int(d - e)) if 2 * k % L == 0 else (int(d),)
                 for k, e, d in zip(ks[:, 0], even[:, 0], size[:, 0])]
-        return np.concatenate([columns, turns % (4 * L)], axis=1), dims
+        return list(zip(ks[:, 0].tolist(), np.concatenate([columns, turns % (4 * L)], axis=1),
+                        dims))
 
     def slot_amps(self) -> np.ndarray:
         """The amplitude of each orbit in its ``slots``: 1 for a
@@ -370,11 +371,12 @@ def translation_orbits(sector: SectorBasis) -> TranslationOrbits:
     return TranslationOrbits(orbit, -first % period, period[reps], reps, shift, L, reflect)
 
 
-def momentum_blocks(h, orbits: TranslationOrbits, ks):
-    """For each k in ``ks`` in turn, the tuple of real dense blocks whose
-    spectra together are that of momentum block k of a real sector block
-    ``h`` that commutes with the shift T and the reflection P, which the
-    caller has checked (``spectral._commutes``).
+def momentum_blocks(h, orbits: TranslationOrbits, slots):
+    """For each (k, table, sizes) of ``slots`` (``orbits.slots(ks)``) in
+    turn, the tuple of real dense blocks whose spectra together are that of
+    momentum block k of a real sector block ``h`` that commutes with the
+    shift T and the reflection P, which the caller has checked
+    (``spectral._commutes``).
 
     Block k is spanned by |a,k> = m_a^(-1/2) sum_j e^(-2 pi i k j / L) |T^j r_a>
     over the orbits a with k m_a = 0 (mod L), so its entries need only the
@@ -398,8 +400,7 @@ def momentum_blocks(h, orbits: TranslationOrbits, ks):
     # -4L < j < 8L of an entry
     phases = np.exp(2j * np.pi * np.arange(-4 * L, 8 * L) / (4 * L)).real
     pos4 = 4 * orbits.pos[t]
-    tables, dims = orbits.slots(ks)
-    for k, table, sizes in zip(ks, tables, dims):
+    for k, table, sizes in slots:
         slots, n = len(table) // 2, sum(sizes) + 1      # and one spare bin for empty slots
         at_b, at_a = table.take(b, axis=1), table.take(a, axis=1)
         flat = (at_b[:slots, None] * n + at_a[None, :slots]).ravel()

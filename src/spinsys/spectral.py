@@ -174,9 +174,11 @@ def _commutes(block, perm, cols=None) -> bool:
     columns ``cols`` (default all) of the sector block h, to
     TERM_HERMITICITY_TOL of its largest entry as in the terms' flip check;
     ``perm`` maps state s to ``perm[s]``, and the moved entries are gathered
-    from h.  Over all columns this is perm h perm^T = h: perm maps the nnz
-    nonzeros one to one, so a nonzero it misses means another moved onto a
-    zero.
+    from h.  Over all columns this is perm h perm^T = h up to the tolerance
+    times the length of a cycle of perm (at most L for the shift, 2 for the
+    reflection): a nonzero moved onto a zero is itself within the tolerance,
+    and so, one tolerance further each, are the nonzeros before it on its
+    cycle.
 
     For the reflection P of a block that commutes with the one-site shift T
     the representative columns suffice: P h P^T commutes with T as h does
@@ -190,24 +192,24 @@ def _commutes(block, perm, cols=None) -> bool:
                 > TERM_HERMITICITY_TOL * abs(block.data).max())
 
 
-def momentum_spectra(block, orbits):
+def momentum_spectra(block, orbits, slots):
     """The spectra of the momentum blocks k = 0..L - 1 of a real sector block
     that commutes with the one-site shift T and the reflection P, or None
     when the block is complex or breaks either symmetry (``_commutes``, on
-    every column for T and on the representative columns for P).
+    every column for T and on the representative columns for P).  ``slots``
+    is ``orbits.slots(range(L // 2 + 1))``.
 
     The blocks k <= L/2 are solved (``hilbert.momentum_blocks``, by
     ``full_spectrum`` in ascending k), each real in the J-real basis of
     J = P K and k = 0 and L/2 in their two parity halves; k > L/2 takes the
     levels of L - k (h_(L-k) = conj h_k)."""
     L = orbits.n_sites
-    if (np.iscomplexobj(block.data) or orbits.reflect is None
-            or not _commutes(block, orbits.shift)
+    if (np.iscomplexobj(block.data) or not _commutes(block, orbits.shift)
             or not _commutes(block, orbits.reflect, orbits.reps)):
         return None
-    ks = [q for q in range(L // 2 + 1) if (q * orbits.period % L == 0).any()]
+    slots = [slot for slot in slots if sum(slot[2])]
     solved = {q: np.sort(np.concatenate([full_spectrum(h).eigenvalues for h in halves if h.size]))
-              for q, halves in zip(ks, momentum_blocks(block, orbits, ks))}
+              for (q, *_), halves in zip(slots, momentum_blocks(block, orbits, slots))}
     return [solved.get(min(q, L - q), np.empty(0)) for q in range(L)]
 
 
@@ -219,19 +221,20 @@ def _momentum_levels(block, sector: SectorBasis, k):
     Only a sector of equal sites that the reflection maps onto itself
     splits, and only when its blocks are cheaper than the sector's own path:
     MOMENTUM_SPLIT_COST + sum n^3 over the real blocks ``momentum_spectra``
-    solves, against min(dim, KRYLOV_CROSSOVER)^3 (dim^3 for ``k="all"``).
-    A block that is complex or breaks the shift or the reflection is not
-    split either."""
-    if len(set(sector.site_dims)) != 1:
+    solves, against min(dim, KRYLOV_CROSSOVER)^3 (dim^3 for ``k="all"``),
+    so a sector whose own cost is at most MOMENTUM_SPLIT_COST is refused
+    before its orbits are built.  A block that is complex or breaks the
+    shift or the reflection is not split either."""
+    own = (sector.dim if k == "all" else min(sector.dim, KRYLOV_CROSSOVER)) ** 3
+    if own <= MOMENTUM_SPLIT_COST or len(set(sector.site_dims)) != 1:
         return None
     orbits = translation_orbits(sector)
     if orbits.reflect is None:
         return None
-    _, dims = orbits.slots(range(orbits.n_sites // 2 + 1))
-    own = (sector.dim if k == "all" else min(sector.dim, KRYLOV_CROSSOVER)) ** 3
-    if MOMENTUM_SPLIT_COST + sum(d ** 3 for sizes in dims for d in sizes) > own:
+    slots = orbits.slots(range(orbits.n_sites // 2 + 1))
+    if MOMENTUM_SPLIT_COST + sum(d ** 3 for *_, sizes in slots for d in sizes) > own:
         return None
-    spectra = momentum_spectra(block, orbits)
+    spectra = momentum_spectra(block, orbits, slots)
     return None if spectra is None else SpectrumReport(np.sort(np.concatenate(spectra)))
 
 

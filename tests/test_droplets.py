@@ -121,42 +121,9 @@ def test_momentum_blocks_cover_the_sector():
         assert total == comb(L, n)
 
 
-def cycle_basis_blocks(p, n):
-    """The translation blocks of the n-down-spin sector the direct way: each
-    orbit's states collected by applying the left rotation until it closes,
-    a dense complex m^(-1/2) e^(-2 pi i k j / L) vector per orbit and
-    momentum, and basis^H h basis against the whole sector block."""
-    L = p.L
-    sector = down_spin_sector(SpinSpace((2,) * L), n)
-    h = assemble(xxz(p), sector).matrix
-    index = {s: i for i, s in enumerate(sector.states.tolist())}
-    seen, orbits = set(), []
-    for s in sector.states.tolist():
-        if s in seen:
-            continue
-        orb, t = [], s
-        while t not in orb:
-            orb.append(t)
-            t = ((t << 1) | (t >> (L - 1))) & ((1 << L) - 1)
-        seen.update(orb)
-        orbits.append([index[t] for t in orb])
-    blocks = []
-    for k in range(L):
-        basis = []
-        for orb in orbits:
-            if (k * len(orb)) % L:
-                continue
-            v = np.zeros(sector.dim, dtype=complex)
-            v[orb] = np.exp(-2j * np.pi * k * np.arange(len(orb)) / L) / np.sqrt(len(orb))
-            basis.append(v)
-        basis = np.array(basis).T
-        blocks.append(basis.conj().T @ (h @ basis))
-    return blocks
-
-
 @pytest.mark.parametrize("L, n", [(6, 3), (8, 3), (9, 3), (12, 4), (12, 6), (15, 5)])
 @pytest.mark.parametrize("q", [0.3, 0.5])
-def test_momentum_band_matches_cycle_basis_blocks(L, n, q, monkeypatch):
+def test_momentum_band_matches_cycle_basis_blocks(L, n, q, monkeypatch, cycle_basis_blocks):
     # orbits of length 2, 3, 4 and 6 besides L: the real blocks the band
     # solves, the two parity halves of k = 0 and L/2 and one block for each
     # other k, against the spectrum of the dense cycle-basis block;

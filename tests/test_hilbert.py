@@ -295,8 +295,7 @@ def test_translation_orbits_match_shift_cycles(dims, M):
         periods.add(len(cycle))
     # orbits are numbered by ascending representative
     assert np.all(np.diff(sector.states[orbits.reps]) > 0)
-    _, dims = orbits.slots(range(len(dims)))
-    assert sum(map(sum, dims)) == sector.dim
+    assert sum(sum(sizes) for *_, sizes in orbits.slots(range(len(dims)))) == sector.dim
     if dims == (3,) * 6 and M == 0:
         assert periods == {1, 2, 3, 6}
 
@@ -326,14 +325,14 @@ def test_momentum_blocks_match_dense_cycle_basis_on_spin_one():
     sector = magnetization_sector(SpinSpace((3,) * L), 0)
     orbits = translation_orbits(sector)
     h = assemble(ring, sector).matrix
-    for k, halves in enumerate(momentum_blocks(h, orbits, range(L))):
+    for k, halves in enumerate(momentum_blocks(h, orbits, orbits.slots(range(L)))):
         basis = cycle_vectors(sector, k)
         want = np.linalg.eigvalsh(basis.conj().T @ (h @ basis))
         assert all(np.isrealobj(block) for block in halves)
         got = np.sort(np.concatenate([np.linalg.eigvalsh(block) for block in halves]))
         assert got.shape == want.shape and np.abs(got - want).max() < 1e-12
     with pytest.raises(ValueError, match="real h"):
-        next(momentum_blocks(assemble(twisted, sector).matrix, orbits, [0]))
+        next(momentum_blocks(assemble(twisted, sector).matrix, orbits, orbits.slots([0])))
 
 
 def cycle_vectors(sector, k):
@@ -389,9 +388,8 @@ def test_parity_blocks_are_the_j_real_cycle_basis(case):
     P = reflection_matrix(sector)
     assert np.array_equal(P[orbits.reflect, np.arange(sector.dim)], np.ones(sector.dim))
     amps = orbits.slot_amps()
-    ks = range(L // 2 + 1)
-    for k, halves in zip(ks, momentum_blocks(h, orbits, ks)):
-        (table,), (dims,) = orbits.slots([k])
+    slots = orbits.slots(range(L // 2 + 1))
+    for (k, table, dims), halves in zip(slots, momentum_blocks(h, orbits, slots)):
         columns, turns = table[:2], table[2:]
         n = sum(dims)
         kept = np.flatnonzero(k * orbits.period % L == 0)

@@ -487,9 +487,9 @@ def momentum_spy(monkeypatch):
     calls = []
     blocks = spinsys.spectral.momentum_blocks
 
-    def spy(h, orbits, ks):
-        calls.append((h.shape[0], list(ks)))
-        return blocks(h, orbits, ks)
+    def spy(h, orbits, slots):
+        calls.append((h.shape[0], [k for k, *_ in slots]))
+        return blocks(h, orbits, slots)
 
     monkeypatch.setattr(spinsys.spectral, "momentum_blocks", spy)
     return calls
@@ -706,7 +706,8 @@ def test_broken_symmetry_blocks_take_the_sector_path(case, monkeypatch):
             orbits = translation_orbits(sector)
             assert spinsys.spectral._commutes(rep.block, orbits.shift) == shifted
             assert spinsys.spectral._commutes(rep.block, orbits.reflect, orbits.reps) == reflected
-            assert spinsys.spectral.momentum_spectra(rep.block, orbits) is None
+            slots = orbits.slots(range(L // 2 + 1))
+            assert spinsys.spectral.momentum_spectra(rep.block, orbits, slots) is None
             want = sector_spectrum(assemble(phi, sector), sector, k=3).eigenvalues
             assert rep.eigenvalues.tobytes() == want.tobytes()
     assert large >= 3
@@ -723,17 +724,17 @@ def test_momentum_band_refuses_a_block_that_breaks_the_reflection(monkeypatch):
 
 
 @pytest.mark.parametrize("L", [9, 12])
-def test_reflected_momentum_spectra_match_plain_blocks(L):
+def test_reflected_momentum_spectra_match_plain_blocks(L, cycle_basis_blocks):
     # the periodic XXZ ring at odd L (no k = pi) and even L: the levels of
     # every momentum from the real blocks against the spectrum of the dense
     # cycle-basis block h_k, and all of them against one whole-sector solve
     from spinsys.hilbert import down_spin_sector, translation_orbits
-    from test_droplets import cycle_basis_blocks
     p = XxzParams.from_q(L, 0.4, boundary="periodic")
     for n in range(1, L):
         sector = down_spin_sector(SpinSpace((2,) * L), n)
         h = assemble(xxz(p), sector).matrix
-        spectra = spinsys.spectral.momentum_spectra(h, translation_orbits(sector))
+        orbits = translation_orbits(sector)
+        spectra = spinsys.spectral.momentum_spectra(h, orbits, orbits.slots(range(L // 2 + 1)))
         oracle = cycle_basis_blocks(p, n)
         assert len(spectra) == len(oracle) == L
         for levels, block in zip(spectra, oracle):
@@ -754,9 +755,9 @@ def solve_spy(monkeypatch):
         calls.append((H.shape[0], np.iscomplexobj(H)))
         return full(H, **kw)
 
-    def split(h, orbits, ks):
-        calls.append(("split", list(ks), [sum(sizes) for sizes in orbits.slots(ks)[1]]))
-        return blocks(h, orbits, ks)
+    def split(h, orbits, slots):
+        calls.append(("split", [k for k, *_ in slots], [sum(sizes) for *_, sizes in slots]))
+        return blocks(h, orbits, slots)
 
     monkeypatch.setattr(spinsys.spectral, "full_spectrum", solve)
     monkeypatch.setattr(spinsys.spectral, "momentum_blocks", split)
