@@ -10,9 +10,13 @@ subset of its states).  ``embed_local`` (a sum of local terms), ``embed_at``
 and ``kron_chain`` (one product) build an operator from any source basis to
 any target basis (default the source), converted to CSR once, without
 touching the states outside them, so a sector block never needs the full
-space.  A block touching a sector is float64 when every local matrix is
-real (a full-space operator stays complex128), and records the bases it
-maps between; ``restrict`` takes the block between sub-bases of them.
+space.  Their one kernel, ``_embed``, costs per distinct local matrix of a
+call rather than per term: it checks each matrix once, embeds the products
+that share their matrices in one pass, and lets a diagonal one-site factor
+only scale the values.  A block touching a sector is float64 when every
+local matrix is real (a full-space operator stays complex128), and records
+the bases it maps between; ``restrict`` takes the block between sub-bases
+of them.
 """
 
 from __future__ import annotations
@@ -81,9 +85,13 @@ class SparseOperator:
             mat = mat.astype(np.result_type(mat.dtype, np.float64))
         if target is None and mat.shape[0] != mat.shape[1]:
             raise ValueError("operator must be square")
-        mat.data[np.abs(mat.data) < PRUNE_TOL] = 0.0
-        mat.eliminate_zeros()
-        mat.sort_indices()
+        tiny = np.abs(mat.data) < PRUNE_TOL
+        if tiny.any() or not mat.has_sorted_indices:
+            if sp.issparse(matrix) and matrix.format == "csr":
+                mat = mat.copy()        # it shares arrays with the caller's matrix
+            mat.data[tiny] = 0.0
+            mat.eliminate_zeros()
+            mat.sort_indices()
         if hermitian:           # against M* formed once, conjugated in place
             adj = mat.T.tocsr()
             np.conjugate(adj.data, out=adj.data)
@@ -427,14 +435,10 @@ def _leak_error(label, leak, state, col):
 
 
 def _local(space, sites, mat):
-    """A factor's local matrix, checked against its sites, as ``_embed`` uses
-    it: real when it has no imaginary part, elements below PRUNE_TOL zero.  A
-    matrix that is not finite raises ``ValueError``."""
-    if not sites:
-        raise ValueError("empty support")
-    for x in sites:
-        if not 0 <= x < space.n_sites:
-            raise ValueError(f"site {x} is not a site of the {space.n_sites}-site space")
+    """A factor's local matrix, checked against the dimensions of its sites
+    (``_embed`` checks the sites), as ``_embed`` uses it: real when it has
+    no imaginary part, elements below PRUNE_TOL zero.  A matrix that is not
+    finite raises ``ValueError``."""
     sub = math.prod(space.site_dims[x] for x in sites)
     mat = np.asarray(mat)
     if mat.shape != (sub, sub):
@@ -453,74 +457,132 @@ def _embed(basis, products, target=None) -> SparseOperator:
     ``basis``); either is a ``SpinSpace`` or a ``SectorBasis``.
 
     Each product lists (sorted sites, matrix on their little-endian tensor
-    product).  Factor by factor, the digits of every current state on the
-    factor's sites give its local column; the state is repeated once per
-    nonzero of that column and its digits replaced by the row's.  Values
-    are multiplied in ascending site order, as a chain of Kronecker products
+    product).  Every site is checked, and each distinct (matrix, site
+    dimensions) once (``_local``).  Products whose factors carry equal
+    matrices on sites of equal dimensions form a group, embedded in passes
+    over (product, state) rows, at most 2^15 rows or one product a pass.
+    Factor by factor, the digits of a row's state on its product's sites
+    give its local column, and the row is repeated once per nonzero of that
+    column with its digits replaced by the nonzero's row; a one-site factor
+    that is diagonal with no zero only scales the values.  Values are
+    multiplied in ascending site order, as a chain of Kronecker products
     would.  The final states are found in ``target`` by ``np.searchsorted``;
-    an element above LEAK_TOL that leaves it raises ``ValueError``.  From a
-    basis to itself, the diagonals of one-factor products add up in place;
-    the other elements fill arrays sized by the densest local columns and
-    are converted to CSR once, which adds the ones at the same position.  A
+    an element above LEAK_TOL that leaves it raises ``SectorLeakError`` for
+    the first product that has one.  From a basis to itself, the diagonals
+    of one-factor products add up in product order.  The other elements are
+    placed in product order and converted to CSR once, which adds the ones
+    at the same position, so the grouping changes no bit; those of a single
+    product, which never share a position, are sorted into CSR directly.  A
     block touching a sector is float64 when every factor is real.
     """
     target = basis if target is None else target
+    same = target is basis
     space, first = _states(basis)
     _, inside = _states(target)
-    dims, strides = space.site_dims, space.strides
-    start = np.arange(basis.total_dim)
-    first = start if first is None else first
-    prepared = []               # (factors, the diagonal kept apart or None)
-    for factors in products:
-        factors = [(sites, _local(space, sites, m))
-                   for sites, m in sorted(factors, key=lambda f: f[0])]
-        d = np.diagonal(factors[0][1]).copy() if target is basis and len(factors) == 1 else None
-        prepared.append(([(factors[0][0], factors[0][1] - np.diag(d))] if d is not None
-                         else factors, d))
-    shape = (target.total_dim, basis.total_dim)
-    idx = np.int32 if max(shape) < 2 ** 31 else np.int64
-    diag = np.zeros(start.size, np.result_type(float, *(m for f, _ in prepared for _, m in f)))
-    size = start.size * (1 + sum(math.prod(int((m != 0).sum(0).max(initial=0)) for _, m in f)
-                                 for f, _ in prepared))
-    rows, cols_at, vals_at = np.empty(size, idx), np.empty(size, idx), np.empty(size, diag.dtype)
-    at = start.size if target is basis else 0          # the diagonal goes first
-    for factors, d in prepared:
-        cols, new, data = start, first, np.ones(start.size)
-        for sites, mat in factors:
-            off = np.zeros(1, dtype=np.int64)
-            loc = np.zeros(new.size, dtype=np.int64)
+    dims, strides, size = space.site_dims, space.strides, basis.total_dim
+    first = np.arange(size) if first is None else first
+    checked, groups, n_sites = {}, {}, len(dims)
+    for p, factors in enumerate(products):
+        values, found, sites_of = (), [], ()
+        for sites, m in sorted(factors, key=lambda f: f[0]):
+            if not sites:
+                raise ValueError("empty support")
             for x in sites:
-                loc += new // strides[x] % dims[x] * off.size
-                off = (off[:, None] + np.arange(dims[x]) * strides[x]).ravel(order="F")
-            if d is not None:
-                diag += d[loc]
-            c, r = np.nonzero(mat.T)            # by column, rows ascending within it
-            vals = mat[r, c]
-            counts = np.bincount(c, minlength=off.size)
-            n_out = counts[loc]
-            pick = np.repeat(np.arange(new.size), n_out)
-            entry = (np.cumsum(counts) - counts)[loc][pick] + np.arange(pick.size) \
-                - np.repeat(np.cumsum(n_out) - n_out, n_out)
-            new = new[pick] + off[r[entry]] - off[loc[pick]]
-            data = vals[entry] * data[pick]
-            cols = cols[pick]
-        if inside is not None:
-            new, out = np.minimum(np.searchsorted(inside, new), inside.size - 1), new
-            hit = inside[new] == out
-            if not hit.all():
-                leak = np.abs(data[~hit])
-                k = int(np.argmax(leak))
-                if leak[k] > LEAK_TOL:
-                    raise _leak_error(target.label, leak[k], out[~hit][k], cols[~hit][k])
-                new, cols, data = new[hit], cols[hit], data[hit]
-        rows[at:at + data.size], cols_at[at:at + data.size], vals_at[at:at + data.size] = \
-            new, cols, data
-        at += data.size
-    if target is basis:
-        rows[:start.size], cols_at[:start.size], vals_at[:start.size] = start, start, diag
-    mat = sp.csr_matrix((vals_at[:at], (rows[:at], cols_at[:at])), shape=shape)
-    del rows, cols_at, vals_at
-    return SparseOperator(mat, basis=basis, target=None if target is basis else target)
+                if not 0 <= x < n_sites:
+                    raise ValueError(f"site {x} is not a site of the {n_sites}-site space")
+            at = tuple([dims[x] for x in sites])
+            if (id(m), at) not in checked:          # m is kept, so no other object takes its id
+                mat = _local(space, sites, m)
+                d = np.diagonal(mat)
+                scale = len(at) == 1 and np.count_nonzero(mat) == np.count_nonzero(d) == d.size
+                checked[id(m), at] = (m, (at, mat.dtype.str, mat.tobytes()),
+                                      (at, mat, d if scale else None))
+            _, value, factor = checked[id(m), at]
+            values, sites_of = values + (value,), sites_of + sites
+            found.append(factor)
+        groups.setdefault((same and len(found) == 1, values), (found, []))[1].append((p, sites_of))
+    shape = (target.total_dim, size)
+    idx = np.int32 if max(shape) < 2 ** 31 else np.int64
+    digits, parts, leaks, adds = {}, [], [], {}
+    # the one-factor products, last first, whose diagonals add up in this order
+    ones = sorted((p for (one, _), (_, members) in groups.items() if one for p, _ in members),
+                  reverse=True)
+    diag = np.zeros(size if ones else 0,
+                    np.result_type(float, *(f[1] for _, _, f in checked.values())))
+    step = max(1, 2 ** 15 // max(size, 1))
+    for (one, _), (factors, members) in groups.items():
+        for lo in range(0, len(members), step):
+            pids, sites_of = zip(*members[lo:lo + step])
+            n, at = len(pids), 0
+            origin, new, data = np.arange(n * size), np.concatenate([first] * n), np.ones(n * size)
+
+            def digit(j):
+                """The digit of each row's state on the j-th site of its product."""
+                if n == 1:
+                    return new // strides[sites_of[0][j]] % dims[sites_of[0][j]]
+                for x in {s[j] for s in sites_of} - digits.keys():
+                    digits[x] = first // strides[x] % dims[x]
+                return np.array([digits[s[j]] for s in sites_of]).ravel()[origin]
+
+            for at_dims, mat, scale in factors:
+                place = [math.prod(at_dims[:i]) for i in range(len(at_dims) + 1)]
+                loc = digit(at)
+                for i in range(1, len(at_dims)):
+                    loc = loc + digit(at + i) * place[i]
+                if one:
+                    d = np.diagonal(mat)
+                    adds.update(zip(pids, d[loc].reshape(n, size)))
+                    while ones and ones[-1] in adds:
+                        diag += adds.pop(ones.pop())
+                    mat = mat - np.diag(d)
+                elif scale is not None:
+                    data, at = scale[loc] * data, at + 1      # moves no row
+                    continue
+                c, r = np.nonzero(mat.T)            # by column, rows ascending within it
+                counts = np.bincount(c, minlength=place[-1])
+                n_out = counts[loc]
+                pick = np.repeat(np.arange(loc.size), n_out)
+                entry = np.arange(pick.size) + np.repeat(
+                    (np.cumsum(counts) - counts)[loc] - np.cumsum(n_out) + n_out, n_out)
+                # each product's move of the state for each nonzero, (n, nonzeros)
+                move = sum(np.multiply.outer([strides[s[at + i]] for s in sites_of],
+                                             r // w % d - c // w % d)
+                           for i, (d, w) in enumerate(zip(at_dims, place)))
+                origin, at = origin[pick], at + len(at_dims)
+                prod = origin // size if n > 1 else 0
+                new = new[pick] + move[prod, entry]
+                data = mat[r, c][entry] * data[pick]
+            if inside is not None:
+                pos = np.minimum(np.searchsorted(inside, new), inside.size - 1)
+                hit = inside[pos] == new
+                if not hit.all():
+                    mag = np.where(hit, -1.0, np.abs(data))
+                    k = int(np.argmax(mag > LEAK_TOL))
+                    if mag[k] > LEAK_TOL:       # the largest of the first leaking product
+                        k = int(np.argmax(np.where(origin // size == origin[k] // size, mag, -1)))
+                        leaks.append((pids[origin[k] // size], mag[k], new[k], origin[k] % size))
+                    pos, origin, data = pos[hit], origin[hit], data[hit]
+                new = pos
+            ends = np.searchsorted(origin, np.arange(n + 1) * size)     # rows in product order
+            new, origin = new.astype(idx), (origin % size if n > 1 else origin).astype(idx)
+            parts += [(p, new[i:j], origin[i:j], data[i:j]) for p, i, j in zip(pids, ends, ends[1:])]
+    if leaks:
+        raise _leak_error(target.label, *min(leaks)[1:])
+    head = np.arange(diag.size, dtype=idx)
+    _, rows, cols, vals = zip((-1, head, head, diag), *sorted(parts, key=lambda a: a[0]))
+    single = len(parts) == 1
+    del parts                       # rows, cols and vals hold the parts until joined
+    rows, cols, vals = np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+    if single:      # its elements lie at distinct positions, so sorting them is the CSR
+        order = np.lexsort((cols, rows))
+        indptr = np.zeros(shape[0] + 1, idx)
+        np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+        mat = sp.csr_matrix((vals[order], cols[order], indptr), shape=shape)
+    else:
+        mat = sp.csr_matrix((vals, (rows, cols)), shape=shape)
+    del rows, cols, vals
+    mat.eliminate_zeros()           # so that SparseOperator has nothing to prune
+    return SparseOperator(mat, basis=basis, target=None if same else target)
 
 
 def kron_chain(space, site_ops: dict, target=None) -> SparseOperator:

@@ -67,11 +67,18 @@ class Ladder(NamedTuple):
     terms: list
 
     def plus(self, source, target) -> SparseOperator:
-        """The block of S+ from the basis ``source`` to ``target``, one
-        ``embed_at`` per term."""
-        total = sp.csr_matrix((target.total_dim, source.total_dim))
+        """The block of S+ from the basis ``source`` to ``target``: one
+        ``embed_at`` per term, their elements converted to CSR once."""
+        shape = (target.total_dim, source.total_dim)
+        # empty to start with, so that a ladder without terms gives a zero block
+        rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0)]
         for factors in self.terms:
-            total = total + embed_at(source, factors, target=target).matrix
+            block = embed_at(source, factors, target=target).matrix
+            rows.append(np.repeat(np.arange(shape[0]), np.diff(block.indptr)))
+            cols.append(block.indices)
+            vals.append(block.data)
+        total = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                              shape=shape)
         return SparseOperator(total, basis=source, target=target)
 
 

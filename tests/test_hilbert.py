@@ -5,8 +5,8 @@ from numpy.testing import assert_allclose
 
 from spinsys import (SpinSpace, down_spin_sector, embed_at, embed_local,
                      kron_chain, magnetization_sector, restrict, spin_matrices)
-from spinsys.hilbert import (SectorBasis, SparseOperator, momentum_blocks, total_sz_diagonal,
-                            translation_orbits)
+from spinsys.hilbert import (SectorBasis, SectorLeakError, SparseOperator, _embed,
+                            momentum_blocks, total_sz_diagonal, translation_orbits)
 
 
 def test_spin_half_matrices():
@@ -216,6 +216,116 @@ def test_embed_local_matches_per_element_embedding(dims, support):
     assert np.array_equal(got.data, ref.data)
 
 
+def _assert_same_csr(got, ref):
+    assert got.shape == ref.shape
+    assert np.array_equal(got.indptr, ref.indptr)
+    assert np.array_equal(got.indices, ref.indices)
+    assert np.array_equal(got.data, ref.data)
+
+
+def test_shared_matrices_on_mixed_dims_match_per_element_embedding():
+    # one- two- and three-site matrices, each on several supports, in an
+    # order that interleaves the groups; the 6 x 6 one on sites of dims (2, 3)
+    # and (3, 2) forms two groups.  Entries are multiples of 1/4, so every
+    # order of summation gives the same bits
+    space = SpinSpace((2, 3, 2, 3, 2))
+    rng = np.random.default_rng(17)
+
+    def quarters(d):
+        m = (rng.integers(-4, 5, (d, d)) + 1j * rng.integers(-4, 5, (d, d))) / 4
+        m[rng.random((d, d)) < 0.3] = 0.0
+        return m + m.conj().T
+
+    a2, a3, b, c = quarters(2), quarters(3), quarters(6), quarters(12)
+    terms = [((0,), a2), ((0, 1), b), ((1,), a3), ((2, 3), b), ((0, 1, 2), c), ((2,), a2),
+             ((1, 2), b), ((3,), a3), ((2, 3, 4), c), ((4,), a2), ((3, 4), b)]
+    got = embed_local(space, terms).matrix
+    per_element = SparseOperator(sum(_per_element_embed_local(space, s, m) for s, m in terms))
+    one_by_one = SparseOperator(sum(_embed(space, [[(s, m)]]).matrix for s, m in terms))
+    _assert_same_csr(got, per_element.matrix)
+    _assert_same_csr(got, one_by_one.matrix)
+
+
+def test_one_factor_diagonals_add_up_in_product_order():
+    # the diagonal is the sum of the one-factor terms in their order, as a
+    # loop adds it.  1e16 + 1 rounds to 1e16, so adding them in another order,
+    # or reading a term at another term's site, gives other bits; ``one``
+    # forms a group of the products 1 and 3, split by the others
+    space = SpinSpace((2,) * 4)
+    big, one = np.diag([1e16, 0.0]), np.diag([1.0, 0.0])
+    terms = [((0,), big), ((1,), one), ((3,), -big), ((2,), one)]
+    want = np.zeros(space.total_dim)
+    for (x,), m in terms:
+        want += np.diagonal(m)[np.arange(space.total_dim) >> x & 1]
+    assert want[0] == 1.0 and want[4] == 0.0
+    assert np.array_equal(embed_local(space, terms).toarray().diagonal(), want)
+
+
+def test_shared_matrix_elements_add_up_in_product_order():
+    # each term raises site 0, weighted by the digit of site 1, 2 or 3; the
+    # first and the last share b1, a group split by b2.  From the state with
+    # digits (1, 0, 0, 1) the three add up to (1e16 - 1e16) + 1 = 1 in
+    # product order, and to other bits in the order (3, 2, 1)
+    space = SpinSpace((2, 3, 3, 3))
+    plus = spin_matrices(0.5).plus.real
+    b1, b2 = (np.kron(np.diag(w), plus) for w in ([1e16, 1.0, 0.5], [-1e16, 2.0, 0.5]))
+    terms = [((0, 1), b1), ((0, 2), b2), ((0, 3), b1)]
+    got = embed_local(space, terms).matrix
+    col, row = space.encode((1, 0, 0, 1)), space.encode((0, 0, 0, 1))
+    assert got[row, col] == 1.0 != (1.0 - 1e16) + 1e16
+    one_by_one = SparseOperator(sum(_embed(space, [[t]]).matrix for t in terms))
+    _assert_same_csr(got, one_by_one.matrix)
+
+
+@pytest.mark.parametrize("case", ["tail", "complex", "s3_zero"])
+def test_diagonal_factors_match_per_site_chain(case):
+    # diagonal one-site factors scale the values in place, except a diagonal
+    # with a zero (spin-1 S3), whose zero must drop the states it maps to 0
+    space = SpinSpace((2, 3, 2, 2, 3))
+    t = np.diag([1 / 0.3, 0.3])
+    half, one = spin_matrices(0.5), spin_matrices(1)
+    site_ops = {"tail": {0: half.plus, 2: t, 3: t},
+                "complex": {1: np.diag([1 + 2j, 0.5, -1j]), 0: half.minus,
+                            3: np.diag([0.25 - 1j, 3.0])},
+                "s3_zero": {1: one.s3, 2: t, 4: one.plus, 0: np.diag([2.0, -0.5])}}[case]
+    _assert_same_csr(kron_chain(space, site_ops).matrix, _per_site_kron_chain(space, site_ops))
+    if case == "tail":          # raises M by one, as the SU_q(2) ladder's terms
+        lo, up = magnetization_sector(space, 0.5), magnetization_sector(space, 1.5)
+        block = kron_chain(lo, site_ops, target=up).toarray()
+        assert block.dtype == np.float64
+        assert np.array_equal(block, restrict(kron_chain(space, site_ops), lo, target=up))
+
+
+def test_reused_matrix_is_checked_against_each_support():
+    # the matrix is checked once per site dimensions, every site every time
+    space = SpinSpace((2, 3, 2))
+    s3 = spin_matrices(0.5).s3
+    with pytest.raises(ValueError, match="local matrix has shape"):
+        embed_local(space, [((0,), s3), ((2,), s3), ((1,), s3)])
+    with pytest.raises(ValueError, match="not a site"):
+        embed_local(space, [((0,), s3), ((3,), s3)])
+    with pytest.raises(ValueError, match="not a site"):
+        embed_at(space, [(0, s3), (2, s3), (3, s3)])
+
+
+def test_leak_inside_a_group_names_the_first_leaking_product():
+    # both matrices are shared by two supports; the tiny leaks of the first
+    # are dropped, and the first product of the second, on sites (1, 2),
+    # raises the down-down state 6 (sector column 2) to 0, where the one on
+    # (0, 3) would raise state 9 (column 3)
+    space = SpinSpace((2,) * 4)
+    sector = magnetization_sector(space, 0.0)
+    half = spin_matrices(0.5)
+    big = 0.5 * np.kron(half.plus, half.plus)
+    tiny = 2e-12 * big + np.kron(half.plus, half.minus) + np.kron(half.minus, half.plus)
+    terms = [((0, 1), tiny), ((1, 2), big), ((2, 3), tiny), ((0, 3), big)]
+    for products in (terms, terms[1:2]):
+        with pytest.raises(SectorLeakError,
+                           match=r"\|element\| = 5\.000e-01 at state 0, sector-col 2$"):
+            embed_local(sector, products)
+    assert embed_local(sector, terms[::2]).matrix.nnz == 4 + 2 * 2
+
+
 def test_restrict_leak_detection():
     space = SpinSpace((2, 2))
     s = spin_matrices(0.5)
@@ -254,6 +364,20 @@ def test_sparse_operator_validation():
             SparseOperator(mat, hermitian=True)
     op = SparseOperator(np.array([[2.0, 0.0], [0.0, -1.0]]), hermitian=True)
     assert np.linalg.norm(op.toarray(), 2) == pytest.approx(2.0)
+
+
+def test_sparse_operator_leaves_its_input_alone():
+    # pruning, dropping zeros and sorting act on a copy of a caller's CSR,
+    # with or without a dtype conversion (complex on the full space)
+    sector = magnetization_sector(SpinSpace((2, 2)), 0.0)
+    for basis in (None, sector):
+        mat = sps.csr_matrix((np.array([1e-20, 1.0, 2.0, 1e-20]), np.array([1, 0, 1, 0]),
+                              np.array([0, 2, 4])), shape=(2, 2))
+        before = [a.copy() for a in (mat.data, mat.indices, mat.indptr)]
+        op = SparseOperator(mat, basis=basis)
+        assert op.matrix.nnz == 2 and op.matrix.has_sorted_indices
+        for a, b in zip((mat.data, mat.indices, mat.indptr), before):
+            assert np.array_equal(a, b)
 
 
 def shift_cycles(sector):
