@@ -369,9 +369,9 @@ def run_lightcone(cfg):
     g = path_graph(L, weight=J, spin=spin)
     space = SpinSpace.from_graph(g)
     phi = heisenberg(g)
+    phi_norm = _lambda_norm(phi, lam, g)
     H = assemble(phi, space)
     dyn = HeisenbergDynamics(H)
-    phi_norm = lambda_norm(phi, lam, g)
     s = spin_matrices(spin)
     b_local = 2.0 * np.asarray(s.s3)      # sigma^3 for spin 1/2
     B = embed_at(space, [(bsite, b_local)])
@@ -461,6 +461,15 @@ def _check_lam(lam):
         raise ConfigError(f"lam must be positive and finite, got {lam}")
 
 
+def _lambda_norm(phi, lam, g):
+    """``lambda_norm``, taken before any solve: a lam at which it overflows
+    a float is a config error."""
+    try:
+        return lambda_norm(phi, lam, g)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def run_cluster(cfg):
     L = cfg.get("L", 8)
     lam = cfg.get("lam", 1.0)
@@ -469,6 +478,7 @@ def run_cluster(cfg):
         raise ConfigError(f"a ring needs at least 3 sites, got L={L}")
     g = ring_graph(L, spin=1.0)
     phi = aklt(L, periodic=True)
+    _lambda_norm(phi, lam, g)
     s3 = np.asarray(spin_matrices(1.0).s3)
     report = clustering_report(g, phi, s3, lam, threads=cfg["threads"])
     rows = [{"x": r.x, "y": r.y, "d": r.distance, "b": r.b,

@@ -203,21 +203,30 @@ def custom(terms) -> Interaction:
 
 
 def lambda_norm(phi: Interaction, lam: float, g: SpinGraph) -> float:
-    """sup over x of sum_{X containing x} |X| ||Phi(X)|| N^(2|X|) e^(lam D(X))."""
+    """sup over x of sum_{X containing x} |X| ||Phi(X)|| N^(2|X|) e^(lam D(X));
+    a lam for which it overflows a float raises ``ValueError``."""
     if not lam > 0:
         raise ValueError("the decay rate lambda must be positive")
     space = SpinSpace.from_graph(g)
     n_big = space.n_max
     per_vertex = [0.0] * g.n_vertices
-    for support, mat in phi.terms:
-        dia = diameter(g, support)
-        if math.isinf(dia):
-            raise ValueError(f"support {support} is disconnected; D(X) undefined")
-        weight = (len(support) * np.linalg.norm(mat, 2)
-                  * n_big ** (2 * len(support)) * math.exp(lam * dia))
-        for x in support:
-            per_vertex[x] += weight
-    return max(per_vertex) if per_vertex else 0.0
+    with np.errstate(over="ignore"):
+        for support, mat in phi.terms:
+            dia = diameter(g, support)
+            if math.isinf(dia):
+                raise ValueError(f"support {support} is disconnected; D(X) undefined")
+            try:
+                decay = math.exp(lam * dia)
+            except OverflowError:
+                decay = math.inf
+            weight = (len(support) * np.linalg.norm(mat, 2)
+                      * n_big ** (2 * len(support)) * decay)
+            for x in support:
+                per_vertex[x] += weight
+    norm = max(per_vertex) if per_vertex else 0.0
+    if not math.isfinite(norm):
+        raise ValueError(f"the interaction norm at lam = {lam!r} overflows a float")
+    return norm
 
 
 def _support_sums(terms, space) -> dict:

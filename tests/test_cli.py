@@ -403,6 +403,7 @@ def test_lightcone_spin1_bound_overflow_is_infinite(tmp_path):
                                    ["--bsite", "9"], ["--bsite", "-1"],
                                    ["--tmax", "nan"], ["--tmax", "inf"],
                                    ["--lam", "nan"], ["--lam", "0"], ["--lam", "inf"],
+                                   ["--lam", "800"],
                                    ["--spin", "0.7"], ["--spin", "inf"],
                                    ["--J", "nan"], ["--J", "inf"]])
 def test_lightcone_bad_grid_is_config_error(tmp_path, capsys, flags):
@@ -441,6 +442,7 @@ def test_lightcone_stacks_beyond_memory_are_refused(tmp_path, capsys, monkeypatc
     ["perturb", "--L", "8", "--lambda_min", "0.1", "--lambda_max", "-0.1"],
     ["cluster", "--L", "5", "--lam", "nan"],
     ["cluster", "--L", "5", "--lam", "0"],
+    ["cluster", "--L", "5", "--lam", "800"],
     ["droplet", "--q", "1.5"],
     ["droplet", "--q", "nan"],
     ["droplet", "--Delta", "0.5"],
@@ -475,6 +477,23 @@ def test_range_errors_are_config_errors(tmp_path, capsys, argv):
     assert "Traceback" not in err
     assert len(err.strip().splitlines()) == 1 and err.startswith("config error: ")
     assert not (tmp_path / "r.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [["cluster", "--L", "5"],
+                                  ["lightcone", "--L", "4", "--tsteps", "2"]])
+def test_overflowing_decay_rate_is_refused_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                            argv):
+    # e^(lam D(X)) overflows a float above lam = 709.78
+    def solve(*args, **kwargs):
+        raise AssertionError("solved before the config check")
+
+    for name in ("clustering_report", "HeisenbergDynamics", "assemble"):
+        monkeypatch.setattr(spinsys.cli, name, solve)
+    assert run([*argv, "--lam", "709", "--out", str(tmp_path / "c.csv")]) == 2
+    assert run([*argv, "--lam", "1e300", "--out", str(tmp_path / "c.csv")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["config error: the interaction norm at lam = 709.0 overflows a float",
+                   "config error: the interaction norm at lam = 1e+300 overflows a float"]
 
 
 @pytest.mark.parametrize("delta", ["nan", "inf", "0.5"])

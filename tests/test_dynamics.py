@@ -649,7 +649,7 @@ def test_sector_correlator_matches_dense():
     sz = np.asarray(spin_matrices(0.5).s3)
     a_block = restrict(embed_at(space, [(0, sz)]), sector, dense=False)
     b_block = restrict(embed_at(space, [(4, sz)]), sector, dense=False)
-    got, = corr.correlation(a_block, b_block, [0.5])
+    (got,), = corr.correlations(a_block, [b_block], [0.5])
 
     A = restrict(embed_at(space, [(0, sz)]), sector)
     B = restrict(embed_at(space, [(4, sz)]), sector)
@@ -688,12 +688,12 @@ def test_correlation_window_matches_per_b_path(b_max):
     sector = magnetization_sector(SpinSpace((3,) * 8), 0.0)
     a_block = embed_at(sector, [(0, np.asarray(spin_matrices(1.0).s3))]).matrix
     window = [b_max * k / 4 for k in range(5)]
-    rows = corr.correlation(a_block, b_block, window)
-    per_b = [corr.correlation(a_block, b_block, [b])[0] for b in window]
+    rows, = corr.correlations(a_block, [b_block], window)
+    per_b = [corr.correlations(a_block, [b_block], [b])[0, 0] for b in window]
     assert rows.shape == (5,)
     assert_allclose(rows, per_b, rtol=0, atol=1e-12)
     state = np.random.get_state()[1].copy()
-    corr.correlation(a_block, b_block, window)
+    corr.correlations(a_block, [b_block], window)
     assert np.array_equal(np.random.get_state()[1], state)
 
 
@@ -757,14 +757,15 @@ def test_lanczos_propagation_on_a_complex_hermitian_block():
     sz = np.asarray(s.s3)
     a_block = embed_at(sector, [(1, sz)]).matrix
     b_block = embed_at(sector, [(6, sz)]).matrix
-    a_vec, w = corr._centred(a_block, b_block)
+    w = b_block @ corr.omega
+    w -= np.vdot(corr.omega, w) * corr.omega
     rows = corr.propagate(w, ORACLE_BS)
     dense = dense_propagation(h_block, corr.e0, w, ORACLE_BS)
     for b, row, want in zip(ORACLE_BS, rows, dense):
         assert_allclose(row, want, rtol=0, atol=1e-12)
         assert_allclose(row, expm_propagation(h_block, corr.e0, w, b), rtol=0, atol=1e-12)
-    vals = corr.correlation(a_block, b_block, ORACLE_BS)
-    assert_allclose(vals, rows @ a_vec.conj(), rtol=0, atol=1e-15)
+    vals, = corr.correlations(a_block, [b_block], ORACLE_BS)
+    assert_allclose(vals, rows @ (a_block.conj().T @ corr.omega).conj(), rtol=0, atol=1e-12)
 
 
 class CountedMatvecs:
@@ -867,7 +868,7 @@ def test_cluster_assembles_each_sector_once(L, tmp_path, monkeypatch):
 def test_cluster_without_su2_assembles_the_ground_sector_once(monkeypatch):
     # a model whose terms do not commute with the total spin: the correlator
     # propagates on the block the sweep solved, and its rows are those of a
-    # correlator built on a fresh assembly of the ground sector
+    # correlator built on a fresh assembly of the ground sector, bit for bit
     L = 6
     s3 = np.asarray(spin_matrices(1.0).s3)
     phi = aklt(L, periodic=True) + custom([((x, (x + 1) % L), np.kron(s3, s3))
@@ -889,13 +890,16 @@ def test_cluster_without_su2_assembles_the_ground_sector_once(monkeypatch):
     sector = magnetization_sector(SpinSpace.from_graph(g), 0.0)
     corr = SectorCorrelator(orig(phi, sector).matrix)
     block = {x: embed_at(sector, [(x, s3)]).matrix for x in range(L)}
-    for y in sorted({r.y for r in rep.rows}):
+    # one propagation for every pair, at the union of the windows' b and the
+    # large-b checks, with the partners in row order
+    ys = list(dict.fromkeys(r.y for r in rep.rows))
+    union = sorted({r.b for r in rep.rows} | {1.0, 3.0, 6.0})
+    want = np.abs(corr.correlations(block[0], [block[y] for y in ys], union)).tolist()
+    for y, row in zip(ys, want):
         rows = [r for r in rep.rows if r.y == y]
         large = [v for (yy, _, v, _) in rep.large_b if yy == y]
-        # one propagation per pair, at the window's b and the large-b checks
-        want = np.abs(corr.correlation(block[0], block[y], [r.b for r in rows]
-                                       + [1.0, 3.0, 6.0])).tolist()
-        assert [r.corr_abs for r in rows] + large == want
+        assert [r.corr_abs for r in rows] + large == \
+            [row[union.index(b)] for b in [r.b for r in rows] + [1.0, 3.0, 6.0]]
 
 
 def test_bounds_are_infinite_once_the_growth_overflows():
@@ -907,7 +911,7 @@ def test_bounds_are_infinite_once_the_growth_overflows():
 
 
 def test_large_b_steps_match_one_correlation_per_b(monkeypatch):
-    # the large-b values of each pair's one propagation, rows in the given order
+    # the large-b values of the pairs' one propagation, rows in the given order
     g = ring_graph(6, spin=1.0)
     phi = aklt(6, periodic=True)
     s3 = np.asarray(spin_matrices(1.0).s3)
@@ -923,8 +927,90 @@ def test_large_b_steps_match_one_correlation_per_b(monkeypatch):
     ys = sorted({y for (y, _, _, _) in rep.large_b})
     assert [(y, b) for (y, b, _, _) in rep.large_b] == [(y, b) for y in ys for b in large_bs]
     for (y, b, val, _) in rep.large_b:
-        want = abs(corr.correlation(a_block, embed_at(sector, [(y, s3)]).matrix, [b])[0])
+        want = abs(corr.correlations(a_block, [embed_at(sector, [(y, s3)]).matrix], [b])[0, 0])
         assert val == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+
+def test_one_propagation_matches_ground_correlation_on_the_aklt_6_ring():
+    # every partner's window and large-b values, read from the one propagation
+    # from A* Omega, against the dense oracle on the ground sector
+    g = ring_graph(6, spin=1.0)
+    phi = aklt(6, periodic=True)
+    s3 = np.asarray(spin_matrices(1.0).s3)
+    rep = spinsys.dynamics.clustering_report(g, phi, s3, 1.0)
+    sector = magnetization_sector(SpinSpace.from_graph(g), 0.0)
+    h_block = assemble(phi, sector).toarray()
+    block = {x: embed_at(sector, [(x, s3)]).toarray() for x in range(6)}
+    got = [(r.y, r.b, r.corr_abs) for r in rep.rows] + [(y, b, v) for (y, b, v, _) in rep.large_b]
+    assert {y for y, _, _ in got} == {1, 2, 3} and len(got) == 3 * (5 + 3)
+    for y, b, val in got:
+        want = abs(ground_correlation(h_block, block[0], block[y], b))
+        assert val == pytest.approx(want, rel=0, abs=1e-12)
+
+
+def test_correlations_on_a_complex_block_with_a_non_real_observable():
+    # the Dzyaloshinskii-Moriya chain's complex M = 0 block, with a diagonal
+    # non-real A and B (so A* differs from A^T): against the dense oracle
+    g = path_graph(8)
+    s = spin_matrices(0.5)
+    dm = 0.4 * (np.kron(s.s1, s.s2) - np.kron(s.s2, s.s1))
+    phi = heisenberg(g).scaled(-1.0) + custom([((x, x + 1), dm) for x in range(7)])
+    sector = magnetization_sector(SpinSpace.from_graph(g), 0.0)
+    h_block = assemble(phi, sector).matrix
+    corr = SectorCorrelator(h_block)
+    a_local, b_local = np.diag([1.0 + 2.0j, -0.5j]), np.diag([0.3 + 1.0j, -1.0])
+    a_block = embed_at(sector, [(1, a_local)]).matrix
+    b_blocks = [embed_at(sector, [(y, b_local)]).matrix for y in (6, 2, 4)]
+    vals = corr.correlations(a_block, b_blocks, ORACLE_BS)
+    assert vals.shape == (3, len(ORACLE_BS))
+    evals, vecs = np.linalg.eigh(h_block.toarray())
+    omega = vecs[:, 0]
+    A = a_block.toarray()
+    for row, b_block in zip(vals, b_blocks):
+        B = b_block.toarray()
+        bc = B - np.vdot(omega, B @ omega) * np.eye(omega.size)
+        for b, val in zip(ORACLE_BS, row):
+            prop = (vecs * np.exp(-b * (evals - evals[0]))) @ vecs.conj().T
+            assert val == pytest.approx(np.vdot(omega, A @ prop @ bc @ omega),
+                                        rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("L", [6, 9])
+def test_clustering_propagates_once_per_observable_site(L, monkeypatch):
+    calls = []
+    propagate = SectorCorrelator.propagate
+
+    def counted(self, w, b):
+        calls.append(len(b))
+        return propagate(self, w, b)
+
+    monkeypatch.setattr(SectorCorrelator, "propagate", counted)
+    rep = spinsys.dynamics.clustering_report(ring_graph(L, spin=1.0), aklt(L, periodic=True),
+                                             np.asarray(spin_matrices(1.0).s3), 1.0)
+    assert len(calls) == len({r.x for r in rep.rows}) == 1
+    # the union of the windows (b = 0 shared) and the large-b checks
+    assert calls == [len({r.b for r in rep.rows} | {1.0, 3.0, 6.0})]
+    assert len({r.y for r in rep.rows}) == L // 2
+
+
+def test_tiny_decay_rate_gives_a_finite_constant(tmp_path):
+    # mu is about 1e-204 at lam = 1e-200: mu^2 underflows to 0, and the
+    # envelope must not divide by it
+    rep = spinsys.dynamics.clustering_report(ring_graph(5, spin=1.0), aklt(5, periodic=True),
+                                             np.asarray(spin_matrices(1.0).s3), 1e-200)
+    assert 0 < rep.rates.mu < 1e-200 and rep.rates.mu ** 2 == 0
+    assert np.isfinite(rep.c_constant) and rep.bound_holds
+    assert all(np.isfinite(r.bound) for r in rep.rows)
+    out = tmp_path / "c.csv"
+    assert run(["cluster", "--L", "5", "--lam", "1e-200", "--out", str(out)]) == 0
+    assert "nan" not in out.read_text()
+
+
+def test_nan_envelope_fails_the_decay_bound(monkeypatch):
+    monkeypatch.setattr(ClusteringRates, "envelope", lambda self, d, b: float("nan"))
+    rep = spinsys.dynamics.clustering_report(ring_graph(6, spin=1.0), aklt(6, periodic=True),
+                                             np.asarray(spin_matrices(1.0).s3), 1.0)
+    assert rep.checked_rows > 0 and not rep.bound_holds
 
 
 def test_clustering_reuses_the_sweep_ground_state_bit_for_bit(tmp_path, monkeypatch):
