@@ -22,12 +22,12 @@ from . import __version__
 from .lattice import load_graph, path_graph, ring_graph, distances_from
 from .hilbert import SpinSpace, check_spin, embed_at, magnetization_sector, spin_matrices
 from .models import XxzParams, aklt, assemble, custom, heisenberg, lambda_norm, xxz
-from .spectral import ConvergenceError, sector_spectrum
+from .spectral import DEGENERACY_TOL, ConvergenceError, sector_spectrum
 from .symmetry import classify_total_spin, foel_check, lieb_mattis_hamiltonian, \
     lieb_mattis_order, su2_totals, suq2_generators
 from .ssep import check_exclusion_graph, ssep_gaps, xxx_conjugacy_check
-from .dynamics import HeisenbergDynamics, clustering_report, commutator_grid, \
-    commutator_growth, hermitian_unit_basis, lr_bound_rhs, lr_corollary_bound
+from .dynamics import ClusteringRates, HeisenbergDynamics, clustering_report, \
+    commutator_grid, commutator_growth, hermitian_unit_basis, lr_bound_rhs, lr_corollary_bound
 from .perturbation import gap_sweep
 from .droplets import convergence_table
 from .util import fmt_float, require_memory
@@ -478,7 +478,10 @@ def run_cluster(cfg):
         raise ConfigError(f"a ring needs at least 3 sites, got L={L}")
     g = ring_graph(L, spin=1.0)
     phi = aklt(L, periodic=True)
-    _lambda_norm(phi, lam, g)
+    # mu = gamma lam / (4 ||Phi||_lam + gamma) grows with the gap, and a gap
+    # exceeds DEGENERACY_TOL: a lam whose mu is 0 even then is refused
+    if ClusteringRates(DEGENERACY_TOL, lam, _lambda_norm(phi, lam, g)).mu == 0:
+        raise ConfigError(f"lam = {lam!r} is too small: the decay rate mu underflows to 0")
     s3 = np.asarray(spin_matrices(1.0).s3)
     report = clustering_report(g, phi, s3, lam, threads=cfg["threads"])
     rows = [{"x": r.x, "y": r.y, "d": r.distance, "b": r.b,

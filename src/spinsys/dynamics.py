@@ -550,8 +550,9 @@ class SectorCorrelator:
         stops once all are below PROPAGATION_TOL max(1, ||w||), at an
         invariant subspace (beta_m = 0), or when the basis spans the sector.
         Running past LANCZOS_MAX_STEPS raises ``ConvergenceError``; the basis
-        of that many vectors is counted against the physical memory before it
-        is allocated.  No random numbers are drawn."""
+        of that many vectors, the rows returned and a step's temporaries are
+        counted against the physical memory before any is allocated.  No
+        random numbers are drawn."""
         # imported here: scipy.linalg loads scipy's own BLAS library, which
         # the campaigns without sector dynamics never load
         from scipy.linalg import eigh_tridiagonal
@@ -565,8 +566,10 @@ class SectorCorrelator:
         norm = float(np.linalg.norm(w))
         if norm == 0:
             return np.zeros((bs.size, dim), dtype)
-        require_memory(LANCZOS_MAX_STEPS * dim * np.dtype(dtype).itemsize,
-                       f"the Lanczos basis of {LANCZOS_MAX_STEPS} vectors of {dim} states")
+        # the basis, the rows returned and four vectors of a step's products
+        require_memory((LANCZOS_MAX_STEPS + bs.size + 4) * dim * np.dtype(dtype).itemsize,
+                       f"the Lanczos basis of {LANCZOS_MAX_STEPS} vectors, {bs.size} rows and "
+                       f"4 temporaries of {dim} states")
         steps = min(LANCZOS_MAX_STEPS, dim)
         V = np.empty((steps, dim), dtype)
         V[0] = w / norm

@@ -45,6 +45,8 @@ class SpectrumReport:
     eigenvectors: Optional[np.ndarray] = None     # columns
     residuals: Optional[np.ndarray] = None
     block: Optional[sp.csr_matrix] = None         # the CSR block ``sector_spectrum`` solved
+    # the lowest level on the complement of an ARPACK solve's vectors
+    complement_level: Optional[float] = None
 
     def __post_init__(self):
         ev = np.asarray(self.eigenvalues, dtype=float)
@@ -80,16 +82,38 @@ def full_spectrum(H, want_vectors=False) -> SpectrumReport:
 
 def extremal_eigs(H, k, want_vectors=True) -> SpectrumReport:
     """k lowest eigenpairs by implicitly restarted Lanczos (ARPACK, through
-    ``scipy.sparse.linalg.eigsh``).
+    ``scipy.sparse.linalg.eigsh``), each ARPACK answer checked on the
+    complement of its vectors.
 
     ARPACK runs on H - sigma 1 with sigma = ||H||_1 + 1, so every level it
     sees is at most -1: with an exact zero level (frustration-free models)
     and an exhausted Krylov space, the unshifted run can return wrong
-    levels with tiny residuals.  The start vector and ARPACK's restart
-    vectors come from a fixed seed, so repeated runs agree bit for bit.
-    ARPACK always runs at machine precision (``tol=0``); a residual above
+    levels with tiny residuals.  It asks for the k wanted levels only, and
+    always runs at machine precision (``tol=0``).
+
+    Lanczos finds a second copy of a degenerate level only through
+    rounding, so ARPACK can return a wrong level with tiny residuals, and
+    spare Ritz values do not prevent it (with k + 6 of them it returned 7 of
+    the 8 copies of a level of the 18-site XX ring at k = 16).  The
+    complement check catches that: when the k returned vectors V are
+    eigenvectors, H maps their orthogonal complement into itself and
+    carries there every level not returned.  A k = 1 ARPACK run on
+    (1 - V V^H)(H - sigma)(1 - V V^H), started from a projected random
+    vector, finds its lowest level lambda_perp (the shift keeps the zero
+    levels of the span of V on top).  When lambda_perp < E_k - RESIDUAL_TOL
+    * max(1, |E_k|), a level was missed: the new pair replaces the top one
+    and the check runs again; a check that still finds a level after k
+    such rounds raises ``ConvergenceError``.  The guarantee is one-sided.  A
+    Ritz value lies above the level it approximates, so a lambda_perp below
+    E_k proves a miss; that none was missed rests on Lanczos finding the
+    lowest level from a random start, which can miss it only when the
+    start has almost no component on that level's eigenspace.  The last
+    lambda_perp is the report's ``complement_level``.
+
+    Both start vectors and ARPACK's restart vectors come from one fixed
+    seed, so repeated runs agree bit for bit.  A residual above
     RESIDUAL_TOL * max(1, |E|) raises ``ConvergenceError``.  Only a matrix
-    too small for the k + 6 Ritz values below is diagonalised densely.
+    of fewer than k + 8 states is diagonalised densely.
 
     A matrix whose stored entries all lie on the diagonal (such as a sum of
     S3 S3 terms on the full space) runs neither: its k lowest diagonal
@@ -113,37 +137,56 @@ def extremal_eigs(H, k, want_vectors=True) -> SpectrumReport:
             vecs = np.zeros((dim, order.size), dtype=mat.dtype)
             vecs[order, np.arange(order.size)] = 1.0
         return SpectrumReport(diag[order], vecs, residuals=np.zeros(order.size))
-    # Single-vector Lanczos finds the second copy of a degenerate level only
-    # through rounding.  Six spare Ritz values keep every copy of the k
-    # wanted levels in the restarted space (k, k + 2 and k + 4 each missed a
-    # copy on some AKLT, Heisenberg and XXZ ring sectors; k + 6 missed none).
-    nev = k + 6
-    if dim < nev + 2:
+    if dim < k + 8:
         rep = full_spectrum(mat, want_vectors=True)
         evals, vecs = rep.eigenvalues[:k], rep.eigenvectors[:, :k]
         return SpectrumReport(evals, vecs, residuals=_residuals(mat, evals, vecs))
     if not np.any(mat.data.imag):
         mat = mat.real              # ARPACK's real symmetric routines are faster
-    # |H|, the shifted copy and its buffer; eigsh's ncv Lanczos, work and Ritz vectors
-    ncv, item = min(dim, max(2 * nev + 1, 20)), mat.dtype.itemsize
-    require_memory(3 * (mat.nnz + dim) * (item + 4) + (ncv + nev + 4) * dim * item,
+    # |H|, the shifted copy and its buffer; then the larger of the two runs:
+    # eigsh's ncv Lanczos vectors, work and k Ritz vectors, or the complement
+    # run's (at most ncv) vectors and work beside V, V's copy at a lock-in,
+    # the new vector and two projection temporaries
+    ncv, item = min(dim, max(2 * k + 1, 20)), mat.dtype.itemsize
+    require_memory(3 * (mat.nnz + dim) * (item + 4) + (ncv + 2 * k + 7) * dim * item,
                    f"ARPACK on {dim} states")
     sigma = float(abs(mat).sum(axis=0).max()) + 1.0
     shifted = mat - sigma * sp.identity(dim, format="csr")
     rng = np.random.default_rng(0)
-    v0 = rng.uniform(-1.0, 1.0, dim).astype(mat.dtype)
-    try:
-        vals, vecs = spla.eigsh(shifted, k=nev, which="SA", tol=0, v0=v0, rng=rng)
-    except spla.ArpackNoConvergence as exc:
-        raise ConvergenceError(
-            f"ARPACK converged {len(exc.eigenvalues)} of {nev} levels", np.inf) from exc
-    order = np.argsort(vals, kind="stable")[:k]
-    evals = vals[order] + sigma
-    vecs = vecs[:, order]
+
+    def lowest(op, nev, v0):
+        try:
+            return spla.eigsh(op, k=nev, which="SA", tol=0, v0=v0.astype(mat.dtype), rng=rng)
+        except spla.ArpackNoConvergence as exc:
+            raise ConvergenceError(
+                f"ARPACK converged {len(exc.eigenvalues)} of {nev} levels", np.inf) from exc
+
+    vals, vecs = lowest(shifted, k, rng.uniform(-1.0, 1.0, dim))
+
+    def project(x):             # onto the complement of the current vecs
+        return x - vecs @ (vecs.conj().T @ x)
+
+    complement = spla.LinearOperator((dim, dim), dtype=mat.dtype,
+                                     matvec=lambda x: project(shifted @ project(x)))
+    for rounds in range(k + 1):
+        order = np.argsort(vals, kind="stable")
+        vals, vecs = vals[order], vecs[:, order]
+        perp, u = lowest(complement, 1, project(rng.uniform(-1.0, 1.0, dim)))
+        top = vals[-1] + sigma
+        if perp[0] + sigma >= top - RESIDUAL_TOL * max(1.0, abs(top)):
+            break
+        if rounds == k:
+            raise ConvergenceError(
+                f"the complement of the {k} ARPACK levels still holds {perp[0] + sigma!r}, "
+                f"below E_k = {top!r}, after {k} rounds", np.inf)
+        # a missed level: lock the new pair in and drop the top one
+        vals, vecs = np.r_[vals[:-1], perp], np.column_stack([vecs[:, :-1], u])
+    evals = vals + sigma
     res = _residuals(mat, evals, vecs)
     if res.max() > RESIDUAL_TOL * max(1.0, abs(evals).max()):
         raise ConvergenceError("ARPACK returned inaccurate eigenpairs", res.max())
-    return SpectrumReport(evals, vecs if want_vectors else None, residuals=res)
+    return SpectrumReport(evals, vecs if want_vectors else None, residuals=res,
+                          complement_level=float(perp[0] + sigma))
 
 
 def sector_spectrum(H, sector: SectorBasis, k="all", want_vectors=False,

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -43,3 +45,26 @@ def cycle_basis_blocks():
     """``_cycle_basis_blocks``, the dense momentum-block oracle of the
     periodic XXZ chain, for the tests that check momentum blocks against it."""
     return _cycle_basis_blocks
+
+
+def _free_fermion_levels(L, n, k, periodic):
+    """The k lowest levels of the spin-1/2 XX chain H = sum (S1 S1 + S2 S2)
+    on L sites in the sector of n up spins (M = n - L/2), from its free
+    fermions (Lieb, Schultz & Mattis, Ann. Phys. 16, 407 (1961)): every sum
+    of n distinct one-particle energies cos(pi j / (L + 1)), j = 1..L, on the
+    open chain, and cos(2 pi (j + phi) / L), j = 0..L - 1, on the ring, where
+    the Jordan-Wigner string makes phi = 0 for odd n and 1/2 for even n."""
+    if periodic:
+        phi = 0.0 if n % 2 else 0.5
+        energies = np.cos(2 * np.pi * (np.arange(L) + phi) / L)
+    else:
+        energies = np.cos(np.pi * np.arange(1, L + 1) / (L + 1))
+    sums = np.fromiter((sum(c) for c in itertools.combinations(energies, n)), float)
+    return np.sort(sums)[:k]
+
+
+@pytest.fixture
+def free_fermion_levels():
+    """``_free_fermion_levels``, the XX chain's exact levels in any sector,
+    for the Krylov tests past the sizes of a dense oracle."""
+    return _free_fermion_levels

@@ -470,6 +470,7 @@ def test_lightcone_stacks_beyond_memory_are_refused(tmp_path, capsys, monkeypatc
     ["perturb", "--L", "4", "--lambda_min=-1e308", "--lambda_max", "1e308"],
     ["perturb", "--L", "4", "--threads", "-1"],
     ["cluster", "--L", "5", "--threads", "0"],
+    ["cluster", "--L", "5", "--lam", "5e-324"],      # mu underflows to 0
 ])
 def test_range_errors_are_config_errors(tmp_path, capsys, argv):
     assert run([*argv, "--out", str(tmp_path / "r.csv")]) == 2

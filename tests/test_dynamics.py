@@ -834,16 +834,23 @@ def test_lanczos_step_cap_raises_convergence_error(monkeypatch, tmp_path, capsys
 
 
 def test_lanczos_basis_is_counted_before_it_is_allocated(monkeypatch):
+    # the basis, one returned row per b and four temporaries, each a vector
+    # of the sector (26 b at cluster --L 14, where the rows alone are 128 MB)
     h_block, b_block = aklt_ring_block()
     corr = SectorCorrelator(h_block)
     w = b_block @ corr.omega
-    basis = spinsys.dynamics.LANCZOS_MAX_STEPS * w.size * 8
-    monkeypatch.setattr(spinsys.util, "PHYSICAL_MEMORY", basis)
-    corr.propagate(w, [1.0])
-    monkeypatch.setattr(spinsys.util, "PHYSICAL_MEMORY", basis - 1)
-    monkeypatch.setattr(spinsys.dynamics.np, "empty", None)     # nothing is allocated
-    with pytest.raises(ValueError, match="^the Lanczos basis of .* above the"):
-        corr.propagate(w, [1.0])
+    empty = np.empty
+    for n_b in (1, 26):
+        bs = np.linspace(0.0, 2.0, n_b)
+        need = (spinsys.dynamics.LANCZOS_MAX_STEPS + n_b + 4) * w.size * 8
+        monkeypatch.setattr(spinsys.util, "PHYSICAL_MEMORY", need)
+        monkeypatch.setattr(spinsys.dynamics.np, "empty", empty)
+        assert corr.propagate(w, bs).shape == (n_b, w.size)
+        monkeypatch.setattr(spinsys.util, "PHYSICAL_MEMORY", need - 1)
+        monkeypatch.setattr(spinsys.dynamics.np, "empty", None)     # nothing is allocated
+        with pytest.raises(ValueError, match=f"^the Lanczos basis of .*, {n_b} rows and 4 "
+                                             f"temporaries of {w.size} states .* above the"):
+            corr.propagate(w, bs)
 
 
 @pytest.mark.parametrize("L", [6, 9])

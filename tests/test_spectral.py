@@ -83,6 +83,75 @@ def test_krylov_finds_degenerate_copy_heisenberg_afm_ring():
     assert_allclose(rep.eigenvalues, np.linalg.eigvalsh(block.toarray())[:3], atol=1e-9)
 
 
+def xx_chain(L, periodic):
+    """H = sum (S1 S1 + S2 S2) on the spin-1/2 chain of L sites."""
+    s = spin_matrices(0.5)
+    bond = (np.kron(s.s1, s.s1) + np.kron(s.s2, s.s2)).real
+    pairs = [(x, x + 1) for x in range(L - 1)] + [(L - 1, 0)] * periodic
+    return custom([(p, bond) for p in pairs])
+
+
+@pytest.mark.parametrize("L, M, k, periodic", [
+    # ARPACK alone returned 5 of the 6 copies of -4.60731 here (and -4.48650
+    # as the 16th level), and 7 of the 8 copies of -5.08512 on the even ring
+    (17, 0.5, 16, True), (18, 0.0, 16, True),
+    (18, 0.0, 12, False), (18, 1.0, 8, False)])
+def test_krylov_matches_free_fermions(L, M, k, periodic, free_fermion_levels):
+    sector = magnetization_sector(SpinSpace((2,) * L), M)
+    rep = extremal_eigs(assemble(xx_chain(L, periodic), sector), k=k)
+    want = free_fermion_levels(L, int(M + L / 2), k, periodic)
+    assert_allclose(rep.eigenvalues, want, rtol=0, atol=1e-11)
+    assert rep.residuals.max() < 1e-11
+    # nothing below E_k is left on the complement of the returned vectors
+    assert rep.complement_level >= want[-1] - 1e-9
+
+
+def planted_miss(monkeypatch, lower=0.0):
+    """Patch ``eigsh`` so that its first call asks for one level more and
+    drops the second-lowest (a copy of the degenerate level 1 of the matrix
+    below), and its n-th call for n > 1 returns its level moved down by
+    n ``lower``, below every level before it.  Returns the list of the ``k``
+    of each call."""
+    import scipy.sparse.linalg as spla
+    eigsh, calls = spla.eigsh, []
+
+    def planted(A, k, **kwargs):
+        calls.append(k)
+        if len(calls) > 1:
+            vals, vecs = eigsh(A, k=k, **kwargs)
+            return vals - lower * len(calls), vecs
+        vals, vecs = eigsh(A, k=k + 1, **kwargs)
+        keep = np.r_[0, 2:k + 1]
+        return vals[keep], vecs[:, keep]
+
+    monkeypatch.setattr(spla, "eigsh", planted)
+    return calls
+
+
+def degenerate_rotated(n=60):
+    """A dense rotation of diag(0, 1, 1, 1, 2, 3, ...): a threefold level 1."""
+    q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((n, n)))
+    return q @ np.diag(np.r_[0.0, 1.0, 1.0, np.arange(1.0, n - 2)]) @ q.T
+
+
+def test_complement_check_locks_in_a_missed_copy(monkeypatch):
+    calls = planted_miss(monkeypatch)
+    rep = extremal_eigs(degenerate_rotated(), k=4)
+    # ARPACK returned [0, 1, 1, 2]; the complement held the third 1, and
+    # after it was locked in the lowest level left there is 2
+    assert calls == [4, 1, 1]
+    assert_allclose(rep.eigenvalues, [0, 1, 1, 1], atol=1e-10)
+    assert rep.complement_level == pytest.approx(2.0, abs=1e-10)
+    assert rep.residuals.max() < 1e-10
+
+
+def test_complement_check_gives_up_after_k_rounds(monkeypatch):
+    calls = planted_miss(monkeypatch, lower=100.0)
+    with pytest.raises(spinsys.spectral.ConvergenceError, match="after 4 rounds"):
+        extremal_eigs(degenerate_rotated(), k=4)
+    assert calls == [4] + [1] * 5
+
+
 def test_krylov_is_bitwise_repeatable(monkeypatch):
     space = SpinSpace((3,) * 6)
     H = assemble(aklt(6, periodic=True), space)
