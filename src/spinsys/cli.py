@@ -9,6 +9,7 @@ failures, 4 on unwritable output paths.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -550,7 +551,9 @@ RUNNERS = {
 }
 
 
+@functools.cache
 def build_parser():
+    """The argument parser of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(prog="spinsys",
                                      description="spin-system campaigns")
     sub = parser.add_subparsers(dest="subcommand", required=True)

@@ -9,7 +9,9 @@ component of the block pattern of the commutator at a time.  One kernel
 moves B and every single-site unit there by gathering eigenvector rows,
 with no embedding (``HeisenbergDynamics._rotated``).  Every time step is
 handled at once: tau_t(A), tau_t(A) B and the commutator are (T, n, m)
-stacks, and each component's norm is one stacked solve.  A unit whose norm
+stacks, formed by real products where A and B are real, and each
+component's norm is one stacked ``eigvalsh`` or, for a largest singular
+value, one Gram solve per step (``flip._top_singular``).  A unit whose norm
 another fixes exactly is not solved: one whose traceless part is
 +-(that of an earlier unit), or, where the global spin flip F (every site
 digit i -> d - 1 - i) commutes with H and F B F = +-B, +-(its site-flip
@@ -111,7 +113,7 @@ class HeisenbergDynamics:
     eigenvectors of every real model come from the real solver.  It refuses
     an H whose eigenvector blocks, with the dense solve of its largest block
     as ``full_spectrum`` counts it, would exceed the physical memory; the
-    dense forms of ``evolve`` are counted there."""
+    dense result of ``evolve`` is counted there."""
 
     def __init__(self, H):
         mat = sp.csr_matrix(H.matrix if isinstance(H, SparseOperator) else H)
@@ -185,6 +187,16 @@ class HeisenbergDynamics:
         |targets_k><sources_k|, from the block labels alone."""
         return self.labels[targets] * len(self.blocks) + self.labels[sources]
 
+    def _block_pairs(self, targets, sources) -> list:
+        """(r, c, sel) for each block pair (r, c) of the elements
+        |targets_k><sources_k|, in increasing key order (``_pattern``):
+        ``sel`` holds the positions k of its elements."""
+        key = self._pattern(targets, sources)
+        perm = np.argsort(key, kind="stable")
+        keys, starts = np.unique(key[perm], return_index=True)
+        return [(*divmod(k, len(self.blocks)), sel)
+                for k, sel in zip(keys.tolist(), np.split(perm, starts[1:]))]
+
     def _rotated(self, targets, sources, weights=None) -> dict:
         """The blocks of V^H A V for A = sum_k w_k |targets_k><sources_k|
         (every w_k = 1 without ``weights``), keyed by (row block, column
@@ -196,13 +208,9 @@ class HeisenbergDynamics:
         if np.iscomplexobj(weights) and not np.iscomplexobj(self.blocks[0]):
             re, im = (self._rotated(targets, sources, w) for w in (weights.real, weights.imag))
             return {key: re[key] + 1j * im[key] for key in re}
-        n, V, pos = len(self.blocks), self.blocks, self.position
-        key = self._pattern(targets, sources)
-        perm = np.argsort(key, kind="stable")
-        keys, starts = np.unique(key[perm], return_index=True)
+        V, pos = self.blocks, self.position
         out = {}
-        for k, sel in zip(keys.tolist(), np.split(perm, starts[1:])):
-            r, c = divmod(k, n)
+        for r, c, sel in self._block_pairs(targets, sources):
             right = V[c][pos[sources[sel]]]
             if weights is not None:
                 right = weights[sel, None] * right
@@ -238,24 +246,46 @@ class HeisenbergDynamics:
         return out
 
     def evolve(self, A, t: float) -> np.ndarray:
-        """tau_t(A) = U^H A U for the full unitary U = e^(-itH) = V e^(-itE) V^H,
-        which is formed once per call, block by invariant block (as two real
-        products where the eigenvectors are real).  U, U^H, A U and the
-        result, four dense complex arrays, are counted against the physical
-        memory before any is formed."""
-        require_memory(4 * 16 * float(self.dim) ** 2,
+        """tau_t(A) = U^H A U, dense in the site basis, for U = e^(-itH) kept
+        as its invariant blocks U_b = V_b e^(-itE_b) V_b^H (two real
+        products where the eigenvectors are real).  U is block diagonal, so
+        block (a, c) of the result is U_a^H A_ac U_c, formed only for the
+        block pairs (a, c) of the nonzero entries of A (``_block_pairs``),
+        each A_ac scattered from its entries; every other block is exactly
+        zero.  The result, the blocks U_b and three arrays the size of the
+        largest block pair are counted against the physical memory before
+        any is formed."""
+        A = A.matrix if isinstance(A, SparseOperator) else A
+        if sp.issparse(A):
+            A = A.tocoo()
+            A.sum_duplicates()
+            rows, cols, data = A.row, A.col, A.data
+        else:
+            A = np.asarray(A)
+            rows, cols = np.nonzero(A)
+            data = A[rows, cols]
+        pairs = self._block_pairs(rows, cols)
+        sizes = np.diff(self.bounds)
+        largest = max((sizes[a] * sizes[c] for a, c, _ in pairs), default=0)
+        require_memory(16 * (float(self.dim) ** 2 + np.sum(sizes.astype(float) ** 2)
+                             + 3.0 * largest),
                        f"real-time evolution in the dense {self.dim}-state eigenbasis")
-        A = A.matrix if isinstance(A, SparseOperator) else A if sp.issparse(A) else np.asarray(A)
         p = self.phases(t)
-        U = np.zeros((self.dim, self.dim), dtype=complex)
+        U = []
         for b, vb in enumerate(self.blocks):
-            s, e = self.bounds[b], self.bounds[b + 1]
+            pb = p[self.bounds[b]:self.bounds[b + 1]]
             if np.iscomplexobj(vb):
-                ub = (vb * p[s:e]) @ vb.conj().T
+                U.append((vb * pb) @ vb.conj().T)
             else:
-                ub = (vb * p[s:e].real) @ vb.T + 1j * ((vb * p[s:e].imag) @ vb.T)
-            U[np.ix_(self.order[s:e], self.order[s:e])] = ub
-        return U.conj().T @ (A @ U)
+                U.append((vb * pb.real) @ vb.T + 1j * ((vb * pb.imag) @ vb.T))
+        pos = self.position
+        out = np.zeros((self.dim, self.dim), dtype=complex)
+        for a, c, sel in pairs:
+            block = np.zeros((sizes[a], sizes[c]), data.dtype)
+            block[pos[rows[sel]], pos[cols[sel]]] = data[sel]
+            states = [self.order[self.bounds[b]:self.bounds[b + 1]] for b in (a, c)]
+            out[np.ix_(*states)] = U[a].conj().T @ (block @ U[c])
+        return out
 
 
 def _unit_pair(u: int, d: int):
@@ -403,9 +433,26 @@ def commutator_grid(dyn: HeisenbergDynamics, B, space: SpinSpace, xs, ts) -> np.
                            f"the light-cone stack of {steps} time steps at site {x}")
 
             def X(a, c):
-                """Block (a, c) of X = tau_t(A) B at every t, formed when asked for."""
-                return sum(phases[a].conj()[:, :, None] * Ad[a, b] * phases[b][:, None, :]
-                           @ Bd[b, c] for b in terms[a, c])
+                """Block (a, c) of X = tau_t(A) B at every t, formed when asked
+                for: conj(p_a) times the sum over b of A[a, b] p_b B[b, c].
+                Where A[a, b] and B[b, c] are real, the real and imaginary
+                parts of p_b enter two stacked real products.  Every complex
+                product is taken one time step at a time: its rounding can
+                depend on the shape of the stack, and no point of the grid may
+                depend on the other times asked for."""
+                out = np.zeros((steps, sizes[a], sizes[c]), dtype=complex)
+                for b in terms[a, c]:
+                    ab, bc = Ad[a, b], Bd[b, c]
+                    if np.iscomplexobj(ab) or np.iscomplexobj(bc):
+                        for step, pb in zip(out, phases[b]):
+                            step += (ab * pb) @ bc
+                    else:
+                        pb = phases[b][:, None, :]
+                        out.real += (ab * pb.real) @ bc
+                        out.imag += (ab * pb.imag) @ bc
+                for step, pa in zip(out, phases[a]):
+                    step *= pa.conj()[:, None]
+                return out
 
             for keys, plan in comps:
                 np.maximum(out[i], _component_norm(plan, keys, X, steps), out=out[i])

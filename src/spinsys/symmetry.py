@@ -271,8 +271,9 @@ def su2_sweep_lowest(phi, space: SpinSpace, k=4, threads=1):
     cross-check the term check by the two checks of the nested walk: the
     commutator (``_checked_plus``) on the sweep's one S+ block, M0 -> M0 + 1
     (``su2_totals``), and the nesting (``_level_difference``) of the top
-    sectors up to dimension ``spectral.KRYLOV_CROSSOVER``, solved densely
-    (M0 joins when dense too).
+    sectors up to dimension ``spectral.KRYLOV_CROSSOVER``, each solved for
+    every level, densely or by its momentum blocks where those are cheaper
+    (``spectral._momentum_levels``; M0 joins when dense too).
 
     Each block is assembled once, for the check and the solve.  M0 is then
     solved with eigenvectors through ``sector_spectrum`` (its k lowest
@@ -299,7 +300,8 @@ def su2_sweep_lowest(phi, space: SpinSpace, k=4, threads=1):
     blocks = {t: blocks[t] for t in order}      # M0 + 1, if not dense, was only checked
 
     def solve(t):
-        return sector_spectrum(blocks[t], sectors[t], k=k, want_vectors=t == low)
+        return sector_spectrum(blocks[t], sectors[t], k=k, want_vectors=t == low,
+                               momenta=t != low)
 
     reports = dict(zip(order, ordered_map(solve, order, threads)))
     full = {t for t, r in reports.items() if r.eigenvalues.size == sectors[t].dim}

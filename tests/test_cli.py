@@ -533,8 +533,9 @@ BEYOND_MEMORY = [
     (["ssep", "--graph", "{ring8}"], 10_000, "dense float64 solve of dimension 28"),
     (["droplet", "--q", "0.5", "--n", "10", "--Lmin", "40", "--Lmax", "40"], None,
      "40-site sector with 10 down spins"),
-    # lightcone: H on 256 states fits, its dense eigenbasis does not
-    (["lightcone", "--L", "8", "--tsteps", "2"], 2 ** 21, "dense 256-state eigenbasis"),
+    # lightcone: H on 256 states fits; the dense result of evolve (1 MiB),
+    # its blocks U_b and the temporaries of its largest block pair do not
+    (["lightcone", "--L", "8", "--tsteps", "2"], 2 ** 20, "dense 256-state eigenbasis"),
     (["cluster", "--L", "30"], None, "the M = 1 sector of the 30-site space"),
     (["perturb", "--L", "30"], None, "the M = 0 sector of the 30-site space"),
 ]
@@ -690,6 +691,17 @@ def test_liebmattis_takes_no_spin(tmp_path, capsys):
     assert capsys.readouterr().err.strip().splitlines() == [
         "config error: unknown key 'spin' in section [liebmattis]"]
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_parser_is_built_once_and_survives_a_bad_flag(tmp_path, capsys):
+    assert spinsys.cli.build_parser() is spinsys.cli.build_parser()
+    argv = ["foel", "--L", "4", "--out", str(tmp_path / "x.csv")]
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--bogus", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --bogus 1" in capsys.readouterr().err
+    assert run(argv) == 0
+    assert (tmp_path / "x.csv").exists()
 
 
 def test_liebmattis_classifies_once(tmp_path, monkeypatch):

@@ -502,17 +502,53 @@ def test_eigenbasis_blocks_of_a_complex_operator_are_real_products(monkeypatch):
     assert_dense_rotation(dyn, got, B.toarray())
 
 
-@pytest.mark.parametrize("case", ["heisenberg_L6", "dm_chain_L5"])
+@pytest.mark.parametrize("case", CASE_IDS)
 def test_evolve_matches_expm(case):
+    # the block-wise U^H A U against the dense exponential, for B, a complex
+    # Hermitian unit at site 0, and 2 S^1 at site 0, which moves the
+    # magnetization: where H has several blocks, evolve forms only the block
+    # pairs that 2 S^1 joins, and every block (r, r) is exactly zero
     from scipy.linalg import expm
     space, H, B, real = list(model_cases())[CASE_IDS.index(case)]
     dyn = HeisenbergDynamics(H)
     assert np.isrealobj(dyn.blocks[0]) == real
     h = H.toarray()
-    for A in (B, embed_at(space, [(0, np.array([[0.2, 1 - 0.5j], [1 + 0.5j, -0.7]]))])):
+    d = space.site_dims[0]
+    local = np.diag(np.linspace(0.2, -0.7, d)).astype(complex)
+    local[0, -1], local[-1, 0] = 1 - 0.5j, 1 + 0.5j
+    s1 = 2.0 * np.asarray(spin_matrices((d - 1) / 2).s1)
+    sigma1 = embed_at(space, [(0, s1)])
+    same_block = dyn.labels[:, None] == dyn.labels[None, :]
+    for A in (B, embed_at(space, [(0, local)]), sigma1):
         for t in (0.35, -1.1):
             expect = expm(1j * t * h) @ A.toarray() @ expm(-1j * t * h)
-            assert_allclose(dyn.evolve(A, t), expect, rtol=0, atol=1e-12)
+            got = dyn.evolve(A, t)
+            assert_allclose(got, expect, rtol=0, atol=1e-12)
+            if A is sigma1 and len(dyn.blocks) > 1:
+                assert not got[same_block].any()
+    assert_allclose(dyn.evolve(sigma1.toarray(), 0.35), dyn.evolve(sigma1, 0.35),
+                    rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("shape", [(6, 6), (4, 9), (9, 4)])
+@pytest.mark.parametrize("scale", [1.0, 1e-200, 1e150])
+def test_gram_top_singular_value_matches_svd(shape, scale):
+    # s sqrt(lambda_max) of the Gram matrix of k / s, s = max |k_ij|, against
+    # the SVD on random complex steps, a rank-1 step and an all-zero one
+    rng = np.random.default_rng(40)
+    n, m = shape
+
+    def cplx(*size):
+        return rng.standard_normal(size) + 1j * rng.standard_normal(size)
+
+    steps = [cplx(n, m), cplx(n, m), np.outer(cplx(n), cplx(m)), np.zeros((n, m), complex)]
+    for k in np.array(steps) * scale:
+        got = spinsys.flip._top_singular(k)
+        want = np.linalg.svd(k, compute_uv=False)[0]
+        if k.any():
+            assert abs(got - want) <= 1e-12 * want
+        else:
+            assert got == want == 0.0
 
 
 def test_commutator_grid_embeds_nothing(monkeypatch):

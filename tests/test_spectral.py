@@ -626,6 +626,24 @@ def test_small_sectors_stay_whole_under_the_split_cost(monkeypatch):
         assert np.abs(rep.eigenvalues - want).max() <= 1e-12
 
 
+def test_su2_top_run_splits_by_momentum(monkeypatch):
+    # the dense top run of the SU(2) sweep feeds only the nesting check, so
+    # its sectors are solved values-only and may split: on the AKLT 9-ring
+    # the 414-state M = 5 sector does (M = 6 and above are too small to pay
+    # for a split, M = 0 needs its vectors and M <= 4 exceed the crossover)
+    phi, space = aklt(9, periodic=True), SpinSpace((3,) * 9)
+    assert phi.su2_invariant(space)
+    calls = momentum_spy(monkeypatch)
+    _, per_sector = sector_sweep_lowest(phi, space, k=4)
+    assert [dim for dim, _ in calls] == [414]
+    top = {M: rep for (_, M), rep in per_sector.items() if M > 0}
+    assert sorted(top) == [5, 6, 7, 8, 9]
+    for M, rep in top.items():
+        want = whole_sector_levels(phi, space, M)
+        assert rep.eigenvalues.size == want.size
+        assert np.abs(rep.eigenvalues - want).max() <= 1e-12
+
+
 def xxz_ring_with(L, extra):
     """The XXZ ring plus the terms ``extra(ring)``."""
     phi, space = xxz_ring(L)
