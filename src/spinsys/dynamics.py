@@ -440,19 +440,19 @@ def commutator_grid(dyn: HeisenbergDynamics, B, space: SpinSpace, xs, ts) -> np.
                 product is taken one time step at a time: its rounding can
                 depend on the shape of the stack, and no point of the grid may
                 depend on the other times asked for."""
-                out = np.zeros((steps, sizes[a], sizes[c]), dtype=complex)
+                block = np.zeros((steps, sizes[a], sizes[c]), dtype=complex)
                 for b in terms[a, c]:
                     ab, bc = Ad[a, b], Bd[b, c]
                     if np.iscomplexobj(ab) or np.iscomplexobj(bc):
-                        for step, pb in zip(out, phases[b]):
+                        for step, pb in zip(block, phases[b]):
                             step += (ab * pb) @ bc
                     else:
                         pb = phases[b][:, None, :]
-                        out.real += (ab * pb.real) @ bc
-                        out.imag += (ab * pb.imag) @ bc
-                for step, pa in zip(out, phases[a]):
+                        block.real += (ab * pb.real) @ bc
+                        block.imag += (ab * pb.imag) @ bc
+                for step, pa in zip(block, phases[a]):
                     step *= pa.conj()[:, None]
-                return out
+                return block
 
             for keys, plan in comps:
                 np.maximum(out[i], _component_norm(plan, keys, X, steps), out=out[i])

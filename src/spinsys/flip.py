@@ -204,7 +204,7 @@ def _top_singular(k) -> float:
     with s = max |k_ij| and g the Gram matrix of k / s on its smaller side:
     an n x n ``eigvalsh`` in place of the SVD.  lambda_max(g) >= 1 is
     accurate to rounding relative to itself, and the scaling keeps the
-    squares of entries from 1e-200 or 1e150 finite and nonzero."""
+    squares of entries of 1e-200 or 1e170 finite and nonzero."""
     s = float(np.abs(k).max())
     if s == 0:
         return 0.0

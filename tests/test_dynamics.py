@@ -506,8 +506,8 @@ def test_eigenbasis_blocks_of_a_complex_operator_are_real_products(monkeypatch):
 def test_evolve_matches_expm(case):
     # the block-wise U^H A U against the dense exponential, for B, a complex
     # Hermitian unit at site 0, and 2 S^1 at site 0, which moves the
-    # magnetization: where H has several blocks, evolve forms only the block
-    # pairs that 2 S^1 joins, and every block (r, r) is exactly zero
+    # magnetization: where H has several blocks, 2 S^1 joins no block to
+    # itself, so every block (r, r) of its evolution is exactly zero
     from scipy.linalg import expm
     space, H, B, real = list(model_cases())[CASE_IDS.index(case)]
     dyn = HeisenbergDynamics(H)
@@ -531,7 +531,7 @@ def test_evolve_matches_expm(case):
 
 
 @pytest.mark.parametrize("shape", [(6, 6), (4, 9), (9, 4)])
-@pytest.mark.parametrize("scale", [1.0, 1e-200, 1e150])
+@pytest.mark.parametrize("scale", [1.0, 1e-200, 1e150, 1e170])
 def test_gram_top_singular_value_matches_svd(shape, scale):
     # s sqrt(lambda_max) of the Gram matrix of k / s, s = max |k_ij|, against
     # the SVD on random complex steps, a rank-1 step and an all-zero one
